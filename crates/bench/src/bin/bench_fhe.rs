@@ -3,7 +3,8 @@
 //! Times the operations the `rhychee-par` pool accelerates — the
 //! forward NTT (Shoup/Harvey butterflies), packed model encryption
 //! (NTT-resident, coefficient-domain reference, and symmetric seeded),
-//! homomorphic weighted aggregation, and model decryption — at 1, 2,
+//! homomorphic aggregation through the accumulator the product folds
+//! into, and model decryption — at 1, 2,
 //! and 4 threads, and writes the measurements to `BENCH_fhe.json` for
 //! the CI trend line, together with canonical vs seeded wire sizes.
 //! Parallelism never changes results (see `tests/parallel_determinism`),
@@ -23,10 +24,11 @@ use std::time::Instant;
 use rand::{rngs::StdRng, SeedableRng};
 
 use rhychee_bench::{banner, emit_metrics_json, init_telemetry, Table};
-use rhychee_core::packing;
+use rhychee_core::round::ClientUpdate;
+use rhychee_core::{packing, Aggregation, StreamingAggregator};
 use rhychee_fhe::ckks::modarith::find_ntt_primes;
 use rhychee_fhe::ckks::ntt::NttTable;
-use rhychee_fhe::ckks::CkksContext;
+use rhychee_fhe::ckks::{CkksCiphertext, CkksContext};
 use rhychee_fhe::params::CkksParams;
 use rhychee_par::Parallelism;
 
@@ -44,6 +46,17 @@ fn time_ns<F: FnMut()>(iters: usize, mut f: F) -> f64 {
         .collect();
     runs.sort_by(f64::total_cmp);
     runs[runs.len() / 2]
+}
+
+/// One round's aggregation as every runtime performs it: fold each
+/// client's ciphertexts into the accumulator, close with `1/P`.
+fn aggregate(ctx: &CkksContext, models: &[Vec<CkksCiphertext>]) -> Vec<CkksCiphertext> {
+    let mut agg = StreamingAggregator::new(0, Aggregation::FedAvg).expect("aggregator");
+    for (client_id, cts) in models.iter().enumerate() {
+        let update = ClientUpdate { client_id, round: 0, steps: 1, payload: &cts[..] };
+        assert!(agg.fold_ciphertexts(ctx, &update).expect("fold"), "client {client_id} folds");
+    }
+    agg.finish(ctx).expect("finish")
 }
 
 struct Sample {
@@ -266,11 +279,8 @@ fn main() {
         let models: Vec<_> = (0..clients)
             .map(|_| packing::encrypt_model(&ctx, &pk, &flat, &mut rng).expect("encrypt"))
             .collect();
-        let weights = vec![1.0 / clients as f64; clients];
         let aggregate_ns = time_ns(iters, || {
-            let global =
-                packing::homomorphic_weighted_average(&ctx, &models, &weights).expect("aggregate");
-            std::hint::black_box(global);
+            std::hint::black_box(aggregate(&ctx, &models));
         });
         samples.push(Sample {
             op: "aggregate".into(),
@@ -279,8 +289,7 @@ fn main() {
             backend: ntt_backend,
         });
 
-        let global =
-            packing::homomorphic_weighted_average(&ctx, &models, &weights).expect("aggregate");
+        let global = aggregate(&ctx, &models);
         let decrypt_ns = time_ns(iters, || {
             let flat = packing::decrypt_model(&ctx, &sk, &global, model_params).expect("decrypt");
             std::hint::black_box(flat);
@@ -311,9 +320,7 @@ fn main() {
     let fp_models: Vec<_> = (0..clients)
         .map(|_| packing::encrypt_model(&fp_ctx, &fp_pk, &fp_flat, &mut fp_rng).expect("encrypt"))
         .collect();
-    let fp_weights = vec![1.0 / clients as f64; clients];
-    let fp_global =
-        packing::homomorphic_weighted_average(&fp_ctx, &fp_models, &fp_weights).expect("aggregate");
+    let fp_global = aggregate(&fp_ctx, &fp_models);
     let fp_dec =
         packing::decrypt_model(&fp_ctx, &fp_sk, &fp_global, model_params).expect("decrypt");
     let fingerprint = decrypt_fingerprint(&fp_dec);

@@ -99,7 +99,6 @@ fn main() {
         .max_resident_uploads(max_resident)
         .build()
         .expect("server config");
-    assert!(cfg.streaming_aggregation(), "streaming must be the default path");
     let server =
         FlServer::bind("127.0.0.1:0", cfg, ServerPipeline::Ckks(CkksParams::toy())).expect("bind");
     let addr = server.local_addr().expect("local addr");

@@ -220,12 +220,6 @@ impl FlConfigBuilder {
         self
     }
 
-    /// Sets encoding worker threads.
-    #[deprecated(since = "0.1.0", note = "use `parallelism(Parallelism::Fixed(n))` instead")]
-    pub fn threads(self, threads: usize) -> Self {
-        self.parallelism(Parallelism::Fixed(threads.max(1)))
-    }
-
     /// Sets the master seed.
     pub fn seed(mut self, seed: u64) -> Self {
         self.config.seed = seed;
@@ -292,16 +286,6 @@ mod tests {
         assert!(FlConfig::builder().participation(0.0).build().is_err());
         assert!(FlConfig::builder().participation(1.5).build().is_err());
         assert!(FlConfig::builder().local_epochs(0).build().is_err());
-    }
-
-    #[test]
-    fn deprecated_threads_alias_forwards_to_parallelism() {
-        #[allow(deprecated)]
-        let cfg = FlConfig::builder().threads(0).build().expect("valid");
-        assert_eq!(cfg.parallelism, Parallelism::Fixed(1));
-        #[allow(deprecated)]
-        let cfg = FlConfig::builder().threads(6).build().expect("valid");
-        assert_eq!(cfg.parallelism, Parallelism::Fixed(6));
     }
 
     #[test]

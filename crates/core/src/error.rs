@@ -16,10 +16,9 @@ pub enum FlError {
     Fhe(FheError),
     /// The LWE noise budget cannot support the client count.
     NoiseBudget { clients: usize, budget: usize },
-    /// The streaming aggregation path broke an invariant mid-round and
-    /// had to abandon the fold (e.g. closing a sum no upload ever
-    /// reached, or retracting a contribution whose shape no longer
-    /// matches the accumulator). Distinct from a per-upload rejection —
+    /// The aggregator broke an invariant mid-round and had to abandon
+    /// the fold (e.g. closing a sum no upload ever reached). Distinct
+    /// from a per-upload rejection —
     /// those NACK the one upload and leave the round running.
     StreamingAbort(String),
 }

@@ -34,6 +34,7 @@ use crate::config::FlConfig;
 use crate::error::FlError;
 use crate::packing;
 use crate::round::{self, ClientLocal, ClientUpdate, ServerRound};
+use crate::streaming::StreamingAggregator;
 
 /// Salt for the participant-sampling stream (kept apart from setup and
 /// key material so pipelines can be compared round for round).
@@ -139,9 +140,9 @@ impl RunReport {
 enum Pipeline {
     /// Raw parameter exchange (no encryption).
     Plaintext,
-    /// Packed CKKS ciphertexts with homomorphic averaging. The packing
-    /// config selects dense slots (weighted average server-side) or
-    /// bit-interleaved lanes (homomorphic sum, mean after decryption).
+    /// Packed CKKS ciphertexts folded into one encrypted sum. The
+    /// packing config selects dense slots (scalar multiply at close) or
+    /// bit-interleaved lanes (raw sum, mean after decryption).
     Ckks {
         ctx: Box<CkksContext>,
         sk: CkksSecretKey,
@@ -419,8 +420,9 @@ impl Framework {
                 // noise-budget gauge, DESIGN.md §10).
                 let plain_updates = telemetry::enabled().then(|| trained.clone());
                 let span = telemetry::span("encrypt");
-                let mut sr = ServerRound::new(round, self.config.aggregation);
-                for u in trained {
+                let mut encrypted = Vec::with_capacity(trained.len());
+                for mut u in trained {
+                    round::prescale_update(self.config.aggregation, u.steps, &mut u.payload);
                     let cts = packing::encrypt_model_with(
                         ctx,
                         pk,
@@ -428,7 +430,7 @@ impl Framework {
                         packing,
                         self.clients[u.client_id].rng_mut(),
                     )?;
-                    sr.accept(ClientUpdate {
+                    encrypted.push(ClientUpdate {
                         client_id: u.client_id,
                         round: u.round,
                         steps: u.steps,
@@ -437,15 +439,17 @@ impl Framework {
                 }
                 report.encrypt_time = span.finish();
 
-                // Interleaved lanes survive only pure additions, so the
-                // plaintext `1/P` moves to after decryption (driven by
-                // the in-band contributor counter).
                 let span = telemetry::span("aggregate");
-                let global_ct = if packing.is_interleaved() {
-                    sr.aggregate_ckks_sum(ctx)?
-                } else {
-                    sr.aggregate_ckks(ctx)?
-                };
+                let mut agg = StreamingAggregator::new(round, self.config.aggregation)?;
+                for u in &encrypted {
+                    if !agg.fold_ciphertexts(ctx, u)? {
+                        return Err(FlError::StreamingAbort(format!(
+                            "round {round}: client {}'s own ciphertexts did not fold",
+                            u.client_id
+                        )));
+                    }
+                }
+                let global_ct = agg.close(ctx, packing)?;
                 report.aggregate_time = span.finish();
 
                 let span = telemetry::span("decrypt");

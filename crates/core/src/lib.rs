@@ -23,8 +23,9 @@
 //! * [`packing`] — maximum ciphertext packing (⌈DL/(N/2)⌉ ciphertexts)
 //! * [`round`] — reusable `ClientLocal`/`ServerRound` building blocks
 //!   (shared with the networked `rhychee-net` runtime)
-//! * [`streaming`] — [`StreamingAggregator`]: per-frame zero-copy
-//!   folding of encrypted uploads, bit-identical to batch aggregation
+//! * [`streaming`] — [`StreamingAggregator`]: the one accumulator
+//!   every runtime folds encrypted uploads into (zero-copy views or
+//!   owned ciphertexts), bit-identical to the Eq. 2 reference
 //! * [`nn_fl`] — CNN / MLP / logistic-regression FedAvg baselines
 //! * [`noisy`] — end-to-end encrypted FL across a noisy packet channel
 //! * [`error`] — framework errors

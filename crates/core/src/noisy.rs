@@ -16,17 +16,21 @@ use rhychee_telemetry as telemetry;
 use rhychee_channel::crc::Detector;
 use rhychee_channel::packet::{BitFlipChannel, PacketLink, TransferStats, PACKET_BITS};
 use rhychee_data::TrainTest;
-use rhychee_fhe::ckks::{CkksContext, CkksPublicKey, CkksSecretKey};
+use rhychee_fhe::ckks::{CkksCiphertext, CkksContext, CkksPublicKey, CkksSecretKey, CtView};
 use rhychee_fhe::params::CkksParams;
 use rhychee_hdc::model::{EncodedDataset, HdcModel};
 
-use rhychee_data::partition::dirichlet_partition_indices;
-use rhychee_hdc::encoding::{Encoder, RandomProjectionEncoder, RbfEncoder};
-
-use crate::config::{EncoderKind, FlConfig};
+use crate::config::FlConfig;
 use crate::error::FlError;
 use crate::framework::{RoundReport, RunReport};
 use crate::packing;
+use crate::round::{self, ClientLocal, ClientUpdate};
+use crate::streaming::StreamingAggregator;
+
+/// Salt for the channel's bit-flip stream, kept apart from setup, key
+/// and per-client encryption streams so the channel never perturbs
+/// what the federation computes — only what arrives.
+const CHANNEL_SALT: u64 = 0x2545_F491_4F6C_DD1D;
 
 /// Channel configuration for a noisy federated run.
 #[derive(Debug, Clone, Copy)]
@@ -101,17 +105,23 @@ pub struct NoisyFederation {
     ctx: CkksContext,
     sk: CkksSecretKey,
     pk: CkksPublicKey,
-    clients: Vec<(EncodedDataset, HdcModel)>,
+    clients: Vec<ClientLocal>,
     test: EncodedDataset,
     global: Vec<f32>,
     classes: usize,
-    rng: StdRng,
+    channel_rng: StdRng,
     stats: ChannelStats,
     next_round: usize,
 }
 
 impl NoisyFederation {
-    /// Builds the noisy encrypted federation.
+    /// Builds the noisy encrypted federation from the same setup, keys
+    /// and per-client streams as [`Framework::hdc_encrypted`], so over
+    /// a link that delivers every packet intact (clean, or noisy behind
+    /// a detector that misses nothing) both end at the same global
+    /// model, bit for bit. Every client participates in every round.
+    ///
+    /// [`Framework::hdc_encrypted`]: crate::Framework::hdc_encrypted
     ///
     /// # Errors
     ///
@@ -122,52 +132,17 @@ impl NoisyFederation {
         params: CkksParams,
         channel: NoisyChannelConfig,
     ) -> Result<Self, FlError> {
-        config.validate()?;
-        if data.train.len() < config.clients {
-            return Err(FlError::DataError("fewer training samples than clients".into()));
-        }
+        let round::FedSetup { shards, test, classes } = round::prepare(&config, data)?;
         let ctx = CkksContext::with_parallelism(params, config.parallelism)?;
-        let mut rng = StdRng::seed_from_u64(config.seed);
-        let (sk, pk) = ctx.generate_keys(&mut rng);
-
-        let classes = data.train.num_classes();
-        let feature_dim = data.train.feature_dim();
-        let use_rbf = match config.encoder {
-            EncoderKind::Rbf => true,
-            EncoderKind::RandomProjection => false,
-            EncoderKind::Auto => feature_dim == 784,
-        };
-        let (train_hv, test_hv) = if use_rbf {
-            let enc = RbfEncoder::new(feature_dim, config.hd_dim, &mut rng);
-            (
-                enc.encode_batch(data.train.features(), config.parallelism),
-                enc.encode_batch(data.test.features(), config.parallelism),
-            )
-        } else {
-            let enc = RandomProjectionEncoder::new(feature_dim, config.hd_dim, &mut rng);
-            (
-                enc.encode_batch(data.train.features(), config.parallelism),
-                enc.encode_batch(data.test.features(), config.parallelism),
-            )
-        };
-        let test = EncodedDataset::new(test_hv, data.test.labels().to_vec());
-        let clients = dirichlet_partition_indices(
-            data.train.labels(),
-            classes,
-            config.clients,
-            config.dirichlet_alpha,
-            &mut rng,
-        )
-        .into_iter()
-        .map(|idx| {
-            let hvs = idx.iter().map(|&i| train_hv[i].clone()).collect();
-            let labels = idx.iter().map(|&i| data.train.labels()[i]).collect();
-            (EncodedDataset::new(hvs, labels), HdcModel::new(classes, config.hd_dim))
-        })
-        .collect();
-
-        let global = vec![0.0f32; classes * config.hd_dim];
+        let (sk, pk) = round::derive_ckks_keys(&ctx, config.seed);
+        let clients = shards
+            .into_iter()
+            .enumerate()
+            .map(|(id, shard)| ClientLocal::new(id, shard, classes, &config))
+            .collect();
+        let channel_rng = StdRng::seed_from_u64(config.seed ^ CHANNEL_SALT);
         Ok(NoisyFederation {
+            global: vec![0.0f32; classes * config.hd_dim],
             config,
             channel,
             ctx,
@@ -175,9 +150,8 @@ impl NoisyFederation {
             pk,
             clients,
             test,
-            global,
             classes,
-            rng,
+            channel_rng,
             stats: ChannelStats::default(),
             next_round: 0,
         })
@@ -205,13 +179,13 @@ impl NoisyFederation {
                     det,
                     self.channel.packet_bits,
                 );
-                let (out, stats) = link.transfer(bytes, &mut self.rng);
+                let (out, stats) = link.transfer(bytes, &mut self.channel_rng);
                 self.stats.absorb(stats);
                 out
             }
             None => {
                 let ch = BitFlipChannel::new(self.channel.ber);
-                let (out, _) = ch.transmit(bytes, &mut self.rng);
+                let (out, _) = ch.transmit(bytes, &mut self.channel_rng);
                 let n_packets = bytes.len().div_ceil(self.channel.packet_bits / 8);
                 self.stats.packets += n_packets;
                 self.stats.transmissions += n_packets;
@@ -220,32 +194,27 @@ impl NoisyFederation {
         }
     }
 
-    /// Sends one ciphertext across the link, returning what the receiver
-    /// reconstructs.
+    /// Sends one ciphertext across the link, returning the serialized
+    /// bytes the receiver ends up holding.
     ///
     /// Payload corruption propagates into the crypto layer (it decrypts
     /// to garbage). Corruption of the small metadata header (levels /
     /// scale), which a real transport carries in its own checksummed
     /// header, is treated as an application-layer NACK: the transfer is
     /// counted as dropped and the sender's copy is reused.
-    fn send_ciphertext(
-        &mut self,
-        ct: &rhychee_fhe::ckks::CkksCiphertext,
-    ) -> rhychee_fhe::ckks::CkksCiphertext {
+    fn send_ciphertext(&mut self, ct: &CkksCiphertext) -> Vec<u8> {
         let bytes = self.ctx.serialize(ct);
         let delivered = self.send(&bytes);
-        match self.ctx.deserialize(&delivered) {
-            Ok(received) => {
-                let scale_ok = (received.scale() - ct.scale()).abs() <= ct.scale() * 1e-9;
-                if received.levels() == ct.levels() && scale_ok {
-                    return received;
-                }
-                self.stats.dropped_ciphertexts += 1;
-                ct.clone()
+        match self.ctx.view_serialized(&delivered) {
+            Ok(view)
+                if view.levels() == ct.levels()
+                    && (view.scale() - ct.scale()).abs() <= ct.scale() * 1e-9 =>
+            {
+                delivered
             }
-            Err(_) => {
+            _ => {
                 self.stats.dropped_ciphertexts += 1;
-                ct.clone()
+                bytes
             }
         }
     }
@@ -260,48 +229,48 @@ impl NoisyFederation {
         self.next_round += 1;
         let round_span = telemetry::span("round");
 
-        // Local training (first round starts from the OnlineHD bundling
-        // pass, as in the main Framework).
         let train_span = telemetry::span("local_train");
-        let global = self.global.clone();
-        let first_round = global.iter().all(|&v| v == 0.0);
-        let mut local_models = Vec::with_capacity(self.clients.len());
-        for (data, model) in &mut self.clients {
-            model.load_flat(&global);
-            if first_round {
-                model.bundle(data);
-            }
-            for _ in 0..self.config.local_epochs {
-                model.train_epoch(data, self.config.lr);
-            }
-            let mut out = model.clone();
-            if self.config.normalize {
-                out.normalize();
-            }
-            local_models.push(out.flatten());
-        }
+        let mut updates: Vec<ClientUpdate<Vec<f32>>> = self
+            .clients
+            .iter_mut()
+            .map(|client| {
+                let payload = client.train(&self.global, &self.config);
+                ClientUpdate { client_id: client.id(), round, steps: client.last_steps(), payload }
+            })
+            .collect();
         let train_time = train_span.finish();
 
-        // Upload: encrypt, serialize, transmit, deserialize at the
-        // server. Encryption gets its own span per client so its time is
-        // separable from the interleaved channel transfers.
+        // Upload: encrypt, serialize, transmit. Encryption gets its own
+        // span per client so its time is separable from the interleaved
+        // channel transfers.
         let mut encrypt_time = std::time::Duration::ZERO;
-        let mut received: Vec<Vec<rhychee_fhe::ckks::CkksCiphertext>> = Vec::new();
-        for flat in &local_models {
+        let mut received: Vec<Vec<Vec<u8>>> = Vec::with_capacity(updates.len());
+        for u in &mut updates {
             let span = telemetry::span("encrypt");
-            let cts = packing::encrypt_model(&self.ctx, &self.pk, flat, &mut self.rng)?;
+            round::prescale_update(self.config.aggregation, u.steps, &mut u.payload);
+            let rng = self.clients[u.client_id].rng_mut();
+            let cts = packing::encrypt_model(&self.ctx, &self.pk, &u.payload, rng)?;
             encrypt_time += span.finish();
-            let mut client_cts = Vec::with_capacity(cts.len());
-            for ct in &cts {
-                let received_ct = self.send_ciphertext(ct);
-                client_cts.push(received_ct);
-            }
-            received.push(client_cts);
+            received.push(cts.iter().map(|ct| self.send_ciphertext(ct)).collect());
         }
 
-        // Homomorphic aggregation on the (possibly corrupted) uploads.
+        // Homomorphic aggregation on the (possibly corrupted) uploads,
+        // folded straight from the delivered bytes.
         let aggregate_span = telemetry::span("aggregate");
-        let global_cts = packing::homomorphic_average(&self.ctx, &received)?;
+        let mut agg = StreamingAggregator::new(round, self.config.aggregation)?;
+        for (u, delivered) in updates.iter().zip(&received) {
+            let views: Vec<CtView<'_>> =
+                delivered.iter().map(|b| self.ctx.view_serialized(b)).collect::<Result<_, _>>()?;
+            let update =
+                ClientUpdate { client_id: u.client_id, round, steps: u.steps, payload: views };
+            if !agg.fold_views(&self.ctx, &update)? {
+                return Err(FlError::StreamingAbort(format!(
+                    "round {round}: client {}'s delivered upload did not fold",
+                    u.client_id
+                )));
+            }
+        }
+        let global_cts = agg.finish(&self.ctx)?;
         let aggregate_time = aggregate_span.finish();
 
         // Download: the encrypted global model crosses the channel once
@@ -314,13 +283,15 @@ impl NoisyFederation {
             for _ in 1..self.config.clients {
                 let _ = self.send(&bytes);
             }
-            downloaded.push(self.send_ciphertext(ct));
+            let delivered = self.send_ciphertext(ct);
+            downloaded.push(self.ctx.deserialize(&delivered)?);
         }
         let decrypt_span = telemetry::span("decrypt");
         self.global = packing::decrypt_model(&self.ctx, &self.sk, &downloaded, self.global.len())?;
         let decrypt_time = decrypt_span.finish();
 
-        let payload_bits = (self.ctx.serialize(&global_cts[0]).len() * 8 * global_cts.len()) as u64;
+        let ct_bytes = self.ctx.serialized_len(global_cts[0].levels());
+        let payload_bits = (ct_bytes * 8 * global_cts.len()) as u64;
         round_span.finish();
         Ok(RoundReport {
             round,
@@ -363,6 +334,39 @@ mod tests {
 
     fn config(rounds: usize) -> FlConfig {
         FlConfig::builder().clients(3).rounds(rounds).hd_dim(512).seed(4).build().expect("valid")
+    }
+
+    #[test]
+    fn intact_delivery_matches_framework_bit_for_bit() {
+        // Same setup, keys, client streams and aggregation path as the
+        // in-process framework: when every packet arrives intact — a
+        // clean link, or the paper's BER 1e-3 behind CRC-32 — the
+        // channel must be invisible in the final model. FedProx rides
+        // along: its proximal pull comes with `ClientLocal::train`.
+        let cfg = FlConfig::builder()
+            .clients(3)
+            .rounds(2)
+            .hd_dim(512)
+            .seed(4)
+            .aggregation(crate::Aggregation::FedProx { mu: 0.1 })
+            .build()
+            .expect("valid");
+        let mut fw =
+            crate::Framework::hdc_encrypted(cfg.clone(), &data(), CkksParams::toy()).expect("fw");
+        fw.run().expect("run");
+        let expected: Vec<u32> = fw.global_model().flatten().iter().map(|v| v.to_bits()).collect();
+
+        for ber in [0.0, 1e-3] {
+            let channel = NoisyChannelConfig { ber, ..Default::default() };
+            let mut fed = NoisyFederation::new(cfg.clone(), &data(), CkksParams::toy(), channel)
+                .expect("build");
+            let (_, stats) = fed.run().expect("run");
+            assert_eq!(stats.undetected_errors, 0, "BER {ber}: CRC-32 caught every corruption");
+            assert_eq!(stats.dropped_ciphertexts, 0, "BER {ber}");
+            assert_eq!(stats.retransmissions > 0, ber > 0.0, "BER {ber}");
+            let got: Vec<u32> = fed.global.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got, expected, "BER {ber}: global model diverged from Framework");
+        }
     }
 
     #[test]

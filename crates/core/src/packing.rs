@@ -11,11 +11,12 @@
 //! are packed per slot at a lane stride wide enough that the
 //! homomorphic *sum* of up to `max_clients` uploads never carries
 //! across lanes. Aggregation is then a pure ciphertext addition
-//! ([`homomorphic_sum`]); the division by the contributor count moves
-//! to after decryption. The count itself travels in-band: every client
-//! packs the constant `1` into a reserved counter lane (lane 0 of the
-//! first slot), so the summed aggregate is self-describing — dropouts
-//! and partial quorums need no side channel.
+//! ([`StreamingAggregator::finish_sum`](crate::StreamingAggregator::finish_sum));
+//! the division by the contributor count moves to after decryption.
+//! The count itself travels in-band: every client packs the constant
+//! `1` into a reserved counter lane (lane 0 of the first slot), so the
+//! summed aggregate is self-describing — dropouts and partial quorums
+//! need no side channel.
 
 use rand::Rng;
 
@@ -311,42 +312,6 @@ fn round_packed_word(v: f64, lane_bits: u32, lanes: usize) -> Result<u64, FheErr
     Ok(r as u64)
 }
 
-/// Homomorphically sums packed models: `Σᵢ Enc(LMᵢ)`, ciphertext by
-/// ciphertext — the lane-safe aggregation for [`PackingLayout::
-/// BitInterleaved`] (no plaintext multiply ever touches the packed
-/// slots). The mean is recovered at decryption from the in-band
-/// contributor counter ([`decrypt_model_with`]).
-///
-/// # Errors
-///
-/// Returns [`FheError`] on empty input, inconsistent ciphertext counts,
-/// or incompatible ciphertexts.
-pub fn homomorphic_sum(
-    ctx: &CkksContext,
-    client_models: &[Vec<CkksCiphertext>],
-) -> Result<Vec<CkksCiphertext>, FheError> {
-    if client_models.is_empty() {
-        return Err(FheError::InvalidParams("no client models to aggregate".into()));
-    }
-    let chunks = client_models[0].len();
-    if client_models.iter().any(|m| m.len() != chunks) {
-        return Err(FheError::InvalidParams(
-            "clients submitted differing ciphertext counts".into(),
-        ));
-    }
-    // Chunks aggregate independently; clients are accumulated in
-    // submission order, so the sum is degree-independent.
-    rhychee_par::map(ctx.parallelism(), chunks, |chunk_idx| {
-        let mut acc = client_models[0][chunk_idx].clone();
-        for client in &client_models[1..] {
-            ctx.add_assign(&mut acc, &client[chunk_idx])?;
-        }
-        Ok(acc)
-    })
-    .into_iter()
-    .collect()
-}
-
 /// Encrypts a flat model with maximum packing under the public key.
 ///
 /// # Errors
@@ -436,7 +401,9 @@ pub fn decrypt_model(
 }
 
 /// Homomorphically averages packed models from several clients:
-/// `HomMul(Σᵢ Enc(LMᵢ), 1/P)` (paper Eq. 2), ciphertext by ciphertext.
+/// `HomMul(Σᵢ Enc(LMᵢ), 1/P)` (paper Eq. 2), ciphertext by ciphertext —
+/// the uniform-weight wrapper of the [`homomorphic_weighted_average`]
+/// reference oracle.
 ///
 /// # Errors
 ///
@@ -454,6 +421,12 @@ pub fn homomorphic_average(
 }
 
 /// Homomorphically computes a weighted average `Σᵢ wᵢ · Enc(LMᵢ)`.
+///
+/// **Reference oracle**: the literal scale-then-add reading of Eq. 2,
+/// holding all `P` uploads at once. No runtime aggregates through it —
+/// they fold into a [`StreamingAggregator`](crate::StreamingAggregator),
+/// whose closed sum the bit-identity tests compare against this
+/// function byte for byte.
 ///
 /// Generalizes [`homomorphic_average`] to sample-count-weighted FedAvg
 /// (McMahan et al.): each client's ciphertexts are scaled by its public
@@ -503,8 +476,25 @@ pub fn homomorphic_weighted_average(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::round::ClientUpdate;
+    use crate::{Aggregation, StreamingAggregator};
     use rand::{rngs::StdRng, SeedableRng};
     use rhychee_fhe::params::CkksParams;
+
+    /// The product's aggregation of `uploads`: fold each into the
+    /// accumulator, close as `cfg`'s layout requires.
+    fn aggregate(
+        ctx: &CkksContext,
+        cfg: &PackingConfig,
+        uploads: &[Vec<CkksCiphertext>],
+    ) -> Vec<CkksCiphertext> {
+        let mut agg = StreamingAggregator::new(0, Aggregation::FedAvg).expect("aggregator");
+        for (client_id, cts) in uploads.iter().enumerate() {
+            let update = ClientUpdate { client_id, round: 0, steps: 1, payload: &cts[..] };
+            assert!(agg.fold_ciphertexts(ctx, &update).expect("fold"));
+        }
+        agg.close(ctx, cfg).expect("close")
+    }
 
     fn setup() -> (CkksContext, CkksSecretKey, CkksPublicKey, StdRng) {
         let ctx = CkksContext::new(CkksParams::toy()).expect("valid");
@@ -648,7 +638,7 @@ mod tests {
             .iter()
             .map(|m| encrypt_model_with(&ctx, &pk, m, &cfg, &mut rng).expect("encrypt"))
             .collect();
-        let global = homomorphic_sum(&ctx, &encrypted).expect("sum");
+        let global = aggregate(&ctx, &cfg, &encrypted);
         let back = decrypt_model_with(&ctx, &sk, &global, 300, &cfg).expect("decrypt");
         // The counter lane carried k = 4, so the mean comes back within
         // one quantization step of the plaintext FedAvg.
@@ -670,7 +660,7 @@ mod tests {
             .iter()
             .map(|m| encrypt_model_with(&ctx, &pk, m, &cfg, &mut rng).expect("encrypt"))
             .collect();
-        let global = homomorphic_sum(&ctx, &encrypted).expect("sum");
+        let global = aggregate(&ctx, &cfg, &encrypted);
         let back = decrypt_model_with(&ctx, &sk, &global, 50, &cfg).expect("decrypt");
         for v in &back {
             assert!((v - 0.2).abs() <= 1.0 / 127.0, "{v}");
@@ -749,7 +739,7 @@ mod tests {
         let encrypted: Vec<_> = (0..3)
             .map(|_| encrypt_model_with(&ctx, &pk, &flat, &cfg, &mut rng).expect("encrypt"))
             .collect();
-        let over = homomorphic_sum(&ctx, &encrypted).expect("sum");
+        let over = aggregate(&ctx, &cfg, &encrypted);
         assert!(decrypt_model_with(&ctx, &sk, &over, 10, &cfg).is_err(), "counter > max_clients");
         // Too few ciphertexts for the declared parameter count.
         let one = encrypt_model_with(&ctx, &pk, &flat, &cfg, &mut rng).expect("encrypt");

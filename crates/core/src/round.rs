@@ -53,6 +53,19 @@ pub fn derive_ckks_keys(ctx: &CkksContext, seed: u64) -> (CkksSecretKey, CkksPub
     ctx.generate_keys(&mut key_rng)
 }
 
+/// FedNova over ciphertexts: the server can multiply the encrypted sum
+/// by one scalar only, so each client divides its own flat model by its
+/// step count τ right before encryption and the aggregator closes with
+/// `1/Σⱼ(1/τⱼ)` ([`StreamingAggregator`](crate::StreamingAggregator)).
+/// A no-op under the uniform-weight rules. Every encrypting runtime
+/// calls this one function, so their ciphertexts agree bit for bit.
+pub fn prescale_update(aggregation: Aggregation, steps: usize, flat: &mut [f32]) {
+    if matches!(aggregation, Aggregation::FedNova) {
+        let tau = steps.max(1) as f32;
+        flat.iter_mut().for_each(|v| *v /= tau);
+    }
+}
+
 /// Shared federation setup: encoded shards, encoded test set, and the
 /// class count. Identical for every runtime given the same config/data.
 pub struct FedSetup {
@@ -396,8 +409,15 @@ impl ServerRound<Vec<f32>> {
 }
 
 impl ServerRound<Vec<CkksCiphertext>> {
-    /// Homomorphic FedAvg over the reporting quorum (paper Eq. 2) —
-    /// runs entirely on ciphertexts; no key material required.
+    /// Homomorphic FedAvg over the reporting quorum, computed literally
+    /// as paper Eq. 2 writes it (scale every upload, then add) over
+    /// *unscaled* uploads.
+    ///
+    /// **Reference oracle** — no product code calls this: every runtime
+    /// aggregates through [`StreamingAggregator`](crate::StreamingAggregator),
+    /// and the bit-identity gates (tests/parallel_determinism.rs,
+    /// tests/domain_equivalence.rs) compare its closed bytes against
+    /// this function.
     ///
     /// # Errors
     ///
@@ -408,25 +428,6 @@ impl ServerRound<Vec<CkksCiphertext>> {
         let models: Vec<Vec<CkksCiphertext>> =
             self.updates.iter().map(|u| u.payload.clone()).collect();
         Ok(packing::homomorphic_weighted_average(ctx, &models, &self.weights())?)
-    }
-
-    /// Lane-safe aggregation for bit-interleaved uploads: the plain
-    /// homomorphic **sum** `Σᵢ Enc(LMᵢ)`, with no plaintext multiply
-    /// that could carry across packed lanes. The division by the
-    /// contributor count happens after decryption, driven by the
-    /// in-band counter lane ([`packing::decrypt_model_with`]) — so this
-    /// path implements uniform FedAvg only; weighted rules need the
-    /// dense layout.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FlError`] if no updates were accepted or the
-    /// ciphertexts are incompatible.
-    pub fn aggregate_ckks_sum(&self, ctx: &CkksContext) -> Result<Vec<CkksCiphertext>, FlError> {
-        self.check_nonempty()?;
-        let models: Vec<Vec<CkksCiphertext>> =
-            self.updates.iter().map(|u| u.payload.clone()).collect();
-        Ok(packing::homomorphic_sum(ctx, &models)?)
     }
 }
 

@@ -1,31 +1,32 @@
-//! Streaming homomorphic aggregation: fold each encrypted upload into
-//! the running sum *as its frame arrives*, instead of collecting every
-//! client's ciphertexts and aggregating after quorum.
+//! The one CKKS aggregation path: every encrypted upload — a borrowed
+//! [`CtView`] over wire bytes as its frame arrives, or an owned
+//! ciphertext handed over in process — folds into one accumulator per
+//! model chunk, and the round closes with a single scalar multiply.
 //!
-//! The batch path ([`packing::homomorphic_weighted_average`]) computes,
-//! per residue, `Σᵢ (e·xᵢ) mod q` with `e = round(w·Δ)` — scaling each
-//! upload and then adding in client-id order. The streaming path keeps
-//! the raw modular sum `Σᵢ xᵢ` (folded zero-copy from wire bytes via
-//! [`CkksContext::fold_view`]) and applies one `mul_scalar(·, w)` at
-//! round close: `e·Σᵢxᵢ ≡ Σᵢ(e·xᵢ) (mod q)` by ring distributivity,
-//! and modular addition is exactly associative and commutative, so the
-//! closed sum is **bit-identical** to the batch aggregate for every
-//! arrival order and parallelism degree (locked in by
-//! tests/parallel_determinism.rs).
+//! The literal Eq. 2 reference
+//! ([`packing::homomorphic_weighted_average`]) computes, per residue,
+//! `Σᵢ (e·xᵢ) mod q` with `e = round(w·Δ)` — scaling each upload and
+//! then adding in client-id order. The accumulator keeps the raw modular
+//! sum `Σᵢ xᵢ` and applies one `mul_scalar(·, w)` at round close:
+//! `e·Σᵢxᵢ ≡ Σᵢ(e·xᵢ) (mod q)` by ring distributivity, and modular
+//! addition is exactly associative and commutative, so the closed sum
+//! is **bit-identical** to the reference for every arrival order,
+//! parallelism degree and fold flavour (locked in by
+//! tests/parallel_determinism.rs and the unit gates below).
 //!
 //! Two consequences shape the API:
 //!
-//! * only uniform-weight rules stream ([`Aggregation::FedAvg`],
-//!   [`Aggregation::FedProx`]): [`Aggregation::FedNova`] weights each
-//!   client by its step count, unknown until the round closes, so
-//!   [`StreamingAggregator::new`] rejects it and servers fall back to
-//!   the batch reference path (as they do for plaintext `f32` models,
-//!   whose float addition is not associative);
+//! * the server multiplies by one scalar, so per-client weights cannot
+//!   be applied here. [`Aggregation::FedNova`] clients therefore scale
+//!   their own model by `1/τᵢ` before encryption
+//!   ([`round::prescale_update`]) and the close multiplies by
+//!   `1/Σⱼ(1/τⱼ)`, known from the step counts the uploads declare;
 //! * the aggregator holds exactly one accumulator ciphertext per model
 //!   chunk — server memory is O(1) in client count. Uploads live only
 //!   for the duration of their fold.
 //!
 //! [`packing::homomorphic_weighted_average`]: crate::packing::homomorphic_weighted_average
+//! [`round::prescale_update`]: crate::round::prescale_update
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -34,10 +35,13 @@ use rhychee_telemetry as telemetry;
 
 use crate::config::Aggregation;
 use crate::error::FlError;
+use crate::packing::PackingConfig;
+use crate::round::ClientUpdate;
 
-/// Process-wide bytes held by live streaming accumulators, feeding the
+/// Process-wide bytes held by live accumulators, feeding the
 /// `core.stream_accum` entry of the memory breakdown. Charged when an
-/// aggregator materializes its per-chunk sums, released on drop.
+/// aggregator materializes its per-chunk sums, released when it closes
+/// or drops.
 static ACCUM_BYTES: AtomicU64 = AtomicU64::new(0);
 
 /// Bytes currently held by live [`StreamingAggregator`] accumulators.
@@ -45,66 +49,52 @@ pub fn accumulator_bytes() -> u64 {
     ACCUM_BYTES.load(Ordering::Relaxed)
 }
 
-/// Incremental replacement for collect-then-aggregate: one accumulator
-/// ciphertext per model chunk, a fold per arriving upload, one scalar
-/// multiplication at close.
+/// The running encrypted sum of one round: one accumulator ciphertext
+/// per model chunk, a fold per upload, one scalar multiplication at
+/// close.
 ///
 /// Acceptance semantics mirror [`ServerRound::accept`]: wrong-round and
 /// duplicate uploads are rejected (`Ok(false)`, the caller NACKs them)
 /// without touching the accumulator, and a fold that succeeded stays in
-/// the sum even if its client later disconnects — exactly the batch
-/// path's quorum accounting. [`StreamingAggregator::retract_upload`]
-/// exists for deployments that prefer the opposite policy; it subtracts
-/// a folded contribution back out bit-exactly.
+/// the sum even if its client later disconnects.
 ///
 /// [`ServerRound::accept`]: crate::round::ServerRound::accept
 #[derive(Debug)]
 pub struct StreamingAggregator {
     round: usize,
+    aggregation: Aggregation,
     acc: Vec<CkksCiphertext>,
     client_ids: Vec<usize>,
+    /// Declared local step counts τ, parallel to `client_ids`.
+    steps: Vec<usize>,
 }
 
 impl StreamingAggregator {
-    /// Whether `aggregation` can stream at all: true for the
-    /// uniform-weight rules, false for [`Aggregation::FedNova`] (its
-    /// per-client weights are unknown until every step count is in).
-    pub fn supports(aggregation: Aggregation) -> bool {
-        !matches!(aggregation, Aggregation::FedNova)
-    }
-
     /// Creates an empty aggregator for `round`.
     ///
     /// # Errors
     ///
-    /// Returns [`FlError::InvalidConfig`] when `aggregation` cannot
-    /// stream (see [`StreamingAggregator::supports`]); use the batch
-    /// path instead.
+    /// Never errors: every aggregation rule folds. The `Result` is the
+    /// signature callers already handle.
     pub fn new(round: usize, aggregation: Aggregation) -> Result<Self, FlError> {
-        if !Self::supports(aggregation) {
-            return Err(FlError::InvalidConfig(
-                "FedNova weights depend on step counts unknown until round close; \
-                 use the batch aggregation path"
-                    .into(),
-            ));
-        }
         telemetry::mem::register_source("core.stream_accum", accumulator_bytes);
-        Ok(StreamingAggregator { round, acc: Vec::new(), client_ids: Vec::new() })
+        Ok(StreamingAggregator {
+            round,
+            aggregation,
+            acc: Vec::new(),
+            client_ids: Vec::new(),
+            steps: Vec::new(),
+        })
     }
 
     /// Heap bytes this aggregator's accumulator ciphertexts hold — the
-    /// O(1)-in-client-count resident cost of the streaming path.
+    /// O(1)-in-client-count resident cost of aggregation.
     pub fn heap_bytes(&self) -> u64 {
         self.acc.iter().map(CkksCiphertext::heap_bytes).sum()
     }
 
-    /// The round this aggregator folds for.
-    pub fn round(&self) -> usize {
-        self.round
-    }
-
-    /// Uploads folded into the sum so far. Matches the batch path's
-    /// `received()`: a fold is never un-counted by a later disconnect.
+    /// Uploads folded into the sum so far; a fold is never un-counted
+    /// by a later disconnect.
     pub fn received(&self) -> usize {
         self.client_ids.len()
     }
@@ -112,6 +102,22 @@ impl StreamingAggregator {
     /// Ids of the clients whose uploads were folded, in arrival order.
     pub fn client_ids(&self) -> &[usize] {
         &self.client_ids
+    }
+
+    /// [`StreamingAggregator::fold_views`] for an upload that declares
+    /// no step count (τ = 1).
+    ///
+    /// # Errors
+    ///
+    /// As [`StreamingAggregator::fold_views`].
+    pub fn fold_upload(
+        &mut self,
+        ctx: &CkksContext,
+        client_id: usize,
+        round: usize,
+        views: &[CtView<'_>],
+    ) -> Result<bool, FlError> {
+        self.fold_views(ctx, &ClientUpdate { client_id, round, steps: 1, payload: views })
     }
 
     /// Folds one client's upload (one view per model chunk) into the
@@ -131,14 +137,13 @@ impl StreamingAggregator {
     /// This method itself never errors; the `Result` keeps the
     /// signature open for future invariant checks that would need
     /// [`FlError::StreamingAbort`].
-    pub fn fold_upload(
+    pub fn fold_views<'a, P: AsRef<[CtView<'a>]>>(
         &mut self,
         ctx: &CkksContext,
-        client_id: usize,
-        round: usize,
-        views: &[CtView<'_>],
+        update: &ClientUpdate<P>,
     ) -> Result<bool, FlError> {
-        if round != self.round || self.client_ids.contains(&client_id) || views.is_empty() {
+        let views = update.payload.as_ref();
+        if !self.admits(update, views.len()) {
             return Ok(false);
         }
         if self.acc.is_empty() {
@@ -146,63 +151,113 @@ impl StreamingAggregator {
             // all-zero accumulators are compatible by construction.
             self.acc = views.iter().map(|v| ctx.accumulator_for(v)).collect();
             ACCUM_BYTES.fetch_add(self.heap_bytes(), Ordering::Relaxed);
-        } else {
-            if views.len() != self.acc.len() {
-                return Ok(false);
-            }
-            if self.acc.iter().zip(views).any(|(ct, v)| ctx.check_view(ct, v).is_err()) {
-                return Ok(false);
-            }
+        } else if self.acc.iter().zip(views).any(|(acc, v)| ctx.check_view(acc, v).is_err()) {
+            return Ok(false);
         }
-        rhychee_par::for_each_mut(ctx.parallelism(), &mut self.acc, |i, ct| {
-            ctx.fold_view(ct, &views[i]).expect("views validated before folding");
+        rhychee_par::for_each_mut(ctx.parallelism(), &mut self.acc, |i, acc| {
+            ctx.fold_view(acc, &views[i]).expect("views validated before folding");
         });
-        self.client_ids.push(client_id);
-        telemetry::count("fl.agg.folds", 1);
+        self.record(update);
         Ok(true)
     }
 
-    /// Retracts a previously folded upload — the exact modular inverse
-    /// of [`StreamingAggregator::fold_upload`], for policies that evict
-    /// a dropped client's contribution instead of keeping it. Requires
-    /// the same views that were folded (the aggregator keeps none, by
-    /// design: that is the O(1) memory claim).
-    ///
-    /// Returns `Ok(false)` when `client_id` was never folded.
+    /// Folds one client's owned ciphertexts (one per model chunk) into
+    /// the running sum: `acc += ct`. Same acceptance rules, NACKs and
+    /// never-half-updated guarantee as
+    /// [`StreamingAggregator::fold_views`], and the same closed bytes.
     ///
     /// # Errors
     ///
-    /// Returns [`FlError::StreamingAbort`] when the views no longer
-    /// match the accumulator shape — a folded-then-mismatched retract
-    /// means the sum can no longer be trusted and the round must
-    /// restart.
-    pub fn retract_upload(
+    /// As [`StreamingAggregator::fold_views`].
+    pub fn fold_ciphertexts<P: AsRef<[CkksCiphertext]>>(
         &mut self,
         ctx: &CkksContext,
-        client_id: usize,
-        views: &[CtView<'_>],
+        update: &ClientUpdate<P>,
     ) -> Result<bool, FlError> {
-        let Some(pos) = self.client_ids.iter().position(|&id| id == client_id) else {
+        let cts = update.payload.as_ref();
+        if !self.admits(update, cts.len()) {
             return Ok(false);
-        };
-        if views.len() != self.acc.len()
-            || self.acc.iter().zip(views).any(|(ct, v)| ctx.check_view(ct, v).is_err())
-        {
-            return Err(FlError::StreamingAbort(format!(
-                "retract of client {client_id} does not match the folded accumulator shape"
-            )));
         }
-        rhychee_par::for_each_mut(ctx.parallelism(), &mut self.acc, |i, ct| {
-            ctx.unfold_view(ct, &views[i]).expect("views validated before unfolding");
-        });
-        self.client_ids.remove(pos);
+        if self.acc.is_empty() {
+            self.acc = cts.to_vec();
+            ACCUM_BYTES.fetch_add(self.heap_bytes(), Ordering::Relaxed);
+        } else {
+            if self.acc.iter().zip(cts).any(|(acc, ct)| ctx.check_compatible(acc, ct).is_err()) {
+                return Ok(false);
+            }
+            rhychee_par::for_each_mut(ctx.parallelism(), &mut self.acc, |i, acc| {
+                ctx.add_assign(acc, &cts[i]).expect("ciphertexts validated before folding");
+            });
+        }
+        self.record(update);
         Ok(true)
     }
 
-    /// Closes the round: applies the uniform weight `1/P` to each chunk
-    /// of the summed ciphertexts and returns the aggregate — the same
-    /// `HomMul(Σᵢ Enc(LMᵢ), 1/P)` as the batch path (paper Eq. 2),
-    /// byte-identical to it.
+    /// The checks both folds share: right round, new client, and a
+    /// chunk count matching the shape the first upload fixed.
+    fn admits<P>(&self, update: &ClientUpdate<P>, chunks: usize) -> bool {
+        update.round == self.round
+            && !self.client_ids.contains(&update.client_id)
+            && chunks != 0
+            && (self.acc.is_empty() || chunks == self.acc.len())
+    }
+
+    fn record<P>(&mut self, update: &ClientUpdate<P>) {
+        self.client_ids.push(update.client_id);
+        self.steps.push(update.steps);
+        telemetry::count("fl.agg.folds", 1);
+    }
+
+    /// The plaintext scalar that turns the folded sum into the round's
+    /// average: `1/P` under the uniform rules, `1/Σⱼ(1/τⱼ)` under
+    /// FedNova (whose clients pre-scaled by `1/τⱼ`). The FedNova sum
+    /// runs in client-id order, so the scalar — like the encrypted sum
+    /// — does not depend on arrival order.
+    fn close_weight(&self) -> f64 {
+        match self.aggregation {
+            Aggregation::FedAvg | Aggregation::FedProx { .. } => 1.0 / self.client_ids.len() as f64,
+            Aggregation::FedNova => {
+                let mut by_id: Vec<(usize, usize)> =
+                    self.client_ids.iter().copied().zip(self.steps.iter().copied()).collect();
+                by_id.sort_unstable();
+                1.0 / by_id.iter().map(|&(_, tau)| 1.0 / tau.max(1) as f64).sum::<f64>()
+            }
+        }
+    }
+
+    fn check_nonempty(&self) -> Result<(), FlError> {
+        if self.client_ids.is_empty() {
+            return Err(FlError::StreamingAbort("closing a round that folded no uploads".into()));
+        }
+        Ok(())
+    }
+
+    /// Closes the round the way `packing` requires: dense slots take
+    /// the weighted close ([`StreamingAggregator::finish`]),
+    /// bit-interleaved lanes the raw sum
+    /// ([`StreamingAggregator::finish_sum`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FlError::StreamingAbort`] when no upload was ever
+    /// folded.
+    pub fn close(
+        self,
+        ctx: &CkksContext,
+        packing: &PackingConfig,
+    ) -> Result<Vec<CkksCiphertext>, FlError> {
+        if packing.is_interleaved() {
+            self.finish_sum()
+        } else {
+            self.finish(ctx)
+        }
+    }
+
+    /// Closes the round: multiplies each chunk of the summed
+    /// ciphertexts by the round's one scalar weight and returns the
+    /// aggregate — `HomMul(Σᵢ Enc(LMᵢ), 1/P)` (paper Eq. 2),
+    /// byte-identical to the reference oracle
+    /// [`ServerRound::aggregate_ckks`](crate::round::ServerRound::aggregate_ckks).
     ///
     /// # Errors
     ///
@@ -210,32 +265,27 @@ impl StreamingAggregator {
     /// folded (callers enforce quorum before closing, so this is an
     /// invariant breach, not a recoverable state).
     pub fn finish(self, ctx: &CkksContext) -> Result<Vec<CkksCiphertext>, FlError> {
-        if self.client_ids.is_empty() {
-            return Err(FlError::StreamingAbort(
-                "closing a streamed round that folded no uploads".into(),
-            ));
-        }
-        let w = 1.0 / self.client_ids.len() as f64;
+        self.check_nonempty()?;
+        let w = self.close_weight();
         Ok(rhychee_par::map(ctx.parallelism(), self.acc.len(), |i| ctx.mul_scalar(&self.acc[i], w)))
     }
 
-    /// Closes the round *without* the `1/P` plaintext multiply,
-    /// returning the raw encrypted sum — the finalizer for
-    /// bit-interleaved uploads, whose packed lanes a `mul_scalar` would
-    /// smear across boundaries. The contributor count rides in-band
-    /// (counter lane), so decryption recovers the mean on its own.
+    /// Closes the round *without* the plaintext multiply, returning the
+    /// raw encrypted sum — the finalizer for bit-interleaved uploads,
+    /// whose packed lanes a `mul_scalar` would smear across boundaries.
+    /// The contributor count rides in-band (counter lane), so
+    /// decryption recovers the mean on its own.
     ///
     /// # Errors
     ///
     /// Returns [`FlError::StreamingAbort`] when no upload was ever
     /// folded, exactly as [`StreamingAggregator::finish`].
-    pub fn finish_sum(self) -> Result<Vec<CkksCiphertext>, FlError> {
-        if self.client_ids.is_empty() {
-            return Err(FlError::StreamingAbort(
-                "closing a streamed round that folded no uploads".into(),
-            ));
-        }
-        Ok(self.acc.clone())
+    pub fn finish_sum(mut self) -> Result<Vec<CkksCiphertext>, FlError> {
+        self.check_nonempty()?;
+        // The sum leaves with the caller: release its bytes here, so
+        // `Drop` finds an empty accumulator and releases nothing more.
+        ACCUM_BYTES.fetch_sub(self.heap_bytes(), Ordering::Relaxed);
+        Ok(std::mem::take(&mut self.acc))
     }
 }
 
@@ -255,6 +305,7 @@ mod tests {
     use rhychee_par::Parallelism;
 
     use crate::packing;
+    use crate::round;
 
     use super::*;
 
@@ -283,9 +334,21 @@ mod tests {
         (ctx, blobs, models)
     }
 
+    fn views<'a>(ctx: &CkksContext, blobs: &'a [Vec<u8>]) -> Vec<CtView<'a>> {
+        blobs.iter().map(|b| ctx.view_serialized(b).expect("view")).collect()
+    }
+
+    fn owned(client_id: usize, cts: &[CkksCiphertext]) -> ClientUpdate<&[CkksCiphertext]> {
+        ClientUpdate { client_id, round: 0, steps: 1, payload: cts }
+    }
+
+    fn bytes(ctx: &CkksContext, cts: &[CkksCiphertext]) -> Vec<Vec<u8>> {
+        cts.iter().map(|ct| ctx.serialize(ct)).collect()
+    }
+
     #[test]
     fn finish_sum_preserves_interleaved_lanes() {
-        // Fold bit-interleaved uploads and close with `finish_sum`: the
+        // Fold bit-interleaved uploads and close through `close`: the
         // raw encrypted sum must decrypt to the exact per-coordinate
         // mean — the `1/P` multiply of `finish` would smear lanes.
         let ctx = CkksContext::new(CkksParams::toy()).expect("params");
@@ -301,13 +364,11 @@ mod tests {
             let flat: Vec<f32> = (0..num_params).map(|_| crng.gen_range(-1.0..1.0)).collect();
             let cts =
                 packing::encrypt_model_with(&ctx, &pk, &flat, &cfg, &mut crng).expect("encrypt");
-            let blobs: Vec<Vec<u8>> = cts.iter().map(|ct| ctx.serialize(ct)).collect();
-            let views: Vec<CtView<'_>> =
-                blobs.iter().map(|b| ctx.view_serialized(b).expect("view")).collect();
-            assert!(agg.fold_upload(&ctx, c, 0, &views).expect("fold"));
+            let blobs = bytes(&ctx, &cts);
+            assert!(agg.fold_upload(&ctx, c, 0, &views(&ctx, &blobs)).expect("fold"));
             plain.push(flat);
         }
-        let sum = agg.finish_sum().expect("finish");
+        let sum = agg.close(&ctx, &cfg).expect("close");
         let back = packing::decrypt_model_with(&ctx, &sk, &sum, num_params, &cfg).expect("decrypt");
         let step = 1.0f32 / 127.0;
         for i in 0..num_params {
@@ -318,48 +379,109 @@ mod tests {
 
     #[test]
     fn streamed_sum_is_bit_identical_to_batch_across_orders() {
-        let (ctx, blobs, models) = encrypted_uploads(4, Parallelism::Fixed(1));
-        let weights = vec![0.25; 4];
-        let batch = packing::homomorphic_weighted_average(&ctx, &models, &weights).expect("batch");
-        let batch_bytes: Vec<Vec<u8>> = batch.iter().map(|ct| ctx.serialize(ct)).collect();
+        // View fold == owned fold == the Eq. 2 reference oracle, byte
+        // for byte, in every arrival order and at both degrees.
+        for par in [Parallelism::Fixed(1), Parallelism::Auto] {
+            let (ctx, blobs, models) = encrypted_uploads(4, par);
+            let weights = vec![0.25; 4];
+            let batch =
+                packing::homomorphic_weighted_average(&ctx, &models, &weights).expect("batch");
+            let batch_bytes = bytes(&ctx, &batch);
 
-        for order in [[0usize, 1, 2, 3], [3, 1, 0, 2], [2, 3, 1, 0]] {
-            let mut agg = StreamingAggregator::new(0, Aggregation::FedAvg).expect("fedavg");
-            for &c in &order {
-                let views: Vec<CtView<'_>> =
-                    blobs[c].iter().map(|b| ctx.view_serialized(b).expect("view")).collect();
-                assert!(agg.fold_upload(&ctx, c, 0, &views).expect("fold"));
+            for order in [[0usize, 1, 2, 3], [3, 1, 0, 2], [2, 3, 1, 0]] {
+                let mut by_view = StreamingAggregator::new(0, Aggregation::FedAvg).expect("fedavg");
+                let mut by_ct = StreamingAggregator::new(0, Aggregation::FedAvg).expect("fedavg");
+                for &c in &order {
+                    assert!(by_view
+                        .fold_upload(&ctx, c, 0, &views(&ctx, &blobs[c]))
+                        .expect("fold"));
+                    // Deserialized ciphertexts live in the domain the
+                    // views fold in, so both accumulators close alike.
+                    let cts: Vec<CkksCiphertext> =
+                        blobs[c].iter().map(|b| ctx.deserialize(b).expect("deserialize")).collect();
+                    assert!(by_ct.fold_ciphertexts(&ctx, &owned(c, &cts)).expect("fold"));
+                }
+                assert_eq!(by_view.received(), 4);
+                assert_eq!(by_ct.client_ids(), &order);
+                let streamed = bytes(&ctx, &by_view.finish(&ctx).expect("finish"));
+                let folded = bytes(&ctx, &by_ct.finish(&ctx).expect("finish"));
+                assert_eq!(streamed, batch_bytes, "{par}: view fold, order {order:?}");
+                assert_eq!(folded, batch_bytes, "{par}: owned fold, order {order:?}");
             }
-            assert_eq!(agg.received(), 4);
-            let streamed = agg.finish(&ctx).expect("finish");
-            let streamed_bytes: Vec<Vec<u8>> =
-                streamed.iter().map(|ct| ctx.serialize(ct)).collect();
-            assert_eq!(streamed_bytes, batch_bytes, "order {order:?} diverged from batch");
+            // Evaluation-domain ciphertexts straight from encryption
+            // (what `Framework` folds) close to the same bytes too.
+            let mut resident = StreamingAggregator::new(0, Aggregation::FedAvg).expect("fedavg");
+            for (c, cts) in models.iter().enumerate() {
+                assert!(resident.fold_ciphertexts(&ctx, &owned(c, cts)).expect("fold"));
+            }
+            assert_eq!(bytes(&ctx, &resident.finish(&ctx).expect("finish")), batch_bytes, "{par}");
         }
     }
 
     #[test]
     fn rejects_wrong_round_duplicates_and_shape_mismatches() {
-        let (ctx, blobs, _) = encrypted_uploads(2, Parallelism::Fixed(1));
+        let (ctx, blobs, models) = encrypted_uploads(2, Parallelism::Fixed(1));
         let mut agg = StreamingAggregator::new(3, Aggregation::FedProx { mu: 0.1 }).expect("prox");
-        let views: Vec<CtView<'_>> =
-            blobs[0].iter().map(|b| ctx.view_serialized(b).expect("view")).collect();
+        let views = views(&ctx, &blobs[0]);
         assert!(!agg.fold_upload(&ctx, 0, 2, &views).expect("wrong round"), "wrong round NACKs");
         assert!(agg.fold_upload(&ctx, 0, 3, &views).expect("fold"));
         assert!(!agg.fold_upload(&ctx, 0, 3, &views).expect("dup"), "duplicate NACKs");
         // Wrong chunk count: one view instead of two.
         assert!(!agg.fold_upload(&ctx, 1, 3, &views[..1]).expect("short"), "short payload NACKs");
         assert!(!agg.fold_upload(&ctx, 1, 3, &[]).expect("empty"), "empty payload NACKs");
+        // The owned fold applies the same rules — including the domain
+        // check: resident ciphertexts cannot join a coefficient sum.
+        let update = |round, payload| ClientUpdate { client_id: 1, round, steps: 1, payload };
+        assert!(!agg.fold_ciphertexts(&ctx, &update(2, &models[1][..])).expect("wrong round"));
+        assert!(!agg.fold_ciphertexts(&ctx, &update(3, &models[1][..1])).expect("short"));
+        assert!(!agg.fold_ciphertexts(&ctx, &update(3, &models[1][..])).expect("domain"));
         assert_eq!(agg.received(), 1);
         assert_eq!(agg.client_ids(), &[0]);
     }
 
     #[test]
-    fn fednova_cannot_stream() {
-        let err = StreamingAggregator::new(0, Aggregation::FedNova).expect_err("rejected");
-        assert!(matches!(err, FlError::InvalidConfig(_)));
-        assert!(!StreamingAggregator::supports(Aggregation::FedNova));
-        assert!(StreamingAggregator::supports(Aggregation::FedAvg));
+    fn fednova_prescaled_fold_closes_to_the_weighted_mean_in_any_order() {
+        let ctx = CkksContext::new(CkksParams::toy()).expect("params");
+        let mut rng = StdRng::seed_from_u64(5);
+        let (sk, pk) = ctx.generate_keys(&mut rng);
+        let taus = [3usize, 40, 7, 1];
+        let models: Vec<Vec<f32>> = (0..4)
+            .map(|c| (0..300).map(|i| ((c * 300 + i) as f32 * 0.01).cos()).collect())
+            .collect();
+        let uploads: Vec<Vec<CkksCiphertext>> = models
+            .iter()
+            .zip(taus)
+            .map(|(m, tau)| {
+                let mut flat = m.clone();
+                round::prescale_update(Aggregation::FedNova, tau, &mut flat);
+                packing::encrypt_model(&ctx, &pk, &flat, &mut rng).expect("encrypt")
+            })
+            .collect();
+        let close = |order: [usize; 4]| {
+            let mut agg = StreamingAggregator::new(0, Aggregation::FedNova).expect("fednova");
+            for c in order {
+                let update = ClientUpdate {
+                    client_id: c,
+                    round: 0,
+                    steps: taus[c],
+                    payload: &uploads[c][..],
+                };
+                assert!(agg.fold_ciphertexts(&ctx, &update).expect("fold"));
+            }
+            agg.finish(&ctx).expect("finish")
+        };
+        let global = close([0, 1, 2, 3]);
+        assert_eq!(bytes(&ctx, &global), bytes(&ctx, &close([3, 1, 0, 2])), "arrival order");
+
+        let refs: Vec<&[f32]> = models.iter().map(Vec::as_slice).collect();
+        let inv: Vec<f64> = taus.iter().map(|&t| 1.0 / t as f64).collect();
+        let total: f64 = inv.iter().sum();
+        let weights: Vec<f64> = inv.iter().map(|w| w / total).collect();
+        let expected = round::weighted_average(&refs, &weights);
+        let back = packing::decrypt_model(&ctx, &sk, &global, 300).expect("decrypt");
+        for (got, want) in back.iter().zip(&expected) {
+            assert!((got - want).abs() < 1e-3, "{got} vs {want}");
+        }
     }
 
     #[test]
@@ -369,6 +491,8 @@ mod tests {
         let err = agg.finish(&ctx).expect_err("no uploads");
         assert!(matches!(err, FlError::StreamingAbort(_)));
         assert!(err.to_string().contains("streaming aggregation aborted"));
+        let agg = StreamingAggregator::new(0, Aggregation::FedAvg).expect("fedavg");
+        assert!(matches!(agg.finish_sum(), Err(FlError::StreamingAbort(_))));
     }
 
     #[test]
@@ -376,40 +500,15 @@ mod tests {
         let (ctx, blobs, _) = encrypted_uploads(1, Parallelism::Fixed(1));
         let mut agg = StreamingAggregator::new(0, Aggregation::FedAvg).expect("fedavg");
         assert_eq!(agg.heap_bytes(), 0, "no accumulator before the first fold");
-        let views: Vec<CtView<'_>> =
-            blobs[0].iter().map(|b| ctx.view_serialized(b).expect("view")).collect();
-        assert!(agg.fold_upload(&ctx, 0, 0, &views).expect("fold"));
+        assert!(agg.fold_upload(&ctx, 0, 0, &views(&ctx, &blobs[0])).expect("fold"));
         let held = agg.heap_bytes();
         assert!(held > 0, "materialized accumulator holds heap bytes");
         // The global counter is Σ bytes of live aggregators, so while
         // ours is alive it must cover at least our contribution — true
-        // even with sibling tests charging/releasing concurrently.
+        // even with sibling tests charging/releasing concurrently. The
+        // exact release on finish / finish_sum / drop is asserted in
+        // tests/accumulator_bytes.rs, which has the process to itself.
         let charged = accumulator_bytes();
         assert!(charged >= held, "global counter covers this aggregator: {charged} < {held}");
-    }
-
-    #[test]
-    fn retract_restores_the_sum_exactly() {
-        let (ctx, blobs, models) = encrypted_uploads(3, Parallelism::Auto);
-        let mut agg = StreamingAggregator::new(0, Aggregation::FedAvg).expect("fedavg");
-        for (c, blob) in blobs.iter().enumerate() {
-            let views: Vec<CtView<'_>> =
-                blob.iter().map(|b| ctx.view_serialized(b).expect("view")).collect();
-            assert!(agg.fold_upload(&ctx, c, 0, &views).expect("fold"));
-        }
-        // Retract client 1: the close must equal a batch over {0, 2}.
-        let views1: Vec<CtView<'_>> =
-            blobs[1].iter().map(|b| ctx.view_serialized(b).expect("view")).collect();
-        assert!(agg.retract_upload(&ctx, 1, &views1).expect("retract"));
-        assert!(!agg.retract_upload(&ctx, 1, &views1).expect("gone"), "double retract NACKs");
-        assert_eq!(agg.received(), 2);
-        let streamed = agg.finish(&ctx).expect("finish");
-
-        let subset = vec![models[0].clone(), models[2].clone()];
-        let batch =
-            packing::homomorphic_weighted_average(&ctx, &subset, &[0.5, 0.5]).expect("batch");
-        for (s, b) in streamed.iter().zip(&batch) {
-            assert_eq!(ctx.serialize(s), ctx.serialize(b));
-        }
     }
 }

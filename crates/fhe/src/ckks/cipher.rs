@@ -1046,7 +1046,17 @@ impl CkksContext {
         Ok(CkksCiphertext { c0, c1, scale, c1_seed: None })
     }
 
-    fn check_compatible(&self, a: &CkksCiphertext, b: &CkksCiphertext) -> Result<(), FheError> {
+    /// Checks that `a` and `b` can be added: equal levels, the same
+    /// residue domain, and scales within relative `1e-9` — the owned
+    /// twin of [`CkksContext::check_view`]. Callers that pre-check
+    /// every chunk of an upload make the subsequent
+    /// [`CkksContext::add_assign`]s infallible.
+    ///
+    /// # Errors
+    ///
+    /// [`FheError::LevelMismatch`], [`FheError::InvalidParams`] (domain
+    /// mismatch), or [`FheError::ScaleMismatch`].
+    pub fn check_compatible(&self, a: &CkksCiphertext, b: &CkksCiphertext) -> Result<(), FheError> {
         if a.levels() != b.levels() {
             return Err(FheError::LevelMismatch { lhs: a.levels(), rhs: b.levels() });
         }

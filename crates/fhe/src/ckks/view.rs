@@ -13,18 +13,14 @@
 //! place, allocating nothing and performing zero NTTs.
 //!
 //! Because a view is validated up front, the fold itself is infallible
-//! (beyond the accumulator-compatibility check), and it has an exact
-//! inverse: [`CkksContext::unfold_view`] subtracts the same residues
-//! back out mod `q`, restoring the accumulator bit for bit. Streaming
-//! servers use the pair to retract a contribution deterministically
-//! instead of restarting a round.
+//! (beyond the accumulator-compatibility check).
 //!
-//! Sum-then-scale equals scale-then-sum exactly here: the batch
-//! aggregation path computes `Σᵢ (e·xᵢ) mod q` per residue (with
-//! `e = round(w·Δ)`), the streaming path `e·(Σᵢ xᵢ) mod q` — equal by
-//! ring distributivity, and modular addition is exactly associative and
+//! Sum-then-scale equals scale-then-sum exactly here: the literal
+//! Eq. 2 reference computes `Σᵢ (e·xᵢ) mod q` per residue (with
+//! `e = round(w·Δ)`), the fold `e·(Σᵢ xᵢ) mod q` — equal by ring
+//! distributivity, and modular addition is exactly associative and
 //! commutative, so folds are arrival-order independent and the closed
-//! sum serializes to the same bytes as the batch aggregate.
+//! sum serializes to the same bytes as the reference aggregate.
 
 use rhychee_telemetry as telemetry;
 
@@ -32,7 +28,7 @@ use crate::bitpack::{bits_for, BitReader};
 use crate::error::FheError;
 
 use super::cipher::{CkksCiphertext, CkksContext};
-use super::modarith::{add_mod, sub_mod};
+use super::modarith::add_mod;
 use super::rns::{Domain, RnsPoly};
 use super::seedexp;
 
@@ -49,8 +45,7 @@ enum ViewFormat {
 ///
 /// Produced by [`CkksContext::view_serialized`] /
 /// [`CkksContext::view_serialized_seeded`]; consumed by
-/// [`CkksContext::fold_view`] (and its exact inverse
-/// [`CkksContext::unfold_view`]) without ever materializing an owned
+/// [`CkksContext::fold_view`] without ever materializing an owned
 /// ciphertext. [`CtView::to_ciphertext`] bridges back to the owned
 /// world when a caller needs one.
 #[derive(Debug, Clone, Copy)]
@@ -240,28 +235,6 @@ impl CkksContext {
     /// Propagates [`CkksContext::check_view`] incompatibilities; the
     /// fold itself cannot fail on a constructed view.
     pub fn fold_view(&self, acc: &mut CkksCiphertext, view: &CtView<'_>) -> Result<(), FheError> {
-        self.apply_view(acc, view, add_mod)
-    }
-
-    /// Exact inverse of [`CkksContext::fold_view`]: subtracts the
-    /// viewed upload back out of the accumulator mod `q`, restoring it
-    /// bit for bit. Used to retract a previously folded contribution
-    /// (e.g. a policy that un-counts a client that dropped mid-round)
-    /// without restarting the round.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`CkksContext::check_view`] incompatibilities.
-    pub fn unfold_view(&self, acc: &mut CkksCiphertext, view: &CtView<'_>) -> Result<(), FheError> {
-        self.apply_view(acc, view, sub_mod)
-    }
-
-    fn apply_view(
-        &self,
-        acc: &mut CkksCiphertext,
-        view: &CtView<'_>,
-        op: impl Fn(u64, u64, u64) -> u64,
-    ) -> Result<(), FheError> {
         self.check_view(acc, view)?;
         telemetry::count("fhe.ckks.fold", 1);
         let primes = &self.primes()[..view.levels];
@@ -284,7 +257,7 @@ impl CkksContext {
                         let bits = bits_for(q);
                         for a in poly.residues_mut(i) {
                             let v = r.read_bits(bits).expect("length-validated view") % q;
-                            *a = op(*a, v, q);
+                            *a = add_mod(*a, v, q);
                         }
                     }
                 }
@@ -294,13 +267,13 @@ impl CkksContext {
                     let bits = bits_for(q);
                     for a in acc.c0.residues_mut(i) {
                         let v = r.read_bits(bits).expect("length-validated view") % q;
-                        *a = op(*a, v, q);
+                        *a = add_mod(*a, v, q);
                     }
                 }
                 for (i, &q) in primes.iter().enumerate() {
                     let mut stream = seedexp::SeedStream::new(&seed, i as u64);
                     for a in acc.c1.residues_mut(i) {
-                        *a = op(*a, stream.uniform_below(q), q);
+                        *a = add_mod(*a, stream.uniform_below(q), q);
                     }
                 }
             }
@@ -435,24 +408,6 @@ mod tests {
         }
         // Both sums are eval-domain; serialize INTTs both identically.
         assert_eq!(ctx.serialize(&acc), ctx.serialize(&reference));
-    }
-
-    #[test]
-    fn unfold_restores_accumulator_exactly() {
-        let ctx = ctx();
-        let mut rng = StdRng::seed_from_u64(13);
-        let (_, pk) = ctx.generate_keys(&mut rng);
-        let a = ctx.serialize(&ctx.encrypt(&pk, &[1.0], &mut rng).expect("encrypt"));
-        let b = ctx.serialize(&ctx.encrypt(&pk, &[2.0], &mut rng).expect("encrypt"));
-
-        let va = ctx.view_serialized(&a).expect("view");
-        let vb = ctx.view_serialized(&b).expect("view");
-        let mut acc = ctx.accumulator_for(&va);
-        ctx.fold_view(&mut acc, &va).expect("fold");
-        let snapshot = ctx.serialize(&acc);
-        ctx.fold_view(&mut acc, &vb).expect("fold");
-        ctx.unfold_view(&mut acc, &vb).expect("unfold");
-        assert_eq!(ctx.serialize(&acc), snapshot);
     }
 
     #[test]

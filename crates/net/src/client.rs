@@ -22,7 +22,7 @@ use rhychee_fhe::params::CkksParams;
 use rhychee_hdc::model::{EncodedDataset, HdcModel};
 use rhychee_telemetry as telemetry;
 
-use crate::codec::{self, CanonicalCodec, SeededCodec, WireCodec};
+use crate::codec::{self, CanonicalCodec, WireCodec};
 use crate::error::NetError;
 use crate::wire::{self, Message, DEFAULT_MAX_PAYLOAD};
 
@@ -33,16 +33,9 @@ pub enum ClientPipeline {
     Plaintext,
     /// Packed CKKS ciphertexts under the shared key derived from the
     /// run seed, in the wire format of [`ClientConfig::codec`]
-    /// (canonical by default; [`SeededCodec`] selects symmetric
-    /// encryption with seed-compressed uploads).
+    /// (canonical by default; [`SeededCodec`](crate::SeededCodec)
+    /// selects symmetric encryption with seed-compressed uploads).
     Ckks(CkksParams),
-    /// Like [`ClientPipeline::Ckks`], but forcing the seed-compressed
-    /// wire format regardless of the configured codec.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `Ckks` with `ClientConfig::codec` set to `SeededCodec` instead"
-    )]
-    CkksSeeded(CkksParams),
 }
 
 /// Client-side connection configuration.
@@ -64,7 +57,8 @@ pub struct ClientConfig {
     /// Frame payload cap in bytes.
     pub max_payload: u32,
     /// CKKS wire codec for uploads (default [`CanonicalCodec`]; must
-    /// match the server's configured codec). A [`SeededCodec`] client
+    /// match the server's configured codec). A
+    /// [`SeededCodec`](crate::SeededCodec) client
     /// encrypts uploads symmetrically so each ciphertext carries the
     /// expansion seed the format transmits in place of `c1`; downloads
     /// stay canonical, since the aggregate is not a fresh encryption.
@@ -133,9 +127,6 @@ struct CkksSide {
     ctx: CkksContext,
     sk: CkksSecretKey,
     pk: CkksPublicKey,
-    /// Wire format for uploads; a symmetric codec switches encryption
-    /// to the secret key so ciphertexts carry expansion seeds.
-    codec: Arc<dyn WireCodec>,
 }
 
 /// A blocking-I/O TCP federated client.
@@ -166,21 +157,13 @@ impl FlClient {
         eval: Option<EncodedDataset>,
         pipeline: ClientPipeline,
     ) -> Result<Self, NetError> {
-        // The deprecated seeded pipeline variant forces its codec so
-        // pre-redesign callers keep their wire format unchanged.
-        #[allow(deprecated)]
-        let (params, wire_codec): (Option<CkksParams>, Arc<dyn WireCodec>) = match pipeline {
-            ClientPipeline::Plaintext => (None, Arc::clone(&config.codec)),
-            ClientPipeline::Ckks(params) => (Some(params), Arc::clone(&config.codec)),
-            ClientPipeline::CkksSeeded(params) => (Some(params), Arc::new(SeededCodec)),
-        };
         config.packing.validate()?;
-        let ckks = match params {
-            None => None,
-            Some(params) => {
+        let ckks = match pipeline {
+            ClientPipeline::Plaintext => None,
+            ClientPipeline::Ckks(params) => {
                 let ctx = CkksContext::with_parallelism(params, fl.parallelism)?;
                 let (sk, pk) = round::derive_ckks_keys(&ctx, fl.seed);
-                Some(CkksSide { ctx, sk, pk, codec: wire_codec })
+                Some(CkksSide { ctx, sk, pk })
             }
         };
         Ok(FlClient { config, fl, local, eval, ckks, classes })
@@ -279,7 +262,7 @@ impl FlClient {
             let span = telemetry::span("client_round");
 
             let tspan = telemetry::span("local_train");
-            let flat = self.local.train(&global, &self.fl);
+            let mut flat = self.local.train(&global, &self.fl);
             let train_time = tspan.finish();
             telemetry::observe_duration("fl.phase.local_train.ns", train_time);
             report.train_time += train_time;
@@ -288,7 +271,12 @@ impl FlClient {
             let payload = match &self.ckks {
                 None => Ok(codec::encode_plain(&flat)),
                 Some(side) => {
-                    let cts = if side.codec.symmetric() {
+                    let steps = self.local.last_steps();
+                    round::prescale_update(self.fl.aggregation, steps, &mut flat);
+                    // A symmetric codec switches encryption to the
+                    // secret key so ciphertexts carry expansion seeds.
+                    let codec = &self.config.codec;
+                    let cts = if codec.symmetric() {
                         self.local.encrypt_update_symmetric_with(
                             &side.ctx,
                             &side.sk,
@@ -303,8 +291,7 @@ impl FlClient {
                             &self.config.packing,
                         )
                     };
-                    cts.map_err(NetError::from)
-                        .and_then(|cts| side.codec.encode_upload(&side.ctx, &cts))
+                    cts.map_err(NetError::from).and_then(|cts| codec.encode_upload(&side.ctx, &cts))
                 }
             };
             let encrypt_time = espan.finish();

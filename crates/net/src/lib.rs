@@ -9,14 +9,15 @@
 //! Layers:
 //!
 //! * [`wire`] — length-prefixed, versioned, CRC-guarded binary frames
-//! * [`codec`] — model payload encoding (plaintext / CKKS / LWE); the
+//! * [`codec`] — model payload encoding (plaintext / CKKS); the
 //!   sealed [`WireCodec`] trait selects the CKKS wire format
-//!   ([`CanonicalCodec`] / [`SeededCodec`]) and offers both owning
-//!   decode and zero-copy [`ModelView`] parsing
+//!   ([`CanonicalCodec`] / [`SeededCodec`]) and parses uploads into
+//!   zero-copy [`ModelView`]s
 //! * [`server`] — [`FlServer`]: thread-per-connection collection with
-//!   quorum-based straggler tolerance; under CKKS, uploads stream into
-//!   the running encrypted sum as frames arrive (O(1) server memory in
-//!   client count, bit-identical to the batch reference path)
+//!   quorum-based straggler tolerance; under CKKS, uploads fold into
+//!   the round's one encrypted accumulator as frames arrive (O(1)
+//!   server memory in client count, bit-identical in every arrival
+//!   order)
 //! * [`client`] — [`FlClient`]: connect/upload with bounded retry and
 //!   local decryption of each global model
 //! * [`error`] — [`NetError`]

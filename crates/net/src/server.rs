@@ -4,39 +4,35 @@
 //!
 //! Threading model: one blocking-I/O handler thread per connection plus
 //! a coordinator (the caller's thread). Handlers receive broadcast
-//! payloads over per-handler channels, **deserialize uploads on their
-//! own thread** (the expensive part of receiving a CKKS payload), and
-//! forward decoded events to the coordinator over a shared channel; the
-//! coordinator owns all round state ([`ServerRound`]) and decides
-//! acceptance, so protocol logic stays single-threaded even though I/O
-//! and decoding are not. Aggregation itself fans out on the shared
-//! `rhychee-par` pool at the configured [`Parallelism`]; the folded
-//! model is bit-identical at every degree.
+//! payloads over per-handler channels, read one upload per broadcast,
+//! and forward it to the coordinator over a shared channel; the
+//! coordinator owns all round state and decides acceptance, so protocol
+//! logic stays single-threaded even though I/O is not. Aggregation
+//! fans out on the shared `rhychee-par` pool at the configured
+//! [`Parallelism`]; the result is bit-identical at every degree.
 //!
 //! Straggler policy: a round closes as soon as every live client has
 //! reported, or at the round deadline. At the deadline the round
-//! aggregates if at least `quorum` updates arrived — reweighting the
-//! average over the reporting subset via [`ServerRound::weights`] — and
-//! fails with [`NetError::QuorumNotReached`] otherwise. Uploads for any
-//! other round (and duplicates) are NACKed with `UpdateAck { accepted:
-//! false }` and never touch the aggregate.
+//! aggregates if at least `quorum` updates arrived — averaging over the
+//! reporting subset — and fails with [`NetError::QuorumNotReached`]
+//! otherwise. Uploads for any other round (and duplicates) are NACKed
+//! with `UpdateAck { accepted: false }` and never touch the aggregate.
 //!
-//! Streaming aggregation (the default under CKKS): instead of each
-//! handler deserializing its upload and the coordinator collecting all
-//! of them until quorum, handlers ship the raw payload bytes and the
-//! coordinator folds each upload into the running encrypted sum the
-//! moment its frame arrives, zero-copy through
-//! [`WireCodec::parse_upload`] and [`StreamingAggregator`]. Handler
-//! reads gate on a resident-upload permit
+//! CKKS aggregation: handlers ship the raw payload bytes and the
+//! coordinator folds each upload into the round's one
+//! [`StreamingAggregator`] the moment its frame arrives, zero-copy
+//! through [`WireCodec::parse_upload`]. Handler reads gate on a
+//! resident-upload permit
 //! ([`ServerConfigBuilder::max_resident_uploads`]) released right after
 //! the fold, so server memory is O(accumulator + permits), independent
 //! of client count — late clients wait in TCP backpressure, not in
-//! server buffers. The streamed sum is **bit-identical** to the batch
-//! path for every arrival order; rules whose weights are unknown until
-//! close ([`Aggregation::FedNova`]) and the plaintext pipeline (float
-//! addition is not associative) fall back to batch automatically, and
-//! [`ServerConfigBuilder::streaming_aggregation`]`(false)` selects the
-//! batch reference path explicitly.
+//! server buffers. The closed sum is **bit-identical** for every
+//! arrival order. [`Aggregation::FedNova`] folds like the uniform
+//! rules: its clients pre-scale by `1/τ` before encrypting and the
+//! close multiplies by `1/Σ(1/τ)`, read off the `Update` headers. The
+//! plaintext pipeline (float addition is not associative) decodes on
+//! the handler threads and averages in client-id order at close
+//! ([`ServerRound`]).
 
 use std::collections::{HashMap, HashSet};
 use std::io;
@@ -56,7 +52,7 @@ use rhychee_fhe::params::CkksParams;
 use rhychee_obs::{ObsHandle, ObsServer, Watchdog};
 use rhychee_telemetry as telemetry;
 
-use crate::codec::{self, CanonicalCodec, SeededCodec, WireCodec};
+use crate::codec::{self, CanonicalCodec, WireCodec};
 use crate::error::NetError;
 use crate::residency::{Residency, ResidencyPermit};
 use crate::wire::{self, Message, TraceContext, DEFAULT_MAX_PAYLOAD};
@@ -71,13 +67,6 @@ pub enum ServerPipeline {
     /// The wire format is the config's [`WireCodec`]
     /// ([`ServerConfigBuilder::codec`]; canonical by default).
     Ckks(CkksParams),
-    /// Like [`ServerPipeline::Ckks`], but forcing the seed-compressed
-    /// wire format regardless of the configured codec.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `Ckks` with `ServerConfig::builder().codec(SeededCodec)` instead"
-    )]
-    CkksSeeded(CkksParams),
 }
 
 /// Server-side run configuration.
@@ -116,7 +105,6 @@ pub struct ServerConfig {
     allow_rejoin: bool,
     codec: Arc<dyn WireCodec>,
     packing: packing::PackingConfig,
-    streaming: bool,
     max_resident_uploads: usize,
     watchdog_multiple: f64,
     flight_dump_dir: Option<PathBuf>,
@@ -200,14 +188,8 @@ impl ServerConfig {
         &self.packing
     }
 
-    /// Whether eligible CKKS rounds fold uploads as frames arrive
-    /// instead of collecting them all and batch-aggregating.
-    pub fn streaming_aggregation(&self) -> bool {
-        self.streaming
-    }
-
-    /// How many undecoded uploads may be resident in server memory at
-    /// once under streaming aggregation.
+    /// How many undecoded CKKS uploads may be resident in server memory
+    /// at once.
     pub fn max_resident_uploads(&self) -> usize {
         self.max_resident_uploads
     }
@@ -272,7 +254,6 @@ pub struct ServerConfigBuilder {
     allow_rejoin: bool,
     codec: Arc<dyn WireCodec>,
     packing: packing::PackingConfig,
-    streaming: bool,
     max_resident_uploads: usize,
     watchdog_multiple: f64,
     flight_dump_dir: Option<PathBuf>,
@@ -295,7 +276,6 @@ impl Default for ServerConfigBuilder {
             allow_rejoin: false,
             codec: Arc::new(CanonicalCodec),
             packing: packing::PackingConfig::dense(),
-            streaming: true,
             max_resident_uploads: 4,
             watchdog_multiple: 0.0,
             flight_dump_dir: None,
@@ -328,7 +308,10 @@ impl ServerConfigBuilder {
         self
     }
 
-    /// Aggregation rule (default [`Aggregation::FedAvg`]).
+    /// Aggregation rule (default [`Aggregation::FedAvg`]). Under CKKS it
+    /// must equal every client's `FlConfig::aggregation`: FedNova
+    /// clients pre-scale their uploads by `1/τ`, which only the FedNova
+    /// close (`1/Σ(1/τ)`) undoes.
     pub fn aggregation(mut self, aggregation: Aggregation) -> Self {
         self.aggregation = aggregation;
         self
@@ -407,22 +390,8 @@ impl ServerConfigBuilder {
         self
     }
 
-    /// Toggles streaming aggregation (default: on). When on, eligible
-    /// CKKS rounds fold each upload into the running encrypted sum as
-    /// its frame arrives — bit-identical to batch, O(1) server memory
-    /// in client count. Pass `false` to force the batch reference path
-    /// (collect all uploads, then aggregate), mirroring how
-    /// `set_eval_resident(false)` selects the reference NTT policy.
-    /// Plaintext pipelines and [`Aggregation::FedNova`] always use the
-    /// batch path regardless.
-    pub fn streaming_aggregation(mut self, streaming: bool) -> Self {
-        self.streaming = streaming;
-        self
-    }
-
-    /// Bounds how many undecoded uploads may be resident in server
-    /// memory at once under streaming aggregation (default 4, must be
-    /// positive). Handlers block before *reading* an update frame until
+    /// Bounds how many undecoded CKKS uploads may be resident in server
+    /// memory at once (default 4, must be positive). Handlers block before *reading* an update frame until
     /// a slot frees, so excess uploads wait in TCP backpressure rather
     /// than server buffers; a straggler holding a slot is bounded by
     /// the round deadline (its read times out and the slot frees).
@@ -478,7 +447,6 @@ impl ServerConfigBuilder {
             allow_rejoin: self.allow_rejoin,
             codec: self.codec,
             packing: self.packing,
-            streaming: self.streaming,
             max_resident_uploads: self.max_resident_uploads,
             watchdog_multiple: self.watchdog_multiple,
             flight_dump_dir: self.flight_dump_dir,
@@ -539,21 +507,21 @@ enum HandlerCmd {
     Ack { round: usize, accepted: bool },
 }
 
-/// An upload deserialized on the handler thread that received it — or,
-/// under streaming aggregation, shipped raw for the coordinator to fold
-/// zero-copy.
+/// An upload as its handler thread forwards it: plaintext parameters
+/// decoded in place, or a CKKS payload shipped raw for the coordinator
+/// to fold zero-copy.
 enum DecodedModel {
     Plain(Vec<f32>),
-    Ckks(Vec<CkksCiphertext>),
-    /// Streaming path: the raw payload bytes, not yet parsed. The
-    /// permit is this upload's resident-memory slot; dropping the event
-    /// (right after the fold, or when a stale round's upload is NACKed)
-    /// releases it and unblocks the next handler's read.
+    /// CKKS: the raw payload bytes, not yet parsed. The permit is this
+    /// upload's resident-memory slot; dropping the event (right after
+    /// the fold, or when a stale round's upload is NACKed) releases it
+    /// and unblocks the next handler's read.
     Raw {
         payload: Vec<u8>,
         _permit: ResidencyPermit,
     },
-    /// Undecodable or wrong-sized payload; the coordinator NACKs it.
+    /// Undecodable or wrong-sized plaintext payload; the coordinator
+    /// NACKs it.
     Invalid,
 }
 
@@ -577,41 +545,24 @@ enum ServerEvent {
     Dropped { client_id: usize, generation: u64 },
 }
 
-/// How a handler thread deserializes the uploads it reads.
-enum DecodeKind {
-    Plain { model_params: usize },
-    Ckks { ctx: Arc<CkksContext>, max_cts: usize, codec: Arc<dyn WireCodec> },
-}
-
 /// State shared by every handler thread.
 struct HandlerShared {
     round_timeout: Duration,
     max_payload: u32,
     bytes_tx: AtomicU64,
     bytes_rx: AtomicU64,
-    decode: DecodeKind,
-    /// Set when streaming aggregation is active: handlers skip decoding
-    /// and ship raw payloads, each holding one resident-upload permit.
+    model_params: usize,
+    /// Set under CKKS: handlers skip decoding and ship raw payloads,
+    /// each holding one resident-upload permit. `None` under the
+    /// plaintext pipeline, whose handlers decode in place.
     residency: Option<Arc<Residency>>,
 }
 
 impl HandlerShared {
-    fn decode(&self, model: &[u8]) -> DecodedModel {
-        match &self.decode {
-            DecodeKind::Plain { model_params } => match codec::decode_plain(model, *model_params) {
-                Ok(p) if p.len() == *model_params => DecodedModel::Plain(p),
-                _ => DecodedModel::Invalid,
-            },
-            // A codec accepts *only* its own tag: mixing
-            // evaluation-domain seeded uploads with coefficient-domain
-            // canonical ones in a single aggregate would trip the
-            // ciphertext domain check downstream.
-            DecodeKind::Ckks { ctx, max_cts, codec } => {
-                match codec.decode_upload(ctx, model, *max_cts) {
-                    Ok(p) if p.len() == *max_cts => DecodedModel::Ckks(p),
-                    _ => DecodedModel::Invalid,
-                }
-            }
+    fn decode_plain(&self, model: &[u8]) -> DecodedModel {
+        match codec::decode_plain(model, self.model_params) {
+            Ok(p) if p.len() == self.model_params => DecodedModel::Plain(p),
+            _ => DecodedModel::Invalid,
         }
     }
 }
@@ -686,20 +637,12 @@ impl FlServer {
     /// initial handshake) cannot gather `quorum` participants, or any
     /// I/O / protocol / FHE error that prevents the run from finishing.
     pub fn run(self) -> Result<ServerReport, NetError> {
-        // The deprecated seeded pipeline variant forces its codec so
-        // pre-redesign callers keep their wire format unchanged.
-        #[allow(deprecated)]
-        let (params, wire_codec): (Option<&CkksParams>, Arc<dyn WireCodec>) = match &self.pipeline {
-            ServerPipeline::Plaintext => (None, Arc::clone(&self.config.codec)),
-            ServerPipeline::Ckks(params) => (Some(params), Arc::clone(&self.config.codec)),
-            ServerPipeline::CkksSeeded(params) => (Some(params), Arc::new(SeededCodec)),
-        };
-        let ctx = match params {
-            Some(params) => Some(Arc::new(CkksContext::with_parallelism(
+        let ctx = match &self.pipeline {
+            ServerPipeline::Plaintext => None,
+            ServerPipeline::Ckks(params) => Some(Arc::new(CkksContext::with_parallelism(
                 params.clone(),
                 self.config.parallelism,
             )?)),
-            None => None,
         };
         let max_cts = ctx
             .as_ref()
@@ -711,25 +654,13 @@ impl FlServer {
                 )
             })
             .unwrap_or(0);
-        // Streaming needs an encrypted pipeline (float addition is not
-        // associative) and an aggregation rule whose weights are known
-        // per upload; everything else batches.
-        let streaming = self.config.streaming
-            && ctx.is_some()
-            && StreamingAggregator::supports(self.config.aggregation);
-        let residency = streaming.then(|| Residency::new(self.config.max_resident_uploads));
-        let decode = match &ctx {
-            Some(c) => {
-                DecodeKind::Ckks { ctx: Arc::clone(c), max_cts, codec: Arc::clone(&wire_codec) }
-            }
-            None => DecodeKind::Plain { model_params: self.config.model_params },
-        };
+        let residency = ctx.is_some().then(|| Residency::new(self.config.max_resident_uploads));
         let shared = Arc::new(HandlerShared {
             round_timeout: self.config.round_timeout,
             max_payload: self.config.max_payload,
             bytes_tx: AtomicU64::new(0),
             bytes_rx: AtomicU64::new(0),
-            decode,
+            model_params: self.config.model_params,
             residency: residency.clone(),
         });
 
@@ -826,26 +757,21 @@ impl FlServer {
                 });
             }
 
-            let mut agg = if streaming {
-                RoundAgg::Stream(
-                    StreamingAggregator::new(round, self.config.aggregation)
-                        .expect("streaming eligibility checked above"),
-                )
-            } else {
-                RoundAgg::Batch(match &ctx {
-                    Some(_) => Collected::Ckks(ServerRound::new(round, self.config.aggregation)),
-                    None => Collected::Plain(ServerRound::new(round, self.config.aggregation)),
-                })
+            let mut agg = match &ctx {
+                Some(_) => {
+                    RoundAgg::Ckks(StreamingAggregator::new(round, self.config.aggregation)?)
+                }
+                None => RoundAgg::Plain(ServerRound::new(round, self.config.aggregation)),
             };
             let mut rejected = 0usize;
             let mut arrivals: Vec<rhychee_obs::rounds::ClientArrival> = Vec::new();
             let mut quorum_ns: Option<u64> = None;
             beat("collect");
             let deadline = Instant::now() + self.config.round_timeout;
-            // A client whose upload already folded may drop out of
+            // A client whose upload was already accepted may drop out of
             // `handlers` before the round closes; its contribution
-            // stays counted (matching the batch path), so `received`
-            // can meet or exceed the shrinking live-handler count.
+            // stays counted, so `received` can meet or exceed the
+            // shrinking live-handler count.
             while agg.received() < handlers.len() {
                 let remaining = deadline.saturating_duration_since(Instant::now());
                 if remaining.is_zero() {
@@ -862,24 +788,32 @@ impl FlServer {
                     }) => {
                         let accepted = r == round
                             && match (&mut agg, model) {
-                                (RoundAgg::Stream(s), DecodedModel::Raw { payload, _permit }) => {
-                                    let cx = ctx.as_deref().expect("streaming requires CKKS");
+                                (RoundAgg::Ckks(s), DecodedModel::Raw { payload, _permit }) => {
+                                    let cx = ctx.as_deref().expect("CKKS round has a context");
                                     // Parse outside the fold span: building
                                     // the per-chunk view table allocates one
                                     // small Vec, and the zero-alloc claim is
                                     // about the fold kernel itself.
-                                    let parsed = wire_codec.parse_upload(cx, &payload, max_cts);
+                                    let parsed =
+                                        self.config.codec.parse_upload(cx, &payload, max_cts);
                                     let fspan = telemetry::span("net_fold");
                                     let folded = match parsed {
-                                        Ok(mv) if mv.len() == max_cts => s
-                                            .fold_upload(cx, client_id, r, mv.views())
-                                            .map_err(|e| stream_abort(round, e))?,
+                                        Ok(mv) if mv.len() == max_cts => {
+                                            let update = ClientUpdate {
+                                                client_id,
+                                                round: r,
+                                                steps,
+                                                payload: mv.views(),
+                                            };
+                                            s.fold_views(cx, &update)
+                                                .map_err(|e| stream_abort(round, e))?
+                                        }
                                         _ => false,
                                     };
                                     // Per-phase allocation attribution:
                                     // a steady-state fold should report
-                                    // 0 bytes (the streaming path reuses
-                                    // the accumulator in place).
+                                    // 0 bytes (the accumulator is reused
+                                    // in place).
                                     if telemetry::alloc::installed() {
                                         telemetry::observe(
                                             "fl.phase.fold.alloc_bytes",
@@ -892,12 +826,12 @@ impl FlServer {
                                     // only for the duration of the fold.
                                     folded
                                 }
-                                (RoundAgg::Batch(sr), model) => {
-                                    accept_update(sr, client_id, r, steps, model)
+                                (RoundAgg::Plain(sr), DecodedModel::Plain(payload)) => {
+                                    sr.accept(ClientUpdate { client_id, round: r, steps, payload })
                                 }
-                                // A raw payload under batch or a decoded
-                                // one under streaming cannot happen; NACK
-                                // defensively rather than trust it.
+                                // An undecodable plaintext payload — or a
+                                // body of the other pipeline, which cannot
+                                // happen; NACK rather than trust it.
                                 _ => false,
                             };
                         if !accepted {
@@ -953,20 +887,14 @@ impl FlServer {
             beat("aggregate");
             let agg_span = telemetry::span("net_aggregate");
             let received = agg.received();
-            let interleaved = self.config.packing.is_interleaved();
             global = match agg {
-                RoundAgg::Batch(sr) => {
-                    sr.aggregate(ctx.as_deref(), self.config.parallelism, interleaved)?
+                RoundAgg::Plain(sr) => {
+                    GlobalState::Plain(sr.aggregate_with(self.config.parallelism)?)
                 }
-                // Interleaved lanes survive only pure additions: close
-                // with the raw sum and let decryption divide by the
-                // in-band contributor counter.
-                RoundAgg::Stream(s) if interleaved => {
-                    GlobalState::Ckks(s.finish_sum().map_err(|e| stream_abort(round, e))?)
-                }
-                RoundAgg::Stream(s) => {
-                    let cx = ctx.as_deref().expect("streaming requires CKKS");
-                    GlobalState::Ckks(s.finish(cx).map_err(|e| stream_abort(round, e))?)
+                RoundAgg::Ckks(s) => {
+                    let cx = ctx.as_deref().expect("CKKS round has a context");
+                    let closed = s.close(cx, &self.config.packing);
+                    GlobalState::Ckks(closed.map_err(|e| stream_abort(round, e))?)
                 }
             };
             if telemetry::alloc::installed() {
@@ -1205,80 +1133,29 @@ impl RejoinAcceptor {
     }
 }
 
-/// One round's aggregation state: the batch reference path (collect
-/// all uploads, aggregate after quorum) or the streaming path (fold
-/// each upload as its frame arrives). Both close to the same bytes.
+/// One round's aggregation state, typed by pipeline: plaintext updates
+/// are collected and averaged in client-id order at close; CKKS uploads
+/// fold into the running encrypted sum as their frames arrive.
 enum RoundAgg {
-    Batch(Collected),
-    Stream(StreamingAggregator),
+    Plain(ServerRound<Vec<f32>>),
+    Ckks(StreamingAggregator),
 }
 
 impl RoundAgg {
     fn received(&self) -> usize {
         match self {
-            RoundAgg::Batch(sr) => sr.received(),
-            RoundAgg::Stream(s) => s.received(),
+            RoundAgg::Plain(sr) => sr.received(),
+            RoundAgg::Ckks(s) => s.received(),
         }
     }
 }
 
-/// Maps a streaming-path framework error to the wire-level abort,
+/// Maps an aggregator error to the wire-level abort,
 /// tagging it with the round whose sum became untrustworthy.
 fn stream_abort(round: usize, e: FlError) -> NetError {
     match e {
         FlError::StreamingAbort(reason) => NetError::StreamingAbort { round, reason },
         other => NetError::Fl(other),
-    }
-}
-
-/// Round collection state, typed by pipeline.
-enum Collected {
-    Plain(ServerRound<Vec<f32>>),
-    Ckks(ServerRound<Vec<CkksCiphertext>>),
-}
-
-impl Collected {
-    fn received(&self) -> usize {
-        match self {
-            Collected::Plain(sr) => sr.received(),
-            Collected::Ckks(sr) => sr.received(),
-        }
-    }
-
-    fn aggregate(
-        self,
-        ctx: Option<&CkksContext>,
-        par: Parallelism,
-        interleaved: bool,
-    ) -> Result<GlobalState, NetError> {
-        match (self, ctx) {
-            (Collected::Plain(sr), _) => Ok(GlobalState::Plain(sr.aggregate_with(par)?)),
-            (Collected::Ckks(sr), Some(ctx)) if interleaved => {
-                Ok(GlobalState::Ckks(sr.aggregate_ckks_sum(ctx)?))
-            }
-            (Collected::Ckks(sr), Some(ctx)) => Ok(GlobalState::Ckks(sr.aggregate_ckks(ctx)?)),
-            (Collected::Ckks(_), None) => unreachable!("CKKS state without a context"),
-        }
-    }
-}
-
-/// Offers an on-time, handler-decoded update to the round; returns
-/// whether it was folded in.
-fn accept_update(
-    sr: &mut Collected,
-    client_id: usize,
-    round: usize,
-    steps: usize,
-    model: DecodedModel,
-) -> bool {
-    match (sr, model) {
-        (Collected::Plain(sr), DecodedModel::Plain(payload)) => {
-            sr.accept(ClientUpdate { client_id, round, steps, payload })
-        }
-        (Collected::Ckks(sr), DecodedModel::Ckks(payload)) => {
-            sr.accept(ClientUpdate { client_id, round, steps, payload })
-        }
-        _ => false,
     }
 }
 
@@ -1374,8 +1251,8 @@ fn handler_loop(
                     }
                     return;
                 }
-                // Under streaming aggregation, claim a resident-upload
-                // slot *before* copying the frame out of the kernel —
+                // Under CKKS, claim a resident-upload slot *before*
+                // copying the frame out of the kernel —
                 // but only once this client's bytes have actually
                 // started arriving (`peek`), so a straggler that is
                 // still training never parks on a slot and starves the
@@ -1417,15 +1294,13 @@ fn handler_loop(
                                 arrived.saturating_duration_since(sent_at).as_nanos() as u64,
                             );
                         }
-                        // Streaming: ship the raw bytes (and their
-                        // residency permit) straight to the coordinator
-                        // for a zero-copy fold. Batch: deserialize here,
-                        // on the connection's own thread, so P clients'
-                        // ciphertext payloads decode concurrently
-                        // instead of queueing on the coordinator. When
-                        // the upload carried a context, the decode
-                        // parents under the client's upload span rather
-                        // than the round span.
+                        // CKKS: ship the raw bytes (and their residency
+                        // permit) straight to the coordinator for a
+                        // zero-copy fold. Plaintext: decode here, on the
+                        // connection's own thread. When the upload
+                        // carried a context, the decode parents under
+                        // the client's upload span rather than the
+                        // round span.
                         let model = match permit {
                             Some(mut permit) => {
                                 // Charge the payload's bytes to the slot
@@ -1439,7 +1314,7 @@ fn handler_loop(
                                     telemetry::trace::set_remote_context(uctx);
                                 }
                                 let span = telemetry::span("net_decode");
-                                let model = shared.decode(&model);
+                                let model = shared.decode_plain(&model);
                                 span.finish();
                                 if uctx.is_some() {
                                     telemetry::trace::set_remote_context(ctx);

@@ -25,11 +25,7 @@ use rhychee_net::{
 const CLIENTS: usize = 4;
 const ROUNDS: usize = 2;
 
-fn run_federation(
-    packing: PackingConfig,
-    seeded: bool,
-    streaming: bool,
-) -> (ServerReport, Vec<ClientReport>) {
+fn run_federation(packing: PackingConfig, seeded: bool) -> (ServerReport, Vec<ClientReport>) {
     let data = SyntheticConfig { kind: DatasetKind::Har, train_samples: 240, test_samples: 100 }
         .generate(17)
         .expect("generate");
@@ -49,8 +45,7 @@ fn run_federation(
         .rounds(ROUNDS)
         .model_params(num_params)
         .round_timeout(Duration::from_secs(60))
-        .packing(packing)
-        .streaming_aggregation(streaming);
+        .packing(packing);
     let builder = if seeded { builder.codec(SeededCodec) } else { builder.codec(CanonicalCodec) };
     let server = FlServer::bind(
         "127.0.0.1:0",
@@ -98,8 +93,8 @@ fn final_accuracy(reports: &[ClientReport]) -> f64 {
 fn interleaved_canonical_matches_dense_and_shrinks_uploads() {
     let dense = PackingConfig::dense();
     let inter = PackingConfig::interleaved(10, 1.0, CLIENTS);
-    let (_, dense_reports) = run_federation(dense, false, true);
-    let (_, inter_reports) = run_federation(inter, false, true);
+    let (_, dense_reports) = run_federation(dense, false);
+    let (_, inter_reports) = run_federation(inter, false);
 
     let acc_dense = final_accuracy(&dense_reports);
     let acc_inter = final_accuracy(&inter_reports);
@@ -113,12 +108,12 @@ fn interleaved_canonical_matches_dense_and_shrinks_uploads() {
 }
 
 #[test]
-fn interleaved_rides_the_seeded_codec_and_batch_path() {
-    // Symmetric seed-compressed uploads + batch (non-streaming)
-    // aggregation: covers `aggregate_ckks_sum` and the seeded wire
-    // format carrying interleaved ciphertexts.
+fn interleaved_rides_the_seeded_codec() {
+    // Symmetric seed-compressed uploads: the seeded wire format carries
+    // interleaved ciphertexts into evaluation-domain accumulators, and
+    // the round still closes with the raw sum.
     let inter = PackingConfig::interleaved(10, 1.0, CLIENTS);
-    let (server, reports) = run_federation(inter, true, false);
+    let (server, reports) = run_federation(inter, true);
     assert_eq!(server.rounds.len(), ROUNDS);
     let acc = final_accuracy(&reports);
     assert!(acc > 0.6, "accuracy {acc}");

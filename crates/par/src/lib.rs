@@ -34,7 +34,7 @@ use std::collections::VecDeque;
 use std::marker::PhantomData;
 use std::ops::Range;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
@@ -92,7 +92,8 @@ impl std::fmt::Display for Parallelism {
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
 struct Shared {
-    queue: Mutex<VecDeque<Job>>,
+    /// Each job with the id of the scope that spawned it.
+    queue: Mutex<VecDeque<(u64, Job)>>,
     work_ready: Condvar,
     shutdown: AtomicBool,
 }
@@ -165,16 +166,16 @@ impl ThreadPool {
         }
     }
 
-    fn inject(&self, job: Job) {
+    fn inject(&self, scope_id: u64, job: Job) {
         let mut queue = self.shared.queue.lock().unwrap();
-        queue.push_back(job);
+        queue.push_back((scope_id, job));
         // Tasks are coarse chunks, so a gauge store per enqueue is cheap
         // relative to the work each job carries.
         telemetry::gauge("par.queue.depth", queue.len() as f64);
         self.shared.work_ready.notify_one();
     }
 
-    fn try_pop(&self) -> Option<Job> {
+    fn try_pop(&self) -> Option<(u64, Job)> {
         self.shared.queue.lock().unwrap().pop_front()
     }
 
@@ -185,8 +186,15 @@ impl ThreadPool {
             if *state.pending.lock().unwrap() == 0 {
                 return;
             }
-            if let Some(job) = self.try_pop() {
-                job();
+            if let Some((scope_id, job)) = self.try_pop() {
+                if scope_id == state.id {
+                    job();
+                } else {
+                    // A task of some other scope is no child of whatever
+                    // span this thread is waiting inside: run it with the
+                    // span stack set aside, as an idle worker would.
+                    telemetry::span::detached(job);
+                }
                 telemetry::count("par.tasks", 1);
                 continue;
             }
@@ -216,7 +224,7 @@ fn worker_loop(shared: &Shared) {
         let job = {
             let mut queue = shared.queue.lock().unwrap();
             loop {
-                if let Some(job) = queue.pop_front() {
+                if let Some((_, job)) = queue.pop_front() {
                     break Some(job);
                 }
                 if shared.shutdown.load(Ordering::Acquire) {
@@ -240,6 +248,8 @@ fn worker_loop(shared: &Shared) {
 }
 
 struct ScopeState {
+    /// Process-unique, so a helper can tell its own scope's tasks apart.
+    id: u64,
     pending: Mutex<usize>,
     done: Condvar,
     panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
@@ -247,7 +257,13 @@ struct ScopeState {
 
 impl ScopeState {
     fn new() -> Self {
-        ScopeState { pending: Mutex::new(0), done: Condvar::new(), panic: Mutex::new(None) }
+        static NEXT_ID: AtomicU64 = AtomicU64::new(0);
+        ScopeState {
+            id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
+            pending: Mutex::new(0),
+            done: Condvar::new(),
+            panic: Mutex::new(None),
+        }
     }
 
     fn complete(&self) {
@@ -298,7 +314,7 @@ impl<'pool, 'env> Scope<'pool, 'env> {
         // Clone nor constructible outside `scope`, so tasks cannot be
         // registered after the join barrier.
         let job: Job = unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + 'env>, Job>(job) };
-        self.pool.inject(job);
+        self.pool.inject(self.state.id, job);
     }
 }
 

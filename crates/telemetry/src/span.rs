@@ -37,6 +37,23 @@ pub(crate) fn thread_seq() -> u64 {
     THREAD_SEQ.with(|&id| id)
 }
 
+/// Runs `f` with this thread's open-span stack set aside, so spans it
+/// opens are roots instead of children of whatever happens to be open
+/// here. For work that is *not* part of the current span but runs on
+/// its thread — a pool thread waiting inside a task's span that
+/// help-runs some other scope's task would otherwise record that task
+/// as a child of the one it merely interrupted.
+pub fn detached<R>(f: impl FnOnce() -> R) -> R {
+    struct Restore(Vec<String>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            SPAN_PATHS.with(|stack| *stack.borrow_mut() = std::mem::take(&mut self.0));
+        }
+    }
+    let _restore = Restore(SPAN_PATHS.with(|stack| std::mem::take(&mut *stack.borrow_mut())));
+    f()
+}
+
 /// An open span. Close it with [`Span::finish`] to obtain the measured
 /// duration, or let it drop (the trace still records it).
 #[derive(Debug)]
@@ -168,6 +185,24 @@ impl Drop for Span {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn detached_work_records_roots_and_restores_the_stack() {
+        let _g = crate::test_guard();
+        crate::set_enabled(true);
+        {
+            let _outer = open("span_test_detach_outer");
+            detached(|| open("span_test_detach_foreign").finish());
+            open("span_test_detach_inner").finish();
+        }
+        crate::set_enabled(false);
+        let events = trace::drain_events();
+        let path = |name: &str| {
+            events.iter().find(|e| e.name == name).map(|e| e.path.clone()).expect("recorded")
+        };
+        assert_eq!(path("span_test_detach_foreign"), "span_test_detach_foreign");
+        assert_eq!(path("span_test_detach_inner"), "span_test_detach_outer/span_test_detach_inner");
+    }
 
     #[test]
     fn span_measures_without_telemetry() {

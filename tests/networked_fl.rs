@@ -510,7 +510,6 @@ fn streamed_fold_survives_dropout_and_rejoin_with_batch_quorum_accounting() {
         .max_resident_uploads(2)
         .build()
         .expect("server config");
-    assert!(cfg.streaming_aggregation(), "streaming is the default");
     let server =
         FlServer::bind("127.0.0.1:0", cfg, ServerPipeline::Ckks(CkksParams::toy())).expect("bind");
     let addr = server.local_addr().expect("local addr");
