@@ -92,9 +92,10 @@ fn run_encrypt_probe(params: &CkksParams, model_params: usize, iters: usize) {
         .expect("probe context");
     let mut rng = StdRng::seed_from_u64(7);
     let (_sk, pk) = ctx.generate_keys(&mut rng);
+    let dense = packing::PackingConfig::dense();
     let flat: Vec<f32> = (0..model_params).map(|i| (i as f32 * 0.01).sin()).collect();
     let ns = time_ns(iters, || {
-        let cts = packing::encrypt_model(&ctx, &pk, &flat, &mut rng).expect("encrypt");
+        let cts = packing::encrypt_model_with(&ctx, &pk, &flat, &dense, &mut rng).expect("encrypt");
         std::hint::black_box(cts);
     });
     let backend = rhychee_fhe::ckks::ntt::active_kernel().name();
@@ -155,6 +156,7 @@ fn main() {
         return;
     }
     let ntt_backend = rhychee_fhe::ckks::ntt::active_kernel().name();
+    let dense = packing::PackingConfig::dense();
 
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let full_sweep = [1usize, 2, 4];
@@ -243,7 +245,8 @@ fn main() {
         // pays two polynomial products (each 2 forward + 1 inverse NTT
         // per prime) inside every encrypt instead of four forwards.
         let encrypt_coeff_ns = time_ns(iters, || {
-            let cts = packing::encrypt_model(&ctx_ref, &pk, &flat, &mut rng).expect("encrypt");
+            let cts = packing::encrypt_model_with(&ctx_ref, &pk, &flat, &dense, &mut rng)
+                .expect("encrypt");
             std::hint::black_box(cts);
         });
         samples.push(Sample {
@@ -254,7 +257,8 @@ fn main() {
         });
 
         let encrypt_ns = time_ns(iters, || {
-            let cts = packing::encrypt_model(&ctx, &pk, &flat, &mut rng).expect("encrypt");
+            let cts =
+                packing::encrypt_model_with(&ctx, &pk, &flat, &dense, &mut rng).expect("encrypt");
             std::hint::black_box(cts);
         });
         samples.push(Sample {
@@ -265,8 +269,8 @@ fn main() {
         });
 
         let encrypt_seeded_ns = time_ns(iters, || {
-            let cts =
-                packing::encrypt_model_symmetric(&ctx, &sk, &flat, &mut rng).expect("encrypt");
+            let cts = packing::encrypt_model_symmetric_with(&ctx, &sk, &flat, &dense, &mut rng)
+                .expect("encrypt");
             std::hint::black_box(cts);
         });
         samples.push(Sample {
@@ -277,7 +281,9 @@ fn main() {
         });
 
         let models: Vec<_> = (0..clients)
-            .map(|_| packing::encrypt_model(&ctx, &pk, &flat, &mut rng).expect("encrypt"))
+            .map(|_| {
+                packing::encrypt_model_with(&ctx, &pk, &flat, &dense, &mut rng).expect("encrypt")
+            })
             .collect();
         let aggregate_ns = time_ns(iters, || {
             std::hint::black_box(aggregate(&ctx, &models));
@@ -291,7 +297,8 @@ fn main() {
 
         let global = aggregate(&ctx, &models);
         let decrypt_ns = time_ns(iters, || {
-            let flat = packing::decrypt_model(&ctx, &sk, &global, model_params).expect("decrypt");
+            let flat = packing::decrypt_model_with(&ctx, &sk, &global, model_params, &dense)
+                .expect("decrypt");
             std::hint::black_box(flat);
         });
         samples.push(Sample {
@@ -318,11 +325,14 @@ fn main() {
     let (fp_sk, fp_pk) = fp_ctx.generate_keys(&mut fp_rng);
     let fp_flat: Vec<f32> = (0..model_params).map(|i| (i as f32 * 0.01).sin()).collect();
     let fp_models: Vec<_> = (0..clients)
-        .map(|_| packing::encrypt_model(&fp_ctx, &fp_pk, &fp_flat, &mut fp_rng).expect("encrypt"))
+        .map(|_| {
+            packing::encrypt_model_with(&fp_ctx, &fp_pk, &fp_flat, &dense, &mut fp_rng)
+                .expect("encrypt")
+        })
         .collect();
     let fp_global = aggregate(&fp_ctx, &fp_models);
-    let fp_dec =
-        packing::decrypt_model(&fp_ctx, &fp_sk, &fp_global, model_params).expect("decrypt");
+    let fp_dec = packing::decrypt_model_with(&fp_ctx, &fp_sk, &fp_global, model_params, &dense)
+        .expect("decrypt");
     let fingerprint = decrypt_fingerprint(&fp_dec);
 
     // Wire sizes are degree-independent: canonical vs seeded bytes for
@@ -331,8 +341,8 @@ fn main() {
     let levels = size_ctx.primes().len();
     let ct_bytes_canonical = size_ctx.serialized_len(levels);
     let ct_bytes_seeded = size_ctx.serialized_len_seeded(levels);
-    let upload_canonical = packing::upload_bytes_canonical(&size_ctx, model_params);
-    let upload_seeded = packing::upload_bytes_seeded(&size_ctx, model_params);
+    let upload_canonical = packing::upload_bytes_canonical_with(&size_ctx, &dense, model_params);
+    let upload_seeded = packing::upload_bytes_seeded_with(&size_ctx, &dense, model_params);
 
     let mut table = Table::new(vec!["op", "backend", "threads", "ns/op", "ms/op", "speedup vs 1"]);
     for s in &samples {

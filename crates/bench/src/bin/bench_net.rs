@@ -137,7 +137,9 @@ fn main() {
     let mut rng = StdRng::seed_from_u64(3);
     let (_sk, pk) = ctx.generate_keys(&mut rng);
     let flat: Vec<f32> = (0..num_params).map(|i| (i as f32 * 0.01).cos()).collect();
-    let cts = packing::encrypt_model(&ctx, &pk, &flat, &mut rng).expect("encrypt");
+    let cts =
+        packing::encrypt_model_with(&ctx, &pk, &flat, &packing::PackingConfig::dense(), &mut rng)
+            .expect("encrypt");
     let blobs: Vec<Vec<u8>> = cts.iter().map(|ct| ctx.serialize(ct)).collect();
     let views: Vec<_> = blobs.iter().map(|b| ctx.view_serialized(b).expect("view")).collect();
     let mut acc: Vec<_> = views.iter().map(|v| ctx.accumulator_for(v)).collect();

@@ -9,7 +9,7 @@
 //!    detection is mandatory for FHE payloads).
 //!
 //! Paper shape: with CRC the model converges exactly as on a clean link
-//! (E[T] ≈ 3e9 transmissions before an undetected error, while a full
+//! (`E[T]` ≈ 3e9 transmissions before an undetected error, while a full
 //! run needs orders of magnitude fewer); without detection, corrupted
 //! ciphertexts poison the homomorphic aggregate.
 

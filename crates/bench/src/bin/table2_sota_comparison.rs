@@ -79,13 +79,14 @@ fn main() {
     // Ours + xMK-CKKS stand-in: CKKS-4.
     let ctx = CkksContext::new(CkksParams::ckks4()).expect("params");
     let (sk, pk) = ctx.generate_keys(&mut rng);
+    let dense = packing::PackingConfig::dense();
     let ckks_encdec = |n_params: usize, rng: &mut StdRng| -> f64 {
         let model = vec![0.25f32; n_params];
         let t0 = Instant::now();
-        let cts = packing::encrypt_model(&ctx, &pk, &model, rng).expect("encrypt");
+        let cts = packing::encrypt_model_with(&ctx, &pk, &model, &dense, rng).expect("encrypt");
         let enc = t0.elapsed().as_secs_f64();
         let t0 = Instant::now();
-        let _ = packing::decrypt_model(&ctx, &sk, &cts, n_params);
+        let _ = packing::decrypt_model_with(&ctx, &sk, &cts, n_params, &dense);
         enc + t0.elapsed().as_secs_f64()
     };
     let ours_latency = ckks_encdec(HDC_PARAMS, &mut rng);

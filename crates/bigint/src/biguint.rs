@@ -333,7 +333,7 @@ impl BigUint {
     ///
     /// # Errors
     ///
-    /// Returns [`ParseBigUintError`] if the string is empty or contains a
+    /// Returns `ParseBigUintError` if the string is empty or contains a
     /// non-digit character.
     pub fn from_decimal(s: &str) -> Result<Self, ParseBigUintError> {
         if s.is_empty() {

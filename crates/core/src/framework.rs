@@ -24,7 +24,7 @@ use rand::SeedableRng;
 use rhychee_telemetry as telemetry;
 
 use rhychee_data::TrainTest;
-use rhychee_fhe::ckks::{CkksContext, CkksPublicKey, CkksSecretKey};
+use rhychee_fhe::ckks::{CkksCiphertext, CkksContext, CkksPublicKey, CkksSecretKey};
 use rhychee_fhe::lwe::{LweContext, LweSecretKey};
 use rhychee_fhe::params::{CkksParams, LweParams};
 use rhychee_hdc::model::{EncodedDataset, HdcModel};
@@ -33,7 +33,7 @@ use rhychee_hdc::quantize::QuantizedModel;
 use crate::config::FlConfig;
 use crate::error::FlError;
 use crate::packing;
-use crate::round::{self, ClientLocal, ClientUpdate, ServerRound};
+use crate::round::{self, ClientLocal, ClientUpdate, EncryptKey, ServerRound};
 use crate::streaming::StreamingAggregator;
 
 /// Salt for the participant-sampling stream (kept apart from setup and
@@ -48,17 +48,20 @@ pub type UpdatesTapHook = Box<dyn FnMut(usize, &mut Vec<ClientUpdate<Vec<f32>>>)
 /// the configured rule.
 pub type AggregateOverrideHook =
     Box<dyn FnMut(usize, &[ClientUpdate<Vec<f32>>], &[f64]) -> Option<Vec<f32>>>;
+/// Link: carries one ciphertext to the other endpoint and returns the
+/// serialized bytes the receiver ends up holding.
+pub type LinkHook = Box<dyn FnMut(&CkksContext, &CkksCiphertext) -> Vec<u8>>;
 
 /// Callbacks a scenario driver installs around the round loop.
 ///
-/// The hooks expose the three seams a perturbation layer needs without
+/// The hooks expose the four seams a perturbation layer needs without
 /// the framework knowing anything about scenarios: who participates
 /// (churn), what each client uploads (Byzantine attacks, client-side
-/// defenses), and how the server aggregates (robust aggregation). All
-/// hooks are deterministic functions of their arguments plus whatever
-/// seeded state the closure captured, so a hooked run replays
-/// bit-identically — the framework itself draws no extra randomness on
-/// their behalf.
+/// defenses), how the server aggregates (robust aggregation), and what
+/// the link between them delivers (a lossy channel). All hooks are
+/// deterministic functions of their arguments plus whatever seeded
+/// state the closure captured, so a hooked run replays bit-identically
+/// — the framework itself draws no extra randomness on their behalf.
 #[derive(Default)]
 pub struct RoundHooks {
     /// Edits the participant list after sampling (arrival / departure /
@@ -77,6 +80,14 @@ pub struct RoundHooks {
     /// ciphertexts, which is exactly the robustness/privacy tension the
     /// scenario engine measures.
     pub aggregate_override: Option<AggregateOverrideHook>,
+    /// The link every CKKS ciphertext crosses between client and
+    /// server. Absent, ciphertexts are handed over in memory. Present,
+    /// each upload crosses it (client-id order, ciphertext by
+    /// ciphertext) and the server folds the delivered bytes; then each
+    /// ciphertext of the closed aggregate crosses it once per
+    /// participant before decryption. Like `aggregate_override` it is
+    /// pipeline-specific: the plaintext and LWE pipelines ignore it.
+    pub link: Option<LinkHook>,
 }
 
 impl std::fmt::Debug for RoundHooks {
@@ -85,6 +96,7 @@ impl std::fmt::Debug for RoundHooks {
             .field("presence", &self.presence.is_some())
             .field("updates_tap", &self.updates_tap.is_some())
             .field("aggregate_override", &self.aggregate_override.is_some())
+            .field("link", &self.link.is_some())
             .finish()
     }
 }
@@ -232,14 +244,8 @@ impl Framework {
         bits: u32,
         clip: f32,
     ) -> Result<Self, FlError> {
-        if matches!(config.aggregation, crate::config::Aggregation::FedNova) {
-            return Err(FlError::InvalidConfig(
-                "bit-interleaved packing aggregates by uniform sum; FedNova's per-client \
-                 weights require the dense layout"
-                    .into(),
-            ));
-        }
         let packing = packing::PackingConfig::interleaved(bits, clip, config.clients);
+        packing.check_aggregation(config.aggregation)?;
         packing.validate()?;
         let ctx = CkksContext::with_parallelism(params, config.parallelism)?;
         let (sk, pk) = round::derive_ckks_keys(&ctx, config.seed);
@@ -290,12 +296,9 @@ impl Framework {
     }
 
     fn build(config: FlConfig, data: &TrainTest, pipeline: Pipeline) -> Result<Self, FlError> {
-        let round::FedSetup { shards, test, classes } = round::prepare(&config, data)?;
-        let clients: Vec<ClientLocal> = shards
-            .into_iter()
-            .enumerate()
-            .map(|(id, data)| ClientLocal::new(id, data, classes, &config))
-            .collect();
+        let setup = round::prepare(&config, data)?;
+        let classes = setup.classes;
+        let (clients, test) = setup.into_clients(&config);
         let global = vec![0.0; classes * config.hd_dim];
         let rng = StdRng::seed_from_u64(config.seed ^ SAMPLING_SALT);
         Ok(Framework {
@@ -317,7 +320,7 @@ impl Framework {
     }
 
     /// Installs scenario hooks (replacing any previous set) — see
-    /// [`RoundHooks`] for the three seams they cover.
+    /// [`RoundHooks`] for the four seams they cover.
     pub fn set_hooks(&mut self, hooks: RoundHooks) {
         self.hooks = hooks;
     }
@@ -423,12 +426,11 @@ impl Framework {
                 let mut encrypted = Vec::with_capacity(trained.len());
                 for mut u in trained {
                     round::prescale_update(self.config.aggregation, u.steps, &mut u.payload);
-                    let cts = packing::encrypt_model_with(
+                    let cts = self.clients[u.client_id].encrypt_update(
                         ctx,
-                        pk,
-                        &u.payload,
+                        EncryptKey::Public(pk),
                         packing,
-                        self.clients[u.client_id].rng_mut(),
+                        &u.payload,
                     )?;
                     encrypted.push(ClientUpdate {
                         client_id: u.client_id,
@@ -439,18 +441,55 @@ impl Framework {
                 }
                 report.encrypt_time = span.finish();
 
+                // Upload: under a link hook the server holds only what
+                // the link delivered, and folds it straight from the bytes.
+                let mut link = self.hooks.link.as_mut();
+                let delivered: Option<Vec<Vec<Vec<u8>>>> = link.as_mut().map(|link| {
+                    encrypted
+                        .iter()
+                        .map(|u| u.payload.iter().map(|ct| link(ctx, ct)).collect())
+                        .collect()
+                });
+
                 let span = telemetry::span("aggregate");
                 let mut agg = StreamingAggregator::new(round, self.config.aggregation)?;
-                for u in &encrypted {
-                    if !agg.fold_ciphertexts(ctx, u)? {
+                for (i, u) in encrypted.iter().enumerate() {
+                    let folded = match &delivered {
+                        None => agg.fold_ciphertexts(ctx, u)?,
+                        Some(uploads) => {
+                            let views = uploads[i]
+                                .iter()
+                                .map(|bytes| ctx.view_serialized(bytes))
+                                .collect::<Result<Vec<_>, _>>()?;
+                            let ClientUpdate { client_id, round, steps, .. } = *u;
+                            agg.fold_views(
+                                ctx,
+                                &ClientUpdate { client_id, round, steps, payload: views },
+                            )?
+                        }
+                    };
+                    if !folded {
                         return Err(FlError::StreamingAbort(format!(
-                            "round {round}: client {}'s own ciphertexts did not fold",
+                            "round {round}: client {}'s upload did not fold",
                             u.client_id
                         )));
                     }
                 }
-                let global_ct = agg.close(ctx, packing)?;
+                let mut global_ct = agg.close(ctx, packing)?;
                 report.aggregate_time = span.finish();
+
+                // Download: the aggregate crosses the link once per
+                // participant. All hold the same key and are sent the
+                // same payload, so one delivered copy stands for all.
+                if let Some(link) = link {
+                    for ct in &mut global_ct {
+                        let mut bytes = Vec::new();
+                        for _ in 0..encrypted.len() {
+                            bytes = link(ctx, ct);
+                        }
+                        *ct = ctx.deserialize(&bytes)?;
+                    }
+                }
 
                 let span = telemetry::span("decrypt");
                 let global =

@@ -9,23 +9,22 @@
 //! stall convergence — the failure mode the paper's analytical model
 //! quantifies.
 
+use std::cell::RefCell;
+use std::rc::Rc;
+
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rhychee_telemetry as telemetry;
 
 use rhychee_channel::crc::Detector;
-use rhychee_channel::packet::{BitFlipChannel, PacketLink, TransferStats, PACKET_BITS};
+use rhychee_channel::packet::{BitFlipChannel, PacketLink, PACKET_BITS};
 use rhychee_data::TrainTest;
-use rhychee_fhe::ckks::{CkksCiphertext, CkksContext, CkksPublicKey, CkksSecretKey, CtView};
+use rhychee_fhe::ckks::{CkksCiphertext, CkksContext};
 use rhychee_fhe::params::CkksParams;
-use rhychee_hdc::model::{EncodedDataset, HdcModel};
 
 use crate::config::FlConfig;
 use crate::error::FlError;
-use crate::framework::{RoundReport, RunReport};
-use crate::packing;
-use crate::round::{self, ClientLocal, ClientUpdate};
-use crate::streaming::StreamingAggregator;
+use crate::framework::{Framework, RoundHooks, RoundReport, RunReport};
 
 /// Salt for the channel's bit-flip stream, kept apart from setup, key
 /// and per-client encryption streams so the channel never perturbs
@@ -66,15 +65,6 @@ pub struct ChannelStats {
     pub dropped_ciphertexts: usize,
 }
 
-impl ChannelStats {
-    fn absorb(&mut self, s: TransferStats) {
-        self.packets += s.packets;
-        self.transmissions += s.transmissions;
-        self.retransmissions += s.retransmissions;
-        self.undetected_errors += s.undetected_errors;
-    }
-}
-
 /// Encrypted HDC federated learning where every model transfer crosses a
 /// noisy packet link.
 ///
@@ -100,28 +90,67 @@ impl ChannelStats {
 /// # }
 /// ```
 pub struct NoisyFederation {
-    config: FlConfig,
-    channel: NoisyChannelConfig,
-    ctx: CkksContext,
-    sk: CkksSecretKey,
-    pk: CkksPublicKey,
-    clients: Vec<ClientLocal>,
-    test: EncodedDataset,
-    global: Vec<f32>,
-    classes: usize,
-    channel_rng: StdRng,
-    stats: ChannelStats,
-    next_round: usize,
+    framework: Framework,
+    stats: Rc<RefCell<ChannelStats>>,
+}
+
+/// Sends one ciphertext across the noisy link (detect-and-retransmit
+/// when a detector is configured, raw corruption otherwise), returning
+/// the serialized bytes the receiver ends up holding.
+///
+/// Payload corruption propagates into the crypto layer (it decrypts
+/// to garbage). Corruption of the small metadata header (levels /
+/// scale), which a real transport carries in its own checksummed
+/// header, is treated as an application-layer NACK: the transfer is
+/// counted as dropped and the sender's copy is reused.
+fn send_ciphertext(
+    channel: &NoisyChannelConfig,
+    rng: &mut StdRng,
+    stats: &mut ChannelStats,
+    ctx: &CkksContext,
+    ct: &CkksCiphertext,
+) -> Vec<u8> {
+    let bytes = ctx.serialize(ct);
+    let delivered = {
+        let _span = telemetry::span("channel_tx");
+        let flips = BitFlipChannel::new(channel.ber);
+        match channel.detector {
+            Some(det) => {
+                let link = PacketLink::new(flips, det, channel.packet_bits);
+                let (out, transfer) = link.transfer(&bytes, rng);
+                stats.packets += transfer.packets;
+                stats.transmissions += transfer.transmissions;
+                stats.retransmissions += transfer.retransmissions;
+                stats.undetected_errors += transfer.undetected_errors;
+                out
+            }
+            None => {
+                let n_packets = bytes.len().div_ceil(channel.packet_bits / 8);
+                stats.packets += n_packets;
+                stats.transmissions += n_packets;
+                flips.transmit(&bytes, rng).0
+            }
+        }
+    };
+    let intact = ctx.view_serialized(&delivered).is_ok_and(|view| {
+        view.levels() == ct.levels() && (view.scale() - ct.scale()).abs() <= ct.scale() * 1e-9
+    });
+    if intact {
+        delivered
+    } else {
+        stats.dropped_ciphertexts += 1;
+        bytes
+    }
 }
 
 impl NoisyFederation {
-    /// Builds the noisy encrypted federation from the same setup, keys
-    /// and per-client streams as [`Framework::hdc_encrypted`], so over
-    /// a link that delivers every packet intact (clean, or noisy behind
-    /// a detector that misses nothing) both end at the same global
-    /// model, bit for bit. Every client participates in every round.
-    ///
-    /// [`Framework::hdc_encrypted`]: crate::Framework::hdc_encrypted
+    /// Builds [`Framework::hdc_encrypted`] with a noisy link
+    /// ([`RoundHooks::link`]) between clients and server: same setup,
+    /// keys, per-client streams, participation sampling and round loop,
+    /// so over a link that delivers every packet intact (clean, or
+    /// noisy behind a detector that misses nothing) both end at the
+    /// same global model, bit for bit. The bit flips draw from their
+    /// own `seed ^ CHANNEL_SALT` stream.
     ///
     /// # Errors
     ///
@@ -132,91 +161,27 @@ impl NoisyFederation {
         params: CkksParams,
         channel: NoisyChannelConfig,
     ) -> Result<Self, FlError> {
-        let round::FedSetup { shards, test, classes } = round::prepare(&config, data)?;
-        let ctx = CkksContext::with_parallelism(params, config.parallelism)?;
-        let (sk, pk) = round::derive_ckks_keys(&ctx, config.seed);
-        let clients = shards
-            .into_iter()
-            .enumerate()
-            .map(|(id, shard)| ClientLocal::new(id, shard, classes, &config))
-            .collect();
-        let channel_rng = StdRng::seed_from_u64(config.seed ^ CHANNEL_SALT);
-        Ok(NoisyFederation {
-            global: vec![0.0f32; classes * config.hd_dim],
-            config,
-            channel,
-            ctx,
-            sk,
-            pk,
-            clients,
-            test,
-            classes,
-            channel_rng,
-            stats: ChannelStats::default(),
-            next_round: 0,
-        })
+        let stats = Rc::new(RefCell::new(ChannelStats::default()));
+        let shared = Rc::clone(&stats);
+        let mut rng = StdRng::seed_from_u64(config.seed ^ CHANNEL_SALT);
+        let mut framework = Framework::hdc_encrypted(config, data, params)?;
+        framework.set_hooks(RoundHooks {
+            link: Some(Box::new(move |ctx, ct| {
+                send_ciphertext(&channel, &mut rng, &mut shared.borrow_mut(), ctx, ct)
+            })),
+            ..RoundHooks::default()
+        });
+        Ok(NoisyFederation { framework, stats })
     }
 
     /// Accuracy of the current global model.
     pub fn global_accuracy(&self) -> f64 {
-        HdcModel::from_flat(&self.global, self.classes, self.config.hd_dim).accuracy(&self.test)
+        self.framework.global_accuracy()
     }
 
     /// Accumulated channel statistics.
     pub fn channel_stats(&self) -> ChannelStats {
-        self.stats
-    }
-
-    /// Sends serialized bytes across the noisy link (detect-and-
-    /// retransmit when a detector is configured, raw corruption
-    /// otherwise).
-    fn send(&mut self, bytes: &[u8]) -> Vec<u8> {
-        let _span = telemetry::span("channel_tx");
-        match self.channel.detector {
-            Some(det) => {
-                let link = PacketLink::new(
-                    BitFlipChannel::new(self.channel.ber),
-                    det,
-                    self.channel.packet_bits,
-                );
-                let (out, stats) = link.transfer(bytes, &mut self.channel_rng);
-                self.stats.absorb(stats);
-                out
-            }
-            None => {
-                let ch = BitFlipChannel::new(self.channel.ber);
-                let (out, _) = ch.transmit(bytes, &mut self.channel_rng);
-                let n_packets = bytes.len().div_ceil(self.channel.packet_bits / 8);
-                self.stats.packets += n_packets;
-                self.stats.transmissions += n_packets;
-                out
-            }
-        }
-    }
-
-    /// Sends one ciphertext across the link, returning the serialized
-    /// bytes the receiver ends up holding.
-    ///
-    /// Payload corruption propagates into the crypto layer (it decrypts
-    /// to garbage). Corruption of the small metadata header (levels /
-    /// scale), which a real transport carries in its own checksummed
-    /// header, is treated as an application-layer NACK: the transfer is
-    /// counted as dropped and the sender's copy is reused.
-    fn send_ciphertext(&mut self, ct: &CkksCiphertext) -> Vec<u8> {
-        let bytes = self.ctx.serialize(ct);
-        let delivered = self.send(&bytes);
-        match self.ctx.view_serialized(&delivered) {
-            Ok(view)
-                if view.levels() == ct.levels()
-                    && (view.scale() - ct.scale()).abs() <= ct.scale() * 1e-9 =>
-            {
-                delivered
-            }
-            _ => {
-                self.stats.dropped_ciphertexts += 1;
-                bytes
-            }
-        }
+        *self.stats.borrow()
     }
 
     /// One aggregation round with every ciphertext crossing the channel.
@@ -225,85 +190,7 @@ impl NoisyFederation {
     ///
     /// Propagates FHE failures.
     pub fn run_round(&mut self) -> Result<RoundReport, FlError> {
-        let round = self.next_round;
-        self.next_round += 1;
-        let round_span = telemetry::span("round");
-
-        let train_span = telemetry::span("local_train");
-        let mut updates: Vec<ClientUpdate<Vec<f32>>> = self
-            .clients
-            .iter_mut()
-            .map(|client| {
-                let payload = client.train(&self.global, &self.config);
-                ClientUpdate { client_id: client.id(), round, steps: client.last_steps(), payload }
-            })
-            .collect();
-        let train_time = train_span.finish();
-
-        // Upload: encrypt, serialize, transmit. Encryption gets its own
-        // span per client so its time is separable from the interleaved
-        // channel transfers.
-        let mut encrypt_time = std::time::Duration::ZERO;
-        let mut received: Vec<Vec<Vec<u8>>> = Vec::with_capacity(updates.len());
-        for u in &mut updates {
-            let span = telemetry::span("encrypt");
-            round::prescale_update(self.config.aggregation, u.steps, &mut u.payload);
-            let rng = self.clients[u.client_id].rng_mut();
-            let cts = packing::encrypt_model(&self.ctx, &self.pk, &u.payload, rng)?;
-            encrypt_time += span.finish();
-            received.push(cts.iter().map(|ct| self.send_ciphertext(ct)).collect());
-        }
-
-        // Homomorphic aggregation on the (possibly corrupted) uploads,
-        // folded straight from the delivered bytes.
-        let aggregate_span = telemetry::span("aggregate");
-        let mut agg = StreamingAggregator::new(round, self.config.aggregation)?;
-        for (u, delivered) in updates.iter().zip(&received) {
-            let views: Vec<CtView<'_>> =
-                delivered.iter().map(|b| self.ctx.view_serialized(b)).collect::<Result<_, _>>()?;
-            let update =
-                ClientUpdate { client_id: u.client_id, round, steps: u.steps, payload: views };
-            if !agg.fold_views(&self.ctx, &update)? {
-                return Err(FlError::StreamingAbort(format!(
-                    "round {round}: client {}'s delivered upload did not fold",
-                    u.client_id
-                )));
-            }
-        }
-        let global_cts = agg.finish(&self.ctx)?;
-        let aggregate_time = aggregate_span.finish();
-
-        // Download: the encrypted global model crosses the channel once
-        // per client; one representative client's copy becomes the new
-        // global state (all clients share the key and the same payload).
-        let mut downloaded = Vec::with_capacity(global_cts.len());
-        for ct in &global_cts {
-            let bytes = self.ctx.serialize(ct);
-            // Model the per-client downloads for the statistics.
-            for _ in 1..self.config.clients {
-                let _ = self.send(&bytes);
-            }
-            let delivered = self.send_ciphertext(ct);
-            downloaded.push(self.ctx.deserialize(&delivered)?);
-        }
-        let decrypt_span = telemetry::span("decrypt");
-        self.global = packing::decrypt_model(&self.ctx, &self.sk, &downloaded, self.global.len())?;
-        let decrypt_time = decrypt_span.finish();
-
-        let ct_bytes = self.ctx.serialized_len(global_cts[0].levels());
-        let payload_bits = (ct_bytes * 8 * global_cts.len()) as u64;
-        round_span.finish();
-        Ok(RoundReport {
-            round,
-            participants: self.config.clients,
-            accuracy: self.global_accuracy(),
-            upload_bits_per_client: payload_bits,
-            download_bits_per_client: payload_bits,
-            train_time,
-            encrypt_time,
-            aggregate_time,
-            decrypt_time,
-        })
+        self.framework.run_round()
     }
 
     /// Runs all rounds; returns the run report and channel statistics.
@@ -312,12 +199,7 @@ impl NoisyFederation {
     ///
     /// Propagates the first failing round.
     pub fn run(&mut self) -> Result<(RunReport, ChannelStats), FlError> {
-        let mut report = RunReport::default();
-        for _ in 0..self.config.rounds {
-            report.rounds.push(self.run_round()?);
-        }
-        report.final_accuracy = report.rounds.last().map_or(0.0, |r| r.accuracy);
-        Ok((report, self.stats))
+        Ok((self.framework.run()?, self.channel_stats()))
     }
 }
 
@@ -351,10 +233,12 @@ mod tests {
             .aggregation(crate::Aggregation::FedProx { mu: 0.1 })
             .build()
             .expect("valid");
-        let mut fw =
-            crate::Framework::hdc_encrypted(cfg.clone(), &data(), CkksParams::toy()).expect("fw");
+        let bits = |fw: &Framework| -> Vec<u32> {
+            fw.global_model().flatten().iter().map(|v| v.to_bits()).collect()
+        };
+        let mut fw = Framework::hdc_encrypted(cfg.clone(), &data(), CkksParams::toy()).expect("fw");
         fw.run().expect("run");
-        let expected: Vec<u32> = fw.global_model().flatten().iter().map(|v| v.to_bits()).collect();
+        let expected = bits(&fw);
 
         for ber in [0.0, 1e-3] {
             let channel = NoisyChannelConfig { ber, ..Default::default() };
@@ -364,9 +248,31 @@ mod tests {
             assert_eq!(stats.undetected_errors, 0, "BER {ber}: CRC-32 caught every corruption");
             assert_eq!(stats.dropped_ciphertexts, 0, "BER {ber}");
             assert_eq!(stats.retransmissions > 0, ber > 0.0, "BER {ber}");
-            let got: Vec<u32> = fed.global.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(got, expected, "BER {ber}: global model diverged from Framework");
+            assert_eq!(
+                bits(&fed.framework),
+                expected,
+                "BER {ber}: global model diverged from Framework"
+            );
         }
+
+        // Participation sampling comes with the shared round loop: half
+        // of 4 clients train, upload and download each round.
+        let half = FlConfig::builder()
+            .clients(4)
+            .rounds(2)
+            .hd_dim(512)
+            .seed(4)
+            .participation(0.5)
+            .build()
+            .expect("valid");
+        let mut fw =
+            Framework::hdc_encrypted(half.clone(), &data(), CkksParams::toy()).expect("fw");
+        fw.run().expect("run");
+        let clean = NoisyChannelConfig { ber: 0.0, ..Default::default() };
+        let mut fed = NoisyFederation::new(half, &data(), CkksParams::toy(), clean).expect("build");
+        let (report, _) = fed.run().expect("run");
+        assert!(report.rounds.iter().all(|r| r.participants == 2), "⌈0.5·4⌉ = 2 per round");
+        assert_eq!(bits(&fed.framework), bits(&fw), "sampled run diverged from Framework");
     }
 
     #[test]

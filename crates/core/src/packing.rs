@@ -6,6 +6,11 @@
 //! flattens the whole `L × D` model and fills every slot of every
 //! ciphertext, needing exactly `⌈DL / (N/2)⌉` ciphertexts.
 //!
+//! The slot layout is the one parameter of the pack → encrypt → sum →
+//! decrypt → unpack pipeline: every function here takes a
+//! [`PackingConfig`], whose default value [`PackingConfig::dense`] is
+//! the paper's one-coordinate-per-slot layout.
+//!
 //! The [`PackingLayout::BitInterleaved`] mode (FedBit-style co-design)
 //! goes further: coordinates are quantized to `bits` bits and several
 //! are packed per slot at a lane stride wide enough that the
@@ -25,6 +30,9 @@ use rhychee_fhe::bitpack::{pack_lanes, unpack_lane};
 use rhychee_fhe::ckks::{CkksCiphertext, CkksContext, CkksPublicKey, CkksSecretKey};
 use rhychee_fhe::FheError;
 
+use crate::config::Aggregation;
+use crate::error::FlError;
+
 /// Everything both endpoints must agree on to pack, aggregate, and
 /// unpack a model under a given [`PackingLayout`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -42,7 +50,7 @@ pub struct PackingConfig {
 
 impl PackingConfig {
     /// The paper's dense one-coordinate-per-slot layout.
-    pub fn dense() -> Self {
+    pub const fn dense() -> Self {
         PackingConfig { layout: PackingLayout::Dense, clip: 0.0, max_clients: 0 }
     }
 
@@ -75,6 +83,25 @@ impl PackingConfig {
         Ok(())
     }
 
+    /// Checks that `aggregation` can ride this layout.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FlError::InvalidConfig`] for bit-interleaved packing
+    /// under [`Aggregation::FedNova`]: the lane-packed sum is uniform,
+    /// and a client pre-scaling by `1/τ` would push its coordinates
+    /// below the quantisation step.
+    pub fn check_aggregation(&self, aggregation: Aggregation) -> Result<(), FlError> {
+        if self.is_interleaved() && matches!(aggregation, Aggregation::FedNova) {
+            return Err(FlError::InvalidConfig(
+                "bit-interleaved packing aggregates by uniform sum; FedNova's per-client \
+                 weights require the dense layout"
+                    .into(),
+            ));
+        }
+        Ok(())
+    }
+
     /// Slots one flat model occupies under this layout, counting the
     /// reserved contributor-counter slot.
     pub fn slots_for(&self, num_params: usize) -> usize {
@@ -87,19 +114,6 @@ impl PackingConfig {
     }
 }
 
-/// Bytes needed to upload a packed model in the canonical (full `c1`)
-/// wire format.
-pub fn upload_bytes_canonical(ctx: &CkksContext, num_params: usize) -> usize {
-    ciphertexts_needed(num_params, ctx.slot_count()) * ctx.serialized_len(ctx.primes().len())
-}
-
-/// Bytes needed to upload a packed model in the seed-compressed format
-/// (fresh symmetric ciphertexts only): roughly half the canonical size,
-/// since a 32-byte seed stands in for the full `c1` component.
-pub fn upload_bytes_seeded(ctx: &CkksContext, num_params: usize) -> usize {
-    ciphertexts_needed(num_params, ctx.slot_count()) * ctx.serialized_len_seeded(ctx.primes().len())
-}
-
 /// Splits a flat parameter vector into slot-sized chunks (the last chunk
 /// zero-padded implicitly by the encoder).
 pub fn chunk_params(flat: &[f32], slots: usize) -> Vec<Vec<f64>> {
@@ -108,19 +122,14 @@ pub fn chunk_params(flat: &[f32], slots: usize) -> Vec<Vec<f64>> {
 }
 
 /// Number of ciphertexts required for `num_params` parameters:
-/// `⌈DL / (N/2)⌉`.
-pub fn ciphertexts_needed(num_params: usize, slots: usize) -> usize {
-    num_params.div_ceil(slots)
-}
-
-/// Layout-aware ciphertext count: `Dense` matches
-/// [`ciphertexts_needed`]; `BitInterleaved` divides the model across
-/// `lanes_per_slot` coordinates per slot (plus the counter slot).
+/// `⌈DL / (N/2)⌉` under `Dense`; `BitInterleaved` divides the model
+/// across `lanes_per_slot` coordinates per slot (plus the counter slot).
 pub fn ciphertexts_needed_with(cfg: &PackingConfig, num_params: usize, slots: usize) -> usize {
     cfg.slots_for(num_params).div_ceil(slots)
 }
 
-/// Layout-aware canonical upload bytes (cf. [`upload_bytes_canonical`]).
+/// Bytes needed to upload a packed model in the canonical (full `c1`)
+/// wire format.
 pub fn upload_bytes_canonical_with(
     ctx: &CkksContext,
     cfg: &PackingConfig,
@@ -130,7 +139,9 @@ pub fn upload_bytes_canonical_with(
         * ctx.serialized_len(ctx.primes().len())
 }
 
-/// Layout-aware seed-compressed upload bytes (cf. [`upload_bytes_seeded`]).
+/// Bytes needed to upload a packed model in the seed-compressed format
+/// (fresh symmetric ciphertexts only): roughly half the canonical size,
+/// since a 32-byte seed stands in for the full `c1` component.
 pub fn upload_bytes_seeded_with(
     ctx: &CkksContext,
     cfg: &PackingConfig,
@@ -148,19 +159,7 @@ pub fn upload_bytes_seeded_with(
 /// biased-unsigned grid `round(x/clip · qmax) + 2^(bits−1)`
 /// ∈ `[1, 2^bits − 1]`, so a sum of `k ≤ max_clients` clients stays
 /// below `2^lane_bits` — lane-carry-free by construction.
-///
-/// # Errors
-///
-/// Returns [`FheError::InvalidParams`] on an invalid config.
-pub fn interleaved_chunks(
-    cfg: &PackingConfig,
-    flat: &[f32],
-    slots: usize,
-) -> Result<Vec<Vec<f64>>, FheError> {
-    cfg.validate()?;
-    let PackingLayout::BitInterleaved { bits } = cfg.layout else {
-        return Err(FheError::InvalidParams("interleaved_chunks needs BitInterleaved".into()));
-    };
+fn interleaved_chunks(cfg: &PackingConfig, bits: u32, flat: &[f32], slots: usize) -> Vec<Vec<f64>> {
     let lane_bits = cfg.layout.lane_bits(cfg.max_clients);
     let lanes = cfg.layout.lanes_per_slot(cfg.max_clients);
     let half = 1u64 << (bits - 1);
@@ -177,11 +176,37 @@ pub fn interleaved_chunks(
         // Exact as f64: a packed word is < 2^SLOT_PAYLOAD_BITS ≤ 2^32.
         words.push(pack_lanes(&lane_vals, lane_bits) as f64);
     }
-    Ok(words.chunks(slots).map(<[f64]>::to_vec).collect())
+    words.chunks(slots).map(<[f64]>::to_vec).collect()
 }
 
-/// Layout-aware [`encrypt_model`]: `Dense` delegates; `BitInterleaved`
-/// encrypts the lane-packed slot words from [`interleaved_chunks`].
+/// The slot values of `flat` under `cfg`'s layout, one chunk per
+/// ciphertext.
+fn slot_chunks(cfg: &PackingConfig, flat: &[f32], slots: usize) -> Result<Vec<Vec<f64>>, FheError> {
+    cfg.validate()?;
+    Ok(match cfg.layout {
+        PackingLayout::Dense => chunk_params(flat, slots),
+        PackingLayout::BitInterleaved { bits } => interleaved_chunks(cfg, bits, flat, slots),
+    })
+}
+
+/// Draws one noise sample per chunk sequentially, in chunk order —
+/// exactly the stream per-ciphertext encryption would consume — then
+/// fans the deterministic polynomial arithmetic out, so the ciphertexts
+/// are bit-identical for every parallelism degree.
+fn encrypt_chunks<N: Sync, R: Rng + ?Sized>(
+    ctx: &CkksContext,
+    chunks: &[Vec<f64>],
+    rng: &mut R,
+    sample: impl Fn(&mut R) -> N,
+    encrypt: impl Fn(&[f64], &N) -> Result<CkksCiphertext, FheError> + Sync,
+) -> Result<Vec<CkksCiphertext>, FheError> {
+    let noises: Vec<N> = chunks.iter().map(|_| sample(rng)).collect();
+    rhychee_par::map(ctx.parallelism(), chunks.len(), |i| encrypt(&chunks[i], &noises[i]))
+        .into_iter()
+        .collect()
+}
+
+/// Encrypts a flat model with maximum packing under the public key.
 ///
 /// # Errors
 ///
@@ -193,24 +218,20 @@ pub fn encrypt_model_with<R: Rng + ?Sized>(
     cfg: &PackingConfig,
     rng: &mut R,
 ) -> Result<Vec<CkksCiphertext>, FheError> {
-    match cfg.layout {
-        PackingLayout::Dense => encrypt_model(ctx, pk, flat, rng),
-        PackingLayout::BitInterleaved { .. } => {
-            let chunks = interleaved_chunks(cfg, flat, ctx.slot_count())?;
-            // Same sequential-draw / parallel-arithmetic split as
-            // `encrypt_model`, so ciphertexts are degree-independent.
-            let noises: Vec<_> = chunks.iter().map(|_| ctx.sample_encrypt_noise(rng)).collect();
-            rhychee_par::map(ctx.parallelism(), chunks.len(), |i| {
-                ctx.encrypt_with_noise(pk, &chunks[i], &noises[i])
-            })
-            .into_iter()
-            .collect()
-        }
-    }
+    let chunks = slot_chunks(cfg, flat, ctx.slot_count())?;
+    let sample = |rng: &mut R| ctx.sample_encrypt_noise(rng);
+    encrypt_chunks(ctx, &chunks, rng, sample, |values, noise| {
+        ctx.encrypt_with_noise(pk, values, noise)
+    })
 }
 
-/// Layout-aware [`encrypt_model_symmetric`] — seeded ciphertexts for
-/// the seed-compressed wire format under either layout.
+/// Encrypts a flat model with maximum packing under the *secret* key,
+/// producing seeded ciphertexts eligible for the seed-compressed wire
+/// format ([`CkksContext::serialize_seeded`]).
+///
+/// Rhychee-FL's shared-secret-key deployment (paper §IV-A) lets every
+/// client encrypt symmetrically, so uploads can ship a 32-byte seed in
+/// place of the full `c1` polynomial — roughly halving upload bytes.
 ///
 /// # Errors
 ///
@@ -222,33 +243,28 @@ pub fn encrypt_model_symmetric_with<R: Rng + ?Sized>(
     cfg: &PackingConfig,
     rng: &mut R,
 ) -> Result<Vec<CkksCiphertext>, FheError> {
-    match cfg.layout {
-        PackingLayout::Dense => encrypt_model_symmetric(ctx, sk, flat, rng),
-        PackingLayout::BitInterleaved { .. } => {
-            let chunks = interleaved_chunks(cfg, flat, ctx.slot_count())?;
-            let noises: Vec<_> = chunks.iter().map(|_| ctx.sample_symmetric_noise(rng)).collect();
-            rhychee_par::map(ctx.parallelism(), chunks.len(), |i| {
-                ctx.encrypt_symmetric_with_noise(sk, &chunks[i], &noises[i])
-            })
-            .into_iter()
-            .collect()
-        }
-    }
+    let chunks = slot_chunks(cfg, flat, ctx.slot_count())?;
+    let sample = |rng: &mut R| ctx.sample_symmetric_noise(rng);
+    encrypt_chunks(ctx, &chunks, rng, sample, |values, noise| {
+        ctx.encrypt_symmetric_with_noise(sk, values, noise)
+    })
 }
 
-/// Layout-aware [`decrypt_model`].
+/// Decrypts a packed model back to a flat parameter vector of length
+/// `num_params`.
 ///
-/// `Dense` delegates unchanged. `BitInterleaved` expects the
-/// ciphertexts to be the homomorphic **sum** of `k ≥ 1` client uploads
-/// (a single fresh upload is the `k = 1` case): it reads `k` from the
-/// in-band counter lane, un-biases each lane sum, and returns the mean
-/// model `(Σᵢ qᵢ)/k` dequantized — uniform FedAvg with the division
-/// done in plaintext, where it cannot disturb lane boundaries.
+/// Under `BitInterleaved` the ciphertexts must be the homomorphic
+/// **sum** of `k ≥ 1` client uploads (a single fresh upload is the
+/// `k = 1` case): `k` is read from the in-band counter lane, each lane
+/// sum is un-biased, and the mean model `(Σᵢ qᵢ)/k` comes back
+/// dequantized — uniform FedAvg with the division done in plaintext,
+/// where it cannot disturb lane boundaries.
 ///
 /// # Errors
 ///
 /// Returns [`FheError::Deserialize`] when the ciphertexts carry too few
-/// slots, a slot decodes outside the packed integer range (noise budget
+/// slots (e.g. a truncated or mismatched payload received over the
+/// wire), a slot decodes outside the packed integer range (noise budget
 /// exhausted or layout mismatch), or the counter lane is outside
 /// `1..=max_clients`.
 pub fn decrypt_model_with(
@@ -258,28 +274,28 @@ pub fn decrypt_model_with(
     num_params: usize,
     cfg: &PackingConfig,
 ) -> Result<Vec<f32>, FheError> {
-    let PackingLayout::BitInterleaved { bits } = cfg.layout else {
-        return decrypt_model(ctx, sk, cts, num_params);
-    };
     cfg.validate()?;
+    let needed = cfg.slots_for(num_params);
+    // Ciphertexts decrypt independently; concatenation order is fixed,
+    // so the flat model is bit-identical for every degree.
+    let decrypted = rhychee_par::map(ctx.parallelism(), cts.len(), |i| ctx.decrypt(sk, &cts[i]));
+    let carried: usize = decrypted.iter().map(Vec::len).sum();
+    if carried < needed {
+        return Err(FheError::Deserialize(format!(
+            "ciphertexts carry {carried} slots, expected {needed}"
+        )));
+    }
+    let slots = decrypted.iter().flatten().take(needed);
+    let mut flat = Vec::with_capacity(num_params);
+    let PackingLayout::BitInterleaved { bits } = cfg.layout else {
+        flat.extend(slots.map(|&v| v as f32));
+        return Ok(flat);
+    };
     let lane_bits = cfg.layout.lane_bits(cfg.max_clients);
     let lanes = cfg.layout.lanes_per_slot(cfg.max_clients);
-    let words_needed = cfg.slots_for(num_params);
-    let decrypted = rhychee_par::map(ctx.parallelism(), cts.len(), |i| ctx.decrypt(sk, &cts[i]));
-    let mut words = Vec::with_capacity(words_needed);
-    'outer: for values in &decrypted {
-        for &v in values {
-            if words.len() == words_needed {
-                break 'outer;
-            }
-            words.push(round_packed_word(v, lane_bits, lanes)?);
-        }
-    }
-    if words.len() != words_needed {
-        return Err(FheError::Deserialize(format!(
-            "ciphertexts carry {} packed slots, expected {words_needed}",
-            words.len()
-        )));
+    let mut words = Vec::with_capacity(needed);
+    for &v in slots {
+        words.push(round_packed_word(v, lane_bits, lanes)?);
     }
     let k = unpack_lane(words[0], 0, lane_bits);
     if k == 0 || k > cfg.max_clients as u64 {
@@ -290,7 +306,6 @@ pub fn decrypt_model_with(
     }
     let half = 1u64 << (bits - 1);
     let qmax = (half - 1) as f64;
-    let mut flat = Vec::with_capacity(num_params);
     for i in 0..num_params {
         let lane_sum = unpack_lane(words[1 + i / lanes], i % lanes, lane_bits);
         let q_sum = lane_sum as i64 - (k * half) as i64;
@@ -310,94 +325,6 @@ fn round_packed_word(v: f64, lane_bits: u32, lanes: usize) -> Result<u64, FheErr
         )));
     }
     Ok(r as u64)
-}
-
-/// Encrypts a flat model with maximum packing under the public key.
-///
-/// # Errors
-///
-/// Propagates [`FheError`] from encryption.
-pub fn encrypt_model<R: Rng + ?Sized>(
-    ctx: &CkksContext,
-    pk: &CkksPublicKey,
-    flat: &[f32],
-    rng: &mut R,
-) -> Result<Vec<CkksCiphertext>, FheError> {
-    let chunks = chunk_params(flat, ctx.slot_count());
-    // The RNG draws happen sequentially in chunk order — exactly the
-    // stream `ctx.encrypt` would consume — so the ciphertexts are
-    // bit-identical for every parallelism degree; only the
-    // deterministic polynomial arithmetic fans out.
-    let noises: Vec<_> = chunks.iter().map(|_| ctx.sample_encrypt_noise(rng)).collect();
-    rhychee_par::map(ctx.parallelism(), chunks.len(), |i| {
-        ctx.encrypt_with_noise(pk, &chunks[i], &noises[i])
-    })
-    .into_iter()
-    .collect()
-}
-
-/// Encrypts a flat model with maximum packing under the *secret* key,
-/// producing seeded ciphertexts eligible for the seed-compressed wire
-/// format ([`rhychee_fhe::ckks::CkksContext::serialize_seeded`]).
-///
-/// Rhychee-FL's shared-secret-key deployment (paper §IV-A) lets every
-/// client encrypt symmetrically, so uploads can ship a 32-byte seed in
-/// place of the full `c1` polynomial — roughly halving upload bytes.
-///
-/// # Errors
-///
-/// Propagates [`FheError`] from encryption.
-pub fn encrypt_model_symmetric<R: Rng + ?Sized>(
-    ctx: &CkksContext,
-    sk: &CkksSecretKey,
-    flat: &[f32],
-    rng: &mut R,
-) -> Result<Vec<CkksCiphertext>, FheError> {
-    let chunks = chunk_params(flat, ctx.slot_count());
-    // Same sequential-draw / parallel-arithmetic split as
-    // `encrypt_model`: seeds and noise come off the RNG in chunk order,
-    // so the ciphertexts are bit-identical for every parallelism degree.
-    let noises: Vec<_> = chunks.iter().map(|_| ctx.sample_symmetric_noise(rng)).collect();
-    rhychee_par::map(ctx.parallelism(), chunks.len(), |i| {
-        ctx.encrypt_symmetric_with_noise(sk, &chunks[i], &noises[i])
-    })
-    .into_iter()
-    .collect()
-}
-
-/// Decrypts a packed model back to a flat parameter vector of length
-/// `num_params`.
-///
-/// # Errors
-///
-/// Returns [`FheError::Deserialize`] if the ciphertexts carry fewer
-/// than `num_params` slots — e.g. a truncated or mismatched payload
-/// received over the wire.
-pub fn decrypt_model(
-    ctx: &CkksContext,
-    sk: &CkksSecretKey,
-    cts: &[CkksCiphertext],
-    num_params: usize,
-) -> Result<Vec<f32>, FheError> {
-    // Ciphertexts decrypt independently; concatenation order is fixed,
-    // so the flat model is bit-identical for every degree.
-    let decrypted = rhychee_par::map(ctx.parallelism(), cts.len(), |i| ctx.decrypt(sk, &cts[i]));
-    let mut flat = Vec::with_capacity(num_params);
-    for values in decrypted {
-        for v in values {
-            if flat.len() == num_params {
-                break;
-            }
-            flat.push(v as f32);
-        }
-    }
-    if flat.len() != num_params {
-        return Err(FheError::Deserialize(format!(
-            "ciphertexts carry {} parameters, expected {num_params}",
-            flat.len()
-        )));
-    }
-    Ok(flat)
 }
 
 /// Homomorphically averages packed models from several clients:
@@ -481,6 +408,8 @@ mod tests {
     use rand::{rngs::StdRng, SeedableRng};
     use rhychee_fhe::params::CkksParams;
 
+    const DENSE: PackingConfig = PackingConfig::dense();
+
     /// The product's aggregation of `uploads`: fold each into the
     /// accumulator, close as `cfg`'s layout requires.
     fn aggregate(
@@ -517,20 +446,20 @@ mod tests {
     fn ciphertext_count_formula() {
         // The paper's headline numbers: D·L = 20,000 at N/2 = 4096 slots
         // → 5 ciphertexts; the 43,484-param CNN → 11.
-        assert_eq!(ciphertexts_needed(20_000, 4096), 5);
-        assert_eq!(ciphertexts_needed(43_484, 4096), 11);
-        assert_eq!(ciphertexts_needed(1, 4096), 1);
-        assert_eq!(ciphertexts_needed(4096, 4096), 1);
-        assert_eq!(ciphertexts_needed(4097, 4096), 2);
+        assert_eq!(ciphertexts_needed_with(&DENSE, 20_000, 4096), 5);
+        assert_eq!(ciphertexts_needed_with(&DENSE, 43_484, 4096), 11);
+        assert_eq!(ciphertexts_needed_with(&DENSE, 1, 4096), 1);
+        assert_eq!(ciphertexts_needed_with(&DENSE, 4096, 4096), 1);
+        assert_eq!(ciphertexts_needed_with(&DENSE, 4097, 4096), 2);
     }
 
     #[test]
     fn encrypt_decrypt_model_round_trip() {
         let (ctx, sk, pk, mut rng) = setup();
         let flat: Vec<f32> = (0..700).map(|i| (i as f32 * 0.01).sin()).collect();
-        let cts = encrypt_model(&ctx, &pk, &flat, &mut rng).expect("encrypt");
-        assert_eq!(cts.len(), ciphertexts_needed(700, ctx.slot_count()));
-        let back = decrypt_model(&ctx, &sk, &cts, 700).expect("decrypt");
+        let cts = encrypt_model_with(&ctx, &pk, &flat, &DENSE, &mut rng).expect("encrypt");
+        assert_eq!(cts.len(), ciphertexts_needed_with(&DENSE, 700, ctx.slot_count()));
+        let back = decrypt_model_with(&ctx, &sk, &cts, 700, &DENSE).expect("decrypt");
         for (a, b) in flat.iter().zip(&back) {
             assert!((a - b).abs() < 1e-3, "{a} vs {b}");
         }
@@ -540,16 +469,17 @@ mod tests {
     fn symmetric_model_round_trip_and_seeded_bytes() {
         let (ctx, sk, _, mut rng) = setup();
         let flat: Vec<f32> = (0..700).map(|i| (i as f32 * 0.01).cos()).collect();
-        let cts = encrypt_model_symmetric(&ctx, &sk, &flat, &mut rng).expect("encrypt");
+        let cts =
+            encrypt_model_symmetric_with(&ctx, &sk, &flat, &DENSE, &mut rng).expect("encrypt");
         assert!(cts.iter().all(rhychee_fhe::ckks::CkksCiphertext::is_seeded));
-        let back = decrypt_model(&ctx, &sk, &cts, 700).expect("decrypt");
+        let back = decrypt_model_with(&ctx, &sk, &cts, 700, &DENSE).expect("decrypt");
         for (a, b) in flat.iter().zip(&back) {
             assert!((a - b).abs() < 1e-3, "{a} vs {b}");
         }
         // The seeded wire format carries one packed component instead of
         // two, so a full-model upload shrinks by ~2×.
-        let canonical = upload_bytes_canonical(&ctx, 700);
-        let seeded = upload_bytes_seeded(&ctx, 700);
+        let canonical = upload_bytes_canonical_with(&ctx, &DENSE, 700);
+        let seeded = upload_bytes_seeded_with(&ctx, &DENSE, 700);
         assert_eq!(
             seeded,
             cts.iter().map(|ct| ctx.serialize_seeded(ct).expect("seeded").len()).sum::<usize>()
@@ -566,10 +496,10 @@ mod tests {
             .collect();
         let encrypted: Vec<Vec<CkksCiphertext>> = models
             .iter()
-            .map(|m| encrypt_model(&ctx, &pk, m, &mut rng).expect("encrypt"))
+            .map(|m| encrypt_model_with(&ctx, &pk, m, &DENSE, &mut rng).expect("encrypt"))
             .collect();
         let global = homomorphic_average(&ctx, &encrypted).expect("aggregate");
-        let back = decrypt_model(&ctx, &sk, &global, 300).expect("decrypt");
+        let back = decrypt_model_with(&ctx, &sk, &global, 300, &DENSE).expect("decrypt");
         for i in 0..300 {
             let expected: f32 = models.iter().map(|m| m[i]).sum::<f32>() / p as f32;
             assert!((back[i] - expected).abs() < 1e-2, "param {i}: {} vs {expected}", back[i]);
@@ -583,10 +513,10 @@ mod tests {
         let weights = [0.5f64, 0.3, 0.2];
         let encrypted: Vec<Vec<CkksCiphertext>> = models
             .iter()
-            .map(|m| encrypt_model(&ctx, &pk, m, &mut rng).expect("encrypt"))
+            .map(|m| encrypt_model_with(&ctx, &pk, m, &DENSE, &mut rng).expect("encrypt"))
             .collect();
         let global = homomorphic_weighted_average(&ctx, &encrypted, &weights).expect("aggregate");
-        let back = decrypt_model(&ctx, &sk, &global, 100).expect("decrypt");
+        let back = decrypt_model_with(&ctx, &sk, &global, 100, &DENSE).expect("decrypt");
         let expected = 0.5 * 1.0 + 0.3 * 5.0 + 0.2 * 9.0;
         for v in &back {
             assert!((v - expected as f32).abs() < 1e-2, "{v} vs {expected}");
@@ -596,15 +526,15 @@ mod tests {
     #[test]
     fn weighted_average_rejects_mismatched_weights() {
         let (ctx, _, pk, mut rng) = setup();
-        let a = encrypt_model(&ctx, &pk, &[1.0; 10], &mut rng).expect("encrypt");
+        let a = encrypt_model_with(&ctx, &pk, &[1.0; 10], &DENSE, &mut rng).expect("encrypt");
         assert!(homomorphic_weighted_average(&ctx, &[a], &[0.5, 0.5]).is_err());
     }
 
     #[test]
     fn aggregation_rejects_inconsistent_counts() {
         let (ctx, _, pk, mut rng) = setup();
-        let a = encrypt_model(&ctx, &pk, &vec![1.0; 300], &mut rng).expect("encrypt");
-        let b = encrypt_model(&ctx, &pk, &vec![1.0; 600], &mut rng).expect("encrypt");
+        let a = encrypt_model_with(&ctx, &pk, &vec![1.0; 300], &DENSE, &mut rng).expect("encrypt");
+        let b = encrypt_model_with(&ctx, &pk, &vec![1.0; 600], &DENSE, &mut rng).expect("encrypt");
         assert!(homomorphic_average(&ctx, &[a, b]).is_err());
         assert!(homomorphic_average(&ctx, &[]).is_err());
     }
@@ -647,6 +577,21 @@ mod tests {
             let expected: f32 = models.iter().map(|m| m[i]).sum::<f32>() / p as f32;
             assert!((back[i] - expected).abs() <= step, "param {i}: {} vs {expected}", back[i]);
         }
+
+        // Boundary: exactly `max_clients` uploads with every coordinate
+        // at ±clip put every lane sum at its carry-free extreme
+        // (`P·(2^bits − 1)` resp. `P`); neighbouring lanes must not
+        // bleed and the mean must dequantize to exactly ±clip.
+        for extreme in [cfg.clip, -cfg.clip] {
+            let encrypted: Vec<Vec<CkksCiphertext>> = (0..p)
+                .map(|_| {
+                    encrypt_model_with(&ctx, &pk, &[extreme; 300], &cfg, &mut rng).expect("encrypt")
+                })
+                .collect();
+            let global = aggregate(&ctx, &cfg, &encrypted);
+            let back = decrypt_model_with(&ctx, &sk, &global, 300, &cfg).expect("decrypt");
+            assert!(back.iter().all(|&v| v == extreme), "{extreme}: {:?}", &back[..4]);
+        }
     }
 
     #[test]
@@ -675,7 +620,7 @@ mod tests {
         let slots = ctx.slot_count();
         let dense_cts = ciphertexts_needed_with(&dense, 2000, slots);
         let inter_cts = ciphertexts_needed_with(&cfg, 2000, slots);
-        assert_eq!(dense_cts, ciphertexts_needed(2000, slots));
+        assert_eq!(dense_cts, 2000usize.div_ceil(slots), "dense is ⌈DL / (N/2)⌉");
         // 3 lanes/slot at bits=8, P=4: ⌈(1 + ⌈2000/3⌉)/256⌉ = 3 vs 8.
         assert!(inter_cts < dense_cts, "{inter_cts} vs {dense_cts}");
         assert!(
@@ -685,10 +630,6 @@ mod tests {
         assert!(
             upload_bytes_seeded_with(&ctx, &cfg, 2000)
                 < upload_bytes_seeded_with(&ctx, &dense, 2000)
-        );
-        assert_eq!(
-            upload_bytes_canonical_with(&ctx, &dense, 2000),
-            upload_bytes_canonical(&ctx, 2000)
         );
         // The analytical byte model must reconcile exactly with a real
         // serialized upload (EXPERIMENTS.md Table I accounting).
@@ -745,7 +686,8 @@ mod tests {
         let one = encrypt_model_with(&ctx, &pk, &flat, &cfg, &mut rng).expect("encrypt");
         assert!(decrypt_model_with(&ctx, &sk, &one, 10_000, &cfg).is_err(), "short payload");
         // A dense ciphertext stream is not a packed integer stream.
-        let dense_cts = encrypt_model(&ctx, &pk, &[0.37f32; 10], &mut rng).expect("encrypt");
+        let dense_cts =
+            encrypt_model_with(&ctx, &pk, &[0.37f32; 10], &DENSE, &mut rng).expect("encrypt");
         assert!(decrypt_model_with(&ctx, &sk, &dense_cts, 10, &cfg).is_err(), "layout mismatch");
     }
 
@@ -754,7 +696,7 @@ mod tests {
         let (ctx, _, pk, mut rng) = setup();
         // One model the size of exactly 2.5 ciphertexts.
         let n = ctx.slot_count() * 5 / 2;
-        let cts = encrypt_model(&ctx, &pk, &vec![0.5; n], &mut rng).expect("encrypt");
+        let cts = encrypt_model_with(&ctx, &pk, &vec![0.5; n], &DENSE, &mut rng).expect("encrypt");
         assert_eq!(cts.len(), 3, "⌈2.5⌉ = 3 ciphertexts, no per-row waste");
     }
 }

@@ -29,7 +29,7 @@ use rhychee_par::Parallelism;
 
 use crate::config::{Aggregation, EncoderKind, FlConfig};
 use crate::error::FlError;
-use crate::packing;
+use crate::packing::{self, PackingConfig};
 
 /// Salt for the shared CKKS key-generation stream (paper §IV-A: the
 /// secret key is shared by all clients, never held by the server).
@@ -78,13 +78,16 @@ pub struct FedSetup {
 }
 
 impl FedSetup {
-    /// Consumes the setup into per-client local states.
-    pub fn into_clients(self, config: &FlConfig) -> Vec<ClientLocal> {
-        self.shards
+    /// Consumes the setup into per-client local states (client `i`
+    /// holds shard `i`) and the held-out test set.
+    pub fn into_clients(self, config: &FlConfig) -> (Vec<ClientLocal>, EncodedDataset) {
+        let clients = self
+            .shards
             .into_iter()
             .enumerate()
             .map(|(id, data)| ClientLocal::new(id, data, self.classes, config))
-            .collect()
+            .collect();
+        (clients, self.test)
     }
 }
 
@@ -154,6 +157,17 @@ pub fn prepare(config: &FlConfig, data: &TrainTest) -> Result<FedSetup, FlError>
     .collect();
 
     Ok(FedSetup { shards, test, classes })
+}
+
+/// The CKKS key a client encrypts its upload under.
+#[derive(Debug, Clone, Copy)]
+pub enum EncryptKey<'a> {
+    /// The public key: canonical two-component ciphertexts
+    /// ([`packing::encrypt_model_with`]).
+    Public(&'a CkksPublicKey),
+    /// The shared secret key: seeded ciphertexts for the seed-compressed
+    /// wire format ([`packing::encrypt_model_symmetric_with`]).
+    Secret(&'a CkksSecretKey),
 }
 
 /// One federated client's local state: its shard, HDC model, and a
@@ -230,66 +244,29 @@ impl ClientLocal {
         self.model.load_flat(global);
     }
 
-    /// Trains and encrypts in one step: the CKKS upload path.
+    /// Packs and encrypts this round's flat local model from the
+    /// client's private randomness stream: the CKKS upload path every
+    /// runtime calls, under the layout `cfg` and the key kind `key`
+    /// select.
     ///
     /// # Errors
     ///
-    /// Propagates [`FheError`] from encryption.
+    /// Propagates [`FheError`] from validation or encryption.
     pub fn encrypt_update(
         &mut self,
         ctx: &CkksContext,
-        pk: &CkksPublicKey,
+        key: EncryptKey<'_>,
+        cfg: &PackingConfig,
         flat: &[f32],
     ) -> Result<Vec<CkksCiphertext>, FheError> {
-        packing::encrypt_model(ctx, pk, flat, &mut self.rng)
-    }
-
-    /// Trains and encrypts symmetrically under the shared secret key,
-    /// producing seeded ciphertexts for the seed-compressed upload path
-    /// (roughly half the canonical wire bytes).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`FheError`] from encryption.
-    pub fn encrypt_update_symmetric(
-        &mut self,
-        ctx: &CkksContext,
-        sk: &CkksSecretKey,
-        flat: &[f32],
-    ) -> Result<Vec<CkksCiphertext>, FheError> {
-        packing::encrypt_model_symmetric(ctx, sk, flat, &mut self.rng)
-    }
-
-    /// Layout-aware [`ClientRound::encrypt_update`]: `Dense` matches it
-    /// bit for bit; `BitInterleaved` packs several quantized
-    /// coordinates per slot ([`packing::encrypt_model_with`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`FheError`] from validation or encryption.
-    pub fn encrypt_update_with(
-        &mut self,
-        ctx: &CkksContext,
-        pk: &CkksPublicKey,
-        flat: &[f32],
-        cfg: &packing::PackingConfig,
-    ) -> Result<Vec<CkksCiphertext>, FheError> {
-        packing::encrypt_model_with(ctx, pk, flat, cfg, &mut self.rng)
-    }
-
-    /// Layout-aware [`ClientRound::encrypt_update_symmetric`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`FheError`] from validation or encryption.
-    pub fn encrypt_update_symmetric_with(
-        &mut self,
-        ctx: &CkksContext,
-        sk: &CkksSecretKey,
-        flat: &[f32],
-        cfg: &packing::PackingConfig,
-    ) -> Result<Vec<CkksCiphertext>, FheError> {
-        packing::encrypt_model_symmetric_with(ctx, sk, flat, cfg, &mut self.rng)
+        match key {
+            EncryptKey::Public(pk) => {
+                packing::encrypt_model_with(ctx, pk, flat, cfg, &mut self.rng)
+            }
+            EncryptKey::Secret(sk) => {
+                packing::encrypt_model_symmetric_with(ctx, sk, flat, cfg, &mut self.rng)
+            }
+        }
     }
 }
 

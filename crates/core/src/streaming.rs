@@ -322,12 +322,14 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(99);
         let (_, pk) = ctx.generate_keys(&mut rng);
         let num_params = ctx.slot_count() + 7; // force two chunks
+        let dense = PackingConfig::dense();
         let mut blobs = Vec::new();
         let mut models = Vec::new();
         for c in 0..clients {
             let mut crng = StdRng::seed_from_u64(1000 + c as u64);
             let flat: Vec<f32> = (0..num_params).map(|_| crng.gen_range(-1.0..1.0)).collect();
-            let cts = packing::encrypt_model(&ctx, &pk, &flat, &mut crng).expect("encrypt");
+            let cts =
+                packing::encrypt_model_with(&ctx, &pk, &flat, &dense, &mut crng).expect("encrypt");
             blobs.push(cts.iter().map(|ct| ctx.serialize(ct)).collect());
             models.push(cts);
         }
@@ -445,6 +447,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let (sk, pk) = ctx.generate_keys(&mut rng);
         let taus = [3usize, 40, 7, 1];
+        let dense = PackingConfig::dense();
         let models: Vec<Vec<f32>> = (0..4)
             .map(|c| (0..300).map(|i| ((c * 300 + i) as f32 * 0.01).cos()).collect())
             .collect();
@@ -454,7 +457,7 @@ mod tests {
             .map(|(m, tau)| {
                 let mut flat = m.clone();
                 round::prescale_update(Aggregation::FedNova, tau, &mut flat);
-                packing::encrypt_model(&ctx, &pk, &flat, &mut rng).expect("encrypt")
+                packing::encrypt_model_with(&ctx, &pk, &flat, &dense, &mut rng).expect("encrypt")
             })
             .collect();
         let close = |order: [usize; 4]| {
@@ -478,7 +481,7 @@ mod tests {
         let total: f64 = inv.iter().sum();
         let weights: Vec<f64> = inv.iter().map(|w| w / total).collect();
         let expected = round::weighted_average(&refs, &weights);
-        let back = packing::decrypt_model(&ctx, &sk, &global, 300).expect("decrypt");
+        let back = packing::decrypt_model_with(&ctx, &sk, &global, 300, &dense).expect("decrypt");
         for (got, want) in back.iter().zip(&expected) {
             assert!((got - want).abs() < 1e-3, "{got} vs {want}");
         }

@@ -17,7 +17,9 @@ fn accumulator_bytes_return_after_finish_finish_sum_and_drop() {
     let mut rng = StdRng::seed_from_u64(3);
     let (_, pk) = ctx.generate_keys(&mut rng);
     let flat = vec![0.5f32; ctx.slot_count() + 7]; // two chunks
-    let cts = packing::encrypt_model(&ctx, &pk, &flat, &mut rng).expect("encrypt");
+    let cts =
+        packing::encrypt_model_with(&ctx, &pk, &flat, &packing::PackingConfig::dense(), &mut rng)
+            .expect("encrypt");
     let blobs: Vec<Vec<u8>> = cts.iter().map(|ct| ctx.serialize(ct)).collect();
     let views: Vec<CtView<'_>> =
         blobs.iter().map(|b| ctx.view_serialized(b).expect("view")).collect();

@@ -14,7 +14,7 @@
 //! * [`cipher`] — context, keys, ciphertexts, homomorphic ops
 //! * [`relin`] — ct×ct multiplication, Galois rotations, slot sums
 //! * [`threshold`] — n-out-of-n distributed keygen and decryption
-//! * [`seedexp`] — stable seeded expansion for compressed symmetric uploads
+//! * `seedexp` (private) — stable seeded expansion for compressed symmetric uploads
 //! * [`view`] — borrowed zero-copy views for streaming aggregation
 //!
 //! Ciphertexts are NTT-resident: fresh encryptions come out in the

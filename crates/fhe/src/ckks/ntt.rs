@@ -49,7 +49,7 @@ mod neon;
 ///
 /// Implementations must reproduce the scalar reference arithmetic
 /// exactly — same lazy-reduction bounds, same wrapping-u64 operations —
-/// so that every backend is bit-identical to [`forward_scalar`]
+/// so that every backend is bit-identical to the scalar reference
 /// (`NttTable::forward_scalar`); the repo's determinism invariants
 /// (parallel determinism, resident-vs-reference identity) depend on it.
 /// The table's twiddles are passed back in so kernels stay stateless

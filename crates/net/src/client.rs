@@ -15,7 +15,7 @@ use std::thread;
 use std::time::Duration;
 
 use rhychee_core::packing;
-use rhychee_core::round::{self, ClientLocal};
+use rhychee_core::round::{self, ClientLocal, EncryptKey};
 use rhychee_core::FlConfig;
 use rhychee_fhe::ckks::{CkksContext, CkksPublicKey, CkksSecretKey};
 use rhychee_fhe::params::CkksParams;
@@ -158,6 +158,7 @@ impl FlClient {
         pipeline: ClientPipeline,
     ) -> Result<Self, NetError> {
         config.packing.validate()?;
+        config.packing.check_aggregation(fl.aggregation)?;
         let ckks = match pipeline {
             ClientPipeline::Plaintext => None,
             ClientPipeline::Ckks(params) => {
@@ -276,21 +277,13 @@ impl FlClient {
                     // A symmetric codec switches encryption to the
                     // secret key so ciphertexts carry expansion seeds.
                     let codec = &self.config.codec;
-                    let cts = if codec.symmetric() {
-                        self.local.encrypt_update_symmetric_with(
-                            &side.ctx,
-                            &side.sk,
-                            &flat,
-                            &self.config.packing,
-                        )
+                    let key = if codec.symmetric() {
+                        EncryptKey::Secret(&side.sk)
                     } else {
-                        self.local.encrypt_update_with(
-                            &side.ctx,
-                            &side.pk,
-                            &flat,
-                            &self.config.packing,
-                        )
+                        EncryptKey::Public(&side.pk)
                     };
+                    let cts =
+                        self.local.encrypt_update(&side.ctx, key, &self.config.packing, &flat);
                     cts.map_err(NetError::from).and_then(|cts| codec.encode_upload(&side.ctx, &cts))
                 }
             };

@@ -226,13 +226,7 @@ impl ServerConfig {
             ));
         }
         self.packing.validate()?;
-        if self.packing.is_interleaved() && matches!(self.aggregation, Aggregation::FedNova) {
-            return Err(NetError::Protocol(
-                "bit-interleaved packing aggregates by uniform sum; FedNova's per-client \
-                 weights require the dense layout"
-                    .into(),
-            ));
-        }
+        self.packing.check_aggregation(self.aggregation)?;
         Ok(())
     }
 }

@@ -14,12 +14,12 @@ use std::time::Duration;
 
 use rhychee_core::packing::PackingConfig;
 use rhychee_core::round::{self, FedSetup};
-use rhychee_core::FlConfig;
+use rhychee_core::{Aggregation, FlConfig, FlError};
 use rhychee_data::{DatasetKind, SyntheticConfig};
 use rhychee_fhe::params::CkksParams;
 use rhychee_net::{
-    CanonicalCodec, ClientConfig, ClientPipeline, ClientReport, FlClient, FlServer, SeededCodec,
-    ServerConfig, ServerPipeline, ServerReport,
+    CanonicalCodec, ClientConfig, ClientPipeline, ClientReport, FlClient, FlServer, NetError,
+    SeededCodec, ServerConfig, ServerPipeline, ServerReport,
 };
 
 const CLIENTS: usize = 4;
@@ -121,4 +121,38 @@ fn interleaved_rides_the_seeded_codec() {
         assert_eq!(r.rounds_participated, ROUNDS);
         assert!(!r.final_model.is_empty());
     }
+}
+
+#[test]
+fn fednova_is_rejected_under_interleaved_packing_at_both_endpoints() {
+    // A FedNova client pre-scales its model by 1/τ, far below the
+    // quantisation step; neither endpoint may accept the pairing.
+    let inter = PackingConfig::interleaved(10, 1.0, CLIENTS);
+    let server = ServerConfig::builder()
+        .clients(CLIENTS)
+        .rounds(ROUNDS)
+        .model_params(6 * 256)
+        .aggregation(Aggregation::FedNova)
+        .packing(inter)
+        .build();
+    assert!(matches!(server, Err(NetError::Fl(FlError::InvalidConfig(_)))));
+
+    let data = SyntheticConfig { kind: DatasetKind::Har, train_samples: 240, test_samples: 100 }
+        .generate(17)
+        .expect("generate");
+    let fl = FlConfig::builder()
+        .clients(CLIENTS)
+        .rounds(ROUNDS)
+        .hd_dim(256)
+        .seed(13)
+        .aggregation(Aggregation::FedNova)
+        .build()
+        .expect("config");
+    let FedSetup { mut shards, classes, .. } = round::prepare(&fl, &data).expect("prepare");
+    let local = round::ClientLocal::new(0, shards.remove(0), classes, &fl);
+    let mut config = ClientConfig::new("127.0.0.1:9".parse().expect("addr"));
+    config.packing = inter;
+    let pipeline = ClientPipeline::Ckks(CkksParams::toy());
+    let client = FlClient::new(config, fl, local, classes, None, pipeline);
+    assert!(matches!(client, Err(NetError::Fl(FlError::InvalidConfig(_)))));
 }

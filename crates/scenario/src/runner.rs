@@ -187,7 +187,13 @@ pub fn run_compiled(
                 } else {
                     let quorum = &survivors[..group.threshold()];
                     let flat = fw.global_model().flatten();
-                    let cts = packing::encrypt_model(ctx, group.public_key(), &flat, rng)?;
+                    let cts = packing::encrypt_model_with(
+                        ctx,
+                        group.public_key(),
+                        &flat,
+                        &packing::PackingConfig::dense(),
+                        rng,
+                    )?;
                     let mut recovered = Vec::with_capacity(flat.len());
                     for ct in &cts {
                         let partials: Result<Vec<_>, _> = quorum

@@ -14,7 +14,7 @@
 //! loops cost a load-and-branch when recording is off. Building with the
 //! `off` cargo feature removes even that: [`enabled`] becomes a constant
 //! `false` and the optimizer deletes the instrumentation outright.
-//! [`span`] is the one exception — it always measures wall time (two
+//! [`span()`] is the one exception — it always measures wall time (two
 //! monotonic clock reads) so callers can populate report structs from
 //! [`span::Span::finish`] whether or not recording is on.
 //!

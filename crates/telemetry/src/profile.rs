@@ -3,7 +3,7 @@
 //! (`round;encrypt;fhe.ckks.encrypt 1234567`) consumable by flamegraph
 //! tooling.
 //!
-//! Spans carry their full `/`-joined path (see [`crate::span`]), so the
+//! Spans carry their full `/`-joined path (see [`mod@crate::span`]), so the
 //! tree is rebuilt purely from `(path, dur_ns)` pairs — either live
 //! [`SpanEvent`]s or span records parsed back out of a JSONL trace file
 //! ([`parse_jsonl`]). Totals are exact sums of the recorded durations;

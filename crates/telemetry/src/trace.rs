@@ -197,7 +197,7 @@ fn recent_ring() -> &'static Mutex<VecDeque<SpanEvent>> {
 }
 
 /// The most recent completed spans, oldest first (bounded ring of
-/// [`RECENT_CAP`]). Non-destructive — unlike [`drain_events`], reading
+/// `RECENT_CAP`). Non-destructive — unlike [`drain_events`], reading
 /// leaves both the ring and the drain buffer intact.
 pub fn recent_events() -> Vec<SpanEvent> {
     recent_ring().lock().expect("trace ring lock").iter().cloned().collect()

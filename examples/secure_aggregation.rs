@@ -39,10 +39,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .map(|c| (0..num_params).map(|i| ((c * num_params + i) as f32 * 0.001).sin()).collect())
         .collect();
 
-    // --- Upload: encrypt with maximum packing.
+    // --- Upload: encrypt with maximum packing (the paper's dense layout).
+    let dense = packing::PackingConfig::dense();
     let mut uploads = Vec::new();
     for (c, model) in local_models.iter().enumerate() {
-        let cts = packing::encrypt_model(&ctx, &server_pk, model, &mut rng)?;
+        let cts = packing::encrypt_model_with(&ctx, &server_pk, model, &dense, &mut rng)?;
         let bytes: usize = cts.iter().map(|ct| ctx.serialize(ct).len()).sum();
         println!(
             "client {c}: {} params -> {} ciphertexts, {} bytes on the wire",
@@ -63,7 +64,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("server aggregated {clients} encrypted models into {} ciphertexts", global_cts.len());
 
     // --- Download: a client decrypts the global model.
-    let global = packing::decrypt_model(&ctx, &client_sk, &global_cts, num_params)?;
+    let global = packing::decrypt_model_with(&ctx, &client_sk, &global_cts, num_params, &dense)?;
     let expected: Vec<f32> = (0..num_params)
         .map(|i| local_models.iter().map(|m| m[i]).sum::<f32>() / clients as f32)
         .collect();

@@ -42,8 +42,9 @@ fn serialized_sizes_match_table1_within_header_overhead() {
 #[test]
 fn paper_headline_ciphertext_counts() {
     // 20,000-parameter HDC model and 43,484-parameter CNN at N/2 = 4096.
-    assert_eq!(packing::ciphertexts_needed(20_000, 4096), 5);
-    assert_eq!(packing::ciphertexts_needed(43_484, 4096), 11);
+    let dense = packing::PackingConfig::dense();
+    assert_eq!(packing::ciphertexts_needed_with(&dense, 20_000, 4096), 5);
+    assert_eq!(packing::ciphertexts_needed_with(&dense, 43_484, 4096), 11);
     // The 2.2x communication ratio follows directly.
     let ratio: f64 = 11.0 / 5.0;
     assert!((ratio - 2.2).abs() < 1e-9);
@@ -132,9 +133,10 @@ fn ckks_packed_model_round_trip_at_scale() {
     let mut rng = StdRng::seed_from_u64(6);
     let (sk, pk) = ctx.generate_keys(&mut rng);
     let model: Vec<f32> = (0..20_000).map(|i| ((i as f32) * 0.001).cos() * 10.0).collect();
-    let cts = packing::encrypt_model(&ctx, &pk, &model, &mut rng).expect("encrypt");
+    let dense = packing::PackingConfig::dense();
+    let cts = packing::encrypt_model_with(&ctx, &pk, &model, &dense, &mut rng).expect("encrypt");
     assert_eq!(cts.len(), 5);
-    let back = packing::decrypt_model(&ctx, &sk, &cts, 20_000).expect("decrypt");
+    let back = packing::decrypt_model_with(&ctx, &sk, &cts, 20_000, &dense).expect("decrypt");
     let max_err = model.iter().zip(&back).map(|(a, b)| (a - b).abs()).fold(0.0f32, f32::max);
     assert!(max_err < 0.05, "CKKS-4 round-trip error {max_err}");
 }

@@ -57,7 +57,14 @@ fn run_federation(
         let mut sr = round::ServerRound::new(r, fl.aggregation);
         for local in &mut clients {
             let flat = local.train(&global, &fl);
-            let cts = local.encrypt_update(&ctx, &pk, &flat).expect("encrypt");
+            let cts = local
+                .encrypt_update(
+                    &ctx,
+                    round::EncryptKey::Public(&pk),
+                    &packing::PackingConfig::dense(),
+                    &flat,
+                )
+                .expect("encrypt");
             sr.accept(round::ClientUpdate {
                 client_id: local.id(),
                 round: r,
@@ -70,7 +77,14 @@ fn run_federation(
         }
         let agg = sr.aggregate_ckks(&ctx).expect("aggregate");
         blobs.extend(agg.iter().map(|ct| ctx.serialize(ct)));
-        global = packing::decrypt_model(&ctx, &sk, &agg, num_params).expect("decrypt");
+        global = packing::decrypt_model_with(
+            &ctx,
+            &sk,
+            &agg,
+            num_params,
+            &packing::PackingConfig::dense(),
+        )
+        .expect("decrypt");
     }
     (blobs, global.iter().map(|v| v.to_bits()).collect())
 }
@@ -106,7 +120,14 @@ fn seeded_uploads_decrypt_identically_across_parallelism() {
         for (id, shard) in shards.into_iter().enumerate() {
             let mut local = ClientLocal::new(id, shard, classes, &fl);
             let flat = local.train(&zeros, &fl);
-            let cts = local.encrypt_update_symmetric(&ctx, &sk, &flat).expect("encrypt");
+            let cts = local
+                .encrypt_update(
+                    &ctx,
+                    round::EncryptKey::Secret(&sk),
+                    &packing::PackingConfig::dense(),
+                    &flat,
+                )
+                .expect("encrypt");
             blobs.extend(cts.iter().map(|ct| ctx.serialize_seeded(ct).expect("seeded bytes")));
             sr.accept(round::ClientUpdate {
                 client_id: id,
@@ -117,7 +138,14 @@ fn seeded_uploads_decrypt_identically_across_parallelism() {
         }
         let agg = sr.aggregate_ckks(&ctx).expect("aggregate");
         blobs.extend(agg.iter().map(|ct| ctx.serialize(ct)));
-        let model = packing::decrypt_model(&ctx, &sk, &agg, num_params).expect("decrypt");
+        let model = packing::decrypt_model_with(
+            &ctx,
+            &sk,
+            &agg,
+            num_params,
+            &packing::PackingConfig::dense(),
+        )
+        .expect("decrypt");
         (blobs, model.iter().map(|v| v.to_bits()).collect())
     };
 

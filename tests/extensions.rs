@@ -26,7 +26,16 @@ fn federated_round_under_threshold_keys() {
         .collect();
     let uploads: Vec<_> = models
         .iter()
-        .map(|m| packing::encrypt_model(&ctx, group.public_key(), m, &mut rng).expect("encrypt"))
+        .map(|m| {
+            packing::encrypt_model_with(
+                &ctx,
+                group.public_key(),
+                m,
+                &packing::PackingConfig::dense(),
+                &mut rng,
+            )
+            .expect("encrypt")
+        })
         .collect();
     let global_cts = packing::homomorphic_average(&ctx, &uploads).expect("aggregate");
 

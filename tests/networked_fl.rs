@@ -10,8 +10,8 @@ use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
-use rhychee_fl::core::packing;
-use rhychee_fl::core::round::{self, ClientLocal, FedSetup};
+use rhychee_fl::core::packing::{self, PackingConfig};
+use rhychee_fl::core::round::{self, ClientLocal, EncryptKey, FedSetup};
 use rhychee_fl::core::{FlConfig, Framework, RoundHooks};
 use rhychee_fl::data::{DatasetKind, SyntheticConfig, TrainTest};
 use rhychee_fl::fhe::ckks::CkksContext;
@@ -206,7 +206,9 @@ fn dropout_mid_round_is_survived_by_quorum_aggregation() {
         };
         let global = codec::decode_plain(&model, num_params).expect("round-0 plaintext zeros");
         let flat = local.train(&global, &fl_dropout);
-        let cts = local.encrypt_update(&ctx, &pk, &flat).expect("encrypt");
+        let cts = local
+            .encrypt_update(&ctx, EncryptKey::Public(&pk), &PackingConfig::dense(), &flat)
+            .expect("encrypt");
         let update = Message::Update {
             round: 0,
             client_id: 4,
@@ -456,7 +458,8 @@ fn ckks_wire_round(
     num_params: usize,
 ) {
     let id = local.id();
-    let max_cts = packing::ciphertexts_needed(num_params, ctx.slot_count());
+    let max_cts =
+        packing::ciphertexts_needed_with(&PackingConfig::dense(), num_params, ctx.slot_count());
     let (msg, _) = wire::read_message(stream, DEFAULT_MAX_PAYLOAD).expect("global");
     let model = match msg {
         Message::Global { round: r, last: false, model } if r == round => model,
@@ -466,10 +469,13 @@ fn ckks_wire_round(
         codec::decode_plain(&model, num_params).expect("round-0 plaintext zeros")
     } else {
         let cts = codec::decode_ckks(ctx, &model, max_cts).expect("decode");
-        packing::decrypt_model(ctx, sk, &cts, num_params).expect("decrypt")
+        packing::decrypt_model_with(ctx, sk, &cts, num_params, &PackingConfig::dense())
+            .expect("decrypt")
     };
     let flat = local.train(&global, fl);
-    let cts = local.encrypt_update(ctx, pk, &flat).expect("encrypt");
+    let cts = local
+        .encrypt_update(ctx, EncryptKey::Public(pk), &PackingConfig::dense(), &flat)
+        .expect("encrypt");
     let update = Message::Update {
         round,
         client_id: id,
@@ -549,9 +555,14 @@ fn streamed_fold_survives_dropout_and_rejoin_with_batch_quorum_accounting() {
             };
             let (fin, _) = wire::read_message(&mut stream, DEFAULT_MAX_PAYLOAD).expect("finished");
             assert!(matches!(fin, Message::Finished { .. }), "got {}", fin.name());
-            let max_cts = packing::ciphertexts_needed(num_params, ctx.slot_count());
+            let max_cts = packing::ciphertexts_needed_with(
+                &PackingConfig::dense(),
+                num_params,
+                ctx.slot_count(),
+            );
             let cts = codec::decode_ckks(&ctx, &model, max_cts).expect("final decode");
-            packing::decrypt_model(&ctx, &sk, &cts, num_params).expect("final decrypt")
+            packing::decrypt_model_with(&ctx, &sk, &cts, num_params, &PackingConfig::dense())
+                .expect("final decrypt")
         }));
     }
 
@@ -598,9 +609,11 @@ fn streamed_fold_survives_dropout_and_rejoin_with_batch_quorum_accounting() {
         };
         let (fin, _) = wire::read_message(&mut stream, DEFAULT_MAX_PAYLOAD).expect("finished");
         assert!(matches!(fin, Message::Finished { .. }), "got {}", fin.name());
-        let max_cts = packing::ciphertexts_needed(num_params, ctx.slot_count());
+        let max_cts =
+            packing::ciphertexts_needed_with(&PackingConfig::dense(), num_params, ctx.slot_count());
         let cts = codec::decode_ckks(&ctx, &model, max_cts).expect("final decode");
-        packing::decrypt_model(&ctx, &sk, &cts, num_params).expect("final decrypt")
+        packing::decrypt_model_with(&ctx, &sk, &cts, num_params, &PackingConfig::dense())
+            .expect("final decrypt")
     });
 
     let finals: Vec<Vec<f32>> = joins.into_iter().map(|j| j.join().expect("survivor")).collect();
@@ -753,7 +766,8 @@ fn seeded_uploads_halve_bytes_and_reconcile_with_analytical_model() {
     let FedSetup { classes, .. } = round::prepare(&fl, &data).expect("prepare");
     let num_params = classes * fl.hd_dim;
     let ctx = CkksContext::new(CkksParams::toy()).expect("ctx");
-    let modeled = fl.rounds as u64 * packing::upload_bytes_seeded(&ctx, num_params) as u64;
+    let modeled = fl.rounds as u64
+        * packing::upload_bytes_seeded_with(&ctx, &PackingConfig::dense(), num_params) as u64;
     for c in &clients {
         assert!(
             c.bytes_tx >= modeled,

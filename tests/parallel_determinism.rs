@@ -90,7 +90,14 @@ fn ckks_round_ciphertexts_serialize_identically_across_parallelism() {
         for (id, shard) in shards.into_iter().enumerate() {
             let mut local = ClientLocal::new(id, shard, classes, &fl);
             let flat = local.train(&zeros, &fl);
-            let cts = local.encrypt_update(&ctx, &pk, &flat).expect("encrypt");
+            let cts = local
+                .encrypt_update(
+                    &ctx,
+                    round::EncryptKey::Public(&pk),
+                    &packing::PackingConfig::dense(),
+                    &flat,
+                )
+                .expect("encrypt");
             sr.accept(round::ClientUpdate {
                 client_id: id,
                 round: 0,
@@ -141,7 +148,11 @@ fn streamed_fold_matches_batch_bytes_across_orders_and_parallelism() {
         let ctx = CkksContext::with_parallelism(CkksParams::toy(), par).expect("context");
         let (_sk, pk) = round::derive_ckks_keys(&ctx, fl.seed);
         let num_params = classes * fl.hd_dim;
-        let max_cts = packing::ciphertexts_needed(num_params, ctx.slot_count());
+        let max_cts = packing::ciphertexts_needed_with(
+            &packing::PackingConfig::dense(),
+            num_params,
+            ctx.slot_count(),
+        );
         let zeros = vec![0.0f32; num_params];
 
         // Wire payloads, exactly as clients would upload them.
@@ -150,7 +161,14 @@ fn streamed_fold_matches_batch_bytes_across_orders_and_parallelism() {
         for (id, shard) in shards.into_iter().enumerate() {
             let mut local = ClientLocal::new(id, shard, classes, &fl);
             let flat = local.train(&zeros, &fl);
-            let cts = local.encrypt_update(&ctx, &pk, &flat).expect("encrypt");
+            let cts = local
+                .encrypt_update(
+                    &ctx,
+                    round::EncryptKey::Public(&pk),
+                    &packing::PackingConfig::dense(),
+                    &flat,
+                )
+                .expect("encrypt");
             payloads.push(CanonicalCodec.encode_upload(&ctx, &cts).expect("encode"));
             sr.accept(round::ClientUpdate {
                 client_id: id,
