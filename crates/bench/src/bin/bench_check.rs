@@ -29,11 +29,18 @@
 //! (default 2.0 — generous on purpose, CI runners are noisy), 2 =
 //! usage or parse error. Rows present on only one side are reported
 //! but never fail the gate: the op set may grow between commits, and
-//! the thread sweep depends on the runner's core count.
+//! the thread sweep depends on the runner's core count. The exception
+//! is a baseline row labelled `"backend": "none"` (the wire kernels:
+//! `serialize`, `serialize_seeded`, `deserialize`, `fold_view`,
+//! `crc32_frame`): it runs no transform and one thread, so every runner
+//! can measure it, and its absence from the fresh results is an error —
+//! a gated row must not pass by disappearing.
 
 use std::fmt::Write as _;
 use std::process::ExitCode;
 use std::{env, fs};
+
+use rhychee_bench::NO_NTT_BACKEND;
 
 #[derive(Debug, Clone, PartialEq)]
 struct BenchRow {
@@ -144,6 +151,11 @@ fn compare(baseline: &[BenchRow], fresh: &[BenchRow]) -> Result<Vec<Comparison>,
                     b.threads,
                     b.backend.as_deref().unwrap_or("unlabeled")
                 );
+            } else if b.backend.as_deref() == Some(NO_NTT_BACKEND) {
+                return Err(format!(
+                    "baseline row {}@{}t runs on every host but is missing from the fresh results",
+                    b.op, b.threads
+                ));
             }
             continue;
         };
@@ -401,6 +413,30 @@ mod tests {
         // Unlabeled legacy baseline compares with anything.
         let cmp = compare(&[row(None, 100.0)], &[row(Some("avx2"), 150.0)]).expect("legacy");
         assert!((cmp[0].ratio - 1.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn host_independent_baseline_rows_must_appear_in_the_fresh_run() {
+        let row = |op: &str, backend: &str, ns: f64| BenchRow {
+            op: op.into(),
+            threads: 1,
+            ns_per_op: ns,
+            backend: Some(backend.into()),
+        };
+        let baseline = [row("encrypt_model", "avx512", 100.0), row("crc32_frame", "none", 50.0)];
+        // Present on both sides: gated like any other row, on any host.
+        let cmp = compare(
+            &baseline,
+            &[row("encrypt_model", "scalar", 300.0), row("crc32_frame", "none", 75.0)],
+        )
+        .expect("wire row compares");
+        assert_eq!(cmp.len(), 1);
+        assert_eq!(cmp[0].op, "crc32_frame");
+        assert!((cmp[0].ratio - 1.5).abs() < 1e-12);
+        // Dropped from the fresh run: an error, not a silent skip.
+        let err =
+            compare(&baseline, &[row("encrypt_model", "avx512", 100.0)]).expect_err("missing");
+        assert!(err.contains("crc32_frame"), "{err}");
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //! homomorphic aggregation through the accumulator the product folds
 //! into, and model decryption — at 1, 2,
 //! and 4 threads, and writes the measurements to `BENCH_fhe.json` for
-//! the CI trend line, together with canonical vs seeded wire sizes.
+//! the CI trend line, together with canonical vs seeded wire sizes and
+//! the single-threaded wire kernels (residue bit-packing per
+//! ciphertext, frame CRC per upload).
 //! Parallelism never changes results (see `tests/parallel_determinism`),
 //! so every degree benchmarks the same arithmetic.
 //!
@@ -23,13 +25,16 @@ use std::time::Instant;
 
 use rand::{rngs::StdRng, SeedableRng};
 
-use rhychee_bench::{banner, emit_metrics_json, init_telemetry, Table};
+use rhychee_bench::{banner, emit_metrics_json, init_telemetry, Table, NO_NTT_BACKEND};
+use rhychee_channel::crc::crc32;
 use rhychee_core::round::ClientUpdate;
 use rhychee_core::{packing, Aggregation, StreamingAggregator};
 use rhychee_fhe::ckks::modarith::find_ntt_primes;
 use rhychee_fhe::ckks::ntt::NttTable;
 use rhychee_fhe::ckks::{CkksCiphertext, CkksContext};
 use rhychee_fhe::params::CkksParams;
+use rhychee_net::codec;
+use rhychee_net::wire::{self, Message};
 use rhychee_par::Parallelism;
 
 /// Median-of-runs wall time per call, in nanoseconds.
@@ -64,8 +69,77 @@ struct Sample {
     threads: usize,
     ns_per_op: f64,
     /// NTT backend the row ran on: per-backend rows pin it explicitly,
-    /// everything else inherits the process-wide active kernel.
+    /// rows that run no transform say [`NO_NTT_BACKEND`], everything else
+    /// inherits the process-wide active kernel.
     backend: &'static str,
+}
+
+/// The wire kernels, one ciphertext (or one upload frame) per call, all
+/// single-threaded and transform-free: `serialize` / `deserialize` /
+/// `fold_view` on a coefficient-domain ciphertext (what a broadcast
+/// carries; an upload's `serialize` adds `2·levels` inverse NTTs, which
+/// have rows of their own), `serialize_seeded` on a fresh symmetric one,
+/// and `crc32_frame` over one framed model upload.
+fn wire_kernel_samples(
+    params: &CkksParams,
+    model_params: usize,
+    iters: usize,
+    dense: &packing::PackingConfig,
+) -> Vec<Sample> {
+    let ctx = CkksContext::with_parallelism(params.clone(), Parallelism::Fixed(1)).expect("ctx");
+    let mut rng = StdRng::seed_from_u64(15);
+    let (sk, pk) = ctx.generate_keys(&mut rng);
+    let flat: Vec<f32> = (0..model_params).map(|i| (i as f32 * 0.01).sin()).collect();
+    let upload = packing::encrypt_model_with(&ctx, &pk, &flat, dense, &mut rng).expect("encrypt");
+    let blob = ctx.serialize(&upload[0]);
+    let coeff_ct = ctx.deserialize(&blob).expect("deserialize");
+    let seeded_ct = ctx.encrypt_symmetric(&sk, &[0.5; 16], &mut rng).expect("encrypt");
+    let view = ctx.view_serialized(&blob).expect("view");
+    let mut acc = ctx.accumulator_for(&view);
+    let frame = wire::encode_frame(&Message::Update {
+        round: 0,
+        client_id: 0,
+        steps: 1,
+        model: codec::encode_ckks(&ctx, &upload),
+    });
+
+    let iters = iters.max(64);
+    let rows = [
+        (
+            "serialize",
+            time_ns(iters, || {
+                std::hint::black_box(ctx.serialize(std::hint::black_box(&coeff_ct)));
+            }),
+        ),
+        (
+            "serialize_seeded",
+            time_ns(iters, || {
+                let bytes = ctx.serialize_seeded(std::hint::black_box(&seeded_ct));
+                std::hint::black_box(bytes.expect("fresh symmetric ciphertext"));
+            }),
+        ),
+        (
+            "deserialize",
+            time_ns(iters, || {
+                std::hint::black_box(ctx.deserialize(std::hint::black_box(&blob)).expect("blob"));
+            }),
+        ),
+        ("fold_view", time_ns(iters, || ctx.fold_view(&mut acc, &view).expect("fold"))),
+        (
+            "crc32_frame",
+            time_ns(iters, || {
+                std::hint::black_box(crc32(std::hint::black_box(&frame)));
+            }),
+        ),
+    ];
+    rows.into_iter()
+        .map(|(op, ns_per_op)| Sample {
+            op: op.into(),
+            threads: 1,
+            ns_per_op,
+            backend: NO_NTT_BACKEND,
+        })
+        .collect()
 }
 
 /// FNV-1a over the decrypted model's `f32` bit patterns: a cheap,
@@ -309,6 +383,8 @@ fn main() {
         });
         eprintln!("  [threads = {threads}] done");
     }
+
+    samples.extend(wire_kernel_samples(&params, model_params, iters, &dense));
 
     // Per-backend encrypt rows: the kernel is resolved once per process,
     // so the other backends are measured by child processes with

@@ -33,6 +33,12 @@ use rhychee_telemetry as telemetry;
 #[global_allocator]
 static TRACKING_ALLOC: telemetry::alloc::TrackingAlloc = telemetry::alloc::TrackingAlloc;
 
+/// `"backend"` label of `BENCH_fhe.json` rows that run no NTT (the
+/// wire kernels `bench_fhe` times): equal on every host, so
+/// `bench_check` compares such rows whatever kernel the runner resolved
+/// and requires the fresh run to have them.
+pub const NO_NTT_BACKEND: &str = "none";
+
 /// The memory headline embedded in `BENCH_*.json` documents:
 /// `(heap_peak_bytes, rss_peak_bytes)` — the tracking allocator's
 /// high-water mark and the process peak RSS (0 where procfs is

@@ -8,22 +8,40 @@
 /// Reflected CRC-32 polynomial (IEEE 802.3).
 const CRC32_POLY: u32 = 0xEDB8_8320;
 
-/// Byte-at-a-time lookup table for [`crc32`].
-fn crc32_table() -> &'static [u32; 256] {
-    use std::sync::OnceLock;
-    static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        let mut table = [0u32; 256];
-        for (i, entry) in table.iter_mut().enumerate() {
-            let mut crc = i as u32;
-            for _ in 0..8 {
-                crc = if crc & 1 == 1 { (crc >> 1) ^ CRC32_POLY } else { crc >> 1 };
-            }
-            *entry = crc;
+/// Slice-by-8 lookup tables, built at compile time.
+///
+/// `TABLES[0]` is the classic byte-at-a-time table: entry `i` is the
+/// CRC register after shifting byte `i` through eight zero bits.
+/// `TABLES[k][i]` is the same byte followed by `k` further zero bytes
+/// (`TABLES[k][i] = (TABLES[k-1][i] >> 8) ^ TABLES[0][TABLES[k-1][i] & 0xFF]`),
+/// so the contribution of each of eight input bytes to the register
+/// eight bytes later is one lookup, and the eight lookups XOR together
+/// because the CRC is linear over GF(2).
+static TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = if crc & 1 == 1 { (crc >> 1) ^ CRC32_POLY } else { crc >> 1 };
+            bit += 1;
         }
-        table
-    })
-}
+        tables[0][i] = crc;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
+};
 
 /// Computes the CRC-32 (IEEE 802.3, reflected) of a byte slice.
 ///
@@ -35,10 +53,42 @@ fn crc32_table() -> &'static [u32; 256] {
 /// assert_eq!(crc32(b"123456789"), 0xCBF4_3926); // standard check value
 /// ```
 pub fn crc32(data: &[u8]) -> u32 {
-    let table = crc32_table();
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in data {
-        crc = (crc >> 8) ^ table[((crc ^ u32::from(b)) & 0xFF) as usize];
+    crc32_update(0, data)
+}
+
+/// Extends a CRC-32 over more bytes: given `crc`, the CRC-32 of some
+/// prefix (`0` for the empty prefix), returns the CRC-32 of the prefix
+/// followed by `data`. So `crc32_update(crc32(a), b) == crc32(a ‖ b)`
+/// for any split, and a message scattered over several buffers is
+/// checksummed without gathering it into one.
+///
+/// Eight input bytes per step (slice-by-8), bytewise over the last
+/// `data.len() % 8`.
+///
+/// # Examples
+///
+/// ```
+/// use rhychee_channel::crc::{crc32, crc32_update};
+///
+/// assert_eq!(crc32_update(crc32(b"1234"), b"56789"), crc32(b"123456789"));
+/// ```
+pub fn crc32_update(crc: u32, data: &[u8]) -> u32 {
+    let mut crc = !crc;
+    let mut chunks = data.chunks_exact(8);
+    for chunk in &mut chunks {
+        let lo = crc ^ u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+        let hi = u32::from_le_bytes([chunk[4], chunk[5], chunk[6], chunk[7]]);
+        crc = TABLES[7][(lo & 0xFF) as usize]
+            ^ TABLES[6][((lo >> 8) & 0xFF) as usize]
+            ^ TABLES[5][((lo >> 16) & 0xFF) as usize]
+            ^ TABLES[4][(lo >> 24) as usize]
+            ^ TABLES[3][(hi & 0xFF) as usize]
+            ^ TABLES[2][((hi >> 8) & 0xFF) as usize]
+            ^ TABLES[1][((hi >> 16) & 0xFF) as usize]
+            ^ TABLES[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        crc = (crc >> 8) ^ TABLES[0][((crc ^ u32::from(b)) & 0xFF) as usize];
     }
     !crc
 }
@@ -123,6 +173,59 @@ impl std::fmt::Display for Detector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+
+    /// The byte-at-a-time table walk this module shipped through PR 14,
+    /// kept as the differential oracle for slice-by-8.
+    fn crc32_bytewise(data: &[u8]) -> u32 {
+        let mut table = [0u32; 256];
+        for (i, entry) in table.iter_mut().enumerate() {
+            let mut crc = i as u32;
+            for _ in 0..8 {
+                crc = if crc & 1 == 1 { (crc >> 1) ^ CRC32_POLY } else { crc >> 1 };
+            }
+            *entry = crc;
+        }
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in data {
+            crc = (crc >> 8) ^ table[((crc ^ u32::from(b)) & 0xFF) as usize];
+        }
+        !crc
+    }
+
+    #[test]
+    fn slice_by_8_matches_bytewise_at_every_short_length() {
+        // Lengths 0..=64 cross every combination of whole 8-byte steps
+        // and bytewise tail, at every alignment of the slice start.
+        let mut rng = StdRng::seed_from_u64(0x15);
+        let data: Vec<u8> = (0..64 + 8).map(|_| rng.gen()).collect();
+        for start in 0..8 {
+            for len in 0..=64 {
+                let slice = &data[start..start + len];
+                assert_eq!(crc32(slice), crc32_bytewise(slice), "start {start} len {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn update_matches_bytewise_at_every_split_of_a_large_buffer() {
+        let mut rng = StdRng::seed_from_u64(0x15_02);
+        let data: Vec<u8> = (0..1 << 20).map(|_| rng.gen()).collect();
+        let want = crc32_bytewise(&data);
+        assert_eq!(crc32(&data), want);
+        // Splits 0..=8 leave the second call every possible phase
+        // against the 8-byte step; the mirrored splits do the same to
+        // the first call's tail.
+        for split in (0..=8).chain(data.len() - 8..=data.len()) {
+            let (a, b) = data.split_at(split);
+            assert_eq!(crc32_update(crc32(a), b), want, "split {split}");
+        }
+        // Three-way, the shape the frame reader uses: header ‖ ctx ‖ payload.
+        let crc = crc32_update(crc32_update(crc32(&data[..10]), &data[10..34]), &data[34..]);
+        assert_eq!(crc, want);
+        assert_eq!(crc32_update(0, &data), want, "0 is the CRC of the empty prefix");
+        assert_eq!(crc32_update(want, &[]), want, "an empty extension changes nothing");
+    }
 
     #[test]
     fn crc32_check_value() {

@@ -4,14 +4,31 @@
 //! RLWE, `(n+1)·log q` for LWE). Packing each residue at exactly
 //! `⌈log2 q⌉` bits makes our serialized sizes match the analytical
 //! formulas, which the channel experiments depend on.
+//!
+//! The layout is a little-endian bit stream: bit `k` of the stream is
+//! bit `k % 8` of byte `k / 8`, values are appended least-significant
+//! bit first, and the last byte is zero-padded. [`BitWriter`] and
+//! [`BitReader`] move a whole value per step (a 64-bit accumulator on
+//! the way out, an unaligned 128-bit window on the way in); the row
+//! forms check lengths once per row instead of once per value.
 
 use crate::error::FheError;
 
 /// Append-only bit writer (little-endian within bytes).
+///
+/// Pending bits live in a 64-bit accumulator that is flushed to the
+/// byte buffer eight bytes at a time; [`BitWriter::into_bytes`] flushes
+/// the zero-padded remainder.
 #[derive(Debug, Default)]
 pub struct BitWriter {
     buf: Vec<u8>,
-    bit_pos: usize,
+    /// `buf.len()` when this writer started: [`BitWriter::bit_len`]
+    /// counts from here.
+    start: usize,
+    /// The low `acc_bits` bits are pending; everything above is zero.
+    acc: u64,
+    /// Always `< 64` between calls.
+    acc_bits: u32,
 }
 
 impl BitWriter {
@@ -20,36 +37,97 @@ impl BitWriter {
         Self::default()
     }
 
+    /// Creates a writer that appends after the bytes already in `buf`
+    /// (starting on a byte boundary) and reuses its capacity;
+    /// [`BitWriter::into_bytes`] hands the buffer back.
+    pub fn appending(buf: Vec<u8>) -> Self {
+        BitWriter { start: buf.len(), buf, acc: 0, acc_bits: 0 }
+    }
+
     /// Appends the low `bits` bits of `value`.
     ///
     /// # Panics
     ///
     /// Panics if `bits > 64` or if `value` has bits set above `bits`.
+    #[inline]
     pub fn write_bits(&mut self, value: u64, bits: u32) {
         assert!(bits <= 64, "cannot write more than 64 bits at once");
-        assert!(bits == 64 || value < (1u64 << bits), "value {value} does not fit in {bits} bits");
-        for i in 0..bits {
-            let byte = self.bit_pos / 8;
-            let off = self.bit_pos % 8;
-            if byte == self.buf.len() {
-                self.buf.push(0);
-            }
-            if (value >> i) & 1 == 1 {
-                self.buf[byte] |= 1 << off;
-            }
-            self.bit_pos += 1;
+        assert!(value <= mask(bits), "value {value} does not fit in {bits} bits");
+        if bits == 0 {
+            return;
+        }
+        self.acc |= value << self.acc_bits;
+        let total = self.acc_bits + bits;
+        if total < 64 {
+            self.acc_bits = total;
+            return;
+        }
+        self.buf.extend_from_slice(&self.acc.to_le_bytes());
+        // `taken` bits of `value` completed the word; the rest carry over.
+        let taken = 64 - self.acc_bits;
+        self.acc = if taken == 64 { 0 } else { value >> taken };
+        self.acc_bits = total - 64;
+    }
+
+    /// Appends every value of `values` at `bits` bits each — the same
+    /// bytes as one [`BitWriter::write_bits`] per value, with the output
+    /// reserved once for the whole row.
+    ///
+    /// # Panics
+    ///
+    /// As [`BitWriter::write_bits`], for any value of the row.
+    pub fn write_row(&mut self, values: &[u64], bits: u32) {
+        let row_bits = self.acc_bits as usize + values.len() * bits as usize;
+        self.buf.reserve(row_bits.div_ceil(8));
+        for &value in values {
+            self.write_bits(value, bits);
         }
     }
 
     /// Total bits written so far.
     pub fn bit_len(&self) -> usize {
-        self.bit_pos
+        (self.buf.len() - self.start) * 8 + self.acc_bits as usize
     }
 
-    /// Finishes writing and returns the byte buffer.
-    pub fn into_bytes(self) -> Vec<u8> {
+    /// Finishes writing and returns the byte buffer, the last byte
+    /// zero-padded.
+    pub fn into_bytes(mut self) -> Vec<u8> {
+        let pending = (self.acc_bits as usize).div_ceil(8);
+        self.buf.extend_from_slice(&self.acc.to_le_bytes()[..pending]);
         self.buf
     }
+}
+
+/// A mask of the low `bits` bits (`bits ≤ 64`).
+fn mask(bits: u32) -> u64 {
+    if bits == 64 {
+        u64::MAX
+    } else {
+        (1u64 << bits) - 1
+    }
+}
+
+/// The `bits`-bit value at bit offset `bit_pos` of `buf`. The caller
+/// has checked `bit_pos + bits ≤ 8·buf.len()` and `bits ≤ 64`.
+///
+/// A value spans at most 9 bytes (7 bits of misalignment + 64), so a
+/// 16-byte little-endian window starting at its first byte always
+/// contains it. Within 16 bytes of the end of `buf` there is no such
+/// window to load, so the tail path copies what is left into a
+/// zero-padded one.
+#[inline]
+fn window(buf: &[u8], bit_pos: usize, bits: u32) -> u64 {
+    let byte = bit_pos / 8;
+    let word = match buf.get(byte..byte + 16) {
+        Some(chunk) => u128::from_le_bytes(chunk.try_into().expect("16-byte window")),
+        None => {
+            let tail = &buf[byte..];
+            let mut padded = [0u8; 16];
+            padded[..tail.len()].copy_from_slice(tail);
+            u128::from_le_bytes(padded)
+        }
+    };
+    (word >> (bit_pos % 8)) as u64 & mask(bits)
 }
 
 /// Sequential bit reader over a byte slice.
@@ -65,29 +143,62 @@ impl<'a> BitReader<'a> {
         BitReader { buf, bit_pos: 0 }
     }
 
+    /// Checks that `bits` more bits are available; a failed check
+    /// leaves the position untouched.
+    fn check_available(&self, bits: usize) -> Result<(), FheError> {
+        match self.bit_pos.checked_add(bits) {
+            Some(end) if end <= self.buf.len() * 8 => Ok(()),
+            _ => Err(FheError::Deserialize(format!(
+                "unexpected end of buffer at bit {}",
+                self.bit_pos
+            ))),
+        }
+    }
+
     /// Reads the next `bits` bits.
     ///
     /// # Errors
     ///
-    /// Returns [`FheError::Deserialize`] if the buffer is exhausted.
+    /// Returns [`FheError::Deserialize`] if the buffer is exhausted; a
+    /// failed read consumes nothing.
+    #[inline]
     pub fn read_bits(&mut self, bits: u32) -> Result<u64, FheError> {
         assert!(bits <= 64, "cannot read more than 64 bits at once");
-        if self.bit_pos + bits as usize > self.buf.len() * 8 {
-            return Err(FheError::Deserialize(format!(
-                "unexpected end of buffer at bit {}",
-                self.bit_pos
-            )));
-        }
-        let mut value = 0u64;
-        for i in 0..bits {
-            let byte = self.bit_pos / 8;
-            let off = self.bit_pos % 8;
-            if (self.buf[byte] >> off) & 1 == 1 {
-                value |= 1 << i;
-            }
-            self.bit_pos += 1;
-        }
+        self.check_available(bits as usize)?;
+        let value = window(self.buf, self.bit_pos, bits);
+        self.bit_pos += bits as usize;
         Ok(value)
+    }
+
+    /// Fills `out` with the next `out.len()` values of `bits` bits each
+    /// — the same values as one [`BitReader::read_bits`] per slot, with
+    /// the length checked once for the whole row.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FheError::Deserialize`] if the buffer holds fewer than
+    /// `out.len() · bits` more bits; a failed read consumes nothing and
+    /// leaves `out` untouched.
+    pub fn read_row_into(&mut self, out: &mut [u64], bits: u32) -> Result<(), FheError> {
+        assert!(bits <= 64, "cannot read more than 64 bits at once");
+        self.check_available(out.len() * bits as usize)?;
+        for slot in out {
+            *slot = window(self.buf, self.bit_pos, bits);
+            self.bit_pos += bits as usize;
+        }
+        Ok(())
+    }
+
+    /// Advances past the next `bits` bits without decoding them.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FheError::Deserialize`] if the buffer holds fewer than
+    /// `bits` more bits; a failed skip consumes nothing.
+    pub fn skip(&mut self, bits: usize) -> Result<(), FheError> {
+        self.check_available(bits)?;
+        self.bit_pos += bits;
+        Ok(())
     }
 
     /// Bits consumed so far.
@@ -223,14 +334,249 @@ pub fn pack_lanes(vals: &[u64], lane_bits: u32) -> u64 {
 /// Extracts lane `lane` (0-based from the least-significant bits) from
 /// a packed slot word.
 pub fn unpack_lane(word: u64, lane: usize, lane_bits: u32) -> u64 {
-    let mask = if lane_bits == 64 { u64::MAX } else { (1u64 << lane_bits) - 1 };
-    (word >> (lane as u32 * lane_bits)) & mask
+    (word >> (lane as u32 * lane_bits)) & mask(lane_bits)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::{rngs::StdRng, Rng, SeedableRng};
+
+    /// The bit-at-a-time packer this module shipped through PR 14, kept
+    /// verbatim as the differential oracle for the word-at-a-time one.
+    mod oracle {
+        #[derive(Default)]
+        pub struct BitWriter {
+            buf: Vec<u8>,
+            bit_pos: usize,
+        }
+
+        impl BitWriter {
+            pub fn write_bits(&mut self, value: u64, bits: u32) {
+                assert!(bits <= 64, "cannot write more than 64 bits at once");
+                assert!(bits == 64 || value < (1u64 << bits), "value does not fit");
+                for i in 0..bits {
+                    let byte = self.bit_pos / 8;
+                    let off = self.bit_pos % 8;
+                    if byte == self.buf.len() {
+                        self.buf.push(0);
+                    }
+                    if (value >> i) & 1 == 1 {
+                        self.buf[byte] |= 1 << off;
+                    }
+                    self.bit_pos += 1;
+                }
+            }
+
+            pub fn into_bytes(self) -> Vec<u8> {
+                self.buf
+            }
+        }
+
+        pub struct BitReader<'a> {
+            pub buf: &'a [u8],
+            pub bit_pos: usize,
+        }
+
+        impl BitReader<'_> {
+            /// `None` where the shipped reader returned `Deserialize`.
+            pub fn read_bits(&mut self, bits: u32) -> Option<u64> {
+                assert!(bits <= 64, "cannot read more than 64 bits at once");
+                if self.bit_pos + bits as usize > self.buf.len() * 8 {
+                    return None;
+                }
+                let mut value = 0u64;
+                for i in 0..bits {
+                    let byte = self.bit_pos / 8;
+                    let off = self.bit_pos % 8;
+                    if (self.buf[byte] >> off) & 1 == 1 {
+                        value |= 1 << i;
+                    }
+                    self.bit_pos += 1;
+                }
+                Some(value)
+            }
+        }
+    }
+
+    /// Packs `entries` through both packers, checks the bytes agree, then
+    /// reads them back through both readers and checks every value and
+    /// the end-of-buffer behaviour agree.
+    fn check_against_oracle(entries: &[(u64, u32)]) {
+        let mut new = BitWriter::new();
+        let mut old = oracle::BitWriter::default();
+        let mut total = 0usize;
+        for &(v, b) in entries {
+            new.write_bits(v, b);
+            old.write_bits(v, b);
+            total += b as usize;
+            assert_eq!(new.bit_len(), total);
+        }
+        let bytes = new.into_bytes();
+        assert_eq!(bytes, old.into_bytes(), "packed bytes differ for {entries:?}");
+        assert_eq!(bytes.len(), total.div_ceil(8));
+
+        let mut new = BitReader::new(&bytes);
+        let mut old = oracle::BitReader { buf: &bytes, bit_pos: 0 };
+        for &(v, b) in entries {
+            assert_eq!(new.read_bits(b).ok(), Some(v), "{b}-bit read at {}", old.bit_pos);
+            assert_eq!(old.read_bits(b), Some(v));
+            assert_eq!(new.bit_pos(), old.bit_pos);
+        }
+        // Whatever padding is left reads the same, and one bit more fails.
+        let pad = (bytes.len() * 8 - total) as u32;
+        assert_eq!(new.read_bits(pad).ok(), old.read_bits(pad));
+        assert!(new.read_bits(1).is_err() && old.read_bits(1).is_none());
+    }
+
+    #[test]
+    fn every_width_at_every_offset_matches_oracle() {
+        let mut rng = StdRng::seed_from_u64(0x15);
+        for width in 1..=64u32 {
+            for offset in 0..=63u32 {
+                // Top bit set, so a dropped or misplaced high bit shows.
+                let value = (rng.gen::<u64>() | 1 << 63) >> (64 - width);
+                let mut entries = vec![(rng.gen::<u64>() & mask(offset), offset), (value, width)];
+                // Short streams end inside the reader's tail window; the
+                // long ones put the same reads on the 16-byte fast path.
+                check_against_oracle(&entries);
+                entries.extend((0..4).map(|_| (rng.gen::<u64>(), 64)));
+                entries.push((mask(width), width));
+                check_against_oracle(&entries);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn mixed_width_sequences_match_oracle(
+            values in prop::collection::vec(any::<u64>(), 96),
+            widths in prop::collection::vec(0u32..65, 0..96),
+        ) {
+            let entries: Vec<(u64, u32)> =
+                widths.iter().zip(&values).map(|(&b, &v)| (v & mask(b), b)).collect();
+            check_against_oracle(&entries);
+        }
+    }
+
+    #[test]
+    fn row_forms_match_per_value_calls() {
+        let mut rng = StdRng::seed_from_u64(0x15_02);
+        for width in 1..=64u32 {
+            for offset in [0u32, 1, 7, 8, 13, 63] {
+                let row: Vec<u64> = (0..37).map(|_| rng.gen::<u64>() & mask(width)).collect();
+                let lead = rng.gen::<u64>() & mask(offset);
+
+                let mut by_row = BitWriter::new();
+                by_row.write_bits(lead, offset);
+                by_row.write_row(&row, width);
+                by_row.write_bits(1, 1);
+                let mut by_value = BitWriter::new();
+                by_value.write_bits(lead, offset);
+                for &v in &row {
+                    by_value.write_bits(v, width);
+                }
+                by_value.write_bits(1, 1);
+                assert_eq!(by_row.bit_len(), by_value.bit_len());
+                let bytes = by_row.into_bytes();
+                assert_eq!(bytes, by_value.into_bytes(), "width {width} offset {offset}");
+
+                let mut r = BitReader::new(&bytes);
+                assert_eq!(r.read_bits(offset).unwrap(), lead);
+                let mut back = vec![u64::MAX; row.len()];
+                r.read_row_into(&mut back, width).unwrap();
+                assert_eq!(back, row, "width {width} offset {offset}");
+                assert_eq!(r.read_bits(1).unwrap(), 1);
+
+                // A row one value too long fails, consumes nothing and
+                // leaves the destination untouched.
+                let mut r = BitReader::new(&bytes);
+                r.skip(offset as usize).unwrap();
+                let mut long = vec![u64::MAX; row.len() + 1 + 8 / width as usize];
+                assert!(r.read_row_into(&mut long, width).is_err());
+                assert_eq!(r.bit_pos(), offset as usize);
+                assert!(long.iter().all(|&v| v == u64::MAX));
+            }
+        }
+    }
+
+    #[test]
+    fn reads_in_the_last_16_bytes_match_oracle() {
+        // The reader's tail path: every width at every bit position from
+        // which a 16-byte window would overrun the buffer, plus the last
+        // positions that still take the fast path.
+        let mut rng = StdRng::seed_from_u64(0x15_03);
+        let bytes: Vec<u8> = (0..48).map(|_| rng.gen()).collect();
+        let end = bytes.len() * 8;
+        for width in 1..=64u32 {
+            for pos in (end - 20 * 8)..=(end - width as usize) {
+                let mut new = BitReader::new(&bytes);
+                new.skip(pos).unwrap();
+                let mut old = oracle::BitReader { buf: &bytes, bit_pos: pos };
+                assert_eq!(
+                    new.read_bits(width).ok(),
+                    old.read_bits(width),
+                    "{width} bits at {pos}"
+                );
+                assert_eq!(new.bit_pos(), old.bit_pos);
+            }
+            // One bit past the last position that fits.
+            let mut r = BitReader::new(&bytes);
+            r.skip(end - width as usize + 1).unwrap();
+            assert!(r.read_bits(width).is_err());
+            assert_eq!(r.bit_pos(), end - width as usize + 1);
+        }
+        // Buffers shorter than one window are all tail.
+        for len in 0..16usize {
+            let short = &bytes[..len];
+            let mut new = BitReader::new(short);
+            let mut old = oracle::BitReader { buf: short, bit_pos: 0 };
+            while let Some(v) = old.read_bits(5) {
+                assert_eq!(new.read_bits(5).unwrap(), v);
+            }
+            assert!(new.read_bits(5).is_err());
+        }
+    }
+
+    #[test]
+    fn skip_is_positional_and_checked() {
+        let bytes = [0xA5u8; 4];
+        let mut r = BitReader::new(&bytes);
+        r.skip(0).unwrap();
+        r.skip(9).unwrap();
+        assert_eq!(r.bit_pos(), 9);
+        assert!(r.skip(24).is_err(), "one bit past the end");
+        assert!(r.skip(usize::MAX).is_err(), "no overflow on a hostile count");
+        assert_eq!(r.bit_pos(), 9, "failed skip must not consume bits");
+        r.skip(23).unwrap();
+        assert_eq!(r.bit_pos(), 32);
+        assert!(r.read_bits(1).is_err());
+    }
+
+    #[test]
+    fn appending_writer_continues_after_existing_bytes() {
+        let mut standalone = BitWriter::new();
+        standalone.write_row(&[5, 6, 7], 61);
+        assert_eq!(standalone.bit_len(), 183);
+        let standalone = standalone.into_bytes();
+
+        let mut w = BitWriter::appending(vec![0xEE, 0xFF]);
+        w.write_row(&[5, 6, 7], 61);
+        assert_eq!(w.bit_len(), 183, "bit_len counts from where this writer started");
+        let bytes = w.into_bytes();
+        assert_eq!(bytes[..2], [0xEE, 0xFF]);
+        assert_eq!(bytes[2..], standalone[..]);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit")]
+    fn oversized_row_value_panics() {
+        let mut w = BitWriter::new();
+        w.write_row(&[1, 2, 8], 3);
+    }
 
     #[test]
     fn round_trip_mixed_widths() {

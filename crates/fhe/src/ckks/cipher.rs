@@ -870,29 +870,35 @@ impl CkksContext {
     /// therefore serialize to identical bytes, and the channel-noise
     /// experiments keep their corruption-decrypts-to-garbage semantics.
     pub fn serialize(&self, ct: &CkksCiphertext) -> Vec<u8> {
-        let mut w = BitWriter::new();
+        let mut out = Vec::new();
+        self.serialize_into(&mut out, ct);
+        out
+    }
+
+    /// Appends the canonical serialization of `ct` to `out` — the bytes
+    /// [`CkksContext::serialize`] returns, written in place after
+    /// whatever `out` already holds. `out` grows by exactly
+    /// [`CkksContext::serialized_len`], reserved up front, so a caller
+    /// that pre-sized it never pays a reallocation.
+    pub fn serialize_into(&self, out: &mut Vec<u8>, ct: &CkksCiphertext) {
+        out.reserve(self.serialized_len(ct.levels()));
+        let mut w = BitWriter::appending(std::mem::take(out));
         w.write_bits(ct.levels() as u64, 8);
         w.write_bits(ct.scale.to_bits(), 64);
         for poly in [&ct.c0, &ct.c1] {
             for (i, &q) in self.primes[..ct.levels()].iter().enumerate() {
                 let bits = bits_for(q);
                 match poly.domain() {
-                    Domain::Coeff => {
-                        for &r in poly.residues(i) {
-                            w.write_bits(r, bits);
-                        }
-                    }
+                    Domain::Coeff => w.write_row(poly.residues(i), bits),
                     Domain::Eval => scratch::with_row(poly.degree(), |row| {
                         row.copy_from_slice(poly.residues(i));
                         self.ntt[i].inverse(row);
-                        for &r in row.iter() {
-                            w.write_bits(r, bits);
-                        }
+                        w.write_row(row, bits);
                     }),
                 }
             }
         }
-        w.into_bytes()
+        *out = w.into_bytes();
     }
 
     /// Serializes a fresh symmetric ciphertext in the seed-compressed
@@ -906,13 +912,32 @@ impl CkksContext {
     /// Returns [`FheError::Serialize`] if the ciphertext no longer
     /// carries its expansion seed (any homomorphic operation clears it).
     pub fn serialize_seeded(&self, ct: &CkksCiphertext) -> Result<Vec<u8>, FheError> {
+        let mut out = Vec::new();
+        self.serialize_seeded_into(&mut out, ct)?;
+        Ok(out)
+    }
+
+    /// Appends the seed-compressed serialization of `ct` to `out` — the
+    /// bytes [`CkksContext::serialize_seeded`] returns, written in place.
+    /// `out` grows by exactly [`CkksContext::serialized_len_seeded`],
+    /// reserved up front.
+    ///
+    /// # Errors
+    ///
+    /// As [`CkksContext::serialize_seeded`]; `out` is untouched on error.
+    pub fn serialize_seeded_into(
+        &self,
+        out: &mut Vec<u8>,
+        ct: &CkksCiphertext,
+    ) -> Result<(), FheError> {
         let Some(seed) = ct.c1_seed else {
             return Err(FheError::Serialize(
                 "ciphertext carries no expansion seed (not a fresh symmetric encryption)".into(),
             ));
         };
         debug_assert_eq!(ct.c0.domain(), Domain::Eval, "seeded ciphertexts are eval-resident");
-        let mut w = BitWriter::new();
+        out.reserve(self.serialized_len_seeded(ct.levels()));
+        let mut w = BitWriter::appending(std::mem::take(out));
         w.write_bits(ct.levels() as u64, 8);
         w.write_bits(ct.scale.to_bits(), 64);
         for chunk in seed.chunks_exact(8) {
@@ -920,12 +945,10 @@ impl CkksContext {
         }
         w.write_bits(u64::from(seedexp::seed_check(&seed)), 32);
         for (i, &q) in self.primes[..ct.levels()].iter().enumerate() {
-            let bits = bits_for(q);
-            for &r in ct.c0.residues(i) {
-                w.write_bits(r, bits);
-            }
+            w.write_row(ct.c0.residues(i), bits_for(q));
         }
-        Ok(w.into_bytes())
+        *out = w.into_bytes();
+        Ok(())
     }
 
     /// Exact byte length of the seed-compressed format at `levels`
@@ -979,10 +1002,7 @@ impl CkksContext {
         let n = self.params.n;
         let mut c0 = RnsPoly::zero_in(n, levels, Domain::Eval);
         for (i, &q) in self.primes[..levels].iter().enumerate() {
-            let bits = bits_for(q);
-            for j in 0..n {
-                c0.residues_mut(i)[j] = r.read_bits(bits)? % q;
-            }
+            read_residues(&mut r, c0.residues_mut(i), q)?;
         }
         let mut c1 = RnsPoly::zero_in(n, levels, Domain::Eval);
         rhychee_par::for_each_mut(self.parallelism, c1.residues_all_mut(), |i, row| {
@@ -1033,11 +1053,7 @@ impl CkksContext {
         for _ in 0..2 {
             let mut poly = RnsPoly::zero(n, levels);
             for (i, &q) in self.primes[..levels].iter().enumerate() {
-                let bits = bits_for(q);
-                for j in 0..n {
-                    // Reduce mod q: a flipped bit may push a residue over q.
-                    poly.residues_mut(i)[j] = r.read_bits(bits)? % q;
-                }
+                read_residues(&mut r, poly.residues_mut(i), q)?;
             }
             polys.push(poly);
         }
@@ -1190,6 +1206,22 @@ impl CkksContext {
     fn poly_mul(&self, a: &RnsPoly, b: &RnsPoly) -> RnsPoly {
         self.poly_mul_at(a, b, self.primes.len())
     }
+}
+
+/// Unpacks one residue row of prime `q` from the wire into `row`,
+/// reducing each value `% q`: a flipped bit may push a residue over `q`,
+/// and the canonical format's channel-noise semantics are to decrypt
+/// garbage, not to error.
+pub(super) fn read_residues(
+    r: &mut BitReader<'_>,
+    row: &mut [u64],
+    q: u64,
+) -> Result<(), FheError> {
+    r.read_row_into(row, bits_for(q))?;
+    for v in row {
+        *v %= q;
+    }
+    Ok(())
 }
 
 /// Reduces signed coefficients into `[0, q)`, writing into `out`

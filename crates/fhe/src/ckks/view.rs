@@ -8,9 +8,10 @@
 //! against [`CkksContext::serialized_len`] /
 //! [`CkksContext::serialized_len_seeded`], finite positive scale, and
 //! the seed integrity digest — so a constructed view is guaranteed
-//! foldable: [`CkksContext::fold_view`] reads residues straight out of
-//! the receive buffer and modular-adds them into an accumulator row in
-//! place, allocating nothing and performing zero NTTs.
+//! foldable: [`CkksContext::fold_view`] unpacks residues straight out of
+//! the receive buffer, a row at a time through a recycled scratch row,
+//! and modular-adds them into the accumulator in place — no allocation
+//! once the thread's scratch row exists, and zero NTTs.
 //!
 //! Because a view is validated up front, the fold itself is infallible
 //! (beyond the accumulator-compatibility check).
@@ -24,13 +25,13 @@
 
 use rhychee_telemetry as telemetry;
 
-use crate::bitpack::{bits_for, BitReader};
+use crate::bitpack::BitReader;
 use crate::error::FheError;
 
-use super::cipher::{CkksCiphertext, CkksContext};
+use super::cipher::{read_residues, CkksCiphertext, CkksContext};
 use super::modarith::add_mod;
 use super::rns::{Domain, RnsPoly};
-use super::seedexp;
+use super::{scratch, seedexp};
 
 /// Which wire format a view's bytes are in. Canonical blobs carry both
 /// polynomials in the coefficient domain; seeded blobs carry an
@@ -104,9 +105,9 @@ impl<'a> CtView<'a> {
 }
 
 /// Header bits shared by both formats: levels (8) + scale (64).
-const HEADER_BITS: u32 = 8 + 64;
+const HEADER_BITS: usize = 8 + 64;
 /// Extra seeded-format header bits: 256-bit seed + 32-bit digest.
-const SEED_BITS: u32 = 256 + 32;
+const SEED_BITS: usize = 256 + 32;
 
 impl CkksContext {
     /// Builds a borrowed view over one canonical-format ciphertext,
@@ -223,9 +224,10 @@ impl CkksContext {
 
     /// Folds a viewed upload into the running encrypted sum:
     /// `acc += view`, residue by residue, straight out of the wire
-    /// bytes. No owned ciphertext is built, no allocation happens, and
-    /// no transform runs — seeded `c1` rows are re-expanded into the
-    /// modular add one draw at a time. Residues are reduced `% q` on
+    /// bytes. No owned ciphertext is built, nothing is allocated beyond
+    /// the thread's recycled scratch row, and no transform runs — seeded
+    /// `c1` rows are re-expanded into the modular add one draw at a
+    /// time. Residues are reduced `% q` on
     /// the way in, exactly as the owning deserializers do, so folding a
     /// corrupted canonical blob accumulates garbage rather than erroring
     /// (the channel-noise semantics of the canonical format).
@@ -241,34 +243,30 @@ impl CkksContext {
         let mut r = BitReader::new(view.bytes);
         // Header bits were validated at view construction; the exact
         // length check guarantees every residue read below succeeds.
-        let mut skip = match view.format {
+        let header_bits = match view.format {
             ViewFormat::Canonical => HEADER_BITS,
             ViewFormat::Seeded(_) => HEADER_BITS + SEED_BITS,
         };
-        while skip > 0 {
-            let step = skip.min(64);
-            r.read_bits(step).expect("validated header");
-            skip -= step;
-        }
+        r.skip(header_bits).expect("validated header");
+        let mut fold_row = |acc_row: &mut [u64], q: u64| {
+            scratch::with_row(acc_row.len(), |row| {
+                read_residues(&mut r, row, q).expect("length-validated view");
+                for (a, &v) in acc_row.iter_mut().zip(row.iter()) {
+                    *a = add_mod(*a, v, q);
+                }
+            });
+        };
         match view.format {
             ViewFormat::Canonical => {
                 for poly in [&mut acc.c0, &mut acc.c1] {
                     for (i, &q) in primes.iter().enumerate() {
-                        let bits = bits_for(q);
-                        for a in poly.residues_mut(i) {
-                            let v = r.read_bits(bits).expect("length-validated view") % q;
-                            *a = add_mod(*a, v, q);
-                        }
+                        fold_row(poly.residues_mut(i), q);
                     }
                 }
             }
             ViewFormat::Seeded(seed) => {
                 for (i, &q) in primes.iter().enumerate() {
-                    let bits = bits_for(q);
-                    for a in acc.c0.residues_mut(i) {
-                        let v = r.read_bits(bits).expect("length-validated view") % q;
-                        *a = add_mod(*a, v, q);
-                    }
+                    fold_row(acc.c0.residues_mut(i), q);
                 }
                 for (i, &q) in primes.iter().enumerate() {
                     let mut stream = seedexp::SeedStream::new(&seed, i as u64);

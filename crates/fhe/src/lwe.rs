@@ -224,10 +224,8 @@ impl LweContext {
     /// `(n+1)·log q` size accounting of Table I.
     pub fn serialize(&self, ct: &LweCiphertext) -> Vec<u8> {
         let bits = self.params.log_q;
-        let mut w = BitWriter::new();
-        for &ai in &ct.a {
-            w.write_bits(ai, bits);
-        }
+        let mut w = BitWriter::appending(Vec::with_capacity(self.serialized_len()));
+        w.write_row(&ct.a, bits);
         w.write_bits(ct.b, bits);
         w.into_bytes()
     }
@@ -255,9 +253,8 @@ impl LweContext {
         }
         let bits = self.params.log_q;
         let mut r = BitReader::new(bytes);
-        let a = (0..self.params.dimension)
-            .map(|_| r.read_bits(bits))
-            .collect::<Result<Vec<u64>, _>>()?;
+        let mut a = vec![0u64; self.params.dimension];
+        r.read_row_into(&mut a, bits)?;
         let b = r.read_bits(bits)?;
         Ok(LweCiphertext { a, b })
     }

@@ -116,16 +116,40 @@ pub fn decode_plain(bytes: &[u8], max_params: usize) -> Result<Vec<f32>, NetErro
     Ok(params)
 }
 
-/// Encodes packed CKKS ciphertexts under the given context.
-pub fn encode_ckks(ctx: &CkksContext, cts: &[CkksCiphertext]) -> Vec<u8> {
-    let mut out = vec![TAG_CKKS];
+/// Writes the structure every ciphertext payload shares — `tag`, the
+/// count, then per ciphertext its length and its bytes — into one
+/// buffer sized up front from `len_of`, each ciphertext serialized in
+/// place by `write`.
+fn encode_items(
+    tag: u8,
+    cts: &[CkksCiphertext],
+    len_of: impl Fn(&CkksCiphertext) -> usize,
+    mut write: impl FnMut(&mut Vec<u8>, &CkksCiphertext) -> Result<(), FheError>,
+) -> Result<Vec<u8>, FheError> {
+    let total = 5 + cts.iter().map(|ct| 4 + len_of(ct)).sum::<usize>();
+    let mut out = Vec::with_capacity(total);
+    out.push(tag);
     out.extend_from_slice(&(cts.len() as u32).to_le_bytes());
     for ct in cts {
-        let bytes = ctx.serialize(ct);
-        out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-        out.extend_from_slice(&bytes);
+        out.extend_from_slice(&(len_of(ct) as u32).to_le_bytes());
+        write(&mut out, ct)?;
     }
-    out
+    debug_assert_eq!(out.len(), total, "serialized lengths out of step with the payload");
+    Ok(out)
+}
+
+/// Encodes packed CKKS ciphertexts under the given context.
+pub fn encode_ckks(ctx: &CkksContext, cts: &[CkksCiphertext]) -> Vec<u8> {
+    encode_items(
+        TAG_CKKS,
+        cts,
+        |ct| ctx.serialized_len(ct.levels()),
+        |out, ct| {
+            ctx.serialize_into(out, ct);
+            Ok(())
+        },
+    )
+    .expect("canonical serialization is infallible")
 }
 
 /// The structure every ciphertext payload shares: `tag`, a count capped
@@ -188,14 +212,8 @@ pub fn decode_ckks(
 /// (i.e. was not produced by symmetric encryption, or has been
 /// operated on since).
 pub fn encode_ckks_seeded(ctx: &CkksContext, cts: &[CkksCiphertext]) -> Result<Vec<u8>, NetError> {
-    let mut out = vec![TAG_CKKS_SEEDED];
-    out.extend_from_slice(&(cts.len() as u32).to_le_bytes());
-    for ct in cts {
-        let bytes = ctx.serialize_seeded(ct)?;
-        out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-        out.extend_from_slice(&bytes);
-    }
-    Ok(out)
+    let len_of = |ct: &CkksCiphertext| ctx.serialized_len_seeded(ct.levels());
+    Ok(encode_items(TAG_CKKS_SEEDED, cts, len_of, |out, ct| ctx.serialize_seeded_into(out, ct))?)
 }
 
 /// A borrowed, validated view of one upload's ciphertexts — the

@@ -32,7 +32,7 @@
 
 use std::io::{Read, Write};
 
-use rhychee_channel::crc::crc32;
+use rhychee_channel::crc::{crc32, crc32_update};
 use rhychee_telemetry as telemetry;
 pub use rhychee_telemetry::TraceContext;
 
@@ -156,9 +156,21 @@ impl Message {
         }
     }
 
-    /// Serializes the message body (frame payload, excluding headers).
-    fn encode_body(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+    /// Length in bytes of the body [`Message::encode_body_into`] writes.
+    fn body_len(&self) -> usize {
+        match self {
+            Message::Hello { .. } => 4,
+            Message::Welcome { .. } => 12,
+            Message::Global { model, .. } => 1 + model.len(),
+            Message::Update { model, .. } => 8 + model.len(),
+            Message::UpdateAck { .. } => 1,
+            Message::Finished { .. } => 0,
+        }
+    }
+
+    /// Appends the message body (frame payload, excluding headers) to
+    /// `out`.
+    fn encode_body_into(&self, out: &mut Vec<u8>) {
         match self {
             Message::Hello { client_id } => {
                 out.extend_from_slice(&(*client_id as u32).to_le_bytes());
@@ -182,7 +194,6 @@ impl Message {
             }
             Message::Finished { .. } => {}
         }
-        out
     }
 
     /// Parses a message body for the given header type/round.
@@ -280,18 +291,24 @@ pub fn encode_frame(msg: &Message) -> Vec<u8> {
 /// (version 2) when one is given; without a context the frame is plain
 /// version 1.
 pub fn encode_frame_ctx(msg: &Message, ctx: Option<&TraceContext>) -> Vec<u8> {
-    let body = msg.encode_body();
     let ctx_len = if ctx.is_some() { CTX_LEN } else { 0 };
-    let mut frame = Vec::with_capacity(HEADER_LEN + ctx_len + body.len() + TRAILER_LEN);
+    // Sized for the whole frame so the body is written once, in place.
+    let mut frame = Vec::with_capacity(HEADER_LEN + ctx_len + msg.body_len() + TRAILER_LEN);
     frame.extend_from_slice(&MAGIC);
     frame.push(if ctx.is_some() { VERSION_TRACED } else { VERSION });
     frame.push(msg.type_byte());
     frame.extend_from_slice(&msg.round_field().to_le_bytes());
-    frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
+    frame.extend_from_slice(&[0; 4]);
     if let Some(ctx) = ctx {
         frame.extend_from_slice(&ctx.to_wire());
     }
-    frame.extend_from_slice(&body);
+    let body_at = frame.len();
+    msg.encode_body_into(&mut frame);
+    // The length field is patched from the bytes actually written, so
+    // `body_len` is only ever a capacity hint.
+    let len = (frame.len() - body_at) as u32;
+    debug_assert_eq!(len as usize, msg.body_len(), "capacity hint out of step with the body");
+    frame[10..HEADER_LEN].copy_from_slice(&len.to_le_bytes());
     let crc = crc32(&frame[4..]);
     frame.extend_from_slice(&crc.to_le_bytes());
     frame
@@ -426,10 +443,8 @@ pub fn read_message_ctx<R: Read>(
     r.read_exact(&mut rest)?;
     let crc_at = ctx_len + len as usize;
     let expected = u32::from_le_bytes(rest[crc_at..crc_at + 4].try_into().expect("4 bytes"));
-    let mut guarded = Vec::with_capacity(HEADER_LEN - 4 + crc_at);
-    guarded.extend_from_slice(&header[4..]);
-    guarded.extend_from_slice(&rest[..crc_at]);
-    let actual = crc32(&guarded);
+    // The guarded bytes sit in two buffers; extend the CRC across them.
+    let actual = crc32_update(crc32(&header[4..]), &rest[..crc_at]);
     if expected != actual {
         return Err(crc_mismatch(expected, actual));
     }

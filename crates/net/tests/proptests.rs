@@ -5,8 +5,8 @@
 use proptest::prelude::*;
 
 use rhychee_net::wire::{
-    decode_frame, encode_frame, read_message, write_message, Message, DEFAULT_MAX_PAYLOAD,
-    HEADER_LEN, TRAILER_LEN,
+    decode_frame, decode_frame_ctx, encode_frame, encode_frame_ctx, read_message, read_message_ctx,
+    write_message, Message, TraceContext, DEFAULT_MAX_PAYLOAD, HEADER_LEN, TRAILER_LEN,
 };
 use rhychee_net::NetError;
 
@@ -127,5 +127,57 @@ proptest! {
         let mut cursor = std::io::Cursor::new(frame);
         let err = read_message(&mut cursor, cap).expect_err("must reject");
         prop_assert!(matches!(err, NetError::PayloadTooLarge { .. }));
+    }
+
+    #[test]
+    fn mutated_valid_frames_are_refused_with_a_frame_error_never_a_panic(
+        kind in 0u8..6,
+        a in any::<u32>(),
+        flag in any::<bool>(),
+        traced in any::<bool>(),
+        body in prop::collection::vec(any::<u8>(), 0..300),
+        edits in prop::collection::vec(any::<u32>(), 1..6),
+        resize in 0u8..4,
+    ) {
+        // Start from a valid frame of either version, then overwrite a
+        // few bytes anywhere (magic, version, type, length field, trace
+        // context, payload, trailer) and sometimes cut or pad it. Both
+        // decoders must answer with a frame-layer error — or accept, when
+        // the edits happened to be no-ops — and must agree on which,
+        // except where the stream reader runs out of bytes first.
+        let msg = build_message(kind, a, 1, 2, flag, body);
+        let ctx = TraceContext { trace_id: u128::from(a) << 17 | 1, parent_span: 9, round: 0 };
+        let clean = encode_frame_ctx(&msg, traced.then_some(&ctx));
+        let mut frame = clean.clone();
+        for e in &edits {
+            let at = (e >> 8) as usize % frame.len();
+            frame[at] = *e as u8;
+        }
+        match resize {
+            0 => frame.truncate(edits[0] as usize % (frame.len() + 1)),
+            1 => frame.extend_from_slice(&edits[0].to_le_bytes()),
+            _ => {}
+        }
+        let cap = 4096;
+        let frame_error = |e: &NetError| matches!(
+            e,
+            NetError::Crc { .. } | NetError::Protocol(_) | NetError::PayloadTooLarge { .. }
+        );
+
+        let decoded = decode_frame_ctx(&frame, cap);
+        match &decoded {
+            Ok(_) => prop_assert!(frame == clean, "a changed frame decoded"),
+            Err(e) => prop_assert!(frame_error(e), "decode_frame_ctx: {e}"),
+        }
+        match read_message_ctx(&mut frame.as_slice(), cap) {
+            // The stream reader takes the declared length on trust (up
+            // to the cap), so trailing bytes are the next frame's problem.
+            Ok((back, _, n)) => prop_assert!(frame[..n] == clean[..] && back == msg),
+            Err(NetError::Io(e)) => {
+                prop_assert!(e.kind() == std::io::ErrorKind::UnexpectedEof, "{e}");
+                prop_assert!(decoded.is_err(), "short stream but the slice decoded");
+            }
+            Err(e) => prop_assert!(frame_error(&e), "read_message_ctx: {e}"),
+        }
     }
 }
