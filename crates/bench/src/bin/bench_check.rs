@@ -14,7 +14,11 @@
 //! baselines, compare with anything). Comparing a scalar baseline
 //! against an AVX measurement would misread a hardware change as a
 //! speedup or regression; mismatched-backend rows are skipped with a
-//! note instead. `--net` gates the scalar figures of `BENCH_net.json`:
+//! note instead. Two documents measured at different workloads
+//! (`ring_degree` / `model_params` present in both and unequal — a
+//! full-mode run against the committed `--quick` baseline) are refused
+//! outright as a usage error: their rows share names, not meaning.
+//! `--net` gates the scalar figures of `BENCH_net.json`:
 //! `fold_view_ns_per_ct` plus the memory peaks (`heap_peak_bytes`,
 //! `rss_peak_bytes`). A missing or field-incomplete `--net` baseline
 //! skips those comparisons with a note instead of failing — the
@@ -23,7 +27,9 @@
 //! `decrypt_fingerprint` of two artifacts from the same commit (CI's
 //! `RHYCHEE_NTT_BACKEND` matrix legs) and fails on any difference: NTT
 //! backends are bit-identical by contract, so the seeded decrypt output
-//! must match exactly.
+//! must match exactly. When both artifacts report the same
+//! `ntt_backend` (a runner without AVX resolves `auto` to `scalar`) the
+//! check compares a kernel with itself and says so in a `note:`.
 //!
 //! Exit codes: 0 = within budget, 1 = regression past `--max-ratio`
 //! (default 2.0 — generous on purpose, CI runners are noisy), 2 =
@@ -113,6 +119,24 @@ fn parse_results(json: &str) -> Result<Vec<BenchRow>, String> {
         return Err("\"results\" array holds no rows".into());
     }
     Ok(rows)
+}
+
+/// Errors when both documents state `ring_degree` / `model_params` and
+/// the values differ: the same op at another ring degree or model size
+/// is a different measurement. A document without the field (older
+/// baselines) compares with anything, as it always has.
+fn check_same_workload(baseline: &str, fresh: &str) -> Result<(), String> {
+    for key in ["ring_degree", "model_params"] {
+        if let (Some(b), Some(f)) = (num_field(baseline, key), num_field(fresh, key)) {
+            if b != f {
+                return Err(format!(
+                    "baseline has \"{key}\": {b}, fresh has {f} — different workloads \
+                     (quick vs full mode?), rows are not comparable"
+                ));
+            }
+        }
+    }
+    Ok(())
 }
 
 #[derive(Debug)]
@@ -269,11 +293,14 @@ fn run_decrypt_identity(a_path: &str, b_path: &str) -> Result<ExitCode, String> 
     match (fa, fb) {
         (Some(fa), Some(fb)) if fa == fb => {
             let backend = |s: &str| str_field(s, "ntt_backend").unwrap_or_else(|| "?".into());
-            println!(
-                "bench_check: decrypt fingerprints agree ({fa}; backends {} vs {})",
-                backend(&a),
-                backend(&b)
-            );
+            let (ba, bb) = (backend(&a), backend(&b));
+            println!("bench_check: decrypt fingerprints agree ({fa}; backends {ba} vs {bb})");
+            if ba == bb {
+                println!(
+                    "note: both artifacts ran the {ba} kernel, so this compared a backend \
+                     with itself and says nothing about cross-backend bit-identity"
+                );
+            }
             Ok(ExitCode::SUCCESS)
         }
         (Some(fa), Some(fb)) => {
@@ -331,9 +358,10 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         return run_net(baseline_path, fresh_path, max_ratio);
     }
     let read = |p: &String| fs::read_to_string(p).map_err(|e| format!("{p}: {e}"));
-    let baseline =
-        parse_results(&read(baseline_path)?).map_err(|e| format!("{baseline_path}: {e}"))?;
-    let fresh = parse_results(&read(fresh_path)?).map_err(|e| format!("{fresh_path}: {e}"))?;
+    let (baseline, fresh) = (read(baseline_path)?, read(fresh_path)?);
+    check_same_workload(&baseline, &fresh)?;
+    let baseline = parse_results(&baseline).map_err(|e| format!("{baseline_path}: {e}"))?;
+    let fresh = parse_results(&fresh).map_err(|e| format!("{fresh_path}: {e}"))?;
 
     let comparisons = compare(&baseline, &fresh)?;
     print!("{}", render_table(&comparisons, max_ratio));
@@ -440,6 +468,21 @@ mod tests {
     }
 
     #[test]
+    fn documents_from_different_workloads_are_refused() {
+        let doc = |n: u32, params: u32| {
+            format!("{{\"ring_degree\": {n}, \"model_params\": {params}, \"results\": []}}")
+        };
+        let quick = doc(512, 2000);
+        assert_eq!(check_same_workload(&quick, &quick), Ok(()));
+        let err = check_same_workload(&quick, &doc(8192, 20000)).expect_err("full vs quick");
+        assert!(err.contains("ring_degree") && err.contains("8192"), "{err}");
+        let err = check_same_workload(&quick, &doc(512, 20000)).expect_err("model size alone");
+        assert!(err.contains("model_params"), "{err}");
+        // A baseline that pre-dates the fields compares with anything.
+        assert_eq!(check_same_workload(SAMPLE, &doc(8192, 20000)), Ok(()));
+    }
+
+    #[test]
     fn decrypt_identity_gate_passes_agrees_fails_disagrees() {
         let dir = std::env::temp_dir().join(format!("rhychee-fp-{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("tmp dir");
@@ -462,6 +505,9 @@ mod tests {
         );
         let old = write("old.json", "{\"machine_cores\": 1}");
         let code = run_decrypt_identity(&a, &same).expect("gate");
+        assert_eq!(format!("{code:?}"), format!("{:?}", ExitCode::SUCCESS));
+        // Same backend on both sides: vacuous, noted, still a pass.
+        let code = run_decrypt_identity(&a, &a).expect("gate");
         assert_eq!(format!("{code:?}"), format!("{:?}", ExitCode::SUCCESS));
         let code = run_decrypt_identity(&a, &diff).expect("gate");
         assert_eq!(format!("{code:?}"), format!("{:?}", ExitCode::FAILURE));

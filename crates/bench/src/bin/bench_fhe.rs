@@ -2,10 +2,9 @@
 //!
 //! Times the operations the `rhychee-par` pool accelerates — the
 //! forward NTT (Shoup/Harvey butterflies), packed model encryption
-//! (NTT-resident, coefficient-domain reference, and symmetric seeded),
-//! homomorphic aggregation through the accumulator the product folds
-//! into, and model decryption — at 1, 2,
-//! and 4 threads, and writes the measurements to `BENCH_fhe.json` for
+//! (public-key and symmetric seeded), homomorphic aggregation through
+//! the accumulator the product folds into, and model decryption — at 1,
+//! 2, and 4 threads, and writes the measurements to `BENCH_fhe.json` for
 //! the CI trend line, together with canonical vs seeded wire sizes and
 //! the single-threaded wire kernels (residue bit-packing per
 //! ciphertext, frame CRC per upload).
@@ -21,11 +20,9 @@
 //!
 //! `--quick` shrinks the parameter set and iteration counts.
 
-use std::time::Instant;
-
 use rand::{rngs::StdRng, SeedableRng};
 
-use rhychee_bench::{banner, emit_metrics_json, init_telemetry, Table, NO_NTT_BACKEND};
+use rhychee_bench::{banner, emit_metrics_json, init_telemetry, time_ns, Table, NO_NTT_BACKEND};
 use rhychee_channel::crc::crc32;
 use rhychee_core::round::ClientUpdate;
 use rhychee_core::{packing, Aggregation, StreamingAggregator};
@@ -36,22 +33,6 @@ use rhychee_fhe::params::CkksParams;
 use rhychee_net::codec;
 use rhychee_net::wire::{self, Message};
 use rhychee_par::Parallelism;
-
-/// Median-of-runs wall time per call, in nanoseconds.
-fn time_ns<F: FnMut()>(iters: usize, mut f: F) -> f64 {
-    f(); // warm-up: populate pool workers, caches, allocations
-    let mut runs: Vec<f64> = (0..3)
-        .map(|_| {
-            let start = Instant::now();
-            for _ in 0..iters {
-                f();
-            }
-            start.elapsed().as_nanos() as f64 / iters as f64
-        })
-        .collect();
-    runs.sort_by(f64::total_cmp);
-    runs[runs.len() / 2]
-}
 
 /// One round's aggregation as every runtime performs it: fold each
 /// client's ciphertexts into the accumulator, close with `1/P`.
@@ -309,26 +290,9 @@ fn main() {
     for &threads in &degrees {
         let par = Parallelism::Fixed(threads);
         let ctx = CkksContext::with_parallelism(params.clone(), par).expect("context");
-        let mut ctx_ref = CkksContext::with_parallelism(params.clone(), par).expect("context");
-        ctx_ref.set_eval_resident(false);
         let mut rng = StdRng::seed_from_u64(7);
         let (sk, pk) = ctx.generate_keys(&mut rng);
         let flat: Vec<f32> = (0..model_params).map(|i| (i as f32 * 0.01).sin()).collect();
-
-        // "Before" row: the coefficient-domain reference pipeline, which
-        // pays two polynomial products (each 2 forward + 1 inverse NTT
-        // per prime) inside every encrypt instead of four forwards.
-        let encrypt_coeff_ns = time_ns(iters, || {
-            let cts = packing::encrypt_model_with(&ctx_ref, &pk, &flat, &dense, &mut rng)
-                .expect("encrypt");
-            std::hint::black_box(cts);
-        });
-        samples.push(Sample {
-            op: "encrypt_model_coeff".into(),
-            threads,
-            ns_per_op: encrypt_coeff_ns,
-            backend: ntt_backend,
-        });
 
         let encrypt_ns = time_ns(iters, || {
             let cts =
@@ -475,16 +439,6 @@ fn main() {
         "  \"upload_ratio_canonical_over_seeded\": {:.3},\n",
         upload_canonical as f64 / upload_seeded as f64
     ));
-    // Headline before/after ratios at 1 thread: the coefficient-domain
-    // reference encrypt vs the NTT-resident public-key and symmetric
-    // seeded paths (the latter is what clients actually upload with).
-    let at = |op: &str| samples.iter().find(|s| s.op == op && s.threads == 1).map(|s| s.ns_per_op);
-    if let (Some(coeff), Some(res), Some(seeded)) =
-        (at("encrypt_model_coeff"), at("encrypt_model"), at("encrypt_model_seeded"))
-    {
-        json.push_str(&format!("  \"encrypt_speedup_resident_vs_coeff\": {:.3},\n", coeff / res));
-        json.push_str(&format!("  \"encrypt_speedup_seeded_vs_coeff\": {:.3},\n", coeff / seeded));
-    }
     let (heap_peak, rss_peak) = rhychee_bench::peak_memory();
     json.push_str(&format!("  \"heap_peak_bytes\": {heap_peak},\n"));
     json.push_str(&format!("  \"rss_peak_bytes\": {rss_peak},\n"));

@@ -19,7 +19,7 @@ use std::time::Instant;
 
 use rand::{rngs::StdRng, SeedableRng};
 
-use rhychee_bench::{banner, emit_metrics_json, init_telemetry, Table};
+use rhychee_bench::{banner, emit_metrics_json, init_telemetry, time_ns, Table};
 use rhychee_core::packing;
 use rhychee_core::round::{self, ClientLocal, FedSetup};
 use rhychee_core::FlConfig;
@@ -28,22 +28,6 @@ use rhychee_fhe::ckks::CkksContext;
 use rhychee_fhe::params::CkksParams;
 use rhychee_net::{ClientConfig, ClientPipeline, FlClient, FlServer, ServerConfig, ServerPipeline};
 use rhychee_obs::ObsServer;
-
-/// Median-of-runs wall time per call, in nanoseconds.
-fn time_ns<F: FnMut()>(iters: usize, mut f: F) -> f64 {
-    f(); // warm-up
-    let mut runs: Vec<f64> = (0..3)
-        .map(|_| {
-            let start = Instant::now();
-            for _ in 0..iters {
-                f();
-            }
-            start.elapsed().as_nanos() as f64 / iters as f64
-        })
-        .collect();
-    runs.sort_by(f64::total_cmp);
-    runs[runs.len() / 2]
-}
 
 /// One `GET <path>` against the exposition server, returning the body.
 fn http_get(addr: std::net::SocketAddr, path: &str) -> String {

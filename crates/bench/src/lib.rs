@@ -49,6 +49,23 @@ pub fn peak_memory() -> (u64, u64) {
     (heap_peak, rss_peak)
 }
 
+/// Median-of-three wall time per call of `f`, in nanoseconds, after one
+/// warm-up call (pool workers, caches, first-use allocations).
+pub fn time_ns<F: FnMut()>(iters: usize, mut f: F) -> f64 {
+    f();
+    let mut runs: Vec<f64> = (0..3)
+        .map(|_| {
+            let start = std::time::Instant::now();
+            for _ in 0..iters {
+                f();
+            }
+            start.elapsed().as_nanos() as f64 / iters as f64
+        })
+        .collect();
+    runs.sort_by(f64::total_cmp);
+    runs[runs.len() / 2]
+}
+
 /// A simple left-aligned ASCII table for experiment output.
 ///
 /// # Examples

@@ -20,11 +20,12 @@
 //!
 //! The butterfly loops run behind the [`NttKernel`] trait. Three
 //! backends exist: the scalar Harvey path above (always compiled, the
-//! reference), an AVX2 backend (`x86_64`, 4-lane butterflies with the
-//! Shoup multiply-high rebuilt from `_mm256_mul_epu32` 32×32→64
-//! partial products), and a NEON backend (`aarch64`, 2-lane). One
-//! backend is selected per process — runtime feature detection under
-//! an `RHYCHEE_NTT_BACKEND={scalar,avx2,neon,auto}` env override — and
+//! reference, and the only one off `x86_64`), an AVX2 backend (4-lane
+//! butterflies with the Shoup multiply-high rebuilt from
+//! `_mm256_mul_epu32` 32×32→64 partial products), and an AVX-512
+//! backend (8-lane, same construction). One backend is selected per
+//! process — runtime feature detection under an
+//! `RHYCHEE_NTT_BACKEND={scalar,avx2,avx512,auto}` env override — and
 //! the choice is cached inside every [`NttTable`], so `forward`/
 //! `inverse`/`multiply` and the per-RNS-prime parallel loops dispatch
 //! through a preresolved vtable pointer with zero per-call branching.
@@ -42,8 +43,6 @@ use rhychee_telemetry as telemetry;
 mod avx2;
 #[cfg(target_arch = "x86_64")]
 mod avx512;
-#[cfg(target_arch = "aarch64")]
-mod neon;
 
 /// One NTT butterfly-kernel backend.
 ///
@@ -51,11 +50,12 @@ mod neon;
 /// exactly — same lazy-reduction bounds, same wrapping-u64 operations —
 /// so that every backend is bit-identical to the scalar reference
 /// (`NttTable::forward_scalar`); the repo's determinism invariants
-/// (parallel determinism, resident-vs-reference identity) depend on it.
+/// (parallel determinism, evaluation-vs-coefficient-domain identity)
+/// depend on it.
 /// The table's twiddles are passed back in so kernels stay stateless
 /// and one process-global instance serves every `(n, q)` pair.
 pub trait NttKernel: Send + Sync + std::fmt::Debug {
-    /// Stable backend name: `"scalar"`, `"avx2"` or `"neon"`.
+    /// Stable backend name: `"scalar"`, `"avx2"` or `"avx512"`.
     fn name(&self) -> &'static str;
     /// In-place forward butterflies + canonicalization for `table`.
     fn forward(&self, table: &NttTable, a: &mut [u64]);
@@ -98,21 +98,18 @@ pub fn available_kernels() -> &'static [&'static dyn NttKernel] {
         if avx512::available() {
             v.push(avx512::kernel());
         }
-        #[cfg(target_arch = "aarch64")]
-        if neon::available() {
-            v.push(neon::kernel());
-        }
         v
     })
 }
 
-/// Looks up an available backend by name (`"scalar"`, `"avx2"`, `"neon"`).
+/// Looks up an available backend by name (`"scalar"`, `"avx2"`,
+/// `"avx512"`).
 pub fn kernel_by_name(name: &str) -> Option<&'static dyn NttKernel> {
     available_kernels().iter().copied().find(|k| k.name() == name)
 }
 
 /// The process-wide backend: resolved once from `RHYCHEE_NTT_BACKEND`
-/// (`scalar` / `avx2` / `neon` / `auto`, default `auto` = fastest
+/// (`scalar` / `avx2` / `avx512` / `auto`, default `auto` = widest
 /// detected) and cached, so per-call dispatch is a preresolved vtable
 /// pointer. Requesting a backend this host cannot run falls back to
 /// scalar with a warning rather than aborting, so one CI matrix works

@@ -83,16 +83,9 @@ impl SeedStream {
     }
 }
 
-/// Expands residue row `prime_idx` of the seeded uniform polynomial:
-/// `n` evaluation-domain points in `[0, q)`.
-pub(crate) fn expand_row(seed: &[u8; 32], prime_idx: usize, q: u64, n: usize) -> Vec<u64> {
-    let mut out = Vec::new();
-    expand_row_into(seed, prime_idx, q, n, &mut out);
-    out
-}
-
-/// [`expand_row`] into a caller-owned buffer (resized to `n`), reusing
-/// its allocation. Draws the exact same stream.
+/// Expands residue row `prime_idx` of the seeded uniform polynomial —
+/// `n` evaluation-domain points in `[0, q)` — into a caller-owned buffer
+/// (resized to `n`), reusing its allocation.
 pub(crate) fn expand_row_into(
     seed: &[u8; 32],
     prime_idx: usize,
@@ -127,6 +120,12 @@ pub(crate) fn seed_check(seed: &[u8; 32]) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn expand_row(seed: &[u8; 32], prime_idx: usize, q: u64, n: usize) -> Vec<u64> {
+        let mut out = Vec::new();
+        expand_row_into(seed, prime_idx, q, n, &mut out);
+        out
+    }
 
     #[test]
     fn expansion_is_deterministic() {

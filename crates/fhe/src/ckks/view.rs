@@ -3,11 +3,12 @@
 //!
 //! A [`CtView`] aliases the bytes of one wire-format ciphertext
 //! (canonical or seed-compressed) without unpacking its residue rows
-//! into an owned [`RnsPoly`]. Construction performs every structural
-//! check the owning deserializers do — level range, exact byte length
+//! into an owned [`RnsPoly`]. Construction is the one place serialized
+//! ciphertext bytes are validated — level range, exact byte length
 //! against [`CkksContext::serialized_len`] /
 //! [`CkksContext::serialized_len_seeded`], finite positive scale, and
-//! the seed integrity digest — so a constructed view is guaranteed
+//! the seed integrity digest; the owning deserializers are a view plus
+//! [`CtView::to_ciphertext`] — so a constructed view is guaranteed
 //! foldable: [`CkksContext::fold_view`] unpacks residues straight out of
 //! the receive buffer, a row at a time through a recycled scratch row,
 //! and modular-adds them into the accumulator in place — no allocation
@@ -25,10 +26,10 @@
 
 use rhychee_telemetry as telemetry;
 
-use crate::bitpack::BitReader;
+use crate::bitpack::{bits_for, BitReader};
 use crate::error::FheError;
 
-use super::cipher::{read_residues, CkksCiphertext, CkksContext};
+use super::cipher::{CkksCiphertext, CkksContext};
 use super::modarith::add_mod;
 use super::rns::{Domain, RnsPoly};
 use super::{scratch, seedexp};
@@ -89,19 +90,65 @@ impl<'a> CtView<'a> {
         }
     }
 
-    /// Materializes an owned ciphertext from the viewed bytes
-    /// (delegating to the owning deserializer of the matching format).
+    /// Materializes an owned ciphertext from the viewed bytes: unpacks
+    /// the residue rows (coefficient-domain for canonical bytes,
+    /// evaluation-domain `c0` for seeded ones) and, for the seeded
+    /// format, re-expands `c1` from the seed — the result keeps the
+    /// seed, so it can be re-serialized in either format.
     ///
     /// # Errors
     ///
     /// Propagates [`FheError::Deserialize`]; unreachable in practice
     /// since view construction already validated the bytes.
     pub fn to_ciphertext(&self, ctx: &CkksContext) -> Result<CkksCiphertext, FheError> {
-        match self.format {
-            ViewFormat::Canonical => ctx.deserialize(self.bytes),
-            ViewFormat::Seeded(_) => ctx.deserialize_seeded(self.bytes),
-        }
+        let n = ctx.params().n;
+        let primes = &ctx.primes()[..self.levels];
+        let mut r = self.residue_reader();
+        let mut read_poly = |domain| -> Result<RnsPoly, FheError> {
+            let mut poly = RnsPoly::zero_in(n, self.levels, domain);
+            for (i, &q) in primes.iter().enumerate() {
+                read_residues(&mut r, poly.residues_mut(i), q)?;
+            }
+            Ok(poly)
+        };
+        let (c0, c1, c1_seed) = match self.format {
+            ViewFormat::Canonical => (read_poly(Domain::Coeff)?, read_poly(Domain::Coeff)?, None),
+            ViewFormat::Seeded(seed) => {
+                let c0 = read_poly(Domain::Eval)?;
+                let mut c1 = RnsPoly::zero_in(n, self.levels, Domain::Eval);
+                rhychee_par::for_each_mut(ctx.parallelism(), c1.residues_all_mut(), |i, row| {
+                    seedexp::expand_row_into(&seed, i, primes[i], n, row);
+                });
+                (c0, c1, Some(seed))
+            }
+        };
+        Ok(CkksCiphertext { c0, c1, scale: self.scale, c1_seed })
     }
+
+    /// A reader positioned at the first residue bit. Header bits were
+    /// validated at view construction, and the exact length check
+    /// guarantees every residue read after this point succeeds.
+    fn residue_reader(&self) -> BitReader<'a> {
+        let header_bits = match self.format {
+            ViewFormat::Canonical => HEADER_BITS,
+            ViewFormat::Seeded(_) => HEADER_BITS + SEED_BITS,
+        };
+        let mut r = BitReader::new(self.bytes);
+        r.skip(header_bits).expect("validated header");
+        r
+    }
+}
+
+/// Unpacks one residue row of prime `q` from the wire into `row`,
+/// reducing each value `% q`: a flipped bit may push a residue over `q`,
+/// and the canonical format's channel-noise semantics are to decrypt
+/// garbage, not to error.
+fn read_residues(r: &mut BitReader<'_>, row: &mut [u64], q: u64) -> Result<(), FheError> {
+    r.read_row_into(row, bits_for(q))?;
+    for v in row {
+        *v %= q;
+    }
+    Ok(())
 }
 
 /// Header bits shared by both formats: levels (8) + scale (64).
@@ -110,9 +157,9 @@ const HEADER_BITS: usize = 8 + 64;
 const SEED_BITS: usize = 256 + 32;
 
 impl CkksContext {
-    /// Builds a borrowed view over one canonical-format ciphertext,
-    /// performing the same hardening checks as
-    /// [`CkksContext::deserialize`] without unpacking residues.
+    /// Builds a borrowed view over one canonical-format ciphertext:
+    /// every hardening check [`CkksContext::deserialize`] applies (it
+    /// runs this first), without unpacking residues.
     ///
     /// # Errors
     ///
@@ -124,10 +171,10 @@ impl CkksContext {
         Ok(CtView { bytes, levels, scale, format: ViewFormat::Canonical })
     }
 
-    /// Builds a borrowed view over one seed-compressed ciphertext,
-    /// performing the same hardening checks as
-    /// [`CkksContext::deserialize_seeded`] — including the seed
-    /// integrity digest — without unpacking `c0` or expanding `c1`.
+    /// Builds a borrowed view over one seed-compressed ciphertext:
+    /// every hardening check [`CkksContext::deserialize_seeded`] applies
+    /// (it runs this first) — including the seed integrity digest —
+    /// without unpacking `c0` or expanding `c1`.
     ///
     /// # Errors
     ///
@@ -141,7 +188,9 @@ impl CkksContext {
         Ok(CtView { bytes, levels, scale, format: ViewFormat::Seeded(seed) })
     }
 
-    /// Shared header parse + validation for both formats.
+    /// Header parse + validation for both formats — the only code that
+    /// decides whether serialized ciphertext bytes are well-formed.
+    /// Nothing is allocated before the exact-length check.
     #[allow(clippy::type_complexity)]
     fn view_header(
         &self,
@@ -240,14 +289,7 @@ impl CkksContext {
         self.check_view(acc, view)?;
         telemetry::count("fhe.ckks.fold", 1);
         let primes = &self.primes()[..view.levels];
-        let mut r = BitReader::new(view.bytes);
-        // Header bits were validated at view construction; the exact
-        // length check guarantees every residue read below succeeds.
-        let header_bits = match view.format {
-            ViewFormat::Canonical => HEADER_BITS,
-            ViewFormat::Seeded(_) => HEADER_BITS + SEED_BITS,
-        };
-        r.skip(header_bits).expect("validated header");
+        let mut r = view.residue_reader();
         let mut fold_row = |acc_row: &mut [u64], q: u64| {
             scratch::with_row(acc_row.len(), |row| {
                 read_residues(&mut r, row, q).expect("length-validated view");

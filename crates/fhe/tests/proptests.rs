@@ -223,8 +223,10 @@ mod ntt_backends {
 
     /// Forward and inverse transforms of every backend are bit-identical
     /// to scalar at every prime width a workspace `CkksParams` preset
-    /// uses (30/35/40/45/50/61), for both a vectorized and a
-    /// fallback-sized ring.
+    /// uses (30/35/40/45/50/61), for a fallback-sized ring, a vectorized
+    /// one and the paper's N = 8192 — on a uniform vector and on the
+    /// vectors that sit at the edges of the lazy-reduction ranges
+    /// (every butterfly input at 0 or at `q − 1`).
     #[test]
     fn backends_bit_identical_at_workspace_primes() {
         use rand::Rng;
@@ -232,36 +234,101 @@ mod ntt_backends {
         let mut rng = StdRng::seed_from_u64(0x5eed_bac4);
         let scalar = kernel_by_name("scalar").expect("scalar kernel always present");
         for &bits in &[30u32, 35, 40, 45, 50, 61] {
-            for &n in &[16usize, 512] {
+            for &n in &[16usize, 512, 8192] {
                 let q = find_ntt_primes(bits, 1, 2 * n as u64)[0];
-                let input: Vec<u64> = (0..n).map(|_| rng.gen_range(0..q)).collect();
-
+                let mut impulse = vec![0u64; n];
+                impulse[n - 1] = q - 1;
+                let inputs: [(&str, Vec<u64>); 5] = [
+                    ("uniform", (0..n).map(|_| rng.gen_range(0..q)).collect()),
+                    ("all 0", vec![0; n]),
+                    ("all q-1", vec![q - 1; n]),
+                    ("alternating 0/q-1", (0..n).map(|i| (i as u64 % 2) * (q - 1)).collect()),
+                    ("q-1 impulse", impulse),
+                ];
                 let scalar_table = NttTable::with_kernel(n, q, scalar);
-                let mut fwd_ref = input.clone();
-                scalar_table.forward(&mut fwd_ref);
-                let mut inv_ref = fwd_ref.clone();
-                scalar_table.inverse(&mut inv_ref);
+                let tables: Vec<NttTable> =
+                    available_kernels().iter().map(|&k| NttTable::with_kernel(n, q, k)).collect();
+                for (what, input) in &inputs {
+                    let mut fwd_ref = input.clone();
+                    scalar_table.forward(&mut fwd_ref);
+                    let mut inv_ref = fwd_ref.clone();
+                    scalar_table.inverse(&mut inv_ref);
 
-                for &kernel in available_kernels() {
-                    let table = NttTable::with_kernel(n, q, kernel);
-                    let mut fwd = input.clone();
-                    table.forward(&mut fwd);
-                    assert_eq!(
-                        fwd,
-                        fwd_ref,
-                        "forward({}) != forward(scalar) at {bits}-bit prime, n = {n}",
-                        kernel.name()
-                    );
-                    let mut inv = fwd;
-                    table.inverse(&mut inv);
-                    assert_eq!(
-                        inv,
-                        inv_ref,
-                        "inverse({}) != inverse(scalar) at {bits}-bit prime, n = {n}",
-                        kernel.name()
-                    );
-                    assert_eq!(inv, input, "round trip must be the identity");
+                    for table in &tables {
+                        let at =
+                            format!("{} on {what} at {bits}-bit prime, n = {n}", table.backend());
+                        let mut fwd = input.clone();
+                        table.forward(&mut fwd);
+                        assert_eq!(fwd, fwd_ref, "forward != forward(scalar): {at}");
+                        let mut inv = fwd;
+                        table.inverse(&mut inv);
+                        assert_eq!(inv, inv_ref, "inverse != inverse(scalar): {at}");
+                        assert_eq!(&inv, input, "round trip must be the identity: {at}");
+                    }
                 }
+            }
+        }
+    }
+}
+
+// Both ciphertext wire formats have one decoder each (`view_serialized*`
+// validates, `CtView::to_ciphertext` materializes, `deserialize*` is the
+// two composed): whatever bytes arrive, the view and the owning form
+// agree on accept/reject, never panic, and an accepted blob folds to the
+// bytes it materializes to.
+mod wire_decoders {
+    use super::*;
+    use rand::Rng;
+
+    /// Decodes `bytes` both ways; `true` when accepted.
+    fn check(ctx: &CkksContext, seeded: bool, bytes: &[u8]) -> bool {
+        let (owned, view) = if seeded {
+            (ctx.deserialize_seeded(bytes), ctx.view_serialized_seeded(bytes))
+        } else {
+            (ctx.deserialize(bytes), ctx.view_serialized(bytes))
+        };
+        let view = match view {
+            Ok(view) => view,
+            Err(e) => {
+                assert_eq!(owned.err(), Some(e), "view rejected what deserialize accepted");
+                return false;
+            }
+        };
+        let owned = ctx.serialize(&owned.expect("deserialize rejected what the view accepted"));
+        assert_eq!(ctx.serialize(&view.to_ciphertext(ctx).expect("validated")), owned);
+        let mut acc = ctx.accumulator_for(&view);
+        ctx.fold_view(&mut acc, &view).expect("fold into its own accumulator");
+        assert_eq!(ctx.serialize(&acc), owned, "fold into zero != materialized ciphertext");
+        true
+    }
+
+    #[test]
+    fn truncated_extended_and_mutated_blobs_decode_totally_and_consistently() {
+        for params in [CkksParams::toy(), CkksParams::ckks3()] {
+            let ctx = CkksContext::new(params).expect("valid params");
+            let mut rng = StdRng::seed_from_u64(0x101a1);
+            let (sk, _) = ctx.generate_keys(&mut rng);
+            let ct = ctx.encrypt_symmetric(&sk, &[0.5, -1.25, 3.0], &mut rng).expect("encrypt");
+            let formats =
+                [(false, ctx.serialize(&ct)), (true, ctx.serialize_seeded(&ct).expect("fresh"))];
+            for (seeded, blob) in formats {
+                assert!(check(&ctx, seeded, &blob), "the valid blob must decode");
+                for len in 0..blob.len() {
+                    assert!(!check(&ctx, seeded, &blob[..len]), "truncation to {len}");
+                }
+                let mut longer = blob.clone();
+                longer.push(0);
+                assert!(!check(&ctx, seeded, &longer), "one appended byte");
+                // Half the flips land in the first 48 bytes (level count,
+                // scale, seed, digest), half anywhere in the residues.
+                let mut accepted = 0;
+                for i in 0..64 {
+                    let span = if i % 2 == 0 { 48 } else { blob.len() };
+                    let mut mutated = blob.clone();
+                    mutated[rng.gen_range(0..span)] ^= 1 << rng.gen_range(0..8);
+                    accepted += usize::from(check(&ctx, seeded, &mutated));
+                }
+                assert!(accepted > 0, "residue flips decode (to garbage), they do not error");
             }
         }
     }

@@ -91,25 +91,6 @@ fn transform_counts_match_the_accounting_table() {
 }
 
 #[test]
-fn reference_pipeline_pays_the_transforms_the_resident_one_saves() {
-    let _guard = SERIAL.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-    telemetry::set_enabled(true);
-    let mut ctx = CkksContext::new(CkksParams::toy()).expect("params");
-    ctx.set_eval_resident(false);
-    let mut rng = StdRng::seed_from_u64(43);
-    let (_, pk) = ctx.generate_keys(&mut rng);
-    let levels = ctx.primes().len() as u64;
-
-    // Coefficient-domain reference encrypt: two polynomial products
-    // (b·v and a·v), each transforming both operands forward and the
-    // result back — 4 forwards + 2 inverses per prime, every call.
-    let (f0, i0) = ntt_counts();
-    let _ = ctx.encrypt(&pk, &[0.5; 100], &mut rng).expect("encrypt");
-    let (f1, i1) = ntt_counts();
-    assert_eq!((f1 - f0, i1 - i0), (4 * levels, 2 * levels), "reference encrypt");
-}
-
-#[test]
 fn ntt_table_cache_is_shared_across_contexts() {
     let _guard = SERIAL.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
     telemetry::set_enabled(true);

@@ -1,15 +1,18 @@
 //! NTT-residency must never change a bit: the evaluation-domain CKKS
-//! pipeline (the default) and the coefficient-domain reference pipeline
-//! (`set_eval_resident(false)`) are the same linear algebra with the
-//! per-prime NTT bijection commuted through it, so a full encrypted
-//! federation must produce bit-identical decrypted models *and*
-//! identical canonical ciphertext bytes under either — at every
+//! pipeline (fresh ciphertexts aggregated and decrypted as encrypted)
+//! and the coefficient-domain one (the same ciphertexts after a
+//! `serialize` → `deserialize` round trip, which is what every
+//! canonical-codec round aggregates and decrypts) are the same linear
+//! algebra with the per-prime NTT bijection commuted through it, so a
+//! full encrypted federation must produce bit-identical decrypted models
+//! *and* identical canonical ciphertext bytes under either — at every
 //! parallelism degree.
 
 use rhychee_fl::core::packing;
 use rhychee_fl::core::round::{self, ClientLocal, FedSetup};
 use rhychee_fl::core::FlConfig;
 use rhychee_fl::data::{DatasetKind, SyntheticConfig, TrainTest};
+use rhychee_fl::fhe::ckks::rns::Domain;
 use rhychee_fl::fhe::ckks::CkksContext;
 use rhychee_fl::fhe::params::CkksParams;
 use rhychee_fl::par::Parallelism;
@@ -31,18 +34,13 @@ fn config(par: Parallelism) -> FlConfig {
         .expect("valid config")
 }
 
-/// Runs a full encrypted federation with the given pipeline flavor and
+/// Runs a full encrypted federation in the given residue domain and
 /// returns every canonical ciphertext serialization (client uploads and
 /// aggregates, in order) plus the final decrypted global model bits.
-fn run_federation(
-    data: &TrainTest,
-    par: Parallelism,
-    eval_resident: bool,
-) -> (Vec<Vec<u8>>, Vec<u32>) {
+fn run_federation(data: &TrainTest, par: Parallelism, domain: Domain) -> (Vec<Vec<u8>>, Vec<u32>) {
     let fl = config(par);
     let FedSetup { shards, test: _, classes } = round::prepare(&fl, data).expect("prepare");
-    let mut ctx = CkksContext::with_parallelism(CkksParams::toy(), par).expect("context");
-    ctx.set_eval_resident(eval_resident);
+    let ctx = CkksContext::with_parallelism(CkksParams::toy(), par).expect("context");
     let (sk, pk) = round::derive_ckks_keys(&ctx, fl.seed);
     let num_params = classes * fl.hd_dim;
 
@@ -57,7 +55,7 @@ fn run_federation(
         let mut sr = round::ServerRound::new(r, fl.aggregation);
         for local in &mut clients {
             let flat = local.train(&global, &fl);
-            let cts = local
+            let mut cts = local
                 .encrypt_update(
                     &ctx,
                     round::EncryptKey::Public(&pk),
@@ -65,6 +63,11 @@ fn run_federation(
                     &flat,
                 )
                 .expect("encrypt");
+            if domain == Domain::Coeff {
+                for ct in &mut cts {
+                    *ct = ctx.deserialize(&ctx.serialize(ct)).expect("canonical round trip");
+                }
+            }
             sr.accept(round::ClientUpdate {
                 client_id: local.id(),
                 round: r,
@@ -92,9 +95,9 @@ fn run_federation(
 #[test]
 fn resident_and_reference_pipelines_are_bit_identical() {
     let data = har_data();
-    let (ref_blobs, ref_model) = run_federation(&data, Parallelism::Fixed(1), false);
+    let (ref_blobs, ref_model) = run_federation(&data, Parallelism::Fixed(1), Domain::Coeff);
     for par in [Parallelism::Fixed(1), Parallelism::Auto] {
-        let (blobs, model) = run_federation(&data, par, true);
+        let (blobs, model) = run_federation(&data, par, Domain::Eval);
         assert_eq!(ref_model, model, "decrypted global model diverged at {par}");
         assert_eq!(ref_blobs, blobs, "canonical ciphertext bytes diverged at {par}");
     }
