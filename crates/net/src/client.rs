@@ -260,67 +260,82 @@ impl FlClient {
                 continue; // drain until Finished (or EOF)
             }
 
-            let span = telemetry::span("client_round");
-
-            let tspan = telemetry::span("local_train");
-            let mut flat = self.local.train(&global, &self.fl);
-            let train_time = tspan.finish();
-            telemetry::observe_duration("fl.phase.local_train.ns", train_time);
-            report.train_time += train_time;
-
-            let espan = telemetry::span("encrypt");
-            let payload = match &self.ckks {
-                None => Ok(codec::encode_plain(&flat)),
-                Some(side) => {
-                    let steps = self.local.last_steps();
-                    round::prescale_update(self.fl.aggregation, steps, &mut flat);
-                    // A symmetric codec switches encryption to the
-                    // secret key so ciphertexts carry expansion seeds.
-                    let codec = &self.config.codec;
-                    let key = if codec.symmetric() {
-                        EncryptKey::Secret(&side.sk)
-                    } else {
-                        EncryptKey::Public(&side.pk)
-                    };
-                    let cts =
-                        self.local.encrypt_update(&side.ctx, key, &self.config.packing, &flat);
-                    cts.map_err(NetError::from).and_then(|cts| codec.encode_upload(&side.ctx, &cts))
-                }
-            };
-            let encrypt_time = espan.finish();
-            telemetry::observe_duration("fl.phase.encrypt.ns", encrypt_time);
-            report.encrypt_time += encrypt_time;
-            if telemetry::enabled() {
-                telemetry::observe_labeled(
-                    "net.client.encrypt_ns",
-                    "client_id",
-                    &self.local.id().to_string(),
-                    encrypt_time.as_nanos() as u64,
-                );
-            }
-            let update = Message::Update {
-                round,
-                client_id: self.local.id(),
-                steps: self.local.last_steps(),
-                model: payload?,
-            };
-            // The upload frame chains the server's decode under this
-            // client's `client_round` span in the merged trace.
-            let uctx = rctx.map(|c| wire::TraceContext {
-                trace_id: c.trace_id,
-                parent_span: span.id(),
-                round: c.round,
-            });
-            let uspan = telemetry::span("upload");
-            let n = self.upload(&mut stream, &update, uctx.as_ref(), &mut report)?;
-            let upload_time = uspan.finish();
-            telemetry::observe_duration("fl.phase.upload.ns", upload_time);
-            report.upload_time += upload_time;
-            self.sent(&mut report, n);
-            report.rounds_participated += 1;
-            span.finish();
+            self.contribute(&mut stream, round, &global, rctx, &mut report)?;
         }
         Ok(report)
+    }
+
+    /// This client's half of one round: train on `global`, encrypt (or
+    /// encode) the update, upload it. Spans parent under the server's
+    /// `net_round` through `rctx`.
+    fn contribute(
+        &mut self,
+        stream: &mut TcpStream,
+        round: usize,
+        global: &[f32],
+        rctx: Option<wire::TraceContext>,
+        report: &mut ClientReport,
+    ) -> Result<(), NetError> {
+        let span = telemetry::span("client_round");
+
+        let tspan = telemetry::span("local_train");
+        let mut flat = self.local.train(global, &self.fl);
+        let train_time = tspan.finish();
+        telemetry::observe_duration("fl.phase.local_train.ns", train_time);
+        report.train_time += train_time;
+
+        let espan = telemetry::span("encrypt");
+        let payload = match &self.ckks {
+            None => Ok(codec::encode_plain(&flat)),
+            Some(side) => {
+                let steps = self.local.last_steps();
+                round::prescale_update(self.fl.aggregation, steps, &mut flat);
+                // A symmetric codec switches encryption to the
+                // secret key so ciphertexts carry expansion seeds.
+                let codec = &self.config.codec;
+                let key = if codec.symmetric() {
+                    EncryptKey::Secret(&side.sk)
+                } else {
+                    EncryptKey::Public(&side.pk)
+                };
+                let cts = self.local.encrypt_update(&side.ctx, key, &self.config.packing, &flat);
+                cts.map_err(NetError::from).and_then(|cts| codec.encode_upload(&side.ctx, &cts))
+            }
+        };
+        let encrypt_time = espan.finish();
+        telemetry::observe_duration("fl.phase.encrypt.ns", encrypt_time);
+        report.encrypt_time += encrypt_time;
+        if telemetry::enabled() {
+            telemetry::observe_labeled(
+                "net.client.encrypt_ns",
+                "client_id",
+                &self.local.id().to_string(),
+                encrypt_time.as_nanos() as u64,
+            );
+        }
+        let update = Message::Update {
+            round,
+            client_id: self.local.id(),
+            steps: self.local.last_steps(),
+            model: payload?,
+        };
+        // The upload frame names this client's `client_round` span as
+        // its sender (part of the traced frame format; the server folds
+        // under its own `net_round` and does not adopt it).
+        let uctx = rctx.map(|c| wire::TraceContext {
+            trace_id: c.trace_id,
+            parent_span: span.id(),
+            round: c.round,
+        });
+        let uspan = telemetry::span("upload");
+        let n = self.upload(stream, &update, uctx.as_ref(), report)?;
+        let upload_time = uspan.finish();
+        telemetry::observe_duration("fl.phase.upload.ns", upload_time);
+        report.upload_time += upload_time;
+        self.sent(report, n);
+        report.rounds_participated += 1;
+        span.finish();
+        Ok(())
     }
 
     /// Connects with bounded exponential backoff.
@@ -374,10 +389,9 @@ impl FlClient {
         Err(last_err.unwrap_or_else(|| NetError::Protocol("no upload attempts".into())))
     }
 
-    /// Counts one connect/upload retry into the run-total counter, the
-    /// frame-level counter, and this client's labeled series.
+    /// Counts one connect/upload retry into the frame-level counter and
+    /// this client's labeled series.
     fn count_retry(&self) {
-        telemetry::count("net.retries", 1);
         telemetry::count("net.frame.retry", 1);
         if telemetry::enabled() {
             telemetry::count_labeled(

@@ -13,11 +13,12 @@
 //!   sealed [`WireCodec`] trait selects the CKKS wire format
 //!   ([`CanonicalCodec`] / [`SeededCodec`]) and parses uploads into
 //!   zero-copy [`ModelView`]s
-//! * [`server`] — [`FlServer`]: thread-per-connection collection with
-//!   quorum-based straggler tolerance; under CKKS, uploads fold into
-//!   the round's one encrypted accumulator as frames arrive (O(1)
-//!   server memory in client count, bit-identical in every arrival
-//!   order)
+//! * [`server`] — [`FlServer`]: a socket-free round state machine
+//!   (accept → broadcast → collect → close) with thread-per-connection
+//!   I/O at its edges and quorum-based straggler tolerance; under CKKS,
+//!   uploads fold into the round's one encrypted accumulator as frames
+//!   arrive (O(1) server memory in client count, bit-identical in every
+//!   arrival order)
 //! * [`client`] — [`FlClient`]: connect/upload with bounded retry and
 //!   local decryption of each global model
 //! * [`error`] — [`NetError`]
@@ -67,6 +68,10 @@
 //! # Ok(())
 //! # }
 //! ```
+
+// A round loop that outgrows one screen stops being reviewable as a
+// protocol; the lint job keeps the state-machine split from eroding.
+#![deny(clippy::too_many_lines)]
 
 pub mod client;
 pub mod codec;

@@ -2,14 +2,34 @@
 //! global model, collects encrypted updates, and aggregates — without
 //! ever holding a decryption key.
 //!
-//! Threading model: one blocking-I/O handler thread per connection plus
-//! a coordinator (the caller's thread). Handlers receive broadcast
-//! payloads over per-handler channels, read one upload per broadcast,
-//! and forward it to the coordinator over a shared channel; the
-//! coordinator owns all round state and decides acceptance, so protocol
-//! logic stays single-threaded even though I/O is not. Aggregation
-//! fans out on the shared `rhychee-par` pool at the configured
-//! [`Parallelism`]; the result is bit-identical at every degree.
+//! The server is a round state machine with I/O at its edges. The
+//! machine (the private `coordinator` module) owns every decision and
+//! touches no socket:
+//!
+//! ```text
+//!   Accept ──broadcast──► Collect(r) ──close──► Closed ──broadcast──► Collect(r+1) ─ …
+//!                          ▲      │                │
+//!                          └──────┘                └──broadcast, r == rounds──► Done
+//!                      upload │ dropped                 (`Global{last}`, same transition)
+//! ```
+//!
+//! Three kinds of thread surround it. The caller's thread
+//! ([`FlServer::run`]) drives the transitions: it waits on channels
+//! against the accept and round deadlines and feeds the machine what
+//! arrives. One acceptor thread completes Hello/Welcome handshakes for
+//! the whole run. One blocking-I/O handler thread per connection writes
+//! what the machine tells it to (each broadcast is framed once and every
+//! handler writes the same bytes), reads one upload per broadcast, and
+//! forwards the payload bytes untouched. Protocol logic stays
+//! single-threaded even though I/O is not. Aggregation fans out on the
+//! shared `rhychee-par` pool at the configured [`Parallelism`]; the
+//! result is bit-identical at every degree.
+//!
+//! Reconnections ([`ServerConfigBuilder::allow_rejoin`]) are queued by
+//! the acceptor and become participants at the next broadcast, the
+//! final one included — never mid-round, so a client cannot contribute
+//! twice to one round, and a client that is back before the session
+//! ends receives the final model.
 //!
 //! Straggler policy: a round closes as soon as every live client has
 //! reported, or at the round deadline. At the deadline the round
@@ -18,44 +38,46 @@
 //! otherwise. Uploads for any other round (and duplicates) are NACKed
 //! with `UpdateAck { accepted: false }` and never touch the aggregate.
 //!
-//! CKKS aggregation: handlers ship the raw payload bytes and the
-//! coordinator folds each upload into the round's one
-//! [`StreamingAggregator`] the moment its frame arrives, zero-copy
-//! through [`WireCodec::parse_upload`]. Handler reads gate on a
-//! resident-upload permit
-//! ([`ServerConfigBuilder::max_resident_uploads`]) released right after
-//! the fold, so server memory is O(accumulator + permits), independent
-//! of client count — late clients wait in TCP backpressure, not in
-//! server buffers. The closed sum is **bit-identical** for every
+//! CKKS aggregation: the coordinator folds each upload into the round's
+//! one [`StreamingAggregator`](rhychee_core::StreamingAggregator) the
+//! moment its frame arrives, zero-copy through
+//! [`WireCodec::parse_upload`]. Handler reads gate on a resident-upload
+//! permit ([`ServerConfigBuilder::max_resident_uploads`]) released right
+//! after the fold, so server memory is O(accumulator + permits),
+//! independent of client count — late clients wait in TCP backpressure,
+//! not in server buffers. The closed sum is **bit-identical** for every
 //! arrival order. [`Aggregation::FedNova`] folds like the uniform
 //! rules: its clients pre-scale by `1/τ` before encrypting and the
 //! close multiplies by `1/Σ(1/τ)`, read off the `Update` headers. The
-//! plaintext pipeline (float addition is not associative) decodes on
-//! the handler threads and averages in client-id order at close
-//! ([`ServerRound`]).
+//! plaintext pipeline (float addition is not associative) decodes each
+//! upload on arrival and averages in client-id order at close
+//! ([`ServerRound`](rhychee_core::round::ServerRound)).
 
-use std::collections::{HashMap, HashSet};
-use std::io;
+use std::collections::HashSet;
+use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
 use rhychee_core::packing;
-use rhychee_core::round::{ClientUpdate, ServerRound};
-use rhychee_core::{Aggregation, FlError, Parallelism, StreamingAggregator};
-use rhychee_fhe::ckks::{CkksCiphertext, CkksContext};
+use rhychee_core::round::ClientUpdate;
+use rhychee_core::{Aggregation, Parallelism};
 use rhychee_fhe::params::CkksParams;
 use rhychee_obs::{ObsHandle, ObsServer, Watchdog};
 use rhychee_telemetry as telemetry;
 
-use crate::codec::{self, CanonicalCodec, WireCodec};
+use crate::codec::{CanonicalCodec, WireCodec};
 use crate::error::NetError;
-use crate::residency::{Residency, ResidencyPermit};
+use crate::residency::Residency;
 use crate::wire::{self, Message, TraceContext, DEFAULT_MAX_PAYLOAD};
+
+mod coordinator;
+
+use coordinator::{Coordinator, HandlerCmd, Peer, ServerEvent, Upload};
 
 /// How the server transports and aggregates model payloads.
 pub enum ServerPipeline {
@@ -234,45 +256,34 @@ impl ServerConfig {
 /// Builder for [`ServerConfig`]; see [`ServerConfig::builder`].
 #[derive(Debug, Clone)]
 pub struct ServerConfigBuilder {
-    clients: usize,
+    config: ServerConfig,
+    /// Unset means "all clients", known only once `clients` is final.
     quorum: Option<usize>,
-    rounds: usize,
-    model_params: usize,
-    aggregation: Aggregation,
-    io_timeout: Duration,
-    round_timeout: Duration,
-    accept_timeout: Duration,
-    max_payload: u32,
-    parallelism: Parallelism,
-    obs_addr: Option<String>,
-    allow_rejoin: bool,
-    codec: Arc<dyn WireCodec>,
-    packing: packing::PackingConfig,
-    max_resident_uploads: usize,
-    watchdog_multiple: f64,
-    flight_dump_dir: Option<PathBuf>,
 }
 
 impl Default for ServerConfigBuilder {
     fn default() -> Self {
         ServerConfigBuilder {
-            clients: 0,
+            config: ServerConfig {
+                clients: 0,
+                quorum: 0,
+                rounds: 0,
+                model_params: 0,
+                aggregation: Aggregation::FedAvg,
+                io_timeout: Duration::from_secs(5),
+                round_timeout: Duration::from_secs(30),
+                accept_timeout: Duration::from_secs(30),
+                max_payload: DEFAULT_MAX_PAYLOAD,
+                parallelism: Parallelism::Auto,
+                obs_addr: None,
+                allow_rejoin: false,
+                codec: Arc::new(CanonicalCodec),
+                packing: packing::PackingConfig::dense(),
+                max_resident_uploads: 4,
+                watchdog_multiple: 0.0,
+                flight_dump_dir: None,
+            },
             quorum: None,
-            rounds: 0,
-            model_params: 0,
-            aggregation: Aggregation::FedAvg,
-            io_timeout: Duration::from_secs(5),
-            round_timeout: Duration::from_secs(30),
-            accept_timeout: Duration::from_secs(30),
-            max_payload: DEFAULT_MAX_PAYLOAD,
-            parallelism: Parallelism::Auto,
-            obs_addr: None,
-            allow_rejoin: false,
-            codec: Arc::new(CanonicalCodec),
-            packing: packing::PackingConfig::dense(),
-            max_resident_uploads: 4,
-            watchdog_multiple: 0.0,
-            flight_dump_dir: None,
         }
     }
 }
@@ -280,7 +291,7 @@ impl Default for ServerConfigBuilder {
 impl ServerConfigBuilder {
     /// Clients expected to connect (required, > 0).
     pub fn clients(mut self, clients: usize) -> Self {
-        self.clients = clients;
+        self.config.clients = clients;
         self
     }
 
@@ -292,13 +303,13 @@ impl ServerConfigBuilder {
 
     /// Aggregation rounds to run (required, > 0).
     pub fn rounds(mut self, rounds: usize) -> Self {
-        self.rounds = rounds;
+        self.config.rounds = rounds;
         self
     }
 
     /// Trainable parameter count `D × L` (required, > 0).
     pub fn model_params(mut self, model_params: usize) -> Self {
-        self.model_params = model_params;
+        self.config.model_params = model_params;
         self
     }
 
@@ -307,38 +318,38 @@ impl ServerConfigBuilder {
     /// clients pre-scale their uploads by `1/τ`, which only the FedNova
     /// close (`1/Σ(1/τ)`) undoes.
     pub fn aggregation(mut self, aggregation: Aggregation) -> Self {
-        self.aggregation = aggregation;
+        self.config.aggregation = aggregation;
         self
     }
 
     /// Socket write / handshake-read timeout (default 5 s).
     pub fn io_timeout(mut self, io_timeout: Duration) -> Self {
-        self.io_timeout = io_timeout;
+        self.config.io_timeout = io_timeout;
         self
     }
 
     /// Collection window per round (default 30 s).
     pub fn round_timeout(mut self, round_timeout: Duration) -> Self {
-        self.round_timeout = round_timeout;
+        self.config.round_timeout = round_timeout;
         self
     }
 
     /// Window for all clients to connect (default 30 s).
     pub fn accept_timeout(mut self, accept_timeout: Duration) -> Self {
-        self.accept_timeout = accept_timeout;
+        self.config.accept_timeout = accept_timeout;
         self
     }
 
     /// Frame payload cap in bytes (default [`DEFAULT_MAX_PAYLOAD`]).
     pub fn max_payload(mut self, max_payload: u32) -> Self {
-        self.max_payload = max_payload;
+        self.config.max_payload = max_payload;
         self
     }
 
     /// Degree for aggregation math (default [`Parallelism::Auto`]).
     /// Results are bit-identical at every degree.
     pub fn parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.parallelism = parallelism;
+        self.config.parallelism = parallelism;
         self
     }
 
@@ -346,22 +357,22 @@ impl ServerConfigBuilder {
     /// `"127.0.0.1:9090"`, port 0 for OS-assigned): [`FlServer::bind`]
     /// starts an HTTP server exposing `/metrics`, `/healthz`,
     /// `/trace.json` and `/rounds.json`, switches telemetry recording
-    /// on process-wide, and the round loop publishes the `fl.*` /
-    /// `net.bytes.*` gauges plus one round-timeline record per round.
+    /// on process-wide, and the round loop publishes the `fl.*` gauges
+    /// plus one round-timeline record per round.
     /// Default: disabled.
     pub fn obs_addr(mut self, addr: impl Into<String>) -> Self {
-        self.obs_addr = Some(addr.into());
+        self.config.obs_addr = Some(addr.into());
         self
     }
 
     /// Lets a departed client reconnect with the same id and resume at
-    /// the next round boundary (default: off). Rejoins take effect
-    /// between rounds, so a client can never contribute two updates to
-    /// one round: the round it reconnects during already counts it as
-    /// dropped, and the per-round [`ServerRound`] dedupe rejects any
-    /// duplicate id regardless.
+    /// the next broadcast, the final one included (default: off).
+    /// Rejoins take effect between rounds, so a client can never
+    /// contribute two updates to one round: the round it reconnects
+    /// during already counts it as dropped, and the round's own dedupe
+    /// rejects any duplicate id regardless.
     pub fn allow_rejoin(mut self, allow_rejoin: bool) -> Self {
-        self.allow_rejoin = allow_rejoin;
+        self.config.allow_rejoin = allow_rejoin;
         self
     }
 
@@ -370,7 +381,7 @@ impl ServerConfigBuilder {
     /// clients set the matching codec on
     /// [`ClientConfig::codec`](crate::client::ClientConfig).
     pub fn codec<C: WireCodec + 'static>(mut self, codec: C) -> Self {
-        self.codec = Arc::new(codec);
+        self.config.codec = Arc::new(codec);
         self
     }
 
@@ -380,7 +391,7 @@ impl ServerConfigBuilder {
     /// decryption (driven by the in-band contributor counter); every
     /// client must be configured identically.
     pub fn packing(mut self, packing: packing::PackingConfig) -> Self {
-        self.packing = packing;
+        self.config.packing = packing;
         self
     }
 
@@ -390,7 +401,7 @@ impl ServerConfigBuilder {
     /// than server buffers; a straggler holding a slot is bounded by
     /// the round deadline (its read times out and the slot frees).
     pub fn max_resident_uploads(mut self, max_resident_uploads: usize) -> Self {
-        self.max_resident_uploads = max_resident_uploads;
+        self.config.max_resident_uploads = max_resident_uploads;
         self
     }
 
@@ -403,7 +414,7 @@ impl ServerConfigBuilder {
     /// legitimately runs to the round deadline is not reported; 0
     /// disables the watchdog (the default).
     pub fn round_watchdog(mut self, multiple: f64) -> Self {
-        self.watchdog_multiple = multiple;
+        self.config.watchdog_multiple = multiple;
         self
     }
 
@@ -414,7 +425,7 @@ impl ServerConfigBuilder {
     /// watchdog stalls and panics; read them with the `mem_report`
     /// binary.
     pub fn flight_dump_dir(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.flight_dump_dir = Some(dir.into());
+        self.config.flight_dump_dir = Some(dir.into());
         self
     }
 
@@ -426,25 +437,8 @@ impl ServerConfigBuilder {
     /// `model_params` are unset/zero, `quorum` is outside
     /// `1..=clients`, or `max_resident_uploads` is zero.
     pub fn build(self) -> Result<ServerConfig, NetError> {
-        let config = ServerConfig {
-            clients: self.clients,
-            quorum: self.quorum.unwrap_or(self.clients),
-            rounds: self.rounds,
-            model_params: self.model_params,
-            aggregation: self.aggregation,
-            io_timeout: self.io_timeout,
-            round_timeout: self.round_timeout,
-            accept_timeout: self.accept_timeout,
-            max_payload: self.max_payload,
-            parallelism: self.parallelism,
-            obs_addr: self.obs_addr,
-            allow_rejoin: self.allow_rejoin,
-            codec: self.codec,
-            packing: self.packing,
-            max_resident_uploads: self.max_resident_uploads,
-            watchdog_multiple: self.watchdog_multiple,
-            flight_dump_dir: self.flight_dump_dir,
-        };
+        let mut config = self.config;
+        config.quorum = self.quorum.unwrap_or(config.clients);
         config.validate()?;
         Ok(config)
     }
@@ -485,80 +479,15 @@ pub struct ServerReport {
     pub final_plain_model: Option<Vec<f32>>,
 }
 
-/// The server's current global model, in transport representation.
-enum GlobalState {
-    Plain(Vec<f32>),
-    Ckks(Vec<CkksCiphertext>),
-}
-
-/// Coordinator → handler commands.
-enum HandlerCmd {
-    /// Write a `Global` frame; unless `last`, then read one `Update`.
-    /// `ctx` is the round's trace context: handlers stamp it on the
-    /// wire so client spans parent under this round's `net_round` span.
-    Broadcast { round: usize, last: bool, payload: Arc<Vec<u8>>, ctx: Option<TraceContext> },
-    /// Write an `UpdateAck` frame.
-    Ack { round: usize, accepted: bool },
-}
-
-/// An upload as its handler thread forwards it: plaintext parameters
-/// decoded in place, or a CKKS payload shipped raw for the coordinator
-/// to fold zero-copy.
-enum DecodedModel {
-    Plain(Vec<f32>),
-    /// CKKS: the raw payload bytes, not yet parsed. The permit is this
-    /// upload's resident-memory slot; dropping the event (right after
-    /// the fold, or when a stale round's upload is NACKed) releases it
-    /// and unblocks the next handler's read.
-    Raw {
-        payload: Vec<u8>,
-        _permit: ResidencyPermit,
-    },
-    /// Undecodable or wrong-sized plaintext payload; the coordinator
-    /// NACKs it.
-    Invalid,
-}
-
-/// Handler → coordinator events.
-enum ServerEvent {
-    /// A client's upload arrived and was decoded (round validity not
-    /// yet checked). `bytes` is the framed size read off the socket and
-    /// `arrived` the read-completion instant, for the round timeline.
-    Update {
-        client_id: usize,
-        round: usize,
-        steps: usize,
-        model: DecodedModel,
-        bytes: u64,
-        arrived: Instant,
-    },
-    /// A client disconnected, timed out, or violated the protocol.
-    /// `generation` identifies which incarnation of the connection died,
-    /// so a stale drop from a superseded handler can never evict a
-    /// rejoined client's live one.
-    Dropped { client_id: usize, generation: u64 },
-}
-
-/// State shared by every handler thread.
+/// What every thread that touches a client socket shares.
 struct HandlerShared {
-    round_timeout: Duration,
-    max_payload: u32,
+    config: ServerConfig,
     bytes_tx: AtomicU64,
     bytes_rx: AtomicU64,
-    model_params: usize,
-    /// Set under CKKS: handlers skip decoding and ship raw payloads,
-    /// each holding one resident-upload permit. `None` under the
-    /// plaintext pipeline, whose handlers decode in place.
+    /// Set under CKKS: each handler claims one resident-upload permit
+    /// before it reads an `Update` frame. `None` under the plaintext
+    /// pipeline, whose uploads are not bounded.
     residency: Option<Arc<Residency>>,
-}
-
-impl HandlerShared {
-    fn decode_plain(&self, model: &[u8]) -> DecodedModel {
-        match codec::decode_plain(model, self.model_params) {
-            Ok(p) if p.len() == self.model_params => DecodedModel::Plain(p),
-            _ => DecodedModel::Invalid,
-        }
-    }
 }
 
 /// A blocking-I/O TCP federated server.
@@ -581,14 +510,12 @@ impl FlServer {
     ///
     /// # Errors
     ///
-    /// Returns [`NetError`] on an invalid config or a bind failure
-    /// (either listener).
+    /// Returns [`NetError`] on a bind failure (either listener).
     pub fn bind<A: ToSocketAddrs>(
         addr: A,
         config: ServerConfig,
         pipeline: ServerPipeline,
     ) -> Result<Self, NetError> {
-        config.validate()?;
         let listener = TcpListener::bind(addr)?;
         if let Some(dir) = config.flight_dump_dir() {
             rhychee_obs::flight::install_panic_hook(dir.to_path_buf());
@@ -631,72 +558,9 @@ impl FlServer {
     /// initial handshake) cannot gather `quorum` participants, or any
     /// I/O / protocol / FHE error that prevents the run from finishing.
     pub fn run(self) -> Result<ServerReport, NetError> {
-        let ctx = match &self.pipeline {
-            ServerPipeline::Plaintext => None,
-            ServerPipeline::Ckks(params) => Some(Arc::new(CkksContext::with_parallelism(
-                params.clone(),
-                self.config.parallelism,
-            )?)),
-        };
-        let max_cts = ctx
-            .as_ref()
-            .map(|c| {
-                packing::ciphertexts_needed_with(
-                    &self.config.packing,
-                    self.config.model_params,
-                    c.slot_count(),
-                )
-            })
-            .unwrap_or(0);
-        let residency = ctx.is_some().then(|| Residency::new(self.config.max_resident_uploads));
-        let shared = Arc::new(HandlerShared {
-            round_timeout: self.config.round_timeout,
-            max_payload: self.config.max_payload,
-            bytes_tx: AtomicU64::new(0),
-            bytes_rx: AtomicU64::new(0),
-            model_params: self.config.model_params,
-            residency: residency.clone(),
-        });
-
-        let (event_tx, event_rx) = mpsc::channel::<ServerEvent>();
-        let mut handlers = self.accept_clients(&event_tx, &shared)?;
-        telemetry::gauge("fl.clients.connected", handlers.len() as f64);
-
-        // Liveness: every round-phase transition beats the watchdog; a
-        // phase that overstays round_timeout × multiple gets reported
-        // once and flight-recorded (ServerConfigBuilder::round_watchdog).
-        let watchdog = (self.config.watchdog_multiple > 0.0).then(|| {
-            Watchdog::spawn(
-                self.config.round_timeout.mul_f64(self.config.watchdog_multiple),
-                self.config.flight_dump_dir.clone(),
-            )
-        });
-        let beat = |phase: &'static str| {
-            if let Some(wd) = &watchdog {
-                wd.beat(phase);
-            }
-        };
-
-        // Rejoin support: a shared id set gates duplicate Hellos (the
-        // coordinator owns the handler map, so the background acceptor
-        // cannot check it directly), and queued reconnections activate
-        // only at round boundaries.
-        let connected: Arc<Mutex<HashSet<usize>>> =
-            Arc::new(Mutex::new(handlers.keys().copied().collect()));
-        let mut next_generation = 0u64;
-        let rejoin = if self.config.allow_rejoin {
-            Some(RejoinAcceptor::spawn(
-                self.listener.try_clone()?,
-                self.config.clone(),
-                Arc::clone(&connected),
-                Arc::clone(&shared),
-            ))
-        } else {
-            None
-        };
-        // Handlers spawned mid-run need a live Sender; without rejoin,
-        // drop it now so the channel disconnects once handlers exit.
-        let event_tx = if rejoin.is_some() { Some(event_tx) } else { None };
+        let rounds = self.config.rounds;
+        let mut session = Session::open(self)?;
+        session.wait_for_clients();
 
         // One trace id spans the whole federation run; each round's wire
         // context chains client spans under that round's `net_round`.
@@ -704,398 +568,183 @@ impl FlServer {
             telemetry::trace::set_actor("server");
         }
         let trace_id = if telemetry::enabled() { telemetry::trace::new_trace_id() } else { 0 };
-
-        let mut report = ServerReport::default();
-        let mut global = GlobalState::Plain(vec![0.0; self.config.model_params]);
-
-        for round in 0..self.config.rounds {
+        for round in 0..rounds {
             let span = telemetry::span("net_round");
-            let round_ctx = (span.id() != 0).then(|| TraceContext {
+            let ctx = (span.id() != 0).then(|| TraceContext {
                 trace_id,
                 parent_span: span.id(),
                 round: round as u32,
             });
-            // Activate rejoins queued since the last round boundary, so
-            // a reconnecting client re-enters with a full round — it can
-            // never contribute a second update to a round in flight.
-            if let Some(acceptor) = rejoin.as_ref() {
-                while let Ok((client_id, stream)) = acceptor.rx.try_recv() {
-                    if handlers.contains_key(&client_id) {
-                        continue; // superseded by a still-live handler
-                    }
-                    next_generation += 1;
-                    let events = event_tx.as_ref().expect("rejoin keeps the sender").clone();
-                    let handler =
-                        spawn_handler(client_id, next_generation, stream, events, &shared);
-                    handlers.insert(client_id, handler);
-                    connected.lock().expect("connected set").insert(client_id);
-                    report.rejoined_clients += 1;
-                    telemetry::count("net.rejoins", 1);
-                }
-                telemetry::gauge("fl.clients.connected", handlers.len() as f64);
-            }
-
-            let round_start = Instant::now();
-            let round_start_ns = telemetry::trace::now_ns();
-            let live_at_start = handlers.len();
-            // 1-based "round in flight" (0 means still handshaking).
-            telemetry::gauge("fl.round.current", (round + 1) as f64);
-            beat("broadcast");
-            let payload = Arc::new(self.encode_global(&global, ctx.as_deref()));
-            for h in handlers.values() {
-                let _ = h.cmd_tx.send(HandlerCmd::Broadcast {
-                    round,
-                    last: false,
-                    payload: Arc::clone(&payload),
-                    ctx: round_ctx,
-                });
-            }
-
-            let mut agg = match &ctx {
-                Some(_) => {
-                    RoundAgg::Ckks(StreamingAggregator::new(round, self.config.aggregation)?)
-                }
-                None => RoundAgg::Plain(ServerRound::new(round, self.config.aggregation)),
-            };
-            let mut rejected = 0usize;
-            let mut arrivals: Vec<rhychee_obs::rounds::ClientArrival> = Vec::new();
-            let mut quorum_ns: Option<u64> = None;
-            beat("collect");
-            let deadline = Instant::now() + self.config.round_timeout;
-            // A client whose upload was already accepted may drop out of
-            // `handlers` before the round closes; its contribution
-            // stays counted, so `received` can meet or exceed the
-            // shrinking live-handler count.
-            while agg.received() < handlers.len() {
-                let remaining = deadline.saturating_duration_since(Instant::now());
-                if remaining.is_zero() {
-                    break;
-                }
-                match event_rx.recv_timeout(remaining) {
-                    Ok(ServerEvent::Update {
-                        client_id,
-                        round: r,
-                        steps,
-                        model,
-                        bytes,
-                        arrived,
-                    }) => {
-                        let accepted = r == round
-                            && match (&mut agg, model) {
-                                (RoundAgg::Ckks(s), DecodedModel::Raw { payload, _permit }) => {
-                                    let cx = ctx.as_deref().expect("CKKS round has a context");
-                                    // Parse outside the fold span: building
-                                    // the per-chunk view table allocates one
-                                    // small Vec, and the zero-alloc claim is
-                                    // about the fold kernel itself.
-                                    let parsed =
-                                        self.config.codec.parse_upload(cx, &payload, max_cts);
-                                    let fspan = telemetry::span("net_fold");
-                                    let folded = match parsed {
-                                        Ok(mv) if mv.len() == max_cts => {
-                                            let update = ClientUpdate {
-                                                client_id,
-                                                round: r,
-                                                steps,
-                                                payload: mv.views(),
-                                            };
-                                            s.fold_views(cx, &update)
-                                                .map_err(|e| stream_abort(round, e))?
-                                        }
-                                        _ => false,
-                                    };
-                                    // Per-phase allocation attribution:
-                                    // a steady-state fold should report
-                                    // 0 bytes (the accumulator is reused
-                                    // in place).
-                                    if telemetry::alloc::installed() {
-                                        telemetry::observe(
-                                            "fl.phase.fold.alloc_bytes",
-                                            fspan.alloc_bytes(),
-                                        );
-                                    }
-                                    telemetry::observe_duration("fl.phase.fold.ns", fspan.finish());
-                                    // `payload` and its residency permit
-                                    // drop here: the upload's bytes live
-                                    // only for the duration of the fold.
-                                    folded
-                                }
-                                (RoundAgg::Plain(sr), DecodedModel::Plain(payload)) => {
-                                    sr.accept(ClientUpdate { client_id, round: r, steps, payload })
-                                }
-                                // An undecodable plaintext payload — or a
-                                // body of the other pipeline, which cannot
-                                // happen; NACK rather than trust it.
-                                _ => false,
-                            };
-                        if !accepted {
-                            rejected += 1;
-                            telemetry::count("net.frame.nack", 1);
-                            telemetry::count_labeled(
-                                "net.client.nacks",
-                                "client_id",
-                                &client_id.to_string(),
-                                1,
-                            );
-                        }
-                        let offset_ns =
-                            arrived.saturating_duration_since(round_start).as_nanos() as u64;
-                        arrivals.push(rhychee_obs::rounds::ClientArrival {
-                            client_id,
-                            offset_ns,
-                            bytes,
-                            accepted,
-                        });
-                        if accepted && quorum_ns.is_none() && agg.received() >= self.config.quorum {
-                            quorum_ns = Some(offset_ns);
-                        }
-                        if let Some(h) = handlers.get(&client_id) {
-                            let _ = h.cmd_tx.send(HandlerCmd::Ack { round: r, accepted });
-                        }
-                    }
-                    Ok(ServerEvent::Dropped { client_id, generation }) => {
-                        self.drop_client(
-                            &mut handlers,
-                            client_id,
-                            generation,
-                            &mut report,
-                            &connected,
-                        );
-                    }
-                    Err(RecvTimeoutError::Timeout) => break,
-                    Err(RecvTimeoutError::Disconnected) => break,
-                }
-            }
-
-            telemetry::gauge("fl.clients.connected", handlers.len() as f64);
-            if agg.received() < self.config.quorum {
-                telemetry::gauge("fl.quorum.met", 0.0);
-                return Err(NetError::QuorumNotReached {
-                    round,
-                    received: agg.received(),
-                    quorum: self.config.quorum,
-                });
-            }
-            telemetry::gauge("fl.quorum.met", 1.0);
-
-            beat("aggregate");
-            let agg_span = telemetry::span("net_aggregate");
-            let received = agg.received();
-            global = match agg {
-                RoundAgg::Plain(sr) => {
-                    GlobalState::Plain(sr.aggregate_with(self.config.parallelism)?)
-                }
-                RoundAgg::Ckks(s) => {
-                    let cx = ctx.as_deref().expect("CKKS round has a context");
-                    let closed = s.close(cx, &self.config.packing);
-                    GlobalState::Ckks(closed.map_err(|e| stream_abort(round, e))?)
-                }
-            };
-            if telemetry::alloc::installed() {
-                telemetry::observe("fl.phase.aggregate.alloc_bytes", agg_span.alloc_bytes());
-            }
-            let aggregate_time = agg_span.finish();
-            telemetry::observe_duration("fl.phase.aggregate.ns", aggregate_time);
-            report.rounds.push(NetRoundReport {
-                round,
-                received,
-                live_clients: handlers.len(),
-                rejected,
-                aggregate_time,
-            });
-            if telemetry::enabled() {
-                rhychee_obs::rounds::record(rhychee_obs::rounds::RoundRecord {
-                    round,
-                    start_ns: round_start_ns,
-                    quorum_ns,
-                    close_ns: round_start.elapsed().as_nanos() as u64,
-                    received,
-                    rejected,
-                    stragglers: live_at_start.saturating_sub(received),
-                    arrivals,
-                });
-            }
-            telemetry::gauge("net.bytes.tx", shared.bytes_tx.load(Ordering::Relaxed) as f64);
-            telemetry::gauge("net.bytes.rx", shared.bytes_rx.load(Ordering::Relaxed) as f64);
-            if let Some(residency) = &residency {
-                telemetry::gauge("net.agg.resident_uploads", residency.held() as f64);
-                telemetry::gauge("net.agg.peak_resident_uploads", residency.peak() as f64);
-                telemetry::gauge("net.agg.resident_upload_bytes", residency.bytes() as f64);
-                telemetry::gauge(
-                    "net.agg.peak_resident_upload_bytes",
-                    residency.peak_bytes() as f64,
-                );
-            }
+            session.broadcast("broadcast", ctx)?;
+            session.collect()?;
+            session.beat("aggregate");
+            session.machine.close()?;
             span.finish();
-            beat("idle");
+            session.beat("idle");
         }
+        // Final distribution: the same transition, outside any round.
+        session.broadcast("final_broadcast", None)?;
+        session.shutdown()
+    }
+}
 
-        // Final distribution: the aggregated model of the last round.
-        beat("final_broadcast");
-        let payload = Arc::new(self.encode_global(&global, ctx.as_deref()));
-        for h in handlers.values() {
-            let _ = h.cmd_tx.send(HandlerCmd::Broadcast {
-                round: self.config.rounds,
-                last: true,
-                payload: Arc::clone(&payload),
-                ctx: None,
-            });
+/// The coordinator thread's I/O edge around the [`Coordinator`] state
+/// machine: it waits (on channels, against deadlines), turns accepted
+/// sockets into handler threads, and feeds the machine what arrives.
+/// Every decision is the machine's.
+struct Session {
+    machine: Coordinator,
+    shared: Arc<HandlerShared>,
+    acceptor: Acceptor,
+    events_tx: Sender<ServerEvent>,
+    events: Receiver<ServerEvent>,
+    /// Every handler thread spawned this run, joined at shutdown. The
+    /// n-th admitted connection is generation n.
+    handlers: Vec<thread::JoinHandle<()>>,
+    watchdog: Option<Watchdog>,
+    /// Keeps the scrape endpoint up for the length of the run.
+    _obs: Option<ObsHandle>,
+}
+
+impl Session {
+    fn open(server: FlServer) -> Result<Self, NetError> {
+        let FlServer { listener, config, pipeline, obs } = server;
+        let connected = Arc::new(Mutex::new(HashSet::new()));
+        let machine = Coordinator::new(config.clone(), pipeline, Arc::clone(&connected))?;
+        let (bytes_tx, bytes_rx) = (AtomicU64::new(0), AtomicU64::new(0));
+        let residency = machine.residency();
+        let shared = Arc::new(HandlerShared { config, bytes_tx, bytes_rx, residency });
+        let acceptor = Acceptor::spawn(listener, connected, Arc::clone(&shared))?;
+        let (events_tx, events) = mpsc::channel();
+        Ok(Session {
+            machine,
+            shared,
+            acceptor,
+            events_tx,
+            events,
+            handlers: Vec::new(),
+            watchdog: None,
+            _obs: obs,
+        })
+    }
+
+    /// The opening window: admits connections until every expected
+    /// client is in or `accept_timeout` passes. Whether enough came is
+    /// the first broadcast's call.
+    fn wait_for_clients(&mut self) {
+        let shared = Arc::clone(&self.shared);
+        let config = &shared.config;
+        let deadline = Instant::now() + config.accept_timeout;
+        while !self.machine.opening_complete() {
+            let remaining = deadline.saturating_duration_since(Instant::now());
+            match self.acceptor.joins.recv_timeout(remaining) {
+                Ok(connection) => self.admit(connection),
+                Err(_) => break,
+            }
         }
-        for (_, h) in handlers.drain() {
-            drop(h.cmd_tx);
-            let _ = h.join.join();
+        if !config.allow_rejoin {
+            self.acceptor.stop.store(true, Ordering::Relaxed);
+        }
+        // Liveness: every round-phase transition beats the watchdog; a
+        // phase that overstays round_timeout × multiple gets reported
+        // once and flight-recorded (ServerConfigBuilder::round_watchdog).
+        self.watchdog = (config.watchdog_multiple > 0.0).then(|| {
+            let deadline = config.round_timeout.mul_f64(config.watchdog_multiple);
+            Watchdog::spawn(deadline, config.flight_dump_dir.clone())
+        });
+    }
+
+    /// Gives a handshaken connection its handler thread and queues it
+    /// with the machine.
+    fn admit(&mut self, connection: Connection) {
+        let (client_id, generation) = (connection.client_id, self.handlers.len() as u64 + 1);
+        let (cmds, cmd_rx) = mpsc::channel();
+        let events = self.events_tx.clone();
+        self.handlers.push(thread::spawn(move || connection.serve(generation, &cmd_rx, &events)));
+        self.machine.queue(client_id, Peer { generation, cmds });
+    }
+
+    fn beat(&self, phase: &'static str) {
+        if let Some(watchdog) = &self.watchdog {
+            watchdog.beat(phase);
+        }
+    }
+
+    fn broadcast(
+        &mut self,
+        phase: &'static str,
+        ctx: Option<TraceContext>,
+    ) -> Result<(), NetError> {
+        self.beat(phase);
+        while let Ok(connection) = self.acceptor.joins.try_recv() {
+            self.admit(connection);
+        }
+        self.machine.broadcast(ctx)
+    }
+
+    /// Feeds handler events to the machine until the round is complete
+    /// or `round_timeout` passes.
+    fn collect(&mut self) -> Result<(), NetError> {
+        self.beat("collect");
+        let deadline = Instant::now() + self.shared.config.round_timeout;
+        while !self.machine.complete() {
+            let remaining = deadline.saturating_duration_since(Instant::now());
+            if remaining.is_zero() {
+                break;
+            }
+            match self.events.recv_timeout(remaining) {
+                Ok(event) => self.machine.on_event(event)?,
+                Err(_) => break,
+            }
+        }
+        Ok(())
+    }
+
+    fn shutdown(self) -> Result<ServerReport, NetError> {
+        let Session { mut machine, shared, acceptor, events, handlers, watchdog, .. } = self;
+        // Every live handler holds the final broadcast and exits after
+        // writing it; the evicted ones exited when they reported.
+        for handler in handlers {
+            let _ = handler.join();
         }
         drop(watchdog); // the run is over; nothing left to stall
-        if let Some(acceptor) = rejoin {
-            acceptor.shutdown();
-        }
-        drop(event_tx);
+        acceptor.stop.store(true, Ordering::Relaxed);
+        let _ = acceptor.thread.join();
         // Drain any last events so dropped counts are accurate.
-        while let Ok(ev) = event_rx.try_recv() {
-            if let ServerEvent::Dropped { .. } = ev {
-                report.dropped_clients += 1;
-                telemetry::count("net.dropped_clients", 1);
-            }
+        while let Ok(event) = events.try_recv() {
+            machine.on_event(event)?;
         }
-
+        let mut report = machine.finish();
         report.bytes_tx = shared.bytes_tx.load(Ordering::Relaxed);
         report.bytes_rx = shared.bytes_rx.load(Ordering::Relaxed);
-        report.final_plain_model = match global {
-            GlobalState::Plain(m) => Some(m),
-            GlobalState::Ckks(_) => None,
-        };
         Ok(report)
     }
-
-    /// Accepts connections and completes the Hello/Welcome handshake
-    /// until all expected clients are in or the accept window closes.
-    fn accept_clients(
-        &self,
-        event_tx: &Sender<ServerEvent>,
-        shared: &Arc<HandlerShared>,
-    ) -> Result<HashMap<usize, Handler>, NetError> {
-        self.listener.set_nonblocking(true)?;
-        let mut handlers = HashMap::new();
-        let deadline = Instant::now() + self.config.accept_timeout;
-        while handlers.len() < self.config.clients && Instant::now() < deadline {
-            let (stream, _) = match self.listener.accept() {
-                Ok(pair) => pair,
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    thread::sleep(Duration::from_millis(5));
-                    continue;
-                }
-                Err(e) => return Err(e.into()),
-            };
-            match handshake(stream, &self.config, |id| handlers.contains_key(&id), shared) {
-                Ok((client_id, stream)) => {
-                    let handler = spawn_handler(client_id, 0, stream, event_tx.clone(), shared);
-                    handlers.insert(client_id, handler);
-                }
-                Err(_) => continue, // a bad handshake never kills the server
-            }
-        }
-        if handlers.len() < self.config.quorum {
-            return Err(NetError::QuorumNotReached {
-                round: 0,
-                received: handlers.len(),
-                quorum: self.config.quorum,
-            });
-        }
-        Ok(handlers)
-    }
-
-    fn drop_client(
-        &self,
-        handlers: &mut HashMap<usize, Handler>,
-        client_id: usize,
-        generation: u64,
-        report: &mut ServerReport,
-        connected: &Mutex<HashSet<usize>>,
-    ) {
-        // A drop names the connection incarnation that died. If the
-        // mapped handler is from a different (newer) generation, the
-        // client already rejoined and this drop is stale — ignore it.
-        match handlers.get(&client_id) {
-            Some(h) if h.generation == generation => {}
-            _ => return,
-        }
-        if let Some(h) = handlers.remove(&client_id) {
-            drop(h.cmd_tx);
-            let _ = h.join.join();
-            connected.lock().expect("connected set").remove(&client_id);
-            report.dropped_clients += 1;
-            telemetry::count("net.dropped_clients", 1);
-        }
-    }
-
-    fn encode_global(&self, global: &GlobalState, ctx: Option<&CkksContext>) -> Vec<u8> {
-        match (global, ctx) {
-            (GlobalState::Plain(m), _) => codec::encode_plain(m),
-            (GlobalState::Ckks(cts), Some(ctx)) => codec::encode_ckks(ctx, cts),
-            (GlobalState::Ckks(_), None) => unreachable!("CKKS state without a context"),
-        }
-    }
 }
 
-/// Completes the Hello/Welcome handshake on a fresh connection.
-/// `taken` reports whether a client id is already connected — the
-/// accept loop checks its handler map, the rejoin acceptor a shared id
-/// set — so a duplicate Hello is rejected either way.
-fn handshake(
-    stream: TcpStream,
-    config: &ServerConfig,
-    taken: impl Fn(usize) -> bool,
-    shared: &HandlerShared,
-) -> Result<(usize, TcpStream), NetError> {
-    let mut stream = stream;
-    // The listener is nonblocking for the accept deadline; accepted
-    // streams must not be.
-    stream.set_nonblocking(false)?;
-    stream.set_nodelay(true)?;
-    stream.set_read_timeout(Some(config.io_timeout()))?;
-    stream.set_write_timeout(Some(config.io_timeout()))?;
-    let (msg, n) = wire::read_message(&mut stream, config.max_payload())?;
-    shared.bytes_rx.fetch_add(n as u64, Ordering::Relaxed);
-    telemetry::count("net.bytes_rx", n as u64);
-    let client_id = match msg {
-        Message::Hello { client_id } => client_id,
-        other => return Err(NetError::Protocol(format!("expected Hello, got {}", other.name()))),
-    };
-    if client_id >= config.clients() || taken(client_id) {
-        return Err(NetError::Protocol(format!("invalid or duplicate client id {client_id}")));
-    }
-    let n = wire::write_message(
-        &mut stream,
-        &Message::Welcome { client_id, clients: config.clients(), rounds: config.rounds() },
-    )?;
-    shared.bytes_tx.fetch_add(n as u64, Ordering::Relaxed);
-    telemetry::count("net.bytes_tx", n as u64);
-    Ok((client_id, stream))
-}
-
-/// The background accept loop behind
-/// [`ServerConfigBuilder::allow_rejoin`]: keeps listening after the
-/// initial handshake window, re-admitting departed clients. Handshaken
-/// streams are queued to the coordinator, which activates them at the
-/// next round boundary.
-struct RejoinAcceptor {
-    rx: Receiver<(usize, TcpStream)>,
+/// The one accept loop, on its own thread: it serves the opening window
+/// and, under [`ServerConfigBuilder::allow_rejoin`], reconnections for
+/// the rest of the run (otherwise the session stops it when the window
+/// closes). Handshaken connections are handed to the coordinator, which
+/// activates them at its next broadcast.
+struct Acceptor {
+    joins: Receiver<Connection>,
     stop: Arc<AtomicBool>,
-    join: thread::JoinHandle<()>,
+    thread: thread::JoinHandle<()>,
 }
 
-impl RejoinAcceptor {
+impl Acceptor {
     fn spawn(
         listener: TcpListener,
-        config: ServerConfig,
         connected: Arc<Mutex<HashSet<usize>>>,
         shared: Arc<HandlerShared>,
-    ) -> RejoinAcceptor {
+    ) -> Result<Acceptor, NetError> {
+        // Nonblocking, so the loop can watch the stop flag.
+        listener.set_nonblocking(true)?;
         let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = Arc::clone(&stop);
-        let (tx, rx) = mpsc::channel();
-        let join = thread::spawn(move || {
-            while !stop2.load(Ordering::Relaxed) {
+        let stopped = Arc::clone(&stop);
+        let (tx, joins) = mpsc::channel();
+        let thread = thread::spawn(move || {
+            while !stopped.load(Ordering::Relaxed) {
                 let stream = match listener.accept() {
                     Ok((stream, _)) => stream,
                     Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
@@ -1104,236 +753,186 @@ impl RejoinAcceptor {
                     }
                     Err(_) => break,
                 };
-                // Reject ids still mapped to a live handler; a departed
-                // client's id leaves the set when its drop is processed.
-                let taken =
-                    |id: usize| connected.lock().map(|set| set.contains(&id)).unwrap_or(true);
-                match handshake(stream, &config, taken, &shared) {
-                    Ok(pair) => {
-                        if tx.send(pair).is_err() {
-                            break;
-                        }
+                // A bad handshake never kills the server.
+                if let Ok(connection) = Connection::handshake(stream, &connected, &shared) {
+                    if tx.send(connection).is_err() {
+                        break;
                     }
-                    Err(_) => continue, // a bad handshake never kills the server
                 }
             }
         });
-        RejoinAcceptor { rx, stop, join }
-    }
-
-    fn shutdown(self) {
-        self.stop.store(true, Ordering::Relaxed);
-        let _ = self.join.join();
+        Ok(Acceptor { joins, stop, thread })
     }
 }
 
-/// One round's aggregation state, typed by pipeline: plaintext updates
-/// are collected and averaged in client-id order at close; CKKS uploads
-/// fold into the running encrypted sum as their frames arrive.
-enum RoundAgg {
-    Plain(ServerRound<Vec<f32>>),
-    Ckks(StreamingAggregator),
-}
-
-impl RoundAgg {
-    fn received(&self) -> usize {
-        match self {
-            RoundAgg::Plain(sr) => sr.received(),
-            RoundAgg::Ckks(s) => s.received(),
-        }
-    }
-}
-
-/// Maps an aggregator error to the wire-level abort,
-/// tagging it with the round whose sum became untrustworthy.
-fn stream_abort(round: usize, e: FlError) -> NetError {
-    match e {
-        FlError::StreamingAbort(reason) => NetError::StreamingAbort { round, reason },
-        other => NetError::Fl(other),
-    }
-}
-
-struct Handler {
-    cmd_tx: Sender<HandlerCmd>,
-    join: thread::JoinHandle<()>,
-    /// Incarnation of this client's connection: 0 for the initial
-    /// handshake, bumped on every rejoin. Dropped events carry the
-    /// generation of the connection that died; the coordinator ignores
-    /// drops whose generation does not match the mapped handler.
-    generation: u64,
-}
-
-fn spawn_handler(
+/// One client socket. Everything the server reads from or writes to a
+/// client goes through here, and so does the byte accounting.
+struct Connection {
     client_id: usize,
-    generation: u64,
     stream: TcpStream,
-    events: Sender<ServerEvent>,
-    shared: &Arc<HandlerShared>,
-) -> Handler {
-    let (cmd_tx, cmd_rx) = mpsc::channel();
-    let shared = Arc::clone(shared);
-    let join = thread::spawn(move || {
-        handler_loop(client_id, generation, stream, &cmd_rx, &events, &shared);
-    });
-    Handler { cmd_tx, join, generation }
+    shared: Arc<HandlerShared>,
 }
 
-/// Per-connection I/O loop: writes broadcasts/acks, reads one update per
-/// (non-final) broadcast, decodes it in place, and reports everything to
-/// the coordinator.
-fn handler_loop(
-    client_id: usize,
-    generation: u64,
-    mut stream: TcpStream,
-    cmds: &Receiver<HandlerCmd>,
-    events: &Sender<ServerEvent>,
-    shared: &HandlerShared,
-) {
-    let drop_self = |events: &Sender<ServerEvent>| {
-        let _ = events.send(ServerEvent::Dropped { client_id, generation });
-    };
-    if telemetry::enabled() {
-        telemetry::trace::set_actor("server");
-    }
-    // Updates may legitimately take a whole training phase to arrive.
-    if stream.set_read_timeout(Some(shared.round_timeout)).is_err() {
-        drop_self(events);
-        return;
-    }
-    while let Ok(cmd) = cmds.recv() {
-        match cmd {
-            HandlerCmd::Ack { round, accepted } => {
-                match wire::write_message(&mut stream, &Message::UpdateAck { round, accepted }) {
-                    Ok(n) => {
-                        shared.bytes_tx.fetch_add(n as u64, Ordering::Relaxed);
-                        telemetry::count("net.bytes_tx", n as u64);
-                    }
-                    Err(_) => {
-                        drop_self(events);
-                        return;
-                    }
-                }
+impl Connection {
+    /// Completes the Hello/Welcome handshake on a fresh connection and
+    /// claims the client's id in `connected`, the set of ids with a
+    /// queued or live connection. An id leaves the set when the
+    /// coordinator processes its connection's drop, so a departed client
+    /// can reconnect and a duplicate Hello cannot.
+    fn handshake(
+        mut stream: TcpStream,
+        connected: &Mutex<HashSet<usize>>,
+        shared: &Arc<HandlerShared>,
+    ) -> Result<Connection, NetError> {
+        let config = &shared.config;
+        // The listener is nonblocking; accepted streams must not be.
+        stream.set_nonblocking(false)?;
+        stream.set_nodelay(true)?;
+        stream.set_read_timeout(Some(config.io_timeout()))?;
+        stream.set_write_timeout(Some(config.io_timeout()))?;
+        let (msg, n) = wire::read_message(&mut stream, config.max_payload())?;
+        let client_id = match msg {
+            Message::Hello { client_id } => client_id,
+            other => {
+                return Err(NetError::Protocol(format!("expected Hello, got {}", other.name())))
             }
-            HandlerCmd::Broadcast { round, last, payload, ctx } => {
-                // Spans opened on this thread parent under the round's
-                // `net_round` span via the wire context.
-                telemetry::trace::set_remote_context(ctx);
-                let msg = Message::Global { round, last, model: payload.as_ref().clone() };
-                let bspan = telemetry::span("broadcast");
-                let wrote = wire::write_message_ctx(&mut stream, &msg, ctx.as_ref());
-                if telemetry::alloc::installed() {
-                    telemetry::observe("fl.phase.broadcast.alloc_bytes", bspan.alloc_bytes());
+        };
+        let mut connection = Connection { client_id, stream, shared: Arc::clone(shared) };
+        connection.received(n);
+        // `insert` checks and claims in one step under the lock.
+        if client_id >= config.clients()
+            || !connected.lock().expect("connected set").insert(client_id)
+        {
+            return Err(NetError::Protocol(format!("invalid or duplicate client id {client_id}")));
+        }
+        let welcome =
+            Message::Welcome { client_id, clients: config.clients(), rounds: config.rounds() };
+        if let Err(e) = connection.write(&welcome) {
+            connected.lock().expect("connected set").remove(&client_id);
+            return Err(e);
+        }
+        Ok(connection)
+    }
+
+    /// Counts `n` bytes written to the socket.
+    fn sent(&self, n: usize) {
+        self.shared.bytes_tx.fetch_add(n as u64, Ordering::Relaxed);
+        telemetry::count("net.bytes_tx", n as u64);
+    }
+
+    /// Counts `n` bytes read from the socket.
+    fn received(&self, n: usize) {
+        self.shared.bytes_rx.fetch_add(n as u64, Ordering::Relaxed);
+        telemetry::count("net.bytes_rx", n as u64);
+    }
+
+    /// Frames and writes one control message.
+    fn write(&mut self, msg: &Message) -> Result<(), NetError> {
+        let n = wire::write_message(&mut self.stream, msg)?;
+        self.sent(n);
+        Ok(())
+    }
+
+    /// Writes one `Global` frame the coordinator already encoded, under
+    /// a `broadcast` span that parents under the round's `net_round`
+    /// through `ctx`.
+    fn write_global(&mut self, frame: &[u8], ctx: Option<TraceContext>) -> Result<(), NetError> {
+        telemetry::trace::set_remote_context(ctx);
+        let span = telemetry::span("broadcast");
+        let wrote = self.stream.write_all(frame).and_then(|()| self.stream.flush());
+        if telemetry::alloc::installed() {
+            telemetry::observe("fl.phase.broadcast.alloc_bytes", span.alloc_bytes());
+        }
+        telemetry::observe_duration("fl.phase.broadcast.ns", span.finish());
+        wrote?;
+        self.sent(frame.len());
+        Ok(())
+    }
+
+    /// The handler thread: carries out the coordinator's commands on
+    /// this socket and reports what the client sent. It interprets
+    /// nothing above the frame layer; payload bytes reach the
+    /// coordinator as they arrived.
+    fn serve(mut self, generation: u64, cmds: &Receiver<HandlerCmd>, events: &Sender<ServerEvent>) {
+        if telemetry::enabled() {
+            telemetry::trace::set_actor("server");
+        }
+        // Updates may legitimately take a whole training phase to arrive.
+        let mut alive =
+            self.stream.set_read_timeout(Some(self.shared.config.round_timeout)).is_ok();
+        while alive {
+            // A closed channel: the coordinator let this connection go.
+            let Ok(cmd) = cmds.recv() else { return };
+            alive = match cmd {
+                HandlerCmd::Ack { round, accepted } => {
+                    self.write(&Message::UpdateAck { round, accepted }).is_ok()
                 }
-                telemetry::observe_duration("fl.phase.broadcast.ns", bspan.finish());
-                match wrote {
-                    Ok(n) => {
-                        shared.bytes_tx.fetch_add(n as u64, Ordering::Relaxed);
-                        telemetry::count("net.bytes_tx", n as u64);
-                    }
-                    Err(_) => {
-                        if !last {
-                            drop_self(events);
-                        }
-                        return;
-                    }
-                }
-                if last {
-                    let n = wire::write_message(&mut stream, &Message::Finished { round });
-                    if let Ok(n) = n {
-                        shared.bytes_tx.fetch_add(n as u64, Ordering::Relaxed);
-                        telemetry::count("net.bytes_tx", n as u64);
+                HandlerCmd::Broadcast { round, last: true, frame, ctx } => {
+                    // The session is over either way: nothing to report.
+                    if self.write_global(&frame, ctx).is_ok() {
+                        let _ = self.write(&Message::Finished { round });
                     }
                     return;
                 }
-                // Under CKKS, claim a resident-upload slot *before*
-                // copying the frame out of the kernel —
-                // but only once this client's bytes have actually
-                // started arriving (`peek`), so a straggler that is
-                // still training never parks on a slot and starves the
-                // clients that are ready (quorum tolerance depends on
-                // the fast uploads getting through). Until a slot
-                // frees, the payload waits in the kernel's TCP buffers
-                // (and on the client's side of the connection), not
-                // here.
-                let sent_at = Instant::now();
-                let permit = match &shared.residency {
-                    Some(residency) => {
-                        if !matches!(stream.peek(&mut [0u8]), Ok(n) if n > 0) {
-                            drop_self(events);
-                            return;
-                        }
-                        Some(residency.acquire())
-                    }
-                    None => None,
-                };
-                match wire::read_message_ctx(&mut stream, shared.max_payload) {
-                    Ok((Message::Update { round, client_id: cid, steps, model }, uctx, n))
-                        if cid == client_id =>
-                    {
-                        let arrived = Instant::now();
-                        shared.bytes_rx.fetch_add(n as u64, Ordering::Relaxed);
-                        telemetry::count("net.bytes_rx", n as u64);
-                        if telemetry::enabled() {
-                            let label = client_id.to_string();
-                            telemetry::count_labeled(
-                                "net.client.upload_bytes",
-                                "client_id",
-                                &label,
-                                n as u64,
-                            );
-                            telemetry::observe_labeled(
-                                "net.client.rtt_ns",
-                                "client_id",
-                                &label,
-                                arrived.saturating_duration_since(sent_at).as_nanos() as u64,
-                            );
-                        }
-                        // CKKS: ship the raw bytes (and their residency
-                        // permit) straight to the coordinator for a
-                        // zero-copy fold. Plaintext: decode here, on the
-                        // connection's own thread. When the upload
-                        // carried a context, the decode parents under
-                        // the client's upload span rather than the
-                        // round span.
-                        let model = match permit {
-                            Some(mut permit) => {
-                                // Charge the payload's bytes to the slot
-                                // so the memory plane can see exactly how
-                                // much raw upload data is resident.
-                                permit.track_bytes(model.len() as u64);
-                                DecodedModel::Raw { payload: model, _permit: permit }
-                            }
-                            None => {
-                                if uctx.is_some() {
-                                    telemetry::trace::set_remote_context(uctx);
-                                }
-                                let span = telemetry::span("net_decode");
-                                let model = shared.decode_plain(&model);
-                                span.finish();
-                                if uctx.is_some() {
-                                    telemetry::trace::set_remote_context(ctx);
-                                }
-                                model
-                            }
-                        };
-                        let _ = events.send(ServerEvent::Update {
-                            client_id,
-                            round,
-                            steps,
-                            model,
-                            bytes: n as u64,
-                            arrived,
-                        });
-                    }
-                    _ => {
-                        // Disconnect, timeout past the full round window,
-                        // or a protocol violation: the client is gone.
-                        drop_self(events);
-                        return;
-                    }
-                }
-            }
+                // An error is a disconnect, a timeout past the full round
+                // window, or a protocol violation: the client is gone.
+                HandlerCmd::Broadcast { frame, ctx, .. } => self
+                    .exchange(&frame, ctx)
+                    .is_ok_and(|upload| events.send(ServerEvent::Upload(upload)).is_ok()),
+            };
         }
+        let _ = events.send(ServerEvent::Dropped { client_id: self.client_id, generation });
+    }
+
+    /// One round on this socket: writes the `Global` frame, then reads
+    /// this client's `Update`.
+    fn exchange(&mut self, frame: &[u8], ctx: Option<TraceContext>) -> Result<Upload, NetError> {
+        self.write_global(frame, ctx)?;
+        let sent_at = Instant::now();
+        // Under CKKS, claim a resident-upload slot *before* copying the
+        // frame out of the kernel — but only once this client's bytes
+        // have actually started arriving (`peek`), so a straggler that is
+        // still training never parks on a slot and starves the clients
+        // that are ready (quorum tolerance depends on the fast uploads
+        // getting through). Until a slot frees, the payload waits in the
+        // kernel's TCP buffers (and on the client's side of the
+        // connection), not here.
+        let mut permit = match &self.shared.residency {
+            Some(residency) => {
+                if self.stream.peek(&mut [0u8])? == 0 {
+                    return Err(io::Error::from(io::ErrorKind::UnexpectedEof).into());
+                }
+                Some(residency.acquire())
+            }
+            None => None,
+        };
+        let (msg, n) = wire::read_message(&mut self.stream, self.shared.config.max_payload)?;
+        let arrived = Instant::now();
+        let update = match msg {
+            Message::Update { round, client_id, steps, model } if client_id == self.client_id => {
+                ClientUpdate { client_id, round, steps, payload: model }
+            }
+            other => {
+                return Err(NetError::Protocol(format!("expected Update, got {}", other.name())))
+            }
+        };
+        self.received(n);
+        if telemetry::enabled() {
+            let label = self.client_id.to_string();
+            telemetry::count_labeled("net.client.upload_bytes", "client_id", &label, n as u64);
+            telemetry::observe_labeled(
+                "net.client.rtt_ns",
+                "client_id",
+                &label,
+                arrived.saturating_duration_since(sent_at).as_nanos() as u64,
+            );
+        }
+        if let Some(permit) = &mut permit {
+            // Charge the payload's bytes to the slot so the memory plane
+            // can see exactly how much raw upload data is resident.
+            permit.track_bytes(update.payload.len() as u64);
+        }
+        Ok(Upload { update, permit, bytes: n as u64, arrived })
     }
 }
 

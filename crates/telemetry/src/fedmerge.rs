@@ -20,9 +20,15 @@
 //! server/net_round/broadcast                    handler fan-out
 //! server/net_round/client2/client_round         client leg, same trace
 //! server/net_round/client2/client_round/encrypt
-//! server/net_round/client2/client_round/server/net_decode
+//! server/net_round/net_fold                     per upload (CKKS)
+//! server/net_round/net_decode                   per upload (plaintext)
 //! server/net_round/net_aggregate
 //! ```
+//!
+//! A span whose remote parent is another actor's span crosses back the
+//! same way (`…/client2/client_round/server/<span>`); the networked
+//! runtime opens none today — uploads are interpreted on the
+//! coordinator, under `net_round`.
 
 use std::collections::BTreeMap;
 
@@ -262,6 +268,35 @@ mod tests {
             .get("server/net_round/client0/client_round/server/net_decode")
             .expect("decode under the client leg");
         assert_eq!(decode.total_ns, 70);
+
+        // Two clients in one round, one server root span linked to each
+        // leg. Roots of one source with the same actor and name share
+        // one prefix (see `GroupKey`), so the first resolvable link
+        // decides for both: the totals stay exact, the second span's
+        // attribution does not. The networked runtime opens no such
+        // spans (uploads are interpreted under `net_round`).
+        let server = FedSource::new(
+            "server",
+            vec![
+                rec("net_round", "net_round", 0, 1_000, 10, 0),
+                rec("net_decode", "net_decode", 0, 30, 13, 20),
+                rec("net_decode", "net_decode", 0, 40, 14, 30),
+            ],
+        );
+        let [client0, client1] =
+            [("client0", 700, 20), ("client1", 650, 30)].map(|(label, dur, id)| {
+                FedSource::new(label, vec![rec("client_round", "client_round", 0, dur, id, 10)])
+            });
+        let tree = merge(&[server, client0, client1]);
+        let pooled = tree
+            .get("server/net_round/client0/client_round/server/net_decode")
+            .expect("both decodes under the first linked leg");
+        assert_eq!((pooled.count, pooled.total_ns), (2, 30 + 40));
+        assert!(tree.get("server/net_round/client1/client_round/server/net_decode").is_none());
+        assert_eq!(
+            tree.get("server/net_round/client1/client_round").map(|n| n.total_ns),
+            Some(650)
+        );
     }
 
     #[test]

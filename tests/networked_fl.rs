@@ -525,6 +525,10 @@ fn streamed_fold_survives_dropout_and_rejoin_with_batch_quorum_accounting() {
     // survivors gate their round-1 uploads on it so the fold always
     // lands (and the socket dies) before round 1 can close.
     let departed = Arc::new(AtomicBool::new(false));
+    // Set once client 4 holds its second Welcome; survivors gate their
+    // round-2 uploads on it so the reconnection is always queued before
+    // round 2 closes and activates exactly at the round-3 boundary.
+    let rejoined = Arc::new(AtomicBool::new(false));
     let mut shards = shards;
     let churn_shard = shards.pop().expect("5 shards");
 
@@ -532,6 +536,7 @@ fn streamed_fold_survives_dropout_and_rejoin_with_batch_quorum_accounting() {
     for (id, shard) in shards.into_iter().enumerate() {
         let fl = fl.clone();
         let departed = Arc::clone(&departed);
+        let rejoined = Arc::clone(&rejoined);
         joins.push(thread::spawn(move || -> Vec<f32> {
             let mut local = ClientLocal::new(id, shard, classes, &fl);
             let ctx = CkksContext::new(CkksParams::toy()).expect("ctx");
@@ -543,6 +548,11 @@ fn streamed_fold_survives_dropout_and_rejoin_with_batch_quorum_accounting() {
             for round in 0..fl.rounds {
                 if round == 1 {
                     while !departed.load(Ordering::SeqCst) {
+                        thread::sleep(Duration::from_millis(5));
+                    }
+                }
+                if round == 2 {
+                    while !rejoined.load(Ordering::SeqCst) {
                         thread::sleep(Duration::from_millis(5));
                     }
                 }
@@ -568,6 +578,7 @@ fn streamed_fold_survives_dropout_and_rejoin_with_batch_quorum_accounting() {
 
     let fl_churn = fl.clone();
     let departed_flag = Arc::clone(&departed);
+    let rejoined_flag = Arc::clone(&rejoined);
     let churner = thread::spawn(move || -> Vec<f32> {
         let mut local = ClientLocal::new(4, churn_shard, classes, &fl_churn);
         let ctx = CkksContext::new(CkksParams::toy()).expect("ctx");
@@ -599,6 +610,7 @@ fn streamed_fold_survives_dropout_and_rejoin_with_batch_quorum_accounting() {
                 _ => continue,
             }
         };
+        rejoined_flag.store(true, Ordering::SeqCst);
 
         // Round 3: back in the quorum.
         ckks_wire_round(&mut stream, &mut local, &fl_churn, &ctx, &sk, &pk, 3, num_params);
@@ -646,6 +658,129 @@ fn streamed_fold_survives_dropout_and_rejoin_with_batch_quorum_accounting() {
     assert_eq!(server.rejoined_clients, 1, "the reconnection counts once");
     for (id, f) in finals.iter().chain(std::iter::once(&churner_final)).enumerate() {
         assert_eq!(f, &expected, "client {id} diverged from the in-process batch reference");
+    }
+}
+
+/// One hand-rolled plaintext wire round: read `Global{round}`, train,
+/// and build this client's `Update` (not yet sent).
+fn plain_wire_update(
+    stream: &mut TcpStream,
+    local: &mut ClientLocal,
+    fl: &FlConfig,
+    round: usize,
+    num_params: usize,
+) -> Message {
+    let (msg, _) = wire::read_message(stream, DEFAULT_MAX_PAYLOAD).expect("global");
+    let model = match msg {
+        Message::Global { round: r, last: false, model } if r == round => model,
+        other => panic!("client {}: expected Global {round}, got {}", local.id(), other.name()),
+    };
+    let global = codec::decode_plain(&model, num_params).expect("decode");
+    let flat = local.train(&global, fl);
+    Message::Update {
+        round,
+        client_id: local.id(),
+        steps: local.last_steps(),
+        model: codec::encode_plain(&flat),
+    }
+}
+
+/// Reads the final `Global` and the trailing `Finished`.
+fn plain_wire_final(stream: &mut TcpStream, num_params: usize) -> Vec<f32> {
+    let (msg, _) = wire::read_message(stream, DEFAULT_MAX_PAYLOAD).expect("final");
+    let model = match msg {
+        Message::Global { last: true, model, .. } => model,
+        other => panic!("expected final Global, got {}", other.name()),
+    };
+    let (fin, _) = wire::read_message(stream, DEFAULT_MAX_PAYLOAD).expect("finished");
+    assert!(matches!(fin, Message::Finished { .. }), "got {}", fin.name());
+    codec::decode_plain(&model, num_params).expect("final decode")
+}
+
+#[test]
+fn client_rejoining_during_the_last_round_still_receives_the_final_model() {
+    // The final distribution is an ordinary broadcast, so it activates
+    // queued reconnections like every other one. Client 2 reads the last
+    // round's Global, departs without uploading, and re-handshakes while
+    // that round is still collecting (the survivors hold their uploads
+    // until it holds its second Welcome). The round closes on the two
+    // survivors; the reconnection must then be served the final model
+    // and Finished rather than an EOF at shutdown.
+    let data = har_data();
+    let fl = config(3, 2, 43);
+    let FedSetup { shards, test: _, classes } = round::prepare(&fl, &data).expect("prepare");
+    let num_params = classes * fl.hd_dim;
+
+    let cfg = ServerConfig::builder()
+        .clients(fl.clients)
+        .rounds(fl.rounds)
+        .model_params(num_params)
+        .quorum(2)
+        .round_timeout(Duration::from_secs(10))
+        .allow_rejoin(true)
+        .build()
+        .expect("server config");
+    let server = FlServer::bind("127.0.0.1:0", cfg, ServerPipeline::Plaintext).expect("bind");
+    let addr = server.local_addr().expect("local addr");
+    let server = thread::spawn(move || server.run());
+
+    let hello = move |id: usize| -> Option<TcpStream> {
+        let mut stream = TcpStream::connect(addr).ok()?;
+        wire::write_message(&mut stream, &Message::Hello { client_id: id }).ok()?;
+        match wire::read_message(&mut stream, DEFAULT_MAX_PAYLOAD) {
+            Ok((Message::Welcome { client_id, .. }, _)) if client_id == id => Some(stream),
+            _ => None,
+        }
+    };
+    let rejoined = Arc::new(AtomicBool::new(false));
+    let mut joins = Vec::new();
+    for (id, shard) in shards.into_iter().enumerate() {
+        let fl = fl.clone();
+        let rejoined = Arc::clone(&rejoined);
+        joins.push(thread::spawn(move || -> Vec<f32> {
+            let mut local = ClientLocal::new(id, shard, classes, &fl);
+            let mut stream = hello(id).expect("handshake");
+            for round in 0..fl.rounds {
+                let update = plain_wire_update(&mut stream, &mut local, &fl, round, num_params);
+                if round == 1 && id == 2 {
+                    // Depart mid-round, then come back with the same id
+                    // (admitted once the dead handler is reaped).
+                    drop(stream);
+                    stream = loop {
+                        thread::sleep(Duration::from_millis(10));
+                        if let Some(stream) = hello(2) {
+                            break stream;
+                        }
+                    };
+                    rejoined.store(true, Ordering::SeqCst);
+                    break;
+                }
+                while round == 1 && !rejoined.load(Ordering::SeqCst) {
+                    thread::sleep(Duration::from_millis(5));
+                }
+                wire::write_message(&mut stream, &update).expect("upload");
+                let (ack, _) = wire::read_message(&mut stream, DEFAULT_MAX_PAYLOAD).expect("ack");
+                assert!(
+                    matches!(ack, Message::UpdateAck { accepted: true, .. }),
+                    "client {id} round {round}: got {}",
+                    ack.name()
+                );
+            }
+            plain_wire_final(&mut stream, num_params)
+        }));
+    }
+
+    let finals: Vec<Vec<f32>> = joins.into_iter().map(|j| j.join().expect("client")).collect();
+    let server = server.join().expect("join").expect("server run");
+
+    let received: Vec<usize> = server.rounds.iter().map(|r| r.received).collect();
+    assert_eq!(received, vec![3, 2], "the reconnection adds nothing to the round it missed");
+    assert!(server.rounds.iter().all(|r| r.rejected == 0));
+    assert_eq!(server.dropped_clients, 1, "the departure counts once");
+    assert_eq!(server.rejoined_clients, 1, "the final broadcast activated the reconnection");
+    let expected = server.final_plain_model.expect("plaintext run");
+    for (id, f) in finals.iter().enumerate() {
+        assert_eq!(f, &expected, "client {id} holds another final model");
     }
 }
 
