@@ -36,11 +36,12 @@
 //! usage or parse error. Rows present on only one side are reported
 //! but never fail the gate: the op set may grow between commits, and
 //! the thread sweep depends on the runner's core count. The exception
-//! is a baseline row labelled `"backend": "none"` (the wire kernels:
+//! is a baseline row labelled `"backend": "none"` (the wire kernels
 //! `serialize`, `serialize_seeded`, `deserialize`, `fold_view`,
-//! `crc32_frame`): it runs no transform and one thread, so every runner
-//! can measure it, and its absence from the fresh results is an error —
-//! a gated row must not pass by disappearing.
+//! `crc32_frame`, and decrypt's CRT lift `crt_centered_f64`): it runs no
+//! transform and one thread, so every runner can measure it, and its
+//! absence from the fresh results is an error — a gated row must not
+//! pass by disappearing.
 
 use std::fmt::Write as _;
 use std::process::ExitCode;

@@ -6,8 +6,8 @@
 //! the accumulator the product folds into, and model decryption — at 1,
 //! 2, and 4 threads, and writes the measurements to `BENCH_fhe.json` for
 //! the CI trend line, together with canonical vs seeded wire sizes and
-//! the single-threaded wire kernels (residue bit-packing per
-//! ciphertext, frame CRC per upload).
+//! the single-threaded transform-free kernels (residue bit-packing per
+//! ciphertext, frame CRC per upload, the CRT lift per polynomial).
 //! Parallelism never changes results (see `tests/parallel_determinism`),
 //! so every degree benchmarks the same arithmetic.
 //!
@@ -28,6 +28,7 @@ use rhychee_core::round::ClientUpdate;
 use rhychee_core::{packing, Aggregation, StreamingAggregator};
 use rhychee_fhe::ckks::modarith::find_ntt_primes;
 use rhychee_fhe::ckks::ntt::NttTable;
+use rhychee_fhe::ckks::rns::RnsPoly;
 use rhychee_fhe::ckks::{CkksCiphertext, CkksContext};
 use rhychee_fhe::params::CkksParams;
 use rhychee_net::codec;
@@ -55,13 +56,14 @@ struct Sample {
     backend: &'static str,
 }
 
-/// The wire kernels, one ciphertext (or one upload frame) per call, all
-/// single-threaded and transform-free: `serialize` / `deserialize` /
-/// `fold_view` on a coefficient-domain ciphertext (what a broadcast
-/// carries; an upload's `serialize` adds `2·levels` inverse NTTs, which
-/// have rows of their own), `serialize_seeded` on a fresh symmetric one,
-/// and `crc32_frame` over one framed model upload.
-fn wire_kernel_samples(
+/// The single-threaded, transform-free kernels, one ciphertext (or one
+/// upload frame, or one polynomial) per call: `serialize` /
+/// `deserialize` / `fold_view` on a coefficient-domain ciphertext (what
+/// a broadcast carries; an upload's `serialize` adds `2·levels` inverse
+/// NTTs, which have rows of their own), `serialize_seeded` on a fresh
+/// symmetric one, `crc32_frame` over one framed model upload, and
+/// `crt_centered_f64` — decrypt's CRT lift of one full-level polynomial.
+fn kernel_samples(
     params: &CkksParams,
     model_params: usize,
     iters: usize,
@@ -83,6 +85,9 @@ fn wire_kernel_samples(
         steps: 1,
         model: codec::encode_ckks(&ctx, &upload),
     });
+    let signed: Vec<i64> =
+        (0..params.n as u64).map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15) as i64 >> 24).collect();
+    let poly = RnsPoly::from_signed_coeffs(&signed, ctx.primes());
 
     let iters = iters.max(64);
     let rows = [
@@ -110,6 +115,13 @@ fn wire_kernel_samples(
             "crc32_frame",
             time_ns(iters, || {
                 std::hint::black_box(crc32(std::hint::black_box(&frame)));
+            }),
+        ),
+        (
+            "crt_centered_f64",
+            time_ns(iters, || {
+                let poly = std::hint::black_box(&poly);
+                std::hint::black_box(poly.to_centered_f64_with(ctx.primes(), ctx.parallelism()));
             }),
         ),
     ];
@@ -348,7 +360,7 @@ fn main() {
         eprintln!("  [threads = {threads}] done");
     }
 
-    samples.extend(wire_kernel_samples(&params, model_params, iters, &dense));
+    samples.extend(kernel_samples(&params, model_params, iters, &dense));
 
     // Per-backend encrypt rows: the kernel is resolved once per process,
     // so the other backends are measured by child processes with

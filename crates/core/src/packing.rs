@@ -27,7 +27,9 @@ use rand::Rng;
 
 pub use rhychee_fhe::bitpack::PackingLayout;
 use rhychee_fhe::bitpack::{pack_lanes, unpack_lane};
-use rhychee_fhe::ckks::{CkksCiphertext, CkksContext, CkksPublicKey, CkksSecretKey};
+use rhychee_fhe::ckks::{
+    CkksCiphertext, CkksContext, CkksEncryptArena, CkksPublicKey, CkksSecretKey,
+};
 use rhychee_fhe::FheError;
 
 use crate::config::Aggregation;
@@ -189,23 +191,6 @@ fn slot_chunks(cfg: &PackingConfig, flat: &[f32], slots: usize) -> Result<Vec<Ve
     })
 }
 
-/// Draws one noise sample per chunk sequentially, in chunk order —
-/// exactly the stream per-ciphertext encryption would consume — then
-/// fans the deterministic polynomial arithmetic out, so the ciphertexts
-/// are bit-identical for every parallelism degree.
-fn encrypt_chunks<N: Sync, R: Rng + ?Sized>(
-    ctx: &CkksContext,
-    chunks: &[Vec<f64>],
-    rng: &mut R,
-    sample: impl Fn(&mut R) -> N,
-    encrypt: impl Fn(&[f64], &N) -> Result<CkksCiphertext, FheError> + Sync,
-) -> Result<Vec<CkksCiphertext>, FheError> {
-    let noises: Vec<N> = chunks.iter().map(|_| sample(rng)).collect();
-    rhychee_par::map(ctx.parallelism(), chunks.len(), |i| encrypt(&chunks[i], &noises[i]))
-        .into_iter()
-        .collect()
-}
-
 /// Encrypts a flat model with maximum packing under the public key.
 ///
 /// # Errors
@@ -219,10 +204,16 @@ pub fn encrypt_model_with<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> Result<Vec<CkksCiphertext>, FheError> {
     let chunks = slot_chunks(cfg, flat, ctx.slot_count())?;
-    let sample = |rng: &mut R| ctx.sample_encrypt_noise(rng);
-    encrypt_chunks(ctx, &chunks, rng, sample, |values, noise| {
-        ctx.encrypt_with_noise(pk, values, noise)
+    // Noise is drawn sequentially, in chunk order — exactly the stream
+    // per-ciphertext encryption would consume — and only the
+    // deterministic polynomial arithmetic fans out, so the ciphertexts
+    // are bit-identical for every parallelism degree.
+    let noises: Vec<_> = chunks.iter().map(|_| ctx.sample_encrypt_noise(rng)).collect();
+    rhychee_par::map(ctx.parallelism(), chunks.len(), |i| {
+        ctx.encrypt_with_noise(pk, &chunks[i], &noises[i])
     })
+    .into_iter()
+    .collect()
 }
 
 /// Encrypts a flat model with maximum packing under the *secret* key,
@@ -244,10 +235,22 @@ pub fn encrypt_model_symmetric_with<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> Result<Vec<CkksCiphertext>, FheError> {
     let chunks = slot_chunks(cfg, flat, ctx.slot_count())?;
-    let sample = |rng: &mut R| ctx.sample_symmetric_noise(rng);
-    encrypt_chunks(ctx, &chunks, rng, sample, |values, noise| {
-        ctx.encrypt_symmetric_with_noise(sk, values, noise)
-    })
+    // The same sequential-noise / parallel-arithmetic split as
+    // `encrypt_model_with`, each worker encrypting its run of chunks
+    // through one warm arena instead of a fresh one per ciphertext.
+    let noises: Vec<_> = chunks.iter().map(|_| ctx.sample_symmetric_noise(rng)).collect();
+    let mut cts: Vec<_> = chunks.iter().map(|_| ctx.zero_ciphertext()).collect();
+    let run = chunks.len().div_ceil(ctx.parallelism().degree()).max(1);
+    let mut runs: Vec<_> = cts.chunks_mut(run).map(|block| (block, Ok(()))).collect();
+    rhychee_par::for_each_mut(ctx.parallelism(), &mut runs, |r, (block, status)| {
+        let mut arena = CkksEncryptArena::new();
+        *status = block.iter_mut().enumerate().try_for_each(|(j, ct)| {
+            let i = r * run + j;
+            ctx.encrypt_symmetric_with_noise_into(sk, &chunks[i], &noises[i], &mut arena, ct)
+        });
+    });
+    runs.into_iter().try_for_each(|(_, status)| status)?;
+    Ok(cts)
 }
 
 /// Decrypts a packed model back to a flat parameter vector of length

@@ -191,7 +191,7 @@ pub fn table_cache_bytes() -> u64 {
 
 /// `⌊w·2^64/q⌋` — Shoup's precomputed quotient for twiddle `w < q`.
 #[inline]
-fn shoup(w: u64, q: u64) -> u64 {
+pub(super) fn shoup(w: u64, q: u64) -> u64 {
     (((w as u128) << 64) / q as u128) as u64
 }
 
@@ -207,7 +207,7 @@ fn mul_shoup_lazy(y: u64, w: u64, w_shoup: u64, q: u64) -> u64 {
 
 /// Shoup modular product fully reduced to `[0, q)`.
 #[inline(always)]
-fn mul_shoup(y: u64, w: u64, w_shoup: u64, q: u64) -> u64 {
+pub(super) fn mul_shoup(y: u64, w: u64, w_shoup: u64, q: u64) -> u64 {
     let r = mul_shoup_lazy(y, w, w_shoup, q);
     if r >= q {
         r - q

@@ -26,7 +26,7 @@ use super::modarith::{mul_mod, pow_mod};
 use super::rns::RnsPoly;
 
 /// Digits used for evaluation-key gadget decomposition (per prime).
-const EVAL_LOG_BASE: u32 = 8;
+pub(super) const EVAL_LOG_BASE: u32 = 8;
 
 /// An evaluation key: encryptions of `B^j · f(s)` under `s`, where
 /// `f(s) = s²` for relinearization or `s(X^g)` for a rotation.

@@ -3,13 +3,16 @@
 //! A ring element of `R_Q = Z_Q[X]/(X^N + 1)` with `Q = q_0 · q_1 ⋯ q_L`
 //! is stored as one residue vector per prime. All homomorphic operations
 //! act independently per prime, which keeps every limb in native `u64`
-//! arithmetic — the entire scheme runs without big-integer maths except at
-//! decode time, where coefficients are CRT-reconstructed.
+//! arithmetic. The one multi-word step is the CRT lift back to integers
+//! (decode, and the digit decomposition of key switching): `CrtBasis`
+//! runs it exactly on fixed-width `u64` limbs, a tile of coefficients at
+//! a time, with no heap traffic per coefficient and no cap on the chain.
 
-use rhychee_bigint::{mod_inv, BigUint};
 use rhychee_par::Parallelism;
 
 use super::modarith::{add_mod, inv_mod, mul_mod, neg_mod, sub_mod};
+use super::ntt::{mul_shoup, shoup};
+use super::scratch;
 
 /// Which basis the residue rows of an [`RnsPoly`] are expressed in.
 ///
@@ -280,22 +283,29 @@ impl RnsPoly {
             "{num_digits} digits of 2^{log_base} cannot cover a {total_bits}-bit modulus"
         );
         let n = self.degree();
-        let crt = CrtReconstructor::new(active);
+        let basis = CrtBasis::new(active);
         let mut out = vec![RnsPoly::zero(n, levels); num_digits];
         let base_mask = (1u64 << log_base) - 1;
-        for j in 0..n {
-            let rs: Vec<u64> = (0..levels).map(|i| self.residues[i][j]).collect();
-            let (negative, mut mag) = crt.centered_parts(&rs);
-            for digit_poly in out.iter_mut() {
-                let limb = mag.limbs().first().copied().unwrap_or(0) & base_mask;
-                mag = mag >> (log_base as usize);
-                for (i, &q) in active.iter().enumerate() {
-                    let r = limb % q;
-                    digit_poly.residues_mut(i)[j] = if negative && r != 0 { q - r } else { r };
+        scratch::with_row(basis.scratch_words(), |words| {
+            for at in (0..n).step_by(TILE) {
+                let len = TILE.min(n - at);
+                let (mag, negative) = basis.lift(&self.residues, at, len, words);
+                for (d, digit_poly) in out.iter_mut().enumerate() {
+                    let bit = d * log_base as usize;
+                    for j in 0..len {
+                        // `log_base < 64`: a digit straddles at most two limbs.
+                        let limb = |m: usize| if m < basis.k { mag[m * TILE + j] } else { 0 };
+                        let window =
+                            u128::from(limb(bit / 64)) | u128::from(limb(bit / 64 + 1)) << 64;
+                        let digit = (window >> (bit % 64)) as u64 & base_mask;
+                        for (row, &q) in digit_poly.residues.iter_mut().zip(active) {
+                            let r = digit % q;
+                            row[at + j] = if negative[j] != 0 && r != 0 { q - r } else { r };
+                        }
+                    }
                 }
             }
-            debug_assert!(mag.is_zero(), "digits must cover the centered value");
-        }
+        });
         out
     }
 
@@ -310,8 +320,8 @@ impl RnsPoly {
     }
 
     /// [`RnsPoly::to_centered_f64`] with coefficients reconstructed in
-    /// up to `par.degree()` chunks (the per-coefficient big-integer CRT
-    /// dominates decrypt time at high degree). Each coefficient is
+    /// up to `par.degree()` contiguous chunks of whole tiles, each
+    /// written straight into the returned vector. Each coefficient is
     /// independent, so the result is bit-identical for every degree.
     pub fn to_centered_f64_with(&self, primes: &[u64], par: Parallelism) -> Vec<f64> {
         let l = self.levels();
@@ -324,93 +334,454 @@ impl RnsPoly {
                 .map(|&x| if x > q / 2 { x as f64 - q as f64 } else { x as f64 })
                 .collect();
         }
-        let crt = CrtReconstructor::new(active);
-        rhychee_par::map(par, self.degree(), |j| {
-            let rs: Vec<u64> = (0..l).map(|i| self.residues[i][j]).collect();
-            crt.centered_f64(&rs)
-        })
+        let basis = CrtBasis::new(active);
+        let mut out = vec![0.0f64; self.degree()];
+        let chunk = out.len().div_ceil(par.degree()).next_multiple_of(TILE).max(TILE);
+        let mut blocks: Vec<&mut [f64]> = out.chunks_mut(chunk).collect();
+        rhychee_par::for_each_mut(par, &mut blocks, |b, block| {
+            basis.centered_f64_into(&self.residues, b * chunk, block);
+        });
+        out
     }
 }
 
-/// Precomputed Chinese-remainder reconstruction for a prime basis.
-pub struct CrtReconstructor {
-    primes: Vec<u64>,
-    q: BigUint,
-    half_q: BigUint,
-    /// `(Q/q_i)` as big integers.
-    q_hat: Vec<BigUint>,
-    /// `(Q/q_i)^{-1} mod q_i`.
-    q_hat_inv: Vec<u64>,
+/// Coefficients lifted per tile: each prime's residue row is read in
+/// contiguous runs of this length, and the tile's working set of
+/// `(k + 2) · TILE` words stays in L1.
+const TILE: usize = 64;
+
+/// `2^64` — the limb radix of the integer → `f64` Horner evaluation.
+const LIMB_RADIX: f64 = 1.8446744073709552e19;
+
+/// Exact Chinese-remainder lift for one prime basis on fixed-width
+/// little-endian `u64` limbs.
+///
+/// A coefficient with residues `rᵢ` lifts to `Σ q̂ᵢ·tᵢ mod Q`, where
+/// `q̂ᵢ = Q/qᵢ` and `tᵢ = rᵢ·q̂ᵢ⁻¹ mod qᵢ`. The sum is below `L·Q`, so
+/// `k = ⌈(Σ bits(qᵢ) + ⌈log₂ L⌉) / 64⌉` limbs hold it and `L − 1`
+/// conditional subtractions of `Q` reduce it: no division, nothing
+/// allocated per coefficient, and `k` grows with the chain instead of
+/// capping it.
+///
+/// Work runs a tile of [`TILE`] coefficients at a time in limb-major
+/// scratch (`words[m · TILE + j]` is limb `m` of coefficient `j`), so
+/// every inner loop is a straight pass over independent lanes.
+struct CrtBasis<'a> {
+    primes: &'a [u64],
+    /// Limbs per lifted integer.
+    k: usize,
+    /// `Q`, `k` limbs.
+    q: Vec<u64>,
+    /// `⌊Q/2⌋`, `k` limbs.
+    half_q: Vec<u64>,
+    /// `q̂ᵢ`, `k` limbs per prime, prime-major.
+    q_hat: Vec<u64>,
+    /// `q̂ᵢ⁻¹ mod qᵢ` with its Shoup quotient.
+    q_hat_inv: Vec<(u64, u64)>,
 }
 
-impl CrtReconstructor {
-    /// Builds a reconstructor for the given coprime basis.
-    pub fn new(primes: &[u64]) -> Self {
-        let q = primes.iter().fold(BigUint::one(), |acc, &p| acc.mul_u64(p));
-        let half_q = &q >> 1;
-        let q_hat: Vec<BigUint> = primes.iter().map(|&p| q.div_rem_u64(p).0).collect();
-        let q_hat_inv = primes
-            .iter()
-            .zip(&q_hat)
-            .map(|(&p, h)| {
-                let h_mod_p = h.rem_of(&BigUint::from(p));
-                let inv = mod_inv(&h_mod_p, &BigUint::from(p)).expect("primes are coprime");
-                u64::try_from(&inv).expect("inverse fits in u64")
+impl<'a> CrtBasis<'a> {
+    /// Precomputes the lift constants for a basis of distinct primes.
+    fn new(primes: &'a [u64]) -> Self {
+        let l = primes.len();
+        let bits: u32 = primes.iter().map(|&q| 64 - q.leading_zeros()).sum();
+        let k = (bits + l.next_power_of_two().trailing_zeros()).div_ceil(64).max(1) as usize;
+        let others = |i: usize| primes.iter().enumerate().filter(move |&(j, _)| j != i);
+        let q = limb_product(primes.iter().copied(), k);
+        let half_q = (0..k).map(|m| q[m] >> 1 | q.get(m + 1).map_or(0, |&hi| hi << 63)).collect();
+        let q_hat = (0..l).flat_map(|i| limb_product(others(i).map(|(_, &p)| p), k)).collect();
+        let q_hat_inv = (primes.iter().enumerate())
+            .map(|(i, &qi)| {
+                let hat = others(i).fold(1, |acc, (_, &p)| mul_mod(acc, p % qi, qi));
+                let inv = inv_mod(hat, qi);
+                (inv, shoup(inv, qi))
             })
             .collect();
-        CrtReconstructor { primes: primes.to_vec(), q, half_q, q_hat, q_hat_inv }
+        CrtBasis { primes, k, q, half_q, q_hat, q_hat_inv }
     }
 
-    /// Reconstructs residues to the centered representative as `f64`.
-    pub fn centered_f64(&self, residues: &[u64]) -> f64 {
-        let (negative, magnitude) = self.centered_parts(residues);
-        let v = biguint_to_f64(&magnitude);
-        if negative {
-            -v
-        } else {
-            v
-        }
+    /// Scratch words [`CrtBasis::lift`] needs: `k` magnitude limbs plus
+    /// two lane-wide temporaries per tile.
+    fn scratch_words(&self) -> usize {
+        (self.k + 2) * TILE
     }
 
-    /// Reconstructs residues to `(is_negative, |value|)` of the centered
-    /// representative in `(−Q/2, Q/2]`.
-    pub fn centered_parts(&self, residues: &[u64]) -> (bool, BigUint) {
-        let mut acc = BigUint::zero();
-        for ((&r, &p), (hat, &hat_inv)) in self.residues_iter(residues) {
-            let t = mul_mod(r, hat_inv, p);
-            acc += &hat.mul_u64(t);
+    /// Lifts coefficients `at..at + len` (`len ≤ TILE`) of `rows` to the
+    /// centred representative in `(−Q/2, Q/2]`. Returns its magnitude
+    /// (limb-major, `k · TILE` words) and, per coefficient, a non-zero
+    /// flag where it is negative.
+    ///
+    /// Residues need not be canonical: any `u64` is first reduced by the
+    /// Shoup product, to the value `mul_mod` would give.
+    fn lift<'s>(
+        &self,
+        rows: &[Vec<u64>],
+        at: usize,
+        len: usize,
+        words: &'s mut [u64],
+    ) -> (&'s [u64], &'s [u64]) {
+        let k = self.k;
+        let (mag, rest) = words.split_at_mut(k * TILE);
+        let (flag, aux) = rest.split_at_mut(TILE);
+        let (flag, aux) = (&mut flag[..len], &mut aux[..len]);
+
+        // mag = Σ q̂ᵢ·tᵢ, one prime at a time: `aux` holds tᵢ, `flag` the
+        // carry between limbs.
+        mag.fill(0);
+        for (i, (&q, &(inv, inv_shoup))) in self.primes.iter().zip(&self.q_hat_inv).enumerate() {
+            for (t, &r) in aux.iter_mut().zip(&rows[i][at..at + len]) {
+                *t = mul_shoup(r, inv, inv_shoup, q);
+            }
+            flag.fill(0);
+            for (limb, &hat) in mag.chunks_exact_mut(TILE).zip(&self.q_hat[i * k..][..k]) {
+                for ((a, carry), &t) in limb.iter_mut().zip(flag.iter_mut()).zip(aux.iter()) {
+                    let wide =
+                        u128::from(hat) * u128::from(t) + u128::from(*a) + u128::from(*carry);
+                    *a = wide as u64;
+                    *carry = (wide >> 64) as u64;
+                }
+            }
+            assert!(flag.iter().all(|&carry| carry == 0), "CRT sum left its {k} limbs");
         }
-        let v = acc.rem_of(&self.q);
-        if v > self.half_q {
-            (true, &self.q - &v)
-        } else {
-            (false, v)
+
+        // mag < L·Q: subtract Q wherever mag ≥ Q, L − 1 times.
+        for _ in 1..self.primes.len() {
+            flag.fill(0);
+            for (limb, &q) in mag.chunks_exact(TILE).zip(&self.q) {
+                for (&a, borrow) in limb.iter().zip(flag.iter_mut()) {
+                    *borrow = sub_borrow(a, q, *borrow).1;
+                }
+            }
+            aux.fill(0);
+            for (limb, &q) in mag.chunks_exact_mut(TILE).zip(&self.q) {
+                for ((a, &below), borrow) in limb.iter_mut().zip(flag.iter()).zip(aux.iter_mut()) {
+                    (*a, *borrow) = sub_borrow(*a, if below == 0 { q } else { 0 }, *borrow);
+                }
+            }
         }
+
+        // Negative where mag > ⌊Q/2⌋ (⌊Q/2⌋ − mag borrows): mag = Q − mag.
+        flag.fill(0);
+        for (limb, &half) in mag.chunks_exact(TILE).zip(&self.half_q) {
+            for (&a, borrow) in limb.iter().zip(flag.iter_mut()) {
+                *borrow = sub_borrow(half, a, *borrow).1;
+            }
+        }
+        aux.fill(0);
+        for (limb, &q) in mag.chunks_exact_mut(TILE).zip(&self.q) {
+            for ((a, &negative), borrow) in limb.iter_mut().zip(flag.iter()).zip(aux.iter_mut()) {
+                let (flipped, b) = sub_borrow(q, *a, *borrow);
+                *borrow = b;
+                if negative != 0 {
+                    *a = flipped;
+                }
+            }
+        }
+        (mag, flag)
     }
 
-    #[allow(clippy::type_complexity)]
-    fn residues_iter<'a>(
-        &'a self,
-        residues: &'a [u64],
-    ) -> impl Iterator<Item = ((&'a u64, &'a u64), (&'a BigUint, &'a u64))> {
-        residues.iter().zip(&self.primes).zip(self.q_hat.iter().zip(&self.q_hat_inv))
+    /// Writes the centred value of coefficients `at..at + out.len()` of
+    /// `rows` into `out`, Horner-evaluating each magnitude from its top
+    /// limb (`f = f·2⁶⁴ + limb`, one rounding per step).
+    fn centered_f64_into(&self, rows: &[Vec<u64>], at: usize, out: &mut [f64]) {
+        scratch::with_row(self.scratch_words(), |words| {
+            for (t, block) in out.chunks_mut(TILE).enumerate() {
+                let (mag, negative) = self.lift(rows, at + t * TILE, block.len(), words);
+                block.fill(0.0);
+                for limb in mag.chunks_exact(TILE).rev() {
+                    for (f, &a) in block.iter_mut().zip(limb) {
+                        *f = *f * LIMB_RADIX + a as f64;
+                    }
+                }
+                for (f, &neg) in block.iter_mut().zip(negative) {
+                    if neg != 0 {
+                        *f = -*f;
+                    }
+                }
+            }
+        });
     }
 }
 
-/// Converts a non-negative big integer to `f64` (with rounding).
-fn biguint_to_f64(v: &BigUint) -> f64 {
-    let mut acc = 0.0f64;
-    for &limb in v.limbs().iter().rev() {
-        acc = acc * 1.8446744073709552e19 + limb as f64;
+/// `a − b − borrow` on one limb; the borrow out is 0 or 1.
+#[inline(always)]
+fn sub_borrow(a: u64, b: u64, borrow: u64) -> (u64, u64) {
+    let (d, b1) = a.overflowing_sub(b);
+    let (d, b2) = d.overflowing_sub(borrow);
+    (d, u64::from(b1 | b2))
+}
+
+/// The product of `factors` as `limbs` little-endian limbs.
+fn limb_product(factors: impl Iterator<Item = u64>, limbs: usize) -> Vec<u64> {
+    let mut acc = vec![0u64; limbs];
+    acc[0] = 1;
+    for f in factors {
+        let mut carry = 0u64;
+        for a in &mut acc {
+            let wide = u128::from(*a) * u128::from(f) + u128::from(carry);
+            *a = wide as u64;
+            carry = (wide >> 64) as u64;
+        }
+        assert_eq!(carry, 0, "basis product left its {limbs} limbs");
     }
     acc
 }
 
 #[cfg(test)]
 mod tests {
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+    use rhychee_bigint::{mod_inv, BigUint};
+
+    use super::super::cipher::CkksContext;
+    use super::super::relin::EVAL_LOG_BASE;
     use super::*;
+    use crate::params::CkksParams;
 
     const PRIMES: [u64; 3] = [1125899906826241, 1125899906629633, 1125899905744897];
+
+    /// The heap big-integer reconstructor [`CrtBasis`] replaced, kept
+    /// verbatim as the oracle its output is pinned against bit for bit.
+    struct BigUintCrt {
+        primes: Vec<u64>,
+        q: BigUint,
+        half_q: BigUint,
+        /// `(Q/q_i)` as big integers.
+        q_hat: Vec<BigUint>,
+        /// `(Q/q_i)^{-1} mod q_i`.
+        q_hat_inv: Vec<u64>,
+    }
+
+    impl BigUintCrt {
+        fn new(primes: &[u64]) -> Self {
+            let q = primes.iter().fold(BigUint::one(), |acc, &p| acc.mul_u64(p));
+            let half_q = &q >> 1;
+            let q_hat: Vec<BigUint> = primes.iter().map(|&p| q.div_rem_u64(p).0).collect();
+            let q_hat_inv = primes
+                .iter()
+                .zip(&q_hat)
+                .map(|(&p, h)| {
+                    let h_mod_p = h.rem_of(&BigUint::from(p));
+                    let inv = mod_inv(&h_mod_p, &BigUint::from(p)).expect("primes are coprime");
+                    u64::try_from(&inv).expect("inverse fits in u64")
+                })
+                .collect();
+            BigUintCrt { primes: primes.to_vec(), q, half_q, q_hat, q_hat_inv }
+        }
+
+        /// Reconstructs residues to the centered representative as `f64`.
+        fn centered_f64(&self, residues: &[u64]) -> f64 {
+            let (negative, magnitude) = self.centered_parts(residues);
+            let v = biguint_to_f64(&magnitude);
+            if negative {
+                -v
+            } else {
+                v
+            }
+        }
+
+        /// Reconstructs residues to `(is_negative, |value|)` of the
+        /// centered representative in `(−Q/2, Q/2]`.
+        fn centered_parts(&self, residues: &[u64]) -> (bool, BigUint) {
+            let mut acc = BigUint::zero();
+            for (i, &r) in residues.iter().enumerate() {
+                let t = mul_mod(r, self.q_hat_inv[i], self.primes[i]);
+                acc += &self.q_hat[i].mul_u64(t);
+            }
+            let v = acc.rem_of(&self.q);
+            if v > self.half_q {
+                (true, &self.q - &v)
+            } else {
+                (false, v)
+            }
+        }
+
+        /// `to_centered_f64` as it ran before the fixed-width lift.
+        fn poly_to_f64(&self, p: &RnsPoly) -> Vec<f64> {
+            (0..p.degree()).map(|j| self.centered_f64(&column(p, j))).collect()
+        }
+    }
+
+    /// Converts a non-negative big integer to `f64` (with rounding).
+    fn biguint_to_f64(v: &BigUint) -> f64 {
+        let mut acc = 0.0f64;
+        for &limb in v.limbs().iter().rev() {
+            acc = acc * 1.8446744073709552e19 + limb as f64;
+        }
+        acc
+    }
+
+    fn column(p: &RnsPoly, j: usize) -> Vec<u64> {
+        (0..p.levels()).map(|i| p.residues(i)[j]).collect()
+    }
+
+    /// The prime chains the lift is pinned on: Table III's multi-prime
+    /// sets (CKKS-3, CKKS-2, CKKS-1), the toy set, `transform_counts`'
+    /// 44-33, a six-limb 6 × 62-bit chain, and a one-limb 25-20.
+    const CHAINS: [&[u32]; 7] = [
+        &[40, 30, 30],
+        &[50, 40, 40],
+        &[45, 40, 40, 35],
+        &[50, 40],
+        &[44, 33],
+        &[62, 62, 62, 62, 62, 62],
+        &[25, 20],
+    ];
+
+    /// The primes a context builds for `bits` (distinct within a size).
+    fn chain(bits: &[u32]) -> Vec<u64> {
+        let params = CkksParams { n: 64, prime_bits: bits.to_vec(), scale_bits: 15, sigma: 3.2 };
+        CkksContext::new(params).expect("valid chain").primes().to_vec()
+    }
+
+    /// Residues of every value the lift can get wrong at an edge — 0,
+    /// ±1, −1 as `qᵢ − 1`, the sign boundary `⌊Q/2⌋` / `⌊Q/2⌋ + 1`, the
+    /// non-canonical `qᵢ` and `u64::MAX` — then `fill` coefficients
+    /// alternating uniform residues and small signed values.
+    fn probe_poly(primes: &[u64], fill: usize, rng: &mut StdRng) -> RnsPoly {
+        let half_q = &primes.iter().fold(BigUint::one(), |acc, &p| acc.mul_u64(p)) >> 1;
+        let above = &half_q + &BigUint::one();
+        let rows = primes
+            .iter()
+            .map(|&q| {
+                let mut row = vec![0, 1, q - 1, half_q.div_rem_u64(q).1, above.div_rem_u64(q).1];
+                row.extend([q, u64::MAX]);
+                row.extend((0..fill).map(|_| rng.gen_range(0..q)));
+                row
+            })
+            .collect();
+        let mut p = RnsPoly::from_rows(rows, Domain::Coeff);
+        let small: Vec<i64> =
+            (0..fill / 2).map(|_| rng.gen_range(-(1i64 << 34)..1 << 34)).collect();
+        let signed = RnsPoly::from_signed_coeffs(&small, primes);
+        for (i, row) in p.residues_all_mut().iter_mut().enumerate() {
+            let at = row.len() - small.len();
+            row[at..].copy_from_slice(signed.residues(i));
+        }
+        p
+    }
+
+    fn assert_same_bits(got: &[f64], want: &[f64], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}: length");
+        for (j, (g, w)) in got.iter().zip(want).enumerate() {
+            assert_eq!(g.to_bits(), w.to_bits(), "{what}: coefficient {j}: {g} vs {w}");
+        }
+    }
+
+    const DEGREES: [Parallelism; 4] =
+        [Parallelism::Fixed(1), Parallelism::Fixed(2), Parallelism::Fixed(4), Parallelism::Auto];
+
+    #[test]
+    fn lift_matches_biguint_oracle_on_every_chain_and_level() {
+        let mut rng = StdRng::seed_from_u64(19);
+        for bits in CHAINS {
+            let primes = chain(bits);
+            for levels in 2..=primes.len() {
+                let active = &primes[..levels];
+                let p = probe_poly(active, 200, &mut rng);
+                let want = BigUintCrt::new(active).poly_to_f64(&p);
+                // The edge prefix, by value.
+                assert_eq!(want[..3], [0.0, 1.0, -1.0], "{bits:?} level {levels}");
+                assert!(want[3] > 0.0 && want[4] < 0.0, "{bits:?} level {levels}: sign boundary");
+                assert_eq!(want[5], 0.0, "{bits:?} level {levels}: qᵢ ≡ 0");
+                for par in DEGREES {
+                    let got = p.to_centered_f64_with(active, par);
+                    assert_same_bits(&got, &want, &format!("{bits:?} level {levels} par {par}"));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lift_crosses_every_tile_and_chunk_edge() {
+        assert!(RnsPoly::zero(4, 0).to_centered_f64(&[]).is_empty(), "no levels, no coefficients");
+        let mut rng = StdRng::seed_from_u64(23);
+        for bits in [CHAINS[0], CHAINS[5]] {
+            let primes = chain(bits);
+            let crt = BigUintCrt::new(&primes);
+            let full = probe_poly(&primes, 8192 - 7, &mut rng);
+            for n in [0usize, 1, 3, 63, 64, 65, 200, 8192] {
+                // Both ends of the probe: the edge values and the random tail.
+                for from in [0, full.degree() - n] {
+                    let rows = (0..primes.len()).map(|i| full.residues(i)[from..from + n].to_vec());
+                    let p = RnsPoly::from_rows(rows.collect(), Domain::Coeff);
+                    let want = crt.poly_to_f64(&p);
+                    for par in DEGREES {
+                        let got = p.to_centered_f64_with(&primes, par);
+                        assert_same_bits(&got, &want, &format!("{bits:?} n {n} par {par}"));
+                    }
+                }
+            }
+        }
+    }
+
+    /// `to_signed_digits` as it ran on the heap reconstructor.
+    fn oracle_digits(
+        p: &RnsPoly,
+        active: &[u64],
+        log_base: u32,
+        num_digits: usize,
+    ) -> Vec<RnsPoly> {
+        let crt = BigUintCrt::new(active);
+        let mut out = vec![RnsPoly::zero(p.degree(), active.len()); num_digits];
+        let base_mask = (1u64 << log_base) - 1;
+        for j in 0..p.degree() {
+            let (negative, mut mag) = crt.centered_parts(&column(p, j));
+            for digit_poly in out.iter_mut() {
+                let limb = mag.limbs().first().copied().unwrap_or(0) & base_mask;
+                mag = mag >> (log_base as usize);
+                for (i, &q) in active.iter().enumerate() {
+                    let r = limb % q;
+                    digit_poly.residues_mut(i)[j] = if negative && r != 0 { q - r } else { r };
+                }
+            }
+            assert!(mag.is_zero(), "digits must cover the centered value");
+        }
+        out
+    }
+
+    #[test]
+    fn signed_digits_match_oracle_and_reconstruct() {
+        let mut rng = StdRng::seed_from_u64(29);
+        let primes = chain(CHAINS[1]);
+        for levels in 1..=primes.len() {
+            let active = &primes[..levels];
+            let p = probe_poly(active, 150, &mut rng);
+            let total_bits: u32 = active.iter().map(|&q| 64 - (q - 1).leading_zeros()).sum();
+            // The relin base, and a wide one whose digits straddle limbs
+            // (still below every prime, so a digit's residue is the digit).
+            for log_base in [EVAL_LOG_BASE, 39] {
+                let num_digits = total_bits.div_ceil(log_base) as usize;
+                let digits = p.to_signed_digits(&primes, log_base, num_digits);
+                assert_eq!(
+                    digits,
+                    oracle_digits(&p, active, log_base, num_digits),
+                    "B = 2^{log_base}"
+                );
+
+                // Σⱼ digitⱼ·Bʲ is the centred value: same sign on every
+                // digit, magnitudes summing to the oracle's.
+                let crt = BigUintCrt::new(active);
+                for j in 0..p.degree() {
+                    let (negative, mag) = crt.centered_parts(&column(&p, j));
+                    let mut sum = BigUint::zero();
+                    for (d, digit) in digits.iter().enumerate() {
+                        let r = digit.residues(0)[j];
+                        let abs = if negative && r != 0 { active[0] - r } else { r };
+                        assert!(abs < 1 << log_base, "digit {d} of coefficient {j} out of range");
+                        sum += &(BigUint::from(abs) << (d * log_base as usize));
+                    }
+                    assert_eq!(sum, mag, "coefficient {j}, B = 2^{log_base}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "12 digits of 2^8 cannot cover a 130-bit modulus")]
+    fn too_few_digits_panic() {
+        let primes = chain(CHAINS[1]);
+        let _ = RnsPoly::zero(4, 3).to_signed_digits(&primes, EVAL_LOG_BASE, 12);
+    }
 
     #[test]
     fn signed_round_trip_through_crt() {
@@ -496,9 +867,9 @@ mod tests {
 
     #[test]
     fn parallel_variants_match_sequential() {
-        let coeffs: Vec<i64> = (0..64).map(|i| (i * 7919 - 2048) as i64).collect();
+        let coeffs: Vec<i64> = (0..200).map(|i| (i * 7919 - 2048) as i64).collect();
         let p = RnsPoly::from_signed_coeffs(&coeffs, &PRIMES);
-        for par in [Parallelism::Fixed(2), Parallelism::Fixed(4), Parallelism::Auto] {
+        for par in DEGREES {
             assert_eq!(p.rescale_with(&PRIMES, par), p.rescale(&PRIMES), "{par}");
             let seq = p.to_centered_f64(&PRIMES);
             let parv = p.to_centered_f64_with(&PRIMES, par);

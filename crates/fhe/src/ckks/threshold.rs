@@ -410,7 +410,7 @@ impl ThresholdGroup {
         for p in partials {
             m.add_assign(&p.poly, primes);
         }
-        let coeffs = m.to_centered_f64(primes);
+        let coeffs = m.to_centered_f64_with(primes, ctx.parallelism());
         ctx.encoder().decode_with_scale(&coeffs, ct.scale())
     }
 
