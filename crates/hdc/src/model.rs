@@ -1,5 +1,40 @@
 //! The HDC class-hypervector model: training (paper Eq. 1), inference,
 //! and the flatten/unflatten plumbing federated aggregation needs.
+//!
+//! The class vectors live in one lane-blocked buffer, `[block][j][LANES]`:
+//! class `l` is lane `l % LANES` of block `l / LANES`, so the `L` dot
+//! products of a classification are independent sums sitting side by
+//! side in one row and run as one vector pass. Every individual sum
+//! still adds its `D` terms in dimension order, one rounding per
+//! multiply and per add, so each similarity is bit for bit what a
+//! row-major loop over that class gives — the `#[cfg(test)]` oracle
+//! below is that loop. The flat `L·D` form aggregation works on stays
+//! row-major; [`HdcModel::flatten`] and [`HdcModel::load_flat`]
+//! transpose.
+
+/// Classes per lane block. Sixteen `f32` are one cache line and four
+/// SSE2 registers: the paper's ten classes fit one block, and four
+/// independent add chains keep a pass bound by the latency of one.
+const LANES: usize = 16;
+
+/// `Σ y²` in index order from `0.0`: the sample side of every cosine.
+fn squared_norm(hv: &[f32]) -> f32 {
+    let mut norm = 0.0f32;
+    for &y in hv {
+        norm += y * y;
+    }
+    norm
+}
+
+/// Index of the largest similarity under `total_cmp`; among equal
+/// maxima the last one, as `Iterator::max_by` resolves ties.
+fn argmax(sims: &[f32]) -> usize {
+    sims.iter()
+        .enumerate()
+        .max_by(|a, b| a.1.total_cmp(b.1))
+        .map(|(l, _)| l)
+        .expect("at least one class")
+}
 
 /// A dataset already mapped to hypervector space.
 ///
@@ -8,6 +43,9 @@
 #[derive(Debug, Clone, Default)]
 pub struct EncodedDataset {
     hypervectors: Vec<Vec<f32>>,
+    /// `‖h‖²` of each hypervector, summed once here instead of once per
+    /// class per epoch.
+    squared_norms: Vec<f32>,
     labels: Vec<usize>,
 }
 
@@ -25,7 +63,8 @@ impl EncodedDataset {
                 "inconsistent hypervector dimensions"
             );
         }
-        EncodedDataset { hypervectors, labels }
+        let squared_norms = hypervectors.iter().map(|h| squared_norm(h)).collect();
+        EncodedDataset { hypervectors, squared_norms, labels }
     }
 
     /// Number of samples.
@@ -52,6 +91,11 @@ impl EncodedDataset {
     pub fn labels(&self) -> &[usize] {
         &self.labels
     }
+
+    /// Iterates `(hypervector, ‖hypervector‖², label)` triples.
+    fn scored(&self) -> impl Iterator<Item = (&[f32], f32, usize)> {
+        self.iter().zip(&self.squared_norms).map(|((hv, label), &hv_sq)| (hv, hv_sq, label))
+    }
 }
 
 /// An HDC classifier: one `D`-dimensional hypervector per class.
@@ -65,10 +109,26 @@ impl EncodedDataset {
 ///
 /// applied when the model mispredicts class `p` for a sample of class `c`,
 /// with σ = cosine similarity.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct HdcModel {
-    class_vectors: Vec<Vec<f32>>,
+    /// The class vectors, `[block][j][LANES]`. Padding lanes of the last
+    /// block are never written and stay zero.
+    lanes: Vec<f32>,
+    /// `‖C_l‖²` per lane, padding included: the in-order sum over the
+    /// lane, refreshed by everything that writes `lanes`.
+    squared_norms: Vec<f32>,
+    classes: usize,
     dim: usize,
+}
+
+impl PartialEq for HdcModel {
+    /// Same shape and same class vectors; padding lanes are no part of
+    /// the model.
+    fn eq(&self, other: &Self) -> bool {
+        self.classes == other.classes
+            && self.dim == other.dim
+            && (0..self.classes).all(|l| self.class(l).eq(other.class(l)))
+    }
 }
 
 impl HdcModel {
@@ -80,7 +140,13 @@ impl HdcModel {
     /// Panics if either argument is zero.
     pub fn new(classes: usize, dim: usize) -> Self {
         assert!(classes > 0 && dim > 0, "model shape must be positive");
-        HdcModel { class_vectors: vec![vec![0.0; dim]; classes], dim }
+        let blocks = classes.div_ceil(LANES);
+        HdcModel {
+            lanes: vec![0.0; blocks * dim * LANES],
+            squared_norms: vec![0.0; blocks * LANES],
+            classes,
+            dim,
+        }
     }
 
     /// Reconstructs a model from a flat row-major parameter vector (the
@@ -88,16 +154,16 @@ impl HdcModel {
     ///
     /// # Panics
     ///
-    /// Panics if `flat.len() != classes * dim`.
+    /// Panics if `flat.len() != classes * dim` or either is zero.
     pub fn from_flat(flat: &[f32], classes: usize, dim: usize) -> Self {
-        assert_eq!(flat.len(), classes * dim, "flat parameter length mismatch");
-        let class_vectors = flat.chunks(dim).map(<[f32]>::to_vec).collect();
-        HdcModel { class_vectors, dim }
+        let mut model = HdcModel::new(classes, dim);
+        model.load_flat(flat);
+        model
     }
 
     /// Number of classes L.
     pub fn classes(&self) -> usize {
-        self.class_vectors.len()
+        self.classes
     }
 
     /// Hypervector dimension D.
@@ -107,12 +173,76 @@ impl HdcModel {
 
     /// Total trainable parameters `D × L` (the paper's model-size metric).
     pub fn num_parameters(&self) -> usize {
-        self.dim * self.class_vectors.len()
+        self.dim * self.classes
     }
 
-    /// The class hypervectors.
-    pub fn class_vectors(&self) -> &[Vec<f32>] {
-        &self.class_vectors
+    /// Offset of class `l`'s first element in `lanes`; its `j`-th is
+    /// `LANES · j` further on.
+    fn lane_offset(&self, l: usize) -> usize {
+        (l / LANES) * self.dim * LANES + l % LANES
+    }
+
+    /// Class `l`'s hypervector in dimension order.
+    fn class(&self, l: usize) -> impl Iterator<Item = &f32> {
+        self.lanes[self.lane_offset(l)..].iter().step_by(LANES).take(self.dim)
+    }
+
+    /// Class `l`'s hypervector in dimension order, writable. Callers
+    /// owe a [`Self::refresh_norms`] once they are done writing.
+    fn class_mut(&mut self, l: usize) -> impl Iterator<Item = &mut f32> {
+        let offset = self.lane_offset(l);
+        self.lanes[offset..].iter_mut().step_by(LANES).take(self.dim)
+    }
+
+    /// Recomputes every `‖C_l‖²`, all lanes of a block side by side.
+    fn refresh_norms(&mut self) {
+        let blocks = self.lanes.chunks_exact(self.dim * LANES);
+        for (block, norms) in blocks.zip(self.squared_norms.chunks_exact_mut(LANES)) {
+            let mut acc = [0.0f32; LANES];
+            for row in block.as_chunks::<LANES>().0 {
+                for (n, &c) in acc.iter_mut().zip(row) {
+                    *n += c * c;
+                }
+            }
+            norms.copy_from_slice(&acc);
+        }
+    }
+
+    /// The one similarity pass: `out[l] = σ(C_l, hv)` for every class
+    /// (0 when either vector is zero), given `‖hv‖²`. Each row of a
+    /// block feeds `LANES` independent dot products; each of them sees
+    /// its terms in dimension order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `hv.len() != dim`.
+    fn similarities(&self, hv: &[f32], hv_sq: f32, out: &mut [f32]) {
+        assert_eq!(hv.len(), self.dim, "hypervector dimension mismatch");
+        let blocks = self.lanes.chunks_exact(self.dim * LANES);
+        let norms = self.squared_norms.chunks_exact(LANES);
+        for ((block, norms), out) in blocks.zip(norms).zip(out.chunks_mut(LANES)) {
+            let mut dot = [0.0f32; LANES];
+            for (row, &h) in block.as_chunks::<LANES>().0.iter().zip(hv) {
+                for (d, &c) in dot.iter_mut().zip(row) {
+                    *d += c * h;
+                }
+            }
+            for ((sim, &dot), &class_sq) in out.iter_mut().zip(&dot).zip(norms) {
+                *sim = if class_sq == 0.0 || hv_sq == 0.0 {
+                    0.0
+                } else {
+                    dot / (class_sq.sqrt() * hv_sq.sqrt())
+                };
+            }
+        }
+    }
+
+    /// [`Self::similarities`] of a bare hypervector, norm and output
+    /// vector included.
+    fn scores(&self, hv: &[f32]) -> Vec<f32> {
+        let mut sims = vec![0.0; self.classes];
+        self.similarities(hv, squared_norm(hv), &mut sims);
+        sims
     }
 
     /// Cosine similarity between class `l`'s hypervector and `hv`
@@ -122,23 +252,17 @@ impl HdcModel {
     ///
     /// Panics if `l` is out of range or `hv` has the wrong dimension.
     pub fn similarity(&self, l: usize, hv: &[f32]) -> f32 {
-        cosine(&self.class_vectors[l], hv)
+        self.scores(hv)[l]
     }
 
-    /// Predicts the class with maximal cosine similarity.
+    /// Predicts the class with maximal cosine similarity; among equally
+    /// similar classes, the one with the highest index.
     ///
     /// # Panics
     ///
     /// Panics if `hv.len() != dim`.
     pub fn classify(&self, hv: &[f32]) -> usize {
-        assert_eq!(hv.len(), self.dim, "hypervector dimension mismatch");
-        self.class_vectors
-            .iter()
-            .enumerate()
-            .map(|(l, c)| (l, cosine(c, hv)))
-            .max_by(|a, b| a.1.total_cmp(&b.1))
-            .map(|(l, _)| l)
-            .expect("at least one class")
+        argmax(&self.scores(hv))
     }
 
     /// Applies one adaptive update for a labelled sample (Eq. 1). Returns
@@ -148,21 +272,41 @@ impl HdcModel {
     ///
     /// Panics if `label` is out of range or `hv` has the wrong dimension.
     pub fn train_sample(&mut self, hv: &[f32], label: usize, lr: f32) -> bool {
-        assert!(label < self.classes(), "label {label} out of range");
-        let predicted = self.classify(hv);
+        let mut sims = vec![0.0; self.classes];
+        self.train_scored(hv, squared_norm(hv), label, lr, &mut sims)
+    }
+
+    /// [`Self::train_sample`] given `‖hv‖²` and a `classes`-long scratch.
+    fn train_scored(
+        &mut self,
+        hv: &[f32],
+        hv_sq: f32,
+        label: usize,
+        lr: f32,
+        sims: &mut [f32],
+    ) -> bool {
+        assert!(label < self.classes, "label {label} out of range");
+        self.similarities(hv, hv_sq, sims);
+        let predicted = argmax(sims);
         if predicted == label {
             return true;
         }
-        let sim_true = cosine(&self.class_vectors[label], hv);
-        let sim_pred = cosine(&self.class_vectors[predicted], hv);
-        let w_true = lr * (1.0 - sim_true);
-        let w_pred = lr * (1.0 - sim_pred);
-        for (c, &h) in self.class_vectors[label].iter_mut().zip(hv) {
+        let w_true = lr * (1.0 - sims[label]);
+        let w_pred = lr * (1.0 - sims[predicted]);
+        // Both lanes in one walk, each new squared norm summed as it
+        // goes: two add chains side by side instead of a pass apiece.
+        let (at_true, at_pred) = (self.lane_offset(label), self.lane_offset(predicted));
+        let (mut norm_true, mut norm_pred) = (0.0f32, 0.0f32);
+        for (j, &h) in hv.iter().enumerate() {
+            let c = &mut self.lanes[at_true + j * LANES];
             *c += w_true * h;
-        }
-        for (c, &h) in self.class_vectors[predicted].iter_mut().zip(hv) {
+            norm_true += *c * *c;
+            let c = &mut self.lanes[at_pred + j * LANES];
             *c -= w_pred * h;
+            norm_pred += *c * *c;
         }
+        self.squared_norms[label] = norm_true;
+        self.squared_norms[predicted] = norm_pred;
         false
     }
 
@@ -175,24 +319,22 @@ impl HdcModel {
     /// Panics on dimension mismatch or out-of-range labels.
     pub fn bundle(&mut self, data: &EncodedDataset) {
         for (hv, label) in data.iter() {
-            assert!(label < self.classes(), "label {label} out of range");
+            assert!(label < self.classes, "label {label} out of range");
             assert_eq!(hv.len(), self.dim, "hypervector dimension mismatch");
-            for (c, &h) in self.class_vectors[label].iter_mut().zip(hv) {
+            for (c, &h) in self.class_mut(label).zip(hv) {
                 *c += h;
             }
         }
+        self.refresh_norms();
     }
 
     /// Trains one epoch over the dataset; returns the number of updates
     /// (misclassified samples).
     pub fn train_epoch(&mut self, data: &EncodedDataset, lr: f32) -> usize {
-        let mut errors = 0;
-        for (hv, label) in data.iter() {
-            if !self.train_sample(hv, label, lr) {
-                errors += 1;
-            }
-        }
-        errors
+        let mut sims = vec![0.0; self.classes];
+        data.scored()
+            .filter(|&(hv, hv_sq, label)| !self.train_scored(hv, hv_sq, label, lr, &mut sims))
+            .count()
     }
 
     /// Classification accuracy over a dataset (1.0 for an empty dataset).
@@ -200,14 +342,25 @@ impl HdcModel {
         if data.is_empty() {
             return 1.0;
         }
-        let correct = data.iter().filter(|(hv, label)| self.classify(hv) == *label).count();
+        let mut sims = vec![0.0; self.classes];
+        let correct = data
+            .scored()
+            .filter(|&(hv, hv_sq, label)| {
+                self.similarities(hv, hv_sq, &mut sims);
+                argmax(&sims) == label
+            })
+            .count();
         correct as f64 / data.len() as f64
     }
 
     /// Flattens to a row-major `L·D` parameter vector (the unit that gets
     /// encrypted and aggregated in Rhychee-FL).
     pub fn flatten(&self) -> Vec<f32> {
-        self.class_vectors.iter().flatten().copied().collect()
+        let mut flat = Vec::with_capacity(self.num_parameters());
+        for l in 0..self.classes {
+            flat.extend(self.class(l));
+        }
+        flat
     }
 
     /// Replaces the parameters from a flat vector (global-model download).
@@ -217,9 +370,12 @@ impl HdcModel {
     /// Panics if `flat.len() != num_parameters()`.
     pub fn load_flat(&mut self, flat: &[f32]) {
         assert_eq!(flat.len(), self.num_parameters(), "flat parameter length mismatch");
-        for (row, chunk) in self.class_vectors.iter_mut().zip(flat.chunks(self.dim)) {
-            row.copy_from_slice(chunk);
+        for (l, row) in flat.chunks_exact(self.dim).enumerate() {
+            for (c, &x) in self.class_mut(l).zip(row) {
+                *c = x;
+            }
         }
+        self.refresh_norms();
     }
 
     /// L2-normalizes every class hypervector in place.
@@ -227,37 +383,20 @@ impl HdcModel {
     /// Normalized models keep aggregation well-conditioned and bound the
     /// dynamic range before fixed-point quantization / CKKS encoding.
     pub fn normalize(&mut self) {
-        for row in &mut self.class_vectors {
-            let norm: f32 = row.iter().map(|x| x * x).sum::<f32>().sqrt();
+        for l in 0..self.classes {
+            let norm = self.squared_norms[l].sqrt();
             if norm > 0.0 {
-                for x in row.iter_mut() {
+                for x in self.class_mut(l) {
                     *x /= norm;
                 }
             }
         }
+        self.refresh_norms();
     }
 
     /// Largest absolute parameter value (dynamic range for quantization).
     pub fn max_abs(&self) -> f32 {
-        self.class_vectors.iter().flatten().map(|x| x.abs()).fold(0.0, f32::max)
-    }
-}
-
-/// Cosine similarity (0.0 when either vector is zero).
-fn cosine(a: &[f32], b: &[f32]) -> f32 {
-    debug_assert_eq!(a.len(), b.len());
-    let mut dot = 0.0f32;
-    let mut na = 0.0f32;
-    let mut nb = 0.0f32;
-    for (&x, &y) in a.iter().zip(b) {
-        dot += x * y;
-        na += x * x;
-        nb += y * y;
-    }
-    if na == 0.0 || nb == 0.0 {
-        0.0
-    } else {
-        dot / (na.sqrt() * nb.sqrt())
+        self.lanes.iter().map(|x| x.abs()).fold(0.0, f32::max)
     }
 }
 
@@ -265,6 +404,275 @@ fn cosine(a: &[f32], b: &[f32]) -> f32 {
 mod tests {
     use super::*;
     use rand::{rngs::StdRng, Rng, SeedableRng};
+
+    /// The row-major model this module used to be, kept verbatim as the
+    /// reference the lane-blocked one must match bit for bit: one
+    /// `Vec` per class, one `cosine` per class per classification, norms
+    /// recomputed on every call.
+    #[derive(Debug, Clone)]
+    struct RowMajorOracle {
+        class_vectors: Vec<Vec<f32>>,
+    }
+
+    impl RowMajorOracle {
+        fn new(classes: usize, dim: usize) -> Self {
+            RowMajorOracle { class_vectors: vec![vec![0.0; dim]; classes] }
+        }
+
+        fn similarity(&self, l: usize, hv: &[f32]) -> f32 {
+            cosine(&self.class_vectors[l], hv)
+        }
+
+        fn classify(&self, hv: &[f32]) -> usize {
+            self.class_vectors
+                .iter()
+                .enumerate()
+                .map(|(l, c)| (l, cosine(c, hv)))
+                .max_by(|a, b| a.1.total_cmp(&b.1))
+                .map(|(l, _)| l)
+                .expect("at least one class")
+        }
+
+        fn train_sample(&mut self, hv: &[f32], label: usize, lr: f32) -> bool {
+            let predicted = self.classify(hv);
+            if predicted == label {
+                return true;
+            }
+            let sim_true = cosine(&self.class_vectors[label], hv);
+            let sim_pred = cosine(&self.class_vectors[predicted], hv);
+            let w_true = lr * (1.0 - sim_true);
+            let w_pred = lr * (1.0 - sim_pred);
+            for (c, &h) in self.class_vectors[label].iter_mut().zip(hv) {
+                *c += w_true * h;
+            }
+            for (c, &h) in self.class_vectors[predicted].iter_mut().zip(hv) {
+                *c -= w_pred * h;
+            }
+            false
+        }
+
+        fn bundle(&mut self, data: &EncodedDataset) {
+            for (hv, label) in data.iter() {
+                for (c, &h) in self.class_vectors[label].iter_mut().zip(hv) {
+                    *c += h;
+                }
+            }
+        }
+
+        fn train_epoch(&mut self, data: &EncodedDataset, lr: f32) -> usize {
+            data.iter().filter(|(hv, label)| !self.train_sample(hv, *label, lr)).count()
+        }
+
+        fn flatten(&self) -> Vec<f32> {
+            self.class_vectors.iter().flatten().copied().collect()
+        }
+
+        fn normalize(&mut self) {
+            for row in &mut self.class_vectors {
+                let norm: f32 = row.iter().map(|x| x * x).sum::<f32>().sqrt();
+                if norm > 0.0 {
+                    for x in row.iter_mut() {
+                        *x /= norm;
+                    }
+                }
+            }
+        }
+
+        fn max_abs(&self) -> f32 {
+            self.class_vectors.iter().flatten().map(|x| x.abs()).fold(0.0, f32::max)
+        }
+    }
+
+    /// Cosine similarity (0.0 when either vector is zero): three serial
+    /// sums through the dimensions.
+    fn cosine(a: &[f32], b: &[f32]) -> f32 {
+        assert_eq!(a.len(), b.len());
+        let mut dot = 0.0f32;
+        let mut na = 0.0f32;
+        let mut nb = 0.0f32;
+        for (&x, &y) in a.iter().zip(b) {
+            dot += x * y;
+            na += x * x;
+            nb += y * y;
+        }
+        if na == 0.0 || nb == 0.0 {
+            0.0
+        } else {
+            dot / (na.sqrt() * nb.sqrt())
+        }
+    }
+
+    fn bits(values: &[f32]) -> Vec<u32> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// The class vectors as owned rows.
+    fn rows(model: &HdcModel) -> Vec<Vec<f32>> {
+        (0..model.classes()).map(|l| model.class(l).copied().collect()).collect()
+    }
+
+    /// Real-valued noisy clusters that stay inseparable: a quarter of
+    /// the samples carry a wrong label and the first few appear twice
+    /// under two labels, so bundling cannot memorise them and every
+    /// epoch still has something to update.
+    fn noisy_dataset(classes: usize, dim: usize, seed: u64) -> EncodedDataset {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let prototypes: Vec<Vec<f32>> = (0..classes)
+            .map(|_| (0..dim).map(|_| if rng.gen::<bool>() { 1.0 } else { -1.0 }).collect())
+            .collect();
+        let mut hvs: Vec<Vec<f32>> = Vec::new();
+        let mut labels = Vec::new();
+        for i in 0..4 * classes + 3 {
+            let c = i % classes;
+            hvs.push(
+                prototypes[c]
+                    .iter()
+                    .map(|&p| p * rng.gen_range(0.2f32..1.0) + rng.gen_range(-0.6f32..0.6))
+                    .collect(),
+            );
+            labels.push(if rng.gen::<f32>() < 0.25 { rng.gen_range(0..classes) } else { c });
+        }
+        for i in 0..3.min(hvs.len()) {
+            hvs.push(hvs[i].clone());
+            labels.push((labels[i] + 1) % classes);
+        }
+        EncodedDataset::new(hvs, labels)
+    }
+
+    /// Trains the model and the oracle side by side — optional bundling,
+    /// five Eq. 1 epochs, then `normalize` — and holds them to the same
+    /// bits at every step. Returns the number of updates applied.
+    fn train_against_oracle(classes: usize, dim: usize, bundle: bool, seed: u64) -> usize {
+        let case = format!("L = {classes}, D = {dim}, bundle = {bundle}, seed {seed}");
+        let data = noisy_dataset(classes, dim, seed);
+        let mut model = HdcModel::new(classes, dim);
+        let mut oracle = RowMajorOracle::new(classes, dim);
+        if bundle {
+            model.bundle(&data);
+            oracle.bundle(&data);
+        }
+        let mut updates = 0;
+        for epoch in 0..5 {
+            let errors = model.train_epoch(&data, 0.37);
+            assert_eq!(errors, oracle.train_epoch(&data, 0.37), "{case}, epoch {epoch}");
+            assert_eq!(bits(&model.flatten()), bits(&oracle.flatten()), "{case}, epoch {epoch}");
+            updates += errors;
+        }
+        let same_similarities = |model: &HdcModel, oracle: &RowMajorOracle, hv: &[f32]| {
+            assert_eq!(model.classify(hv), oracle.classify(hv), "{case}");
+            for l in 0..classes {
+                let (sim, expect) = (model.similarity(l, hv), oracle.similarity(l, hv));
+                assert_eq!(sim.to_bits(), expect.to_bits(), "{case}, class {l}");
+            }
+        };
+        let zero = vec![0.0; dim];
+        for (hv, _) in data.iter().take(4).chain([(zero.as_slice(), 0)]) {
+            same_similarities(&model, &oracle, hv);
+        }
+        assert_eq!(model.max_abs().to_bits(), oracle.max_abs().to_bits(), "{case}");
+        assert_eq!(HdcModel::from_flat(&model.flatten(), classes, dim), model, "{case}");
+
+        model.normalize();
+        oracle.normalize();
+        assert_eq!(bits(&model.flatten()), bits(&oracle.flatten()), "{case}, normalized");
+        assert_eq!(model.max_abs().to_bits(), oracle.max_abs().to_bits(), "{case}, normalized");
+        // The norms `normalize` cached feed the next pass.
+        same_similarities(&model, &oracle, data.iter().next().expect("non-empty dataset").0);
+        updates
+    }
+
+    #[test]
+    fn lane_blocked_model_matches_the_row_major_oracle_bit_for_bit() {
+        for classes in [1usize, 3, 10, 16, 17, 33] {
+            for dim in [5usize, 64, 130, 257, 2000] {
+                for bundle in [false, true] {
+                    let updates =
+                        train_against_oracle(classes, dim, bundle, (classes * 10_000 + dim) as u64);
+                    // One class can never be mispredicted; every other
+                    // shape must have walked the Eq. 1 path.
+                    assert!(
+                        classes == 1 || updates > 0,
+                        "L = {classes}, D = {dim}, bundle = {bundle}: no update was exercised"
+                    );
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn random_shapes_train_like_the_oracle(
+            seed in proptest::prelude::any::<u64>(),
+            classes in 1usize..40,
+            dim in 1usize..300,
+            bundle in proptest::prelude::any::<bool>(),
+        ) {
+            train_against_oracle(classes, dim, bundle, seed);
+        }
+    }
+
+    #[test]
+    fn padding_lanes_stay_zero_and_equality_ignores_them() {
+        for classes in [1usize, 10, 17] {
+            let data = noisy_dataset(classes, 24, 3);
+            let mut model = HdcModel::new(classes, 24);
+            model.bundle(&data);
+            model.train_epoch(&data, 1.0);
+            model.normalize();
+            let flat = model.flatten();
+            model.load_flat(&flat);
+            for l in classes..model.squared_norms.len() {
+                assert!(model.class(l).all(|c| c.to_bits() == 0), "padding lane {l} was written");
+            }
+
+            let mut poked = model.clone();
+            *poked.lanes.last_mut().expect("non-empty buffer") = 7.0;
+            assert_eq!(poked, model, "padding lanes are no part of the model");
+            assert_eq!(poked.flatten(), flat);
+            let mut other = model.clone();
+            other.load_flat(&flat.iter().map(|x| x + 1.0).collect::<Vec<_>>());
+            assert_ne!(other, model);
+            assert_ne!(HdcModel::new(classes, 25), HdcModel::new(classes, 24));
+            assert_ne!(HdcModel::new(classes + 1, 24), HdcModel::new(classes, 24));
+        }
+    }
+
+    #[test]
+    fn ties_go_to_the_highest_class_index_under_total_cmp() {
+        // All similarities of a zero model are 0.0: the last class wins.
+        for classes in [1usize, 2, 10, 16, 17, 33] {
+            assert_eq!(HdcModel::new(classes, 8).classify(&[1.0; 8]), classes - 1);
+            assert_eq!(RowMajorOracle::new(classes, 8).classify(&[1.0; 8]), classes - 1);
+        }
+        // Two identical class vectors tie exactly; the later one wins.
+        let model = HdcModel::from_flat(&[1.0, 2.0, -1.0, 0.5, 1.0, 2.0, 1.0, 2.0], 4, 2);
+        assert_eq!(model.classify(&[1.0, 2.0]), 3);
+        assert_eq!(argmax(&[1.0, 1.0, 0.5]), 1);
+        // `total_cmp`, not `partial_cmp`: −0.0 < +0.0, and a positive
+        // NaN sorts above every number.
+        assert_eq!(argmax(&[0.0, -0.0]), 0);
+        assert_eq!(argmax(&[-0.0, 0.0, -0.0]), 1);
+        assert_eq!(argmax(&[f32::NAN, 1.0]), 0);
+        assert_eq!(argmax(&[-f32::NAN, -1.0]), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "hypervector dimension mismatch")]
+    fn similarity_rejects_a_short_hypervector() {
+        // In release the old `debug_assert` was gone and `zip` scored a
+        // prefix instead.
+        let model = HdcModel::from_flat(&[1.0; 8], 2, 4);
+        let _ = model.similarity(0, &[1.0; 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "hypervector dimension mismatch")]
+    fn training_rejects_a_long_hypervector() {
+        let mut model = HdcModel::new(2, 4);
+        model.train_sample(&[1.0; 5], 0, 1.0);
+    }
 
     /// Builds a toy dataset of two noisy orthogonal-ish clusters.
     fn toy_dataset(n_per_class: usize, dim: usize, seed: u64) -> EncodedDataset {
@@ -314,8 +722,7 @@ mod tests {
         );
         let mut model = HdcModel::new(2, 2);
         model.bundle(&data);
-        assert_eq!(model.class_vectors()[0], vec![4.0, 6.0]);
-        assert_eq!(model.class_vectors()[1], vec![10.0, 20.0]);
+        assert_eq!(rows(&model), vec![vec![4.0, 6.0], vec![10.0, 20.0]]);
     }
 
     #[test]
@@ -353,11 +760,9 @@ mod tests {
 
     #[test]
     fn eq1_update_directions() {
-        let mut model = HdcModel::new(2, 4);
         // Force a misprediction: class 1 is partially aligned with hv,
         // class 0 (the true class) is misaligned.
-        model.class_vectors[1] = vec![1.0, 1.0, 1.0, -1.0];
-        model.class_vectors[0] = vec![-1.0, -1.0, -1.0, -1.0];
+        let mut model = HdcModel::from_flat(&[-1.0, -1.0, -1.0, -1.0, 1.0, 1.0, 1.0, -1.0], 2, 4);
         let hv = vec![1.0, 1.0, 1.0, 1.0];
         let sim0_before = model.similarity(0, &hv);
         let sim1_before = model.similarity(1, &hv);
@@ -370,12 +775,10 @@ mod tests {
     fn eq1_update_weight_vanishes_at_perfect_alignment() {
         // The (1 − σ) factor makes the update a no-op for a class vector
         // already perfectly aligned with the sample.
-        let mut model = HdcModel::new(2, 4);
-        model.class_vectors[1] = vec![1.0, 1.0, 1.0, 1.0];
-        model.class_vectors[0] = vec![-1.0, -1.0, -1.0, -1.0];
+        let mut model = HdcModel::from_flat(&[-1.0, -1.0, -1.0, -1.0, 1.0, 1.0, 1.0, 1.0], 2, 4);
         let hv = vec![1.0, 1.0, 1.0, 1.0];
         assert!(!model.train_sample(&hv, 0, 0.5));
-        assert_eq!(model.class_vectors[1], vec![1.0, 1.0, 1.0, 1.0]);
+        assert_eq!(rows(&model)[1], vec![1.0, 1.0, 1.0, 1.0]);
     }
 
     #[test]
@@ -398,7 +801,7 @@ mod tests {
         let mut model = HdcModel::new(3, 64);
         model.train_epoch(&data, 1.0);
         model.normalize();
-        for row in model.class_vectors() {
+        for row in rows(&model) {
             let norm: f32 = row.iter().map(|x| x * x).sum::<f32>().sqrt();
             if norm > 0.0 {
                 assert!((norm - 1.0).abs() < 1e-5);

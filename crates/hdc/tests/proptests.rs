@@ -1,11 +1,32 @@
 //! Property-based tests for HDC invariants.
 
 use proptest::prelude::*;
-use rand::{rngs::StdRng, SeedableRng};
+use rand::{rngs::StdRng, Rng, SeedableRng};
 
 use rhychee_hdc::encoding::{Encoder, RandomProjectionEncoder, RbfEncoder};
 use rhychee_hdc::model::HdcModel;
 use rhychee_hdc::quantize::QuantizedModel;
+use rhychee_par::Parallelism;
+
+/// Cosine similarity the serial way: three sums through the dimensions
+/// in index order, 0.0 when either vector is zero.
+fn serial_cosine(a: &[f32], b: &[f32]) -> f32 {
+    let (mut dot, mut na, mut nb) = (0.0f32, 0.0f32, 0.0f32);
+    for (&x, &y) in a.iter().zip(b) {
+        dot += x * y;
+        na += x * x;
+        nb += y * y;
+    }
+    if na == 0.0 || nb == 0.0 {
+        0.0
+    } else {
+        dot / (na.sqrt() * nb.sqrt())
+    }
+}
+
+fn random_vec(rng: &mut StdRng, len: usize, bound: f32) -> Vec<f32> {
+    (0..len).map(|_| rng.gen_range(-bound..bound)).collect()
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -125,5 +146,61 @@ proptest! {
         for (a, b) in once.iter().zip(&twice) {
             prop_assert!((a - b).abs() < 1e-5);
         }
+    }
+
+    #[test]
+    fn similarities_are_the_serial_cosines_at_any_shape(
+        seed in any::<u64>(),
+        classes in 1usize..40,
+        dim in 1usize..70,
+    ) {
+        // Shapes on both sides of the lane-block width, ragged last blocks.
+        let mut rng = StdRng::seed_from_u64(seed);
+        let flat = random_vec(&mut rng, classes * dim, 10.0);
+        let hv = random_vec(&mut rng, dim, 1.0);
+        let model = HdcModel::from_flat(&flat, classes, dim);
+        let sims: Vec<f32> = flat.chunks(dim).map(|row| serial_cosine(row, &hv)).collect();
+        for (l, sim) in sims.iter().enumerate() {
+            prop_assert!(model.similarity(l, &hv).to_bits() == sim.to_bits(), "class {}", l);
+        }
+        // The last maximum under `total_cmp`.
+        let best = sims.iter().enumerate().max_by(|a, b| a.1.total_cmp(b.1)).map(|(l, _)| l);
+        prop_assert_eq!(Some(model.classify(&hv)), best);
+    }
+
+    #[test]
+    fn flat_form_round_trips_at_any_shape(
+        seed in any::<u64>(),
+        classes in 1usize..40,
+        dim in 1usize..70,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let flat = random_vec(&mut rng, classes * dim, 100.0);
+        let model = HdcModel::from_flat(&flat, classes, dim);
+        prop_assert_eq!(model.flatten(), flat.clone());
+        prop_assert_eq!(HdcModel::from_flat(&model.flatten(), classes, dim), model.clone());
+        // Loading over a trained model leaves nothing of it behind.
+        let mut reused = HdcModel::new(classes, dim);
+        reused.train_sample(&random_vec(&mut rng, dim, 1.0), 0, 1.0);
+        reused.load_flat(&flat);
+        prop_assert_eq!(reused, model);
+    }
+
+    #[test]
+    fn batch_encoding_is_per_sample_encoding(
+        seed in any::<u64>(),
+        features in 1usize..12,
+        dim in 1usize..100,
+        samples in 0usize..40,
+        degree in 1usize..5,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let data: Vec<Vec<f32>> = (0..samples).map(|_| random_vec(&mut rng, features, 3.0)).collect();
+        let rbf = RbfEncoder::new(features, dim, &mut rng);
+        let projection = RandomProjectionEncoder::new(features, dim, &mut rng);
+        let one_by_one: Vec<Vec<f32>> = data.iter().map(|x| rbf.encode(x)).collect();
+        prop_assert_eq!(rbf.encode_batch(&data, Parallelism::Fixed(degree)), one_by_one);
+        let one_by_one: Vec<Vec<f32>> = data.iter().map(|x| projection.encode(x)).collect();
+        prop_assert_eq!(projection.encode_batch(&data, Parallelism::Fixed(degree)), one_by_one);
     }
 }
