@@ -411,7 +411,7 @@ impl Framework {
                     .and_then(|agg| agg(round, sr.updates(), &sr.weights()));
                 let global = match overridden {
                     Some(g) => g,
-                    None => sr.aggregate_with(self.config.parallelism)?,
+                    None => sr.aggregate()?,
                 };
                 report.aggregate_time = span.finish();
                 global
@@ -501,7 +501,7 @@ impl Framework {
                     for u in updates {
                         plain_sr.accept(u);
                     }
-                    let expected = plain_sr.aggregate_with(self.config.parallelism)?;
+                    let expected = plain_sr.aggregate()?;
                     let max_err = global
                         .iter()
                         .zip(&expected)

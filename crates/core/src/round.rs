@@ -25,7 +25,6 @@ use rhychee_fhe::ckks::{CkksCiphertext, CkksContext, CkksPublicKey, CkksSecretKe
 use rhychee_fhe::FheError;
 use rhychee_hdc::encoding::{Encoder, RandomProjectionEncoder, RbfEncoder};
 use rhychee_hdc::model::{EncodedDataset, HdcModel};
-use rhychee_par::Parallelism;
 
 use crate::config::{Aggregation, EncoderKind, FlConfig};
 use crate::error::FlError;
@@ -368,20 +367,9 @@ impl ServerRound<Vec<f32>> {
     ///
     /// Returns [`FlError::DataError`] if no updates were accepted.
     pub fn aggregate(&self) -> Result<Vec<f32>, FlError> {
-        self.aggregate_with(Parallelism::sequential())
-    }
-
-    /// [`ServerRound::aggregate`] with the output parameters split into
-    /// `par.degree()` chunks. Each element still sums its clients in
-    /// client-id order, so the result is bit-identical for every degree.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FlError::DataError`] if no updates were accepted.
-    pub fn aggregate_with(&self, par: Parallelism) -> Result<Vec<f32>, FlError> {
         self.check_nonempty()?;
         let models: Vec<&[f32]> = self.updates.iter().map(|u| u.payload.as_slice()).collect();
-        Ok(weighted_average_with(&models, &self.weights(), par))
+        Ok(weighted_average(&models, &self.weights()))
     }
 }
 
@@ -417,33 +405,18 @@ fn proximal_pull(model: &mut HdcModel, global: &[f32], mu: f32) {
     model.load_flat(&flat);
 }
 
-/// Weighted element-wise average of flat models.
+/// Weighted element-wise average of flat models; every output element
+/// accumulates its clients in the given order.
 pub fn weighted_average(models: &[&[f32]], weights: &[f64]) -> Vec<f32> {
-    weighted_average_with(models, weights, Parallelism::sequential())
-}
-
-/// [`weighted_average`] split into `par.degree()` element ranges. Every
-/// output element accumulates its clients in the given order whatever
-/// the chunking, so results are bit-identical for every degree.
-pub fn weighted_average_with(models: &[&[f32]], weights: &[f64], par: Parallelism) -> Vec<f32> {
     assert_eq!(models.len(), weights.len());
     assert!(!models.is_empty(), "cannot average zero models");
     let n = models[0].len();
     let mut out = vec![0.0f32; n];
-    // Blocks of at least 4096 elements keep task overhead negligible
-    // next to the per-element multiply-adds.
-    let degree = par.degree().min(n.div_ceil(4096)).max(1);
-    let block_len = n.div_ceil(degree).max(1);
-    let mut blocks: Vec<&mut [f32]> = out.chunks_mut(block_len).collect();
-    rhychee_par::for_each_mut(Parallelism::Fixed(degree), &mut blocks, |ci, block| {
-        let offset = ci * block_len;
-        for (m, &w) in models.iter().zip(weights) {
-            let src = &m[offset..offset + block.len()];
-            for (o, &v) in block.iter_mut().zip(src) {
-                *o += (w as f32) * v;
-            }
+    for (m, &w) in models.iter().zip(weights) {
+        for (o, &v) in out.iter_mut().zip(&m[..n]) {
+            *o += (w as f32) * v;
         }
-    });
+    }
     out
 }
 
@@ -535,27 +508,5 @@ mod tests {
         assert_eq!(avg, vec![2.0, 4.0]);
         let weighted = weighted_average(&[&a, &b], &[0.25, 0.75]);
         assert_eq!(weighted, vec![2.5, 5.0]);
-    }
-
-    #[test]
-    fn weighted_average_parallel_is_bit_identical() {
-        // Sizes straddling the 4096-element block threshold, including
-        // a ragged tail.
-        for n in [1usize, 100, 4096, 10_000] {
-            let models: Vec<Vec<f32>> = (0..3)
-                .map(|c| (0..n).map(|i| ((c * n + i) as f32 * 0.01).sin()).collect())
-                .collect();
-            let refs: Vec<&[f32]> = models.iter().map(Vec::as_slice).collect();
-            let weights = [0.5, 0.3, 0.2];
-            let seq = weighted_average(&refs, &weights);
-            for par in [Parallelism::Fixed(2), Parallelism::Fixed(4), Parallelism::Auto] {
-                let got = weighted_average_with(&refs, &weights, par);
-                assert_eq!(
-                    seq.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    "n={n} {par}"
-                );
-            }
-        }
     }
 }

@@ -207,11 +207,12 @@ impl CkksContext {
 
     /// [`CkksContext::new`] with an explicit [`Parallelism`] degree.
     ///
-    /// Every per-prime kernel (NTT products, rescale), the CRT decode
-    /// in [`CkksContext::decrypt`], and chunk-level packing helpers in
-    /// `rhychee-core` split work `parallelism.degree()` ways on the
-    /// shared `rhychee-par` pool. Results are bit-identical for every
-    /// degree; `Fixed(1)` runs fully inline.
+    /// The degree is the one this context's *callers* split whole
+    /// ciphertexts by (the packing and streaming helpers in
+    /// `rhychee-core`, one task per ciphertext on the shared
+    /// `rhychee-par` pool). An operation on one ciphertext runs on the
+    /// thread that called it, whatever the degree. Results are
+    /// bit-identical for every degree.
     ///
     /// # Errors
     ///
@@ -250,15 +251,9 @@ impl CkksContext {
         &self.params
     }
 
-    /// The parallelism degree this context splits kernel work into.
+    /// The degree this context's callers split whole ciphertexts by.
     pub fn parallelism(&self) -> Parallelism {
         self.parallelism
-    }
-
-    /// Changes the parallelism degree of an existing context. Purely a
-    /// scheduling knob: outputs are bit-identical for every degree.
-    pub fn set_parallelism(&mut self, parallelism: Parallelism) {
-        self.parallelism = parallelism;
     }
 
     /// The materialized RNS prime chain.
@@ -354,8 +349,7 @@ impl CkksContext {
         // (c0, c1) rows are produced together per prime so NTT(v) is
         // computed once and feeds both components.
         let mut rows: Vec<(Vec<u64>, Vec<u64>)> = vec![(Vec::new(), Vec::new()); levels];
-        rhychee_par::for_each_mut(self.parallelism, &mut rows, |i, pair| {
-            let (r0, r1) = pair;
+        for (i, (r0, r1)) in rows.iter_mut().enumerate() {
             let table = &self.ntt[i];
             let q = self.primes[i];
             let b_row = pk.b_eval.residues(i);
@@ -384,7 +378,7 @@ impl CkksContext {
                     r1[j] = add_mod(mul_mod(a_row[j], r1[j], q), t[j], q);
                 }
             });
-        });
+        }
         let (rows0, rows1): (Vec<_>, Vec<_>) = rows.into_iter().unzip();
         let ct = CkksCiphertext {
             c0: RnsPoly::from_rows(rows0, Domain::Eval),
@@ -487,10 +481,6 @@ impl CkksContext {
     /// coefficient-domain one), and `c0 = −(a ∘ ŝ) + NTT(e) + NTT(m)` —
     /// two forward transforms per prime, zero inverses.
     ///
-    /// Runs in two passes so `out`'s fields can be borrowed disjointly:
-    /// pass 1 expands every `c1` row; pass 2 computes `c0` reading the
-    /// finished `c1` rows immutably.
-    ///
     /// # Errors
     ///
     /// Returns [`FheError::PlaintextTooLarge`] if more than `N/2` values
@@ -516,16 +506,13 @@ impl CkksContext {
         let levels = self.primes.len();
         out.c0.ensure_shape(n, levels, Domain::Eval);
         out.c1.ensure_shape(n, levels, Domain::Eval);
-        rhychee_par::for_each_mut(self.parallelism, out.c1.residues_all_mut(), |i, r1| {
-            seedexp::expand_row_into(&noise.seed, i, self.primes[i], n, r1);
-        });
-        let (c0, c1) = (&mut out.c0, &out.c1);
         let m = &arena.m;
-        rhychee_par::for_each_mut(self.parallelism, c0.residues_all_mut(), |i, r0| {
+        let rows = out.c0.residues_all_mut().iter_mut().zip(out.c1.residues_all_mut());
+        for (i, (r0, r1)) in rows.enumerate() {
             let table = &self.ntt[i];
             let q = self.primes[i];
             let s_row = sk.s_eval.residues(i);
-            let r1 = c1.residues(i);
+            seedexp::expand_row_into(&noise.seed, i, q, n, r1);
             reduce_signed_into(&noise.e, q, r0);
             table.forward(r0);
             scratch::with_row(n, |t| {
@@ -537,7 +524,7 @@ impl CkksContext {
                     r0[j] = add_mod(if a_s == 0 { 0 } else { q - a_s }, e_m, q);
                 }
             });
-        });
+        }
         telemetry::count("fhe.ckks.encrypt.count", 1);
         out.scale = self.encoder.scale();
         out.c1_seed = Some(noise.seed);
@@ -563,7 +550,7 @@ impl CkksContext {
         match ct.c1.domain() {
             Domain::Eval => {
                 debug_assert_eq!(ct.c0.domain(), Domain::Eval, "mixed-domain ciphertext");
-                rhychee_par::for_each_mut(self.parallelism, m.residues_all_mut(), |i, row| {
+                for (i, row) in m.residues_all_mut().iter_mut().enumerate() {
                     let q = active[i];
                     let s_row = sk.s_eval.residues(i);
                     let c0_row = ct.c0.residues(i);
@@ -572,11 +559,11 @@ impl CkksContext {
                         row[j] = add_mod(mul_mod(c1_row[j], s_row[j], q), c0_row[j], q);
                     }
                     self.ntt[i].inverse(row);
-                });
+                }
             }
             Domain::Coeff => {
                 debug_assert_eq!(ct.c0.domain(), Domain::Coeff, "mixed-domain ciphertext");
-                rhychee_par::for_each_mut(self.parallelism, m.residues_all_mut(), |i, row| {
+                for (i, row) in m.residues_all_mut().iter_mut().enumerate() {
                     let q = active[i];
                     let table = &self.ntt[i];
                     row.copy_from_slice(ct.c1.residues(i));
@@ -588,10 +575,10 @@ impl CkksContext {
                     for (x, &c) in row.iter_mut().zip(ct.c0.residues(i)) {
                         *x = add_mod(*x, c, q);
                     }
-                });
+                }
             }
         }
-        let coeffs = m.to_centered_f64_with(active, self.parallelism);
+        let coeffs = m.to_centered_f64(active);
         self.encoder.decode_with_scale(&coeffs, ct.scale)
     }
 
@@ -728,10 +715,7 @@ impl CkksContext {
         let active = &self.primes[..levels];
         let (c0, c1) = match ct.c1.domain() {
             Domain::Eval => (self.rescale_eval(&ct.c0), self.rescale_eval(&ct.c1)),
-            Domain::Coeff => (
-                ct.c0.rescale_with(active, self.parallelism),
-                ct.c1.rescale_with(active, self.parallelism),
-            ),
+            Domain::Coeff => (ct.c0.rescale(active), ct.c1.rescale(active)),
         };
         let out = CkksCiphertext { c0, c1, scale: ct.scale / q_last, c1_seed: None };
         self.publish_noise_gauges(&out);
@@ -754,7 +738,7 @@ impl CkksContext {
         let mut last = p.residues(l - 1).to_vec();
         self.ntt[l - 1].inverse(&mut last);
         let mut out = RnsPoly::zero_in(n, l - 1, Domain::Eval);
-        rhychee_par::for_each_mut(self.parallelism, out.residues_all_mut(), |i, row| {
+        for (i, row) in out.residues_all_mut().iter_mut().enumerate() {
             let q = self.primes[i];
             let q_last_inv = super::modarith::inv_mod(q_last % q, q);
             // The output row doubles as the lift buffer: centered lift of
@@ -766,7 +750,7 @@ impl CkksContext {
             for (o, &x) in row.iter_mut().zip(p.residues(i)) {
                 *o = mul_mod(super::modarith::sub_mod(x, *o, q), q_last_inv, q);
             }
-        });
+        }
         out
     }
 
@@ -999,9 +983,9 @@ impl CkksContext {
     /// Transforms every residue row into the evaluation domain in place.
     pub(crate) fn forward_rows(&self, poly: &mut RnsPoly) {
         debug_assert_eq!(poly.domain(), Domain::Coeff);
-        rhychee_par::for_each_mut(self.parallelism, poly.residues_all_mut(), |i, row| {
+        for (i, row) in poly.residues_all_mut().iter_mut().enumerate() {
             self.ntt[i].forward(row);
-        });
+        }
         poly.set_domain(Domain::Eval);
     }
 
@@ -1009,9 +993,9 @@ impl CkksContext {
     /// place.
     pub(crate) fn inverse_rows(&self, poly: &mut RnsPoly) {
         debug_assert_eq!(poly.domain(), Domain::Eval);
-        rhychee_par::for_each_mut(self.parallelism, poly.residues_all_mut(), |i, row| {
+        for (i, row) in poly.residues_all_mut().iter_mut().enumerate() {
             self.ntt[i].inverse(row);
-        });
+        }
         poly.set_domain(Domain::Coeff);
     }
 
@@ -1030,12 +1014,12 @@ impl CkksContext {
         debug_assert_eq!(b.domain(), Domain::Eval);
         let levels = a.levels().min(b.levels());
         let mut out = RnsPoly::zero_in(a.degree(), levels, Domain::Eval);
-        rhychee_par::for_each_mut(self.parallelism, out.residues_all_mut(), |i, row| {
+        for (i, row) in out.residues_all_mut().iter_mut().enumerate() {
             let q = self.primes[i];
             for ((o, &x), &y) in row.iter_mut().zip(a.residues(i)).zip(b.residues(i)) {
                 *o = mul_mod(x, y, q);
             }
-        });
+        }
         out
     }
 
@@ -1046,12 +1030,10 @@ impl CkksContext {
         debug_assert_eq!(b.domain(), Domain::Coeff);
         let n = self.params.n;
         let mut out = RnsPoly::zero(n, levels);
-        // Each RNS prime is an independent negacyclic product; split
-        // them across the pool. Row `i` is written by exactly one task,
-        // so the result is bit-identical for every degree. `a`'s forward
-        // transform runs directly in the output row and `b`'s in a
-        // recycled scratch row, keeping the loop allocation-free.
-        rhychee_par::for_each_mut(self.parallelism, out.residues_all_mut(), |i, row| {
+        // Each RNS prime is an independent negacyclic product. `a`'s
+        // forward transform runs directly in the output row and `b`'s in
+        // a recycled scratch row, keeping the loop allocation-free.
+        for (i, row) in out.residues_all_mut().iter_mut().enumerate() {
             let table = &self.ntt[i];
             let q = self.primes[i];
             row.copy_from_slice(a.residues(i));
@@ -1064,7 +1046,7 @@ impl CkksContext {
                 }
             });
             table.inverse(row);
-        });
+        }
         out
     }
 

@@ -27,7 +27,7 @@
 //! process — runtime feature detection under an
 //! `RHYCHEE_NTT_BACKEND={scalar,avx2,avx512,auto}` env override — and
 //! the choice is cached inside every [`NttTable`], so `forward`/
-//! `inverse`/`multiply` and the per-RNS-prime parallel loops dispatch
+//! `inverse`/`multiply` and the per-RNS-prime loops dispatch
 //! through a preresolved vtable pointer with zero per-call branching.
 //! All backends perform the *same* wrapping-u64 lazy-reduction
 //! arithmetic, so outputs are bit-identical across backends (asserted

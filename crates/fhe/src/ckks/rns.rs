@@ -205,38 +205,31 @@ impl RnsPoly {
     ///
     /// Panics if the polynomial has only one level.
     pub fn rescale(&self, primes: &[u64]) -> RnsPoly {
-        self.rescale_with(primes, Parallelism::sequential())
-    }
-
-    /// [`RnsPoly::rescale`] with the remaining primes processed in up to
-    /// `par.degree()` chunks. Each output row depends only on its own
-    /// prime and the dropped one, so the result is bit-identical for
-    /// every degree.
-    pub fn rescale_with(&self, primes: &[u64], par: Parallelism) -> RnsPoly {
         let l = self.levels();
         assert!(l >= 2, "cannot rescale a level-0 polynomial");
         assert_eq!(self.domain, Domain::Coeff, "rescale requires coefficient domain");
         let q_last = primes[l - 1];
         let last = &self.residues[l - 1];
-        let mut residues = vec![Vec::new(); l - 1];
-        rhychee_par::for_each_mut(par, &mut residues, |i, row| {
-            let q = primes[i];
-            let q_last_inv = inv_mod(q_last % q, q);
-            *row = self.residues[i]
-                .iter()
-                .zip(last)
-                .map(|(&xi, &xl)| {
-                    // Centered lift of x_last before reduction mod q_i so
-                    // the rounding error stays within ±1/2.
-                    let xl_centered = if xl > q_last / 2 {
-                        sub_mod(xi, (xl + q - (q_last % q)) % q, q)
-                    } else {
-                        sub_mod(xi, xl % q, q)
-                    };
-                    mul_mod(xl_centered, q_last_inv, q)
-                })
-                .collect();
-        });
+        let residues = self.residues[..l - 1]
+            .iter()
+            .zip(primes)
+            .map(|(xs, &q)| {
+                let q_last_inv = inv_mod(q_last % q, q);
+                xs.iter()
+                    .zip(last)
+                    .map(|(&xi, &xl)| {
+                        // Centered lift of x_last before reduction mod q_i so
+                        // the rounding error stays within ±1/2.
+                        let xl_centered = if xl > q_last / 2 {
+                            sub_mod(xi, (xl + q - (q_last % q)) % q, q)
+                        } else {
+                            sub_mod(xi, xl % q, q)
+                        };
+                        mul_mod(xl_centered, q_last_inv, q)
+                    })
+                    .collect()
+            })
+            .collect();
         RnsPoly { residues, domain: Domain::Coeff }
     }
 
@@ -870,7 +863,6 @@ mod tests {
         let coeffs: Vec<i64> = (0..200).map(|i| (i * 7919 - 2048) as i64).collect();
         let p = RnsPoly::from_signed_coeffs(&coeffs, &PRIMES);
         for par in DEGREES {
-            assert_eq!(p.rescale_with(&PRIMES, par), p.rescale(&PRIMES), "{par}");
             let seq = p.to_centered_f64(&PRIMES);
             let parv = p.to_centered_f64_with(&PRIMES, par);
             assert!(

@@ -5,7 +5,7 @@
 //! `N` limbs per prime. Allocating those per call dominated the small-N
 //! profile, so buffers are recycled through a per-thread free list
 //! instead. The pool is thread-local rather than per-context because
-//! `rhychee-par` fans the per-prime work out across pool threads — a
+//! `rhychee-par` fans whole ciphertexts out across pool threads — a
 //! shared locked arena would serialize exactly the code the pool is
 //! trying to parallelize, while a thread-local list is contention-free
 //! and still bounds live buffers by (threads × nesting depth).

@@ -116,9 +116,9 @@ impl<'a> CtView<'a> {
             ViewFormat::Seeded(seed) => {
                 let c0 = read_poly(Domain::Eval)?;
                 let mut c1 = RnsPoly::zero_in(n, self.levels, Domain::Eval);
-                rhychee_par::for_each_mut(ctx.parallelism(), c1.residues_all_mut(), |i, row| {
+                for (i, row) in c1.residues_all_mut().iter_mut().enumerate() {
                     seedexp::expand_row_into(&seed, i, primes[i], n, row);
-                });
+                }
                 (c0, c1, Some(seed))
             }
         };

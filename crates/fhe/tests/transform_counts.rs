@@ -15,6 +15,7 @@ use std::sync::Mutex;
 use rand::{rngs::StdRng, SeedableRng};
 use rhychee_fhe::ckks::CkksContext;
 use rhychee_fhe::params::CkksParams;
+use rhychee_par::Parallelism;
 use rhychee_telemetry as telemetry;
 
 static SERIAL: Mutex<()> = Mutex::new(());
@@ -36,11 +37,17 @@ fn cache_counts() -> (u64, u64) {
 fn transform_counts_match_the_accounting_table() {
     let _guard = SERIAL.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
     telemetry::set_enabled(true);
-    let ctx = CkksContext::new(CkksParams::toy()).expect("params");
+    // A degree above the toy chain's two primes: an operation on one
+    // ciphertext runs on the thread that called it whatever the degree,
+    // so the pool's task counter must not move across this whole test.
+    let ctx =
+        CkksContext::with_parallelism(CkksParams::toy(), Parallelism::Fixed(4)).expect("params");
     let mut rng = StdRng::seed_from_u64(42);
     let (sk, pk) = ctx.generate_keys(&mut rng);
     let levels = ctx.primes().len() as u64;
     let values = vec![0.5; 100];
+    let par_tasks = || telemetry::metrics::global().counter("par.tasks").get();
+    let tasks0 = par_tasks();
 
     // Resident public-key encrypt: one forward per prime for each of
     // v (shared by both components), e0, e1, and the encoded message —
@@ -88,6 +95,14 @@ fn transform_counts_match_the_accounting_table() {
     let _ = ctx.decrypt(&sk, &back);
     let (f1, i1) = ntt_counts();
     assert_eq!((f1 - f0, i1 - i0), (levels, levels), "coeff decrypt");
+
+    ctx.rescale(&sct).expect("rescale");
+    let seeded = ctx.serialize_seeded(&sct).expect("seeded");
+    let view = ctx.view_serialized_seeded(&seeded).expect("view");
+    view.to_ciphertext(&ctx).expect("materialize");
+    let mut folded = ctx.accumulator_for(&view);
+    ctx.fold_view(&mut folded, &view).expect("fold");
+    assert_eq!(par_tasks() - tasks0, 0, "a single-ciphertext operation opened a pool scope");
 }
 
 #[test]

@@ -180,7 +180,7 @@ impl Pipeline {
         match self {
             Pipeline::Plain { sum } => {
                 let span = telemetry::span("net_aggregate");
-                let model = sum.aggregate_with(config.parallelism)?;
+                let model = sum.aggregate()?;
                 let aggregate_time = aggregated(span);
                 *sum = ServerRound::new(round + 1, config.aggregation);
                 let payload = codec::encode_plain(&model);

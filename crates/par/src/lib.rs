@@ -1,30 +1,31 @@
 //! Scoped thread pool and the unified [`Parallelism`] knob for Rhychee-FL.
 //!
 //! Every parallel code path in the workspace — HDC batch encoding, the
-//! per-RNS-prime FHE kernels, per-chunk packing, and server-side
-//! aggregation — is driven by one [`Parallelism`] value that flows down
-//! from the entry points (`Framework`, `FlServer`, bench bins). The pool
-//! itself is a process-wide singleton of spawn-once workers
-//! ([`ThreadPool::global`]); the knob only decides how many *chunks* a
-//! given operation is split into, so a `Fixed(1)` degree always runs
-//! inline on the caller with zero pool traffic.
+//! per-ciphertext packing helpers, and streaming aggregation — is
+//! driven by one [`Parallelism`] value that flows down from the entry
+//! points (`Framework`, `FlServer`, bench bins). A degree splits a
+//! packed model into ciphertexts (or a batch into sample blocks), once,
+//! at the top of the call tree; an operation on one ciphertext runs on
+//! the thread that called it. The pool itself is a process-wide
+//! singleton of spawn-once workers; the knob only decides how many
+//! *chunks* a given operation is split into, so a `Fixed(1)` degree
+//! always runs inline on the caller with zero pool traffic.
 //!
 //! Design constraints, in order:
 //!
-//! 1. **Determinism.** Helpers ([`for_each_mut`], [`parallel_for`],
-//!    [`map`]) split work into contiguous index ranges with
-//!    pre-assigned output slots. Results are bit-identical for every
-//!    degree, including `Fixed(1)`.
+//! 1. **Determinism.** Helpers ([`for_each_mut`], [`map`]) split work
+//!    into contiguous index ranges with pre-assigned output slots.
+//!    Results are bit-identical for every degree, including `Fixed(1)`.
 //! 2. **No dependencies.** `std` only (plus the in-workspace telemetry
 //!    crate for counters).
-//! 3. **No deadlocks under nesting.** A thread waiting on a scope
-//!    help-drains the shared queue, so nested scopes (e.g. a parallel
-//!    decrypt whose per-ciphertext work itself parallelises over RNS
-//!    primes) make progress even with zero idle workers.
+//! 3. **No deadlocks, and the caller works too.** A thread waiting on a
+//!    scope help-drains the shared queue: that is how the caller takes
+//!    its share of its own fan-out, and it keeps a scope making
+//!    progress even with zero idle workers.
 //!
 //! Panics in spawned tasks are caught, forwarded to the scope owner,
-//! and re-thrown from [`ThreadPool::scope`] after all sibling tasks
-//! finish (first panic wins).
+//! and re-thrown from the helper that opened the scope after all
+//! sibling tasks finish (first panic wins).
 //!
 //! Telemetry: `par.tasks` counts pool-executed tasks, `par.steal_miss`
 //! counts worker wake-ups that found an empty queue, and the
@@ -32,7 +33,6 @@
 
 use std::collections::VecDeque;
 use std::marker::PhantomData;
-use std::ops::Range;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
@@ -45,10 +45,11 @@ use rhychee_telemetry as telemetry;
 ///
 /// This is the single user-facing knob: `FlConfig`, `ServerConfig`, and
 /// `CkksContext` all carry one. `Auto` resolves to the machine's core
-/// count at call time; `Fixed(n)` pins the degree (floored at 1).
+/// count; `Fixed(n)` pins the degree (floored at 1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Parallelism {
-    /// Use every available hardware thread.
+    /// Use every available hardware thread. The count is resolved at
+    /// first use and fixed for the life of the process.
     #[default]
     Auto,
     /// Split work `n` ways (`n = 1` means fully sequential, inline on
@@ -57,11 +58,11 @@ pub enum Parallelism {
 }
 
 impl Parallelism {
-    /// The effective degree: `Auto` resolves via
-    /// [`std::thread::available_parallelism`], `Fixed(n)` floors at 1.
+    /// The effective degree: `Auto` is the hardware thread count the
+    /// global pool was sized from, `Fixed(n)` floors at 1.
     pub fn degree(self) -> usize {
         match self {
-            Parallelism::Auto => thread::available_parallelism().map_or(1, |n| n.get()),
+            Parallelism::Auto => hardware_threads(),
             Parallelism::Fixed(n) => n.max(1),
         }
     }
@@ -70,11 +71,14 @@ impl Parallelism {
     pub const fn sequential() -> Self {
         Parallelism::Fixed(1)
     }
+}
 
-    /// True when the effective degree is 1 (work runs inline).
-    pub fn is_sequential(self) -> bool {
-        self.degree() == 1
-    }
+/// [`std::thread::available_parallelism`], read once: the call re-reads
+/// the cgroup CPU quota every time (≈ 13 µs), and `Auto` and the global
+/// pool must not disagree mid-process.
+fn hardware_threads() -> usize {
+    static HW: OnceLock<usize> = OnceLock::new();
+    *HW.get_or_init(|| thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 impl std::fmt::Display for Parallelism {
@@ -87,7 +91,7 @@ impl std::fmt::Display for Parallelism {
 }
 
 /// A boxed task. Tasks are `'static` from the queue's point of view;
-/// scoped lifetimes are erased in [`Scope::spawn`] and re-guaranteed by
+/// scoped lifetimes are erased in `Scope::spawn` and re-guaranteed by
 /// the scope's join barrier.
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
@@ -100,9 +104,9 @@ struct Shared {
 
 /// A fixed set of spawn-once worker threads fed from one shared queue.
 ///
-/// Use [`ThreadPool::global`] in library code; private pools are for
-/// tests and benchmarks that need an isolated worker count.
-pub struct ThreadPool {
+/// Library code uses [`ThreadPool::global`]; private pools are for
+/// tests that need an isolated worker count.
+struct ThreadPool {
     shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
 }
@@ -110,7 +114,7 @@ pub struct ThreadPool {
 impl ThreadPool {
     /// Spawns a pool with `workers` dedicated threads (0 is valid: all
     /// work is then help-drained by threads waiting on scopes).
-    pub fn new(workers: usize) -> Self {
+    fn new(workers: usize) -> Self {
         let shared = Arc::new(Shared {
             queue: Mutex::new(VecDeque::new()),
             work_ready: Condvar::new(),
@@ -134,12 +138,9 @@ impl ThreadPool {
     /// explicit `Fixed(n)` degree exercise real cross-thread execution
     /// even on small hosts; idle workers cost nothing but a parked
     /// thread.
-    pub fn global() -> &'static ThreadPool {
+    fn global() -> &'static ThreadPool {
         static GLOBAL: OnceLock<ThreadPool> = OnceLock::new();
-        GLOBAL.get_or_init(|| {
-            let hw = thread::available_parallelism().map_or(1, |n| n.get());
-            ThreadPool::new(hw.max(4) - 1)
-        })
+        GLOBAL.get_or_init(|| ThreadPool::new(hardware_threads().max(4) - 1))
     }
 
     /// Runs `f` with a [`Scope`] on which borrowing tasks can be
@@ -149,7 +150,7 @@ impl ThreadPool {
     /// siblings finish, so borrowed data is never observed by a live
     /// task past this call). A panic in `f` itself is also deferred
     /// until spawned tasks drain.
-    pub fn scope<'env, F, R>(&self, f: F) -> R
+    fn scope<'env, F, R>(&self, f: F) -> R
     where
         F: FnOnce(&Scope<'_, 'env>) -> R,
     {
@@ -283,7 +284,7 @@ impl ScopeState {
 }
 
 /// Handle for spawning borrowing tasks inside [`ThreadPool::scope`].
-pub struct Scope<'pool, 'env> {
+struct Scope<'pool, 'env> {
     pool: &'pool ThreadPool,
     state: Arc<ScopeState>,
     // Invariant over 'env, like `std::thread::Scope`.
@@ -294,7 +295,7 @@ impl<'pool, 'env> Scope<'pool, 'env> {
     /// Spawns a task that may borrow from the enclosing scope. The task
     /// is guaranteed to finish before `scope` returns; panics are
     /// captured and re-thrown there.
-    pub fn spawn<F>(&self, f: F)
+    fn spawn<F>(&self, f: F)
     where
         F: FnOnce() + Send + 'env,
     {
@@ -348,34 +349,6 @@ where
     });
 }
 
-/// Runs `f` over disjoint sub-ranges covering `0..n`, at most
-/// `par.degree()` of them, each at least `min_chunk` long (except
-/// possibly the last). `f` must only touch state it can safely share;
-/// use `min_chunk` to keep per-task overhead amortised.
-pub fn parallel_for<F>(par: Parallelism, n: usize, min_chunk: usize, f: F)
-where
-    F: Fn(Range<usize>) + Sync,
-{
-    if n == 0 {
-        return;
-    }
-    let degree = par.degree().min(n);
-    let chunk = n.div_ceil(degree).max(min_chunk.max(1));
-    if chunk >= n {
-        f(0..n);
-        return;
-    }
-    let f = &f;
-    ThreadPool::global().scope(|s| {
-        let mut start = 0;
-        while start < n {
-            let end = (start + chunk).min(n);
-            s.spawn(move || f(start..end));
-            start = end;
-        }
-    });
-}
-
 /// Computes `f(i)` for `i in 0..n` in parallel and returns the results
 /// in index order.
 pub fn map<R, F>(par: Parallelism, n: usize, f: F) -> Vec<R>
@@ -401,8 +374,13 @@ mod tests {
     fn degree_resolution() {
         assert_eq!(Parallelism::Fixed(0).degree(), 1);
         assert_eq!(Parallelism::Fixed(7).degree(), 7);
-        assert!(Parallelism::Auto.degree() >= 1);
-        assert!(Parallelism::sequential().is_sequential());
+        // `Auto` is resolved once and is the figure the global pool was
+        // sized from, so the two cannot disagree mid-process.
+        let auto = Parallelism::Auto.degree();
+        assert!(auto >= 1);
+        assert_eq!(auto, hardware_threads());
+        assert_eq!(ThreadPool::global().workers.len(), auto.max(4) - 1);
+        assert_eq!(Parallelism::Auto.degree(), auto, "stable across calls");
         assert_eq!(Parallelism::Fixed(3).to_string(), "3");
         assert_eq!(Parallelism::Auto.to_string(), "auto");
     }
@@ -415,33 +393,6 @@ mod tests {
             let expect: Vec<usize> = (1..=100).collect();
             assert_eq!(items, expect, "degree {degree}");
         }
-    }
-
-    #[test]
-    fn parallel_for_covers_range_exactly() {
-        for degree in [1, 2, 4, 9] {
-            let hits: Vec<AtomicUsize> = (0..57).map(|_| AtomicUsize::new(0)).collect();
-            parallel_for(Parallelism::Fixed(degree), hits.len(), 1, |range| {
-                for i in range {
-                    hits[i].fetch_add(1, Ordering::Relaxed);
-                }
-            });
-            assert!(
-                hits.iter().all(|h| h.load(Ordering::Relaxed) == 1),
-                "degree {degree}: some index not covered exactly once"
-            );
-        }
-    }
-
-    #[test]
-    fn parallel_for_respects_min_chunk() {
-        // min_chunk larger than n runs the whole range inline.
-        let count = AtomicUsize::new(0);
-        parallel_for(Parallelism::Fixed(8), 10, 100, |range| {
-            assert_eq!(range, 0..10);
-            count.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(count.load(Ordering::Relaxed), 1);
     }
 
     #[test]

@@ -93,36 +93,38 @@ fn steady_state_arena_encrypt_allocates_zero_bytes() {
     telemetry::set_enabled(false);
     assert!(telemetry::alloc::installed(), "this binary declares the tracking allocator");
 
-    let ctx = CkksContext::with_parallelism(CkksParams::toy(), Parallelism::Fixed(1))
-        .expect("ckks context");
-    let mut rng = StdRng::seed_from_u64(7);
-    let (sk, _pk) = ctx.generate_keys(&mut rng);
-    let values: Vec<f64> = (0..ctx.slot_count()).map(|i| (i as f64 * 0.01).sin()).collect();
+    // A single-ciphertext operation never reaches the pool, so the gate
+    // holds at any degree (toy has two primes: `Fixed(4)` is above it).
+    for par in [Parallelism::Fixed(1), Parallelism::Fixed(4)] {
+        let ctx = CkksContext::with_parallelism(CkksParams::toy(), par).expect("ckks context");
+        let mut rng = StdRng::seed_from_u64(7);
+        let (sk, _pk) = ctx.generate_keys(&mut rng);
+        let values: Vec<f64> = (0..ctx.slot_count()).map(|i| (i as f64 * 0.01).sin()).collect();
 
-    let mut noise = ctx.sample_symmetric_noise(&mut rng);
-    let mut arena = CkksEncryptArena::default();
-    let mut out = ctx.zero_ciphertext();
-    // Warm-up: sizes the arena, the output ciphertext, and the
-    // thread-local NTT scratch rows.
-    for _ in 0..2 {
-        ctx.sample_symmetric_noise_into(&mut rng, &mut noise);
-        ctx.encrypt_symmetric_with_noise_into(&sk, &values, &noise, &mut arena, &mut out)
-            .expect("warm-up encrypt");
-    }
+        let mut noise = ctx.sample_symmetric_noise(&mut rng);
+        let mut arena = CkksEncryptArena::default();
+        let mut out = ctx.zero_ciphertext();
+        // Warm-up: sizes the arena, the output ciphertext, and the
+        // thread-local NTT scratch rows.
+        for _ in 0..2 {
+            ctx.sample_symmetric_noise_into(&mut rng, &mut noise);
+            ctx.encrypt_symmetric_with_noise_into(&sk, &values, &noise, &mut arena, &mut out)
+                .expect("warm-up encrypt");
+        }
 
-    let span = telemetry::span("encrypt");
-    for _ in 0..3 {
-        ctx.sample_symmetric_noise_into(&mut rng, &mut noise);
-        ctx.encrypt_symmetric_with_noise_into(&sk, &values, &noise, &mut arena, &mut out)
-            .expect("steady-state encrypt");
+        let span = telemetry::span("encrypt");
+        for _ in 0..3 {
+            ctx.sample_symmetric_noise_into(&mut rng, &mut noise);
+            ctx.encrypt_symmetric_with_noise_into(&sk, &values, &noise, &mut arena, &mut out)
+                .expect("steady-state encrypt");
+        }
+        assert_eq!(
+            span.alloc_bytes(),
+            0,
+            "steady-state arena encrypt must not allocate under {par}"
+        );
+        span.finish();
     }
-    assert_eq!(
-        span.alloc_bytes(),
-        0,
-        "steady-state arena encrypt must not allocate ({} calls to the allocator leaked in)",
-        span.alloc_bytes()
-    );
-    span.finish();
 }
 
 /// The zero-copy fold kernel reads wire bytes in place: folding a warm
@@ -133,33 +135,34 @@ fn steady_state_fold_view_allocates_zero_bytes() {
     let _g = lock();
     telemetry::set_enabled(false);
 
-    let ctx = CkksContext::with_parallelism(CkksParams::toy(), Parallelism::Fixed(1))
-        .expect("ckks context");
-    let mut rng = StdRng::seed_from_u64(11);
-    let (sk, _pk) = ctx.generate_keys(&mut rng);
-    let values: Vec<f64> = (0..ctx.slot_count()).map(|i| (i as f64 * 0.02).cos()).collect();
-    let ct = ctx.encrypt_symmetric(&sk, &values, &mut rng).expect("encrypt");
+    for par in [Parallelism::Fixed(1), Parallelism::Fixed(4)] {
+        let ctx = CkksContext::with_parallelism(CkksParams::toy(), par).expect("ckks context");
+        let mut rng = StdRng::seed_from_u64(11);
+        let (sk, _pk) = ctx.generate_keys(&mut rng);
+        let values: Vec<f64> = (0..ctx.slot_count()).map(|i| (i as f64 * 0.02).cos()).collect();
+        let ct = ctx.encrypt_symmetric(&sk, &values, &mut rng).expect("encrypt");
 
-    let canonical = ctx.serialize(&ct);
-    let seeded = ctx.serialize_seeded(&ct).expect("seeded wire form");
-    let views = [
-        ctx.view_serialized(&canonical).expect("canonical view"),
-        ctx.view_serialized_seeded(&seeded).expect("seeded view"),
-    ];
-    for view in &views {
-        let mut acc = ctx.accumulator_for(view);
-        ctx.fold_view(&mut acc, view).expect("warm-up fold");
-        let span = telemetry::span("net_fold");
-        for _ in 0..3 {
-            ctx.fold_view(&mut acc, view).expect("steady-state fold");
+        let canonical = ctx.serialize(&ct);
+        let seeded = ctx.serialize_seeded(&ct).expect("seeded wire form");
+        let views = [
+            ctx.view_serialized(&canonical).expect("canonical view"),
+            ctx.view_serialized_seeded(&seeded).expect("seeded view"),
+        ];
+        for view in &views {
+            let mut acc = ctx.accumulator_for(view);
+            ctx.fold_view(&mut acc, view).expect("warm-up fold");
+            let span = telemetry::span("net_fold");
+            for _ in 0..3 {
+                ctx.fold_view(&mut acc, view).expect("steady-state fold");
+            }
+            assert_eq!(
+                span.alloc_bytes(),
+                0,
+                "steady-state fold_view must not allocate under {par} (fold domain {:?})",
+                view.fold_domain()
+            );
+            span.finish();
         }
-        assert_eq!(
-            span.alloc_bytes(),
-            0,
-            "steady-state fold_view must not allocate (fold domain {:?})",
-            view.fold_domain()
-        );
-        span.finish();
     }
 }
 
