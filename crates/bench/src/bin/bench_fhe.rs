@@ -58,11 +58,11 @@ struct Sample {
 
 /// The single-threaded, transform-free kernels, one ciphertext (or one
 /// upload frame, or one polynomial) per call: `serialize` /
-/// `deserialize` / `fold_view` on a coefficient-domain ciphertext (what
-/// a broadcast carries; an upload's `serialize` adds `2·levels` inverse
-/// NTTs, which have rows of their own), `serialize_seeded` on a fresh
-/// symmetric one, `crc32_frame` over one framed model upload, and
-/// `crt_centered_f64` — decrypt's CRT lift of one full-level polynomial.
+/// `deserialize` / `fold_view` on a deserialized ciphertext (an upload
+/// and a broadcast cost the same: the canonical format carries the rows
+/// a ciphertext holds), `serialize_seeded` on a fresh symmetric one,
+/// `crc32_frame` over one framed model upload, and `crt_centered_f64` —
+/// decrypt's CRT lift of one full-level polynomial.
 fn kernel_samples(
     params: &CkksParams,
     model_params: usize,
@@ -75,7 +75,7 @@ fn kernel_samples(
     let flat: Vec<f32> = (0..model_params).map(|i| (i as f32 * 0.01).sin()).collect();
     let upload = packing::encrypt_model_with(&ctx, &pk, &flat, dense, &mut rng).expect("encrypt");
     let blob = ctx.serialize(&upload[0]);
-    let coeff_ct = ctx.deserialize(&blob).expect("deserialize");
+    let ct = ctx.deserialize(&blob).expect("deserialize");
     let seeded_ct = ctx.encrypt_symmetric(&sk, &[0.5; 16], &mut rng).expect("encrypt");
     let view = ctx.view_serialized(&blob).expect("view");
     let mut acc = ctx.accumulator_for(&view);
@@ -94,7 +94,7 @@ fn kernel_samples(
         (
             "serialize",
             time_ns(iters, || {
-                std::hint::black_box(ctx.serialize(std::hint::black_box(&coeff_ct)));
+                std::hint::black_box(ctx.serialize(std::hint::black_box(&ct)));
             }),
         ),
         (

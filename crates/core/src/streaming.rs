@@ -11,8 +11,10 @@
 //! `e·Σᵢxᵢ ≡ Σᵢ(e·xᵢ) (mod q)` by ring distributivity, and modular
 //! addition is exactly associative and commutative, so the closed sum
 //! is **bit-identical** to the reference for every arrival order,
-//! parallelism degree and fold flavour (locked in by
-//! tests/parallel_determinism.rs and the unit gates below).
+//! parallelism degree and fold flavour — views and owned ciphertexts
+//! may meet in one accumulator, every ciphertext being evaluation-
+//! domain (locked in by tests/parallel_determinism.rs and the unit
+//! gates below).
 //!
 //! Two consequences shape the API:
 //!
@@ -126,7 +128,7 @@ impl StreamingAggregator {
     /// Returns `Ok(false)` — a NACK, accumulator untouched — for a
     /// wrong-round upload, a duplicate client id, an empty or
     /// wrong-chunk-count payload, or chunks incompatible with the
-    /// accumulator (level/scale/domain). Every view is checked *before*
+    /// accumulator (level/scale). Every view is checked *before*
     /// any chunk folds, so a rejected upload can never leave the sum
     /// half-updated. Chunks fold in parallel at the context's
     /// [`Parallelism`](rhychee_par::Parallelism); each chunk owns its
@@ -165,6 +167,8 @@ impl StreamingAggregator {
     /// the running sum: `acc += ct`. Same acceptance rules, NACKs and
     /// never-half-updated guarantee as
     /// [`StreamingAggregator::fold_views`], and the same closed bytes.
+    /// A plain loop: a chunk is ≈ 20–50 µs of modular adds, which a
+    /// fan-out does not repay (ROADMAP #4).
     ///
     /// # Errors
     ///
@@ -185,9 +189,9 @@ impl StreamingAggregator {
             if self.acc.iter().zip(cts).any(|(acc, ct)| ctx.check_compatible(acc, ct).is_err()) {
                 return Ok(false);
             }
-            rhychee_par::for_each_mut(ctx.parallelism(), &mut self.acc, |i, acc| {
-                ctx.add_assign(acc, &cts[i]).expect("ciphertexts validated before folding");
-            });
+            for (acc, ct) in self.acc.iter_mut().zip(cts) {
+                ctx.add_assign(acc, ct).expect("ciphertexts validated before folding");
+            }
         }
         self.record(update);
         Ok(true)
@@ -393,30 +397,41 @@ mod tests {
             for order in [[0usize, 1, 2, 3], [3, 1, 0, 2], [2, 3, 1, 0]] {
                 let mut by_view = StreamingAggregator::new(0, Aggregation::FedAvg).expect("fedavg");
                 let mut by_ct = StreamingAggregator::new(0, Aggregation::FedAvg).expect("fedavg");
-                for &c in &order {
+                // One accumulator fed wire views and ciphertexts straight
+                // from encryption in turn: what a server folding socket
+                // uploads beside in-process ones would hold.
+                let mut mixed = StreamingAggregator::new(0, Aggregation::FedAvg).expect("fedavg");
+                for (turn, &c) in order.iter().enumerate() {
                     assert!(by_view
                         .fold_upload(&ctx, c, 0, &views(&ctx, &blobs[c]))
                         .expect("fold"));
-                    // Deserialized ciphertexts live in the domain the
-                    // views fold in, so both accumulators close alike.
                     let cts: Vec<CkksCiphertext> =
                         blobs[c].iter().map(|b| ctx.deserialize(b).expect("deserialize")).collect();
                     assert!(by_ct.fold_ciphertexts(&ctx, &owned(c, &cts)).expect("fold"));
+                    assert!(if turn % 2 == 0 {
+                        mixed.fold_upload(&ctx, c, 0, &views(&ctx, &blobs[c]))
+                    } else {
+                        mixed.fold_ciphertexts(&ctx, &owned(c, &models[c]))
+                    }
+                    .expect("fold"));
                 }
                 assert_eq!(by_view.received(), 4);
                 assert_eq!(by_ct.client_ids(), &order);
+                assert_eq!(mixed.client_ids(), &order);
                 let streamed = bytes(&ctx, &by_view.finish(&ctx).expect("finish"));
                 let folded = bytes(&ctx, &by_ct.finish(&ctx).expect("finish"));
+                let interleaved = bytes(&ctx, &mixed.finish(&ctx).expect("finish"));
                 assert_eq!(streamed, batch_bytes, "{par}: view fold, order {order:?}");
                 assert_eq!(folded, batch_bytes, "{par}: owned fold, order {order:?}");
+                assert_eq!(interleaved, batch_bytes, "{par}: mixed fold, order {order:?}");
             }
-            // Evaluation-domain ciphertexts straight from encryption
-            // (what `Framework` folds) close to the same bytes too.
-            let mut resident = StreamingAggregator::new(0, Aggregation::FedAvg).expect("fedavg");
+            // Ciphertexts straight from encryption (what `Framework`
+            // folds) close to the same bytes too.
+            let mut fresh = StreamingAggregator::new(0, Aggregation::FedAvg).expect("fedavg");
             for (c, cts) in models.iter().enumerate() {
-                assert!(resident.fold_ciphertexts(&ctx, &owned(c, cts)).expect("fold"));
+                assert!(fresh.fold_ciphertexts(&ctx, &owned(c, cts)).expect("fold"));
             }
-            assert_eq!(bytes(&ctx, &resident.finish(&ctx).expect("finish")), batch_bytes, "{par}");
+            assert_eq!(bytes(&ctx, &fresh.finish(&ctx).expect("finish")), batch_bytes, "{par}");
         }
     }
 
@@ -431,12 +446,14 @@ mod tests {
         // Wrong chunk count: one view instead of two.
         assert!(!agg.fold_upload(&ctx, 1, 3, &views[..1]).expect("short"), "short payload NACKs");
         assert!(!agg.fold_upload(&ctx, 1, 3, &[]).expect("empty"), "empty payload NACKs");
-        // The owned fold applies the same rules — including the domain
-        // check: resident ciphertexts cannot join a coefficient sum.
+        // The owned fold applies the same rules, level and scale
+        // compatibility included.
         let update = |round, payload| ClientUpdate { client_id: 1, round, steps: 1, payload };
         assert!(!agg.fold_ciphertexts(&ctx, &update(2, &models[1][..])).expect("wrong round"));
         assert!(!agg.fold_ciphertexts(&ctx, &update(3, &models[1][..1])).expect("short"));
-        assert!(!agg.fold_ciphertexts(&ctx, &update(3, &models[1][..])).expect("domain"));
+        let rescaled: Vec<CkksCiphertext> =
+            models[1].iter().map(|ct| ctx.mul_scalar(ct, 1.0)).collect();
+        assert!(!agg.fold_ciphertexts(&ctx, &update(3, &rescaled[..])).expect("scale"));
         assert_eq!(agg.received(), 1);
         assert_eq!(agg.client_ids(), &[0]);
     }

@@ -6,18 +6,19 @@
 //! relinearization or bootstrapping is required because federated
 //! averaging is linear.
 //!
-//! The pipeline is NTT-resident: keys carry evaluation-domain copies
-//! built once at keygen, fresh ciphertexts come out of encryption in the
-//! evaluation domain, and the additive operations stay pointwise there.
-//! Residue rows are inverse-transformed only at the decrypt/serialize
-//! boundary, so a full encrypt→aggregate→decrypt round costs four
-//! forward NTTs per prime on the client and one inverse per prime at
-//! decryption — down from six transforms plus two key re-transforms per
-//! encryption. The NTT is a per-prime linear bijection, so every
-//! decrypted value and every canonical serialized byte is bit-identical
-//! to the coefficient-domain textbook encryption (a `#[cfg(test)]` oracle
-//! in this module's tests). The context has no mode: every operation
-//! dispatches on the domain its operands are actually in.
+//! Every ciphertext is evaluation-domain, always: keys carry
+//! evaluation-domain copies built once at keygen, encryption produces
+//! evaluation rows, both wire formats carry those rows as they are, and
+//! the additive operations are pointwise on them. The only transform a
+//! ciphertext ever pays after encryption is decrypt's one inverse per
+//! prime, so a full encrypt → upload → aggregate → download → decrypt
+//! round costs four forward NTTs per prime on the client and one inverse
+//! per prime at decryption. The NTT is a per-prime linear bijection, so
+//! every decrypted value is bit-identical to the coefficient-domain
+//! textbook scheme (the `#[cfg(test)]` oracles in this module's tests).
+//! Coefficient-domain polynomials exist only bare — an encoded message,
+//! noise, a key share, the `m` decryption reconstructs — never inside a
+//! [`CkksCiphertext`].
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -534,49 +535,28 @@ impl CkksContext {
 
     /// Decrypts a ciphertext to its slot values.
     ///
-    /// Evaluation-domain ciphertexts pay exactly one inverse NTT per
-    /// prime (`m = INTT(c1 ∘ ŝ + c0)`, with `ŝ`'s per-level truncation
-    /// being a zero-copy row slice of the key's cached `s_eval`).
-    /// Coefficient-domain ciphertexts (deserialized canonical uploads,
-    /// reference-path output) pay one forward and one inverse per prime,
-    /// exactly like the pre-resident pipeline.
+    /// Exactly one inverse NTT per prime, whatever the ciphertext's
+    /// origin (fresh, folded, deserialized): `m = INTT(c1 ∘ ŝ + c0)`,
+    /// with `ŝ`'s per-level truncation being a zero-copy row slice of
+    /// the key's cached `s_eval`.
     pub fn decrypt(&self, sk: &CkksSecretKey, ct: &CkksCiphertext) -> Vec<f64> {
         let _span = telemetry::span("fhe.ckks.decrypt");
         telemetry::count("fhe.ckks.decrypt.count", 1);
         let levels = ct.levels();
         let active = &self.primes[..levels];
         let n = ct.c0.degree();
+        // `m` leaves the loop in the coefficient domain: each row is
+        // assembled pointwise and inverse-transformed in place.
         let mut m = RnsPoly::zero(n, levels);
-        match ct.c1.domain() {
-            Domain::Eval => {
-                debug_assert_eq!(ct.c0.domain(), Domain::Eval, "mixed-domain ciphertext");
-                for (i, row) in m.residues_all_mut().iter_mut().enumerate() {
-                    let q = active[i];
-                    let s_row = sk.s_eval.residues(i);
-                    let c0_row = ct.c0.residues(i);
-                    let c1_row = ct.c1.residues(i);
-                    for j in 0..n {
-                        row[j] = add_mod(mul_mod(c1_row[j], s_row[j], q), c0_row[j], q);
-                    }
-                    self.ntt[i].inverse(row);
-                }
+        for (i, row) in m.residues_all_mut().iter_mut().enumerate() {
+            let q = active[i];
+            let s_row = sk.s_eval.residues(i);
+            let c0_row = ct.c0.residues(i);
+            let c1_row = ct.c1.residues(i);
+            for j in 0..n {
+                row[j] = add_mod(mul_mod(c1_row[j], s_row[j], q), c0_row[j], q);
             }
-            Domain::Coeff => {
-                debug_assert_eq!(ct.c0.domain(), Domain::Coeff, "mixed-domain ciphertext");
-                for (i, row) in m.residues_all_mut().iter_mut().enumerate() {
-                    let q = active[i];
-                    let table = &self.ntt[i];
-                    row.copy_from_slice(ct.c1.residues(i));
-                    table.forward(row);
-                    for (x, &s) in row.iter_mut().zip(sk.s_eval.residues(i)) {
-                        *x = mul_mod(*x, s, q);
-                    }
-                    table.inverse(row);
-                    for (x, &c) in row.iter_mut().zip(ct.c0.residues(i)) {
-                        *x = add_mod(*x, c, q);
-                    }
-                }
-            }
+            self.ntt[i].inverse(row);
         }
         let coeffs = m.to_centered_f64(active);
         self.encoder.decode_with_scale(&coeffs, ct.scale)
@@ -662,8 +642,8 @@ impl CkksContext {
     /// Slot-wise multiplication by a plaintext vector.
     ///
     /// Encodes `values` as a plaintext polynomial and multiplies both
-    /// ciphertext components by it (one NTT product per prime). The scale
-    /// becomes `ct.scale · Δ`.
+    /// ciphertext components by it (one forward NTT per prime for the
+    /// plaintext, then pointwise). The scale becomes `ct.scale · Δ`.
     ///
     /// # Errors
     ///
@@ -684,18 +664,15 @@ impl CkksContext {
         let coeffs = self.encoder.encode(values);
         let levels = ct.levels();
         let mut m = RnsPoly::from_signed_coeffs(&coeffs, &self.primes[..levels]);
-        let (c0, c1) = match ct.c1.domain() {
-            Domain::Eval => {
-                // One forward per prime for the encoded plaintext; the
-                // ciphertext is already resident and stays so.
-                self.forward_rows(&mut m);
-                (self.pointwise_mul(&ct.c0, &m), self.pointwise_mul(&ct.c1, &m))
-            }
-            Domain::Coeff => {
-                (self.poly_mul_at(&ct.c0, &m, levels), self.poly_mul_at(&ct.c1, &m, levels))
-            }
-        };
-        Ok(CkksCiphertext { c0, c1, scale: ct.scale * self.encoder.scale(), c1_seed: None })
+        // One forward per prime for the encoded plaintext; the products
+        // are pointwise.
+        self.forward_rows(&mut m);
+        Ok(CkksCiphertext {
+            c0: self.pointwise_mul(&ct.c0, &m),
+            c1: self.pointwise_mul(&ct.c1, &m),
+            scale: ct.scale * self.encoder.scale(),
+            c1_seed: None,
+        })
     }
 
     /// Rescales a ciphertext by the last active prime, dropping one level
@@ -712,12 +689,12 @@ impl CkksContext {
         let _t = telemetry::timer("fhe.ckks.rescale");
         telemetry::count("fhe.ckks.rescale.count", 1);
         let q_last = self.primes[levels - 1] as f64;
-        let active = &self.primes[..levels];
-        let (c0, c1) = match ct.c1.domain() {
-            Domain::Eval => (self.rescale_eval(&ct.c0), self.rescale_eval(&ct.c1)),
-            Domain::Coeff => (ct.c0.rescale(active), ct.c1.rescale(active)),
+        let out = CkksCiphertext {
+            c0: self.rescale_eval(&ct.c0),
+            c1: self.rescale_eval(&ct.c1),
+            scale: ct.scale / q_last,
+            c1_seed: None,
         };
-        let out = CkksCiphertext { c0, c1, scale: ct.scale / q_last, c1_seed: None };
         self.publish_noise_gauges(&out);
         Ok(out)
     }
@@ -728,9 +705,9 @@ impl CkksContext {
     /// prime's basis, and the rest is pointwise:
     /// `X'_i = (X_i − NTT_i(lift)) · q_last^{-1}`.
     ///
-    /// By linearity of the NTT this equals `NTT_i` of the coefficient-
-    /// domain rescale exactly, so a ciphertext rescales to the same
-    /// canonical bytes whichever domain it is in.
+    /// By linearity of the NTT this equals `NTT_i` of the textbook
+    /// coefficient-domain rescale exactly (the `#[cfg(test)]`
+    /// `RnsPoly::rescale`, which this module's tests compare against).
     fn rescale_eval(&self, p: &RnsPoly) -> RnsPoly {
         let l = p.levels();
         let n = p.degree();
@@ -775,12 +752,13 @@ impl CkksContext {
     /// Serializes a ciphertext with exact-width residue packing, so the
     /// byte length closely tracks the paper's `2N·log Q` accounting.
     ///
-    /// This is the *canonical* format: always coefficient-domain bytes,
-    /// regardless of the ciphertext's resident domain (evaluation rows
-    /// are inverse-transformed into a scratch buffer at this boundary).
-    /// A resident and a reference ciphertext of the same message
-    /// therefore serialize to identical bytes, and the channel-noise
-    /// experiments keep their corruption-decrypts-to-garbage semantics.
+    /// This is the *canonical* format: header, then the evaluation-
+    /// domain rows of `c0` and `c1` exactly as the ciphertext holds them
+    /// — no transform on either side of the wire. A residue on the wire
+    /// is one NTT point, so a single flipped bit, whichever bit it is,
+    /// spreads over every coefficient of `m` at decryption: the
+    /// corruption-decrypts-to-garbage behaviour the channel-noise
+    /// experiments (paper §IV-C) rely on.
     pub fn serialize(&self, ct: &CkksCiphertext) -> Vec<u8> {
         let mut out = Vec::new();
         self.serialize_into(&mut out, ct);
@@ -799,15 +777,7 @@ impl CkksContext {
         w.write_bits(ct.scale.to_bits(), 64);
         for poly in [&ct.c0, &ct.c1] {
             for (i, &q) in self.primes[..ct.levels()].iter().enumerate() {
-                let bits = bits_for(q);
-                match poly.domain() {
-                    Domain::Coeff => w.write_row(poly.residues(i), bits),
-                    Domain::Eval => scratch::with_row(poly.degree(), |row| {
-                        row.copy_from_slice(poly.residues(i));
-                        self.ntt[i].inverse(row);
-                        w.write_row(row, bits);
-                    }),
-                }
+                w.write_row(poly.residues(i), bits_for(q));
             }
         }
         *out = w.into_bytes();
@@ -815,8 +785,8 @@ impl CkksContext {
 
     /// Serializes a fresh symmetric ciphertext in the seed-compressed
     /// format: header, the 32-byte expansion seed of `c1` plus a 32-bit
-    /// integrity digest, and the `c0` residues (evaluation-domain,
-    /// exact-width packed). Roughly half the canonical size — see
+    /// integrity digest, and the `c0` residues (exact-width packed, as
+    /// in the canonical format). Roughly half the canonical size — see
     /// [`CkksContext::serialized_len_seeded`].
     ///
     /// # Errors
@@ -847,7 +817,6 @@ impl CkksContext {
                 "ciphertext carries no expansion seed (not a fresh symmetric encryption)".into(),
             ));
         };
-        debug_assert_eq!(ct.c0.domain(), Domain::Eval, "seeded ciphertexts are eval-resident");
         out.reserve(self.serialized_len_seeded(ct.levels()));
         let mut w = BitWriter::appending(std::mem::take(out));
         w.write_bits(ct.levels() as u64, 8);
@@ -875,8 +844,8 @@ impl CkksContext {
     /// re-expanding `c1` from the transmitted seed:
     /// [`CkksContext::view_serialized_seeded`] validates, then
     /// [`CtView::to_ciphertext`](super::view::CtView::to_ciphertext)
-    /// materializes. The result is evaluation-domain (and still seeded,
-    /// so it can be re-serialized in either format).
+    /// materializes. The result is still seeded, so it can be
+    /// re-serialized in either format.
     ///
     /// # Errors
     ///
@@ -920,33 +889,17 @@ impl CkksContext {
         self.view_serialized(bytes)?.to_ciphertext(self)
     }
 
-    /// Checks that `a` and `b` can be added: equal levels, the same
-    /// residue domain, and scales within relative `1e-9` — the owned
-    /// twin of [`CkksContext::check_view`]. Callers that pre-check
-    /// every chunk of an upload make the subsequent
-    /// [`CkksContext::add_assign`]s infallible.
+    /// Checks that `a` and `b` can be added: equal levels and scales
+    /// within relative `1e-9` — the owned twin of
+    /// [`CkksContext::check_view`]. Callers that pre-check every chunk
+    /// of an upload make the subsequent [`CkksContext::add_assign`]s
+    /// infallible.
     ///
     /// # Errors
     ///
-    /// [`FheError::LevelMismatch`], [`FheError::InvalidParams`] (domain
-    /// mismatch), or [`FheError::ScaleMismatch`].
+    /// [`FheError::LevelMismatch`] or [`FheError::ScaleMismatch`].
     pub fn check_compatible(&self, a: &CkksCiphertext, b: &CkksCiphertext) -> Result<(), FheError> {
-        if a.levels() != b.levels() {
-            return Err(FheError::LevelMismatch { lhs: a.levels(), rhs: b.levels() });
-        }
-        if a.c1.domain() != b.c1.domain() {
-            // Mixing a resident ciphertext with a deserialized canonical
-            // one is a pipeline bug, not a recoverable state: pointwise
-            // addition of rows in different bases is meaningless.
-            return Err(FheError::InvalidParams(
-                "ciphertext domain mismatch (evaluation vs coefficient)".into(),
-            ));
-        }
-        let tol = a.scale.max(b.scale) * 1e-9;
-        if (a.scale - b.scale).abs() > tol {
-            return Err(FheError::ScaleMismatch { lhs: a.scale, rhs: b.scale });
-        }
-        Ok(())
+        check_addable((a.levels(), a.scale), (b.levels(), b.scale))
     }
 
     fn encode_poly(&self, values: &[f64]) -> Result<RnsPoly, FheError> {
@@ -971,47 +924,27 @@ impl CkksContext {
         poly
     }
 
-    /// Truncates a full-level polynomial to the first `levels` primes.
-    pub(crate) fn at_level(&self, poly: &RnsPoly, levels: usize) -> RnsPoly {
-        let mut out = RnsPoly::zero_in(poly.degree(), levels, poly.domain());
-        for i in 0..levels {
-            out.residues_mut(i).copy_from_slice(poly.residues(i));
-        }
-        out
-    }
-
     /// Transforms every residue row into the evaluation domain in place.
     pub(crate) fn forward_rows(&self, poly: &mut RnsPoly) {
-        debug_assert_eq!(poly.domain(), Domain::Coeff);
         for (i, row) in poly.residues_all_mut().iter_mut().enumerate() {
             self.ntt[i].forward(row);
         }
-        poly.set_domain(Domain::Eval);
+        poly.set_eval();
     }
 
-    /// Transforms every residue row back into the coefficient domain in
-    /// place.
-    pub(crate) fn inverse_rows(&self, poly: &mut RnsPoly) {
-        debug_assert_eq!(poly.domain(), Domain::Eval);
-        for (i, row) in poly.residues_all_mut().iter_mut().enumerate() {
-            self.ntt[i].inverse(row);
-        }
-        poly.set_domain(Domain::Coeff);
-    }
-
-    /// Coefficient-domain copy of `poly` (no-op clone if already there).
+    /// Coefficient-domain copy of an evaluation-domain polynomial.
     pub(crate) fn to_coeff(&self, poly: &RnsPoly) -> RnsPoly {
         let mut out = poly.clone();
-        if out.domain() == Domain::Eval {
-            self.inverse_rows(&mut out);
+        for (i, row) in out.residues_all_mut().iter_mut().enumerate() {
+            self.ntt[i].inverse(row);
         }
+        out.set_coeff();
         out
     }
 
     /// Pointwise product of two evaluation-domain polynomials.
     fn pointwise_mul(&self, a: &RnsPoly, b: &RnsPoly) -> RnsPoly {
-        debug_assert_eq!(a.domain(), Domain::Eval);
-        debug_assert_eq!(b.domain(), Domain::Eval);
+        debug_assert!(!a.is_coeff() && !b.is_coeff(), "pointwise product of coefficient rows");
         let levels = a.levels().min(b.levels());
         let mut out = RnsPoly::zero_in(a.degree(), levels, Domain::Eval);
         for (i, row) in out.residues_all_mut().iter_mut().enumerate() {
@@ -1026,8 +959,7 @@ impl CkksContext {
     /// Negacyclic product over the first `levels` primes (coefficient-
     /// domain operands and result).
     pub(crate) fn poly_mul_at(&self, a: &RnsPoly, b: &RnsPoly, levels: usize) -> RnsPoly {
-        debug_assert_eq!(a.domain(), Domain::Coeff);
-        debug_assert_eq!(b.domain(), Domain::Coeff);
+        debug_assert!(a.is_coeff() && b.is_coeff(), "negacyclic product of evaluation rows");
         let n = self.params.n;
         let mut out = RnsPoly::zero(n, levels);
         // Each RNS prime is an independent negacyclic product. `a`'s
@@ -1053,6 +985,18 @@ impl CkksContext {
     fn poly_mul(&self, a: &RnsPoly, b: &RnsPoly) -> RnsPoly {
         self.poly_mul_at(a, b, self.primes.len())
     }
+}
+
+/// What makes two `(levels, scale)` operands addable — ciphertexts or
+/// views alike: equal levels, scales within relative `1e-9`.
+pub(super) fn check_addable(lhs: (usize, f64), rhs: (usize, f64)) -> Result<(), FheError> {
+    if lhs.0 != rhs.0 {
+        return Err(FheError::LevelMismatch { lhs: lhs.0, rhs: rhs.0 });
+    }
+    if (lhs.1 - rhs.1).abs() > lhs.1.max(rhs.1) * 1e-9 {
+        return Err(FheError::ScaleMismatch { lhs: lhs.1, rhs: rhs.1 });
+    }
+    Ok(())
 }
 
 /// Reduces signed coefficients into `[0, q)`, writing into `out`
@@ -1267,19 +1211,50 @@ mod tests {
 
     #[test]
     fn corrupted_ciphertext_decrypts_to_garbage() {
-        // A single bit flip in the payload must not error out, but must
-        // destroy the plaintext (paper §IV-C motivation).
-        let (ctx, sk, pk, mut rng) = toy_setup();
-        let values = vec![1.0; 16];
-        let ct = ctx.encrypt(&pk, &values, &mut rng).expect("encrypt");
-        let mut bytes = ctx.serialize(&ct);
-        let target = bytes.len() / 2;
-        bytes[target] ^= 0x10;
-        let corrupted = ctx.deserialize(&bytes).expect("still parseable");
-        let dec = ctx.decrypt(&sk, &corrupted);
-        let max_err =
-            dec[..16].iter().zip(&values).map(|(d, v)| (d - v).abs()).fold(0.0f64, f64::max);
-        assert!(max_err > 1.0, "bit flip should corrupt decryption, err = {max_err}");
+        // Paper §IV-C: "a single bit error can result in completely
+        // incorrect decryption". A residue on the wire is one NTT point,
+        // so any one bit of it — the lowest included — lands on every
+        // coefficient of `m` at decryption. Coefficient-domain bytes did
+        // not behave so on a single-prime chain (CKKS-4, the paper's
+        // headline set): bit k of a coefficient moved each slot by
+        // 2^k/Δ, invisible below k ≈ `scale_bits` (≈ 1e-3 for bits 0 and
+        // 13 at the parent commit of PR 23). On a multi-prime chain a
+        // flip in one residue already broke CRT consistency either way.
+        // The flip must not error out: residues are reduced `% q` on the
+        // way in.
+        for params in [CkksParams::toy(), CkksParams::ckks3(), CkksParams::ckks4()] {
+            let ctx = CkksContext::new(params).expect("valid params");
+            let mut rng = StdRng::seed_from_u64(42);
+            let (sk, pk) = ctx.generate_keys(&mut rng);
+            let values = vec![1.0; 16];
+            let ct = ctx.encrypt(&pk, &values, &mut rng).expect("encrypt");
+            let bytes = ctx.serialize(&ct);
+            let n = ctx.params.n;
+            let widths: Vec<usize> = ctx.primes.iter().map(|&q| bits_for(q) as usize).collect();
+            let poly_bits = n * widths.iter().sum::<usize>();
+            let last = widths.len() - 1;
+            // One residue of `c0` (first prime) and one of `c1` (last prime).
+            for (poly, prime, j) in [(0, 0, 3), (1, last, n - 5)] {
+                let residue_at = 72
+                    + poly * poly_bits
+                    + n * widths[..prime].iter().sum::<usize>()
+                    + j * widths[prime];
+                for bit in [0, ctx.params.scale_bits as usize / 2, widths[prime] - 1] {
+                    let mut flipped = bytes.clone();
+                    flipped[(residue_at + bit) / 8] ^= 1 << ((residue_at + bit) % 8);
+                    let corrupted = ctx.deserialize(&flipped).expect("still parseable");
+                    let dec = ctx.decrypt(&sk, &corrupted);
+                    let max_err = (dec[..16].iter().zip(&values))
+                        .map(|(d, v)| (d - v).abs())
+                        .fold(0.0f64, f64::max);
+                    assert!(
+                        max_err > 1.0,
+                        "N = {n}, {} primes, c{poly} prime {prime} bit {bit}: err = {max_err}",
+                        widths.len()
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -1358,8 +1333,8 @@ mod tests {
 
     /// Textbook coefficient-domain public-key encryption,
     /// `(b·v + e0 + m, a·v + e1)` as two full negacyclic products — the
-    /// oracle for the evaluation-domain [`CkksContext::encrypt_with_noise`].
-    /// The key's coefficient form is one (exact) inverse NTT away.
+    /// oracle for the fused [`CkksContext::encrypt_with_noise`]. The
+    /// key's coefficient form is one (exact) inverse NTT away.
     fn encrypt_coeff_oracle(
         ctx: &CkksContext,
         pk: &CkksPublicKey,
@@ -1372,26 +1347,26 @@ mod tests {
         let v = RnsPoly::from_signed_coeffs(&noise.v, primes);
         let e0 = RnsPoly::from_signed_coeffs(&noise.e0, primes);
         let e1 = RnsPoly::from_signed_coeffs(&noise.e1, primes);
-        CkksCiphertext {
-            c0: ctx.poly_mul(&b, &v).add(&e0, primes).add(&m, primes),
-            c1: ctx.poly_mul(&a, &v).add(&e1, primes),
-            scale: ctx.encoder.scale(),
-            c1_seed: None,
-        }
+        let mut c0 = ctx.poly_mul(&b, &v).add(&e0, primes).add(&m, primes);
+        let mut c1 = ctx.poly_mul(&a, &v).add(&e1, primes);
+        assert!(c0.is_coeff() && c1.is_coeff());
+        // A ciphertext holds evaluation rows: one exact transform away.
+        ctx.forward_rows(&mut c0);
+        ctx.forward_rows(&mut c1);
+        CkksCiphertext { c0, c1, scale: ctx.encoder.scale(), c1_seed: None }
     }
 
     #[test]
     fn resident_and_reference_encrypt_serialize_identically() {
         // The NTT is a per-prime bijection, so commuting it through the
-        // linear encryption algebra must not change a single canonical
-        // byte — the property that lets the resident pipeline ship
-        // without perturbing any downstream consumer.
+        // linear encryption algebra must not change a single residue —
+        // the property that let the textbook pipeline be deleted.
         let (ctx, sk, pk, mut rng) = toy_setup();
         let values: Vec<f64> = (0..64).map(|i| (i as f64 * 0.2).sin()).collect();
         let noise = ctx.sample_encrypt_noise(&mut rng);
         let resident = ctx.encrypt_with_noise(&pk, &values, &noise).expect("encrypt");
         let reference = encrypt_coeff_oracle(&ctx, &pk, &values, &noise);
-        assert_eq!(reference.c1.domain(), Domain::Coeff);
+        assert_eq!((&resident.c0, &resident.c1), (&reference.c0, &reference.c1));
         assert_eq!(ctx.serialize(&resident), ctx.serialize(&reference));
         let dec_a = ctx.decrypt(&sk, &resident);
         let dec_b = ctx.decrypt(&sk, &reference);
@@ -1472,9 +1447,9 @@ mod tests {
 
     #[test]
     fn serialization_round_trips_at_reduced_levels() {
-        // Post-rescale ciphertexts live at a lower level; both wire
-        // formats must agree with the level-aware length formulas and
-        // round-trip, whatever domain the ciphertext is in.
+        // Post-rescale ciphertexts live at a lower level; the wire
+        // format must agree with the level-aware length formula and
+        // round-trip.
         let (ctx, sk, pk, mut rng) = toy_setup();
         let values = vec![2.0, -4.0, 0.25];
         let ct = ctx.encrypt(&pk, &values, &mut rng).expect("encrypt");
@@ -1487,10 +1462,28 @@ mod tests {
         assert_eq!(back.levels(), 1);
         let dec = ctx.decrypt(&sk, &back);
         assert_close(&dec[..3], &[1.0, -2.0, 0.125], 1e-3);
-        // The same rescale of the coefficient-domain form produces the
-        // same canonical bytes.
-        let coeff_ct = ctx.deserialize(&ctx.serialize(&ct)).expect("to coeff");
-        let ref_dropped = ctx.rescale(&ctx.mul_scalar(&coeff_ct, 0.5)).expect("rescale");
-        assert_eq!(ctx.serialize(&ref_dropped), bytes);
+    }
+
+    #[test]
+    fn rescale_matches_the_coefficient_domain_oracle() {
+        // `rescale_eval` never leaves the evaluation domain; the
+        // textbook rescale works on coefficients. Same rows either way,
+        // at every level of a three-prime chain.
+        let params =
+            CkksParams { n: 512, prime_bits: vec![50, 40, 40], scale_bits: 30, sigma: 3.2 };
+        let ctx = CkksContext::new(params).expect("valid params");
+        let mut rng = StdRng::seed_from_u64(9);
+        let (_, pk) = ctx.generate_keys(&mut rng);
+        let mut ct = ctx.encrypt(&pk, &[2.0, -4.0, 0.25], &mut rng).expect("encrypt");
+        while ct.levels() > 1 {
+            let active = &ctx.primes[..ct.levels()];
+            let dropped = ctx.rescale(&ct).expect("rescale");
+            for (got, resident) in [(&dropped.c0, &ct.c0), (&dropped.c1, &ct.c1)] {
+                let mut want = ctx.to_coeff(resident).rescale(active);
+                ctx.forward_rows(&mut want);
+                assert_eq!(got, &want, "{} → {} levels", ct.levels(), dropped.levels());
+            }
+            ct = dropped;
+        }
     }
 }

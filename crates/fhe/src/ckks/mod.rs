@@ -9,7 +9,7 @@
 //!
 //! * [`modarith`] — scalar arithmetic mod word-sized NTT primes
 //! * [`ntt`] — negacyclic number-theoretic transform (+ global table cache)
-//! * [`rns`] — domain-tagged RNS polynomials and CRT reconstruction
+//! * [`rns`] — RNS polynomials and CRT reconstruction
 //! * [`encoder`] — canonical-embedding slot encoder
 //! * [`cipher`] — context, keys, ciphertexts, homomorphic ops
 //! * [`relin`] — ct×ct multiplication, Galois rotations, slot sums
@@ -17,11 +17,11 @@
 //! * `seedexp` (private) — stable seeded expansion for compressed symmetric uploads
 //! * [`view`] — borrowed zero-copy views for streaming aggregation
 //!
-//! Ciphertexts are NTT-resident: fresh encryptions come out in the
-//! evaluation domain, the additive pipeline (FedAvg) stays pointwise
-//! there, and rows are inverse-transformed only at the decrypt/serialize
-//! boundary. See `DESIGN.md` §11 for the domain state machine and the
-//! transform-count accounting.
+//! Every ciphertext is evaluation-domain: encryption produces NTT rows,
+//! both wire formats carry them as they are, the additive pipeline
+//! (FedAvg) is pointwise on them, and the only transform after
+//! encryption is decrypt's one inverse per prime. See `DESIGN.md` §11
+//! for the invariant and the transform-count accounting.
 
 pub mod cipher;
 pub mod encoder;

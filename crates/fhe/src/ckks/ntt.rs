@@ -50,7 +50,7 @@ mod avx512;
 /// exactly — same lazy-reduction bounds, same wrapping-u64 operations —
 /// so that every backend is bit-identical to the scalar reference
 /// (`NttTable::forward_scalar`); the repo's determinism invariants
-/// (parallel determinism, evaluation-vs-coefficient-domain identity)
+/// (parallel determinism, the pinned model bits of `domain_equivalence`)
 /// depend on it.
 /// The table's twiddles are passed back in so kernels stay stateless
 /// and one process-global instance serves every `(n, q)` pair.

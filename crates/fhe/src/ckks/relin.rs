@@ -155,9 +155,9 @@ impl CkksContext {
         let _t = telemetry::timer("fhe.ckks.relin.mul");
         let levels = a.levels();
         let primes = &self.primes()[..levels];
-        // Tensor/key-switch arithmetic runs in the coefficient domain
-        // (digit decomposition needs integer coefficients), so resident
-        // ciphertexts are converted at entry. ct×ct multiply is not on
+        // Tensor/key-switch arithmetic runs on coefficients (digit
+        // decomposition needs integers), so the operands are converted
+        // at entry and the result back at exit. ct×ct multiply is not on
         // the FedAvg hot path.
         let (a0, a1) = (self.to_coeff(&a.c0), self.to_coeff(&a.c1));
         let (b0, b1) = (self.to_coeff(&b.c0), self.to_coeff(&b.c1));
@@ -168,12 +168,10 @@ impl CkksContext {
         let d2 = self.poly_mul_at(&a1, &b1, levels);
         // Key switch d2·s² down to (c0, c1).
         let (ks0, ks1) = rk.0.apply(self, &d2, levels);
-        Ok(CkksCiphertext {
-            c0: d0.add(&ks0, primes),
-            c1: d1.add(&ks1, primes),
-            scale: a.scale() * b.scale(),
-            c1_seed: None,
-        })
+        let (mut c0, mut c1) = (d0.add(&ks0, primes), d1.add(&ks1, primes));
+        self.forward_rows(&mut c0);
+        self.forward_rows(&mut c1);
+        Ok(CkksCiphertext { c0, c1, scale: a.scale() * b.scale(), c1_seed: None })
     }
 
     /// The slot permutation realized by [`CkksContext::rotate`] with a
@@ -209,13 +207,17 @@ impl CkksContext {
         let _t = telemetry::timer("fhe.ckks.relin.rotate");
         let levels = ct.levels();
         let primes = &self.primes()[..levels];
-        // The automorphism permutes coefficient indices, so resident
-        // ciphertexts are converted at entry (rotation is off the FedAvg
-        // hot path). Then key-switch the c1 part back to the original key.
+        // The automorphism permutes coefficient indices, so the operand
+        // is converted at entry and the result back at exit (rotation is
+        // off the FedAvg hot path). Then key-switch the c1 part back to
+        // the original key.
         let c0_rot = apply_automorphism_poly(&self.to_coeff(&ct.c0), gk.galois, primes);
         let c1_rot = apply_automorphism_poly(&self.to_coeff(&ct.c1), gk.galois, primes);
-        let (ks0, ks1) = gk.key.apply(self, &c1_rot, levels);
-        CkksCiphertext { c0: c0_rot.add(&ks0, primes), c1: ks1, scale: ct.scale(), c1_seed: None }
+        let (ks0, mut c1) = gk.key.apply(self, &c1_rot, levels);
+        let mut c0 = c0_rot.add(&ks0, primes);
+        self.forward_rows(&mut c0);
+        self.forward_rows(&mut c1);
+        CkksCiphertext { c0, c1, scale: ct.scale(), c1_seed: None }
     }
 
     /// Sums all slots into every slot via log₂(N/2) rotations (requires a
@@ -231,14 +233,7 @@ impl CkksContext {
         keys: &[GaloisKey],
     ) -> Result<CkksCiphertext, FheError> {
         let half = self.params().n / 2;
-        // rotate() emits coefficient-domain ciphertexts, so the
-        // accumulator starts there too to keep add() domains aligned.
-        let mut acc = CkksCiphertext {
-            c0: self.to_coeff(&ct.c0),
-            c1: self.to_coeff(&ct.c1),
-            scale: ct.scale(),
-            c1_seed: None,
-        };
+        let mut acc = ct.clone();
         let mut step = 1usize;
         while step < half {
             let key = keys

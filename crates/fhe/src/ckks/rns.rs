@@ -17,13 +17,15 @@ use super::scratch;
 /// Which basis the residue rows of an [`RnsPoly`] are expressed in.
 ///
 /// `Coeff` rows hold polynomial coefficients; `Eval` rows hold the values
-/// of the negacyclic NTT at the 2N-th roots (the "double-CRT" form). The
-/// NTT is a per-prime `Z_q`-linear bijection, so additions, subtractions
-/// and scalar multiplications are valid — and identical — in either
-/// domain; only convolution (`poly_mul`), rescale, digit decomposition
-/// and CRT decoding care which domain they run in.
+/// of the negacyclic NTT at the 2N-th roots (the "double-CRT" form).
+/// Every ciphertext component is `Eval`, always; `Coeff` is where bare
+/// polynomials live on their way in or out (an encoded message, noise,
+/// a key share, the `m` decryption reconstructs). The tag is therefore
+/// an assertion, not a state: the operations that only make sense on
+/// coefficients (digit decomposition, CRT decoding) check it, and no
+/// product code branches on it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Domain {
+pub(crate) enum Domain {
     /// Coefficient domain: `residues[i][j]` is coefficient `j` mod `q_i`.
     Coeff,
     /// Evaluation (NTT) domain: `residues[i][j]` is the transform point
@@ -31,7 +33,8 @@ pub enum Domain {
     Eval,
 }
 
-/// A polynomial in RNS representation, tagged with its [`Domain`].
+/// A polynomial in RNS representation, tagged with the basis its rows
+/// are in (coefficients, or NTT evaluation points).
 ///
 /// `residues[i][j]` is coefficient (or evaluation point) `j` reduced
 /// modulo prime `i`. The active primes are implied by `residues.len()`
@@ -50,8 +53,8 @@ impl RnsPoly {
     }
 
     /// The all-zero polynomial in an explicit domain (zero is the same
-    /// ring element either way; the tag only steers later dispatch).
-    pub fn zero_in(n: usize, levels: usize, domain: Domain) -> Self {
+    /// ring element either way).
+    pub(crate) fn zero_in(n: usize, levels: usize, domain: Domain) -> Self {
         RnsPoly { residues: vec![vec![0u64; n]; levels], domain }
     }
 
@@ -63,17 +66,29 @@ impl RnsPoly {
         RnsPoly { residues, domain }
     }
 
-    /// The domain the residue rows are currently expressed in.
-    pub fn domain(&self) -> Domain {
-        self.domain
+    /// Retags a coefficient-domain polynomial after the caller
+    /// forward-transformed every row in place.
+    pub(crate) fn set_eval(&mut self) {
+        debug_assert_eq!(self.domain, Domain::Coeff, "forward transform of evaluation rows");
+        self.domain = Domain::Eval;
     }
 
-    /// Retags the polynomial after its rows were transformed in place.
-    ///
-    /// The caller must have actually (inverse-)NTT'd every row; this only
-    /// flips the bookkeeping bit.
-    pub(crate) fn set_domain(&mut self, domain: Domain) {
-        self.domain = domain;
+    /// Retags an evaluation-domain polynomial after the caller
+    /// inverse-transformed every row in place.
+    pub(crate) fn set_coeff(&mut self) {
+        debug_assert_eq!(self.domain, Domain::Eval, "inverse transform of coefficient rows");
+        self.domain = Domain::Coeff;
+    }
+
+    /// Whether the rows hold coefficients rather than evaluation points
+    /// — for assertions; nothing branches on it.
+    pub(crate) fn is_coeff(&self) -> bool {
+        self.domain == Domain::Coeff
+    }
+
+    /// The first `levels` residue rows, as a polynomial of its own.
+    pub(crate) fn truncated(&self, levels: usize) -> RnsPoly {
+        RnsPoly { residues: self.residues[..levels].to_vec(), domain: self.domain }
     }
 
     /// Builds an RNS polynomial from signed coefficients.
@@ -163,7 +178,7 @@ impl RnsPoly {
     /// In-place element-wise addition.
     pub fn add_assign(&mut self, rhs: &RnsPoly, primes: &[u64]) {
         assert_eq!(self.levels(), rhs.levels(), "level mismatch");
-        assert_eq!(self.domain, rhs.domain, "domain mismatch");
+        assert_eq!(self.domain, rhs.domain, "operands in different bases");
         for (i, &q) in primes.iter().take(self.levels()).enumerate() {
             for (a, &b) in self.residues[i].iter_mut().zip(&rhs.residues[i]) {
                 *a = add_mod(*a, b, q);
@@ -198,13 +213,16 @@ impl RnsPoly {
 
     /// Drops the last prime, rescaling by it: `x ↦ round(x / q_last)`.
     ///
-    /// Implements the standard RNS rescale: for each remaining prime
-    /// `q_i`, computes `(x_i − x_last) · q_last^{-1} mod q_i`.
+    /// The textbook coefficient-domain RNS rescale — for each remaining
+    /// prime `q_i`, `(x_i − x_last) · q_last^{-1} mod q_i` — kept as the
+    /// oracle the evaluation-domain rescale in `cipher.rs` is tested
+    /// against; no product code runs it.
     ///
     /// # Panics
     ///
     /// Panics if the polynomial has only one level.
-    pub fn rescale(&self, primes: &[u64]) -> RnsPoly {
+    #[cfg(test)]
+    pub(crate) fn rescale(&self, primes: &[u64]) -> RnsPoly {
         let l = self.levels();
         assert!(l >= 2, "cannot rescale a level-0 polynomial");
         assert_eq!(self.domain, Domain::Coeff, "rescale requires coefficient domain");
@@ -236,7 +254,7 @@ impl RnsPoly {
     fn zip_with(&self, rhs: &RnsPoly, primes: &[u64], f: fn(u64, u64, u64) -> u64) -> RnsPoly {
         assert_eq!(self.levels(), rhs.levels(), "level mismatch");
         assert_eq!(self.degree(), rhs.degree(), "degree mismatch");
-        assert_eq!(self.domain, rhs.domain, "domain mismatch");
+        assert_eq!(self.domain, rhs.domain, "operands in different bases");
         let residues = self
             .residues
             .iter()

@@ -1,10 +1,10 @@
 //! Thread-local scratch buffers for the NTT hot paths.
 //!
-//! `poly_mul_at`, evaluation-domain rescale, the coefficient-domain
-//! decrypt path and canonical serialization all need a temporary row of
-//! `N` limbs per prime. Allocating those per call dominated the small-N
-//! profile, so buffers are recycled through a per-thread free list
-//! instead. The pool is thread-local rather than per-context because
+//! `poly_mul_at`, the fused encrypt kernels, `fold_view`'s residue
+//! unpacking and the CRT lift all need a temporary row of `N` limbs (or
+//! a tile of words) per prime. Allocating those per call dominated the
+//! small-N profile, so buffers are recycled through a per-thread free
+//! list instead. The pool is thread-local rather than per-context because
 //! `rhychee-par` fans whole ciphertexts out across pool threads — a
 //! shared locked arena would serialize exactly the code the pool is
 //! trying to parallelize, while a thread-local list is contention-free

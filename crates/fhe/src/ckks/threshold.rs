@@ -339,7 +339,7 @@ impl ThresholdGroup {
         }
         let levels = ct.levels();
         let primes = &ctx.primes()[..levels];
-        let share = ctx.at_level(&self.shares[party].share, levels);
+        let share = self.shares[party].share.truncated(levels);
         let share = match self.sharing {
             Sharing::Additive => share,
             Sharing::Shamir { .. } => {
@@ -349,9 +349,9 @@ impl ThresholdGroup {
         };
         let smudge =
             RnsPoly::from_signed_coeffs(&gaussian_vec(rng, ctx.params().n, SMUDGING_SIGMA), primes);
-        // The share product runs in the coefficient domain; resident
-        // ciphertexts convert at entry (threshold decryption is a
-        // round-end operation, not the aggregation hot loop).
+        // The share product runs on coefficients, so `c1` is converted
+        // at entry (threshold decryption is a round-end operation, not
+        // the aggregation hot loop).
         let c1 = ctx.to_coeff(&ct.c1);
         let poly = ctx.poly_mul_at(&c1, &share, levels).add(&smudge, primes);
         Ok(PartialDecryption { poly, party })

@@ -29,14 +29,14 @@ use rhychee_telemetry as telemetry;
 use crate::bitpack::{bits_for, BitReader};
 use crate::error::FheError;
 
-use super::cipher::{CkksCiphertext, CkksContext};
+use super::cipher::{check_addable, CkksCiphertext, CkksContext};
 use super::modarith::add_mod;
 use super::rns::{Domain, RnsPoly};
 use super::{scratch, seedexp};
 
-/// Which wire format a view's bytes are in. Canonical blobs carry both
-/// polynomials in the coefficient domain; seeded blobs carry an
-/// evaluation-domain `c0` plus the 32-byte expansion seed of `c1`.
+/// Which wire format a view's bytes are in. Canonical blobs carry the
+/// rows of both polynomials; seeded blobs carry `c0`'s rows plus the
+/// 32-byte expansion seed of `c1`. Rows are evaluation-domain in both.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ViewFormat {
     Canonical,
@@ -80,21 +80,10 @@ impl<'a> CtView<'a> {
         self.bytes.len()
     }
 
-    /// The residue domain an accumulator must be in to fold this view:
-    /// canonical bytes are coefficient-domain, seeded bytes
-    /// evaluation-domain.
-    pub fn fold_domain(&self) -> Domain {
-        match self.format {
-            ViewFormat::Canonical => Domain::Coeff,
-            ViewFormat::Seeded(_) => Domain::Eval,
-        }
-    }
-
     /// Materializes an owned ciphertext from the viewed bytes: unpacks
-    /// the residue rows (coefficient-domain for canonical bytes,
-    /// evaluation-domain `c0` for seeded ones) and, for the seeded
-    /// format, re-expands `c1` from the seed — the result keeps the
-    /// seed, so it can be re-serialized in either format.
+    /// the residue rows and, for the seeded format, re-expands `c1` from
+    /// the seed — the result keeps the seed, so it can be re-serialized
+    /// in either format.
     ///
     /// # Errors
     ///
@@ -104,17 +93,17 @@ impl<'a> CtView<'a> {
         let n = ctx.params().n;
         let primes = &ctx.primes()[..self.levels];
         let mut r = self.residue_reader();
-        let mut read_poly = |domain| -> Result<RnsPoly, FheError> {
-            let mut poly = RnsPoly::zero_in(n, self.levels, domain);
+        let mut read_poly = || -> Result<RnsPoly, FheError> {
+            let mut poly = RnsPoly::zero_in(n, self.levels, Domain::Eval);
             for (i, &q) in primes.iter().enumerate() {
                 read_residues(&mut r, poly.residues_mut(i), q)?;
             }
             Ok(poly)
         };
         let (c0, c1, c1_seed) = match self.format {
-            ViewFormat::Canonical => (read_poly(Domain::Coeff)?, read_poly(Domain::Coeff)?, None),
+            ViewFormat::Canonical => (read_poly()?, read_poly()?, None),
             ViewFormat::Seeded(seed) => {
-                let c0 = read_poly(Domain::Eval)?;
+                let c0 = read_poly()?;
                 let mut c1 = RnsPoly::zero_in(n, self.levels, Domain::Eval);
                 for (i, row) in c1.residues_all_mut().iter_mut().enumerate() {
                     seedexp::expand_row_into(&seed, i, primes[i], n, row);
@@ -231,44 +220,30 @@ impl CkksContext {
     }
 
     /// An all-zero accumulator shaped to fold `view` into: the view's
-    /// levels and scale, residues in [`CtView::fold_domain`]. Folding
-    /// any number of compatible views into it accumulates their raw
-    /// (unscaled) homomorphic sum.
+    /// levels and scale. Folding any number of compatible views — of
+    /// either format — into it accumulates their raw (unscaled)
+    /// homomorphic sum.
     pub fn accumulator_for(&self, view: &CtView<'_>) -> CkksCiphertext {
         let n = self.params().n;
-        let domain = view.fold_domain();
         CkksCiphertext {
-            c0: RnsPoly::zero_in(n, view.levels, domain),
-            c1: RnsPoly::zero_in(n, view.levels, domain),
+            c0: RnsPoly::zero_in(n, view.levels, Domain::Eval),
+            c1: RnsPoly::zero_in(n, view.levels, Domain::Eval),
             scale: view.scale,
             c1_seed: None,
         }
     }
 
-    /// Checks that `view` can fold into `acc`: equal levels, matching
-    /// residue domain, and scales within the same relative tolerance as
+    /// Checks that `view` can fold into `acc`: equal levels and scales
+    /// within the same relative tolerance as
     /// [`CkksContext::add_assign`]. Callers that pre-check every view
     /// of an upload make the subsequent folds infallible, so a partial
     /// (accumulator-corrupting) fold can never happen.
     ///
     /// # Errors
     ///
-    /// [`FheError::LevelMismatch`], [`FheError::InvalidParams`] (domain
-    /// mismatch), or [`FheError::ScaleMismatch`].
+    /// [`FheError::LevelMismatch`] or [`FheError::ScaleMismatch`].
     pub fn check_view(&self, acc: &CkksCiphertext, view: &CtView<'_>) -> Result<(), FheError> {
-        if acc.levels() != view.levels {
-            return Err(FheError::LevelMismatch { lhs: acc.levels(), rhs: view.levels });
-        }
-        if acc.c1.domain() != view.fold_domain() {
-            return Err(FheError::InvalidParams(
-                "ciphertext domain mismatch (evaluation vs coefficient)".into(),
-            ));
-        }
-        let tol = acc.scale.max(view.scale) * 1e-9;
-        if (acc.scale - view.scale).abs() > tol {
-            return Err(FheError::ScaleMismatch { lhs: acc.scale, rhs: view.scale });
-        }
-        Ok(())
+        check_addable((acc.levels(), acc.scale), (view.levels, view.scale))
     }
 
     /// Folds a viewed upload into the running encrypted sum:
@@ -383,7 +358,6 @@ mod tests {
 
         let view = ctx.view_serialized_seeded(&bytes).expect("valid view");
         assert!(view.is_seeded());
-        assert_eq!(view.fold_domain(), Domain::Eval);
 
         // A flipped seed byte must be caught, exactly as deserialize_seeded.
         let mut flipped = bytes.clone();
@@ -446,7 +420,6 @@ mod tests {
             let view = ctx.view_serialized_seeded(blob).expect("view");
             ctx.fold_view(&mut acc, &view).expect("fold");
         }
-        // Both sums are eval-domain; serialize INTTs both identically.
         assert_eq!(ctx.serialize(&acc), ctx.serialize(&reference));
     }
 
@@ -455,17 +428,30 @@ mod tests {
         let ctx = ctx();
         let mut rng = StdRng::seed_from_u64(17);
         let (sk, pk) = ctx.generate_keys(&mut rng);
-        let canonical = ctx.serialize(&ctx.encrypt(&pk, &[1.0], &mut rng).expect("encrypt"));
+        let full = ctx.encrypt(&pk, &[1.0], &mut rng).expect("encrypt");
+        let dropped = ctx.rescale(&ctx.mul_scalar(&full, 1.0)).expect("rescale");
+        let (full, dropped) = (ctx.serialize(&full), ctx.serialize(&dropped));
         let seeded_ct = ctx.encrypt_symmetric(&sk, &[1.0], &mut rng).expect("encrypt");
         let seeded = ctx.serialize_seeded(&seeded_ct).expect("seeded");
 
-        let vc = ctx.view_serialized(&canonical).expect("view");
+        let vf = ctx.view_serialized(&full).expect("view");
+        let vd = ctx.view_serialized(&dropped).expect("view");
         let vs = ctx.view_serialized_seeded(&seeded).expect("view");
-        // Coeff-domain accumulator cannot fold an eval-domain seeded view.
-        let mut acc = ctx.accumulator_for(&vc);
-        assert!(matches!(ctx.fold_view(&mut acc, &vs), Err(FheError::InvalidParams(_))));
-        // And the accumulator is untouched by the rejected fold.
-        assert_eq!(ctx.serialize(&acc), ctx.serialize(&ctx.accumulator_for(&vc)));
+        // A view at another level or scale is refused, and the
+        // accumulator is untouched by the rejected fold.
+        let mut acc = ctx.accumulator_for(&vf);
+        assert!(matches!(ctx.fold_view(&mut acc, &vd), Err(FheError::LevelMismatch { .. })));
+        let mut low = ctx.accumulator_for(&vd);
+        low.scale *= 2.0;
+        assert!(matches!(ctx.fold_view(&mut low, &vd), Err(FheError::ScaleMismatch { .. })));
+        assert_eq!(ctx.serialize(&acc), ctx.serialize(&ctx.accumulator_for(&vf)));
+        // The wire format is not part of compatibility: one accumulator
+        // folds canonical and seeded views alike, to the owned sum.
+        ctx.fold_view(&mut acc, &vf).expect("canonical fold");
+        ctx.fold_view(&mut acc, &vs).expect("seeded fold");
+        let mut owned = ctx.deserialize(&full).expect("deserialize");
+        ctx.add_assign(&mut owned, &seeded_ct).expect("add");
+        assert_eq!(ctx.serialize(&acc), ctx.serialize(&owned));
     }
 
     #[test]

@@ -1,11 +1,11 @@
-//! Transform-count regression tests for the NTT-resident CKKS pipeline.
+//! Transform-count regression tests for the CKKS pipeline.
 //!
-//! The `fhe.ckks.ntt.{forward,inverse}.count` counters make the domain
-//! state machine auditable: each test snapshots the global counters
-//! around one operation and asserts the *exact* number of per-prime
-//! transforms from the accounting table in DESIGN.md §11. Any regression
-//! that sneaks a transform back into the hot path (or re-transforms
-//! cached keys) fails loudly here.
+//! The `fhe.ckks.ntt.{forward,inverse}.count` counters make the "every
+//! ciphertext is evaluation-domain" invariant auditable: each test
+//! snapshots the global counters around one operation and asserts the
+//! *exact* number of per-prime transforms from the accounting table in
+//! DESIGN.md §11. Any regression that sneaks a transform back into the
+//! hot path (or re-transforms cached keys) fails loudly here.
 //!
 //! The counters are process-global, so every test serializes on one
 //! mutex and measures deltas only.
@@ -49,13 +49,13 @@ fn transform_counts_match_the_accounting_table() {
     let par_tasks = || telemetry::metrics::global().counter("par.tasks").get();
     let tasks0 = par_tasks();
 
-    // Resident public-key encrypt: one forward per prime for each of
+    // Public-key encrypt: one forward per prime for each of
     // v (shared by both components), e0, e1, and the encoded message —
     // no inverses, and no key transforms (keys were cached at keygen).
     let (f0, i0) = ntt_counts();
     let ct = ctx.encrypt(&pk, &values, &mut rng).expect("encrypt");
     let (f1, i1) = ntt_counts();
-    assert_eq!((f1 - f0, i1 - i0), (4 * levels, 0), "resident encrypt");
+    assert_eq!((f1 - f0, i1 - i0), (4 * levels, 0), "public-key encrypt");
 
     // The server aggregation loop is transform-free.
     let ct2 = ctx.encrypt(&pk, &values, &mut rng).expect("encrypt");
@@ -66,12 +66,12 @@ fn transform_counts_match_the_accounting_table() {
     let (f1, i1) = ntt_counts();
     assert_eq!((f1 - f0, i1 - i0), (0, 0), "aggregate");
 
-    // Evaluation-domain decrypt: exactly one inverse per prime (the
-    // cached NTT-form secret key makes c1·s a pointwise product).
+    // Decrypt: exactly one inverse per prime (the cached NTT-form secret
+    // key makes c1·s a pointwise product).
     let (f0, i0) = ntt_counts();
     let _ = ctx.decrypt(&sk, &acc);
     let (f1, i1) = ntt_counts();
-    assert_eq!((f1 - f0, i1 - i0), (0, levels), "eval decrypt");
+    assert_eq!((f1 - f0, i1 - i0), (0, levels), "decrypt of a fresh sum");
 
     // Symmetric seeded encrypt: c1 is expanded from the seed directly in
     // the evaluation domain, so only e and the message transform.
@@ -80,28 +80,28 @@ fn transform_counts_match_the_accounting_table() {
     let (f1, i1) = ntt_counts();
     assert_eq!((f1 - f0, i1 - i0), (2 * levels, 0), "symmetric encrypt");
 
-    // Canonical serialization is the one place a resident ciphertext
-    // pays inverses: one per prime per component.
+    // Both wire formats carry the rows a ciphertext holds: serializing,
+    // deserializing and folding run no transform, and a ciphertext that
+    // crossed the wire decrypts at the price of a fresh one.
     let (f0, i0) = ntt_counts();
     let bytes = ctx.serialize(&sct);
-    let (f1, i1) = ntt_counts();
-    assert_eq!((f1 - f0, i1 - i0), (0, 2 * levels), "canonical serialize");
-
-    // Canonical deserialization yields a coefficient-domain ciphertext;
-    // decrypting it pays one forward (c1 into NTT form against the
-    // cached key) plus the final inverse, per prime.
+    let seeded = ctx.serialize_seeded(&sct).expect("seeded");
     let back = ctx.deserialize(&bytes).expect("deserialize");
-    let (f0, i0) = ntt_counts();
-    let _ = ctx.decrypt(&sk, &back);
+    let view = ctx.view_serialized_seeded(&seeded).expect("view");
+    let reseeded = view.to_ciphertext(&ctx).expect("materialize");
+    let mut folded = ctx.accumulator_for(&view);
+    ctx.fold_view(&mut folded, &view).expect("seeded fold");
+    ctx.fold_view(&mut folded, &ctx.view_serialized(&bytes).expect("view")).expect("fold");
     let (f1, i1) = ntt_counts();
-    assert_eq!((f1 - f0, i1 - i0), (levels, levels), "coeff decrypt");
+    assert_eq!((f1 - f0, i1 - i0), (0, 0), "serialize / deserialize / fold");
+    for (ct, origin) in [(&back, "canonical"), (&reseeded, "seeded"), (&folded, "folded")] {
+        let (f0, i0) = ntt_counts();
+        let _ = ctx.decrypt(&sk, ct);
+        let (f1, i1) = ntt_counts();
+        assert_eq!((f1 - f0, i1 - i0), (0, levels), "decrypt of a {origin} ciphertext");
+    }
 
     ctx.rescale(&sct).expect("rescale");
-    let seeded = ctx.serialize_seeded(&sct).expect("seeded");
-    let view = ctx.view_serialized_seeded(&seeded).expect("view");
-    view.to_ciphertext(&ctx).expect("materialize");
-    let mut folded = ctx.accumulator_for(&view);
-    ctx.fold_view(&mut folded, &view).expect("fold");
     assert_eq!(par_tasks() - tasks0, 0, "a single-ciphertext operation opened a pool scope");
 }
 

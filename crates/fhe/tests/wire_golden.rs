@@ -1,11 +1,22 @@
 //! Golden wire bytes: the serialized form of fixed-seed ciphertexts,
 //! pinned by length, CRC-32 and the first and last 16 bytes.
 //!
-//! Every constant below was generated at the parent commit of PR 15
-//! (`b3a586e`, the bit-at-a-time packer), by running this file there
-//! with the assertions turned into prints. The word-at-a-time packer
-//! must reproduce them byte for byte: a change to any constant is a
-//! wire-format break, not a refactor.
+//! The seeded and LWE constants were generated at the parent commit of
+//! PR 15 (`b3a586e`, the bit-at-a-time packer), by running this file
+//! there with the assertions turned into prints. The word-at-a-time
+//! packer must reproduce them byte for byte: a change to any constant is
+//! a wire-format break, not a refactor.
+//!
+//! The four canonical constants were re-pinned once, by PR 23 — the
+//! wire-format break that made canonical bytes carry the evaluation-
+//! domain rows a ciphertext holds instead of their inverse NTT (header,
+//! packing and lengths unchanged). They were generated at that PR's
+//! parent (`a7a33cb`) by running this file there with `serialize_into`'s
+//! inverse transform removed and nothing else touched — that commit's
+//! encrypt, that commit's packer — so the code that now ships does not
+//! vouch for itself. The seeded and LWE pins did not move, and the
+//! canonical form of a seeded ciphertext must carry the very `c0` bytes
+//! its seeded form does (`ckks_blobs` checks it).
 //!
 //! The CRC here is a local bitwise implementation on purpose — the
 //! frame CRC kernel changes in the same PR and must not vouch for
@@ -49,9 +60,7 @@ fn fingerprint(bytes: &[u8]) -> Fingerprint {
 
 /// The three serializations of one parameter set under a fixed seed:
 /// a public-key ciphertext in the canonical format, and a symmetric
-/// (evaluation-resident, seeded) ciphertext in the seeded format and in
-/// the canonical one — the latter crosses `serialize`'s inverse-NTT
-/// scratch path.
+/// (seeded) ciphertext in the seeded format and in the canonical one.
 fn ckks_blobs(params: CkksParams, seed: u64) -> [Vec<u8>; 3] {
     let ctx = CkksContext::new(params).expect("params");
     let mut rng = StdRng::seed_from_u64(seed);
@@ -70,6 +79,11 @@ fn ckks_blobs(params: CkksParams, seed: u64) -> [Vec<u8>; 3] {
     assert_eq!(ctx.serialize(&ctx.deserialize(&blobs[0]).expect("deserialize")), blobs[0]);
     let reseeded = ctx.deserialize_seeded(&blobs[1]).expect("deserialize_seeded");
     assert_eq!(ctx.serialize_seeded(&reseeded).expect("still seeded"), blobs[1]);
+    // Both formats carry `c0` as the same packed rows, and both headers
+    // end on a byte boundary (9 and 45 bytes): up to the last whole byte
+    // of the seeded blob, the `c0` bytes are the same bytes.
+    let c0_whole_bytes = blobs[1].len() - 45 - 1;
+    assert_eq!(blobs[2][9..9 + c0_whole_bytes], blobs[1][45..45 + c0_whole_bytes]);
     blobs
 }
 
@@ -103,14 +117,14 @@ fn lwe_ciphertext_bytes_are_pinned() {
 
 const TOY_CANONICAL: Fingerprint = Fingerprint {
     len: 11529,
-    crc32: 0x944a42eb,
+    crc32: 0xb4ceefca,
     head: [
-        0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xd0, 0x41, 0x12, 0xa0, 0x77, 0xe5, 0xf0, 0x9c,
-        0x96,
+        0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xd0, 0x41, 0xc8, 0x4b, 0xcd, 0xa3, 0xd7, 0x36,
+        0x51,
     ],
     tail: [
-        0x1c, 0xba, 0x83, 0xd1, 0x64, 0xdc, 0x4e, 0x6a, 0xbe, 0x7b, 0x6e, 0x70, 0x4d, 0x7b, 0xa1,
-        0x2a,
+        0x7e, 0x5e, 0xd2, 0x43, 0x33, 0xe9, 0xa4, 0x51, 0x61, 0xc4, 0xbf, 0x58, 0x5d, 0x11, 0x08,
+        0xeb,
     ],
 };
 const TOY_SEEDED: Fingerprint = Fingerprint {
@@ -127,26 +141,26 @@ const TOY_SEEDED: Fingerprint = Fingerprint {
 };
 const TOY_CANONICAL_OF_EVAL: Fingerprint = Fingerprint {
     len: 11529,
-    crc32: 0x1f965926,
+    crc32: 0x9e5a3ee3,
     head: [
-        0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xd0, 0x41, 0x3e, 0x28, 0xe6, 0xfc, 0x4c, 0xb5,
-        0x73,
+        0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xd0, 0x41, 0xdc, 0x8d, 0xf0, 0x36, 0x34, 0x4c,
+        0x57,
     ],
     tail: [
-        0x32, 0x85, 0x34, 0x01, 0x8e, 0x7b, 0x5b, 0xe7, 0x7d, 0xcb, 0x73, 0xb4, 0x0d, 0x33, 0x5a,
-        0x60,
+        0xae, 0x22, 0xa7, 0x7d, 0x0d, 0x6e, 0xdd, 0x3a, 0x14, 0x32, 0xe4, 0x19, 0x36, 0xd1, 0xeb,
+        0xdb,
     ],
 };
 const CKKS3_CANONICAL: Fingerprint = Fingerprint {
     len: 204809,
-    crc32: 0x843123b9,
+    crc32: 0xfbc65368,
     head: [
-        0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xd0, 0x41, 0x75, 0x83, 0x1d, 0x08, 0x19, 0x92,
-        0x85,
+        0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xd0, 0x41, 0xd6, 0x8c, 0xba, 0x31, 0xc4, 0xac,
+        0xf9,
     ],
     tail: [
-        0x96, 0x26, 0x32, 0xf9, 0x6b, 0x33, 0xf6, 0x03, 0x48, 0x83, 0x6d, 0x08, 0xa1, 0x3a, 0x2e,
-        0x6f,
+        0x59, 0x74, 0x95, 0x30, 0x21, 0xb7, 0x56, 0x6f, 0xd7, 0x84, 0x9d, 0xa1, 0xc1, 0x9e, 0xd1,
+        0xf1,
     ],
 };
 const CKKS3_SEEDED: Fingerprint = Fingerprint {
@@ -163,14 +177,14 @@ const CKKS3_SEEDED: Fingerprint = Fingerprint {
 };
 const CKKS3_CANONICAL_OF_EVAL: Fingerprint = Fingerprint {
     len: 204809,
-    crc32: 0x6d60d9a2,
+    crc32: 0xad63f30e,
     head: [
-        0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xd0, 0x41, 0xe1, 0x1c, 0xd9, 0xda, 0x8b, 0x05,
-        0x5a,
+        0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xd0, 0x41, 0x31, 0x8c, 0xe9, 0x7f, 0x79, 0xa9,
+        0xa8,
     ],
     tail: [
-        0x41, 0x36, 0xd2, 0x29, 0x66, 0x1d, 0xd1, 0x9d, 0x40, 0x18, 0xcc, 0x05, 0x04, 0xd5, 0xc4,
-        0x27,
+        0x0b, 0xa7, 0x50, 0x3c, 0x89, 0x6e, 0xb6, 0xdb, 0xc4, 0x97, 0x67, 0x62, 0x91, 0x39, 0x59,
+        0x04,
     ],
 };
 const LWE_TFHE1: Fingerprint = Fingerprint {

@@ -6,8 +6,14 @@
 //! | tag | contents |
 //! |----:|----------|
 //! | 0   | plaintext: `count: u32` then `count` LE `f32` parameters |
-//! | 1   | CKKS: `count: u32` then `count` × (`len: u32`, [`CkksContext::serialize`] bytes) |
 //! | 3   | seeded CKKS: `count: u32` then `count` × (`len: u32`, [`CkksContext::serialize_seeded`] bytes) |
+//! | 4   | CKKS: `count: u32` then `count` × (`len: u32`, [`CkksContext::serialize`] bytes) |
+//!
+//! Tags 1 (CKKS with coefficient-domain rows, through PR 22) and 2 (LWE)
+//! are retired and never reused: the bytes under tag 4 have the old
+//! layout and lengths but carry evaluation-domain rows, so a peer that
+//! still speaks tag 1 is refused at the tag instead of contributing
+//! garbage to a sum.
 //!
 //! Every declared count is validated against a caller-supplied cap
 //! before allocation, and the ciphertext codecs (hardened in
@@ -15,7 +21,7 @@
 //! costs at most one bounded allocation.
 //!
 //! The two ciphertext wire formats are unified behind the sealed
-//! [`WireCodec`] trait — [`CanonicalCodec`] (tag 1) and [`SeededCodec`]
+//! [`WireCodec`] trait — [`CanonicalCodec`] (tag 4) and [`SeededCodec`]
 //! (tag 3) — selected via
 //! [`ServerConfigBuilder::codec`](crate::server::ServerConfigBuilder::codec)
 //! and [`ClientConfig::codec`](crate::client::ClientConfig::codec).
@@ -44,8 +50,9 @@ mod sealed {
 
 /// Payload tag for plaintext `f32` parameters.
 pub const TAG_PLAIN: u8 = 0;
-/// Payload tag for packed CKKS ciphertexts.
-pub const TAG_CKKS: u8 = 1;
+/// Payload tag for packed CKKS ciphertexts (evaluation-domain rows; 1,
+/// which carried coefficient-domain rows, is retired).
+pub const TAG_CKKS: u8 = 4;
 /// Payload tag for seed-compressed CKKS ciphertexts (fresh symmetric
 /// encryptions whose `c1` is replaced by a 32-byte expansion seed).
 pub const TAG_CKKS_SEEDED: u8 = 3;
@@ -338,7 +345,7 @@ pub trait WireCodec: sealed::Sealed + Send + Sync + fmt::Debug {
     }
 }
 
-/// The canonical CKKS wire format (tag 1): full `(c0, c1)` bytes,
+/// The canonical CKKS wire format (tag 4): full `(c0, c1)` bytes,
 /// public-key client encryption. The default codec.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CanonicalCodec;
@@ -535,5 +542,29 @@ mod tests {
         let plain = encode_plain(&[1.0, 2.0]);
         assert!(decode_ckks(&ctx, &plain, 4).is_err());
         assert!(decode_plain(&[], 4).is_err(), "empty payload");
+    }
+
+    #[test]
+    fn retired_coefficient_domain_tag_is_refused() {
+        // Tag 1 carried the same layout with coefficient-domain rows: a
+        // well-formed payload under it must be a protocol error at the
+        // tag, for the owning and the borrowing decoder, never a sum.
+        let ctx = CkksContext::new(CkksParams::toy()).expect("params");
+        let mut rng = StdRng::seed_from_u64(23);
+        let (_, pk) = ctx.generate_keys(&mut rng);
+        let cts = vec![ctx.encrypt(&pk, &[0.5; 8], &mut rng).expect("encrypt")];
+        let mut payload = encode_ckks(&ctx, &cts);
+        assert_eq!(payload[0], 4);
+        assert!(
+            decode_ckks(&ctx, &payload, 1).is_ok() && parse_ckks_views(&ctx, &payload, 1).is_ok()
+        );
+        payload[0] = 1;
+        for err in [
+            decode_ckks(&ctx, &payload, 1).map(drop).expect_err("owning decoder"),
+            parse_ckks_views(&ctx, &payload, 1).map(drop).expect_err("borrowing decoder"),
+            CanonicalCodec.parse_upload(&ctx, &payload, 1).map(drop).expect_err("codec"),
+        ] {
+            assert!(matches!(&err, NetError::Protocol(m) if m.contains("got tag 1")), "{err}");
+        }
     }
 }

@@ -9,6 +9,16 @@
 //! the pinned tail, so the slice-by-8 CRC is checked against the
 //! bytewise one's output; the fingerprint CRC is a local bitwise
 //! implementation so neither kernel vouches for itself.
+//!
+//! Re-pinned once, by PR 23: the canonical payload now carries the
+//! evaluation-domain rows a ciphertext holds (tag 4; the coefficient-
+//! domain tag 1 is retired), so the pinned tails — payload end plus
+//! frame trailer — moved; lengths, heads and the whole-frame CRCs (a
+//! frame ends in the CRC of everything after its magic, so the CRC of
+//! the whole depends on the magic and the length only) did not. The new
+//! constants were generated at that PR's parent (`a7a33cb`) with only
+//! `TAG_CKKS` and `serialize_into`'s inverse transform changed — that
+//! commit's packer and that commit's frame CRC.
 
 use rand::{rngs::StdRng, SeedableRng};
 
@@ -95,8 +105,8 @@ const UPDATE_FRAME: Fingerprint = Fingerprint {
         0x00,
     ],
     tail: [
-        0x96, 0xc0, 0xfb, 0x22, 0xc7, 0x9b, 0x56, 0xa4, 0xcc, 0x45, 0xb9, 0x13, 0x26, 0x1e, 0x3a,
-        0x1c,
+        0xd6, 0xe0, 0x2d, 0x6c, 0xe2, 0xcc, 0x35, 0x86, 0xec, 0x2b, 0x1d, 0x52, 0x52, 0xd1, 0x20,
+        0x0f,
     ],
 };
 const UPDATE_FRAME_TRACED: Fingerprint = Fingerprint {
@@ -107,7 +117,7 @@ const UPDATE_FRAME_TRACED: Fingerprint = Fingerprint {
         0x76,
     ],
     tail: [
-        0x96, 0xc0, 0xfb, 0x22, 0xc7, 0x9b, 0x56, 0xa4, 0xcc, 0x45, 0xb9, 0x13, 0xbc, 0xc0, 0xc2,
-        0xaf,
+        0xd6, 0xe0, 0x2d, 0x6c, 0xe2, 0xcc, 0x35, 0x86, 0xec, 0x2b, 0x1d, 0x52, 0xc8, 0x0f, 0xd8,
+        0xbc,
     ],
 };

@@ -1,18 +1,17 @@
-//! NTT-residency must never change a bit: the evaluation-domain CKKS
-//! pipeline (fresh ciphertexts aggregated and decrypted as encrypted)
-//! and the coefficient-domain one (the same ciphertexts after a
-//! `serialize` → `deserialize` round trip, which is what every
-//! canonical-codec round aggregates and decrypts) are the same linear
-//! algebra with the per-prime NTT bijection commuted through it, so a
-//! full encrypted federation must produce bit-identical decrypted models
-//! *and* identical canonical ciphertext bytes under either — at every
-//! parallelism degree.
+//! Crossing the wire must never change a bit. Through PR 22 this file
+//! compared two pipelines — ciphertexts aggregated and decrypted as
+//! encrypted (evaluation-domain) against the same ciphertexts after a
+//! canonical `serialize` → `deserialize` round trip (coefficient-domain
+//! then) — and their equality is what licensed deleting the second: the
+//! canonical bytes now carry the evaluation rows a ciphertext holds, so
+//! a round trip changes no byte and no decrypted bit, at every
+//! parallelism degree. The decrypted model is additionally pinned to the
+//! bits both pipelines produced at the last commit that had two.
 
 use rhychee_fl::core::packing;
 use rhychee_fl::core::round::{self, ClientLocal, FedSetup};
 use rhychee_fl::core::FlConfig;
 use rhychee_fl::data::{DatasetKind, SyntheticConfig, TrainTest};
-use rhychee_fl::fhe::ckks::rns::Domain;
 use rhychee_fl::fhe::ckks::CkksContext;
 use rhychee_fl::fhe::params::CkksParams;
 use rhychee_fl::par::Parallelism;
@@ -34,10 +33,32 @@ fn config(par: Parallelism) -> FlConfig {
         .expect("valid config")
 }
 
-/// Runs a full encrypted federation in the given residue domain and
-/// returns every canonical ciphertext serialization (client uploads and
-/// aggregates, in order) plus the final decrypted global model bits.
-fn run_federation(data: &TrainTest, par: Parallelism, domain: Domain) -> (Vec<Vec<u8>>, Vec<u32>) {
+/// FNV-1a-64 over the little-endian bytes of every parameter's bits.
+fn fnv1a64(model_bits: &[u32]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for b in model_bits.iter().flat_map(|v| v.to_le_bytes()) {
+        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// The final global model of `run_federation` and of the seeded round
+/// below, recorded at PR 23's parent (`a7a33cb`) by running this file
+/// there with a print added — under both of that commit's pipelines,
+/// which agreed. Never regenerate them from the code under test.
+const MODEL_FNV: u64 = 0x6483_2290_22d1_fe95;
+const SEEDED_MODEL_FNV: u64 = 0x0dfe_f036_00f3_9036;
+
+/// Runs a full encrypted federation — every upload put through a
+/// canonical `serialize` → `deserialize` round trip first when
+/// `round_trip` is set — and returns every canonical ciphertext
+/// serialization (client uploads and aggregates, in order) plus the
+/// final decrypted global model bits.
+fn run_federation(
+    data: &TrainTest,
+    par: Parallelism,
+    round_trip: bool,
+) -> (Vec<Vec<u8>>, Vec<u32>) {
     let fl = config(par);
     let FedSetup { shards, test: _, classes } = round::prepare(&fl, data).expect("prepare");
     let ctx = CkksContext::with_parallelism(CkksParams::toy(), par).expect("context");
@@ -63,7 +84,7 @@ fn run_federation(data: &TrainTest, par: Parallelism, domain: Domain) -> (Vec<Ve
                     &flat,
                 )
                 .expect("encrypt");
-            if domain == Domain::Coeff {
+            if round_trip {
                 for ct in &mut cts {
                     *ct = ctx.deserialize(&ctx.serialize(ct)).expect("canonical round trip");
                 }
@@ -95,9 +116,10 @@ fn run_federation(data: &TrainTest, par: Parallelism, domain: Domain) -> (Vec<Ve
 #[test]
 fn resident_and_reference_pipelines_are_bit_identical() {
     let data = har_data();
-    let (ref_blobs, ref_model) = run_federation(&data, Parallelism::Fixed(1), Domain::Coeff);
+    let (ref_blobs, ref_model) = run_federation(&data, Parallelism::Fixed(1), true);
+    assert_eq!(fnv1a64(&ref_model), MODEL_FNV, "decrypted model moved off the parent's bits");
     for par in [Parallelism::Fixed(1), Parallelism::Auto] {
-        let (blobs, model) = run_federation(&data, par, Domain::Eval);
+        let (blobs, model) = run_federation(&data, par, false);
         assert_eq!(ref_model, model, "decrypted global model diverged at {par}");
         assert_eq!(ref_blobs, blobs, "canonical ciphertext bytes diverged at {par}");
     }
@@ -105,10 +127,10 @@ fn resident_and_reference_pipelines_are_bit_identical() {
 
 #[test]
 fn seeded_uploads_decrypt_identically_across_parallelism() {
-    // The symmetric seeded upload path has its own fan-out (per-prime
-    // seed streams expanded inside for_each_mut): a seeded federation
-    // round must also be degree-invariant, including its seeded wire
-    // bytes.
+    // The symmetric seeded upload path has its own fan-out (each worker
+    // encrypts a run of whole ciphertexts through one arena): a seeded
+    // federation round must also be degree-invariant, including its
+    // seeded wire bytes.
     let data = har_data();
     let run = |par: Parallelism| -> (Vec<Vec<u8>>, Vec<u32>) {
         let fl = config(par);
@@ -153,6 +175,7 @@ fn seeded_uploads_decrypt_identically_across_parallelism() {
     };
 
     let seq = run(Parallelism::Fixed(1));
+    assert_eq!(fnv1a64(&seq.1), SEEDED_MODEL_FNV, "decrypted model moved off the parent's bits");
     for par in [Parallelism::Fixed(3), Parallelism::Auto] {
         assert_eq!(seq, run(par), "seeded round diverged at {par}");
     }

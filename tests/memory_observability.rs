@@ -158,8 +158,8 @@ fn steady_state_fold_view_allocates_zero_bytes() {
             assert_eq!(
                 span.alloc_bytes(),
                 0,
-                "steady-state fold_view must not allocate under {par} (fold domain {:?})",
-                view.fold_domain()
+                "steady-state fold_view must not allocate under {par} (seeded: {})",
+                view.is_seeded()
             );
             span.finish();
         }
