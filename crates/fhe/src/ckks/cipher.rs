@@ -33,7 +33,7 @@ use crate::params::CkksParams;
 use crate::sampling::{gaussian_fill, gaussian_vec, ternary_vec};
 
 use super::encoder::{CkksEncoder, Complex};
-use super::modarith::{add_mod, find_ntt_primes, mul_mod};
+use super::modarith::{add_mod, find_ntt_primes, mul_mod, signed_residue};
 use super::ntt::{cached_table, NttTable};
 use super::rns::{Domain, RnsPoly};
 use super::{scratch, seedexp};
@@ -1004,7 +1004,7 @@ pub(super) fn check_addable(lhs: (usize, f64), rhs: (usize, f64)) -> Result<(), 
 /// fused per-prime kernels skip the intermediate polynomial).
 fn reduce_signed_into(coeffs: &[i64], q: u64, out: &mut [u64]) {
     for (o, &c) in out.iter_mut().zip(coeffs) {
-        *o = ((c % q as i64 + q as i64) % q as i64) as u64;
+        *o = signed_residue(c, q);
     }
 }
 

@@ -42,6 +42,23 @@ pub fn neg_mod(a: u64, q: u64) -> u64 {
     }
 }
 
+/// Reduces a signed value into `[0, q)`: `c` itself when `0 ≤ c < q`,
+/// `q − |c|` when `−q < c < 0` — a compare and a select, which is every
+/// noise, key and encoded-message coefficient the schemes produce — and
+/// the Euclidean remainder otherwise. Equal to
+/// `((c % q) + q) % q` for every `(c, q)` with `q < 2^63`.
+#[inline]
+pub(crate) fn signed_residue(c: i64, q: u64) -> u64 {
+    let mag = c.unsigned_abs();
+    if mag >= q {
+        c.rem_euclid(q as i64) as u64
+    } else if c < 0 {
+        q - mag
+    } else {
+        mag
+    }
+}
+
 /// Computes `base^exp mod q` by square-and-multiply.
 pub fn pow_mod(mut base: u64, mut exp: u64, q: u64) -> u64 {
     base %= q;
@@ -154,6 +171,61 @@ pub fn primitive_root(order: u64, q: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::params::CkksParams;
+    use proptest::prelude::*;
+
+    /// The expression `signed_residue` replaced: two 64-bit divisions.
+    fn double_rem(c: i64, q: u64) -> u64 {
+        ((c % q as i64 + q as i64) % q as i64) as u64
+    }
+
+    /// Every prime the Table III CKKS sets (and the toy set) materialize.
+    fn table3_primes() -> Vec<u64> {
+        let sets = [
+            CkksParams::ckks1(),
+            CkksParams::ckks2(),
+            CkksParams::ckks3(),
+            CkksParams::ckks4(),
+            CkksParams::toy(),
+        ];
+        let mut primes = Vec::new();
+        for p in sets {
+            let mut sizes = p.prime_bits.clone();
+            sizes.sort_unstable();
+            sizes.dedup();
+            for bits in sizes {
+                let count = p.prime_bits.iter().filter(|&&b| b == bits).count();
+                primes.extend(find_ntt_primes(bits, count, 2 * p.n as u64));
+            }
+        }
+        primes
+    }
+
+    #[test]
+    fn signed_residue_matches_double_rem_at_the_edges() {
+        for q in table3_primes() {
+            let qi = q as i64;
+            for c in [0, 1, -1, qi - 1, 1 - qi, qi, -qi, qi + 1, -qi - 1, i64::MIN, i64::MAX] {
+                assert_eq!(signed_residue(c, q), double_rem(c, q), "c = {c}, q = {q}");
+                assert!(signed_residue(c, q) < q);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        #[test]
+        fn signed_residue_matches_double_rem(c in any::<i64>(), small in -64i64..=64, pick in any::<prop::sample::Index>()) {
+            let primes = table3_primes();
+            let q = primes[pick.index(primes.len())];
+            prop_assert_eq!(signed_residue(c, q), double_rem(c, q));
+            // Near multiples of q, where the two arms meet.
+            let near = (c / q as i64).saturating_mul(q as i64).saturating_add(small);
+            prop_assert_eq!(signed_residue(near, q), double_rem(near, q));
+            prop_assert_eq!(signed_residue(small, q), double_rem(small, q));
+        }
+    }
 
     #[test]
     fn add_sub_mod_wrap() {

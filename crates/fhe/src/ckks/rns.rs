@@ -10,7 +10,7 @@
 
 use rhychee_par::Parallelism;
 
-use super::modarith::{add_mod, inv_mod, mul_mod, neg_mod, sub_mod};
+use super::modarith::{add_mod, inv_mod, mul_mod, neg_mod, signed_residue, sub_mod};
 use super::ntt::{mul_shoup, shoup};
 use super::scratch;
 
@@ -108,7 +108,7 @@ impl RnsPoly {
         self.ensure_shape(coeffs.len(), primes.len(), Domain::Coeff);
         for (row, &q) in self.residues.iter_mut().zip(primes) {
             for (slot, &c) in row.iter_mut().zip(coeffs) {
-                *slot = ((c % q as i64 + q as i64) % q as i64) as u64;
+                *slot = signed_residue(c, q);
             }
         }
     }
@@ -204,7 +204,7 @@ impl RnsPoly {
             .iter()
             .zip(primes)
             .map(|(r, &q)| {
-                let s = ((scalar % q as i64 + q as i64) % q as i64) as u64;
+                let s = signed_residue(scalar, q);
                 r.iter().map(|&a| mul_mod(a, s, q)).collect()
             })
             .collect();

@@ -3,7 +3,7 @@
 
 use rand::Rng;
 
-use crate::ckks::modarith::{add_mod, find_ntt_primes, mul_mod, neg_mod, sub_mod};
+use crate::ckks::modarith::{add_mod, find_ntt_primes, mul_mod, neg_mod, signed_residue, sub_mod};
 use crate::ckks::ntt::NttTable;
 use crate::error::FheError;
 use crate::lwe::{LweCiphertext, LweContext, LweSecretKey};
@@ -152,7 +152,7 @@ impl BootstrapContext {
         let factors = ks_decomposer.factors();
         let mut key_switching_key = Vec::with_capacity(n_ring);
         for &z_i in &z {
-            let z_res = ((z_i % ring_q as i64 + ring_q as i64) % ring_q as i64) as u64;
+            let z_res = signed_residue(z_i, ring_q);
             let mut per_coeff = Vec::with_capacity(factors.len());
             for &f in &factors {
                 let m = mul_mod(z_res, f % ring_q, ring_q);
@@ -162,7 +162,7 @@ impl BootstrapContext {
                     .zip(s_bits)
                     .fold(0u64, |acc, (&ai, &si)| add_mod(acc, mul_mod(ai, si, ring_q), ring_q));
                 let e = discrete_gaussian(rng, params.rlwe_sigma);
-                let e_res = ((e % ring_q as i64 + ring_q as i64) % ring_q as i64) as u64;
+                let e_res = signed_residue(e, ring_q);
                 let b = add_mod(add_mod(inner, e_res, ring_q), m, ring_q);
                 per_coeff.push(KskEntry { a, b });
             }

@@ -7,7 +7,7 @@
 
 use rand::Rng;
 
-use crate::ckks::modarith::{add_mod, mul_mod, sub_mod};
+use crate::ckks::modarith::{add_mod, mul_mod, signed_residue, sub_mod};
 use crate::ckks::ntt::NttTable;
 use crate::sampling::{gaussian_vec, ternary_vec};
 
@@ -168,8 +168,7 @@ impl RgswCiphertext {
     ) -> Self {
         let q = table.modulus();
         let n = table.degree();
-        let s_res: Vec<u64> =
-            s.iter().map(|&c| ((c % q as i64 + q as i64) % q as i64) as u64).collect();
+        let s_res: Vec<u64> = s.iter().map(|&c| signed_residue(c, q)).collect();
         let mut s_ntt = s_res.clone();
         table.forward(&mut s_ntt);
 
@@ -183,7 +182,7 @@ impl RgswCiphertext {
             table.inverse(&mut b_ntt);
             let e = gaussian_vec(rng, n, sigma);
             for ((bi, &ei), &mi) in b_ntt.iter_mut().zip(&e).zip(message) {
-                let e_res = ((ei % q as i64 + q as i64) % q as i64) as u64;
+                let e_res = signed_residue(ei, q);
                 *bi = add_mod(add_mod(*bi, e_res, q), mi, q);
             }
             // Store both halves in NTT domain.
@@ -280,8 +279,7 @@ impl RgswCiphertext {
 #[cfg(test)]
 pub fn rlwe_decrypt(ct: &RlweCiphertext, s: &[i64], table: &NttTable) -> Vec<u64> {
     let q = table.modulus();
-    let s_res: Vec<u64> =
-        s.iter().map(|&c| ((c % q as i64 + q as i64) % q as i64) as u64).collect();
+    let s_res: Vec<u64> = s.iter().map(|&c| signed_residue(c, q)).collect();
     let a_s = table.multiply(&ct.a, &s_res);
     ct.b.iter().zip(&a_s).map(|(&b, &x)| sub_mod(b, x, q)).collect()
 }
