@@ -30,7 +30,7 @@ use rhychee_telemetry as telemetry;
 use crate::bitpack::{bits_for, BitWriter};
 use crate::error::FheError;
 use crate::params::CkksParams;
-use crate::sampling::{gaussian_fill, gaussian_vec, ternary_vec};
+use crate::sampling::{ternary_vec, GaussianSampler};
 
 use super::encoder::{CkksEncoder, Complex};
 use super::modarith::{add_mod, find_ntt_primes, mul_mod, signed_residue};
@@ -63,6 +63,9 @@ pub struct CkksContext {
     primes: Vec<u64>,
     ntt: Vec<Arc<NttTable>>,
     encoder: CkksEncoder,
+    /// Error sampler for `params.sigma`, built once here so no encrypt
+    /// or keygen call builds a table.
+    noise: GaussianSampler,
     parallelism: Parallelism,
 }
 
@@ -240,11 +243,12 @@ impl CkksContext {
             .collect();
         let ntt = primes.iter().map(|&q| cached_table(params.n, q)).collect();
         let encoder = CkksEncoder::new(params.n, 1u64 << params.scale_bits);
+        let noise = GaussianSampler::new(params.sigma);
         // Expose the crate's two long-lived heap consumers to the memory
         // observability plane (idempotent: re-registration replaces).
         telemetry::mem::register_source("fhe.ntt_table_cache", super::ntt::table_cache_bytes);
         telemetry::mem::register_source("fhe.scratch", scratch::pooled_bytes);
-        Ok(CkksContext { params, primes, ntt, encoder, parallelism })
+        Ok(CkksContext { params, primes, ntt, encoder, noise, parallelism })
     }
 
     /// The parameter set this context was built from.
@@ -272,14 +276,21 @@ impl CkksContext {
         &self.encoder
     }
 
+    /// `n` fresh error coefficients at this context's σ, consuming
+    /// exactly `n` words of `rng`.
+    pub(crate) fn noise_vec<R: Rng + ?Sized>(&self, rng: &mut R) -> Vec<i64> {
+        let mut e = vec![0i64; self.params.n];
+        self.noise.fill(rng, &mut e);
+        e
+    }
+
     /// Generates a fresh (secret, public) key pair.
     pub fn generate_keys<R: Rng + ?Sized>(&self, rng: &mut R) -> (CkksSecretKey, CkksPublicKey) {
         let n = self.params.n;
         let s_coeffs = ternary_vec(rng, n);
         let s = RnsPoly::from_signed_coeffs(&s_coeffs, &self.primes);
         let a = self.uniform_poly(rng);
-        let e_coeffs = gaussian_vec(rng, n, self.params.sigma);
-        let e = RnsPoly::from_signed_coeffs(&e_coeffs, &self.primes);
+        let e = RnsPoly::from_signed_coeffs(&self.noise_vec(rng), &self.primes);
         // b = -(a·s) + e
         let a_s = self.poly_mul(&a, &s);
         let b = a_s.neg(&self.primes).add(&e, &self.primes);
@@ -313,11 +324,10 @@ impl CkksContext {
     /// preserving a seeded RNG's stream bit-for-bit — and then run the
     /// heavy [`CkksContext::encrypt_with_noise`] calls in parallel.
     pub fn sample_encrypt_noise<R: Rng + ?Sized>(&self, rng: &mut R) -> CkksEncryptNoise {
-        let n = self.params.n;
         CkksEncryptNoise {
-            v: ternary_vec(rng, n),
-            e0: gaussian_vec(rng, n, self.params.sigma),
-            e1: gaussian_vec(rng, n, self.params.sigma),
+            v: ternary_vec(rng, self.params.n),
+            e0: self.noise_vec(rng),
+            e1: self.noise_vec(rng),
         }
     }
 
@@ -423,7 +433,7 @@ impl CkksContext {
     pub fn sample_symmetric_noise<R: Rng + ?Sized>(&self, rng: &mut R) -> CkksSymmetricNoise {
         let mut seed = [0u8; 32];
         rng.fill_bytes(&mut seed);
-        CkksSymmetricNoise { seed, e: gaussian_vec(rng, self.params.n, self.params.sigma) }
+        CkksSymmetricNoise { seed, e: self.noise_vec(rng) }
     }
 
     /// [`CkksContext::sample_symmetric_noise`] into a caller-owned
@@ -435,7 +445,8 @@ impl CkksContext {
         noise: &mut CkksSymmetricNoise,
     ) {
         rng.fill_bytes(&mut noise.seed);
-        gaussian_fill(rng, self.params.n, self.params.sigma, &mut noise.e);
+        noise.e.resize(self.params.n, 0);
+        self.noise.fill(rng, &mut noise.e);
     }
 
     /// An all-zero evaluation-domain ciphertext at full level, shaped for

@@ -43,19 +43,19 @@ pub fn neg_mod(a: u64, q: u64) -> u64 {
 }
 
 /// Reduces a signed value into `[0, q)`: `c` itself when `0 ≤ c < q`,
-/// `q − |c|` when `−q < c < 0` — a compare and a select, which is every
-/// noise, key and encoded-message coefficient the schemes produce — and
-/// the Euclidean remainder otherwise. Equal to
-/// `((c % q) + q) % q` for every `(c, q)` with `q < 2^63`.
+/// `q − |c|` when `−q < c < 0` — every noise, key and encoded-message
+/// coefficient the schemes produce, selected by a sign mask so that a
+/// row of mixed signs costs no mispredicted branch — and the Euclidean
+/// remainder otherwise. Equal to `((c % q) + q) % q` for every `(c, q)`
+/// with `q < 2^63`.
 #[inline]
 pub(crate) fn signed_residue(c: i64, q: u64) -> u64 {
-    let mag = c.unsigned_abs();
-    if mag >= q {
-        c.rem_euclid(q as i64) as u64
-    } else if c < 0 {
-        q - mag
+    if c.unsigned_abs() < q {
+        // `c as u64` is `2^64 − |c|` for a negative `c`; adding `q` wraps
+        // it to `q − |c|`.
+        (c as u64).wrapping_add(q & ((c >> 63) as u64))
     } else {
-        mag
+        c.rem_euclid(q as i64) as u64
     }
 }
 
@@ -216,7 +216,11 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(4096))]
 
         #[test]
-        fn signed_residue_matches_double_rem(c in any::<i64>(), small in -64i64..=64, pick in any::<prop::sample::Index>()) {
+        fn signed_residue_matches_double_rem(
+            c in any::<i64>(),
+            small in -64i64..=64,
+            pick in any::<prop::sample::Index>(),
+        ) {
             let primes = table3_primes();
             let q = primes[pick.index(primes.len())];
             prop_assert_eq!(signed_residue(c, q), double_rem(c, q));

@@ -19,7 +19,6 @@ use rand::Rng;
 use rhychee_telemetry as telemetry;
 
 use crate::error::FheError;
-use crate::sampling::gaussian_vec;
 
 use super::cipher::{CkksCiphertext, CkksContext, CkksSecretKey};
 use super::modarith::{mul_mod, pow_mod};
@@ -57,12 +56,11 @@ impl EvalKey {
         rng: &mut R,
     ) -> Self {
         let primes = ctx.primes();
-        let n = ctx.params().n;
         let num_digits = Self::digits_for(ctx, primes.len());
         let mut rows = Vec::with_capacity(num_digits);
         for j in 0..num_digits {
             let a = ctx.uniform_poly(rng);
-            let e = RnsPoly::from_signed_coeffs(&gaussian_vec(rng, n, ctx.params().sigma), primes);
+            let e = RnsPoly::from_signed_coeffs(&ctx.noise_vec(rng), primes);
             // b = −a·s + e + B^j·f(s), with B^j reduced per prime.
             let mut b = ctx.poly_mul_at(&a, s, primes.len()).neg(primes).add(&e, primes);
             for (i, &q) in primes.iter().enumerate() {

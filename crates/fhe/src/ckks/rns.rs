@@ -339,10 +339,14 @@ impl RnsPoly {
         assert_eq!(self.domain, Domain::Coeff, "CRT decode requires coefficient domain");
         let active = &primes[..l];
         if l == 1 {
-            let q = active[0];
+            // Centre on the integers (`q < 2^63`): `x as f64 − q as f64`
+            // would round a 61-bit residue to a multiple of 256 before
+            // the subtraction and bury a small negative coefficient.
+            let half = active[0] / 2;
+            let q = active[0] as i64;
             return self.residues[0]
                 .iter()
-                .map(|&x| if x > q / 2 { x as f64 - q as f64 } else { x as f64 })
+                .map(|&x| if x > half { (x as i64 - q) as f64 } else { x as i64 as f64 })
                 .collect();
         }
         let basis = CrtBasis::new(active);
@@ -865,6 +869,17 @@ mod tests {
     fn rescale_at_bottom_level_panics() {
         let p = RnsPoly::from_signed_coeffs(&[1], &PRIMES[..1]);
         let _ = p.rescale(&PRIMES[..1]);
+    }
+
+    #[test]
+    fn single_prime_lift_is_exact_on_small_negatives_under_a_61_bit_prime() {
+        // 2^61 − 1 > 2^53: a residue near it is not an `f64`, its
+        // distance to it is.
+        let q = [(1u64 << 61) - 1];
+        let coeffs: Vec<i64> = (-300..=300).collect();
+        let lifted = RnsPoly::from_signed_coeffs(&coeffs, &q).to_centered_f64(&q);
+        let expected: Vec<f64> = coeffs.iter().map(|&c| c as f64).collect();
+        assert_eq!(lifted, expected);
     }
 
     #[test]

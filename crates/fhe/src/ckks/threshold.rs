@@ -54,10 +54,12 @@
 //! # }
 //! ```
 
+use std::sync::OnceLock;
+
 use rand::Rng;
 
 use crate::error::FheError;
-use crate::sampling::{gaussian_vec, ternary_vec};
+use crate::sampling::{ternary_vec, GaussianSampler};
 
 use super::cipher::{CkksCiphertext, CkksContext, CkksPublicKey};
 use super::modarith::{add_mod, inv_mod, mul_mod, sub_mod};
@@ -68,6 +70,12 @@ use super::rns::RnsPoly;
 /// Must dominate the decryption noise to statistically hide each party's
 /// key share; 2^10 leaves ~40 bits of plaintext precision at Δ = 2^26+.
 const SMUDGING_SIGMA: f64 = 1024.0;
+
+/// The one sampler for [`SMUDGING_SIGMA`], built on first use.
+fn smudging_sampler() -> &'static GaussianSampler {
+    static SAMPLER: OnceLock<GaussianSampler> = OnceLock::new();
+    SAMPLER.get_or_init(|| GaussianSampler::new(SMUDGING_SIGMA))
+}
 
 /// One party's key share: the additive share `s_i` (n-of-n) or the
 /// Shamir point `F(x_i)` (k-of-n).
@@ -190,8 +198,7 @@ impl ThresholdGroup {
         let mut b_sum: Option<RnsPoly> = None;
         for _ in 0..parties {
             let s_i = RnsPoly::from_signed_coeffs(&ternary_vec(rng, n), primes);
-            let e_i =
-                RnsPoly::from_signed_coeffs(&gaussian_vec(rng, n, ctx.params().sigma), primes);
+            let e_i = RnsPoly::from_signed_coeffs(&ctx.noise_vec(rng), primes);
             // b_i = -(a · s_i) + e_i
             let b_i = ctx.poly_mul_at(&a, &s_i, primes.len()).neg(primes).add(&e_i, primes);
             b_sum = Some(match b_sum {
@@ -237,8 +244,7 @@ impl ThresholdGroup {
         let mut points: Vec<Option<RnsPoly>> = vec![None; parties];
         for _ in 0..parties {
             let s_i = RnsPoly::from_signed_coeffs(&ternary_vec(rng, n), primes);
-            let e_i =
-                RnsPoly::from_signed_coeffs(&gaussian_vec(rng, n, ctx.params().sigma), primes);
+            let e_i = RnsPoly::from_signed_coeffs(&ctx.noise_vec(rng), primes);
             let b_i = ctx.poly_mul_at(&a, &s_i, primes.len()).neg(primes).add(&e_i, primes);
             b_sum = Some(match b_sum {
                 None => b_i,
@@ -347,8 +353,9 @@ impl ThresholdGroup {
                 scale_rows(&share, &lambda, primes)
             }
         };
-        let smudge =
-            RnsPoly::from_signed_coeffs(&gaussian_vec(rng, ctx.params().n, SMUDGING_SIGMA), primes);
+        let mut smudge = vec![0i64; ctx.params().n];
+        smudging_sampler().fill(rng, &mut smudge);
+        let smudge = RnsPoly::from_signed_coeffs(&smudge, primes);
         // The share product runs on coefficients, so `c1` is converted
         // at entry (threshold decryption is a round-end operation, not
         // the aggregation hot loop).

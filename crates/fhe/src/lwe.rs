@@ -28,12 +28,14 @@ use rhychee_telemetry as telemetry;
 use crate::bitpack::{BitReader, BitWriter};
 use crate::error::FheError;
 use crate::params::LweParams;
-use crate::sampling::{binary_vec, discrete_gaussian};
+use crate::sampling::{binary_vec, GaussianSampler};
 
 /// LWE evaluation context.
 #[derive(Debug, Clone)]
 pub struct LweContext {
     params: LweParams,
+    /// Error sampler for `params.sigma_int`, built once here.
+    noise: GaussianSampler,
 }
 
 /// An LWE secret key: a binary vector of length `n`.
@@ -77,7 +79,7 @@ impl LweContext {
     /// Returns [`FheError::InvalidParams`] if the parameters are invalid.
     pub fn new(params: LweParams) -> Result<Self, FheError> {
         params.validate()?;
-        Ok(LweContext { params })
+        Ok(LweContext { params, noise: GaussianSampler::new(params.sigma_int) })
     }
 
     /// The parameter set of this context.
@@ -112,7 +114,7 @@ impl LweContext {
         let inner: u64 =
             a.iter().zip(&sk.s).map(|(&ai, &si)| ai.wrapping_mul(si)).fold(0u64, u64::wrapping_add)
                 % q;
-        let e = discrete_gaussian(rng, self.params.sigma_int);
+        let e = self.noise.sample(rng);
         let e_mod = e.rem_euclid(q as i64) as u64;
         let b = (inner + self.params.delta() * m + e_mod) % q;
         Ok(LweCiphertext { a, b })

@@ -5,6 +5,17 @@
 //! has not been independently audited.
 
 use crate::error::FheError;
+use crate::sampling::MAX_SIGMA;
+
+/// Rejects a noise σ no [`GaussianSampler`](crate::sampling::GaussianSampler)
+/// can be built for.
+pub(crate) fn check_sigma(sigma: f64) -> Result<(), FheError> {
+    if sigma > 0.0 && sigma <= MAX_SIGMA {
+        Ok(())
+    } else {
+        Err(FheError::InvalidParams(format!("sigma {sigma} outside (0, {MAX_SIGMA}]")))
+    }
+}
 
 /// Parameters for the RNS-CKKS scheme.
 ///
@@ -83,7 +94,8 @@ impl CkksParams {
     ///
     /// Returns [`FheError::InvalidParams`] if the ring degree is not a
     /// power of two ≥ 8, the prime chain is empty, any prime size is
-    /// outside `[20, 62]` bits, or the scale exceeds the top prime.
+    /// outside `[20, 62]` bits, the scale exceeds the top prime,
+    /// or σ is outside `(0, 5461]`.
     pub fn validate(&self) -> Result<(), FheError> {
         if !self.n.is_power_of_two() || self.n < 8 {
             return Err(FheError::InvalidParams(format!(
@@ -104,10 +116,7 @@ impl CkksParams {
                 self.scale_bits
             )));
         }
-        if self.sigma <= 0.0 {
-            return Err(FheError::InvalidParams("sigma must be positive".into()));
-        }
-        Ok(())
+        check_sigma(self.sigma)
     }
 }
 
@@ -183,7 +192,7 @@ impl LweParams {
     ///
     /// Returns [`FheError::InvalidParams`] on a zero dimension, a modulus
     /// outside `[4, 32]` bits, a plaintext modulus that does not divide q,
-    /// or a non-positive σ.
+    /// or a σ outside `(0, 5461]`.
     pub fn validate(&self) -> Result<(), FheError> {
         if self.dimension == 0 {
             return Err(FheError::InvalidParams("LWE dimension must be positive".into()));
@@ -201,10 +210,7 @@ impl LweParams {
                 self.q()
             )));
         }
-        if self.sigma_int <= 0.0 {
-            return Err(FheError::InvalidParams("sigma must be positive".into()));
-        }
-        Ok(())
+        check_sigma(self.sigma_int)
     }
 }
 

@@ -7,8 +7,8 @@ use crate::ckks::modarith::{add_mod, find_ntt_primes, mul_mod, neg_mod, signed_r
 use crate::ckks::ntt::NttTable;
 use crate::error::FheError;
 use crate::lwe::{LweCiphertext, LweContext, LweSecretKey};
-use crate::params::LweParams;
-use crate::sampling::{discrete_gaussian, uniform_vec};
+use crate::params::{check_sigma, LweParams};
+use crate::sampling::{uniform_vec, GaussianSampler};
 
 use super::rlwe::{rotate_poly, sample_rlwe_key, GadgetDecomposer, RgswCiphertext, RlweCiphertext};
 
@@ -56,10 +56,11 @@ impl BootstrapParams {
     ///
     /// # Errors
     ///
-    /// Returns [`FheError::InvalidParams`] if `q ≠ 2N` or a gadget does
-    /// not cover its modulus.
+    /// Returns [`FheError::InvalidParams`] if `q ≠ 2N`, a gadget does
+    /// not cover its modulus, or a σ is outside `(0, 5461]`.
     pub fn validate(&self) -> Result<(), FheError> {
         self.lwe.validate()?;
+        check_sigma(self.rlwe_sigma)?;
         if self.lwe.q() != 2 * self.ring_degree as u64 {
             return Err(FheError::InvalidParams(format!(
                 "bootstrapping requires q = 2N (q = {}, N = {})",
@@ -135,6 +136,10 @@ impl BootstrapContext {
             GadgetDecomposer::new(ring_q, params.gadget_log_base, params.gadget_levels);
         let ks_decomposer = GadgetDecomposer::new(ring_q, params.ks_log_base, params.ks_levels);
 
+        // The one error sampler of this keygen: every RGSW row and every
+        // key-switching entry below draws from it.
+        let noise = GaussianSampler::new(params.rlwe_sigma);
+
         // Accumulator (RLWE) key.
         let z = sample_rlwe_key(n_ring, rng);
 
@@ -142,9 +147,7 @@ impl BootstrapContext {
         let s_bits = sk.bits();
         let blind_rotation_key = s_bits
             .iter()
-            .map(|&bit| {
-                RgswCiphertext::encrypt(bit, &z, &table, &decomposer, params.rlwe_sigma, rng)
-            })
+            .map(|&bit| RgswCiphertext::encrypt(bit, &z, &table, &decomposer, &noise, rng))
             .collect();
 
         // Key-switching key: LWE_s^{(Q)}(z_i · B^j).
@@ -161,7 +164,7 @@ impl BootstrapContext {
                     .iter()
                     .zip(s_bits)
                     .fold(0u64, |acc, (&ai, &si)| add_mod(acc, mul_mod(ai, si, ring_q), ring_q));
-                let e = discrete_gaussian(rng, params.rlwe_sigma);
+                let e = noise.sample(rng);
                 let e_res = signed_residue(e, ring_q);
                 let b = add_mod(add_mod(inner, e_res, ring_q), m, ring_q);
                 per_coeff.push(KskEntry { a, b });

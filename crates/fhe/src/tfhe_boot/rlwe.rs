@@ -9,7 +9,7 @@ use rand::Rng;
 
 use crate::ckks::modarith::{add_mod, mul_mod, signed_residue, sub_mod};
 use crate::ckks::ntt::NttTable;
-use crate::sampling::{gaussian_vec, ternary_vec};
+use crate::sampling::{ternary_vec, GaussianSampler};
 
 /// An RLWE ciphertext `(a, b)` with `b = a·s + e + m`, coefficient
 /// domain, modulus `Q`.
@@ -163,7 +163,7 @@ impl RgswCiphertext {
         s: &[i64],
         table: &NttTable,
         decomposer: &GadgetDecomposer,
-        sigma: f64,
+        noise: &GaussianSampler,
         rng: &mut R,
     ) -> Self {
         let q = table.modulus();
@@ -180,7 +180,8 @@ impl RgswCiphertext {
             let mut b_ntt: Vec<u64> =
                 a_ntt.iter().zip(&s_ntt).map(|(&x, &y)| mul_mod(x, y, q)).collect();
             table.inverse(&mut b_ntt);
-            let e = gaussian_vec(rng, n, sigma);
+            let mut e = vec![0i64; n];
+            noise.fill(rng, &mut e);
             for ((bi, &ei), &mi) in b_ntt.iter_mut().zip(&e).zip(message) {
                 let e_res = signed_residue(ei, q);
                 *bi = add_mod(add_mod(*bi, e_res, q), mi, q);
@@ -305,6 +306,10 @@ mod tests {
         (table, decomposer, key, rng)
     }
 
+    fn noise() -> GaussianSampler {
+        GaussianSampler::new(3.2)
+    }
+
     /// Max absolute centred error of a decrypted RLWE message.
     fn max_err(decrypted: &[u64], expected: &[u64], q: u64) -> u64 {
         decrypted
@@ -397,7 +402,7 @@ mod tests {
         m[0] = delta;
         m[3] = mul_mod(3, delta, q);
         let ct = RlweCiphertext::trivial(m.clone());
-        let rgsw_one = RgswCiphertext::encrypt(1, &key, &table, &decomposer, 3.2, &mut rng);
+        let rgsw_one = RgswCiphertext::encrypt(1, &key, &table, &decomposer, &noise(), &mut rng);
         let out = rgsw_one.external_product(&ct, &table, &decomposer);
         let dec = rlwe_decrypt(&out, &key, &table);
         let err = max_err(&dec, &m, q);
@@ -412,7 +417,7 @@ mod tests {
         let mut m = vec![0u64; n];
         m[0] = q / 4;
         let ct = RlweCiphertext::trivial(m);
-        let rgsw_zero = RgswCiphertext::encrypt(0, &key, &table, &decomposer, 3.2, &mut rng);
+        let rgsw_zero = RgswCiphertext::encrypt(0, &key, &table, &decomposer, &noise(), &mut rng);
         let out = rgsw_zero.external_product(&ct, &table, &decomposer);
         let dec = rlwe_decrypt(&out, &key, &table);
         let err = max_err(&dec, &vec![0u64; n], q);
@@ -430,14 +435,14 @@ mod tests {
         let acc = RlweCiphertext::trivial(m.clone());
 
         // Bit = 1: accumulator rotates by X^k.
-        let rgsw_one = RgswCiphertext::encrypt(1, &key, &table, &decomposer, 3.2, &mut rng);
+        let rgsw_one = RgswCiphertext::encrypt(1, &key, &table, &decomposer, &noise(), &mut rng);
         let rotated = rgsw_one.cmux_rotate(&acc, 5, &table, &decomposer);
         let dec = rlwe_decrypt(&rotated, &key, &table);
         let expected = rotate_poly(&m, 5, q);
         assert!(max_err(&dec, &expected, q) < delta / 8);
 
         // Bit = 0: accumulator unchanged.
-        let rgsw_zero = RgswCiphertext::encrypt(0, &key, &table, &decomposer, 3.2, &mut rng);
+        let rgsw_zero = RgswCiphertext::encrypt(0, &key, &table, &decomposer, &noise(), &mut rng);
         let same = rgsw_zero.cmux_rotate(&acc, 5, &table, &decomposer);
         let dec = rlwe_decrypt(&same, &key, &table);
         assert!(max_err(&dec, &m, q) < delta / 8);
@@ -456,7 +461,7 @@ mod tests {
         let ks = [3usize, 7, 11, 2];
         let mut total = 0usize;
         for (&bit, &k) in bits.iter().zip(&ks) {
-            let rgsw = RgswCiphertext::encrypt(bit, &key, &table, &decomposer, 3.2, &mut rng);
+            let rgsw = RgswCiphertext::encrypt(bit, &key, &table, &decomposer, &noise(), &mut rng);
             acc = rgsw.cmux_rotate(&acc, k, &table, &decomposer);
             total += bit as usize * k;
         }

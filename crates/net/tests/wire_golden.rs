@@ -19,6 +19,18 @@
 //! constants were generated at that PR's parent (`a7a33cb`) with only
 //! `TAG_CKKS` and `serialize_into`'s inverse transform changed — that
 //! commit's packer and that commit's frame CRC.
+//!
+//! The two tails moved once more in PR 24, which changed no wire or
+//! frame format: the Box–Muller noise sampler became the table-driven
+//! `sampling::GaussianSampler`, so the same seed encrypts with different
+//! noise and the payload's last bytes and the frame trailer (a CRC over
+//! that payload) differ. `len`, the whole-frame `crc32` and `head` — the
+//! magic, version, tag, round, length and client id the noise cannot
+//! reach — are the PR 23 literals, untouched. That PR's first commit
+//! (the division-free signed reduce alone) passed the PR 23 tails; the
+//! new ones were printed by this file at the commit that added the
+//! sampler's reference tests in `rhychee-fhe` (`sampling::tests`), which
+//! vouch for the new stream so these bytes do not have to.
 
 use rand::{rngs::StdRng, SeedableRng};
 
@@ -105,8 +117,8 @@ const UPDATE_FRAME: Fingerprint = Fingerprint {
         0x00,
     ],
     tail: [
-        0xd6, 0xe0, 0x2d, 0x6c, 0xe2, 0xcc, 0x35, 0x86, 0xec, 0x2b, 0x1d, 0x52, 0x52, 0xd1, 0x20,
-        0x0f,
+        0x44, 0x0a, 0x22, 0x4c, 0x8c, 0x52, 0xa7, 0x2e, 0xbd, 0xf9, 0xd7, 0x3b, 0x79, 0xb1, 0x18,
+        0x8d,
     ],
 };
 const UPDATE_FRAME_TRACED: Fingerprint = Fingerprint {
@@ -117,7 +129,7 @@ const UPDATE_FRAME_TRACED: Fingerprint = Fingerprint {
         0x76,
     ],
     tail: [
-        0xd6, 0xe0, 0x2d, 0x6c, 0xe2, 0xcc, 0x35, 0x86, 0xec, 0x2b, 0x1d, 0x52, 0xc8, 0x0f, 0xd8,
-        0xbc,
+        0x44, 0x0a, 0x22, 0x4c, 0x8c, 0x52, 0xa7, 0x2e, 0xbd, 0xf9, 0xd7, 0x3b, 0xe3, 0x6f, 0xe0,
+        0x3e,
     ],
 };

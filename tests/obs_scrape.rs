@@ -4,6 +4,13 @@
 //! body must be valid Prometheus text exposition carrying the round
 //! gauge, a counter, and a full histogram family.
 //!
+//! The federation is held open while the test scrapes: a fourth peer,
+//! hand-rolled on the raw wire, handshakes, takes the round-0 broadcast
+//! and then withholds its upload, so round 1 (1-based) cannot close
+//! until the test has its bodies and hangs up — the quorum of three
+//! `FlClient`s finishes the run. How long a toy round takes is therefore
+//! no input to this test.
+//!
 //! Single test on purpose: it flips the process-global telemetry state
 //! (enabled flag, registry), which cannot be shared with other tests in
 //! the same binary.
@@ -18,7 +25,8 @@ use rhychee_fl::core::FlConfig;
 use rhychee_fl::data::{DatasetKind, SyntheticConfig};
 use rhychee_fl::fhe::params::CkksParams;
 use rhychee_fl::net::{
-    ClientConfig, ClientPipeline, FlClient, FlServer, ServerConfig, ServerPipeline,
+    wire, ClientConfig, ClientPipeline, FlClient, FlServer, Message, ServerConfig, ServerPipeline,
+    DEFAULT_MAX_PAYLOAD,
 };
 
 fn http_get(addr: SocketAddr, path: &str) -> Option<String> {
@@ -61,10 +69,11 @@ fn metrics_scrape_during_live_federation() {
     let data = SyntheticConfig { kind: DatasetKind::Har, train_samples: 240, test_samples: 80 }
         .generate(41)
         .expect("dataset");
-    // CKKS pipeline with a real model size: rounds must take long enough
-    // on a 1-core runner that loopback scrapes land mid-federation.
-    let fl = FlConfig::builder().clients(3).rounds(6).hd_dim(512).seed(9).build().expect("config");
-    let FedSetup { shards, test, classes } = round::prepare(&fl, &data).expect("prepare");
+    // Four participants, quorum three: ids 0, 1, 2 are real clients, id 3 is
+    // the raw peer below that holds round 1 open and then departs.
+    let fl = FlConfig::builder().clients(4).rounds(6).hd_dim(512).seed(9).build().expect("config");
+    let FedSetup { mut shards, test, classes } = round::prepare(&fl, &data).expect("prepare");
+    shards.truncate(3);
     let num_params = classes * fl.hd_dim;
 
     let server = FlServer::bind(
@@ -73,6 +82,7 @@ fn metrics_scrape_during_live_federation() {
             .clients(fl.clients)
             .rounds(fl.rounds)
             .model_params(num_params)
+            .quorum(3)
             .obs_addr("127.0.0.1:0")
             .build()
             .expect("server config"),
@@ -107,39 +117,47 @@ fn metrics_scrape_during_live_federation() {
         })
         .collect();
 
-    // Scrape continuously while the federation runs; keep the last body
-    // captured with a live round in flight. The obs server dies with
-    // run(), so every capture below happened during the live run.
-    let mut live_metrics: Option<String> = None;
-    let mut live_health: Option<String> = None;
-    while !server_thread.is_finished() {
-        if let Some(body) = http_get(obs, "/metrics") {
-            let round_live = sample(&body, "rhychee_fl_round_current").is_some_and(|v| v >= 1.0);
-            // Span histograms appear once the first spans close (e.g.
-            // `net_decode` during the first collection window); only
-            // bodies carrying a full family satisfy the assertions below.
-            if round_live && body.contains("_bucket{le=") {
-                live_metrics = Some(body);
-                if live_health.is_none() {
-                    live_health = http_get(obs, "/healthz");
-                }
+    // The holder: handshake, take the round-0 broadcast, upload nothing.
+    // From here until `holder` is dropped the server sits in round 1's
+    // collection window with four live peers.
+    let mut holder = TcpStream::connect(addr).expect("holder connect");
+    wire::write_message(&mut holder, &Message::Hello { client_id: 3 }).expect("hello");
+    let (msg, _) = wire::read_message(&mut holder, DEFAULT_MAX_PAYLOAD).expect("welcome");
+    assert!(matches!(msg, Message::Welcome { client_id: 3, .. }), "got {}", msg.name());
+    let (msg, _) = wire::read_message(&mut holder, DEFAULT_MAX_PAYLOAD).expect("global 0");
+    assert!(matches!(msg, Message::Global { round: 0, last: false, .. }), "got {}", msg.name());
+
+    // Scrape both endpoints, health first, until a metrics body carries a
+    // full histogram family: span histograms appear once the first spans
+    // close (e.g. `net_decode` when the real clients' uploads arrive).
+    // The round cannot close under the pair, so both bodies are live.
+    let mut live: Option<(String, String)> = None;
+    while live.is_none() && !server_thread.is_finished() {
+        let health = http_get(obs, "/healthz");
+        let metrics = http_get(obs, "/metrics");
+        if let (Some(health), Some(metrics)) = (health, metrics) {
+            let round_live = sample(&metrics, "rhychee_fl_round_current").is_some_and(|v| v >= 1.0);
+            if round_live && metrics.contains("_bucket{le=") {
+                live = Some((health, metrics));
             }
         }
-        // No sleep: each scrape already waits on the obs accept poll, so
-        // the loop is naturally paced and maximizes mid-round captures.
+        // No sleep: each scrape already waits on the obs accept poll.
     }
-    server_thread.join().expect("server thread").expect("server run");
+    drop(holder);
+    let report = server_thread.join().expect("server thread").expect("server run");
+    assert_eq!(report.dropped_clients, 1, "the holder, and nobody else");
+    assert_eq!(report.rounds.len(), fl.rounds);
     for c in clients {
         c.join().expect("client thread").expect("client run");
     }
 
-    let metrics = live_metrics.expect("at least one scrape landed during a live round");
+    let (health, metrics) = live.expect("the server ended with a peer still holding round 1 open");
     assert_valid_exposition(&metrics);
 
     // One gauge (the round in flight), one counter, one histogram family
     // with cumulative buckets, sum and count.
     let current = sample(&metrics, "rhychee_fl_round_current").expect("round gauge");
-    assert!((1.0..=fl.rounds as f64).contains(&current), "round in flight: {current}");
+    assert_eq!(current, 1.0, "the held round is the one in flight");
     assert!(metrics.contains("# TYPE rhychee_fl_round_current gauge"));
     assert!(
         sample(&metrics, "rhychee_net_bytes_rx_total").is_some_and(|v| v > 0.0),
@@ -157,8 +175,7 @@ fn metrics_scrape_during_live_federation() {
         "_count series"
     );
 
-    let health = live_health.expect("healthz scrape during the run");
     assert!(health.contains("\"status\":\"ok\""), "{health}");
-    assert!(health.contains("\"round\":"), "{health}");
-    assert!(health.contains("\"clients_connected\":3"), "{health}");
+    assert!(health.contains("\"round\":1,"), "{health}");
+    assert!(health.contains("\"clients_connected\":4"), "{health}");
 }
