@@ -8,6 +8,46 @@
 /// Reflected CRC-32 polynomial (IEEE 802.3).
 const CRC32_POLY: u32 = 0xEDB8_8320;
 
+/// Bytes each of the four interleaved streams covers per block.
+const STRIPE: usize = 2048;
+
+/// Bytes the four-stream loop takes per block: four consecutive stripes.
+const BLOCK: usize = 4 * STRIPE;
+
+/// `x^(8·STRIPE) mod P`: what a register is multiplied by when
+/// `STRIPE` zero bytes pass through it.
+const STRIPE_SHIFT: u32 = {
+    let mut reg = 0x8000_0000; // the polynomial 1
+    let mut bit = 0;
+    while bit < 8 * STRIPE {
+        reg = mul_x(reg);
+        bit += 1;
+    }
+    reg
+};
+
+/// Multiplies a register by `x` modulo `P`, the polynomial
+/// `CRC32_POLY` stands for. Registers are reflected:
+/// bit 31 holds the coefficient of `x^0`, bit 0 that of `x^31`.
+const fn mul_x(reg: u32) -> u32 {
+    if reg & 1 == 1 {
+        (reg >> 1) ^ CRC32_POLY
+    } else {
+        reg >> 1
+    }
+}
+
+/// `a·b mod P` over GF(2), 32 steps: `b·x^i` is added for each term
+/// `x^i` of `a`.
+fn mul_mod(a: u32, mut b: u32) -> u32 {
+    let mut product = 0;
+    for i in 0..32 {
+        product ^= b & ((a >> (31 - i)) & 1).wrapping_neg();
+        b = mul_x(b);
+    }
+    product
+}
+
 /// Slice-by-8 lookup tables, built at compile time.
 ///
 /// `TABLES[0]` is the classic byte-at-a-time table: entry `i` is the
@@ -24,7 +64,7 @@ static TABLES: [[u32; 256]; 8] = {
         let mut crc = i as u32;
         let mut bit = 0;
         while bit < 8 {
-            crc = if crc & 1 == 1 { (crc >> 1) ^ CRC32_POLY } else { crc >> 1 };
+            crc = mul_x(crc);
             bit += 1;
         }
         tables[0][i] = crc;
@@ -62,8 +102,10 @@ pub fn crc32(data: &[u8]) -> u32 {
 /// for any split, and a message scattered over several buffers is
 /// checksummed without gathering it into one.
 ///
-/// Eight input bytes per step (slice-by-8), bytewise over the last
-/// `data.len() % 8`.
+/// Each 8 KiB block runs four independent slice-by-8 registers over its
+/// four 2 KiB stripes, so four table walks overlap instead of waiting on
+/// one another; the last `data.len() % 8192` bytes take one register,
+/// eight bytes per step, bytewise over the last `% 8`.
 ///
 /// # Examples
 ///
@@ -74,18 +116,32 @@ pub fn crc32(data: &[u8]) -> u32 {
 /// ```
 pub fn crc32_update(crc: u32, data: &[u8]) -> u32 {
     let mut crc = !crc;
-    let mut chunks = data.chunks_exact(8);
+    let mut blocks = data.chunks_exact(BLOCK);
+    for block in &mut blocks {
+        let (s0, rest) = block.split_at(STRIPE);
+        let (s1, rest) = rest.split_at(STRIPE);
+        let (s2, s3) = rest.split_at(STRIPE);
+        let (mut r0, mut r1, mut r2, mut r3) = (crc, 0, 0, 0);
+        for (((c0, c1), c2), c3) in s0
+            .chunks_exact(8)
+            .zip(s1.chunks_exact(8))
+            .zip(s2.chunks_exact(8))
+            .zip(s3.chunks_exact(8))
+        {
+            r0 = step8(r0, c0);
+            r1 = step8(r1, c1);
+            r2 = step8(r2, c2);
+            r3 = step8(r3, c3);
+        }
+        // The register is linear over GF(2): running `r` over a stripe
+        // equals running 0 over it, XORed with `r` pushed through
+        // `STRIPE` zero bytes, i.e. `r·STRIPE_SHIFT`.
+        crc =
+            mul_mod(mul_mod(mul_mod(r0, STRIPE_SHIFT) ^ r1, STRIPE_SHIFT) ^ r2, STRIPE_SHIFT) ^ r3;
+    }
+    let mut chunks = blocks.remainder().chunks_exact(8);
     for chunk in &mut chunks {
-        let lo = crc ^ u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
-        let hi = u32::from_le_bytes([chunk[4], chunk[5], chunk[6], chunk[7]]);
-        crc = TABLES[7][(lo & 0xFF) as usize]
-            ^ TABLES[6][((lo >> 8) & 0xFF) as usize]
-            ^ TABLES[5][((lo >> 16) & 0xFF) as usize]
-            ^ TABLES[4][(lo >> 24) as usize]
-            ^ TABLES[3][(hi & 0xFF) as usize]
-            ^ TABLES[2][((hi >> 8) & 0xFF) as usize]
-            ^ TABLES[1][((hi >> 16) & 0xFF) as usize]
-            ^ TABLES[0][(hi >> 24) as usize];
+        crc = step8(crc, chunk);
     }
     for &b in chunks.remainder() {
         crc = (crc >> 8) ^ TABLES[0][((crc ^ u32::from(b)) & 0xFF) as usize];
@@ -93,7 +149,27 @@ pub fn crc32_update(crc: u32, data: &[u8]) -> u32 {
     !crc
 }
 
+/// One slice-by-8 step: the register after eight more bytes of `chunk`
+/// (exactly eight long).
+#[inline(always)]
+fn step8(reg: u32, chunk: &[u8]) -> u32 {
+    let lo = reg ^ u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+    let hi = u32::from_le_bytes([chunk[4], chunk[5], chunk[6], chunk[7]]);
+    TABLES[7][(lo & 0xFF) as usize]
+        ^ TABLES[6][((lo >> 8) & 0xFF) as usize]
+        ^ TABLES[5][((lo >> 16) & 0xFF) as usize]
+        ^ TABLES[4][(lo >> 24) as usize]
+        ^ TABLES[3][(hi & 0xFF) as usize]
+        ^ TABLES[2][((hi >> 8) & 0xFF) as usize]
+        ^ TABLES[1][((hi >> 16) & 0xFF) as usize]
+        ^ TABLES[0][(hi >> 24) as usize]
+}
+
 /// Computes the 16-bit Internet checksum (RFC 1071 ones'-complement sum).
+///
+/// The words are summed in a `u64` and the end-around carries folded
+/// once at the end (RFC 1071's deferred carries), which is exact for any
+/// slice shorter than 2^48 words.
 ///
 /// # Examples
 ///
@@ -104,13 +180,13 @@ pub fn crc32_update(crc: u32, data: &[u8]) -> u32 {
 /// assert_eq!(internet_checksum(&data), 0x220d);
 /// ```
 pub fn internet_checksum(data: &[u8]) -> u16 {
-    let mut sum = 0u32;
+    let mut sum = 0u64;
     let mut chunks = data.chunks_exact(2);
     for c in &mut chunks {
-        sum += u32::from(u16::from_be_bytes([c[0], c[1]]));
+        sum += u64::from(u16::from_be_bytes([c[0], c[1]]));
     }
     if let [last] = chunks.remainder() {
-        sum += u32::from(u16::from_be_bytes([*last, 0]));
+        sum += u64::from(u16::from_be_bytes([*last, 0]));
     }
     while sum >> 16 != 0 {
         sum = (sum & 0xFFFF) + (sum >> 16);
@@ -176,7 +252,8 @@ mod tests {
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
     /// The byte-at-a-time table walk this module shipped through PR 14,
-    /// kept as the differential oracle for slice-by-8.
+    /// kept as the differential oracle for the single- and four-stream
+    /// slice-by-8 loops.
     fn crc32_bytewise(data: &[u8]) -> u32 {
         let mut table = [0u32; 256];
         for (i, entry) in table.iter_mut().enumerate() {
@@ -228,6 +305,56 @@ mod tests {
     }
 
     #[test]
+    fn four_streams_match_bytewise_around_one_and_two_blocks() {
+        // Lengths just under, at and over one and two blocks: the
+        // four-stream loop, the single-stream 8-byte steps and the
+        // bytewise tail in every combination, at every start alignment.
+        let mut rng = StdRng::seed_from_u64(0x25);
+        let data: Vec<u8> = (0..2 * BLOCK + 9 + 8).map(|_| rng.gen()).collect();
+        for start in 0..8 {
+            for len in (BLOCK - 9..=BLOCK + 9).chain(2 * BLOCK - 9..=2 * BLOCK + 9) {
+                let slice = &data[start..start + len];
+                assert_eq!(crc32(slice), crc32_bytewise(slice), "start {start} len {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn update_matches_bytewise_at_stripe_and_block_seams() {
+        let mut rng = StdRng::seed_from_u64(0x25_02);
+        let data: Vec<u8> = (0..1 << 20).map(|_| rng.gen()).collect();
+        let want = crc32_bytewise(&data);
+        // Interior stripe seams of the first and second block, then
+        // block seams up to the last one.
+        let seams =
+            [1, 2, 3, 5].map(|k| k * STRIPE).into_iter().chain([1, 2, 64, 127].map(|k| k * BLOCK));
+        for seam in seams {
+            for split in [seam - 1, seam, seam + 1] {
+                let (a, b) = data.split_at(split);
+                assert_eq!(crc32_update(crc32(a), b), want, "split {split}");
+            }
+        }
+    }
+
+    #[test]
+    fn stripe_shift_is_the_register_effect_of_a_zero_stripe() {
+        // Push the polynomial 1 through STRIPE zero bytes with the
+        // byte-at-a-time table: the register left is x^(8·STRIPE) mod P.
+        let zeros = |mut reg: u32| {
+            for _ in 0..STRIPE {
+                reg = (reg >> 8) ^ TABLES[0][(reg & 0xFF) as usize];
+            }
+            reg
+        };
+        assert_eq!(STRIPE_SHIFT, zeros(0x8000_0000));
+        // And `mul_mod` by it is that push for any register.
+        let mut rng = StdRng::seed_from_u64(0x25_03);
+        for reg in [0, 1, 0x8000_0000, u32::MAX].into_iter().chain((0..64).map(|_| rng.gen())) {
+            assert_eq!(mul_mod(reg, STRIPE_SHIFT), zeros(reg), "register {reg:#010x}");
+        }
+    }
+
+    #[test]
     fn crc32_check_value() {
         // The canonical CRC-32 test vector.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
@@ -271,6 +398,32 @@ mod tests {
         let even = internet_checksum(&[0x12, 0x34, 0x56, 0x00]);
         let odd = internet_checksum(&[0x12, 0x34, 0x56]);
         assert_eq!(even, odd);
+    }
+
+    /// RFC 1071's sum with the end-around carry folded after every word.
+    fn checksum_fold_every_word(data: &[u8]) -> u16 {
+        let mut sum = 0u32;
+        for c in data.chunks(2) {
+            sum += u32::from(u16::from_be_bytes([c[0], c.get(1).copied().unwrap_or(0)]));
+            sum = (sum & 0xFFFF) + (sum >> 16);
+        }
+        !(sum as u16)
+    }
+
+    #[test]
+    fn checksum_does_not_overflow_on_large_inputs() {
+        // All-ones words sum to 0xFFFF under ones'-complement addition,
+        // whose complement is 0. A u32 accumulator overflowed from
+        // 65,538 such words on (a debug panic, 0x0001 in release).
+        for len in [131_076, 624_728, 1 << 20] {
+            assert_eq!(internet_checksum(&vec![0xFF; len]), 0x0000, "{len} bytes of 0xFF");
+        }
+        let mut rng = StdRng::seed_from_u64(0x25_04);
+        let data: Vec<u8> = (0..200_001).map(|_| rng.gen()).collect();
+        for len in [200_000, 200_001] {
+            let data = &data[..len];
+            assert_eq!(internet_checksum(data), checksum_fold_every_word(data), "len {len}");
+        }
     }
 
     #[test]

@@ -3,10 +3,23 @@
 use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
 
-use rhychee_channel::crc::{crc32, internet_checksum, Detector};
+use rhychee_channel::crc::{crc32, crc32_update, internet_checksum, Detector};
 use rhychee_channel::failure::ChannelModel;
 use rhychee_channel::packet::{BitFlipChannel, PacketLink};
 use rhychee_channel::phy::{erfc, q_function};
+
+/// CRC-32 one bit at a time, no tables: the reference the table-driven
+/// kernels must agree with.
+fn crc32_bitwise(data: &[u8]) -> u32 {
+    let mut reg = u32::MAX;
+    for &b in data {
+        reg ^= u32::from(b);
+        for _ in 0..8 {
+            reg = if reg & 1 == 1 { (reg >> 1) ^ 0xEDB8_8320 } else { reg >> 1 };
+        }
+    }
+    !reg
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -22,6 +35,22 @@ proptest! {
         let i = byte.index(corrupted.len());
         corrupted[i] ^= 1 << bit;
         prop_assert_ne!(crc32(&corrupted), tag);
+    }
+
+    #[test]
+    fn crc_chain_agrees_with_bitwise_reference(
+        data in prop::collection::vec(any::<u8>(), 0..40_000),
+        cut_a in any::<prop::sample::Index>(),
+        cut_b in any::<prop::sample::Index>(),
+    ) {
+        // Three pieces, cut anywhere: across stripe and block seams of
+        // the four-stream loop as often as inside one.
+        let (i, j) = (cut_a.index(data.len() + 1), cut_b.index(data.len() + 1));
+        let (i, j) = (i.min(j), i.max(j));
+        let chained = crc32_update(crc32_update(crc32(&data[..i]), &data[i..j]), &data[j..]);
+        let want = crc32_bitwise(&data);
+        prop_assert_eq!(crc32(&data), want);
+        prop_assert_eq!(chained, want);
     }
 
     #[test]

@@ -635,6 +635,41 @@ mod tests {
     }
 
     #[test]
+    fn frames_at_the_crc_block_seam_round_trip_and_catch_flips() {
+        // The CRC kernel runs four 2 KiB stripes per 8 KiB block of
+        // guarded bytes and one stream over the rest: frames one byte
+        // under, at and over one block, both versions, through the
+        // one-buffer decoder and the header ‖ rest stream reader.
+        const BLOCK: usize = 8192;
+        for traced in [false, true] {
+            for guarded in [BLOCK - 1, BLOCK, BLOCK + 1] {
+                let ctx_len = if traced { CTX_LEN } else { 0 };
+                let model_len = guarded - (HEADER_LEN - 4) - ctx_len - 8;
+                let model = (0..model_len).map(|i| (i % 251) as u8).collect();
+                let msg = Message::Update { round: 3, client_id: 1, steps: 9, model };
+                let ctx = traced.then(|| ctx_for(&msg));
+                let frame = encode_frame_ctx(&msg, ctx.as_ref());
+                assert_eq!(frame.len() - 4 - TRAILER_LEN, guarded);
+                let decoded = decode_frame_ctx(&frame, DEFAULT_MAX_PAYLOAD).expect("decode");
+                assert_eq!(decoded, (msg.clone(), ctx));
+                let read = read_message_ctx(&mut std::io::Cursor::new(&frame), DEFAULT_MAX_PAYLOAD)
+                    .expect("read");
+                assert_eq!(read, (msg, ctx, frame.len()));
+                for offset in [2047, 2048, BLOCK - 1, BLOCK].into_iter().filter(|&o| o < guarded) {
+                    let mut bad = frame.clone();
+                    bad[4 + offset] ^= 0x01;
+                    let what = format!("traced {traced}, guarded {guarded}, offset {offset}");
+                    let err = decode_frame(&bad, DEFAULT_MAX_PAYLOAD).expect_err(&what);
+                    assert!(matches!(err, NetError::Crc { .. }), "{what}: {err}");
+                    let err = read_message(&mut std::io::Cursor::new(&bad), DEFAULT_MAX_PAYLOAD)
+                        .expect_err(&what);
+                    assert!(matches!(err, NetError::Crc { .. }), "{what}: {err}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn zeroed_context_decodes_as_none() {
         let msg = Message::Finished { round: 3 };
         let ctx = TraceContext { trace_id: 0, parent_span: 0, round: 3 };
