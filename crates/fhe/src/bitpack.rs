@@ -170,20 +170,29 @@ impl<'a> BitReader<'a> {
         Ok(value)
     }
 
-    /// Fills `out` with the next `out.len()` values of `bits` bits each
-    /// — the same values as one [`BitReader::read_bits`] per slot, with
-    /// the length checked once for the whole row.
+    /// Reads the next `out.len()` values of `bits` bits each and calls
+    /// `f(slot, value)` for each slot of `out` in order — the same values
+    /// as one [`BitReader::read_bits`] per slot, with the length checked
+    /// once for the whole row. `f` decides what a value does to its slot
+    /// (store it, reduce it, add it), so a decoder is one pass over the
+    /// row.
     ///
     /// # Errors
     ///
     /// Returns [`FheError::Deserialize`] if the buffer holds fewer than
-    /// `out.len() · bits` more bits; a failed read consumes nothing and
-    /// leaves `out` untouched.
-    pub fn read_row_into(&mut self, out: &mut [u64], bits: u32) -> Result<(), FheError> {
+    /// `out.len() · bits` more bits; a failed read consumes nothing,
+    /// never calls `f` and leaves `out` untouched.
+    #[inline]
+    pub fn read_row_with(
+        &mut self,
+        out: &mut [u64],
+        bits: u32,
+        mut f: impl FnMut(&mut u64, u64),
+    ) -> Result<(), FheError> {
         assert!(bits <= 64, "cannot read more than 64 bits at once");
         self.check_available(out.len() * bits as usize)?;
         for slot in out {
-            *slot = window(self.buf, self.bit_pos, bits);
+            f(slot, window(self.buf, self.bit_pos, bits));
             self.bit_pos += bits as usize;
         }
         Ok(())
@@ -487,16 +496,23 @@ mod tests {
                 let mut r = BitReader::new(&bytes);
                 assert_eq!(r.read_bits(offset).unwrap(), lead);
                 let mut back = vec![u64::MAX; row.len()];
-                r.read_row_into(&mut back, width).unwrap();
+                r.read_row_with(&mut back, width, |s, v| *s = v).unwrap();
                 assert_eq!(back, row, "width {width} offset {offset}");
                 assert_eq!(r.read_bits(1).unwrap(), 1);
 
-                // A row one value too long fails, consumes nothing and
-                // leaves the destination untouched.
+                // The closure sees each slot's old contents beside its value.
+                let mut r = BitReader::new(&bytes);
+                r.skip(offset as usize).unwrap();
+                let mut xored: Vec<u64> = (0..row.len() as u64).collect();
+                r.read_row_with(&mut xored, width, |s, v| *s ^= v).unwrap();
+                assert!(xored.iter().zip(&row).enumerate().all(|(i, (&x, &v))| x ^ v == i as u64));
+
+                // A row one value too long fails, consumes nothing, never
+                // calls the closure and leaves the destination untouched.
                 let mut r = BitReader::new(&bytes);
                 r.skip(offset as usize).unwrap();
                 let mut long = vec![u64::MAX; row.len() + 1 + 8 / width as usize];
-                assert!(r.read_row_into(&mut long, width).is_err());
+                assert!(r.read_row_with(&mut long, width, |_, _| panic!("called")).is_err());
                 assert_eq!(r.bit_pos(), offset as usize);
                 assert!(long.iter().all(|&v| v == u64::MAX));
             }

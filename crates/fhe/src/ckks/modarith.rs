@@ -8,12 +8,20 @@
 /// Adds two residues modulo `q`. Inputs must be `< q`.
 #[inline]
 pub fn add_mod(a: u64, b: u64, q: u64) -> u64 {
-    let s = a + b; // q < 2^63 in all parameter sets, so this cannot overflow
-    if s >= q {
-        s - q
-    } else {
-        s
-    }
+    reduce_once(a + b, q) // q < 2^63 in all parameter sets, so this cannot overflow
+}
+
+/// Reduces `v < 2q` into `[0, q)` with one conditional subtract: `v − q`
+/// when `v ≥ q`, `v` otherwise, selected by the sign of `v − q` so that
+/// a row of ciphertext data costs no mispredicted branch. Needs
+/// `q ≤ 2^63` (every parameter set). A `bits_for(q)`-bit wire value is
+/// below `2q`, so this equals `v % q` for every value the wire can carry.
+#[inline]
+pub(crate) fn reduce_once(v: u64, q: u64) -> u64 {
+    // `v < q` wraps `d` to `2^64 − (q − v)`, whose top bit is set since
+    // `q − v ≤ 2^63`; `v ≥ q` leaves `d = v − q < q`, top bit clear.
+    let d = v.wrapping_sub(q);
+    d.wrapping_add(q & ((d as i64 >> 63) as u64))
 }
 
 /// Subtracts `b` from `a` modulo `q`. Inputs must be `< q`.
@@ -228,6 +236,49 @@ mod tests {
             let near = (c / q as i64).saturating_mul(q as i64).saturating_add(small);
             prop_assert_eq!(signed_residue(near, q), double_rem(near, q));
             prop_assert_eq!(signed_residue(small, q), double_rem(small, q));
+        }
+    }
+
+    /// The body `add_mod` had before it became `reduce_once(a + b, q)`.
+    fn branchy_add(a: u64, b: u64, q: u64) -> u64 {
+        let s = a + b;
+        if s >= q {
+            s - q
+        } else {
+            s
+        }
+    }
+
+    #[test]
+    fn reduce_once_matches_rem_at_the_edges() {
+        for q in table3_primes() {
+            let bits = crate::bitpack::bits_for(q);
+            let top = u64::MAX >> (64 - bits);
+            for v in [0, 1, q - 1, q, q + 1, top - 1, top] {
+                assert_eq!(reduce_once(v, q), v % q, "v = {v}, q = {q}");
+            }
+            for (a, b) in [(0, 0), (q - 1, 1), (q - 1, q - 1)] {
+                assert_eq!(add_mod(a, b, q), branchy_add(a, b, q), "a = {a}, b = {b}, q = {q}");
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        #[test]
+        fn reduce_once_matches_rem_over_every_wire_value(
+            raw in any::<u64>(),
+            a in any::<u64>(),
+            b in any::<u64>(),
+            pick in any::<prop::sample::Index>(),
+        ) {
+            let primes = table3_primes();
+            let q = primes[pick.index(primes.len())];
+            let v = raw >> (64 - crate::bitpack::bits_for(q));
+            prop_assert_eq!(reduce_once(v, q), v % q);
+            let (a, b) = (a % q, b % q);
+            prop_assert_eq!(add_mod(a, b, q), branchy_add(a, b, q));
         }
     }
 

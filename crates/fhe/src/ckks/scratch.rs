@@ -1,8 +1,9 @@
 //! Thread-local scratch buffers for the NTT hot paths.
 //!
-//! `poly_mul_at`, the fused encrypt kernels, `fold_view`'s residue
-//! unpacking and the CRT lift all need a temporary row of `N` limbs (or
-//! a tile of words) per prime. Allocating those per call dominated the
+//! `poly_mul_at`, the fused encrypt kernels and the CRT lift all need a
+//! temporary row of `N` limbs (or a tile of words) per prime.
+//! (`fold_view` is not a user: it reads wire residues straight into the
+//! accumulator row.) Allocating those per call dominated the
 //! small-N profile, so buffers are recycled through a per-thread free
 //! list instead. The pool is thread-local rather than per-context because
 //! `rhychee-par` fans whole ciphertexts out across pool threads — a

@@ -10,9 +10,14 @@
 //! the seed integrity digest; the owning deserializers are a view plus
 //! [`CtView::to_ciphertext`] — so a constructed view is guaranteed
 //! foldable: [`CkksContext::fold_view`] unpacks residues straight out of
-//! the receive buffer, a row at a time through a recycled scratch row,
-//! and modular-adds them into the accumulator in place — no allocation
-//! once the thread's scratch row exists, and zero NTTs.
+//! the receive buffer and modular-adds them into the accumulator in
+//! place, one pass per row with no scratch row — no allocation, no
+//! division, and zero NTTs.
+//!
+//! Every wire residue, here and in the owning deserializers, enters
+//! `[0, q)` through `modarith::reduce_once`: a `bits_for(q)`-bit value
+//! is below `2q`, so one conditional subtract equals `% q` for every
+//! value the wire can carry, corrupted ones included.
 //!
 //! Because a view is validated up front, the fold itself is infallible
 //! (beyond the accumulator-compatibility check).
@@ -30,9 +35,9 @@ use crate::bitpack::{bits_for, BitReader};
 use crate::error::FheError;
 
 use super::cipher::{check_addable, CkksCiphertext, CkksContext};
-use super::modarith::add_mod;
+use super::modarith::{add_mod, reduce_once};
 use super::rns::{Domain, RnsPoly};
-use super::{scratch, seedexp};
+use super::seedexp;
 
 /// Which wire format a view's bytes are in. Canonical blobs carry the
 /// rows of both polynomials; seeded blobs carry `c0`'s rows plus the
@@ -129,15 +134,12 @@ impl<'a> CtView<'a> {
 }
 
 /// Unpacks one residue row of prime `q` from the wire into `row`,
-/// reducing each value `% q`: a flipped bit may push a residue over `q`,
-/// and the canonical format's channel-noise semantics are to decrypt
-/// garbage, not to error.
+/// reducing each value into `[0, q)`: a flipped bit may push a residue
+/// over `q`, and the canonical format's channel-noise semantics are to
+/// decrypt garbage, not to error. A `bits_for(q)`-bit value is below
+/// `2q`, so [`reduce_once`] is `% q` for every wire value.
 fn read_residues(r: &mut BitReader<'_>, row: &mut [u64], q: u64) -> Result<(), FheError> {
-    r.read_row_into(row, bits_for(q))?;
-    for v in row {
-        *v %= q;
-    }
-    Ok(())
+    r.read_row_with(row, bits_for(q), |s, v| *s = reduce_once(v, q))
 }
 
 /// Header bits shared by both formats: levels (8) + scale (64).
@@ -248,13 +250,16 @@ impl CkksContext {
 
     /// Folds a viewed upload into the running encrypted sum:
     /// `acc += view`, residue by residue, straight out of the wire
-    /// bytes. No owned ciphertext is built, nothing is allocated beyond
-    /// the thread's recycled scratch row, and no transform runs — seeded
-    /// `c1` rows are re-expanded into the modular add one draw at a
-    /// time. Residues are reduced `% q` on
-    /// the way in, exactly as the owning deserializers do, so folding a
-    /// corrupted canonical blob accumulates garbage rather than erroring
-    /// (the channel-noise semantics of the canonical format).
+    /// bytes. No owned ciphertext is built, nothing is allocated (not
+    /// even a scratch row) and no transform runs: each wire row is
+    /// unpacked, reduced and modular-added into its accumulator row in
+    /// one pass, and seeded `c1` rows are re-expanded into the modular
+    /// add one draw at a time. Residues are reduced into `[0, q)` on the
+    /// way in by one conditional subtract — `% q` for every value a
+    /// `bits_for(q)`-bit field can hold — exactly as the owning
+    /// deserializers do, so folding a corrupted canonical blob
+    /// accumulates garbage rather than erroring (the channel-noise
+    /// semantics of the canonical format).
     ///
     /// # Errors
     ///
@@ -266,12 +271,8 @@ impl CkksContext {
         let primes = &self.primes()[..view.levels];
         let mut r = view.residue_reader();
         let mut fold_row = |acc_row: &mut [u64], q: u64| {
-            scratch::with_row(acc_row.len(), |row| {
-                read_residues(&mut r, row, q).expect("length-validated view");
-                for (a, &v) in acc_row.iter_mut().zip(row.iter()) {
-                    *a = add_mod(*a, v, q);
-                }
-            });
+            r.read_row_with(acc_row, bits_for(q), |a, v| *a = add_mod(*a, reduce_once(v, q), q))
+                .expect("length-validated view");
         };
         match view.format {
             ViewFormat::Canonical => {

@@ -256,7 +256,7 @@ impl LweContext {
         let bits = self.params.log_q;
         let mut r = BitReader::new(bytes);
         let mut a = vec![0u64; self.params.dimension];
-        r.read_row_into(&mut a, bits)?;
+        r.read_row_with(&mut a, bits, |s, v| *s = v)?;
         let b = r.read_bits(bits)?;
         Ok(LweCiphertext { a, b })
     }

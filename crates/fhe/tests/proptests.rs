@@ -279,6 +279,7 @@ mod ntt_backends {
 mod wire_decoders {
     use super::*;
     use rand::Rng;
+    use rhychee_fhe::bitpack::{bits_for, BitReader, BitWriter};
 
     /// Decodes `bytes` both ways; `true` when accepted.
     fn check(ctx: &CkksContext, seeded: bool, bytes: &[u8]) -> bool {
@@ -329,6 +330,110 @@ mod wire_decoders {
                     accepted += usize::from(check(&ctx, seeded, &mutated));
                 }
                 assert!(accepted > 0, "residue flips decode (to garbage), they do not error");
+            }
+        }
+    }
+
+    /// Header bits of each format: levels + scale, then seed + digest.
+    const HEADER_BITS: usize = 8 + 64;
+    const SEED_BITS: usize = 256 + 32;
+
+    /// The raw `bits_for(q)`-bit fields of `polys` polynomials' residue
+    /// rows, read one `read_bits` at a time from `skip` bits into `bytes`.
+    fn raw_rows(
+        ctx: &CkksContext,
+        levels: usize,
+        bytes: &[u8],
+        skip: usize,
+        polys: usize,
+    ) -> Vec<Vec<u64>> {
+        let mut r = BitReader::new(bytes);
+        r.skip(skip).expect("header");
+        let primes = &ctx.primes()[..levels];
+        (0..polys * levels)
+            .map(|row| {
+                let bits = bits_for(primes[row % levels]);
+                (0..ctx.params().n).map(|_| r.read_bits(bits).expect("residue")).collect()
+            })
+            .collect()
+    }
+
+    /// Canonical bytes of a ciphertext with `header`'s levels and scale
+    /// whose row `i` holds `(acc[i] + raw[i] % q) % q` per residue.
+    fn reference(ctx: &CkksContext, header: &[u8], raw: &[Vec<u64>], acc: &[Vec<u64>]) -> Vec<u8> {
+        let levels = usize::from(header[0]);
+        let mut h = BitReader::new(header);
+        let mut w = BitWriter::new();
+        w.write_bits(h.read_bits(8).expect("levels"), 8);
+        w.write_bits(h.read_bits(64).expect("scale"), 64);
+        for (i, (raw, acc)) in raw.iter().zip(acc).enumerate() {
+            let q = ctx.primes()[i % levels];
+            for (&v, &a) in raw.iter().zip(acc) {
+                w.write_bits((a + v % q) % q, bits_for(q));
+            }
+        }
+        w.into_bytes()
+    }
+
+    /// An independent `% q` oracle for corrupted residues: blobs with a
+    /// valid header and random or all-`0xFF` residue bytes (every field
+    /// then reads ≥ q), through to the last residue so the reader's tail
+    /// path is covered. `deserialize*` must hold `raw % q` and
+    /// `fold_view` into a nonzero accumulator `(a + raw % q) % q`, each
+    /// checked against per-value `read_bits` and a division.
+    #[test]
+    fn corrupted_residues_reduce_like_rem_in_deserialize_and_fold() {
+        for params in [CkksParams::toy(), CkksParams::ckks3(), CkksParams::ckks4()] {
+            let ctx = CkksContext::new(params).expect("valid params");
+            let levels = ctx.primes().len();
+            let mut rng = StdRng::seed_from_u64(0x26);
+            let (sk, _) = ctx.generate_keys(&mut rng);
+            let ct = ctx.encrypt_symmetric(&sk, &[0.5, -1.25, 3.0], &mut rng).expect("encrypt");
+            let blobs = [(false, ctx.serialize(&ct)), (true, ctx.serialize_seeded(&ct).unwrap())];
+            let other = ctx.encrypt_symmetric(&sk, &[2.0], &mut rng).expect("encrypt");
+            let acc_bytes = ctx.serialize(&other);
+            let acc_rows = raw_rows(&ctx, levels, &acc_bytes, HEADER_BITS, 2);
+            assert!(acc_rows.iter().flatten().any(|&a| a != 0), "the accumulator is nonzero");
+            // Seeded `c1` is the seed's expansion, whatever `c0` holds.
+            let seeded_c1 = raw_rows(&ctx, levels, &blobs[0].1, HEADER_BITS, 2);
+
+            for (seeded, valid) in blobs {
+                let header_bits = HEADER_BITS + if seeded { SEED_BITS } else { 0 };
+                let first_residue = header_bits / 8;
+                assert_eq!(header_bits % 8, 0, "residues start on a byte boundary");
+                for fill in ["random", "0xFF"] {
+                    let mut blob = valid.clone();
+                    for byte in &mut blob[first_residue..] {
+                        *byte = if fill == "0xFF" { 0xFF } else { rng.gen() };
+                    }
+                    let mut raw =
+                        raw_rows(&ctx, levels, &blob, header_bits, 2 - usize::from(seeded));
+                    if fill == "0xFF" {
+                        for (i, row) in raw.iter().enumerate() {
+                            assert!(row.iter().all(|&v| v >= ctx.primes()[i % levels]));
+                        }
+                    }
+                    if seeded {
+                        raw.extend_from_slice(&seeded_c1[levels..]);
+                    }
+                    let zero = vec![vec![0; ctx.params().n]; 2 * levels];
+                    let what = format!("{levels} primes, seeded {seeded}, {fill}");
+
+                    let owned =
+                        if seeded { ctx.deserialize_seeded(&blob) } else { ctx.deserialize(&blob) };
+                    let owned = ctx.serialize(&owned.expect("a valid header decodes"));
+                    assert_eq!(owned, reference(&ctx, &blob, &raw, &zero), "deserialize {what}");
+
+                    let view = if seeded {
+                        ctx.view_serialized_seeded(&blob)
+                    } else {
+                        ctx.view_serialized(&blob)
+                    };
+                    let mut acc = ctx.deserialize(&acc_bytes).expect("valid accumulator");
+                    ctx.fold_view(&mut acc, &view.expect("view")).expect("fold");
+                    let expected = reference(&ctx, &blob, &raw, &acc_rows);
+                    assert_eq!(ctx.serialize(&acc), expected, "fold_view {what}");
+                }
             }
         }
     }

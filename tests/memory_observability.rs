@@ -4,10 +4,11 @@
 //! plane (DESIGN.md §15):
 //!
 //! 1. **Zero-allocation steady state.** After warm-up, the arena-based
-//!    symmetric encrypt path and the zero-copy `fold_view` kernel
-//!    allocate nothing — asserted by per-span attribution, both
-//!    directly and through a real loopback federation's
-//!    `fl.phase.fold.alloc_bytes` histogram.
+//!    symmetric encrypt path allocates nothing, and the zero-copy
+//!    `fold_view` kernel allocates nothing from a thread's first fold
+//!    on — asserted by per-span attribution, both directly and through
+//!    a real loopback federation's `fl.phase.fold.alloc_bytes`
+//!    histogram.
 //! 2. **Stall detection.** A round watchdog with no heartbeats fires
 //!    exactly once per stalled epoch and writes a parseable
 //!    flight-recorder dump.
@@ -127,9 +128,11 @@ fn steady_state_arena_encrypt_allocates_zero_bytes() {
     }
 }
 
-/// The zero-copy fold kernel reads wire bytes in place: folding a warm
-/// accumulator allocates 0 bytes, in both the canonical and the
-/// seed-compressed wire format.
+/// The zero-copy fold kernel reads wire bytes straight into the
+/// accumulator: every fold allocates 0 bytes, in both the canonical and
+/// the seed-compressed wire format — the first one included. Each format
+/// folds on a freshly spawned thread, whose scratch pool is empty, so a
+/// fold that needed a scratch row would show its allocation here.
 #[test]
 fn steady_state_fold_view_allocates_zero_bytes() {
     let _g = lock();
@@ -149,19 +152,31 @@ fn steady_state_fold_view_allocates_zero_bytes() {
             ctx.view_serialized_seeded(&seeded).expect("seeded view"),
         ];
         for view in &views {
-            let mut acc = ctx.accumulator_for(view);
-            ctx.fold_view(&mut acc, view).expect("warm-up fold");
-            let span = telemetry::span("net_fold");
-            for _ in 0..3 {
-                ctx.fold_view(&mut acc, view).expect("steady-state fold");
-            }
-            assert_eq!(
-                span.alloc_bytes(),
-                0,
-                "steady-state fold_view must not allocate under {par} (seeded: {})",
-                view.is_seeded()
-            );
-            span.finish();
+            let (ctx, seeded) = (&ctx, view.is_seeded());
+            thread::scope(|s| {
+                s.spawn(|| {
+                    let mut acc = ctx.accumulator_for(view);
+                    let cold = telemetry::span("net_fold");
+                    ctx.fold_view(&mut acc, view).expect("cold fold");
+                    let cold_bytes = cold.alloc_bytes();
+                    cold.finish();
+                    assert_eq!(
+                        cold_bytes, 0,
+                        "a thread's first fold_view allocated under {par} (seeded: {seeded})"
+                    );
+
+                    let span = telemetry::span("net_fold");
+                    for _ in 0..3 {
+                        ctx.fold_view(&mut acc, view).expect("steady-state fold");
+                    }
+                    assert_eq!(
+                        span.alloc_bytes(),
+                        0,
+                        "steady-state fold_view must not allocate under {par} (seeded: {seeded})"
+                    );
+                    span.finish();
+                });
+            });
         }
     }
 }
