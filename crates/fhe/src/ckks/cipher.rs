@@ -2,7 +2,7 @@
 //!
 //! Supports exactly the operation set Rhychee-FL needs (paper §II-A):
 //! encryption, decryption, ciphertext-ciphertext addition, and
-//! multiplication by a plaintext scalar or vector, plus rescaling. No
+//! multiplication by a plaintext scalar, plus rescaling. No
 //! relinearization or bootstrapping is required because federated
 //! averaging is linear.
 //!
@@ -69,15 +69,14 @@ pub struct CkksContext {
     parallelism: Parallelism,
 }
 
-/// A CKKS secret key: the ternary ring element `s` plus its cached
-/// evaluation-domain form.
+/// A CKKS secret key: the ternary ring element `s`, held in evaluation
+/// form only.
 ///
 /// `s_eval` is transformed once at keygen. Residue rows are independent
 /// per prime, so the per-level truncations decryption needs are just row
 /// slices of `s_eval` — no per-call copy or transform.
 #[derive(Debug, Clone)]
 pub struct CkksSecretKey {
-    pub(crate) s: RnsPoly,
     pub(crate) s_eval: RnsPoly,
 }
 
@@ -91,10 +90,9 @@ pub struct CkksPublicKey {
 }
 
 impl CkksSecretKey {
-    pub(crate) fn from_coeff(ctx: &CkksContext, s: RnsPoly) -> Self {
-        let mut s_eval = s.clone();
-        ctx.forward_rows(&mut s_eval);
-        CkksSecretKey { s, s_eval }
+    pub(crate) fn from_coeff(ctx: &CkksContext, mut s: RnsPoly) -> Self {
+        ctx.forward_rows(&mut s);
+        CkksSecretKey { s_eval: s }
     }
 }
 
@@ -612,24 +610,6 @@ impl CkksContext {
         Ok(())
     }
 
-    /// Homomorphic subtraction.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FheError::LevelMismatch`] or [`FheError::ScaleMismatch`]
-    /// if the operands are incompatible.
-    pub fn sub(&self, a: &CkksCiphertext, b: &CkksCiphertext) -> Result<CkksCiphertext, FheError> {
-        self.check_compatible(a, b)?;
-        telemetry::count("fhe.ckks.sub", 1);
-        let active = &self.primes[..a.levels()];
-        Ok(CkksCiphertext {
-            c0: a.c0.sub(&b.c0, active),
-            c1: a.c1.sub(&b.c1, active),
-            scale: a.scale,
-            c1_seed: None,
-        })
-    }
-
     /// Multiplies a ciphertext by a plaintext scalar (e.g. `1/P` in
     /// federated averaging, Eq. 2 of the paper).
     ///
@@ -648,42 +628,6 @@ impl CkksContext {
             scale: ct.scale * delta,
             c1_seed: None,
         }
-    }
-
-    /// Slot-wise multiplication by a plaintext vector.
-    ///
-    /// Encodes `values` as a plaintext polynomial and multiplies both
-    /// ciphertext components by it (one forward NTT per prime for the
-    /// plaintext, then pointwise). The scale becomes `ct.scale · Δ`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FheError::PlaintextTooLarge`] if more than `N/2` values
-    /// are supplied.
-    pub fn mul_plain_vec(
-        &self,
-        ct: &CkksCiphertext,
-        values: &[f64],
-    ) -> Result<CkksCiphertext, FheError> {
-        if values.len() > self.slot_count() {
-            return Err(FheError::PlaintextTooLarge {
-                len: values.len(),
-                capacity: self.slot_count(),
-            });
-        }
-        let _t = telemetry::timer("fhe.ckks.mul_plain_vec");
-        let coeffs = self.encoder.encode(values);
-        let levels = ct.levels();
-        let mut m = RnsPoly::from_signed_coeffs(&coeffs, &self.primes[..levels]);
-        // One forward per prime for the encoded plaintext; the products
-        // are pointwise.
-        self.forward_rows(&mut m);
-        Ok(CkksCiphertext {
-            c0: self.pointwise_mul(&ct.c0, &m),
-            c1: self.pointwise_mul(&ct.c1, &m),
-            scale: ct.scale * self.encoder.scale(),
-            c1_seed: None,
-        })
     }
 
     /// Rescales a ciphertext by the last active prime, dropping one level
@@ -953,20 +897,6 @@ impl CkksContext {
         out
     }
 
-    /// Pointwise product of two evaluation-domain polynomials.
-    fn pointwise_mul(&self, a: &RnsPoly, b: &RnsPoly) -> RnsPoly {
-        debug_assert!(!a.is_coeff() && !b.is_coeff(), "pointwise product of coefficient rows");
-        let levels = a.levels().min(b.levels());
-        let mut out = RnsPoly::zero_in(a.degree(), levels, Domain::Eval);
-        for (i, row) in out.residues_all_mut().iter_mut().enumerate() {
-            let q = self.primes[i];
-            for ((o, &x), &y) in row.iter_mut().zip(a.residues(i)).zip(b.residues(i)) {
-                *o = mul_mod(x, y, q);
-            }
-        }
-        out
-    }
-
     /// Negacyclic product over the first `levels` primes (coefficient-
     /// domain operands and result).
     pub(crate) fn poly_mul_at(&self, a: &RnsPoly, b: &RnsPoly, levels: usize) -> RnsPoly {
@@ -1101,16 +1031,6 @@ mod tests {
     }
 
     #[test]
-    fn homomorphic_subtraction() {
-        let (ctx, sk, pk, mut rng) = toy_setup();
-        let cx = ctx.encrypt(&pk, &[5.0, 7.0], &mut rng).expect("encrypt");
-        let cy = ctx.encrypt(&pk, &[2.0, 10.0], &mut rng).expect("encrypt");
-        let diff = ctx.sub(&cx, &cy).expect("sub");
-        let back = ctx.decrypt(&sk, &diff);
-        assert_close(&back[..2], &[3.0, -3.0], 1e-3);
-    }
-
-    #[test]
     fn add_assign_accumulates_many() {
         let (ctx, sk, pk, mut rng) = toy_setup();
         let clients = 10;
@@ -1156,17 +1076,6 @@ mod tests {
         let expected: Vec<f64> =
             (0..8).map(|j| models.iter().map(|m| m[j]).sum::<f64>() / p as f64).collect();
         assert_close(&back[..8], &expected, 1e-3);
-    }
-
-    #[test]
-    fn plaintext_vector_multiplication() {
-        let (ctx, sk, pk, mut rng) = toy_setup();
-        let x = vec![2.0, 3.0, -4.0];
-        let w = vec![0.5, -1.0, 0.25];
-        let ct = ctx.encrypt(&pk, &x, &mut rng).expect("encrypt");
-        let prod = ctx.mul_plain_vec(&ct, &w).expect("mul");
-        let back = ctx.decrypt(&sk, &prod);
-        assert_close(&back[..3], &[1.0, -3.0, -1.0], 1e-3);
     }
 
     #[test]

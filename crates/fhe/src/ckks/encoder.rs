@@ -33,11 +33,6 @@ impl Complex {
         Complex { re: theta.cos(), im: theta.sin() }
     }
 
-    /// Complex conjugate.
-    pub fn conj(self) -> Self {
-        Complex { re: self.re, im: -self.im }
-    }
-
     fn add(self, o: Complex) -> Self {
         Complex { re: self.re + o.re, im: self.im + o.im }
     }

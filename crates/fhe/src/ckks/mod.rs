@@ -2,8 +2,9 @@
 //!
 //! The SIMD-style scheme of Cheon–Kim–Kim–Song, in its residue-number-
 //! system variant: a ciphertext packs up to `N/2` real values and supports
-//! slot-wise addition and plaintext multiplication — exactly the operation
-//! set federated averaging needs.
+//! slot-wise addition, multiplication by a plaintext scalar and rescaling
+//! — exactly the operation set federated averaging needs. There is no key
+//! switching: no ct × ct multiply, relinearization or rotation.
 //!
 //! Module layout:
 //!
@@ -12,7 +13,6 @@
 //! * [`rns`] — RNS polynomials and CRT reconstruction
 //! * [`encoder`] — canonical-embedding slot encoder
 //! * [`cipher`] — context, keys, ciphertexts, homomorphic ops
-//! * [`relin`] — ct×ct multiplication, Galois rotations, slot sums
 //! * [`threshold`] — n-out-of-n distributed keygen and decryption
 //! * `seedexp` (private) — stable seeded expansion for compressed symmetric uploads
 //! * [`view`] — borrowed zero-copy views for streaming aggregation
@@ -27,7 +27,6 @@ pub mod cipher;
 pub mod encoder;
 pub mod modarith;
 pub mod ntt;
-pub mod relin;
 pub mod rns;
 mod scratch;
 pub(crate) mod seedexp;
@@ -39,5 +38,4 @@ pub use cipher::{
     CkksSymmetricNoise,
 };
 pub use encoder::{CkksEncoder, Complex};
-pub use relin::{EvalKey, GaloisKey, RelinKey};
 pub use view::CtView;

@@ -4,13 +4,13 @@
 //! is stored as one residue vector per prime. All homomorphic operations
 //! act independently per prime, which keeps every limb in native `u64`
 //! arithmetic. The one multi-word step is the CRT lift back to integers
-//! (decode, and the digit decomposition of key switching): `CrtBasis`
-//! runs it exactly on fixed-width `u64` limbs, a tile of coefficients at
-//! a time, with no heap traffic per coefficient and no cap on the chain.
+//! (decryption's decode and `ThresholdGroup::combine`): `CrtBasis` runs
+//! it exactly on fixed-width `u64` limbs, a tile of coefficients at a
+//! time, with no heap traffic per coefficient and no cap on the chain.
 
 use rhychee_par::Parallelism;
 
-use super::modarith::{add_mod, inv_mod, mul_mod, neg_mod, signed_residue, sub_mod};
+use super::modarith::{add_mod, inv_mod, mul_mod, neg_mod, signed_residue};
 use super::ntt::{mul_shoup, shoup};
 use super::scratch;
 
@@ -22,7 +22,7 @@ use super::scratch;
 /// polynomials live on their way in or out (an encoded message, noise,
 /// a key share, the `m` decryption reconstructs). The tag is therefore
 /// an assertion, not a state: the operations that only make sense on
-/// coefficients (digit decomposition, CRT decoding) check it, and no
+/// coefficients (CRT decoding, the negacyclic product) check it, and no
 /// product code branches on it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Domain {
@@ -150,9 +150,8 @@ impl RnsPoly {
         &mut self.residues[i]
     }
 
-    /// All residue rows at once, for kernels that split work per prime
-    /// (each row is an independently owned `Vec`, so rows can be handed
-    /// to different threads).
+    /// All residue rows at once, for kernels that walk the primes in one
+    /// loop (each row is an independently owned `Vec`).
     pub fn residues_all_mut(&mut self) -> &mut [Vec<u64>] {
         &mut self.residues
     }
@@ -163,16 +162,17 @@ impl RnsPoly {
     ///
     /// Panics on mismatched shapes.
     pub fn add(&self, rhs: &RnsPoly, primes: &[u64]) -> RnsPoly {
-        self.zip_with(rhs, primes, add_mod)
-    }
-
-    /// Element-wise subtraction.
-    ///
-    /// # Panics
-    ///
-    /// Panics on mismatched shapes.
-    pub fn sub(&self, rhs: &RnsPoly, primes: &[u64]) -> RnsPoly {
-        self.zip_with(rhs, primes, sub_mod)
+        assert_eq!(self.levels(), rhs.levels(), "level mismatch");
+        assert_eq!(self.degree(), rhs.degree(), "degree mismatch");
+        assert_eq!(self.domain, rhs.domain, "operands in different bases");
+        let residues = self
+            .residues
+            .iter()
+            .zip(&rhs.residues)
+            .zip(primes)
+            .map(|((a, b), &q)| a.iter().zip(b).map(|(&x, &y)| add_mod(x, y, q)).collect())
+            .collect();
+        RnsPoly { residues, domain: self.domain }
     }
 
     /// In-place element-wise addition.
@@ -223,6 +223,7 @@ impl RnsPoly {
     /// Panics if the polynomial has only one level.
     #[cfg(test)]
     pub(crate) fn rescale(&self, primes: &[u64]) -> RnsPoly {
+        use super::modarith::sub_mod;
         let l = self.levels();
         assert!(l >= 2, "cannot rescale a level-0 polynomial");
         assert_eq!(self.domain, Domain::Coeff, "rescale requires coefficient domain");
@@ -249,75 +250,6 @@ impl RnsPoly {
             })
             .collect();
         RnsPoly { residues, domain: Domain::Coeff }
-    }
-
-    fn zip_with(&self, rhs: &RnsPoly, primes: &[u64], f: fn(u64, u64, u64) -> u64) -> RnsPoly {
-        assert_eq!(self.levels(), rhs.levels(), "level mismatch");
-        assert_eq!(self.degree(), rhs.degree(), "degree mismatch");
-        assert_eq!(self.domain, rhs.domain, "operands in different bases");
-        let residues = self
-            .residues
-            .iter()
-            .zip(&rhs.residues)
-            .zip(primes)
-            .map(|((a, b), &q)| a.iter().zip(b).map(|(&x, &y)| f(x, y, q)).collect())
-            .collect();
-        RnsPoly { residues, domain: self.domain }
-    }
-
-    /// Decomposes every coefficient's *centered integer value* into
-    /// `num_digits` signed base-`2^log_base` digits that are globally
-    /// consistent across the RNS basis: `Σ_j digit_j · B^j = coeff` as
-    /// integers. Each digit polynomial is returned as an [`RnsPoly`] at
-    /// the same level, with digit magnitudes `< B`.
-    ///
-    /// This is the decomposition key switching needs — per-prime digit
-    /// extraction would yield residues of *different* integers per prime
-    /// and break CRT reconstruction of the switched ciphertext.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the digits cannot cover `Q/2` (i.e.
-    /// `num_digits · log_base` is too small).
-    pub fn to_signed_digits(
-        &self,
-        primes: &[u64],
-        log_base: u32,
-        num_digits: usize,
-    ) -> Vec<RnsPoly> {
-        let levels = self.levels();
-        assert_eq!(self.domain, Domain::Coeff, "digit decomposition requires coefficient domain");
-        let active = &primes[..levels];
-        let total_bits: u32 = active.iter().map(|&q| 64 - (q - 1).leading_zeros()).sum();
-        assert!(
-            num_digits as u32 * log_base >= total_bits,
-            "{num_digits} digits of 2^{log_base} cannot cover a {total_bits}-bit modulus"
-        );
-        let n = self.degree();
-        let basis = CrtBasis::new(active);
-        let mut out = vec![RnsPoly::zero(n, levels); num_digits];
-        let base_mask = (1u64 << log_base) - 1;
-        scratch::with_row(basis.scratch_words(), |words| {
-            for at in (0..n).step_by(TILE) {
-                let len = TILE.min(n - at);
-                let (mag, negative) = basis.lift(&self.residues, at, len, words);
-                for (d, digit_poly) in out.iter_mut().enumerate() {
-                    let bit = d * log_base as usize;
-                    for j in 0..len {
-                        // `log_base < 64`: a digit straddles at most two limbs.
-                        let limb = |m: usize| if m < basis.k { mag[m * TILE + j] } else { 0 };
-                        let window =
-                            u128::from(limb(bit / 64)) | u128::from(limb(bit / 64 + 1)) << 64;
-                        let digit = (window >> (bit % 64)) as u64 & base_mask;
-                        for (row, &q) in digit_poly.residues.iter_mut().zip(active) {
-                            let r = digit % q;
-                            row[at + j] = if negative[j] != 0 && r != 0 { q - r } else { r };
-                        }
-                    }
-                }
-            }
-        });
-        out
     }
 
     /// CRT-reconstructs each coefficient to a centered `f64` value.
@@ -415,12 +347,6 @@ impl<'a> CrtBasis<'a> {
         CrtBasis { primes, k, q, half_q, q_hat, q_hat_inv }
     }
 
-    /// Scratch words [`CrtBasis::lift`] needs: `k` magnitude limbs plus
-    /// two lane-wide temporaries per tile.
-    fn scratch_words(&self) -> usize {
-        (self.k + 2) * TILE
-    }
-
     /// Lifts coefficients `at..at + len` (`len ≤ TILE`) of `rows` to the
     /// centred representative in `(−Q/2, Q/2]`. Returns its magnitude
     /// (limb-major, `k · TILE` words) and, per coefficient, a non-zero
@@ -499,7 +425,8 @@ impl<'a> CrtBasis<'a> {
     /// `rows` into `out`, Horner-evaluating each magnitude from its top
     /// limb (`f = f·2⁶⁴ + limb`, one rounding per step).
     fn centered_f64_into(&self, rows: &[Vec<u64>], at: usize, out: &mut [f64]) {
-        scratch::with_row(self.scratch_words(), |words| {
+        // `k` magnitude limbs plus two lane-wide temporaries per tile.
+        scratch::with_row((self.k + 2) * TILE, |words| {
             for (t, block) in out.chunks_mut(TILE).enumerate() {
                 let (mag, negative) = self.lift(rows, at + t * TILE, block.len(), words);
                 block.fill(0.0);
@@ -548,7 +475,6 @@ mod tests {
     use rhychee_bigint::{mod_inv, BigUint};
 
     use super::super::cipher::CkksContext;
-    use super::super::relin::EVAL_LOG_BASE;
     use super::*;
     use crate::params::CkksParams;
 
@@ -729,75 +655,6 @@ mod tests {
         }
     }
 
-    /// `to_signed_digits` as it ran on the heap reconstructor.
-    fn oracle_digits(
-        p: &RnsPoly,
-        active: &[u64],
-        log_base: u32,
-        num_digits: usize,
-    ) -> Vec<RnsPoly> {
-        let crt = BigUintCrt::new(active);
-        let mut out = vec![RnsPoly::zero(p.degree(), active.len()); num_digits];
-        let base_mask = (1u64 << log_base) - 1;
-        for j in 0..p.degree() {
-            let (negative, mut mag) = crt.centered_parts(&column(p, j));
-            for digit_poly in out.iter_mut() {
-                let limb = mag.limbs().first().copied().unwrap_or(0) & base_mask;
-                mag = mag >> (log_base as usize);
-                for (i, &q) in active.iter().enumerate() {
-                    let r = limb % q;
-                    digit_poly.residues_mut(i)[j] = if negative && r != 0 { q - r } else { r };
-                }
-            }
-            assert!(mag.is_zero(), "digits must cover the centered value");
-        }
-        out
-    }
-
-    #[test]
-    fn signed_digits_match_oracle_and_reconstruct() {
-        let mut rng = StdRng::seed_from_u64(29);
-        let primes = chain(CHAINS[1]);
-        for levels in 1..=primes.len() {
-            let active = &primes[..levels];
-            let p = probe_poly(active, 150, &mut rng);
-            let total_bits: u32 = active.iter().map(|&q| 64 - (q - 1).leading_zeros()).sum();
-            // The relin base, and a wide one whose digits straddle limbs
-            // (still below every prime, so a digit's residue is the digit).
-            for log_base in [EVAL_LOG_BASE, 39] {
-                let num_digits = total_bits.div_ceil(log_base) as usize;
-                let digits = p.to_signed_digits(&primes, log_base, num_digits);
-                assert_eq!(
-                    digits,
-                    oracle_digits(&p, active, log_base, num_digits),
-                    "B = 2^{log_base}"
-                );
-
-                // Σⱼ digitⱼ·Bʲ is the centred value: same sign on every
-                // digit, magnitudes summing to the oracle's.
-                let crt = BigUintCrt::new(active);
-                for j in 0..p.degree() {
-                    let (negative, mag) = crt.centered_parts(&column(&p, j));
-                    let mut sum = BigUint::zero();
-                    for (d, digit) in digits.iter().enumerate() {
-                        let r = digit.residues(0)[j];
-                        let abs = if negative && r != 0 { active[0] - r } else { r };
-                        assert!(abs < 1 << log_base, "digit {d} of coefficient {j} out of range");
-                        sum += &(BigUint::from(abs) << (d * log_base as usize));
-                    }
-                    assert_eq!(sum, mag, "coefficient {j}, B = 2^{log_base}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "12 digits of 2^8 cannot cover a 130-bit modulus")]
-    fn too_few_digits_panic() {
-        let primes = chain(CHAINS[1]);
-        let _ = RnsPoly::zero(4, 3).to_signed_digits(&primes, EVAL_LOG_BASE, 12);
-    }
-
     #[test]
     fn signed_round_trip_through_crt() {
         let coeffs = [0i64, 1, -1, 42, -12345, i32::MAX as i64, -(i32::MAX as i64)];
@@ -816,11 +673,10 @@ mod tests {
     }
 
     #[test]
-    fn add_sub_inverse() {
+    fn add_lifts_to_the_integer_sum() {
         let a = RnsPoly::from_signed_coeffs(&[5, -3, 100], &PRIMES);
         let b = RnsPoly::from_signed_coeffs(&[2, 8, -50], &PRIMES);
         let sum = a.add(&b, &PRIMES);
-        assert_eq!(sum.sub(&b, &PRIMES), a);
         assert_eq!(sum.to_centered_f64(&PRIMES), vec![7.0, 5.0, 50.0]);
     }
 

@@ -80,11 +80,6 @@ impl<'a> CtView<'a> {
         matches!(self.format, ViewFormat::Seeded(_))
     }
 
-    /// Length of the aliased wire bytes.
-    pub fn byte_len(&self) -> usize {
-        self.bytes.len()
-    }
-
     /// Materializes an owned ciphertext from the viewed bytes: unpacks
     /// the residue rows and, for the seeded format, re-expands `c1` from
     /// the seed — the result keeps the seed, so it can be re-serialized
@@ -324,7 +319,6 @@ mod tests {
         assert_eq!(view.levels(), ct.levels());
         assert_eq!(view.scale(), ct.scale());
         assert!(!view.is_seeded());
-        assert_eq!(view.byte_len(), bytes.len());
 
         // Every structural rejection of `deserialize` also rejects the view.
         for corrupt in [

@@ -22,8 +22,6 @@ pub enum FheError {
     Serialize(String),
     /// A serialized ciphertext could not be parsed.
     Deserialize(String),
-    /// The noise budget is insufficient for the requested operation count.
-    NoiseBudgetExceeded(String),
 }
 
 impl fmt::Display for FheError {
@@ -45,7 +43,6 @@ impl fmt::Display for FheError {
             }
             FheError::Serialize(msg) => write!(f, "ciphertext serialization failed: {msg}"),
             FheError::Deserialize(msg) => write!(f, "ciphertext deserialization failed: {msg}"),
-            FheError::NoiseBudgetExceeded(msg) => write!(f, "noise budget exceeded: {msg}"),
         }
     }
 }

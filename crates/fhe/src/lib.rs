@@ -4,6 +4,9 @@
 //!
 //! * [`ckks`] — RNS-CKKS (SIMD-packed approximate arithmetic over reals),
 //!   the scheme Rhychee-FL itself uses for encrypted model aggregation.
+//!   It carries only what federated averaging needs — addition,
+//!   plaintext-scalar multiplication and rescaling — so there is no key
+//!   switching (no ct × ct multiply, relinearization or rotation).
 //! * [`lwe`] — TFHE/FHEW-style single-value LWE encryption, the
 //!   alternative branch of the design-space study (Table I, Fig. 4).
 //! * [`paillier`] — the Paillier cryptosystem, used by the PFMLP baseline

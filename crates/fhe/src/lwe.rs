@@ -186,42 +186,6 @@ impl LweContext {
         LweCiphertext { a, b }
     }
 
-    /// Switches a ciphertext to a smaller modulus `q' = 2^log_q_new`,
-    /// rounding each component. Plaintext is preserved; noise picks up a
-    /// rounding term.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FheError::InvalidParams`] if `log_q_new` is not smaller
-    /// than the current modulus or too small to hold the plaintext.
-    pub fn modulus_switch(
-        &self,
-        ct: &LweCiphertext,
-        log_q_new: u32,
-    ) -> Result<(LweCiphertext, LweParams), FheError> {
-        let p = &self.params;
-        if log_q_new >= p.log_q {
-            return Err(FheError::InvalidParams(format!(
-                "target modulus 2^{log_q_new} is not smaller than 2^{}",
-                p.log_q
-            )));
-        }
-        let t_bits = 64 - (p.plaintext_modulus - 1).leading_zeros();
-        if log_q_new < t_bits + 2 {
-            return Err(FheError::InvalidParams(format!(
-                "target modulus 2^{log_q_new} leaves no room above t = {}",
-                p.plaintext_modulus
-            )));
-        }
-        let shift = p.log_q - log_q_new;
-        let round = |x: u64| -> u64 { (x + (1 << (shift - 1))) >> shift };
-        let q_new = 1u64 << log_q_new;
-        let a = ct.a.iter().map(|&ai| round(ai) % q_new).collect();
-        let b = round(ct.b) % q_new;
-        let new_params = LweParams { log_q: log_q_new, ..*p };
-        Ok((LweCiphertext { a, b }, new_params))
-    }
-
     /// Serializes with exact `log q`-bit packing, matching the
     /// `(n+1)·log q` size accounting of Table I.
     pub fn serialize(&self, ct: &LweCiphertext) -> Vec<u8> {
@@ -326,29 +290,6 @@ mod tests {
         assert_eq!(ctx.decrypt(&sk, &ct4), 12);
         let ct0 = ctx.mul_scalar(&ct, 0);
         assert_eq!(ctx.decrypt(&sk, &ct0), 0);
-    }
-
-    #[test]
-    fn modulus_switch_preserves_plaintext() {
-        // Use a larger modulus so there is room to switch down.
-        let params = LweParams { log_q: 20, ..LweParams::tfhe1() };
-        let ctx = LweContext::new(params).expect("valid");
-        let mut rng = StdRng::seed_from_u64(5);
-        let sk = ctx.generate_key(&mut rng);
-        for m in [0u64, 3, 9, 15] {
-            let ct = ctx.encrypt(&sk, m, &mut rng).expect("encrypt");
-            let (ct2, p2) = ctx.modulus_switch(&ct, 12).expect("switch");
-            let ctx2 = LweContext::new(p2).expect("valid");
-            assert_eq!(ctx2.decrypt(&sk, &ct2), m, "message {m}");
-        }
-    }
-
-    #[test]
-    fn modulus_switch_rejects_bad_targets() {
-        let (ctx, sk, mut rng) = setup();
-        let ct = ctx.encrypt(&sk, 1, &mut rng).expect("encrypt");
-        assert!(ctx.modulus_switch(&ct, 10).is_err()); // not smaller
-        assert!(ctx.modulus_switch(&ct, 4).is_err()); // no room above t = 16
     }
 
     #[test]

@@ -47,10 +47,6 @@ pub struct PaillierContext {
     n_squared: BigUint,
     half_n: BigUint,
     mont_n2: Montgomery,
-    /// λ = lcm(p−1, q−1).
-    lambda: BigUint,
-    /// μ = (L(g^λ mod n²))⁻¹ mod n.
-    mu: BigUint,
     /// CRT decryption constants over the prime factors (~4× faster than
     /// the direct λ-exponentiation mod n²).
     crt: CrtDecrypt,
@@ -147,17 +143,11 @@ impl PaillierContext {
         };
         let n = &p * &q;
         let n_squared = &n * &n;
-        let one = BigUint::one();
-        let lambda = (&p - &one).lcm(&(&q - &one));
         let mont_n2 = Montgomery::new(n_squared.clone());
-        // g = n + 1, so g^λ mod n² = 1 + λ·n (binomial), hence
-        // L(g^λ) = λ mod n and μ = λ⁻¹ mod n.
-        let mu = mod_inv(&lambda.rem_of(&n), &n)
-            .ok_or_else(|| FheError::InvalidParams("λ not invertible mod n".into()))?;
         let crt = CrtDecrypt::new(p, q, &n)
             .ok_or_else(|| FheError::InvalidParams("CRT constants not invertible".into()))?;
         let half_n = &n >> 1;
-        Ok(PaillierContext { n, n_squared, half_n, mont_n2, lambda, mu, crt })
+        Ok(PaillierContext { n, n_squared, half_n, mont_n2, crt })
     }
 
     /// The public modulus `n`.
@@ -201,14 +191,6 @@ impl PaillierContext {
     /// the direct λ-exponentiation).
     pub fn decrypt(&self, ct: &PaillierCiphertext) -> BigUint {
         self.crt.decrypt(&ct.0)
-    }
-
-    /// Textbook (non-CRT) decryption: `m = L(c^λ mod n²) · μ mod n` with
-    /// `L(u) = (u − 1)/n`. Kept as a cross-check oracle for the CRT path.
-    pub fn decrypt_direct(&self, ct: &PaillierCiphertext) -> BigUint {
-        let u = self.mont_n2.pow(&ct.0, &self.lambda);
-        let l = (&u - &BigUint::one()).div_rem(&self.n).0;
-        (l * &self.mu).rem_of(&self.n)
     }
 
     /// Decrypts to a `u64`.
@@ -371,12 +353,24 @@ mod tests {
         assert!(!ct.to_bytes_be().is_empty());
     }
 
+    /// Textbook (non-CRT) decryption, the oracle for the CRT path:
+    /// `m = L(c^λ mod n²) · μ mod n` with `λ = lcm(p−1, q−1)`,
+    /// `L(u) = (u − 1)/n` and, since `g = n + 1`, `μ = λ⁻¹ mod n`.
+    fn decrypt_direct(ctx: &PaillierContext, ct: &PaillierCiphertext) -> BigUint {
+        let one = BigUint::one();
+        let lambda = (&ctx.crt.p - &one).lcm(&(&ctx.crt.q - &one));
+        let mu = mod_inv(&lambda.rem_of(&ctx.n), &ctx.n).expect("λ invertible mod n");
+        let u = ctx.mont_n2.pow(&ct.0, &lambda);
+        let l = (&u - &one).div_rem(&ctx.n).0;
+        (l * &mu).rem_of(&ctx.n)
+    }
+
     #[test]
     fn crt_decryption_matches_direct() {
         let (ctx, mut rng) = ctx();
         for m in [0u64, 1, 999_999_999, u64::MAX] {
             let ct = ctx.encrypt_u64(m, &mut rng);
-            assert_eq!(ctx.decrypt(&ct), ctx.decrypt_direct(&ct), "m = {m}");
+            assert_eq!(ctx.decrypt(&ct), decrypt_direct(&ctx, &ct), "m = {m}");
         }
     }
 

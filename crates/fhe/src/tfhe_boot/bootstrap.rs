@@ -183,11 +183,6 @@ impl BootstrapContext {
         })
     }
 
-    /// The accumulator modulus Q.
-    pub fn ring_modulus(&self) -> u64 {
-        self.ring_q
-    }
-
     /// Evaluates `lut[m]` homomorphically on an encryption of `m`,
     /// returning a *fresh-noise* encryption of the result — the
     /// programmable bootstrap.

@@ -708,8 +708,7 @@ impl Session {
             let _ = handler.join();
         }
         drop(watchdog); // the run is over; nothing left to stall
-        acceptor.stop.store(true, Ordering::Relaxed);
-        let _ = acceptor.thread.join();
+        drop(acceptor);
         // Drain any last events so dropped counts are accurate.
         while let Ok(event) = events.try_recv() {
             machine.on_event(event)?;
@@ -729,7 +728,19 @@ impl Session {
 struct Acceptor {
     joins: Receiver<Connection>,
     stop: Arc<AtomicBool>,
-    thread: thread::JoinHandle<()>,
+    thread: Option<thread::JoinHandle<()>>,
+}
+
+/// Every exit from a run drops the session's acceptor — the shutdown and
+/// each early `?` alike — so the loop always stops and the listening
+/// port is released before [`FlServer::run`] returns.
+impl Drop for Acceptor {
+    fn drop(&mut self) {
+        self.stop.store(true, Ordering::Relaxed);
+        if let Some(thread) = self.thread.take() {
+            let _ = thread.join();
+        }
+    }
 }
 
 impl Acceptor {
@@ -761,7 +772,7 @@ impl Acceptor {
                 }
             }
         });
-        Ok(Acceptor { joins, stop, thread })
+        Ok(Acceptor { joins, stop, thread: Some(thread) })
     }
 }
 
@@ -1006,5 +1017,30 @@ mod tests {
         assert_eq!(cfg.accept_timeout(), Duration::from_secs(3));
         assert_eq!(cfg.max_payload(), 1 << 20);
         assert_eq!(cfg.parallelism(), Parallelism::Fixed(2));
+    }
+
+    #[test]
+    fn an_early_error_return_under_rejoin_releases_the_listening_port() {
+        // Rejoin keeps the acceptor running past the opening window, so
+        // only the error path itself can stop it.
+        let config = ServerConfig::builder()
+            .clients(1)
+            .quorum(1)
+            .rounds(1)
+            .model_params(10)
+            .allow_rejoin(true)
+            .accept_timeout(Duration::from_millis(50))
+            .build()
+            .expect("valid");
+        let server =
+            FlServer::bind("127.0.0.1:0", config, ServerPipeline::Plaintext).expect("bind");
+        let addr = server.local_addr().expect("addr");
+        let err = server.run().expect_err("no client ever connects");
+        assert!(matches!(err, NetError::QuorumNotReached { .. }), "{err}");
+        let deadline = Instant::now() + Duration::from_secs(2);
+        while let Err(e) = TcpListener::bind(addr) {
+            assert!(Instant::now() < deadline, "{addr} still bound 2 s after run returned: {e}");
+            thread::sleep(Duration::from_millis(10));
+        }
     }
 }

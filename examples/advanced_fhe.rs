@@ -3,9 +3,7 @@
 //! 1. **Threshold CKKS** — federated aggregation where *no client holds
 //!    the full secret key* (the xMK-CKKS architecture class): joint key
 //!    generation, encrypted FedAvg, distributed decryption.
-//! 2. **Encrypted similarity** — a CKKS ct×ct dot product via
-//!    relinearized multiplication and rotation-based slot summation.
-//! 3. **TFHE programmable bootstrapping** — an exact non-linear LUT over
+//! 2. **TFHE programmable bootstrapping** — an exact non-linear LUT over
 //!    an encrypted aggregate (the §IV-B2 TFHE use-case).
 //!
 //! Run with:
@@ -41,27 +39,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         global[0], global[1]
     );
 
-    // --- 2. Encrypted dot product (similarity under encryption). ---
-    println!("== encrypted dot product via mul + rotations ==");
-    let params = CkksParams { n: 512, prime_bits: vec![50, 40, 40], scale_bits: 30, sigma: 3.2 };
-    let ctx = CkksContext::new(params)?;
-    let (sk, pk) = ctx.generate_keys(&mut rng);
-    let rk = ctx.generate_relin_key(&sk, &mut rng);
-    let half = ctx.slot_count();
-    let keys: Vec<_> = std::iter::successors(Some(1usize), |&s| Some(s * 2))
-        .take_while(|&s| s < half)
-        .map(|s| ctx.generate_galois_key(&sk, s, &mut rng))
-        .collect();
-    let x: Vec<f64> = (0..half).map(|i| ((i % 13) as f64 / 13.0) - 0.5).collect();
-    let y: Vec<f64> = (0..half).map(|i| ((i % 7) as f64 / 7.0) - 0.5).collect();
-    let expected: f64 = x.iter().zip(&y).map(|(a, b)| a * b).sum();
-    let cx = ctx.encrypt(&pk, &x, &mut rng)?;
-    let cy = ctx.encrypt(&pk, &y, &mut rng)?;
-    let dot_ct = ctx.rescale(&ctx.sum_slots(&ctx.mul(&cx, &cy, &rk)?, &keys)?)?;
-    let dot = ctx.decrypt(&sk, &dot_ct)[0];
-    println!("   <x, y> under encryption: {dot:.3} (plaintext: {expected:.3})");
-
-    // --- 3. TFHE bootstrap: exact LUT on an encrypted sum. ---
+    // --- 2. TFHE bootstrap: exact LUT on an encrypted sum. ---
     println!("== TFHE programmable bootstrap (exact non-linear LUT) ==");
     let bparams = BootstrapParams {
         lwe: LweParams { dimension: 64, log_q: 9, plaintext_modulus: 8, sigma_int: 0.4 },
