@@ -10,8 +10,9 @@ use rhychee_channel::packet::{BitFlipChannel, PacketLink, PACKET_BITS};
 
 fn bench_detectors(c: &mut Criterion) {
     let mut group = c.benchmark_group("detectors");
-    // 8191 / 8192 / 8193 sit one byte under, at and over one four-stream
-    // CRC block; 624,736 is one CKKS-4 upload frame.
+    // 8191 / 8192 / 8193 leave the CRC's carry-less fold a 15-, 0- and
+    // 1-byte tail for the slice-by-8 stream; 624,736 is one CKKS-4 upload
+    // frame.
     for size in [175usize, 1500, 8191, 8192, 8193, 65536, 624_736] {
         let data: Vec<u8> = (0..size).map(|i| (i % 251) as u8).collect();
         group.throughput(Throughput::Bytes(size as u64));

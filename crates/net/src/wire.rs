@@ -636,13 +636,15 @@ mod tests {
 
     #[test]
     fn frames_at_the_crc_block_seam_round_trip_and_catch_flips() {
-        // The CRC kernel runs four 2 KiB stripes per 8 KiB block of
-        // guarded bytes and one stream over the rest: frames one byte
-        // under, at and over one block, both versions, through the
-        // one-buffer decoder and the header ‖ rest stream reader.
-        const BLOCK: usize = 8192;
+        // The CRC folds 64-byte blocks as four 16-byte lanes, then whole
+        // 16-byte chunks, and runs the slice-by-8 stream over the last
+        // `% 16` bytes and over anything shorter than 64. Guarded lengths
+        // around the 64-byte entry and the first whole chunk after it,
+        // and around 8 KiB; both versions; through the one-buffer decoder
+        // and the stream reader, which checksums the 10-byte `header[4..]`
+        // on the stream and chains the rest through the fold.
         for traced in [false, true] {
-            for guarded in [BLOCK - 1, BLOCK, BLOCK + 1] {
+            for guarded in [63, 64, 65, 79, 80, 8191, 8192, 8193] {
                 let ctx_len = if traced { CTX_LEN } else { 0 };
                 let model_len = guarded - (HEADER_LEN - 4) - ctx_len - 8;
                 let model = (0..model_len).map(|i| (i % 251) as u8).collect();
@@ -655,15 +657,25 @@ mod tests {
                 let read = read_message_ctx(&mut std::io::Cursor::new(&frame), DEFAULT_MAX_PAYLOAD)
                     .expect("read");
                 assert_eq!(read, (msg, ctx, frame.len()));
-                for offset in [2047, 2048, BLOCK - 1, BLOCK].into_iter().filter(|&o| o < guarded) {
+                let offsets = [0, 15, 16, 63, 64, 2047, 2048, 8191, 8192, guarded - 1];
+                for offset in offsets.into_iter().filter(|&o| o < guarded) {
                     let mut bad = frame.clone();
                     bad[4 + offset] ^= 0x01;
                     let what = format!("traced {traced}, guarded {guarded}, offset {offset}");
+                    let trailer = &bad[bad.len() - TRAILER_LEN..];
+                    let stored = u32::from_le_bytes(trailer.try_into().expect("4 bytes"));
+                    assert_ne!(crc32(&bad[4..bad.len() - TRAILER_LEN]), stored, "{what}");
+                    // Offset 0 is the version byte: both decoders refuse
+                    // the version before they reach the CRC.
+                    let refused = |err: &NetError| match offset {
+                        0 => matches!(err, NetError::Protocol(_)),
+                        _ => matches!(err, NetError::Crc { .. }),
+                    };
                     let err = decode_frame(&bad, DEFAULT_MAX_PAYLOAD).expect_err(&what);
-                    assert!(matches!(err, NetError::Crc { .. }), "{what}: {err}");
+                    assert!(refused(&err), "{what}: {err}");
                     let err = read_message(&mut std::io::Cursor::new(&bad), DEFAULT_MAX_PAYLOAD)
                         .expect_err(&what);
-                    assert!(matches!(err, NetError::Crc { .. }), "{what}: {err}");
+                    assert!(refused(&err), "{what}: {err}");
                 }
             }
         }

@@ -1,9 +1,18 @@
 //! Property-based tests for the wire protocol: every message type
 //! round-trips through a frame, and corruption, truncation, and hostile
-//! length fields are always rejected.
+//! length fields are always rejected. Behind the frame CRC, a mutated
+//! upload payload is refused or folds into a well-formed aggregate,
+//! never a panic.
+
+use std::sync::OnceLock;
 
 use proptest::prelude::*;
+use rand::{rngs::StdRng, SeedableRng};
 
+use rhychee_core::{Aggregation, StreamingAggregator};
+use rhychee_fhe::ckks::CkksContext;
+use rhychee_fhe::params::CkksParams;
+use rhychee_net::codec::{CanonicalCodec, SeededCodec, WireCodec};
 use rhychee_net::wire::{
     decode_frame, decode_frame_ctx, encode_frame, encode_frame_ctx, read_message, read_message_ctx,
     write_message, Message, TraceContext, DEFAULT_MAX_PAYLOAD, HEADER_LEN, TRAILER_LEN,
@@ -178,6 +187,104 @@ proptest! {
                 prop_assert!(decoded.is_err(), "short stream but the slice decoded");
             }
             Err(e) => prop_assert!(frame_error(&e), "read_message_ctx: {e}"),
+        }
+    }
+}
+
+/// A toy-parameter context and valid uploads of one to three
+/// ciphertexts under each codec, built once for every case.
+struct Uploads {
+    ctx: CkksContext,
+    payloads: Vec<(&'static dyn WireCodec, Vec<u8>)>,
+}
+
+fn uploads() -> &'static Uploads {
+    static UPLOADS: OnceLock<Uploads> = OnceLock::new();
+    UPLOADS.get_or_init(|| {
+        let ctx = CkksContext::new(CkksParams::toy()).expect("toy params");
+        let mut rng = StdRng::seed_from_u64(29);
+        let (sk, pk) = ctx.generate_keys(&mut rng);
+        let values: Vec<f64> = (0..64).map(|i| f64::from(i) / 64.0 - 0.5).collect();
+        let mut payloads = Vec::new();
+        for codec in [&CanonicalCodec as &'static dyn WireCodec, &SeededCodec] {
+            for count in 1..=3 {
+                let cts: Vec<_> = (0..count)
+                    .map(|_| {
+                        if codec.symmetric() {
+                            ctx.encrypt_symmetric(&sk, &values, &mut rng).expect("encrypt")
+                        } else {
+                            ctx.encrypt(&pk, &values, &mut rng).expect("encrypt")
+                        }
+                    })
+                    .collect();
+                payloads.push((codec, codec.encode_upload(&ctx, &cts).expect("encode")));
+            }
+        }
+        Uploads { ctx, payloads }
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn mutated_uploads_are_refused_or_fold_into_a_well_formed_aggregate(
+        which in 0usize..6,
+        edits in prop::collection::vec(any::<u64>(), 1..7),
+        saturate in any::<bool>(),
+        resize in 0u8..4,
+        cut in any::<u32>(),
+    ) {
+        // A payload whose frame CRC passed can still be hostile: 1–6
+        // bytes overwritten, in the first 48 (tag, count, lengths,
+        // ciphertext header, seed) or anywhere, sometimes a 16-byte run
+        // of 0xFF, and sometimes cut short or extended. Parse, then fold what parses; nothing may panic,
+        // and a fold must close into ciphertexts that survive serialize
+        // → deserialize → serialize byte for byte (a residue ≥ q would
+        // not).
+        let Uploads { ctx, payloads } = uploads();
+        let (codec, clean) = &payloads[which];
+        let mut bytes = clean.clone();
+        for &e in &edits {
+            // Bit 63 picks the head, bits 8.. the offset, bits 0..8 the byte.
+            let span = if e >> 63 == 1 { bytes.len().min(48) } else { bytes.len() };
+            bytes[(e >> 8) as usize % span] = e as u8;
+        }
+        if saturate {
+            // Sixteen bytes of 0xFF hold at least one whole all-ones
+            // residue (toy fields are at most 50 bits wide): a value
+            // ≥ q that only the fold's `reduce_once` brings into [0, q).
+            let at = (edits[0] >> 8) as usize % (bytes.len() - 16);
+            bytes[at..at + 16].fill(0xFF);
+        }
+        match resize {
+            0 => bytes.truncate(cut as usize % (bytes.len() + 1)),
+            1 => bytes.extend_from_slice(&cut.to_le_bytes()[..1 + cut as usize % 4]),
+            _ => {}
+        }
+        let parsed = match codec.parse_upload(ctx, &bytes, 3) {
+            Ok(parsed) => parsed,
+            Err(e) => {
+                prop_assert!(matches!(e, NetError::Protocol(_) | NetError::Fhe(_)), "{e}");
+                return Ok(());
+            }
+        };
+        // Two fresh aggregators take the same views: one closes with the
+        // weighted `finish`, the other returns the raw sum, whose
+        // residues are the fold's own output.
+        let mut closed = Vec::new();
+        for weighted in [true, false] {
+            let mut agg = StreamingAggregator::new(0, Aggregation::FedAvg).expect("aggregator");
+            if !agg.fold_upload(ctx, 1, 0, parsed.views()).expect("fold_upload never errors") {
+                prop_assert!(parsed.is_empty(), "a fresh aggregator refused {} views", parsed.len());
+                return Ok(());
+            }
+            closed.extend(if weighted { agg.finish(ctx) } else { agg.finish_sum() }.expect("closes"));
+        }
+        for ct in &closed {
+            let wire = ctx.serialize(ct);
+            let back = ctx.deserialize(&wire).expect("an aggregate deserializes");
+            prop_assert!(ctx.serialize(&back) == wire, "{} aggregate changed", codec.name());
         }
     }
 }
