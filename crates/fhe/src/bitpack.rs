@@ -12,6 +12,7 @@
 //! the way out, an unaligned 128-bit window on the way in); the row
 //! forms check lengths once per row instead of once per value.
 
+use crate::ckks::modarith::{add_mod, reduce_once};
 use crate::error::FheError;
 
 /// Append-only bit writer (little-endian within bytes).
@@ -198,6 +199,53 @@ impl<'a> BitReader<'a> {
         Ok(())
     }
 
+    /// Reads the next `out.len()` residues of prime `q`, each a
+    /// `bits_for(q)`-bit field, into `out`, reduced into `[0, q)`:
+    /// `*s = reduce_once(v, q)`.
+    ///
+    /// # Errors
+    ///
+    /// As [`BitReader::read_row_with`].
+    pub(crate) fn read_residue_row(&mut self, out: &mut [u64], q: u64) -> Result<(), FheError> {
+        self.residue_row::<false>(out, q)
+    }
+
+    /// Reads the next `acc.len()` residues of prime `q` as
+    /// [`BitReader::read_residue_row`] does and modular-adds each into
+    /// its slot of `acc`, whose values are in `[0, q)`:
+    /// `*a = add_mod(*a, reduce_once(v, q), q)`.
+    ///
+    /// # Errors
+    ///
+    /// As [`BitReader::read_row_with`].
+    pub(crate) fn add_residue_row(&mut self, acc: &mut [u64], q: u64) -> Result<(), FheError> {
+        self.residue_row::<true>(acc, q)
+    }
+
+    /// The two residue-row forms: the AVX-512 kernel when it takes the
+    /// row, [`BitReader::read_row_with`] with the same combine otherwise.
+    #[inline]
+    fn residue_row<const ACCUMULATE: bool>(
+        &mut self,
+        out: &mut [u64],
+        q: u64,
+    ) -> Result<(), FheError> {
+        let bits = bits_for(q);
+        let row_bits = out.len() * bits as usize;
+        self.check_available(row_bits)?;
+        #[cfg(target_arch = "x86_64")]
+        if self.bit_pos.is_multiple_of(8)
+            && avx512::residue_row::<ACCUMULATE>(&self.buf[self.bit_pos / 8..], out, bits, q)
+        {
+            self.bit_pos += row_bits;
+            return Ok(());
+        }
+        self.read_row_with(out, bits, |s, v| {
+            let v = reduce_once(v, q);
+            *s = if ACCUMULATE { add_mod(*s, v, q) } else { v };
+        })
+    }
+
     /// Advances past the next `bits` bits without decoding them.
     ///
     /// # Errors
@@ -213,6 +261,99 @@ impl<'a> BitReader<'a> {
     /// Bits consumed so far.
     pub fn bit_pos(&self) -> usize {
         self.bit_pos
+    }
+}
+
+/// The residue-row kernel: eight `b`-bit wire residues per step.
+///
+/// Eight `b`-bit fields fill exactly `b` bytes, so on a byte-aligned row
+/// group `g` is bytes `g·b .. (g+1)·b` and field `j` of it starts at bit
+/// `j·b` of that group. One byte-masked load brings the group into a
+/// vector without touching a byte past it; a `vpermq` pair puts in lane
+/// `j` the two 64-bit words that hold bit `j·b` and the 64 bits after
+/// it; a variable funnel shift and the field mask leave the field; and
+/// `min(v, v − q)` is `reduce_once` (the subtraction wraps far above
+/// `v` exactly when `v < q`). The accumulate form adds the slot and
+/// reduces once more, which is `add_mod` for slots in `[0, q)`.
+#[cfg(target_arch = "x86_64")]
+mod avx512 {
+    use std::arch::x86_64::{
+        _mm512_add_epi64, _mm512_and_si512, _mm512_loadu_si512, _mm512_maskz_loadu_epi8,
+        _mm512_min_epu64, _mm512_or_si512, _mm512_permutexvar_epi64, _mm512_set1_epi64,
+        _mm512_sllv_epi64, _mm512_srlv_epi64, _mm512_storeu_si512, _mm512_sub_epi64,
+    };
+
+    /// Runs one row of `out.len()` residues of prime `q` through the
+    /// kernel, reading from the start of `bytes`; `false`, with nothing
+    /// read or written, when the CPU lacks AVX-512F/BW or the row is not
+    /// one the kernel takes: a length that is not a multiple of eight,
+    /// a field width outside `1..=63`, or fewer than `out.len() · bits / 8`
+    /// bytes.
+    pub(super) fn residue_row<const ACCUMULATE: bool>(
+        bytes: &[u8],
+        out: &mut [u64],
+        bits: u32,
+        q: u64,
+    ) -> bool {
+        if !out.len().is_multiple_of(8)
+            || !(1..=63).contains(&bits)
+            || bytes.len() < out.len() / 8 * bits as usize
+            || !std::arch::is_x86_feature_detected!("avx512f")
+            || !std::arch::is_x86_feature_detected!("avx512bw")
+        {
+            return false;
+        }
+        // SAFETY: both target features of `row` were just detected on
+        // this CPU, and the checks above are the ones `row` requires.
+        unsafe { row::<ACCUMULATE>(bytes, out, bits, q) };
+        true
+    }
+
+    /// # Safety
+    ///
+    /// The CPU has AVX-512F and AVX-512BW; `out.len()` is a multiple of
+    /// eight, `bits` is in `1..=63` and `bytes` holds at least
+    /// `out.len() / 8 · bits` bytes.
+    #[target_feature(enable = "avx512f,avx512bw")]
+    unsafe fn row<const ACCUMULATE: bool>(bytes: &[u8], out: &mut [u64], bits: u32, q: u64) {
+        let b = u64::from(bits);
+        // Lane j's field starts at bit j·b of the group: in word
+        // (j·b)/64, at shift (j·b)%64. The high word's index is at most 7
+        // for b ≤ 63; a left shift by 64 (lane 0, or any lane whose
+        // field starts on a word) gives zero.
+        let start: [u64; 8] = std::array::from_fn(|j| j as u64 * b);
+        let lo_word = start.map(|s| s / 64);
+        let hi_word = lo_word.map(|w| w + 1);
+        let right = start.map(|s| s % 64);
+        let left = right.map(|r| 64 - r);
+        let lo_word = _mm512_loadu_si512(lo_word.as_ptr().cast());
+        let hi_word = _mm512_loadu_si512(hi_word.as_ptr().cast());
+        let right = _mm512_loadu_si512(right.as_ptr().cast());
+        let left = _mm512_loadu_si512(left.as_ptr().cast());
+        // The low `b` bits: as a byte mask, the group's `b` bytes; in each
+        // lane, the field.
+        let low_bits = (1u64 << bits) - 1;
+        let field = _mm512_set1_epi64(low_bits as i64);
+        let qv = _mm512_set1_epi64(q as i64);
+        let mut src = bytes.as_ptr();
+        for slots in out.chunks_exact_mut(8) {
+            // SAFETY: group g reads bytes g·b .. (g+1)·b, inside `bytes`
+            // by the length the caller checked; masked-off bytes are never
+            // accessed. `slots` is eight `u64`s, all the load and store
+            // below touch.
+            let group = _mm512_maskz_loadu_epi8(low_bits, src.cast());
+            let lo = _mm512_srlv_epi64(_mm512_permutexvar_epi64(lo_word, group), right);
+            let hi = _mm512_sllv_epi64(_mm512_permutexvar_epi64(hi_word, group), left);
+            let v = _mm512_and_si512(_mm512_or_si512(lo, hi), field);
+            let mut v = _mm512_min_epu64(v, _mm512_sub_epi64(v, qv));
+            let dst = slots.as_mut_ptr();
+            if ACCUMULATE {
+                let sum = _mm512_add_epi64(_mm512_loadu_si512(dst.cast()), v);
+                v = _mm512_min_epu64(sum, _mm512_sub_epi64(sum, qv));
+            }
+            _mm512_storeu_si512(dst.cast(), v);
+            src = src.add(bits as usize);
+        }
     }
 }
 
@@ -516,6 +657,135 @@ mod tests {
                 assert_eq!(r.bit_pos(), offset as usize);
                 assert!(long.iter().all(|&v| v == u64::MAX));
             }
+        }
+    }
+
+    /// What each residue-row form computes, through `read_row_with` and
+    /// the scalar combine.
+    fn scalar_residue_row(r: &mut BitReader<'_>, slots: &mut [u64], q: u64, accumulate: bool) {
+        r.read_row_with(slots, bits_for(q), |s, v| {
+            let v = reduce_once(v, q);
+            *s = if accumulate { add_mod(*s, v, q) } else { v };
+        })
+        .unwrap();
+    }
+
+    /// The residue-row methods, which take the kernel where it runs.
+    fn residue_row_method(r: &mut BitReader<'_>, slots: &mut [u64], q: u64, accumulate: bool) {
+        if accumulate {
+            r.add_residue_row(slots, q).unwrap();
+        } else {
+            r.read_residue_row(slots, q).unwrap();
+        }
+    }
+
+    /// The AVX-512 kernel alone; `false` where it declined the row.
+    fn kernel(bytes: &[u8], slots: &mut [u64], q: u64, accumulate: bool) -> bool {
+        #[cfg(target_arch = "x86_64")]
+        return if accumulate {
+            avx512::residue_row::<true>(bytes, slots, bits_for(q), q)
+        } else {
+            avx512::residue_row::<false>(bytes, slots, bits_for(q), q)
+        };
+        #[cfg(not(target_arch = "x86_64"))]
+        false
+    }
+
+    #[test]
+    fn residue_row_kernel_matches_scalar_rows() {
+        #[cfg(target_arch = "x86_64")]
+        let detected = std::arch::is_x86_feature_detected!("avx512f")
+            && std::arch::is_x86_feature_detected!("avx512bw");
+        #[cfg(not(target_arch = "x86_64"))]
+        let detected = false;
+        println!(
+            "avx512f+avx512bw: {}",
+            if detected { "detected" } else { "absent — scalar half only" }
+        );
+
+        let mut rng = StdRng::seed_from_u64(0x30);
+        // The smallest and the largest modulus of every width 2..=62, then
+        // every Table III and toy prime.
+        let mut moduli: Vec<u64> =
+            (2..=62u32).flat_map(|b| [(1u64 << (b - 1)) + 1, 1u64 << b]).collect();
+        moduli.extend(crate::ckks::modarith::tests::table3_primes());
+        for q in moduli {
+            let bits = bits_for(q);
+            for len in [8usize, 16, 512, 8192] {
+                let row_bytes = len * bits as usize / 8;
+                for all_ones in [false, true] {
+                    // One lead byte puts the row at an odd address, and the
+                    // allocation ends at the row's last byte: a load past
+                    // the row would leave the buffer.
+                    let mut buf = vec![0xFFu8; 1 + row_bytes];
+                    if !all_ones {
+                        rng.fill(&mut buf[..]);
+                    }
+                    let row = &buf[1..];
+                    assert_eq!(row.as_ptr() as usize % 2, 1);
+                    let acc: Vec<u64> = (0..len).map(|_| rng.gen_range(0..q)).collect();
+                    for accumulate in [false, true] {
+                        let mut want = acc.clone();
+                        scalar_residue_row(&mut BitReader::new(row), &mut want, q, accumulate);
+
+                        let mut got = acc.clone();
+                        assert_eq!(kernel(row, &mut got, q, accumulate), detected);
+                        if detected {
+                            assert_eq!(got, want, "kernel: q {q}, len {len}, acc {accumulate}");
+                        }
+
+                        let mut got = acc.clone();
+                        let mut r = BitReader::new(row);
+                        residue_row_method(&mut r, &mut got, q, accumulate);
+                        assert_eq!(r.bit_pos(), row_bytes * 8);
+                        assert_eq!(got, want, "method: q {q}, len {len}, acc {accumulate}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn residue_rows_the_kernel_declines_take_the_scalar_path() {
+        let mut rng = StdRng::seed_from_u64(0x30_01);
+        let q = (1u64 << 40) + 1;
+        let bytes: Vec<u8> = (0..1024).map(|_| rng.gen()).collect();
+        for accumulate in [false, true] {
+            let acc: Vec<u64> = (0..64).map(|_| rng.gen_range(0..q)).collect();
+            // A length that is not a multiple of eight, and a row one byte
+            // short of its groups, are declined untouched.
+            let mut slots = acc[..13].to_vec();
+            assert!(!kernel(&bytes, &mut slots, q, accumulate));
+            assert_eq!(slots, acc[..13]);
+            let mut slots = acc.clone();
+            assert!(!kernel(&bytes[..64 * 41 / 8 - 1], &mut slots, q, accumulate));
+            assert_eq!(slots, acc);
+            // Through the methods, those rows and rows starting mid-byte
+            // read what the scalar combine reads.
+            for (lead, len) in [(0usize, 13usize), (3, 64), (5, 13), (8, 64)] {
+                let mut want = acc[..len].to_vec();
+                let mut r = BitReader::new(&bytes);
+                r.skip(lead).unwrap();
+                scalar_residue_row(&mut r, &mut want, q, accumulate);
+                let mut got = acc[..len].to_vec();
+                let mut r = BitReader::new(&bytes);
+                r.skip(lead).unwrap();
+                residue_row_method(&mut r, &mut got, q, accumulate);
+                assert_eq!(got, want, "lead {lead}, len {len}");
+                assert_eq!(r.bit_pos(), lead + len * 41);
+            }
+            // A row longer than the buffer fails, consumes nothing and
+            // leaves the slots untouched.
+            let mut long = vec![7u64; 8 * 1024 / 41 + 8];
+            let mut r = BitReader::new(&bytes);
+            let err = if accumulate {
+                r.add_residue_row(&mut long, q)
+            } else {
+                r.read_residue_row(&mut long, q)
+            };
+            assert!(err.is_err());
+            assert_eq!(r.bit_pos(), 0);
+            assert!(long.iter().all(|&v| v == 7));
         }
     }
 

@@ -516,13 +516,18 @@ impl CkksContext {
         let levels = self.primes.len();
         out.c0.ensure_shape(n, levels, Domain::Eval);
         out.c1.ensure_shape(n, levels, Domain::Eval);
+        {
+            let _t = telemetry::timer("fhe.ckks.seedexp");
+            for (i, r1) in out.c1.residues_all_mut().iter_mut().enumerate() {
+                seedexp::expand_row_into(&noise.seed, i, self.primes[i], n, r1);
+            }
+        }
         let m = &arena.m;
         let rows = out.c0.residues_all_mut().iter_mut().zip(out.c1.residues_all_mut());
         for (i, (r0, r1)) in rows.enumerate() {
             let table = &self.ntt[i];
             let q = self.primes[i];
             let s_row = sk.s_eval.residues(i);
-            seedexp::expand_row_into(&noise.seed, i, q, n, r1);
             reduce_signed_into(&noise.e, q, r0);
             table.forward(r0);
             scratch::with_row(n, |t| {

@@ -177,7 +177,7 @@ pub fn primitive_root(order: u64, q: u64) -> u64 {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::params::CkksParams;
     use proptest::prelude::*;
@@ -188,7 +188,7 @@ mod tests {
     }
 
     /// Every prime the Table III CKKS sets (and the toy set) materialize.
-    fn table3_primes() -> Vec<u64> {
+    pub(crate) fn table3_primes() -> Vec<u64> {
         let sets = [
             CkksParams::ckks1(),
             CkksParams::ckks2(),

@@ -197,7 +197,8 @@ impl RnsPoly {
         RnsPoly { residues, domain: self.domain }
     }
 
-    /// Multiplies every coefficient by a signed scalar.
+    /// Multiplies every coefficient by a signed scalar: one Shoup
+    /// quotient per prime, then a division-free product per coefficient.
     pub fn mul_scalar_signed(&self, scalar: i64, primes: &[u64]) -> RnsPoly {
         let residues = self
             .residues
@@ -205,7 +206,8 @@ impl RnsPoly {
             .zip(primes)
             .map(|(r, &q)| {
                 let s = signed_residue(scalar, q);
-                r.iter().map(|&a| mul_mod(a, s, q)).collect()
+                let s_shoup = shoup(s, q);
+                r.iter().map(|&a| mul_shoup(a, s, s_shoup, q)).collect()
             })
             .collect();
         RnsPoly { residues, domain: self.domain }
@@ -692,6 +694,24 @@ mod tests {
         let a = RnsPoly::from_signed_coeffs(&[5, -3, 7], &PRIMES);
         let b = a.mul_scalar_signed(-4, &PRIMES);
         assert_eq!(b.to_centered_f64(&PRIMES), vec![-20.0, 12.0, -28.0]);
+    }
+
+    #[test]
+    fn scalar_product_matches_mul_mod_at_every_table3_prime() {
+        let mut rng = StdRng::seed_from_u64(0x5c);
+        for q in super::super::modarith::tests::table3_primes() {
+            let mut row: Vec<u64> = (0..253).map(|_| rng.gen_range(0..q)).collect();
+            row.extend([0, 1, q - 1]);
+            let poly = RnsPoly::from_rows(vec![row.clone()], Domain::Eval);
+            let r = rng.gen_range(2..q - 1) as i64;
+            let top = q as i64 - 1;
+            for scalar in [0, 1, top, r, -1, -top, -r, i64::MIN, i64::MAX] {
+                let s = signed_residue(scalar, q);
+                let want: Vec<u64> = row.iter().map(|&a| mul_mod(a, s, q)).collect();
+                let got = poly.mul_scalar_signed(scalar, &[q]);
+                assert_eq!(got.residues(0), &want[..], "q = {q}, scalar = {scalar}");
+            }
+        }
     }
 
     #[test]

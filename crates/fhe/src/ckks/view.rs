@@ -31,11 +31,11 @@
 
 use rhychee_telemetry as telemetry;
 
-use crate::bitpack::{bits_for, BitReader};
+use crate::bitpack::BitReader;
 use crate::error::FheError;
 
 use super::cipher::{check_addable, CkksCiphertext, CkksContext};
-use super::modarith::{add_mod, reduce_once};
+use super::modarith::add_mod;
 use super::rns::{Domain, RnsPoly};
 use super::seedexp;
 
@@ -95,8 +95,11 @@ impl<'a> CtView<'a> {
         let mut r = self.residue_reader();
         let mut read_poly = || -> Result<RnsPoly, FheError> {
             let mut poly = RnsPoly::zero_in(n, self.levels, Domain::Eval);
+            // Each residue is reduced into `[0, q)`: a flipped bit may
+            // push it over `q`, and the canonical format's channel-noise
+            // semantics are to decrypt garbage, not to error.
             for (i, &q) in primes.iter().enumerate() {
-                read_residues(&mut r, poly.residues_mut(i), q)?;
+                r.read_residue_row(poly.residues_mut(i), q)?;
             }
             Ok(poly)
         };
@@ -105,6 +108,7 @@ impl<'a> CtView<'a> {
             ViewFormat::Seeded(seed) => {
                 let c0 = read_poly()?;
                 let mut c1 = RnsPoly::zero_in(n, self.levels, Domain::Eval);
+                let _t = telemetry::timer("fhe.ckks.seedexp");
                 for (i, row) in c1.residues_all_mut().iter_mut().enumerate() {
                     seedexp::expand_row_into(&seed, i, primes[i], n, row);
                 }
@@ -126,15 +130,6 @@ impl<'a> CtView<'a> {
         r.skip(header_bits).expect("validated header");
         r
     }
-}
-
-/// Unpacks one residue row of prime `q` from the wire into `row`,
-/// reducing each value into `[0, q)`: a flipped bit may push a residue
-/// over `q`, and the canonical format's channel-noise semantics are to
-/// decrypt garbage, not to error. A `bits_for(q)`-bit value is below
-/// `2q`, so [`reduce_once`] is `% q` for every wire value.
-fn read_residues(r: &mut BitReader<'_>, row: &mut [u64], q: u64) -> Result<(), FheError> {
-    r.read_row_with(row, bits_for(q), |s, v| *s = reduce_once(v, q))
 }
 
 /// Header bits shared by both formats: levels (8) + scale (64).
@@ -266,8 +261,7 @@ impl CkksContext {
         let primes = &self.primes()[..view.levels];
         let mut r = view.residue_reader();
         let mut fold_row = |acc_row: &mut [u64], q: u64| {
-            r.read_row_with(acc_row, bits_for(q), |a, v| *a = add_mod(*a, reduce_once(v, q), q))
-                .expect("length-validated view");
+            r.add_residue_row(acc_row, q).expect("length-validated view");
         };
         match view.format {
             ViewFormat::Canonical => {
@@ -281,6 +275,7 @@ impl CkksContext {
                 for (i, &q) in primes.iter().enumerate() {
                     fold_row(acc.c0.residues_mut(i), q);
                 }
+                let _t = telemetry::timer("fhe.ckks.seedexp");
                 for (i, &q) in primes.iter().enumerate() {
                     let mut stream = seedexp::SeedStream::new(&seed, i as u64);
                     for a in acc.c1.residues_mut(i) {

@@ -90,7 +90,10 @@ fn transform_counts_match_the_accounting_table() {
     let view = ctx.view_serialized_seeded(&seeded).expect("view");
     let reseeded = view.to_ciphertext(&ctx).expect("materialize");
     let mut folded = ctx.accumulator_for(&view);
+    let seedexp = || telemetry::metrics::global().histogram("fhe.ckks.seedexp").count();
+    let expansions = seedexp();
     ctx.fold_view(&mut folded, &view).expect("seeded fold");
+    assert_eq!(seedexp() - expansions, 1, "a seeded fold times its c1 expansion once");
     ctx.fold_view(&mut folded, &ctx.view_serialized(&bytes).expect("view")).expect("fold");
     let (f1, i1) = ntt_counts();
     assert_eq!((f1 - f0, i1 - i0), (0, 0), "serialize / deserialize / fold");
