@@ -24,7 +24,6 @@ use rand::{rngs::StdRng, SeedableRng};
 
 use rhychee_bench::{banner, emit_metrics_json, init_telemetry, time_ns, Table, NO_NTT_BACKEND};
 use rhychee_channel::crc::crc32;
-use rhychee_core::round::ClientUpdate;
 use rhychee_core::{packing, Aggregation, StreamingAggregator};
 use rhychee_fhe::ckks::modarith::find_ntt_primes;
 use rhychee_fhe::ckks::ntt::NttTable;
@@ -35,13 +34,21 @@ use rhychee_net::codec;
 use rhychee_net::wire::{self, Message};
 use rhychee_par::Parallelism;
 
-/// One round's aggregation as every runtime performs it: fold each
-/// client's ciphertexts into the accumulator, close with `1/P`.
-fn aggregate(ctx: &CkksContext, models: &[Vec<CkksCiphertext>]) -> Vec<CkksCiphertext> {
+/// Each client's upload payload, encoded once outside any timed loop.
+fn upload_payloads(ctx: &CkksContext, models: &[Vec<CkksCiphertext>]) -> Vec<Vec<u8>> {
+    models.iter().map(|cts| codec::encode_ckks(ctx, cts)).collect()
+}
+
+/// One round's aggregation as every runtime performs it: parse each
+/// client's upload into zero-copy views, fold them into the
+/// accumulator, close with `1/P`.
+fn aggregate(ctx: &CkksContext, uploads: &[Vec<u8>]) -> Vec<CkksCiphertext> {
     let mut agg = StreamingAggregator::new(0, Aggregation::FedAvg).expect("aggregator");
-    for (client_id, cts) in models.iter().enumerate() {
-        let update = ClientUpdate { client_id, round: 0, steps: 1, payload: &cts[..] };
-        assert!(agg.fold_ciphertexts(ctx, &update).expect("fold"), "client {client_id} folds");
+    for (client_id, payload) in uploads.iter().enumerate() {
+        // Trusted bytes this bench encoded itself: no count cap.
+        let views = codec::parse_ckks_views(ctx, payload, usize::MAX).expect("parse");
+        let folded = agg.fold_upload(ctx, client_id, 0, views.views()).expect("fold");
+        assert!(folded, "client {client_id} folds");
     }
     agg.finish(ctx).expect("finish")
 }
@@ -335,8 +342,9 @@ fn main() {
                 packing::encrypt_model_with(&ctx, &pk, &flat, &dense, &mut rng).expect("encrypt")
             })
             .collect();
+        let uploads = upload_payloads(&ctx, &models);
         let aggregate_ns = time_ns(iters, || {
-            std::hint::black_box(aggregate(&ctx, &models));
+            std::hint::black_box(aggregate(&ctx, &uploads));
         });
         samples.push(Sample {
             op: "aggregate".into(),
@@ -345,7 +353,7 @@ fn main() {
             backend: ntt_backend,
         });
 
-        let global = aggregate(&ctx, &models);
+        let global = aggregate(&ctx, &uploads);
         let decrypt_ns = time_ns(iters, || {
             let flat = packing::decrypt_model_with(&ctx, &sk, &global, model_params, &dense)
                 .expect("decrypt");
@@ -382,7 +390,7 @@ fn main() {
                 .expect("encrypt")
         })
         .collect();
-    let fp_global = aggregate(&fp_ctx, &fp_models);
+    let fp_global = aggregate(&fp_ctx, &upload_payloads(&fp_ctx, &fp_models));
     let fp_dec = packing::decrypt_model_with(&fp_ctx, &fp_sk, &fp_global, model_params, &dense)
         .expect("decrypt");
     let fingerprint = decrypt_fingerprint(&fp_dec);

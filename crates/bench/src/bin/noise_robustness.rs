@@ -1,5 +1,5 @@
 //! Regenerates the **§V-E robustness experiment**: end-to-end encrypted
-//! federated learning where every ciphertext crosses a noisy 5G-style
+//! federated learning where every model payload crosses a noisy 5G-style
 //! channel (BER 1e-3, 1400-bit packets).
 //!
 //! Three conditions:
@@ -74,13 +74,13 @@ fn main() {
             report.rounds.iter().map(|r| format!("{:.3}", r.accuracy)).collect();
         println!(
             "accuracy by round: {}\npackets {} | transmissions {} | retransmissions {} | \
-             undetected {} | dropped cts {}",
+             undetected {} | dropped payloads {}",
             curve.join(" -> "),
             stats.packets,
             stats.transmissions,
             stats.retransmissions,
             stats.undetected_errors,
-            stats.dropped_ciphertexts,
+            stats.dropped_payloads,
         );
         summary.row(vec![
             name.to_string(),

@@ -21,6 +21,9 @@ pub enum FlError {
     /// from a per-upload rejection —
     /// those NACK the one upload and leave the round running.
     StreamingAbort(String),
+    /// A model payload is malformed: wrong tag, a count above its cap,
+    /// truncation or trailing bytes ([`crate::codec`]).
+    Payload(String),
 }
 
 impl fmt::Display for FlError {
@@ -36,6 +39,7 @@ impl fmt::Display for FlError {
             FlError::StreamingAbort(msg) => {
                 write!(f, "streaming aggregation aborted: {msg}")
             }
+            FlError::Payload(msg) => write!(f, "malformed model payload: {msg}"),
         }
     }
 }

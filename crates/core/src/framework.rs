@@ -9,13 +9,13 @@
 //! * **LWE/TFHE** — per-parameter ciphertexts with fixed-point
 //!   quantization (the design-space alternative of Table I).
 //!
-//! The per-round mechanics live in [`crate::round`]
-//! ([`ClientLocal`]/[`ServerRound`]) and are shared with the networked
-//! runtime in `rhychee-net`; this type wires them together in a single
-//! process. Because every randomness stream is salted off the run seed
-//! (see [`crate::round`]), a networked run reproduces this framework's
-//! global model bit for bit.
+//! Plaintext and CKKS rounds run [`ClientHalf`] → link → [`ServerHalf`]
+//! → link → [`ClientHalf`], the halves `rhychee-net` runs across TCP.
+//! Because every randomness stream is salted off the run seed (see
+//! [`crate::round`]), a networked run reproduces this framework's global
+//! model bit for bit.
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use rand::rngs::StdRng;
@@ -24,17 +24,17 @@ use rand::SeedableRng;
 use rhychee_telemetry as telemetry;
 
 use rhychee_data::TrainTest;
-use rhychee_fhe::ckks::{CkksCiphertext, CkksContext, CkksPublicKey, CkksSecretKey};
+use rhychee_fhe::ckks::CkksContext;
 use rhychee_fhe::lwe::{LweContext, LweSecretKey};
 use rhychee_fhe::params::{CkksParams, LweParams};
 use rhychee_hdc::model::{EncodedDataset, HdcModel};
 use rhychee_hdc::quantize::QuantizedModel;
 
+use crate::codec::{CanonicalCodec, WireCodec};
 use crate::config::FlConfig;
 use crate::error::FlError;
-use crate::packing;
-use crate::round::{self, ClientLocal, ClientUpdate, EncryptKey, ServerRound};
-use crate::streaming::StreamingAggregator;
+use crate::packing::{self, PackingConfig};
+use crate::round::{self, ClientHalf, ClientLocal, ClientUpdate, ServerHalf, ServerRound};
 
 /// Salt for the participant-sampling stream (kept apart from setup and
 /// key material so pipelines can be compared round for round).
@@ -48,9 +48,9 @@ pub type UpdatesTapHook = Box<dyn FnMut(usize, &mut Vec<ClientUpdate<Vec<f32>>>)
 /// the configured rule.
 pub type AggregateOverrideHook =
     Box<dyn FnMut(usize, &[ClientUpdate<Vec<f32>>], &[f64]) -> Option<Vec<f32>>>;
-/// Link: carries one ciphertext to the other endpoint and returns the
-/// serialized bytes the receiver ends up holding.
-pub type LinkHook = Box<dyn FnMut(&CkksContext, &CkksCiphertext) -> Vec<u8>>;
+/// Link: carries one model payload to the other endpoint and returns the
+/// bytes the receiver ends up holding.
+pub type LinkHook = Box<dyn FnMut(&[u8]) -> Vec<u8>>;
 
 /// Callbacks a scenario driver installs around the round loop.
 ///
@@ -80,13 +80,12 @@ pub struct RoundHooks {
     /// ciphertexts, which is exactly the robustness/privacy tension the
     /// scenario engine measures.
     pub aggregate_override: Option<AggregateOverrideHook>,
-    /// The link every CKKS ciphertext crosses between client and
-    /// server. Absent, ciphertexts are handed over in memory. Present,
-    /// each upload crosses it (client-id order, ciphertext by
-    /// ciphertext) and the server folds the delivered bytes; then each
-    /// ciphertext of the closed aggregate crosses it once per
-    /// participant before decryption. Like `aggregate_override` it is
-    /// pipeline-specific: the plaintext and LWE pipelines ignore it.
+    /// The link every model payload crosses between client and server,
+    /// plaintext and CKKS alike. Absent, the payload bytes are handed
+    /// over as they are. Present, each upload crosses it (client-id
+    /// order) and the server folds the delivered bytes; then the
+    /// broadcast crosses it once per participant before decoding. The
+    /// LWE pipeline ignores it.
     pub link: Option<LinkHook>,
 }
 
@@ -150,16 +149,14 @@ impl RunReport {
 
 /// Transport pipeline for model exchange.
 enum Pipeline {
-    /// Raw parameter exchange (no encryption).
-    Plaintext,
-    /// Packed CKKS ciphertexts folded into one encrypted sum. The
-    /// packing config selects dense slots (scalar multiply at close) or
-    /// bit-interleaved lanes (raw sum, mean after decryption).
-    Ckks {
-        ctx: Box<CkksContext>,
-        sk: CkksSecretKey,
-        pk: CkksPublicKey,
-        packing: packing::PackingConfig,
+    /// Codec payloads through one client and one server half, as
+    /// `FlClient` and `FlServer` exchange them: raw parameters or, with
+    /// `ckks` (which sizes the Table I upload), packed CKKS ciphertexts
+    /// folded into one encrypted sum.
+    Payload {
+        client: Box<ClientHalf>,
+        server: ServerHalf,
+        ckks: Option<(Arc<CkksContext>, PackingConfig)>,
     },
     /// Per-parameter LWE ciphertexts over quantized weights.
     Lwe { ctx: LweContext, sk: LweSecretKey, quant_bits: u32 },
@@ -201,7 +198,11 @@ impl Framework {
     ///
     /// Returns [`FlError`] on invalid config or insufficient data.
     pub fn hdc_plaintext(config: FlConfig, data: &TrainTest) -> Result<Self, FlError> {
-        Self::build(config, data, Pipeline::Plaintext)
+        let agg = config.aggregation;
+        Self::build(config, data, |n| {
+            let (client, server) = (ClientHalf::plaintext(agg, n), ServerHalf::plaintext(agg, n));
+            Ok(Pipeline::Payload { client: Box::new(client), server, ckks: None })
+        })
     }
 
     /// Builds the full Rhychee-FL pipeline: encrypted aggregation under
@@ -219,10 +220,7 @@ impl Framework {
         data: &TrainTest,
         params: CkksParams,
     ) -> Result<Self, FlError> {
-        let ctx = CkksContext::with_parallelism(params, config.parallelism)?;
-        let (sk, pk) = round::derive_ckks_keys(&ctx, config.seed);
-        let packing = packing::PackingConfig::dense();
-        Self::build(config, data, Pipeline::Ckks { ctx: Box::new(ctx), sk, pk, packing })
+        Self::build_ckks(config, data, params, PackingConfig::dense())
     }
 
     /// Builds the encrypted CKKS federation with bit-interleaved slot
@@ -244,12 +242,27 @@ impl Framework {
         bits: u32,
         clip: f32,
     ) -> Result<Self, FlError> {
-        let packing = packing::PackingConfig::interleaved(bits, clip, config.clients);
+        let packing = PackingConfig::interleaved(bits, clip, config.clients);
         packing.check_aggregation(config.aggregation)?;
         packing.validate()?;
-        let ctx = CkksContext::with_parallelism(params, config.parallelism)?;
-        let (sk, pk) = round::derive_ckks_keys(&ctx, config.seed);
-        Self::build(config, data, Pipeline::Ckks { ctx: Box::new(ctx), sk, pk, packing })
+        Self::build_ckks(config, data, params, packing)
+    }
+
+    /// Both encrypted constructors: canonical public-key uploads.
+    fn build_ckks(
+        config: FlConfig,
+        data: &TrainTest,
+        params: CkksParams,
+        packing: PackingConfig,
+    ) -> Result<Self, FlError> {
+        let ctx = Arc::new(CkksContext::with_parallelism(params, config.parallelism)?);
+        let (agg, seed) = (config.aggregation, config.seed);
+        Self::build(config, data, |n| {
+            let codec: Arc<dyn WireCodec> = Arc::new(CanonicalCodec);
+            let server = ServerHalf::ckks(agg, n, Arc::clone(&ctx), Arc::clone(&codec), packing);
+            let client = Box::new(ClientHalf::ckks(agg, n, Arc::clone(&ctx), seed, codec, packing));
+            Ok(Pipeline::Payload { client, server, ckks: Some((ctx, packing)) })
+        })
     }
 
     /// Builds an encrypted federation over the single-value LWE scheme,
@@ -283,7 +296,7 @@ impl Framework {
         let ctx = LweContext::new(params)?;
         let mut key_rng = StdRng::seed_from_u64(config.seed ^ round::LWE_KEY_SALT);
         let sk = ctx.generate_key(&mut key_rng);
-        Self::build(config, data, Pipeline::Lwe { ctx, sk, quant_bits })
+        Self::build(config, data, |_| Ok(Pipeline::Lwe { ctx, sk, quant_bits }))
     }
 
     /// LWE parameters sized for a federation: plaintext modulus holding
@@ -295,11 +308,17 @@ impl Framework {
         LweParams { dimension: 534, log_q: q_bits, plaintext_modulus: t, sigma_int: 0.6 }
     }
 
-    fn build(config: FlConfig, data: &TrainTest, pipeline: Pipeline) -> Result<Self, FlError> {
+    /// Prepares the clients, then the pipeline for their model size.
+    fn build(
+        config: FlConfig,
+        data: &TrainTest,
+        pipeline: impl FnOnce(usize) -> Result<Pipeline, FlError>,
+    ) -> Result<Self, FlError> {
         let setup = round::prepare(&config, data)?;
         let classes = setup.classes;
         let (clients, test) = setup.into_clients(&config);
         let global = vec![0.0; classes * config.hd_dim];
+        let pipeline = pipeline(global.len())?;
         let rng = StdRng::seed_from_u64(config.seed ^ SAMPLING_SALT);
         Ok(Framework {
             config,
@@ -344,8 +363,8 @@ impl Framework {
     pub fn upload_bits_per_round(&self) -> u64 {
         let n = self.num_parameters() as u64;
         match &self.pipeline {
-            Pipeline::Plaintext => n * 32,
-            Pipeline::Ckks { ctx, packing, .. } => {
+            Pipeline::Payload { ckks: None, .. } => n * 32,
+            Pipeline::Payload { ckks: Some((ctx, packing)), .. } => {
                 packing::ciphertexts_needed_with(packing, n as usize, ctx.slot_count()) as u64
                     * ctx.params().ciphertext_bits()
             }
@@ -397,170 +416,29 @@ impl Framework {
         }
 
         // 2–4. Collection, aggregation, distribution.
-        let new_global = match &self.pipeline {
-            Pipeline::Plaintext => {
-                let span = telemetry::span("aggregate");
-                let mut sr = ServerRound::new(round, self.config.aggregation);
-                for u in trained {
-                    sr.accept(u);
-                }
-                let overridden = self
-                    .hooks
-                    .aggregate_override
-                    .as_mut()
-                    .and_then(|agg| agg(round, sr.updates(), &sr.weights()));
-                let global = match overridden {
-                    Some(g) => g,
-                    None => sr.aggregate()?,
-                };
-                report.aggregate_time = span.finish();
-                global
-            }
-            Pipeline::Ckks { ctx, sk, pk, packing } => {
-                // Keep the plaintext updates around while telemetry is on
-                // so the decrypted aggregate can be checked against the
-                // exact plaintext FedAvg (the `fl.decrypt_error.max`
-                // noise-budget gauge, DESIGN.md §10).
-                let plain_updates = telemetry::enabled().then(|| trained.clone());
-                let span = telemetry::span("encrypt");
-                let mut encrypted = Vec::with_capacity(trained.len());
-                for mut u in trained {
-                    round::prescale_update(self.config.aggregation, u.steps, &mut u.payload);
-                    let cts = self.clients[u.client_id].encrypt_update(
-                        ctx,
-                        EncryptKey::Public(pk),
-                        packing,
-                        &u.payload,
-                    )?;
-                    encrypted.push(ClientUpdate {
-                        client_id: u.client_id,
-                        round: u.round,
-                        steps: u.steps,
-                        payload: cts,
-                    });
-                }
-                report.encrypt_time = span.finish();
-
-                // Upload: under a link hook the server holds only what
-                // the link delivered, and folds it straight from the bytes.
-                let mut link = self.hooks.link.as_mut();
-                let delivered: Option<Vec<Vec<Vec<u8>>>> = link.as_mut().map(|link| {
-                    encrypted
-                        .iter()
-                        .map(|u| u.payload.iter().map(|ct| link(ctx, ct)).collect())
-                        .collect()
-                });
-
-                let span = telemetry::span("aggregate");
-                let mut agg = StreamingAggregator::new(round, self.config.aggregation)?;
-                for (i, u) in encrypted.iter().enumerate() {
-                    let folded = match &delivered {
-                        None => agg.fold_ciphertexts(ctx, u)?,
-                        Some(uploads) => {
-                            let views = uploads[i]
-                                .iter()
-                                .map(|bytes| ctx.view_serialized(bytes))
-                                .collect::<Result<Vec<_>, _>>()?;
-                            let ClientUpdate { client_id, round, steps, .. } = *u;
-                            agg.fold_views(
-                                ctx,
-                                &ClientUpdate { client_id, round, steps, payload: views },
-                            )?
-                        }
-                    };
-                    if !folded {
-                        return Err(FlError::StreamingAbort(format!(
-                            "round {round}: client {}'s upload did not fold",
-                            u.client_id
-                        )));
-                    }
-                }
-                let mut global_ct = agg.close(ctx, packing)?;
-                report.aggregate_time = span.finish();
-
-                // Download: the aggregate crosses the link once per
-                // participant. All hold the same key and are sent the
-                // same payload, so one delivered copy stands for all.
-                if let Some(link) = link {
-                    for ct in &mut global_ct {
-                        let mut bytes = Vec::new();
-                        for _ in 0..encrypted.len() {
-                            bytes = link(ctx, ct);
-                        }
-                        *ct = ctx.deserialize(&bytes)?;
-                    }
-                }
-
-                let span = telemetry::span("decrypt");
-                let global =
-                    packing::decrypt_model_with(ctx, sk, &global_ct, self.global.len(), packing)?;
-                report.decrypt_time = span.finish();
-
-                if let Some(updates) = plain_updates {
-                    let mut plain_sr = ServerRound::new(round, self.config.aggregation);
+        let clients = &mut self.clients;
+        self.global = match &mut self.pipeline {
+            Pipeline::Payload { client, server, ckks } => {
+                // The `fl.decrypt_error.max` noise-budget gauge (DESIGN.md
+                // §10): the decrypted aggregate against exact FedAvg.
+                let plain = (ckks.is_some() && telemetry::enabled()).then(|| trained.clone());
+                let hooks = &mut self.hooks;
+                let global = exchange(client, server, clients, hooks, trained, &mut report)?;
+                if let Some(updates) = plain {
+                    let mut sum = ServerRound::new(round, self.config.aggregation);
                     for u in updates {
-                        plain_sr.accept(u);
+                        sum.accept(u);
                     }
-                    let expected = plain_sr.aggregate()?;
-                    let max_err = global
-                        .iter()
-                        .zip(&expected)
-                        .map(|(&got, &want)| f64::from((got - want).abs()))
-                        .fold(0.0f64, f64::max);
-                    telemetry::gauge("fl.decrypt_error.max", max_err);
+                    let errors = global.iter().zip(sum.aggregate()?).map(|(g, w)| (g - w).abs());
+                    telemetry::gauge("fl.decrypt_error.max", f64::from(errors.fold(0.0, f32::max)));
                 }
                 global
             }
             Pipeline::Lwe { ctx, sk, quant_bits } => {
-                let bits = *quant_bits;
-                let p = trained.len() as u64;
-                let span = telemetry::span("encrypt");
-                // Quantize every client model with a common scale so sums
-                // are meaningful: use the max dynamic range.
-                let quantized: Vec<QuantizedModel> = trained
-                    .iter()
-                    .map(|u| {
-                        let model =
-                            HdcModel::from_flat(&u.payload, self.classes, self.config.hd_dim);
-                        QuantizedModel::quantize(&model, bits)
-                    })
-                    .collect();
-                let scale = quantized.iter().map(QuantizedModel::scale).fold(f64::MAX, f64::min);
-                let encrypted: Result<Vec<Vec<_>>, _> = quantized
-                    .iter()
-                    .zip(&trained)
-                    .map(|(q, u)| {
-                        let rng = self.clients[u.client_id].rng_mut();
-                        q.to_offset_encoded().iter().map(|&v| ctx.encrypt(sk, v, rng)).collect()
-                    })
-                    .collect();
-                let encrypted = encrypted?;
-                report.encrypt_time = span.finish();
-
-                let span = telemetry::span("aggregate");
-                let n = self.global.len();
-                let mut sums = encrypted[0].clone();
-                for client in &encrypted[1..] {
-                    for (acc, ct) in sums.iter_mut().zip(client) {
-                        ctx.add_assign(acc, ct)?;
-                    }
-                }
-                report.aggregate_time = span.finish();
-
-                let span = telemetry::span("decrypt");
-                let offset = (1i64 << (bits - 1)) * p as i64;
-                let global: Vec<f32> = (0..n)
-                    .map(|i| {
-                        let sum = ctx.decrypt(sk, &sums[i]) as i64 - offset;
-                        (sum as f64 / (p as f64 * scale)) as f32
-                    })
-                    .collect();
-                report.decrypt_time = span.finish();
-                global
+                let shape = (self.classes, self.config.hd_dim);
+                lwe_round(ctx, sk, *quant_bits, shape, clients, &trained, &mut report)?
             }
         };
-
-        self.global = new_global;
         self.distribute_global(&participants);
 
         report.upload_bits_per_client = self.upload_bits_per_round();
@@ -620,6 +498,111 @@ impl Framework {
             self.clients[id].load_global(&self.global);
         }
     }
+}
+
+/// One payload round: uploads are encoded (`encrypt`), cross the link,
+/// fold and close (`aggregate`); the broadcast crosses the link once per
+/// participant and is decoded (`decrypt`). Every participant is sent the
+/// same payload under the same key, so one delivered copy stands for all.
+fn exchange(
+    client: &ClientHalf,
+    server: &mut ServerHalf,
+    clients: &mut [ClientLocal],
+    hooks: &mut RoundHooks,
+    trained: Vec<ClientUpdate<Vec<f32>>>,
+    report: &mut RoundReport,
+) -> Result<Vec<f32>, FlError> {
+    let span = telemetry::span("encrypt");
+    let mut uploads = Vec::with_capacity(trained.len());
+    for ClientUpdate { client_id, round, steps, payload } in trained {
+        let payload = client.encode(&mut clients[client_id], payload)?;
+        uploads.push(ClientUpdate { client_id, round, steps, payload });
+    }
+    report.encrypt_time = span.finish();
+
+    if let Some(link) = hooks.link.as_mut() {
+        for upload in &mut uploads {
+            upload.payload = link(&upload.payload);
+        }
+    }
+
+    let (span, round) = (telemetry::span("aggregate"), report.round);
+    server.open(round);
+    for upload in &uploads {
+        if !server.fold(upload, |fold| fold())? {
+            return Err(FlError::StreamingAbort(format!(
+                "round {round}: client {}'s upload did not fold",
+                upload.client_id
+            )));
+        }
+    }
+    let (mut broadcast, _) = server.close(hooks.aggregate_override.as_mut(), |close| close())?;
+    report.aggregate_time = span.finish();
+
+    if let Some(link) = hooks.link.as_mut() {
+        let sent = std::mem::take(&mut broadcast);
+        for _ in &uploads {
+            broadcast = link(&sent);
+        }
+    }
+
+    let span = telemetry::span("decrypt");
+    let global = client.decode(&broadcast)?;
+    report.decrypt_time = span.finish();
+    Ok(global)
+}
+
+/// One LWE round: clients quantize at a common scale and encrypt each
+/// parameter, the server adds, one client decrypts the offset sum.
+fn lwe_round(
+    ctx: &LweContext,
+    sk: &LweSecretKey,
+    bits: u32,
+    (classes, hd_dim): (usize, usize),
+    clients: &mut [ClientLocal],
+    trained: &[ClientUpdate<Vec<f32>>],
+    report: &mut RoundReport,
+) -> Result<Vec<f32>, FlError> {
+    let p = trained.len() as u64;
+    let span = telemetry::span("encrypt");
+    // Quantize every client model with a common scale so sums are
+    // meaningful: use the max dynamic range.
+    let quantized: Vec<QuantizedModel> = trained
+        .iter()
+        .map(|u| QuantizedModel::quantize(&HdcModel::from_flat(&u.payload, classes, hd_dim), bits))
+        .collect();
+    let scale = quantized.iter().map(QuantizedModel::scale).fold(f64::MAX, f64::min);
+    let encrypted: Result<Vec<Vec<_>>, _> = quantized
+        .iter()
+        .zip(trained)
+        .map(|(q, u)| {
+            let rng = clients[u.client_id].rng_mut();
+            q.to_offset_encoded().iter().map(|&v| ctx.encrypt(sk, v, rng)).collect()
+        })
+        .collect();
+    let encrypted = encrypted?;
+    report.encrypt_time = span.finish();
+
+    let span = telemetry::span("aggregate");
+    let mut sums = encrypted[0].clone();
+    for client in &encrypted[1..] {
+        for (acc, ct) in sums.iter_mut().zip(client) {
+            ctx.add_assign(acc, ct)?;
+        }
+    }
+    report.aggregate_time = span.finish();
+
+    let span = telemetry::span("decrypt");
+    let offset = (1i64 << (bits - 1)) * p as i64;
+    let global: Vec<f32> = sums
+        .iter()
+        .map(|ct| {
+            let sum = ctx.decrypt(sk, ct) as i64 - offset;
+            (sum as f64 / (p as f64 * scale)) as f32
+        })
+        .collect();
+    report.decrypt_time = span.finish();
+    Ok(global)
 }
 
 #[cfg(test)]
@@ -723,6 +706,40 @@ mod tests {
             .expect("valid");
         let err = Framework::hdc_encrypted_interleaved(cfg, &data, CkksParams::toy(), 10, 1.0);
         assert!(matches!(err, Err(FlError::InvalidConfig(_))));
+    }
+
+    #[test]
+    fn identity_link_leaves_every_global_bit_unchanged() {
+        // Plaintext and CKKS rounds both cross the link as codec
+        // payloads: bytes handed back untouched must leave the global
+        // model bit for bit where a run without a link ends.
+        type Build = fn(FlConfig, &TrainTest) -> Result<Framework, FlError>;
+        let data = small_data(DatasetKind::Har);
+        let builds: [(&str, Build); 2] = [
+            ("plaintext", Framework::hdc_plaintext),
+            ("ckks", |cfg, data| Framework::hdc_encrypted(cfg, data, CkksParams::toy())),
+        ];
+        for (name, build) in builds {
+            let crossings = std::rc::Rc::new(std::cell::Cell::new(0));
+            let run = |linked: bool| {
+                let mut fw = build(small_config(3, 2), &data).expect("build");
+                if linked {
+                    let crossings = std::rc::Rc::clone(&crossings);
+                    fw.set_hooks(RoundHooks {
+                        link: Some(Box::new(move |bytes: &[u8]| {
+                            crossings.set(crossings.get() + 1);
+                            bytes.to_vec()
+                        })),
+                        ..RoundHooks::default()
+                    });
+                }
+                fw.run().expect("run");
+                fw.global_model().flatten().iter().map(|v| v.to_bits()).collect::<Vec<u32>>()
+            };
+            assert_eq!(run(true), run(false), "{name}: the identity link moved a bit");
+            // 2 rounds × (3 uploads + 3 copies of the broadcast).
+            assert_eq!(crossings.get(), 12, "{name}: every payload crossed the link");
+        }
     }
 
     #[test]

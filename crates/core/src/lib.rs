@@ -20,12 +20,14 @@
 //! * [`config`] — run configuration (builder; paper defaults)
 //! * [`framework`] — the orchestrator with plaintext / CKKS / LWE
 //!   pipelines
+//! * [`codec`] — model payload encoding (plaintext / CKKS wire formats)
 //! * [`packing`] — maximum ciphertext packing (⌈DL/(N/2)⌉ ciphertexts)
-//! * [`round`] — reusable `ClientLocal`/`ServerRound` building blocks
-//!   (shared with the networked `rhychee-net` runtime)
+//! * [`round`] — reusable round building blocks, shared with the
+//!   networked `rhychee-net` runtime: the [`ClientHalf`] and
+//!   [`ServerHalf`] every payload passes through
 //! * [`streaming`] — [`StreamingAggregator`]: the one accumulator
-//!   every runtime folds encrypted uploads into (zero-copy views or
-//!   owned ciphertexts), bit-identical to the Eq. 2 reference
+//!   every runtime folds encrypted uploads into as zero-copy views,
+//!   bit-identical to the Eq. 2 reference
 //! * [`nn_fl`] — CNN / MLP / logistic-regression FedAvg baselines
 //! * [`noisy`] — end-to-end encrypted FL across a noisy packet channel
 //! * [`error`] — framework errors
@@ -48,6 +50,10 @@
 //! # }
 //! ```
 
+// A round loop that outgrows one screen stops being reviewable.
+#![deny(clippy::too_many_lines)]
+
+pub mod codec;
 pub mod config;
 pub mod error;
 pub mod framework;
@@ -64,6 +70,7 @@ pub use nn_fl::{NnFederation, NnModelKind, SgdConfig};
 pub use noisy::{ChannelStats, NoisyChannelConfig, NoisyFederation};
 pub use rhychee_par::Parallelism;
 pub use round::{
-    client_rng, derive_ckks_keys, prepare, ClientLocal, ClientUpdate, FedSetup, ServerRound,
+    client_rng, derive_ckks_keys, prepare, ClientHalf, ClientLocal, ClientUpdate, FedSetup,
+    ServerHalf, ServerRound,
 };
 pub use streaming::StreamingAggregator;

@@ -1,13 +1,13 @@
 //! End-to-end encrypted federated learning over a noisy channel
 //! (paper §V-E).
 //!
-//! Every ciphertext is serialized, packetized, pushed through a
-//! bit-flipping channel with detect-and-retransmit, and reassembled at
-//! the other side. With CRC-32 the global model converges exactly as on
-//! a clean link (undetected errors are ~1-in-3×10⁹ transmissions); with
-//! detection disabled, corrupted ciphertexts decrypt to garbage and can
-//! stall convergence — the failure mode the paper's analytical model
-//! quantifies.
+//! Every model payload (each upload, each copy of the broadcast) is
+//! packetized, pushed through a bit-flipping channel with
+//! detect-and-retransmit, and reassembled at the other side. With CRC-32
+//! the global model converges exactly as on a clean link (undetected
+//! errors are ~1-in-3×10⁹ transmissions); with detection disabled,
+//! corrupted ciphertexts decrypt to garbage and can stall convergence —
+//! the failure mode the paper's analytical model quantifies.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -19,9 +19,10 @@ use rhychee_telemetry as telemetry;
 use rhychee_channel::crc::Detector;
 use rhychee_channel::packet::{BitFlipChannel, PacketLink, PACKET_BITS};
 use rhychee_data::TrainTest;
-use rhychee_fhe::ckks::{CkksCiphertext, CkksContext};
+use rhychee_fhe::ckks::{CkksContext, CtView};
 use rhychee_fhe::params::CkksParams;
 
+use crate::codec;
 use crate::config::FlConfig;
 use crate::error::FlError;
 use crate::framework::{Framework, RoundHooks, RoundReport, RunReport};
@@ -60,9 +61,9 @@ pub struct ChannelStats {
     pub retransmissions: usize,
     /// Packets delivered with undetected corruption.
     pub undetected_errors: usize,
-    /// Ciphertexts that failed to deserialize and were dropped
-    /// (the sender's copy was reused, modeling an application-layer NACK).
-    pub dropped_ciphertexts: usize,
+    /// Payloads whose headers arrived corrupted and were dropped (the
+    /// sender's copy was reused, modeling an application-layer NACK).
+    pub dropped_payloads: usize,
 }
 
 /// Encrypted HDC federated learning where every model transfer crosses a
@@ -94,30 +95,29 @@ pub struct NoisyFederation {
     stats: Rc<RefCell<ChannelStats>>,
 }
 
-/// Sends one ciphertext across the noisy link (detect-and-retransmit
+/// Sends one model payload across the noisy link (detect-and-retransmit
 /// when a detector is configured, raw corruption otherwise), returning
-/// the serialized bytes the receiver ends up holding.
+/// the bytes the receiver ends up holding.
 ///
-/// Payload corruption propagates into the crypto layer (it decrypts
-/// to garbage). Corruption of the small metadata header (levels /
+/// Corrupted ciphertext rows propagate into the crypto layer (they
+/// decrypt to garbage). Corrupted framing or ciphertext headers (levels,
 /// scale), which a real transport carries in its own checksummed
-/// header, is treated as an application-layer NACK: the transfer is
-/// counted as dropped and the sender's copy is reused.
-fn send_ciphertext(
+/// header, are an application-layer NACK: the transfer counts as
+/// dropped and the sender's copy is reused.
+fn send_payload(
     channel: &NoisyChannelConfig,
+    ctx: &CkksContext,
     rng: &mut StdRng,
     stats: &mut ChannelStats,
-    ctx: &CkksContext,
-    ct: &CkksCiphertext,
+    sent: &[u8],
 ) -> Vec<u8> {
-    let bytes = ctx.serialize(ct);
     let delivered = {
         let _span = telemetry::span("channel_tx");
         let flips = BitFlipChannel::new(channel.ber);
         match channel.detector {
             Some(det) => {
                 let link = PacketLink::new(flips, det, channel.packet_bits);
-                let (out, transfer) = link.transfer(&bytes, rng);
+                let (out, transfer) = link.transfer(sent, rng);
                 stats.packets += transfer.packets;
                 stats.transmissions += transfer.transmissions;
                 stats.retransmissions += transfer.retransmissions;
@@ -125,21 +125,23 @@ fn send_ciphertext(
                 out
             }
             None => {
-                let n_packets = bytes.len().div_ceil(channel.packet_bits / 8);
+                let n_packets = sent.len().div_ceil(channel.packet_bits / 8);
                 stats.packets += n_packets;
                 stats.transmissions += n_packets;
-                flips.transmit(&bytes, rng).0
+                flips.transmit(sent, rng).0
             }
         }
     };
-    let intact = ctx.view_serialized(&delivered).is_ok_and(|view| {
-        view.levels() == ct.levels() && (view.scale() - ct.scale()).abs() <= ct.scale() * 1e-9
-    });
-    if intact {
+    let header = |view: &CtView<'_>| (view.levels(), view.scale().to_bits());
+    let headers = |bytes, cap| {
+        codec::parse_ckks_views(ctx, bytes, cap).map(|v| v.views().iter().map(header).collect())
+    };
+    let want: Result<Vec<_>, _> = headers(sent, sent.len());
+    if want.is_ok_and(|want| headers(&delivered, want.len()).is_ok_and(|got| got == want)) {
         delivered
     } else {
-        stats.dropped_ciphertexts += 1;
-        bytes
+        stats.dropped_payloads += 1;
+        sent.to_vec()
     }
 }
 
@@ -154,20 +156,30 @@ impl NoisyFederation {
     ///
     /// # Errors
     ///
-    /// Returns [`FlError`] on invalid configuration or parameters.
+    /// Returns [`FlError::InvalidConfig`] for a bit error rate outside
+    /// `[0, 1]` or a packet size that is not a positive multiple of 8
+    /// bits, and [`FlError`] on invalid configuration or parameters.
     pub fn new(
         config: FlConfig,
         data: &TrainTest,
         params: CkksParams,
         channel: NoisyChannelConfig,
     ) -> Result<Self, FlError> {
+        let NoisyChannelConfig { ber, packet_bits: bits, .. } = channel;
+        if !(0.0..=1.0).contains(&ber) || bits == 0 || !bits.is_multiple_of(8) {
+            return Err(FlError::InvalidConfig(format!(
+                "a link needs a BER in [0, 1] and whole bytes per packet, not {ber} and {bits} bits"
+            )));
+        }
+        // Parses delivered payloads the way the server half does.
+        let ctx = CkksContext::new(params.clone())?;
         let stats = Rc::new(RefCell::new(ChannelStats::default()));
         let shared = Rc::clone(&stats);
         let mut rng = StdRng::seed_from_u64(config.seed ^ CHANNEL_SALT);
         let mut framework = Framework::hdc_encrypted(config, data, params)?;
         framework.set_hooks(RoundHooks {
-            link: Some(Box::new(move |ctx, ct| {
-                send_ciphertext(&channel, &mut rng, &mut shared.borrow_mut(), ctx, ct)
+            link: Some(Box::new(move |payload| {
+                send_payload(&channel, &ctx, &mut rng, &mut shared.borrow_mut(), payload)
             })),
             ..RoundHooks::default()
         });
@@ -184,7 +196,7 @@ impl NoisyFederation {
         *self.stats.borrow()
     }
 
-    /// One aggregation round with every ciphertext crossing the channel.
+    /// One aggregation round with every payload crossing the channel.
     ///
     /// # Errors
     ///
@@ -246,7 +258,7 @@ mod tests {
                 .expect("build");
             let (_, stats) = fed.run().expect("run");
             assert_eq!(stats.undetected_errors, 0, "BER {ber}: CRC-32 caught every corruption");
-            assert_eq!(stats.dropped_ciphertexts, 0, "BER {ber}");
+            assert_eq!(stats.dropped_payloads, 0, "BER {ber}");
             assert_eq!(stats.retransmissions > 0, ber > 0.0, "BER {ber}");
             assert_eq!(
                 bits(&fed.framework),
@@ -336,6 +348,26 @@ mod tests {
     }
 
     #[test]
+    fn new_refuses_channels_the_link_cannot_run() {
+        // Each of these would otherwise panic in the first transfer.
+        let crc = Some(Detector::Crc32);
+        for (ber, detector, packet_bits, what) in [
+            (-0.1, crc, PACKET_BITS, "negative BER"),
+            (1.5, crc, PACKET_BITS, "BER above 1"),
+            (f64::NAN, crc, PACKET_BITS, "NaN BER"),
+            (1e-3, crc, 0, "zero-bit packets"),
+            (1e-3, crc, 12, "packets of a byte and a half"),
+            (1e-3, None, 4, "sub-byte packets without a detector"),
+            (1e-3, None, 0, "zero-bit packets without a detector"),
+        ] {
+            let channel = NoisyChannelConfig { ber, detector, packet_bits };
+            let built = NoisyFederation::new(config(1), &data(), CkksParams::toy(), channel);
+            let err = built.map(drop).expect_err(what);
+            assert!(matches!(err, FlError::InvalidConfig(_)), "{what}: {err}");
+        }
+    }
+
+    #[test]
     fn transmissions_track_two_way_traffic() {
         let mut fed = NoisyFederation::new(
             config(1),
@@ -345,8 +377,8 @@ mod tests {
         )
         .expect("build");
         let (_, stats) = fed.run().expect("run");
-        // Uploads: 3 clients × k ciphertexts; downloads: 3 clients × k.
-        // Packets per ciphertext: ceil(bytes / 175).
+        // Uploads: one payload per client; downloads: one per client.
+        // Packets per payload: ceil(bytes / 175).
         assert!(stats.packets > 0);
         assert_eq!(stats.transmissions, stats.packets, "no noise → one transmission each");
     }

@@ -406,7 +406,6 @@ pub fn homomorphic_weighted_average(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::round::ClientUpdate;
     use crate::{Aggregation, StreamingAggregator};
     use rand::{rngs::StdRng, SeedableRng};
     use rhychee_fhe::params::CkksParams;
@@ -422,8 +421,10 @@ mod tests {
     ) -> Vec<CkksCiphertext> {
         let mut agg = StreamingAggregator::new(0, Aggregation::FedAvg).expect("aggregator");
         for (client_id, cts) in uploads.iter().enumerate() {
-            let update = ClientUpdate { client_id, round: 0, steps: 1, payload: &cts[..] };
-            assert!(agg.fold_ciphertexts(ctx, &update).expect("fold"));
+            let blobs: Vec<Vec<u8>> = cts.iter().map(|ct| ctx.serialize(ct)).collect();
+            let views: Vec<_> =
+                blobs.iter().map(|b| ctx.view_serialized(b).expect("view")).collect();
+            assert!(agg.fold_upload(ctx, client_id, 0, &views).expect("fold"));
         }
         agg.close(ctx, cfg).expect("close")
     }

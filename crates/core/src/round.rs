@@ -1,9 +1,10 @@
 //! Reusable round building blocks: the client-side local phase and the
-//! server-side collection/aggregation phase.
+//! server-side collection/aggregation phase, whose payloads pass through
+//! one [`ClientHalf`] and one [`ServerHalf`].
 //!
-//! [`Framework`](crate::framework::Framework) composes these pieces in
-//! one process; the `rhychee-net` runtime composes the *same* pieces
-//! across a TCP connection. Both paths derive all randomness from the
+//! [`Framework`](crate::framework::Framework) runs the halves in one
+//! process; the `rhychee-net` runtime runs the *same* halves on either
+//! side of a TCP connection. Both paths derive all randomness from the
 //! run seed with fixed per-role salts, so a networked federation and an
 //! in-process one produce bit-identical global models under the same
 //! configuration:
@@ -16,6 +17,8 @@
 //!   `seed ^ CLIENT_RNG_SALT ^ i·φ64`, so ciphertexts do not depend on
 //!   which process encrypts or in what order clients are visited.
 
+use std::sync::Arc;
+
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -26,9 +29,12 @@ use rhychee_fhe::FheError;
 use rhychee_hdc::encoding::{Encoder, RandomProjectionEncoder, RbfEncoder};
 use rhychee_hdc::model::{EncodedDataset, HdcModel};
 
+use crate::codec::{self, WireCodec};
 use crate::config::{Aggregation, EncoderKind, FlConfig};
 use crate::error::FlError;
+use crate::framework::AggregateOverrideHook;
 use crate::packing::{self, PackingConfig};
+use crate::streaming::StreamingAggregator;
 
 /// Salt for the shared CKKS key-generation stream (paper §IV-A: the
 /// secret key is shared by all clients, never held by the server).
@@ -55,7 +61,7 @@ pub fn derive_ckks_keys(ctx: &CkksContext, seed: u64) -> (CkksSecretKey, CkksPub
 /// FedNova over ciphertexts: the server can multiply the encrypted sum
 /// by one scalar only, so each client divides its own flat model by its
 /// step count τ right before encryption and the aggregator closes with
-/// `1/Σⱼ(1/τⱼ)` ([`StreamingAggregator`](crate::StreamingAggregator)).
+/// `1/Σⱼ(1/τⱼ)` ([`StreamingAggregator`]).
 /// A no-op under the uniform-weight rules. Every encrypting runtime
 /// calls this one function, so their ciphertexts agree bit for bit.
 pub fn prescale_update(aggregation: Aggregation, steps: usize, flat: &mut [f32]) {
@@ -301,11 +307,6 @@ impl<T> ServerRound<T> {
         ServerRound { round, aggregation, updates: Vec::new() }
     }
 
-    /// The round being collected.
-    pub fn round(&self) -> usize {
-        self.round
-    }
-
     /// Number of accepted updates so far.
     pub fn received(&self) -> usize {
         self.updates.len()
@@ -379,7 +380,7 @@ impl ServerRound<Vec<CkksCiphertext>> {
     /// *unscaled* uploads.
     ///
     /// **Reference oracle** — no product code calls this: every runtime
-    /// aggregates through [`StreamingAggregator`](crate::StreamingAggregator),
+    /// aggregates through [`StreamingAggregator`],
     /// and the bit-identity gates (tests/parallel_determinism.rs,
     /// tests/domain_equivalence.rs) compare its closed bytes against
     /// this function.
@@ -394,6 +395,230 @@ impl ServerRound<Vec<CkksCiphertext>> {
             self.updates.iter().map(|u| u.payload.clone()).collect();
         Ok(packing::homomorphic_weighted_average(ctx, &models, &self.weights())?)
     }
+}
+
+/// How CKKS payloads are packed and encoded.
+struct Format {
+    ctx: Arc<CkksContext>,
+    codec: Arc<dyn WireCodec>,
+    packing: PackingConfig,
+}
+
+impl Format {
+    /// Ciphertexts a model of `num_params` packs into: the decoders' cap.
+    fn max_cts(&self, num_params: usize) -> usize {
+        packing::ciphertexts_needed_with(&self.packing, num_params, self.ctx.slot_count())
+    }
+}
+
+/// The client half of a round: a trained flat model becomes upload
+/// bytes, and broadcast bytes the next global model — raw parameters,
+/// or CKKS ciphertexts under the keys [`derive_ckks_keys`] draws.
+pub struct ClientHalf {
+    aggregation: Aggregation,
+    num_params: usize,
+    ckks: Option<(Format, CkksSecretKey, CkksPublicKey)>,
+}
+
+impl ClientHalf {
+    /// A half that exchanges raw parameters.
+    pub fn plaintext(aggregation: Aggregation, num_params: usize) -> Self {
+        ClientHalf { aggregation, num_params, ckks: None }
+    }
+
+    /// A half that exchanges CKKS ciphertexts in `codec`'s wire format,
+    /// encrypting under the secret key if the codec is symmetric.
+    pub fn ckks(
+        aggregation: Aggregation,
+        num_params: usize,
+        ctx: Arc<CkksContext>,
+        seed: u64,
+        codec: Arc<dyn WireCodec>,
+        packing: PackingConfig,
+    ) -> Self {
+        let (sk, pk) = derive_ckks_keys(&ctx, seed);
+        ClientHalf { aggregation, num_params, ckks: Some((Format { ctx, codec, packing }, sk, pk)) }
+    }
+
+    /// Encodes `local`'s trained flat model as its upload payload; under
+    /// CKKS after [`prescale_update`] and encryption from `local`'s
+    /// randomness stream.
+    ///
+    /// # Errors
+    ///
+    /// Propagates encryption and encoding failures.
+    pub fn encode(&self, local: &mut ClientLocal, mut flat: Vec<f32>) -> Result<Vec<u8>, FlError> {
+        let Some((f, sk, pk)) = &self.ckks else { return Ok(codec::encode_plain(&flat)) };
+        prescale_update(self.aggregation, local.last_steps(), &mut flat);
+        let key = if f.codec.symmetric() { EncryptKey::Secret(sk) } else { EncryptKey::Public(pk) };
+        let cts = local.encrypt_update(&f.ctx, key, &f.packing, &flat)?;
+        f.codec.encode_upload(&f.ctx, &cts)
+    }
+
+    /// Decodes a broadcast payload into the flat global model (a CKKS
+    /// half also takes the plaintext zero model a server opens with).
+    ///
+    /// # Errors
+    ///
+    /// [`FlError::Payload`] or [`FlError::Fhe`] on a payload it refuses.
+    pub fn decode(&self, payload: &[u8]) -> Result<Vec<f32>, FlError> {
+        match &self.ckks {
+            Some((f, sk, _)) if payload.first() != Some(&codec::TAG_PLAIN) => {
+                let cts = codec::decode_ckks(&f.ctx, payload, f.max_cts(self.num_params))?;
+                Ok(packing::decrypt_model_with(&f.ctx, sk, &cts, self.num_params, &f.packing)?)
+            }
+            _ => codec::decode_plain(payload, self.num_params),
+        }
+    }
+}
+
+/// What the open round's sum is kept in.
+enum Sum {
+    /// Float addition is not associative, so plaintext updates are
+    /// collected and averaged in client-id order at close.
+    Plain(ServerRound<Vec<f32>>),
+    /// Uploads fold into the running encrypted sum as they arrive.
+    Ckks(Format, StreamingAggregator),
+}
+
+/// The server half of a round: upload bytes fold into the open round's
+/// sum, and the sum closes into the broadcast payload. It holds no key:
+/// a CKKS upload folds as zero-copy views over its bytes.
+///
+/// `fold` and `close` run the step that works on the sum inside the
+/// caller's `timed` wrapper, which must call it once (`|step| step()`
+/// times nothing), so that a caller's span can leave out parsing and
+/// encoding.
+pub struct ServerHalf {
+    aggregation: Aggregation,
+    model_params: usize,
+    round: usize,
+    sum: Sum,
+}
+
+impl ServerHalf {
+    /// A half that averages raw parameters, open at round 0.
+    pub fn plaintext(aggregation: Aggregation, model_params: usize) -> Self {
+        let sum = Sum::Plain(ServerRound::new(0, aggregation));
+        ServerHalf { aggregation, model_params, round: 0, sum }
+    }
+
+    /// A half that folds CKKS uploads in `codec`'s wire format, open at
+    /// round 0.
+    pub fn ckks(
+        aggregation: Aggregation,
+        model_params: usize,
+        ctx: Arc<CkksContext>,
+        codec: Arc<dyn WireCodec>,
+        packing: PackingConfig,
+    ) -> Self {
+        let sum = Sum::Ckks(Format { ctx, codec, packing }, accumulator(0, aggregation));
+        ServerHalf { aggregation, model_params, round: 0, sum }
+    }
+
+    /// Discards the open sum and opens an empty one for `round`.
+    pub fn open(&mut self, round: usize) {
+        self.round = round;
+        match &mut self.sum {
+            Sum::Plain(sum) => *sum = ServerRound::new(round, self.aggregation),
+            Sum::Ckks(_, sum) => *sum = accumulator(round, self.aggregation),
+        }
+    }
+
+    /// Updates in the open round's sum; an accepted upload is never
+    /// un-counted by a later disconnect.
+    pub fn received(&self) -> usize {
+        match &self.sum {
+            Sum::Plain(sum) => sum.received(),
+            Sum::Ckks(_, sum) => sum.received(),
+        }
+    }
+
+    /// Adds one upload's payload to the open round's sum. `Ok(false)` is
+    /// a NACK that left the sum untouched: bytes that do not parse, a
+    /// model of the wrong size, or an update the sum refuses (other
+    /// round, duplicate client). `timed` runs the plaintext decode, or
+    /// the CKKS fold once the payload is parsed.
+    ///
+    /// # Errors
+    ///
+    /// Only [`FlError::StreamingAbort`]; a bad upload is a NACK.
+    pub fn fold<B: AsRef<[u8]>>(
+        &mut self,
+        update: &ClientUpdate<B>,
+        timed: impl FnOnce(&mut dyn FnMut()),
+    ) -> Result<bool, FlError> {
+        let &ClientUpdate { client_id, round, steps, ref payload } = update;
+        let (payload, n) = (payload.as_ref(), self.model_params);
+        match &mut self.sum {
+            Sum::Plain(sum) => Ok(once(timed, || match codec::decode_plain(payload, n) {
+                Ok(model) if model.len() == n => {
+                    sum.accept(ClientUpdate { client_id, round, steps, payload: model })
+                }
+                _ => false,
+            })),
+            Sum::Ckks(f, sum) => {
+                let max_cts = f.max_cts(n);
+                let parsed = f.codec.parse_upload(&f.ctx, payload, max_cts);
+                once(timed, || match &parsed {
+                    Ok(views) if views.len() == max_cts => {
+                        let payload = views.views();
+                        sum.fold_views(&f.ctx, &ClientUpdate { client_id, round, steps, payload })
+                    }
+                    _ => Ok(false),
+                })
+            }
+        }
+    }
+
+    /// Aggregates the open round — by `aggregate_override` where it
+    /// returns `Some` (plaintext only: ciphertexts admit no order
+    /// statistics) — into the broadcast payload, plus the aggregate
+    /// itself where the server can read it, and opens the next round.
+    /// `timed` runs the aggregation.
+    ///
+    /// # Errors
+    ///
+    /// [`FlError::DataError`] (plaintext) or [`FlError::StreamingAbort`]
+    /// (CKKS) when no update was accepted.
+    pub fn close(
+        &mut self,
+        aggregate_override: Option<&mut AggregateOverrideHook>,
+        timed: impl FnOnce(&mut dyn FnMut()),
+    ) -> Result<(Vec<u8>, Option<Vec<f32>>), FlError> {
+        let (round, aggregation) = (self.round, self.aggregation);
+        let closed = match &mut self.sum {
+            Sum::Plain(sum) => {
+                let model = once(timed, || {
+                    let updates = (sum.updates(), &sum.weights());
+                    let overridden =
+                        aggregate_override.and_then(|f| f(round, updates.0, updates.1));
+                    overridden.map_or_else(|| sum.aggregate(), Ok)
+                })?;
+                *sum = ServerRound::new(round + 1, aggregation);
+                (codec::encode_plain(&model), Some(model))
+            }
+            Sum::Ckks(f, sum) => {
+                let done = std::mem::replace(sum, accumulator(round + 1, aggregation));
+                let cts = once(timed, || done.close(&f.ctx, &f.packing))?;
+                (f.codec.encode_broadcast(&f.ctx, &cts), None)
+            }
+        };
+        self.round = round + 1;
+        Ok(closed)
+    }
+}
+
+/// An empty encrypted sum for `round`.
+fn accumulator(round: usize, aggregation: Aggregation) -> StreamingAggregator {
+    StreamingAggregator::new(round, aggregation).expect("every aggregation rule folds")
+}
+
+/// Runs `step` under `timed`, which calls it once, and returns its value.
+fn once<T>(timed: impl FnOnce(&mut dyn FnMut()), step: impl FnOnce() -> T) -> T {
+    let (mut step, mut out) = (Some(step), None);
+    timed(&mut || out = step.take().map(|step| step()));
+    out.expect("`timed` must run the step")
 }
 
 /// Pulls a model toward the global parameters: `w ← w − μ(w − g)`.

@@ -1,7 +1,7 @@
 //! The one CKKS aggregation path: every encrypted upload — a borrowed
-//! [`CtView`] over wire bytes as its frame arrives, or an owned
-//! ciphertext handed over in process — folds into one accumulator per
-//! model chunk, and the round closes with a single scalar multiply.
+//! [`CtView`] over its payload bytes, whether they arrived in a TCP frame
+//! or crossed an in-process link — folds into one accumulator per model
+//! chunk, and the round closes with a single scalar multiply.
 //!
 //! The literal Eq. 2 reference
 //! ([`packing::homomorphic_weighted_average`]) computes, per residue,
@@ -10,11 +10,10 @@
 //! sum `Σᵢ xᵢ` and applies one `mul_scalar(·, w)` at round close:
 //! `e·Σᵢxᵢ ≡ Σᵢ(e·xᵢ) (mod q)` by ring distributivity, and modular
 //! addition is exactly associative and commutative, so the closed sum
-//! is **bit-identical** to the reference for every arrival order,
-//! parallelism degree and fold flavour — views and owned ciphertexts
-//! may meet in one accumulator, every ciphertext being evaluation-
-//! domain (locked in by tests/parallel_determinism.rs and the unit
-//! gates below).
+//! is **bit-identical** to the reference for every arrival order and
+//! parallelism degree, in either wire format, every ciphertext being
+//! evaluation-domain (locked in by tests/parallel_determinism.rs and the
+//! unit gates below).
 //!
 //! Two consequences shape the API:
 //!
@@ -145,7 +144,11 @@ impl StreamingAggregator {
         update: &ClientUpdate<P>,
     ) -> Result<bool, FlError> {
         let views = update.payload.as_ref();
-        if !self.admits(update, views.len()) {
+        let admitted = update.round == self.round
+            && !self.client_ids.contains(&update.client_id)
+            && !views.is_empty()
+            && (self.acc.is_empty() || views.len() == self.acc.len());
+        if !admitted {
             return Ok(false);
         }
         if self.acc.is_empty() {
@@ -159,59 +162,10 @@ impl StreamingAggregator {
         rhychee_par::for_each_mut(ctx.parallelism(), &mut self.acc, |i, acc| {
             ctx.fold_view(acc, &views[i]).expect("views validated before folding");
         });
-        self.record(update);
-        Ok(true)
-    }
-
-    /// Folds one client's owned ciphertexts (one per model chunk) into
-    /// the running sum: `acc += ct`. Same acceptance rules, NACKs and
-    /// never-half-updated guarantee as
-    /// [`StreamingAggregator::fold_views`], and the same closed bytes.
-    /// A plain loop: a chunk is ≈ 20–50 µs of modular adds, which a
-    /// fan-out does not repay — measured in PR 23, the loop read
-    /// 0.82–0.97× the fanned-out time at CKKS-3 and 0.98–1.10× at CKKS-4
-    /// under `Fixed(2)` (DESIGN.md §9.2).
-    ///
-    /// # Errors
-    ///
-    /// As [`StreamingAggregator::fold_views`].
-    pub fn fold_ciphertexts<P: AsRef<[CkksCiphertext]>>(
-        &mut self,
-        ctx: &CkksContext,
-        update: &ClientUpdate<P>,
-    ) -> Result<bool, FlError> {
-        let cts = update.payload.as_ref();
-        if !self.admits(update, cts.len()) {
-            return Ok(false);
-        }
-        if self.acc.is_empty() {
-            self.acc = cts.to_vec();
-            ACCUM_BYTES.fetch_add(self.heap_bytes(), Ordering::Relaxed);
-        } else {
-            if self.acc.iter().zip(cts).any(|(acc, ct)| ctx.check_compatible(acc, ct).is_err()) {
-                return Ok(false);
-            }
-            for (acc, ct) in self.acc.iter_mut().zip(cts) {
-                ctx.add_assign(acc, ct).expect("ciphertexts validated before folding");
-            }
-        }
-        self.record(update);
-        Ok(true)
-    }
-
-    /// The checks both folds share: right round, new client, and a
-    /// chunk count matching the shape the first upload fixed.
-    fn admits<P>(&self, update: &ClientUpdate<P>, chunks: usize) -> bool {
-        update.round == self.round
-            && !self.client_ids.contains(&update.client_id)
-            && chunks != 0
-            && (self.acc.is_empty() || chunks == self.acc.len())
-    }
-
-    fn record<P>(&mut self, update: &ClientUpdate<P>) {
         self.client_ids.push(update.client_id);
         self.steps.push(update.steps);
         telemetry::count("fl.agg.folds", 1);
+        Ok(true)
     }
 
     /// The plaintext scalar that turns the folded sum into the round's
@@ -346,10 +300,6 @@ mod tests {
         blobs.iter().map(|b| ctx.view_serialized(b).expect("view")).collect()
     }
 
-    fn owned(client_id: usize, cts: &[CkksCiphertext]) -> ClientUpdate<&[CkksCiphertext]> {
-        ClientUpdate { client_id, round: 0, steps: 1, payload: cts }
-    }
-
     fn bytes(ctx: &CkksContext, cts: &[CkksCiphertext]) -> Vec<Vec<u8>> {
         cts.iter().map(|ct| ctx.serialize(ct)).collect()
     }
@@ -387,8 +337,8 @@ mod tests {
 
     #[test]
     fn streamed_sum_is_bit_identical_to_batch_across_orders() {
-        // View fold == owned fold == the Eq. 2 reference oracle, byte
-        // for byte, in every arrival order and at both degrees.
+        // View fold == the Eq. 2 reference oracle, byte for byte, in
+        // every arrival order and at both degrees.
         for par in [Parallelism::Fixed(1), Parallelism::Auto] {
             let (ctx, blobs, models) = encrypted_uploads(4, par);
             let weights = vec![0.25; 4];
@@ -398,42 +348,16 @@ mod tests {
 
             for order in [[0usize, 1, 2, 3], [3, 1, 0, 2], [2, 3, 1, 0]] {
                 let mut by_view = StreamingAggregator::new(0, Aggregation::FedAvg).expect("fedavg");
-                let mut by_ct = StreamingAggregator::new(0, Aggregation::FedAvg).expect("fedavg");
-                // One accumulator fed wire views and ciphertexts straight
-                // from encryption in turn: what a server folding socket
-                // uploads beside in-process ones would hold.
-                let mut mixed = StreamingAggregator::new(0, Aggregation::FedAvg).expect("fedavg");
-                for (turn, &c) in order.iter().enumerate() {
+                for &c in &order {
                     assert!(by_view
                         .fold_upload(&ctx, c, 0, &views(&ctx, &blobs[c]))
                         .expect("fold"));
-                    let cts: Vec<CkksCiphertext> =
-                        blobs[c].iter().map(|b| ctx.deserialize(b).expect("deserialize")).collect();
-                    assert!(by_ct.fold_ciphertexts(&ctx, &owned(c, &cts)).expect("fold"));
-                    assert!(if turn % 2 == 0 {
-                        mixed.fold_upload(&ctx, c, 0, &views(&ctx, &blobs[c]))
-                    } else {
-                        mixed.fold_ciphertexts(&ctx, &owned(c, &models[c]))
-                    }
-                    .expect("fold"));
                 }
                 assert_eq!(by_view.received(), 4);
-                assert_eq!(by_ct.client_ids(), &order);
-                assert_eq!(mixed.client_ids(), &order);
+                assert_eq!(by_view.client_ids(), &order);
                 let streamed = bytes(&ctx, &by_view.finish(&ctx).expect("finish"));
-                let folded = bytes(&ctx, &by_ct.finish(&ctx).expect("finish"));
-                let interleaved = bytes(&ctx, &mixed.finish(&ctx).expect("finish"));
                 assert_eq!(streamed, batch_bytes, "{par}: view fold, order {order:?}");
-                assert_eq!(folded, batch_bytes, "{par}: owned fold, order {order:?}");
-                assert_eq!(interleaved, batch_bytes, "{par}: mixed fold, order {order:?}");
             }
-            // Ciphertexts straight from encryption (what `Framework`
-            // folds) close to the same bytes too.
-            let mut fresh = StreamingAggregator::new(0, Aggregation::FedAvg).expect("fedavg");
-            for (c, cts) in models.iter().enumerate() {
-                assert!(fresh.fold_ciphertexts(&ctx, &owned(c, cts)).expect("fold"));
-            }
-            assert_eq!(bytes(&ctx, &fresh.finish(&ctx).expect("finish")), batch_bytes, "{par}");
         }
     }
 
@@ -441,21 +365,18 @@ mod tests {
     fn rejects_wrong_round_duplicates_and_shape_mismatches() {
         let (ctx, blobs, models) = encrypted_uploads(2, Parallelism::Fixed(1));
         let mut agg = StreamingAggregator::new(3, Aggregation::FedProx { mu: 0.1 }).expect("prox");
-        let views = views(&ctx, &blobs[0]);
-        assert!(!agg.fold_upload(&ctx, 0, 2, &views).expect("wrong round"), "wrong round NACKs");
-        assert!(agg.fold_upload(&ctx, 0, 3, &views).expect("fold"));
-        assert!(!agg.fold_upload(&ctx, 0, 3, &views).expect("dup"), "duplicate NACKs");
+        let first = views(&ctx, &blobs[0]);
+        assert!(!agg.fold_upload(&ctx, 0, 2, &first).expect("wrong round"), "wrong round NACKs");
+        assert!(agg.fold_upload(&ctx, 0, 3, &first).expect("fold"));
+        assert!(!agg.fold_upload(&ctx, 0, 3, &first).expect("dup"), "duplicate NACKs");
         // Wrong chunk count: one view instead of two.
-        assert!(!agg.fold_upload(&ctx, 1, 3, &views[..1]).expect("short"), "short payload NACKs");
+        assert!(!agg.fold_upload(&ctx, 1, 3, &first[..1]).expect("short"), "short payload NACKs");
         assert!(!agg.fold_upload(&ctx, 1, 3, &[]).expect("empty"), "empty payload NACKs");
-        // The owned fold applies the same rules, level and scale
-        // compatibility included.
-        let update = |round, payload| ClientUpdate { client_id: 1, round, steps: 1, payload };
-        assert!(!agg.fold_ciphertexts(&ctx, &update(2, &models[1][..])).expect("wrong round"));
-        assert!(!agg.fold_ciphertexts(&ctx, &update(3, &models[1][..1])).expect("short"));
+        // Chunks at another scale than the accumulator's NACK too.
         let rescaled: Vec<CkksCiphertext> =
             models[1].iter().map(|ct| ctx.mul_scalar(ct, 1.0)).collect();
-        assert!(!agg.fold_ciphertexts(&ctx, &update(3, &rescaled[..])).expect("scale"));
+        let rescaled = bytes(&ctx, &rescaled);
+        assert!(!agg.fold_upload(&ctx, 1, 3, &views(&ctx, &rescaled)).expect("scale"));
         assert_eq!(agg.received(), 1);
         assert_eq!(agg.client_ids(), &[0]);
     }
@@ -479,16 +400,13 @@ mod tests {
                 packing::encrypt_model_with(&ctx, &pk, &flat, &dense, &mut rng).expect("encrypt")
             })
             .collect();
+        let blobs: Blobs = uploads.iter().map(|cts| bytes(&ctx, cts)).collect();
         let close = |order: [usize; 4]| {
             let mut agg = StreamingAggregator::new(0, Aggregation::FedNova).expect("fednova");
             for c in order {
-                let update = ClientUpdate {
-                    client_id: c,
-                    round: 0,
-                    steps: taus[c],
-                    payload: &uploads[c][..],
-                };
-                assert!(agg.fold_ciphertexts(&ctx, &update).expect("fold"));
+                let payload = views(&ctx, &blobs[c]);
+                let update = ClientUpdate { client_id: c, round: 0, steps: taus[c], payload };
+                assert!(agg.fold_views(&ctx, &update).expect("fold"));
             }
             agg.finish(&ctx).expect("finish")
         };

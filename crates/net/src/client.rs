@@ -1,11 +1,11 @@
 //! The federated client: connects to an [`FlServer`], trains locally,
 //! and uploads (optionally encrypted) model updates.
 //!
-//! Under the CKKS pipeline the client derives the shared key pair from
-//! the run seed ([`round::derive_ckks_keys`]) — exactly as every other
-//! client does — encrypts uploads with its private randomness stream,
-//! and decrypts each received global model. The server sees only
-//! ciphertexts.
+//! Its payloads go through the [`ClientHalf`] the in-process `Framework`
+//! runs: under CKKS it derives the shared key pair from the run seed, as
+//! every client does, encrypts uploads with the client's private
+//! randomness stream, and decrypts each received global model. The
+//! server sees only ciphertexts.
 //!
 //! [`FlServer`]: crate::server::FlServer
 
@@ -15,14 +15,14 @@ use std::thread;
 use std::time::Duration;
 
 use rhychee_core::packing;
-use rhychee_core::round::{self, ClientLocal, EncryptKey};
+use rhychee_core::round::{ClientHalf, ClientLocal};
 use rhychee_core::FlConfig;
-use rhychee_fhe::ckks::{CkksContext, CkksPublicKey, CkksSecretKey};
+use rhychee_fhe::ckks::CkksContext;
 use rhychee_fhe::params::CkksParams;
 use rhychee_hdc::model::{EncodedDataset, HdcModel};
 use rhychee_telemetry as telemetry;
 
-use crate::codec::{self, CanonicalCodec, WireCodec};
+use crate::codec::{CanonicalCodec, WireCodec};
 use crate::error::NetError;
 use crate::wire::{self, Message, DEFAULT_MAX_PAYLOAD};
 
@@ -122,26 +122,20 @@ pub struct ClientReport {
     pub decrypt_time: Duration,
 }
 
-/// Key material for the CKKS pipeline (client side only).
-struct CkksSide {
-    ctx: CkksContext,
-    sk: CkksSecretKey,
-    pk: CkksPublicKey,
-}
-
 /// A blocking-I/O TCP federated client.
 pub struct FlClient {
     config: ClientConfig,
     fl: FlConfig,
     local: ClientLocal,
     eval: Option<EncodedDataset>,
-    ckks: Option<CkksSide>,
+    half: ClientHalf,
     classes: usize,
 }
 
 impl FlClient {
     /// Builds a client around one [`ClientLocal`] shard (from
-    /// [`round::prepare`], which every participant runs identically).
+    /// [`round::prepare`](rhychee_core::round::prepare), which every
+    /// participant runs identically).
     ///
     /// `eval` enables per-round accuracy measurement of received global
     /// models; pass `None` on clients that should not evaluate.
@@ -159,15 +153,16 @@ impl FlClient {
     ) -> Result<Self, NetError> {
         config.packing.validate()?;
         config.packing.check_aggregation(fl.aggregation)?;
-        let ckks = match pipeline {
-            ClientPipeline::Plaintext => None,
+        let (aggregation, num_params) = (fl.aggregation, local.num_parameters());
+        let half = match pipeline {
+            ClientPipeline::Plaintext => ClientHalf::plaintext(aggregation, num_params),
             ClientPipeline::Ckks(params) => {
-                let ctx = CkksContext::with_parallelism(params, fl.parallelism)?;
-                let (sk, pk) = round::derive_ckks_keys(&ctx, fl.seed);
-                Some(CkksSide { ctx, sk, pk })
+                let ctx = Arc::new(CkksContext::with_parallelism(params, fl.parallelism)?);
+                let codec = Arc::clone(&config.codec);
+                ClientHalf::ckks(aggregation, num_params, ctx, fl.seed, codec, config.packing)
             }
         };
-        Ok(FlClient { config, fl, local, eval, ckks, classes })
+        Ok(FlClient { config, fl, local, eval, half, classes })
     }
 
     /// Runs the full client session: connect (with retry), handshake,
@@ -193,16 +188,6 @@ impl FlClient {
             other => {
                 return Err(NetError::Protocol(format!("expected Welcome, got {}", other.name())))
             }
-        };
-
-        let num_params = self.local.num_parameters();
-        let max_cts = match &self.ckks {
-            Some(side) => packing::ciphertexts_needed_with(
-                &self.config.packing,
-                num_params,
-                side.ctx.slot_count(),
-            ),
-            None => 0,
         };
 
         let mut got_final = false;
@@ -238,7 +223,7 @@ impl FlClient {
             // final broadcast and round-0 carry none).
             telemetry::trace::set_remote_context(rctx);
             let dspan = telemetry::span("decrypt");
-            let global = self.decode_global(&model, num_params, max_cts);
+            let global = self.half.decode(&model);
             let decrypt_time = dspan.finish();
             telemetry::observe_duration("fl.phase.decrypt.ns", decrypt_time);
             report.decrypt_time += decrypt_time;
@@ -279,29 +264,13 @@ impl FlClient {
         let span = telemetry::span("client_round");
 
         let tspan = telemetry::span("local_train");
-        let mut flat = self.local.train(global, &self.fl);
+        let flat = self.local.train(global, &self.fl);
         let train_time = tspan.finish();
         telemetry::observe_duration("fl.phase.local_train.ns", train_time);
         report.train_time += train_time;
 
         let espan = telemetry::span("encrypt");
-        let payload = match &self.ckks {
-            None => Ok(codec::encode_plain(&flat)),
-            Some(side) => {
-                let steps = self.local.last_steps();
-                round::prescale_update(self.fl.aggregation, steps, &mut flat);
-                // A symmetric codec switches encryption to the
-                // secret key so ciphertexts carry expansion seeds.
-                let codec = &self.config.codec;
-                let key = if codec.symmetric() {
-                    EncryptKey::Secret(&side.sk)
-                } else {
-                    EncryptKey::Public(&side.pk)
-                };
-                let cts = self.local.encrypt_update(&side.ctx, key, &self.config.packing, &flat);
-                cts.map_err(NetError::from).and_then(|cts| codec.encode_upload(&side.ctx, &cts))
-            }
-        };
+        let payload = self.half.encode(&mut self.local, flat);
         let encrypt_time = espan.finish();
         telemetry::observe_duration("fl.phase.encrypt.ns", encrypt_time);
         report.encrypt_time += encrypt_time;
@@ -400,33 +369,6 @@ impl FlClient {
                 &self.local.id().to_string(),
                 1,
             );
-        }
-    }
-
-    fn decode_global(
-        &self,
-        model: &[u8],
-        num_params: usize,
-        max_cts: usize,
-    ) -> Result<Vec<f32>, NetError> {
-        match &self.ckks {
-            None => codec::decode_plain(model, num_params),
-            Some(side) => {
-                // Round 0 distributes the public all-zero initial model
-                // in plaintext (there is nothing secret to protect yet);
-                // every later broadcast is the aggregated ciphertext.
-                if model.first() == Some(&codec::TAG_PLAIN) {
-                    return codec::decode_plain(model, num_params);
-                }
-                let cts = codec::decode_ckks(&side.ctx, model, max_cts)?;
-                Ok(packing::decrypt_model_with(
-                    &side.ctx,
-                    &side.sk,
-                    &cts,
-                    num_params,
-                    &self.config.packing,
-                )?)
-            }
         }
     }
 

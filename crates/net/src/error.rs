@@ -102,19 +102,13 @@ impl From<FheError> for NetError {
     }
 }
 
+/// A malformed payload is a protocol violation, whichever layer found it.
 impl From<FlError> for NetError {
     fn from(e: FlError) -> Self {
-        NetError::Fl(e)
-    }
-}
-
-impl NetError {
-    /// True when the error is a socket timeout (the deadline-driven
-    /// paths treat these as "no data yet", not hard failures).
-    pub fn is_timeout(&self) -> bool {
-        matches!(
-            self,
-            NetError::Io(e) if matches!(e.kind(), io::ErrorKind::TimedOut | io::ErrorKind::WouldBlock)
-        )
+        match e {
+            FlError::Payload(msg) => NetError::Protocol(msg),
+            FlError::Fhe(e) => NetError::Fhe(e),
+            other => NetError::Fl(other),
+        }
     }
 }

@@ -9,10 +9,10 @@
 //! Layers:
 //!
 //! * [`wire`] — length-prefixed, versioned, CRC-guarded binary frames
-//! * [`codec`] — model payload encoding (plaintext / CKKS); the
-//!   sealed [`WireCodec`] trait selects the CKKS wire format
-//!   ([`CanonicalCodec`] / [`SeededCodec`]) and parses uploads into
-//!   zero-copy [`ModelView`]s
+//! * [`codec`] — model payload encoding (plaintext / CKKS), re-exported
+//!   from `rhychee-core`; the sealed [`WireCodec`] trait selects the
+//!   CKKS wire format ([`CanonicalCodec`] / [`SeededCodec`]) and parses
+//!   uploads into zero-copy [`ModelView`]s
 //! * [`server`] — [`FlServer`]: a socket-free round state machine
 //!   (accept → broadcast → collect → close) with thread-per-connection
 //!   I/O at its edges and quorum-based straggler tolerance; under CKKS,
@@ -23,11 +23,11 @@
 //!   local decryption of each global model
 //! * [`error`] — [`NetError`]
 //!
-//! Both endpoints are built from the same round primitives as the
-//! in-process [`Framework`](rhychee_core::Framework)
-//! ([`rhychee_core::round`]), and all randomness is derived from the
-//! run seed, so a networked federation reproduces the in-process
-//! global model **bit for bit** under the same configuration.
+//! Both endpoints run the round halves of the in-process
+//! [`Framework`](rhychee_core::Framework) ([`rhychee_core::round`]), and
+//! all randomness is derived from the run seed, so a networked federation
+//! reproduces the in-process global model **bit for bit** under the same
+//! configuration.
 //!
 //! # Examples
 //!
@@ -74,7 +74,6 @@
 #![deny(clippy::too_many_lines)]
 
 pub mod client;
-pub mod codec;
 pub mod error;
 mod residency;
 pub mod server;
@@ -83,6 +82,7 @@ pub mod wire;
 pub use client::{ClientConfig, ClientPipeline, ClientReport, FlClient};
 pub use codec::{CanonicalCodec, ModelView, SeededCodec, WireCodec};
 pub use error::NetError;
+pub use rhychee_core::codec;
 pub use server::{
     FlServer, NetRoundReport, ServerConfig, ServerConfigBuilder, ServerPipeline, ServerReport,
 };

@@ -38,20 +38,15 @@
 //! otherwise. Uploads for any other round (and duplicates) are NACKed
 //! with `UpdateAck { accepted: false }` and never touch the aggregate.
 //!
-//! CKKS aggregation: the coordinator folds each upload into the round's
-//! one [`StreamingAggregator`](rhychee_core::StreamingAggregator) the
-//! moment its frame arrives, zero-copy through
-//! [`WireCodec::parse_upload`]. Handler reads gate on a resident-upload
-//! permit ([`ServerConfigBuilder::max_resident_uploads`]) released right
-//! after the fold, so server memory is O(accumulator + permits),
-//! independent of client count — late clients wait in TCP backpressure,
-//! not in server buffers. The closed sum is **bit-identical** for every
-//! arrival order. [`Aggregation::FedNova`] folds like the uniform
-//! rules: its clients pre-scale by `1/τ` before encrypting and the
-//! close multiplies by `1/Σ(1/τ)`, read off the `Update` headers. The
-//! plaintext pipeline (float addition is not associative) decodes each
-//! upload on arrival and averages in client-id order at close
-//! ([`ServerRound`](rhychee_core::round::ServerRound)).
+//! Aggregation: the coordinator folds each upload into the round's
+//! [`ServerHalf`](rhychee_core::ServerHalf) the moment its frame
+//! arrives — the half the in-process `Framework` runs too. Under CKKS,
+//! handler reads gate on a resident-upload permit
+//! ([`ServerConfigBuilder::max_resident_uploads`]) released right after
+//! the fold, so server memory is O(accumulator + permits), independent
+//! of client count — late clients wait in TCP backpressure, not in
+//! server buffers. The closed sum is **bit-identical** for every arrival
+//! order, [`Aggregation::FedNova`] included.
 
 use std::collections::HashSet;
 use std::io::{self, Write};
@@ -612,7 +607,7 @@ impl Session {
         let connected = Arc::new(Mutex::new(HashSet::new()));
         let machine = Coordinator::new(config.clone(), pipeline, Arc::clone(&connected))?;
         let (bytes_tx, bytes_rx) = (AtomicU64::new(0), AtomicU64::new(0));
-        let residency = machine.residency();
+        let residency = machine.residency.clone();
         let shared = Arc::new(HandlerShared { config, bytes_tx, bytes_rx, residency });
         let acceptor = Acceptor::spawn(listener, connected, Arc::clone(&shared))?;
         let (events_tx, events) = mpsc::channel();

@@ -3,16 +3,16 @@
 //! threads are I/O edges that feed it events and carry out the commands
 //! it puts on each peer's channel. The [parent module](super) draws the
 //! states; each transition is a [`Coordinator`] method, and what the two
-//! pipelines do differently is behind [`Pipeline`].
+//! pipelines do differently is behind the [`ServerHalf`] the in-process
+//! `Framework` runs too.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::mpsc::Sender;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use rhychee_core::packing;
-use rhychee_core::round::{ClientUpdate, ServerRound};
-use rhychee_core::{FlError, StreamingAggregator};
+use rhychee_core::round::{ClientUpdate, ServerHalf};
+use rhychee_core::FlError;
 use rhychee_fhe::ckks::CkksContext;
 use rhychee_obs::rounds::{self, ClientArrival, RoundRecord};
 use rhychee_telemetry as telemetry;
@@ -67,154 +67,21 @@ pub(super) struct Peer {
     pub(super) cmds: Sender<HandlerCmd>,
 }
 
-/// The run's pipeline, resolved once from [`ServerPipeline`]: what the
-/// open round's sum is kept in, how an upload's bytes enter it, and how
-/// it closes into the next broadcast payload. Each variant owns the open
-/// round's sum; [`Pipeline::close`] swaps in the next round's.
-enum Pipeline {
-    /// Float addition is not associative, so plaintext updates are
-    /// collected and averaged in client-id order at close.
-    Plain { sum: ServerRound<Vec<f32>> },
-    /// Uploads fold into the running encrypted sum as they arrive.
-    Ckks {
-        ctx: Box<CkksContext>,
-        /// Ciphertexts one model packs into: the count every upload must
-        /// declare, and the parser's allocation cap.
-        max_cts: usize,
-        residency: Arc<Residency>,
-        sum: StreamingAggregator,
-    },
-}
-
-impl Pipeline {
-    fn resolve(config: &ServerConfig, pipeline: ServerPipeline) -> Result<Self, NetError> {
-        Ok(match pipeline {
-            ServerPipeline::Plaintext => {
-                Pipeline::Plain { sum: ServerRound::new(0, config.aggregation) }
-            }
-            ServerPipeline::Ckks(params) => {
-                let ctx = Box::new(CkksContext::with_parallelism(params, config.parallelism)?);
-                let max_cts = packing::ciphertexts_needed_with(
-                    &config.packing,
-                    config.model_params,
-                    ctx.slot_count(),
-                );
-                Pipeline::Ckks {
-                    ctx,
-                    max_cts,
-                    residency: Residency::new(config.max_resident_uploads),
-                    sum: StreamingAggregator::new(0, config.aggregation)?,
-                }
-            }
-        })
-    }
-
-    /// Updates in the open round's sum; an accepted upload is never
-    /// un-counted by a later disconnect.
-    fn received(&self) -> usize {
-        match self {
-            Pipeline::Plain { sum } => sum.received(),
-            Pipeline::Ckks { sum, .. } => sum.received(),
+/// Runs one fold under its span: `net_decode` for a plaintext upload,
+/// `net_fold` for a CKKS one, whose allocation attribution should read
+/// 0 bytes in steady state (the accumulator is reused in place).
+fn fold_span(ckks: bool) -> impl FnOnce(&mut dyn FnMut()) {
+    move |fold| {
+        let span = telemetry::span(if ckks { "net_fold" } else { "net_decode" });
+        fold();
+        if ckks && telemetry::alloc::installed() {
+            telemetry::observe("fl.phase.fold.alloc_bytes", span.alloc_bytes());
+        }
+        let fold_time = span.finish();
+        if ckks {
+            telemetry::observe_duration("fl.phase.fold.ns", fold_time);
         }
     }
-
-    /// Interprets one upload's payload and adds it to the open round's
-    /// sum. `Ok(false)` is a NACK that left the sum untouched: bytes the
-    /// pipeline cannot parse, a model of the wrong size, or an update
-    /// the sum itself refuses (other round, duplicate client).
-    fn fold(
-        &mut self,
-        config: &ServerConfig,
-        update: &ClientUpdate<Vec<u8>>,
-    ) -> Result<bool, NetError> {
-        let &ClientUpdate { client_id, round, steps, ref payload } = update;
-        match self {
-            Pipeline::Plain { sum } => {
-                let span = telemetry::span("net_decode");
-                let decoded = codec::decode_plain(payload, config.model_params);
-                span.finish();
-                Ok(match decoded {
-                    Ok(model) if model.len() == config.model_params => {
-                        sum.accept(ClientUpdate { client_id, round, steps, payload: model })
-                    }
-                    _ => false,
-                })
-            }
-            Pipeline::Ckks { ctx, max_cts, sum, .. } => {
-                // Parse outside the fold span: building the per-chunk
-                // view table allocates one small Vec, and the zero-alloc
-                // claim is about the fold kernel itself.
-                let parsed = config.codec.parse_upload(ctx, payload, *max_cts);
-                let span = telemetry::span("net_fold");
-                let folded = match &parsed {
-                    Ok(views) if views.len() == *max_cts => {
-                        let update =
-                            ClientUpdate { client_id, round, steps, payload: views.views() };
-                        sum.fold_views(ctx, &update).map_err(|e| stream_abort(round, e))?
-                    }
-                    _ => false,
-                };
-                // Per-phase allocation attribution: a steady-state fold
-                // should report 0 bytes (the accumulator is reused in
-                // place).
-                if telemetry::alloc::installed() {
-                    telemetry::observe("fl.phase.fold.alloc_bytes", span.alloc_bytes());
-                }
-                telemetry::observe_duration("fl.phase.fold.ns", span.finish());
-                Ok(folded)
-            }
-        }
-    }
-
-    /// Aggregates `round`'s sum and opens an empty one for the round
-    /// after it. Returns the next broadcast's payload and the time spent
-    /// aggregating (`net_aggregate`; encoding the payload is part of
-    /// distributing it and stays outside). Where the server can read the
-    /// aggregate it goes into `report.final_plain_model`.
-    fn close(
-        &mut self,
-        config: &ServerConfig,
-        round: usize,
-        report: &mut ServerReport,
-    ) -> Result<(Vec<u8>, Duration), NetError> {
-        match self {
-            Pipeline::Plain { sum } => {
-                let span = telemetry::span("net_aggregate");
-                let model = sum.aggregate()?;
-                let aggregate_time = aggregated(span);
-                *sum = ServerRound::new(round + 1, config.aggregation);
-                let payload = codec::encode_plain(&model);
-                report.final_plain_model = Some(model);
-                Ok((payload, aggregate_time))
-            }
-            Pipeline::Ckks { ctx, residency, sum, .. } => {
-                let next = StreamingAggregator::new(round + 1, config.aggregation)?;
-                let done = std::mem::replace(sum, next);
-                let span = telemetry::span("net_aggregate");
-                let cts = done.close(ctx, &config.packing).map_err(|e| stream_abort(round, e))?;
-                let aggregate_time = aggregated(span);
-                telemetry::gauge("net.agg.resident_uploads", residency.held() as f64);
-                telemetry::gauge("net.agg.peak_resident_uploads", residency.peak() as f64);
-                telemetry::gauge("net.agg.resident_upload_bytes", residency.bytes() as f64);
-                telemetry::gauge(
-                    "net.agg.peak_resident_upload_bytes",
-                    residency.peak_bytes() as f64,
-                );
-                Ok((codec::encode_ckks(ctx, &cts), aggregate_time))
-            }
-        }
-    }
-}
-
-/// Ends a `net_aggregate` span, publishing its allocation attribution
-/// and duration.
-fn aggregated(span: telemetry::Span) -> Duration {
-    if telemetry::alloc::installed() {
-        telemetry::observe("fl.phase.aggregate.alloc_bytes", span.alloc_bytes());
-    }
-    let aggregate_time = span.finish();
-    telemetry::observe_duration("fl.phase.aggregate.ns", aggregate_time);
-    aggregate_time
 }
 
 /// Maps an aggregator error to the wire-level abort, tagging it with the
@@ -222,7 +89,7 @@ fn aggregated(span: telemetry::Span) -> Duration {
 fn stream_abort(round: usize, e: FlError) -> NetError {
     match e {
         FlError::StreamingAbort(reason) => NetError::StreamingAbort { round, reason },
-        other => NetError::Fl(other),
+        other => other.into(),
     }
 }
 
@@ -252,7 +119,13 @@ enum Phase {
 /// The server's round state; see the module docs for the transitions.
 pub(super) struct Coordinator {
     config: ServerConfig,
-    pipeline: Pipeline,
+    /// The run's pipeline, resolved once from [`ServerPipeline`]: what
+    /// the open round's sum is kept in, how an upload's bytes enter it,
+    /// and how it closes into the next broadcast payload.
+    half: ServerHalf,
+    /// Under CKKS, the resident-upload semaphore handlers gate their
+    /// reads on; plaintext uploads are not bounded.
+    pub(super) residency: Option<Arc<Residency>>,
     /// Ids with a queued or live connection: the acceptor inserts on a
     /// good handshake, a processed drop removes. It is the one "id
     /// already connected" rule, so no id is ever queued twice.
@@ -277,8 +150,19 @@ impl Coordinator {
         pipeline: ServerPipeline,
         connected: Arc<Mutex<HashSet<usize>>>,
     ) -> Result<Self, NetError> {
+        let (aggregation, model_params) = (config.aggregation, config.model_params);
+        let (half, residency) = match pipeline {
+            ServerPipeline::Plaintext => (ServerHalf::plaintext(aggregation, model_params), None),
+            ServerPipeline::Ckks(params) => {
+                let ctx = Arc::new(CkksContext::with_parallelism(params, config.parallelism)?);
+                let codec = Arc::clone(&config.codec);
+                let half = ServerHalf::ckks(aggregation, model_params, ctx, codec, config.packing);
+                (half, Some(Residency::new(config.max_resident_uploads)))
+            }
+        };
         Ok(Coordinator {
-            pipeline: Pipeline::resolve(&config, pipeline)?,
+            half,
+            residency,
             connected,
             live: HashMap::new(),
             queued: Vec::new(),
@@ -288,15 +172,6 @@ impl Coordinator {
             report: ServerReport::default(),
             config,
         })
-    }
-
-    /// The resident-upload semaphore handlers gate their reads on (CKKS
-    /// only; plaintext uploads are not bounded).
-    pub(super) fn residency(&self) -> Option<Arc<Residency>> {
-        match &self.pipeline {
-            Pipeline::Plain { .. } => None,
-            Pipeline::Ckks { residency, .. } => Some(Arc::clone(residency)),
-        }
     }
 
     /// Queues a handshaken connection. It becomes a participant at the
@@ -383,7 +258,9 @@ impl Coordinator {
         let Phase::Collect(open) = &mut self.phase else { return Ok(()) };
         let Upload { update, permit, bytes, arrived } = upload;
         let ClientUpdate { client_id, round, .. } = update;
-        let accepted = round == self.round && self.pipeline.fold(&self.config, &update)?;
+        let fold = fold_span(self.residency.is_some());
+        let accepted = round == self.round
+            && self.half.fold(&update, fold).map_err(|e| stream_abort(round, e))?;
         // The upload's bytes live only for the duration of the fold; the
         // NACK path releases the payload and its permit identically.
         drop((update, permit));
@@ -394,7 +271,7 @@ impl Coordinator {
         }
         let offset_ns = arrived.saturating_duration_since(open.started).as_nanos() as u64;
         open.arrivals.push(ClientArrival { client_id, offset_ns, bytes, accepted });
-        if accepted && open.quorum_ns.is_none() && self.pipeline.received() >= self.config.quorum {
+        if accepted && open.quorum_ns.is_none() && self.half.received() >= self.config.quorum {
             open.quorum_ns = Some(offset_ns);
         }
         if let Some(peer) = self.live.get(&client_id) {
@@ -421,7 +298,7 @@ impl Coordinator {
     /// accepted may drop before the round closes; its contribution stays
     /// counted, so `received` can meet or exceed the shrinking live set.
     pub(super) fn complete(&self) -> bool {
-        self.pipeline.received() >= self.live.len()
+        self.half.received() >= self.live.len()
     }
 
     /// Closes the open round into the next global, or fails with
@@ -431,14 +308,36 @@ impl Coordinator {
             return Err(NetError::Protocol("close without an open round".into()));
         };
         telemetry::gauge("fl.clients.connected", self.live.len() as f64);
-        let (round, received, quorum) = (self.round, self.pipeline.received(), self.config.quorum);
+        let (round, received, quorum) = (self.round, self.half.received(), self.config.quorum);
         telemetry::gauge("fl.quorum.met", f64::from(u8::from(received >= quorum)));
         if received < quorum {
             return Err(NetError::QuorumNotReached { round, received, quorum });
         }
-        let (global, aggregate_time) =
-            self.pipeline.close(&self.config, round, &mut self.report)?;
-        self.global = global;
+        // Encoding the payload is part of distributing it and stays
+        // outside `net_aggregate`.
+        let mut aggregate_time = Duration::ZERO;
+        let (global, plain_model) = self
+            .half
+            .close(None, |aggregate| {
+                let span = telemetry::span("net_aggregate");
+                aggregate();
+                if telemetry::alloc::installed() {
+                    telemetry::observe("fl.phase.aggregate.alloc_bytes", span.alloc_bytes());
+                }
+                aggregate_time = span.finish();
+                telemetry::observe_duration("fl.phase.aggregate.ns", aggregate_time);
+            })
+            .map_err(|e| stream_abort(round, e))?;
+        if let Some(residency) = &self.residency {
+            telemetry::gauge("net.agg.resident_uploads", residency.held() as f64);
+            telemetry::gauge("net.agg.peak_resident_uploads", residency.peak() as f64);
+            telemetry::gauge("net.agg.resident_upload_bytes", residency.bytes() as f64);
+            let peak_bytes = residency.peak_bytes() as f64;
+            telemetry::gauge("net.agg.peak_resident_upload_bytes", peak_bytes);
+        }
+        // Where the server can read the aggregate (plaintext), it is the
+        // report's final model.
+        (self.global, self.report.final_plain_model) = (global, plain_model);
         self.report.rounds.push(NetRoundReport {
             round,
             received,
@@ -479,7 +378,8 @@ mod tests {
 
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use rhychee_core::packing::PackingConfig;
+    use rhychee_core::packing::{self, PackingConfig};
+    use rhychee_core::round::ServerRound;
     use rhychee_core::Aggregation;
     use rhychee_fhe::params::CkksParams;
 
@@ -694,7 +594,7 @@ mod tests {
                 nack(&mut rig, 1, 0, payload, what);
             }
             rig.upload(2, 0, &kit.payloads[2], 3);
-            assert_eq!(rig.machine.pipeline.received(), 3);
+            assert_eq!(rig.machine.half.received(), 3);
             assert!(rig.open().quorum_ns.is_some());
 
             rig.machine.close().expect("quorum met");

@@ -9,7 +9,7 @@ use std::sync::OnceLock;
 use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
 
-use rhychee_core::{Aggregation, StreamingAggregator};
+use rhychee_core::{Aggregation, FlError, StreamingAggregator};
 use rhychee_fhe::ckks::CkksContext;
 use rhychee_fhe::params::CkksParams;
 use rhychee_net::codec::{CanonicalCodec, SeededCodec, WireCodec};
@@ -265,7 +265,7 @@ proptest! {
         let parsed = match codec.parse_upload(ctx, &bytes, 3) {
             Ok(parsed) => parsed,
             Err(e) => {
-                prop_assert!(matches!(e, NetError::Protocol(_) | NetError::Fhe(_)), "{e}");
+                prop_assert!(matches!(e, FlError::Payload(_) | FlError::Fhe(_)), "{e}");
                 return Ok(());
             }
         };

@@ -31,12 +31,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     println!(
         "\nchannel: {} packets, {} transmissions ({:.2}x retransmission factor), \
-         {} undetected errors, {} dropped ciphertexts",
+         {} undetected errors, {} dropped payloads",
         stats.packets,
         stats.transmissions,
         stats.transmissions as f64 / stats.packets as f64,
         stats.undetected_errors,
-        stats.dropped_ciphertexts,
+        stats.dropped_payloads,
     );
 
     // The analytical model for the same channel (paper §IV-C).

@@ -87,7 +87,11 @@ fn encrypted_round_trace_reconciles_with_round_reports() {
     let cts_per_model = (128usize * 6).div_ceil(CkksParams::toy().slot_count()) as u64;
     assert_eq!(counter("fhe.ckks.encrypt.count"), 3 * 2 * cts_per_model);
     assert_eq!(counter("fhe.ckks.decrypt.count"), 2 * cts_per_model);
-    assert!(counter("fhe.ckks.add") > 0, "aggregation adds ciphertexts");
+    assert_eq!(
+        counter("fhe.ckks.fold"),
+        3 * 2 * cts_per_model,
+        "the server folds every client's ciphertexts each round"
+    );
     assert!(hist_count("fhe.ckks.ntt.forward") > 0, "NTTs were timed");
     assert_eq!(hist_count("fhe.ckks.encrypt"), 3 * 2 * cts_per_model);
 
