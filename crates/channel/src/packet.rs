@@ -9,7 +9,6 @@
 //! §IV-C analyzes.
 
 use rand::Rng;
-use rhychee_telemetry as telemetry;
 
 use crate::crc::Detector;
 
@@ -125,9 +124,8 @@ impl PacketLink {
             stats.packets += 1;
             let tag = self.detector.compute(chunk);
             let mut delivered: Option<Vec<u8>> = None;
-            for attempt in 0..self.max_retries {
+            for _ in 0..self.max_retries {
                 stats.transmissions += 1;
-                telemetry::count("channel.packet.sent", 1);
                 let (received, flips) = self.channel.transmit(chunk, rng);
                 // The tag itself travels over the channel too; model a
                 // corrupted tag as a detected error (forces retransmit).
@@ -137,17 +135,11 @@ impl PacketLink {
                 if tag_ok && self.detector.verify(&received, tag) {
                     if flips > 0 {
                         stats.undetected_errors += 1;
-                        telemetry::count("channel.packet.undetected_error", 1);
                     }
                     delivered = Some(received);
                     break;
                 }
                 stats.retransmissions += 1;
-                telemetry::count("channel.packet.crc_failure", 1);
-                let _ = attempt;
-            }
-            if delivered.is_none() {
-                telemetry::count("channel.packet.dropped", 1);
             }
             // Retry budget exhausted: deliver the original (counts as if
             // the link eventually succeeded; unreachable at realistic BER).

@@ -351,8 +351,9 @@ impl CkksContext {
         values: &[f64],
         noise: &CkksEncryptNoise,
     ) -> Result<CkksCiphertext, FheError> {
+        self.check_slots(values)?;
         let _span = telemetry::span("fhe.ckks.encrypt");
-        let m = self.encode_poly(values)?;
+        let m = self.encode_poly(values);
         let n = self.params.n;
         let levels = self.primes.len();
         // (c0, c1) rows are produced together per prime so NTT(v) is
@@ -395,7 +396,6 @@ impl CkksContext {
             scale: self.encoder.scale(),
             c1_seed: None,
         };
-        telemetry::count("fhe.ckks.encrypt.count", 1);
         self.publish_noise_gauges(&ct);
         Ok(ct)
     }
@@ -503,13 +503,8 @@ impl CkksContext {
         arena: &mut CkksEncryptArena,
         out: &mut CkksCiphertext,
     ) -> Result<(), FheError> {
+        self.check_slots(values)?;
         let _span = telemetry::span("fhe.ckks.encrypt");
-        if values.len() > self.slot_count() {
-            return Err(FheError::PlaintextTooLarge {
-                len: values.len(),
-                capacity: self.slot_count(),
-            });
-        }
         self.encoder.encode_into(values, &mut arena.z, &mut arena.coeffs);
         arena.m.fill_from_signed(&arena.coeffs, &self.primes);
         let n = self.params.n;
@@ -540,7 +535,6 @@ impl CkksContext {
                 }
             });
         }
-        telemetry::count("fhe.ckks.encrypt.count", 1);
         out.scale = self.encoder.scale();
         out.c1_seed = Some(noise.seed);
         self.publish_noise_gauges(out);
@@ -555,7 +549,6 @@ impl CkksContext {
     /// the key's cached `s_eval`.
     pub fn decrypt(&self, sk: &CkksSecretKey, ct: &CkksCiphertext) -> Vec<f64> {
         let _span = telemetry::span("fhe.ckks.decrypt");
-        telemetry::count("fhe.ckks.decrypt.count", 1);
         let levels = ct.levels();
         let active = &self.primes[..levels];
         let n = ct.c0.degree();
@@ -647,7 +640,6 @@ impl CkksContext {
             return Err(FheError::LevelExhausted);
         }
         let _t = telemetry::timer("fhe.ckks.rescale");
-        telemetry::count("fhe.ckks.rescale.count", 1);
         let q_last = self.primes[levels - 1] as f64;
         let out = CkksCiphertext {
             c0: self.rescale_eval(&ct.c0),
@@ -862,15 +854,19 @@ impl CkksContext {
         check_addable((a.levels(), a.scale), (b.levels(), b.scale))
     }
 
-    fn encode_poly(&self, values: &[f64]) -> Result<RnsPoly, FheError> {
-        if values.len() > self.slot_count() {
-            return Err(FheError::PlaintextTooLarge {
-                len: values.len(),
-                capacity: self.slot_count(),
-            });
+    /// Refuses a plaintext of more than `N/2` values. Both encrypt bodies
+    /// call it before they open their span, so a refused call records no
+    /// `fhe.ckks.encrypt` sample.
+    fn check_slots(&self, values: &[f64]) -> Result<(), FheError> {
+        let capacity = self.slot_count();
+        if values.len() > capacity {
+            return Err(FheError::PlaintextTooLarge { len: values.len(), capacity });
         }
-        let coeffs = self.encoder.encode(values);
-        Ok(RnsPoly::from_signed_coeffs(&coeffs, &self.primes))
+        Ok(())
+    }
+
+    fn encode_poly(&self, values: &[f64]) -> RnsPoly {
+        RnsPoly::from_signed_coeffs(&self.encoder.encode(values), &self.primes)
     }
 
     pub(crate) fn uniform_poly<R: Rng + ?Sized>(&self, rng: &mut R) -> RnsPoly {
@@ -1267,7 +1263,7 @@ mod tests {
         noise: &CkksEncryptNoise,
     ) -> CkksCiphertext {
         let primes = &ctx.primes;
-        let m = ctx.encode_poly(values).expect("fits");
+        let m = ctx.encode_poly(values);
         let (b, a) = (ctx.to_coeff(&pk.b_eval), ctx.to_coeff(&pk.a_eval));
         let v = RnsPoly::from_signed_coeffs(&noise.v, primes);
         let e0 = RnsPoly::from_signed_coeffs(&noise.e0, primes);

@@ -347,7 +347,6 @@ impl NttTable {
     /// Panics if `a.len() != N`.
     pub fn forward(&self, a: &mut [u64]) {
         assert_eq!(a.len(), self.n, "input length must equal ring degree");
-        telemetry::count("fhe.ckks.ntt.forward.count", 1);
         let _t = telemetry::timer("fhe.ckks.ntt.forward");
         self.kernel.forward(self, a);
     }
@@ -400,7 +399,6 @@ impl NttTable {
     /// Panics if `a.len() != N`.
     pub fn inverse(&self, a: &mut [u64]) {
         assert_eq!(a.len(), self.n, "input length must equal ring degree");
-        telemetry::count("fhe.ckks.ntt.inverse.count", 1);
         let _t = telemetry::timer("fhe.ckks.ntt.inverse");
         self.kernel.inverse(self, a);
     }

@@ -108,7 +108,6 @@ impl LweContext {
             return Err(FheError::MessageOutOfRange { value: m as i64, modulus: t });
         }
         let _t = telemetry::timer("fhe.lwe.encrypt");
-        telemetry::count("fhe.lwe.encrypt.count", 1);
         let q = self.params.q();
         let a: Vec<u64> = (0..self.params.dimension).map(|_| rng.gen_range(0..q)).collect();
         let inner: u64 =
@@ -123,7 +122,6 @@ impl LweContext {
     /// Decrypts to the message in `[0, t)`, rounding away the noise.
     pub fn decrypt(&self, sk: &LweSecretKey, ct: &LweCiphertext) -> u64 {
         let _t = telemetry::timer("fhe.lwe.decrypt");
-        telemetry::count("fhe.lwe.decrypt.count", 1);
         let q = self.params.q();
         let t = self.params.plaintext_modulus;
         let inner: u64 =

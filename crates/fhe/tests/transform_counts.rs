@@ -1,13 +1,14 @@
 //! Transform-count regression tests for the CKKS pipeline.
 //!
-//! The `fhe.ckks.ntt.{forward,inverse}.count` counters make the "every
-//! ciphertext is evaluation-domain" invariant auditable: each test
-//! snapshots the global counters around one operation and asserts the
-//! *exact* number of per-prime transforms from the accounting table in
-//! DESIGN.md §11. Any regression that sneaks a transform back into the
-//! hot path (or re-transforms cached keys) fails loudly here.
+//! The `fhe.ckks.ntt.{forward,inverse}` timers make the "every
+//! ciphertext is evaluation-domain" invariant auditable: each histogram
+//! takes one sample per transform, so each test snapshots the histogram
+//! counts around one operation and asserts the *exact* number of
+//! per-prime transforms from the accounting table in DESIGN.md §11. Any
+//! regression that sneaks a transform back into the hot path (or
+//! re-transforms cached keys) fails loudly here.
 //!
-//! The counters are process-global, so every test serializes on one
+//! The registry is process-global, so every test serializes on one
 //! mutex and measures deltas only.
 
 use std::sync::Mutex;
@@ -22,7 +23,7 @@ static SERIAL: Mutex<()> = Mutex::new(());
 
 fn ntt_counts() -> (u64, u64) {
     let m = telemetry::metrics::global();
-    (m.counter("fhe.ckks.ntt.forward.count").get(), m.counter("fhe.ckks.ntt.inverse.count").get())
+    (m.histogram("fhe.ckks.ntt.forward").count(), m.histogram("fhe.ckks.ntt.inverse").count())
 }
 
 fn cache_counts() -> (u64, u64) {
@@ -125,4 +126,23 @@ fn ntt_table_cache_is_shared_across_contexts() {
     assert_eq!(h2 - h1, b.primes().len() as u64, "second context hits every prime");
     assert_eq!(m2 - m1, 0, "second context cannot miss");
     assert_eq!(a.primes(), b.primes());
+}
+
+#[test]
+fn refused_encrypts_record_no_encrypt_sample() {
+    let _guard = SERIAL.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    telemetry::set_enabled(true);
+    let ctx = CkksContext::new(CkksParams::toy()).expect("params");
+    let mut rng = StdRng::seed_from_u64(7);
+    let (sk, pk) = ctx.generate_keys(&mut rng);
+    let too_big = vec![0.25; ctx.slot_count() + 1];
+    // The span's histogram is the only encrypt count: a call refused for
+    // an oversized plaintext must leave it where it was.
+    let encrypts = || telemetry::metrics::global().histogram("fhe.ckks.encrypt").count();
+    let before = encrypts();
+    assert!(ctx.encrypt(&pk, &too_big, &mut rng).is_err(), "public-key encrypt refuses");
+    assert!(ctx.encrypt_symmetric(&sk, &too_big, &mut rng).is_err(), "symmetric encrypt refuses");
+    assert_eq!(encrypts(), before, "a refused encrypt was counted");
+    ctx.encrypt(&pk, &too_big[1..], &mut rng).expect("a full plaintext fits");
+    assert_eq!(encrypts(), before + 1, "an accepted encrypt is counted once");
 }

@@ -224,9 +224,7 @@ impl FlClient {
             telemetry::trace::set_remote_context(rctx);
             let dspan = telemetry::span("decrypt");
             let global = self.half.decode(&model);
-            let decrypt_time = dspan.finish();
-            telemetry::observe_duration("fl.phase.decrypt.ns", decrypt_time);
-            report.decrypt_time += decrypt_time;
+            report.decrypt_time += dspan.finish();
             let global = global?;
             if let Some(eval) = &self.eval {
                 if last || round > 0 {
@@ -265,14 +263,11 @@ impl FlClient {
 
         let tspan = telemetry::span("local_train");
         let flat = self.local.train(global, &self.fl);
-        let train_time = tspan.finish();
-        telemetry::observe_duration("fl.phase.local_train.ns", train_time);
-        report.train_time += train_time;
+        report.train_time += tspan.finish();
 
         let espan = telemetry::span("encrypt");
         let payload = self.half.encode(&mut self.local, flat);
         let encrypt_time = espan.finish();
-        telemetry::observe_duration("fl.phase.encrypt.ns", encrypt_time);
         report.encrypt_time += encrypt_time;
         if telemetry::enabled() {
             telemetry::observe_labeled(
@@ -298,9 +293,7 @@ impl FlClient {
         });
         let uspan = telemetry::span("upload");
         let n = self.upload(stream, &update, uctx.as_ref(), report)?;
-        let upload_time = uspan.finish();
-        telemetry::observe_duration("fl.phase.upload.ns", upload_time);
-        report.upload_time += upload_time;
+        report.upload_time += uspan.finish();
         self.sent(report, n);
         report.rounds_participated += 1;
         span.finish();

@@ -846,10 +846,7 @@ impl Connection {
         telemetry::trace::set_remote_context(ctx);
         let span = telemetry::span("broadcast");
         let wrote = self.stream.write_all(frame).and_then(|()| self.stream.flush());
-        if telemetry::alloc::installed() {
-            telemetry::observe("fl.phase.broadcast.alloc_bytes", span.alloc_bytes());
-        }
-        telemetry::observe_duration("fl.phase.broadcast.ns", span.finish());
+        span.finish();
         wrote?;
         self.sent(frame.len());
         Ok(())

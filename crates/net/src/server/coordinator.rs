@@ -68,19 +68,13 @@ pub(super) struct Peer {
 }
 
 /// Runs one fold under its span: `net_decode` for a plaintext upload,
-/// `net_fold` for a CKKS one, whose allocation attribution should read
-/// 0 bytes in steady state (the accumulator is reused in place).
+/// `net_fold` for a CKKS one, whose allocation attribution
+/// (`net_fold.alloc_bytes`) should read 0 bytes in steady state (the
+/// accumulator is reused in place).
 fn fold_span(ckks: bool) -> impl FnOnce(&mut dyn FnMut()) {
     move |fold| {
-        let span = telemetry::span(if ckks { "net_fold" } else { "net_decode" });
+        let _span = telemetry::span(if ckks { "net_fold" } else { "net_decode" });
         fold();
-        if ckks && telemetry::alloc::installed() {
-            telemetry::observe("fl.phase.fold.alloc_bytes", span.alloc_bytes());
-        }
-        let fold_time = span.finish();
-        if ckks {
-            telemetry::observe_duration("fl.phase.fold.ns", fold_time);
-        }
     }
 }
 
@@ -321,11 +315,7 @@ impl Coordinator {
             .close(None, |aggregate| {
                 let span = telemetry::span("net_aggregate");
                 aggregate();
-                if telemetry::alloc::installed() {
-                    telemetry::observe("fl.phase.aggregate.alloc_bytes", span.alloc_bytes());
-                }
                 aggregate_time = span.finish();
-                telemetry::observe_duration("fl.phase.aggregate.ns", aggregate_time);
             })
             .map_err(|e| stream_abort(round, e))?;
         if let Some(residency) = &self.residency {

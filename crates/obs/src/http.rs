@@ -217,13 +217,12 @@ fn write_response(
 /// never set read as their zero default.
 fn health_body() -> String {
     let reg = telemetry::metrics::global();
-    let gauge = |name: &str| reg.gauge(name).get();
     // Scenario-engine state (DESIGN.md §13): the `fl.scenario.*` gauges
     // and counters the rhychee-scenario runner publishes. All zero when
     // no scenario ever ran in this process.
     let scenario = JsonObject::new()
-        .bool("active", gauge("fl.scenario.active") != 0.0)
-        .u64("attackers", gauge("fl.scenario.attackers") as u64)
+        .bool("active", reg.gauge("fl.scenario.active").get() != 0.0)
+        .u64("attackers", reg.gauge("fl.scenario.attackers").get() as u64)
         .u64("attacks_injected", reg.counter("fl.scenario.attacks_injected").get())
         .u64("updates_clipped", reg.counter("fl.scenario.updates_clipped").get())
         .u64("clients_churned", reg.counter("fl.scenario.clients_churned").get())
@@ -248,16 +247,16 @@ fn health_body() -> String {
     JsonObject::new()
         .str("status", "ok")
         .f64("uptime_s", telemetry::mem::uptime_seconds())
-        .u64("round", gauge("fl.round.current") as u64)
-        .u64("rounds_total", gauge("fl.rounds.total") as u64)
-        .u64("clients_connected", gauge("fl.clients.connected") as u64)
-        .bool("quorum_met", gauge("fl.quorum.met") != 0.0)
-        .u64("pool_queue_depth", gauge("par.queue.depth") as u64)
+        .u64("round", reg.gauge("fl.round.current").get() as u64)
+        .u64("rounds_total", reg.gauge("fl.rounds.total").get() as u64)
+        .u64("clients_connected", reg.gauge("fl.clients.connected").get() as u64)
+        .bool("quorum_met", reg.gauge("fl.quorum.met").get() != 0.0)
+        .u64("pool_queue_depth", reg.gauge("par.queue.depth").get() as u64)
         .u64("bytes_tx", reg.counter("net.bytes_tx").get())
         .u64("bytes_rx", reg.counter("net.bytes_rx").get())
         .u64("rejoined_clients", reg.counter("net.rejoins").get())
-        .u64("resident_uploads", gauge("net.agg.resident_uploads") as u64)
-        .u64("peak_resident_uploads", gauge("net.agg.peak_resident_uploads") as u64)
+        .u64("resident_uploads", reg.gauge("net.agg.resident_uploads").get() as u64)
+        .u64("peak_resident_uploads", reg.gauge("net.agg.peak_resident_uploads").get() as u64)
         .u64("round_stalls", reg.counter("fl.round.stalled").get())
         .raw("memory", &memory)
         .raw("scenario", &scenario)

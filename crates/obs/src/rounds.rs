@@ -4,7 +4,8 @@
 //! aggregation round (when telemetry is enabled): per-client arrival
 //! offsets relative to the round's broadcast, the instant quorum was
 //! met, and the straggler count. [`render_json`] joins that timeline
-//! with the six `fl.phase.*.ns` SLO histograms from the global registry
+//! with the six round phases' span histograms
+//! ([`PHASE_SPANS`](telemetry::PHASE_SPANS)) from the global registry
 //! into one JSON document.
 //!
 //! Schema (DESIGN.md §12):
@@ -40,11 +41,6 @@ use rhychee_telemetry::json::JsonObject;
 
 /// Most recent rounds retained; older records are evicted FIFO.
 pub const ROUNDS_CAP: usize = 1024;
-
-/// The six round phases whose `fl.phase.<name>.ns` histograms are
-/// summarized under `"phases"`.
-pub const PHASES: &[&str] =
-    &["broadcast", "local_train", "encrypt", "upload", "aggregate", "decrypt"];
 
 /// One client's upload within a round's timeline.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -105,7 +101,7 @@ pub fn clear() {
 }
 
 /// Renders the `/rounds.json` body: the retained round timeline plus
-/// p50/p95/p99 summaries of the `fl.phase.*.ns` histograms.
+/// p50/p95/p99 summaries of each phase's span histogram.
 pub fn render_json() -> String {
     let rounds = snapshot();
     let mut out = String::from("{\"rounds\":[");
@@ -146,11 +142,11 @@ pub fn render_json() -> String {
     }
     out.push_str("],\"phases\":{");
     let reg = telemetry::metrics::global();
-    for (i, phase) in PHASES.iter().enumerate() {
+    for (i, (phase, span)) in telemetry::PHASE_SPANS.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        let h = reg.histogram(&format!("fl.phase.{phase}.ns"));
+        let h = reg.histogram(span);
         let mut obj = JsonObject::new();
         obj.u64("count", h.count())
             .u64("p50", h.quantile(0.5).unwrap_or(0))
@@ -213,7 +209,7 @@ mod tests {
             body.contains("{\"client_id\":1,\"offset_ns\":50,\"bytes\":130,\"accepted\":true}"),
             "{body}"
         );
-        for phase in PHASES {
+        for (phase, _) in telemetry::PHASE_SPANS {
             assert!(body.contains(&format!("\"{phase}\":{{\"count\":")), "{phase} in {body}");
         }
         // Balanced braces/brackets: crude structural validity check.

@@ -28,8 +28,9 @@
 //! sibling tasks finish (first panic wins).
 //!
 //! Telemetry: `par.tasks` counts pool-executed tasks, `par.steal_miss`
-//! counts worker wake-ups that found an empty queue, and the
-//! `par.workers` gauge records the pool size.
+//! counts worker wake-ups that found an empty queue, the `par.workers`
+//! gauge records the pool size, and the `par.queue.depth` gauge the
+//! queue's length after each push and pop.
 
 use std::collections::VecDeque;
 use std::marker::PhantomData;
@@ -170,14 +171,18 @@ impl ThreadPool {
     fn inject(&self, scope_id: u64, job: Job) {
         let mut queue = self.shared.queue.lock().unwrap();
         queue.push_back((scope_id, job));
-        // Tasks are coarse chunks, so a gauge store per enqueue is cheap
-        // relative to the work each job carries.
+        // Tasks are coarse chunks, so a gauge store per push and pop is
+        // cheap relative to the work each job carries. Every pop sets it
+        // too, so a drained queue reads 0.
         telemetry::gauge("par.queue.depth", queue.len() as f64);
         self.shared.work_ready.notify_one();
     }
 
     fn try_pop(&self) -> Option<(u64, Job)> {
-        self.shared.queue.lock().unwrap().pop_front()
+        let mut queue = self.shared.queue.lock().unwrap();
+        let job = queue.pop_front()?;
+        telemetry::gauge("par.queue.depth", queue.len() as f64);
+        Some(job)
     }
 
     /// Blocks until `state.pending == 0`, help-draining the shared
@@ -226,6 +231,7 @@ fn worker_loop(shared: &Shared) {
             let mut queue = shared.queue.lock().unwrap();
             loop {
                 if let Some((_, job)) = queue.pop_front() {
+                    telemetry::gauge("par.queue.depth", queue.len() as f64);
                     break Some(job);
                 }
                 if shared.shutdown.load(Ordering::Acquire) {

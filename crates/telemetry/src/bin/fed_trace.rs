@@ -16,15 +16,10 @@
 use std::process::ExitCode;
 
 use rhychee_telemetry::fedmerge::{self, FedSource};
-use rhychee_telemetry::profile;
+use rhychee_telemetry::{profile, PHASE_SPANS};
 
 const USAGE: &str =
     "usage: fed_trace <server.jsonl> <client.jsonl>... [--top N] [--folded OUT.txt]";
-
-/// Span names whose exact totals are printed for reconciliation: the six
-/// round phases plus the server-side aggregate/round spans.
-const PHASES: &[&str] =
-    &["broadcast", "local_train", "encrypt", "upload", "net_aggregate", "decrypt"];
 
 struct Args {
     inputs: Vec<String>,
@@ -126,10 +121,10 @@ fn main() -> ExitCode {
     actors.sort();
     actors.dedup();
     for actor in &actors {
-        for phase in PHASES {
-            let total = fedmerge::actor_span_total(&sources, actor, phase);
+        for (_, span) in PHASE_SPANS {
+            let total = fedmerge::actor_span_total(&sources, actor, span);
             if total > 0 {
-                println!("  {actor:<12} {phase:<14} {total}");
+                println!("  {actor:<12} {span:<14} {total}");
             }
         }
     }

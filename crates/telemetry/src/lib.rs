@@ -21,9 +21,9 @@
 //! ## Naming
 //!
 //! Metrics follow `crate.component.op` (e.g. `fhe.ckks.ntt.forward`,
-//! `channel.packet.sent`). Span duration histograms are registered under
-//! the bare span name (`round`, `encrypt`, …); the span taxonomy lives in
-//! DESIGN.md §7.
+//! `net.bytes_tx`). Span duration histograms are registered under the
+//! bare span name (`round`, `encrypt`, …), and their counts are the call
+//! counts; the metric table lives in DESIGN.md §7.
 //!
 //! # Examples
 //!
@@ -66,6 +66,19 @@ pub use metrics::{Counter, Gauge, Histogram, HistogramSummary, MetricsSnapshot, 
 pub use profile::{SpanNode, SpanTree};
 pub use span::Span;
 pub use trace::{SpanEvent, TraceContext, TraceWriter};
+
+/// The six round phases, each with the span whose duration histogram is
+/// its SLO: what `/rounds.json` summarizes and `fed_trace` totals per
+/// actor. The server's close is the one phase whose span is named apart
+/// from it (`net_aggregate`, beside the in-process `aggregate`).
+pub const PHASE_SPANS: [(&str, &str); 6] = [
+    ("broadcast", "broadcast"),
+    ("local_train", "local_train"),
+    ("encrypt", "encrypt"),
+    ("upload", "upload"),
+    ("aggregate", "net_aggregate"),
+    ("decrypt", "decrypt"),
+];
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 

@@ -199,19 +199,11 @@ fn json_u64_field(line: &str, key: &str) -> Option<u64> {
     digits.parse().ok()
 }
 
-/// Parses one JSONL line as written by [`crate::trace::TraceWriter`],
-/// returning `(path, dur_ns)` for `"type":"span"` records and `None` for
-/// everything else (metric records, blank lines, malformed input).
-pub fn parse_span_line(line: &str) -> Option<(String, u64)> {
-    if !line.contains("\"type\":\"span\"") {
-        return None;
-    }
-    Some((json_str_field(line, "path")?, json_u64_field(line, "dur_ns")?))
-}
-
-/// Extracts every span record from a JSONL trace, in file order.
+/// Extracts `(path, dur_ns)` of every span record in a JSONL trace, in
+/// file order: the [`parse_span_record`] lines, reduced to what
+/// [`SpanTree::from_paths`] takes.
 pub fn parse_jsonl(text: &str) -> Vec<(String, u64)> {
-    text.lines().filter_map(parse_span_line).collect()
+    text.lines().filter_map(parse_span_record).map(|r| (r.path, r.dur_ns)).collect()
 }
 
 /// A fully parsed span record, including the cross-process propagation
@@ -241,9 +233,11 @@ pub struct SpanRecord {
     pub actor: String,
 }
 
-/// Parses one JSONL line into a full [`SpanRecord`] (`None` for non-span
-/// lines). Traces written before cross-process propagation existed parse
-/// fine: the extra fields default to zero / empty.
+/// Parses one JSONL line as written by [`crate::trace::TraceWriter`]
+/// into a full [`SpanRecord`]: `None` for anything but a `"type":"span"`
+/// line with a `path` and a `dur_ns` (metric records, blank lines,
+/// malformed input). Traces written before cross-process propagation
+/// existed parse fine: the extra fields default to zero / empty.
 pub fn parse_span_record(line: &str) -> Option<SpanRecord> {
     if !line.contains("\"type\":\"span\"") {
         return None;
@@ -359,14 +353,15 @@ mod tests {
         let parsed = parse_jsonl(&text);
         assert_eq!(parsed, vec![("round".to_owned(), 100), ("round/encrypt".to_owned(), 60)]);
         // Non-span lines and garbage are skipped, not misparsed.
-        assert_eq!(parse_span_line(r#"{"type":"counter","name":"x","value":3}"#), None);
-        assert_eq!(parse_span_line("not json"), None);
+        assert_eq!(parse_span_record(r#"{"type":"counter","name":"x","value":3}"#), None);
+        assert_eq!(parse_span_record("not json"), None);
     }
 
     #[test]
     fn parser_unescapes_json_strings() {
         let line = r#"{"type":"span","name":"x","path":"a\"b\\cA/leaf","dur_ns":9}"#;
-        assert_eq!(parse_span_line(line), Some(("a\"b\\cA/leaf".to_owned(), 9)));
+        let rec = parse_span_record(line).expect("span record");
+        assert_eq!((rec.path.as_str(), rec.dur_ns), ("a\"b\\cA/leaf", 9));
     }
 
     #[test]

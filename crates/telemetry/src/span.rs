@@ -159,15 +159,20 @@ impl Span {
                     .histogram(&format!("{}.alloc_bytes", self.name))
                     .record(alloc_bytes);
             }
-            trace::record_span(trace::SpanRecord {
+            let depth = depth as u32;
+            trace::record_span(trace::SpanEvent {
                 name: self.name,
                 path,
-                depth: depth as u32,
+                depth,
                 thread: thread_seq(),
-                start: self.start,
-                dur,
+                start_ns: trace::since_epoch(self.start),
+                dur_ns: dur.as_nanos() as u64,
                 span_id: self.id,
-                ctx: self.ctx,
+                trace_id: self.ctx.map_or(0, |c| c.trace_id),
+                // Only roots adopt the remote parent: deeper spans already
+                // parent locally through their path.
+                remote_parent: if depth == 0 { self.ctx.map_or(0, |c| c.parent_span) } else { 0 },
+                actor: trace::actor(),
                 alloc_bytes,
                 alloc_calls,
             });

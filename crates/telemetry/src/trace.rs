@@ -10,7 +10,7 @@ use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::io::{self, Write};
 use std::sync::{Arc, Mutex, OnceLock};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use crate::json::JsonObject;
 use crate::metrics::MetricsSnapshot;
@@ -210,52 +210,14 @@ pub fn now_ns() -> u64 {
     epoch().elapsed().as_nanos() as u64
 }
 
-/// Everything `Span::close` hands to the trace buffer for one completed
-/// span.
-pub(crate) struct SpanRecord {
-    pub name: &'static str,
-    pub path: String,
-    pub depth: u32,
-    pub thread: u64,
-    pub start: Instant,
-    pub dur: Duration,
-    pub span_id: u64,
-    pub ctx: Option<TraceContext>,
-    pub alloc_bytes: u64,
-    pub alloc_calls: u64,
+/// Nanoseconds from the process trace epoch to `start` (0 for an
+/// instant before it).
+pub(crate) fn since_epoch(start: Instant) -> u64 {
+    start.saturating_duration_since(epoch()).as_nanos() as u64
 }
 
 /// Appends a completed span to the trace buffer (called by `Span`).
-pub(crate) fn record_span(rec: SpanRecord) {
-    let SpanRecord {
-        name,
-        path,
-        depth,
-        thread,
-        start,
-        dur,
-        span_id,
-        ctx,
-        alloc_bytes,
-        alloc_calls,
-    } = rec;
-    let start_ns = start.saturating_duration_since(epoch()).as_nanos() as u64;
-    let event = SpanEvent {
-        name,
-        path,
-        depth,
-        thread,
-        start_ns,
-        dur_ns: dur.as_nanos() as u64,
-        span_id,
-        trace_id: ctx.map_or(0, |c| c.trace_id),
-        // Only roots adopt the remote parent: deeper spans already parent
-        // locally through their path.
-        remote_parent: if depth == 0 { ctx.map_or(0, |c| c.parent_span) } else { 0 },
-        actor: actor(),
-        alloc_bytes,
-        alloc_calls,
-    };
+pub(crate) fn record_span(event: SpanEvent) {
     {
         let mut ring = recent_ring().lock().expect("trace ring lock");
         let overflowed = ring.len() == RECENT_CAP;

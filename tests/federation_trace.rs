@@ -270,7 +270,7 @@ fn federation_trace_merges_propagates_and_reconciles() {
             "per-client encrypt time for {k}:\n{metrics_body}"
         );
     }
-    assert!(metrics_body.contains("rhychee_fl_phase_encrypt_ns_count"), "{metrics_body}");
+    assert!(metrics_body.contains("rhychee_encrypt_count"), "{metrics_body}");
     assert_eq!(
         metrics_body.matches("# TYPE rhychee_net_client_upload_bytes_total counter").count(),
         1,

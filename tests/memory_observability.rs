@@ -7,7 +7,7 @@
 //!    symmetric encrypt path allocates nothing, and the zero-copy
 //!    `fold_view` kernel allocates nothing from a thread's first fold
 //!    on — asserted by per-span attribution, both directly and through
-//!    a real loopback federation's `fl.phase.fold.alloc_bytes`
+//!    a real loopback federation's `net_fold.alloc_bytes`
 //!    histogram.
 //! 2. **Stall detection.** A round watchdog with no heartbeats fires
 //!    exactly once per stalled epoch and writes a parseable
@@ -250,7 +250,7 @@ fn federation_fold_spans_are_zero_alloc_and_watchdog_stays_quiet() {
     let hist = snap
         .histograms
         .iter()
-        .find(|h| h.name == "fl.phase.fold.alloc_bytes")
+        .find(|h| h.name == "net_fold.alloc_bytes")
         .expect("per-fold allocation histogram recorded");
     assert_eq!(hist.count, folds as u64, "one attribution sample per fold");
     assert_eq!(hist.min, 0, "steady-state folds allocate 0 bytes on the coordinator thread");

@@ -1,0 +1,358 @@
+//! Every metric name the product code records or reads is a row of
+//! DESIGN.md §7's metric table, every row names a metric the code still
+//! has, and every name the code reads is also recorded somewhere.
+//!
+//! The code side is every string literal passed as a metric name in
+//! `crates/*/src`, outside `#[cfg(test)]` items: the first argument of
+//! `telemetry::{count, gauge, observe, observe_duration, timer,
+//! count_labeled, observe_labeled}` and of the registry's
+//! `counter`/`gauge`/`histogram` (and labeled) lookups. A lookup whose
+//! handle is only `.get()` is a read; every other use is a record. A name
+//! built with `format!` (`mem.{name}.bytes`, `{}.alloc_bytes`) is a
+//! pattern; the table writes its holes as `<…>` (`mem.<source>.bytes`),
+//! and both sides compare with every hole as `*`. A span's duration
+//! histogram is recorded under the span's own name, not a metric-name
+//! literal, so it is not part of this inventory; §7's span taxonomy lists
+//! the round loop's spans.
+
+use std::collections::BTreeSet;
+use std::path::{Path, PathBuf};
+
+/// Call prefixes whose first argument is a metric name. The
+/// `telemetry::` ones always record.
+const CALLS: &[&str] = &[
+    "telemetry::count(",
+    "telemetry::gauge(",
+    "telemetry::observe(",
+    "telemetry::observe_duration(",
+    "telemetry::timer(",
+    "telemetry::count_labeled(",
+    "telemetry::observe_labeled(",
+    ".counter(",
+    ".gauge(",
+    ".histogram(",
+    ".counter_labeled(",
+    ".histogram_labeled(",
+];
+
+/// How a call site uses the metric it names.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Use {
+    Record,
+    Read,
+}
+
+/// A source file with comments and literal contents blanked out of
+/// `code` (so braces and call patterns are matched in code only), and
+/// each string literal's text keyed by the index of its opening quote.
+struct Lexed {
+    code: Vec<char>,
+    literals: Vec<(usize, String)>,
+}
+
+fn lex(src: &str) -> Lexed {
+    let chars: Vec<char> = src.chars().collect();
+    let mut code = chars.clone();
+    let mut literals = Vec::new();
+    let ident = |c: char| c.is_alphanumeric() || c == '_';
+    let mut i = 0;
+    while i < chars.len() {
+        let c = chars[i];
+        let next = chars.get(i + 1).copied();
+        if c == '/' && next == Some('/') {
+            while i < chars.len() && chars[i] != '\n' {
+                code[i] = ' ';
+                i += 1;
+            }
+        } else if c == '/' && next == Some('*') {
+            let mut depth = 0;
+            while i < chars.len() {
+                if chars[i] == '/' && chars.get(i + 1) == Some(&'*') {
+                    depth += 1;
+                    code[i] = ' ';
+                    i += 1;
+                } else if chars[i] == '*' && chars.get(i + 1) == Some(&'/') {
+                    depth -= 1;
+                    code[i] = ' ';
+                    i += 1;
+                }
+                code[i] = ' ';
+                i += 1;
+                if depth == 0 {
+                    break;
+                }
+            }
+        } else if c == 'r'
+            && (i == 0 || !ident(chars[i - 1]) || chars[i - 1] == 'b')
+            && matches!(next, Some('"' | '#'))
+        {
+            let hashes = chars[i + 1..].iter().take_while(|&&h| h == '#').count();
+            let open = i + 1 + hashes;
+            if chars.get(open) != Some(&'"') {
+                i += 1;
+                continue;
+            }
+            let mut j = open + 1;
+            while j < chars.len()
+                && !(chars[j] == '"' && chars[j + 1..].iter().take(hashes).all(|&h| h == '#'))
+            {
+                j += 1;
+            }
+            literals.push((open, chars[open + 1..j].iter().collect()));
+            code[open + 1..j].iter_mut().for_each(|c| *c = ' ');
+            i = j + 1 + hashes;
+        } else if c == '"' {
+            let mut j = i + 1;
+            while j < chars.len() && chars[j] != '"' {
+                j += if chars[j] == '\\' { 2 } else { 1 };
+            }
+            literals.push((i, chars[i + 1..j].iter().collect()));
+            code[i + 1..j].iter_mut().for_each(|c| *c = ' ');
+            i = j + 1;
+        } else if c == '\'' && (next == Some('\\') || chars.get(i + 2) == Some(&'\'')) {
+            // A char literal (a lifetime has no closing quote).
+            let mut j = i + 1;
+            while j < chars.len() && chars[j] != '\'' {
+                j += if chars[j] == '\\' { 2 } else { 1 };
+            }
+            code[i + 1..j].iter_mut().for_each(|c| *c = ' ');
+            i = j + 1;
+        } else {
+            i += 1;
+        }
+    }
+    Lexed { code, literals }
+}
+
+fn find(hay: &[char], needle: &str, from: usize) -> Option<usize> {
+    let needle: Vec<char> = needle.chars().collect();
+    (from..hay.len().saturating_sub(needle.len() - 1)).find(|&i| hay[i..].starts_with(&needle))
+}
+
+/// The `[start, end)` ranges of `#[cfg(test)]` items: the attribute
+/// through the item's closing brace (or its `;`).
+fn test_items(code: &[char]) -> Vec<(usize, usize)> {
+    let mut items = Vec::new();
+    let mut from = 0;
+    while let Some(start) = find(code, "#[cfg(test)]", from) {
+        let mut i = start + "#[cfg(test)]".len();
+        while i < code.len() && code[i] != '{' && code[i] != ';' {
+            i += 1;
+        }
+        if code.get(i) == Some(&'{') {
+            let mut depth = 0usize;
+            while i < code.len() {
+                match code[i] {
+                    '{' => depth += 1,
+                    '}' => depth -= 1,
+                    _ => {}
+                }
+                i += 1;
+                if depth == 0 {
+                    break;
+                }
+            }
+        } else {
+            i += 1;
+        }
+        items.push((start, i));
+        from = i;
+    }
+    items
+}
+
+/// Metric names (and `*`-normalized `format!` patterns) passed to the
+/// recording and lookup calls in one file's non-test code, each with how
+/// the call uses it.
+fn names_in(src: &str) -> Vec<(String, Use)> {
+    let Lexed { code, literals } = lex(src);
+    let tests = test_items(&code);
+    let literal_at = |i: usize| literals.iter().find(|(at, _)| *at == i).map(|(_, s)| s.clone());
+    let mut names = Vec::new();
+    for call in CALLS {
+        let mut from = 0;
+        while let Some(at) = find(&code, call, from) {
+            from = at + 1;
+            if tests.iter().any(|&(s, e)| (s..e).contains(&at)) {
+                continue;
+            }
+            let open = at + call.chars().count() - 1;
+            let mut i = open + 1;
+            while code.get(i).is_some_and(|c| c.is_whitespace() || *c == '&') {
+                i += 1;
+            }
+            let name = if let Some(name) = literal_at(i) {
+                name
+            } else if code[i..].starts_with(&['f', 'o', 'r', 'm', 'a', 't', '!', '(']) {
+                match literal_at(i + "format!(".len()) {
+                    Some(pattern) => holes(&pattern, '{', '}'),
+                    None => continue,
+                }
+            } else {
+                continue;
+            };
+            let mut end = close_paren(&code, open);
+            while code.get(end).is_some_and(|c| c.is_whitespace()) {
+                end += 1;
+            }
+            let read = !call.starts_with("telemetry::")
+                && code[end..].starts_with(&['.', 'g', 'e', 't', '(', ')']);
+            names.push((name, if read { Use::Read } else { Use::Record }));
+        }
+    }
+    names
+}
+
+/// The index just past the `)` that closes the `(` at `open`.
+fn close_paren(code: &[char], open: usize) -> usize {
+    let mut depth = 0usize;
+    for (i, c) in code.iter().enumerate().skip(open) {
+        match c {
+            '(' => depth += 1,
+            ')' => {
+                depth -= 1;
+                if depth == 0 {
+                    return i + 1;
+                }
+            }
+            _ => {}
+        }
+    }
+    code.len()
+}
+
+/// Whether `name` is `pattern` with each `*` standing for one or more
+/// characters.
+fn glob(pattern: &str, name: &str) -> bool {
+    match pattern.split_once('*') {
+        None => pattern == name,
+        Some((head, rest)) => {
+            name.starts_with(head)
+                && (head.len() + 1..=name.len())
+                    .any(|k| name.is_char_boundary(k) && glob(rest, &name[k..]))
+        }
+    }
+}
+
+/// Replaces every `open…close` hole with `*`.
+fn holes(s: &str, open: char, close: char) -> String {
+    let mut out = String::new();
+    let mut in_hole = false;
+    for c in s.chars() {
+        match c {
+            _ if c == open => {
+                in_hole = true;
+                out.push('*');
+            }
+            _ if c == close && in_hole => in_hole = false,
+            _ if in_hole => {}
+            _ => out.push(c),
+        }
+    }
+    out
+}
+
+fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
+    let mut entries: Vec<_> =
+        std::fs::read_dir(dir).expect("readable dir").map(|e| e.expect("entry").path()).collect();
+    entries.sort();
+    for path in entries {
+        if path.is_dir() {
+            rust_files(&path, out);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+fn code_inventory(root: &Path) -> Vec<(String, Use)> {
+    let mut files = Vec::new();
+    let mut crates: Vec<_> = std::fs::read_dir(root.join("crates"))
+        .expect("crates dir")
+        .map(|e| e.expect("entry").path().join("src"))
+        .filter(|p| p.is_dir())
+        .collect();
+    crates.sort();
+    for src in &crates {
+        rust_files(src, &mut files);
+    }
+    assert!(files.len() > 50, "found only {} source files", files.len());
+    files.iter().flat_map(|f| names_in(&std::fs::read_to_string(f).expect("source file"))).collect()
+}
+
+/// The first-column names of the `| metric | …` table in DESIGN.md §7.
+fn design_inventory(root: &Path) -> Vec<String> {
+    let design = std::fs::read_to_string(root.join("DESIGN.md")).expect("DESIGN.md");
+    let start = design.find("\n## 7.").expect("DESIGN.md §7");
+    let end = start + design[start..].find("\n## 8.").expect("DESIGN.md §8");
+    let section = &design[start..end];
+    let table = &section[section.find("\n| metric |").expect("§7 metric table") + 1..];
+    table
+        .lines()
+        .skip(2)
+        .take_while(|l| l.starts_with('|'))
+        .map(|row| {
+            let cell = row.split('|').nth(1).expect("first cell").trim();
+            let name = cell.strip_prefix('`').and_then(|c| c.strip_suffix('`'));
+            let name = name.unwrap_or_else(|| panic!("first cell is one `name`: {row}"));
+            holes(name, '<', '>')
+        })
+        .collect()
+}
+
+#[test]
+fn lexer_skips_comments_literals_and_test_items() {
+    let src = r##"
+        // telemetry::count("commented.out", 1);
+        /* telemetry::gauge("block.comment", 1.0); */
+        fn live() {
+            let s = "not a call: telemetry::count(\"in.a.string\", 1) }";
+            let c = '{';
+            telemetry::count("live.counter", 1);
+            reg.histogram(&format!("mem.{name}.bytes"));
+            let raw = r#"telemetry::timer("raw.string")"#;
+            let n = reg.counter("read.counter")
+                .get();
+            reg.gauge(&name("x")).set(1.0);
+        }
+        #[cfg(test)]
+        mod tests {
+            fn t() { telemetry::count("test.only", 1); let b = '}'; }
+        }
+        fn after<'a>(x: &'a str) { telemetry::observe_labeled(
+            "after.test.module", "k", x, 1); }
+    "##;
+    let names: Vec<_> = names_in(src).into_iter().map(|(n, u)| (n, u == Use::Read)).collect();
+    let expect = [("live.counter", false), ("after.test.module", false), ("read.counter", true)];
+    let mut expect: Vec<_> = expect.iter().map(|&(n, r)| (n.to_string(), r)).collect();
+    expect.push(("mem.*.bytes".to_string(), false));
+    assert_eq!(names, expect);
+    assert!(glob("mem.*.bytes", "mem.obs.refresh.bytes") && !glob("mem.*.bytes", "mem..bytes"));
+}
+
+#[test]
+fn design_metric_table_matches_the_code() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let uses = code_inventory(root);
+    let code: BTreeSet<String> = uses.iter().map(|(n, _)| n.clone()).collect();
+    let rows = design_inventory(root);
+    let table: BTreeSet<String> = rows.iter().cloned().collect();
+    assert_eq!(table.len(), rows.len(), "a metric has two rows in DESIGN.md §7");
+    let undocumented: Vec<_> = code.difference(&table).collect();
+    let stale: Vec<_> = table.difference(&code).collect();
+    assert!(
+        undocumented.is_empty() && stale.is_empty(),
+        "DESIGN.md §7's metric table is out of date\n\
+         recorded or read in crates/*/src but not in the table: {undocumented:?}\n\
+         in the table but in no crates/*/src call: {stale:?}"
+    );
+    let recorded: Vec<&String> =
+        uses.iter().filter(|(_, u)| *u == Use::Record).map(|(n, _)| n).collect();
+    let unrecorded: BTreeSet<&String> = uses
+        .iter()
+        .filter(|(n, u)| *u == Use::Read && !recorded.iter().any(|r| glob(r, n)))
+        .map(|(n, _)| n)
+        .collect();
+    assert!(unrecorded.is_empty(), "read in crates/*/src but recorded nowhere: {unrecorded:?}");
+    assert!(uses.iter().any(|(n, u)| n == "par.queue.depth" && *u == Use::Read));
+}
