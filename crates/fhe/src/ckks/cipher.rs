@@ -36,7 +36,7 @@ use super::encoder::{CkksEncoder, Complex};
 use super::modarith::{add_mod, find_ntt_primes, mul_mod, signed_residue};
 use super::ntt::{cached_table, NttTable};
 use super::rns::{Domain, RnsPoly};
-use super::{scratch, seedexp};
+use super::seedexp;
 
 /// Shared CKKS evaluation context: primes, NTT tables and the encoder.
 ///
@@ -132,20 +132,22 @@ pub struct CkksSymmetricNoise {
 
 /// Reusable scratch buffers for the allocation-free symmetric encrypt
 /// path ([`CkksContext::encrypt_symmetric_with_noise_into`]): FFT
-/// scratch and integer coefficients for encoding, plus the encoded
-/// message polynomial. One arena serves any number of sequential
-/// encryptions; after the first call its buffers are warm and the
-/// steady-state encrypt performs no heap allocation.
+/// scratch and integer coefficients for encoding, the encoded message
+/// polynomial, and the row each prime's `NTT(m)` is taken in. One arena
+/// serves any number of sequential encryptions; after the first call its
+/// buffers are warm and the steady-state encrypt performs no heap
+/// allocation.
 #[derive(Debug)]
 pub struct CkksEncryptArena {
     z: Vec<Complex>,
     coeffs: Vec<i64>,
     m: RnsPoly,
+    t: Vec<u64>,
 }
 
 impl Default for CkksEncryptArena {
     fn default() -> Self {
-        CkksEncryptArena { z: Vec::new(), coeffs: Vec::new(), m: RnsPoly::zero(0, 0) }
+        CkksEncryptArena { z: vec![], coeffs: vec![], m: RnsPoly::zero(0, 0), t: vec![] }
     }
 }
 
@@ -242,10 +244,9 @@ impl CkksContext {
         let ntt = primes.iter().map(|&q| cached_table(params.n, q)).collect();
         let encoder = CkksEncoder::new(params.n, 1u64 << params.scale_bits);
         let noise = GaussianSampler::new(params.sigma);
-        // Expose the crate's two long-lived heap consumers to the memory
+        // Expose the crate's long-lived heap consumer to the memory
         // observability plane (idempotent: re-registration replaces).
         telemetry::mem::register_source("fhe.ntt_table_cache", super::ntt::table_cache_bytes);
-        telemetry::mem::register_source("fhe.scratch", scratch::pooled_bytes);
         Ok(CkksContext { params, primes, ntt, encoder, noise, parallelism })
     }
 
@@ -357,7 +358,9 @@ impl CkksContext {
         let n = self.params.n;
         let levels = self.primes.len();
         // (c0, c1) rows are produced together per prime so NTT(v) is
-        // computed once and feeds both components.
+        // computed once and feeds both components; `t` holds NTT(m), then
+        // NTT(e1).
+        let mut t = vec![0u64; n];
         let mut rows: Vec<(Vec<u64>, Vec<u64>)> = vec![(Vec::new(), Vec::new()); levels];
         for (i, (r0, r1)) in rows.iter_mut().enumerate() {
             let table = &self.ntt[i];
@@ -372,22 +375,18 @@ impl CkksContext {
             // c0 = b̂ ∘ NTT(v) + NTT(e0) + NTT(m)
             reduce_signed_into(&noise.e0, q, r0);
             table.forward(r0);
-            scratch::with_row(n, |t| {
-                t.copy_from_slice(m.residues(i));
-                table.forward(t);
-                for j in 0..n {
-                    let e0_m = add_mod(r0[j], t[j], q);
-                    r0[j] = add_mod(mul_mod(b_row[j], r1[j], q), e0_m, q);
-                }
-            });
+            t.copy_from_slice(m.residues(i));
+            table.forward(&mut t);
+            for j in 0..n {
+                let e0_m = add_mod(r0[j], t[j], q);
+                r0[j] = add_mod(mul_mod(b_row[j], r1[j], q), e0_m, q);
+            }
             // c1 = â ∘ NTT(v) + NTT(e1)
-            scratch::with_row(n, |t| {
-                reduce_signed_into(&noise.e1, q, t);
-                table.forward(t);
-                for j in 0..n {
-                    r1[j] = add_mod(mul_mod(a_row[j], r1[j], q), t[j], q);
-                }
-            });
+            reduce_signed_into(&noise.e1, q, &mut t);
+            table.forward(&mut t);
+            for j in 0..n {
+                r1[j] = add_mod(mul_mod(a_row[j], r1[j], q), t[j], q);
+            }
         }
         let (rows0, rows1): (Vec<_>, Vec<_>) = rows.into_iter().unzip();
         let ct = CkksCiphertext {
@@ -463,7 +462,7 @@ impl CkksContext {
     /// Symmetric encryption with pre-sampled randomness: a fresh output
     /// slot and arena handed to
     /// [`CkksContext::encrypt_symmetric_with_noise_into`], so the only
-    /// allocations are the returned ciphertext and the encode scratch.
+    /// allocations are the returned ciphertext and the arena's buffers.
     ///
     /// # Errors
     ///
@@ -517,7 +516,8 @@ impl CkksContext {
                 seedexp::expand_row_into(&noise.seed, i, self.primes[i], n, r1);
             }
         }
-        let m = &arena.m;
+        arena.t.resize(n, 0);
+        let (m, t) = (&arena.m, &mut arena.t);
         let rows = out.c0.residues_all_mut().iter_mut().zip(out.c1.residues_all_mut());
         for (i, (r0, r1)) in rows.enumerate() {
             let table = &self.ntt[i];
@@ -525,15 +525,13 @@ impl CkksContext {
             let s_row = sk.s_eval.residues(i);
             reduce_signed_into(&noise.e, q, r0);
             table.forward(r0);
-            scratch::with_row(n, |t| {
-                t.copy_from_slice(m.residues(i));
-                table.forward(t);
-                for j in 0..n {
-                    let e_m = add_mod(r0[j], t[j], q);
-                    let a_s = mul_mod(r1[j], s_row[j], q);
-                    r0[j] = add_mod(if a_s == 0 { 0 } else { q - a_s }, e_m, q);
-                }
-            });
+            t.copy_from_slice(m.residues(i));
+            table.forward(t);
+            for j in 0..n {
+                let e_m = add_mod(r0[j], t[j], q);
+                let a_s = mul_mod(r1[j], s_row[j], q);
+                r0[j] = add_mod(if a_s == 0 { 0 } else { q - a_s }, e_m, q);
+            }
         }
         out.scale = self.encoder.scale();
         out.c1_seed = Some(noise.seed);
@@ -906,19 +904,18 @@ impl CkksContext {
         let mut out = RnsPoly::zero(n, levels);
         // Each RNS prime is an independent negacyclic product. `a`'s
         // forward transform runs directly in the output row and `b`'s in
-        // a recycled scratch row, keeping the loop allocation-free.
+        // one row shared by every prime.
+        let mut fb = vec![0u64; n];
         for (i, row) in out.residues_all_mut().iter_mut().enumerate() {
             let table = &self.ntt[i];
             let q = self.primes[i];
             row.copy_from_slice(a.residues(i));
             table.forward(row);
-            scratch::with_row(n, |fb| {
-                fb.copy_from_slice(b.residues(i));
-                table.forward(fb);
-                for (x, y) in row.iter_mut().zip(fb.iter()) {
-                    *x = mul_mod(*x, *y, q);
-                }
-            });
+            fb.copy_from_slice(b.residues(i));
+            table.forward(&mut fb);
+            for (x, y) in row.iter_mut().zip(&fb) {
+                *x = mul_mod(*x, *y, q);
+            }
             table.inverse(row);
         }
         out

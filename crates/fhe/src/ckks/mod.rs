@@ -28,7 +28,6 @@ pub mod encoder;
 pub mod modarith;
 pub mod ntt;
 pub mod rns;
-mod scratch;
 pub(crate) mod seedexp;
 pub mod threshold;
 pub mod view;

@@ -164,16 +164,6 @@ pub fn cached_table(n: usize, q: u64) -> Arc<NttTable> {
     }
     telemetry::count("fhe.ckks.ntt.table_cache.miss", 1);
     let table = Arc::new(NttTable::new(n, q));
-    // Per-backend cache accounting: which kernel the retained twiddle
-    // bytes serve. The backend is process-global, so in practice one
-    // label accumulates, but the breakdown survives env-override tests.
-    telemetry::count_labeled("fhe.ckks.ntt.table_cache.tables", "backend", table.backend(), 1);
-    telemetry::count_labeled(
-        "fhe.ckks.ntt.table_cache.bytes_added",
-        "backend",
-        table.backend(),
-        table.bytes(),
-    );
     map.insert((n, q), Arc::clone(&table));
     table
 }

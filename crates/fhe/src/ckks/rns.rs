@@ -12,7 +12,6 @@ use rhychee_par::Parallelism;
 
 use super::modarith::{add_mod, inv_mod, mul_mod, neg_mod, signed_residue};
 use super::ntt::{mul_shoup, shoup};
-use super::scratch;
 
 /// Which basis the residue rows of an [`RnsPoly`] are expressed in.
 ///
@@ -428,22 +427,21 @@ impl<'a> CrtBasis<'a> {
     /// limb (`f = f·2⁶⁴ + limb`, one rounding per step).
     fn centered_f64_into(&self, rows: &[Vec<u64>], at: usize, out: &mut [f64]) {
         // `k` magnitude limbs plus two lane-wide temporaries per tile.
-        scratch::with_row((self.k + 2) * TILE, |words| {
-            for (t, block) in out.chunks_mut(TILE).enumerate() {
-                let (mag, negative) = self.lift(rows, at + t * TILE, block.len(), words);
-                block.fill(0.0);
-                for limb in mag.chunks_exact(TILE).rev() {
-                    for (f, &a) in block.iter_mut().zip(limb) {
-                        *f = *f * LIMB_RADIX + a as f64;
-                    }
-                }
-                for (f, &neg) in block.iter_mut().zip(negative) {
-                    if neg != 0 {
-                        *f = -*f;
-                    }
+        let mut words = vec![0u64; (self.k + 2) * TILE];
+        for (t, block) in out.chunks_mut(TILE).enumerate() {
+            let (mag, negative) = self.lift(rows, at + t * TILE, block.len(), &mut words);
+            block.fill(0.0);
+            for limb in mag.chunks_exact(TILE).rev() {
+                for (f, &a) in block.iter_mut().zip(limb) {
+                    *f = *f * LIMB_RADIX + a as f64;
                 }
             }
-        });
+            for (f, &neg) in block.iter_mut().zip(negative) {
+                if neg != 0 {
+                    *f = -*f;
+                }
+            }
+        }
     }
 }
 

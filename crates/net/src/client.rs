@@ -183,12 +183,12 @@ impl FlClient {
         self.sent(&mut report, n);
         let (msg, n) = wire::read_message(&mut stream, self.config.max_payload)?;
         self.received(&mut report, n);
-        let rounds = match msg {
-            Message::Welcome { client_id, rounds, .. } if client_id == self.local.id() => rounds,
+        match msg {
+            Message::Welcome { client_id, .. } if client_id == self.local.id() => {}
             other => {
                 return Err(NetError::Protocol(format!("expected Welcome, got {}", other.name())))
             }
-        };
+        }
 
         let mut got_final = false;
         loop {
@@ -226,15 +226,11 @@ impl FlClient {
             let global = self.half.decode(&model);
             report.decrypt_time += dspan.finish();
             let global = global?;
-            if let Some(eval) = &self.eval {
-                if last || round > 0 {
-                    let acc =
-                        HdcModel::from_flat(&global, self.classes, self.fl.hd_dim).accuracy(eval);
-                    // A Global opening round r carries the aggregate of
-                    // round r-1; the final one carries the last round's.
-                    let agg_round = if last { rounds - 1 } else { round - 1 };
-                    report.accuracies.push((agg_round, acc));
-                }
+            // A Global numbered r carries the aggregate of round r-1 (the
+            // final one is numbered by the round count); round 0's is none.
+            if let (Some(eval), Some(agg_round)) = (&self.eval, round.checked_sub(1)) {
+                let acc = HdcModel::from_flat(&global, self.classes, self.fl.hd_dim).accuracy(eval);
+                report.accuracies.push((agg_round, acc));
             }
             if last {
                 self.local.load_global(&global);
@@ -373,5 +369,51 @@ impl FlClient {
     fn received(&self, report: &mut ClientReport, n: usize) {
         report.bytes_rx += n as u64;
         telemetry::count("net.bytes_rx", n as u64);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::net::TcpListener;
+
+    use rhychee_core::codec;
+    use rhychee_core::round::FedSetup;
+    use rhychee_data::{DatasetKind, SyntheticConfig};
+
+    use super::*;
+
+    #[test]
+    fn a_final_global_numbered_zero_records_no_accuracy() {
+        let data = SyntheticConfig { kind: DatasetKind::Har, train_samples: 60, test_samples: 20 }
+            .generate(3)
+            .expect("generate");
+        let fl = FlConfig::builder().clients(1).rounds(1).hd_dim(64).seed(5).build().expect("fl");
+        let FedSetup { mut shards, test, classes } =
+            rhychee_core::round::prepare(&fl, &data).expect("prepare");
+        let local = ClientLocal::new(0, shards.remove(0), classes, &fl);
+        let model = vec![0.5f32; classes * fl.hd_dim];
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let config = ClientConfig::new(listener.local_addr().expect("addr"));
+        let frames = [
+            Message::Welcome { client_id: 0, clients: 1, rounds: 0 },
+            Message::Global { round: 0, last: true, model: codec::encode_plain(&model) },
+            Message::Finished { round: 0 },
+        ];
+        let peer = thread::spawn(move || {
+            let (mut stream, _) = listener.accept().expect("accept");
+            let (hello, _) = wire::read_message(&mut stream, DEFAULT_MAX_PAYLOAD).expect("hello");
+            assert_eq!(hello, Message::Hello { client_id: 0 });
+            for frame in &frames {
+                wire::write_message(&mut stream, frame).expect("write");
+            }
+        });
+        let client =
+            FlClient::new(config, fl, local, classes, Some(test), ClientPipeline::Plaintext)
+                .expect("client");
+        let report = client.run().expect("final model, then Finished");
+        peer.join().expect("peer");
+        assert!(report.accuracies.is_empty(), "round 0 has no aggregate: {:?}", report.accuracies);
+        assert_eq!(report.final_model, model);
+        assert_eq!(report.rounds_participated, 0);
     }
 }

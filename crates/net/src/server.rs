@@ -237,6 +237,11 @@ impl ServerConfig {
         if self.max_resident_uploads == 0 {
             return Err(NetError::Protocol("max_resident_uploads must be positive".into()));
         }
+        // A socket refuses a zero read timeout, so either would fail
+        // every connection at run time.
+        if self.io_timeout.is_zero() || self.round_timeout.is_zero() {
+            return Err(NetError::Protocol("io_timeout and round_timeout must be positive".into()));
+        }
         if !self.watchdog_multiple.is_finite() || self.watchdog_multiple < 0.0 {
             return Err(NetError::Protocol(
                 "round_watchdog multiple must be finite and non-negative".into(),
@@ -317,13 +322,14 @@ impl ServerConfigBuilder {
         self
     }
 
-    /// Socket write / handshake-read timeout (default 5 s).
+    /// Socket write / handshake-read timeout (default 5 s; must be
+    /// positive).
     pub fn io_timeout(mut self, io_timeout: Duration) -> Self {
         self.config.io_timeout = io_timeout;
         self
     }
 
-    /// Collection window per round (default 30 s).
+    /// Collection window per round (default 30 s; must be positive).
     pub fn round_timeout(mut self, round_timeout: Duration) -> Self {
         self.config.round_timeout = round_timeout;
         self
@@ -982,6 +988,14 @@ mod tests {
         assert!(base().quorum(0).build().is_err());
         assert!(base().quorum(5).build().is_err());
         assert!(base().quorum(4).build().is_ok());
+    }
+
+    #[test]
+    fn builder_rejects_zero_timeouts() {
+        let base = || ServerConfig::builder().clients(4).rounds(3).model_params(10);
+        assert!(base().io_timeout(Duration::ZERO).build().is_err());
+        assert!(base().round_timeout(Duration::ZERO).build().is_err());
+        assert!(base().round_timeout(Duration::from_nanos(1)).build().is_ok());
     }
 
     #[test]

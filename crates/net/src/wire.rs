@@ -32,7 +32,7 @@
 
 use std::io::{Read, Write};
 
-use rhychee_channel::crc::{crc32, crc32_update};
+use rhychee_channel::crc::crc32;
 use rhychee_telemetry as telemetry;
 pub use rhychee_telemetry::TraceContext;
 
@@ -439,24 +439,13 @@ pub fn read_message_ctx<R: Read>(
     if len > max_payload {
         return Err(NetError::PayloadTooLarge { len, cap: max_payload });
     }
-    let mut rest = vec![0u8; ctx_len + len as usize + TRAILER_LEN];
-    r.read_exact(&mut rest)?;
-    let crc_at = ctx_len + len as usize;
-    let expected = u32::from_le_bytes(rest[crc_at..crc_at + 4].try_into().expect("4 bytes"));
-    // The guarded bytes sit in two buffers; extend the CRC across them.
-    let actual = crc32_update(crc32(&header[4..]), &rest[..crc_at]);
-    if expected != actual {
-        return Err(crc_mismatch(expected, actual));
-    }
-    let round = u32::from_le_bytes(header[6..10].try_into().expect("4 bytes"));
-    let ctx = (ctx_len > 0)
-        .then(|| {
-            let raw: &[u8; CTX_LEN] = rest[..CTX_LEN].try_into().expect("ctx bytes");
-            TraceContext::from_wire(raw, round)
-        })
-        .filter(|c| c.trace_id != 0 || c.parent_span != 0);
-    let msg = Message::decode_body(header[5], round, &rest[ctx_len..crc_at])?;
-    Ok((msg, ctx, HEADER_LEN + ctx_len + len as usize + TRAILER_LEN))
+    // Header, trace context, body and trailer in one buffer, so the
+    // frame checks are `decode_frame_ctx`'s own.
+    let mut frame = vec![0u8; HEADER_LEN + ctx_len + len as usize + TRAILER_LEN];
+    frame[..HEADER_LEN].copy_from_slice(&header);
+    r.read_exact(&mut frame[HEADER_LEN..])?;
+    let (msg, ctx) = decode_frame_ctx(&frame, max_payload)?;
+    Ok((msg, ctx, frame.len()))
 }
 
 #[cfg(test)]

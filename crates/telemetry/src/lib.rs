@@ -11,11 +11,9 @@
 //!
 //! Telemetry is **disabled by default**. Every recording entry point
 //! checks one relaxed atomic ([`enabled`]) first, so instrumented hot
-//! loops cost a load-and-branch when recording is off. Building with the
-//! `off` cargo feature removes even that: [`enabled`] becomes a constant
-//! `false` and the optimizer deletes the instrumentation outright.
-//! [`span()`] is the one exception — it always measures wall time (two
-//! monotonic clock reads) so callers can populate report structs from
+//! loops cost a load-and-branch when recording is off. [`span()`] is the
+//! one exception — it always measures wall time (two monotonic clock
+//! reads) so callers can populate report structs from
 //! [`span::Span::finish`] whether or not recording is on.
 //!
 //! ## Naming
@@ -82,19 +80,13 @@ pub const PHASE_SPANS: [(&str, &str); 6] = [
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
-/// Whether recording is on. With the `off` feature this is a constant
-/// `false` and all instrumentation compiles away.
+/// Whether recording is on.
 #[inline(always)]
 pub fn enabled() -> bool {
-    if cfg!(feature = "off") {
-        false
-    } else {
-        ENABLED.load(Ordering::Relaxed)
-    }
+    ENABLED.load(Ordering::Relaxed)
 }
 
-/// Turns recording on or off process-wide. A no-op under the `off`
-/// feature.
+/// Turns recording on or off process-wide.
 pub fn set_enabled(on: bool) {
     if on {
         // Pin the trace epoch before any span can open, so every

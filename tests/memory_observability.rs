@@ -105,8 +105,8 @@ fn steady_state_arena_encrypt_allocates_zero_bytes() {
         let mut noise = ctx.sample_symmetric_noise(&mut rng);
         let mut arena = CkksEncryptArena::default();
         let mut out = ctx.zero_ciphertext();
-        // Warm-up: sizes the arena, the output ciphertext, and the
-        // thread-local NTT scratch rows.
+        // Warm-up: sizes the arena (its NTT row included) and the output
+        // ciphertext.
         for _ in 0..2 {
             ctx.sample_symmetric_noise_into(&mut rng, &mut noise);
             ctx.encrypt_symmetric_with_noise_into(&sk, &values, &noise, &mut arena, &mut out)
@@ -131,8 +131,8 @@ fn steady_state_arena_encrypt_allocates_zero_bytes() {
 /// The zero-copy fold kernel reads wire bytes straight into the
 /// accumulator: every fold allocates 0 bytes, in both the canonical and
 /// the seed-compressed wire format — the first one included. Each format
-/// folds on a freshly spawned thread, whose scratch pool is empty, so a
-/// fold that needed a scratch row would show its allocation here.
+/// folds on a freshly spawned thread, so a fold that needed a buffer of
+/// its own would show its allocation here.
 #[test]
 fn steady_state_fold_view_allocates_zero_bytes() {
     let _g = lock();
@@ -378,7 +378,7 @@ fn memory_json_scrape_reconciles_with_allocator_counters() {
 
 /// Leak gate: two identical encrypted federations back to back. The
 /// first run warms every cache that is *supposed* to persist (twiddle
-/// tables, thread-local scratch arenas, interned metric names); the
+/// tables, interned metric names); the
 /// second must then return the heap to where it started, within a
 /// small slack. Net growth here is the signature of a real per-round
 /// leak.
