@@ -13,7 +13,7 @@
 //! * [`rns`] — RNS polynomials and CRT reconstruction
 //! * [`encoder`] — canonical-embedding slot encoder
 //! * [`cipher`] — context, keys, ciphertexts, homomorphic ops
-//! * [`threshold`] — n-out-of-n distributed keygen and decryption
+//! * [`threshold`] — k-out-of-n distributed keygen and decryption
 //! * `seedexp` (private) — stable seeded expansion for compressed symmetric uploads
 //! * [`view`] — borrowed zero-copy views for streaming aggregation
 //!

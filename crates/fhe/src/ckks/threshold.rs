@@ -1,32 +1,29 @@
-//! Threshold (key-shared) CKKS: n-out-of-n additive sharing and
-//! k-out-of-n Shamir sharing with dropout recovery.
+//! Threshold (key-shared) CKKS: k-out-of-n Shamir sharing of the secret
+//! key, with dropout recovery.
 //!
 //! The paper's xMK-CKKS baseline uses a threshold multi-key variant of
 //! CKKS so that *no single client* holds the full decryption key. This
-//! module implements two constructions over our RNS-CKKS backend:
+//! module implements one dealer-free construction over our RNS-CKKS
+//! backend ([`ThresholdGroup::generate`]); n-out-of-n is `k = n`:
 //!
-//! **n-out-of-n additive sharing** ([`ThresholdGroup::generate`]):
-//!
-//! * each party samples a ternary share `s_i`; the joint secret is
-//!   `s = Σ s_i` and is never materialized anywhere;
+//! * each party samples a ternary contribution `s_i`; the joint secret
+//!   is `s = Σ s_i` and is never materialized anywhere;
 //! * key generation runs against a common random polynomial `a` (the
 //!   CRS): party `i` publishes `b_i = −a·s_i + e_i`, and the joint public
 //!   key is `(Σ b_i, a)`;
-//! * decryption is distributed: party `i` publishes the partial
-//!   `p_i = c1·s_i + e_i^smudge`; summing all partials with `c0` yields
-//!   the plaintext. The smudging noise hides each share.
+//! * each party also Shamir-shares `s_i`, so party `j` ends up holding
+//!   `F(x_j)` for a degree-`k−1` polynomial `F` with `F(0) = s`;
+//! * decryption is distributed: any `k` surviving parties each publish
+//!   `p_j = c1·(λ_j·F(x_j)) + e_j^smudge`, with `λ_j` the Lagrange
+//!   coefficient of the participating subset applied *before* the
+//!   smudging noise ([`ThresholdGroup::partial_decrypt_subset`]);
+//!   summing the partials with `c0` yields the plaintext, while any
+//!   `k−1` collusion learns nothing.
 //!
-//! **k-out-of-n Shamir sharing** ([`ThresholdGroup::generate_kofn`]):
-//! the ceremony additionally Shamir-shares each party's additive
-//! contribution, so party `j` ends up holding `F(x_j)` for a degree-
-//! `k−1` polynomial `F` with `F(0) = s`. Any `k` surviving parties can
-//! decrypt — each scales its share by the Lagrange coefficient of the
-//! participating subset *before* adding smudging noise
-//! ([`ThresholdGroup::partial_decrypt_subset`]) — while any `k−1`
-//! collusion learns nothing. This is the dropout-recovery story the
-//! encrypted-aggregation deployment needs: a keyholder that churns out
-//! of the federation no longer takes the global model with it
-//! (exercised by the `rhychee-scenario` engine).
+//! This is the dropout-recovery story the encrypted-aggregation
+//! deployment needs: a keyholder that churns out of the federation no
+//! longer takes the global model with it (exercised by the
+//! `rhychee-scenario` engine).
 //!
 //! Rhychee-FL itself uses the simpler shared-secret-key deployment
 //! (paper §IV-A), but this extension removes that trust assumption and
@@ -43,7 +40,7 @@
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let ctx = CkksContext::new(CkksParams::toy())?;
 //! let mut rng = StdRng::seed_from_u64(1);
-//! let group = ThresholdGroup::generate(&ctx, 3, &mut rng);
+//! let group = ThresholdGroup::generate(&ctx, 3, 3, &mut rng)?;
 //! let ct = ctx.encrypt(group.public_key(), &[1.0, 2.0], &mut rng)?;
 //! // All three parties cooperate to decrypt.
 //! let partials: Vec<_> =
@@ -77,16 +74,14 @@ fn smudging_sampler() -> &'static GaussianSampler {
     SAMPLER.get_or_init(|| GaussianSampler::new(SMUDGING_SIGMA))
 }
 
-/// One party's key share: the additive share `s_i` (n-of-n) or the
-/// Shamir point `F(x_i)` (k-of-n).
+/// One party's key share: the Shamir point `F(x_i)` of the joint secret.
 #[derive(Debug, Clone)]
 pub struct KeyShare {
     share: RnsPoly,
 }
 
-/// A partial decryption `p_i = c1·s_i + e_smudge` (additive) or
-/// `p_i = c1·(λ_i·F(x_i)) + e_smudge` (Shamir, λ over the declared
-/// decryption subset).
+/// A partial decryption `p_i = c1·(λ_i·F(x_i)) + e_smudge`, with `λ_i`
+/// taken over the declared decryption subset.
 #[derive(Debug, Clone)]
 pub struct PartialDecryption {
     poly: RnsPoly,
@@ -100,26 +95,14 @@ impl PartialDecryption {
     }
 }
 
-/// How the joint secret is split across parties.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Sharing {
-    /// `s = Σ s_i`: every party must contribute to decrypt.
-    Additive,
-    /// Shamir degree-`k−1` sharing: any `k` parties decrypt.
-    Shamir { k: usize },
-}
-
 /// A threshold key group: the shares plus the joint public key. In a
 /// real deployment each share would live on its own client; the group
 /// type models the ceremony for simulation.
-///
-/// Built n-out-of-n by [`ThresholdGroup::generate`] or k-out-of-n by
-/// [`ThresholdGroup::generate_kofn`].
 #[derive(Debug)]
 pub struct ThresholdGroup {
     shares: Vec<KeyShare>,
     public_key: CkksPublicKey,
-    sharing: Sharing,
+    k: usize,
 }
 
 /// Shamir evaluation point for `party` (1-based so `F(0)` stays secret).
@@ -178,78 +161,44 @@ fn scale_rows(poly: &RnsPoly, scalars: &[u64], primes: &[u64]) -> RnsPoly {
 }
 
 impl ThresholdGroup {
-    /// Runs the distributed key-generation ceremony for `parties`
-    /// participants.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `parties` is zero.
-    pub fn generate<R: Rng + ?Sized>(
-        ctx: &CkksContext,
-        parties: usize,
-        rng: &mut R,
-    ) -> ThresholdGroup {
-        assert!(parties > 0, "need at least one party");
-        let n = ctx.params().n;
-        let primes = ctx.primes();
-        // Common random polynomial (CRS), public to everyone.
-        let a = ctx.uniform_poly(rng);
-        let mut shares = Vec::with_capacity(parties);
-        let mut b_sum: Option<RnsPoly> = None;
-        for _ in 0..parties {
-            let s_i = RnsPoly::from_signed_coeffs(&ternary_vec(rng, n), primes);
-            let e_i = RnsPoly::from_signed_coeffs(&ctx.noise_vec(rng), primes);
-            // b_i = -(a · s_i) + e_i
-            let b_i = ctx.poly_mul_at(&a, &s_i, primes.len()).neg(primes).add(&e_i, primes);
-            b_sum = Some(match b_sum {
-                None => b_i,
-                Some(acc) => acc.add(&b_i, primes),
-            });
-            shares.push(KeyShare { share: s_i });
-        }
-        let b = b_sum.expect("at least one party");
-        ThresholdGroup {
-            shares,
-            public_key: CkksPublicKey::from_coeff(ctx, b, a),
-            sharing: Sharing::Additive,
-        }
-    }
-
     /// Runs the k-out-of-n ceremony: any `k` of the `parties` shares
     /// suffice to decrypt, so up to `parties − k` keyholders can drop
-    /// out of the federation without losing the global model.
+    /// out of the federation without losing the global model. `k =
+    /// parties` is n-out-of-n: every party must contribute.
     ///
-    /// Each party `i` samples its additive contribution `s_i` exactly
-    /// as in [`ThresholdGroup::generate`], then Shamir-shares it with a
-    /// fresh degree-`k−1` polynomial `f_i` (constant term `s_i`,
-    /// remaining coefficients uniform per RNS prime). Party `j` keeps
-    /// the sum of everyone's evaluations `F(x_j) = Σ_i f_i(x_j)`, a
-    /// Shamir share of the joint secret `F(0) = s = Σ s_i` — no dealer
-    /// ever sees `s`.
-    pub fn generate_kofn<R: Rng + ?Sized>(
+    /// Each party `i` samples a ternary contribution `s_i`, publishes
+    /// `b_i = −a·s_i + e_i`, and Shamir-shares `s_i` with a fresh
+    /// degree-`k−1` polynomial `f_i` (constant term `s_i`, remaining
+    /// coefficients uniform per RNS prime). Party `j` keeps the sum of
+    /// everyone's evaluations `F(x_j) = Σ_i f_i(x_j)`, a Shamir share of
+    /// the joint secret `F(0) = s = Σ s_i` — no dealer ever sees `s`.
+    ///
+    /// # Errors
+    ///
+    /// [`FheError::InvalidParams`] unless `1 <= k <= parties`.
+    pub fn generate<R: Rng + ?Sized>(
         ctx: &CkksContext,
         parties: usize,
         k: usize,
         rng: &mut R,
     ) -> Result<ThresholdGroup, FheError> {
-        if parties == 0 || k == 0 || k > parties {
+        if k == 0 || k > parties {
             return Err(FheError::InvalidParams(format!(
                 "threshold k={k} must satisfy 1 <= k <= parties={parties}"
             )));
         }
         let n = ctx.params().n;
         let primes = ctx.primes();
+        // Common random polynomial (CRS), public to everyone.
         let a = ctx.uniform_poly(rng);
-        let mut b_sum: Option<RnsPoly> = None;
-        let mut points: Vec<Option<RnsPoly>> = vec![None; parties];
+        let mut b = RnsPoly::zero(n, primes.len());
+        let mut points = vec![RnsPoly::zero(n, primes.len()); parties];
         for _ in 0..parties {
             let s_i = RnsPoly::from_signed_coeffs(&ternary_vec(rng, n), primes);
             let e_i = RnsPoly::from_signed_coeffs(&ctx.noise_vec(rng), primes);
+            // b_i = -(a · s_i) + e_i
             let b_i = ctx.poly_mul_at(&a, &s_i, primes.len()).neg(primes).add(&e_i, primes);
-            b_sum = Some(match b_sum {
-                None => b_i,
-                Some(acc) => acc.add(&b_i, primes),
-            });
+            b.add_assign(&b_i, primes);
             // f_i(x) = s_i + a_1·x + … + a_{k−1}·x^{k−1}, coefficients
             // uniform per prime (each prime's Shamir instance is
             // independent; reconstruction is per-residue).
@@ -258,22 +207,13 @@ impl ThresholdGroup {
                 coeffs.push(ctx.uniform_poly(rng));
             }
             for (j, point) in points.iter_mut().enumerate() {
-                let eval = eval_shamir(&coeffs, x_coord(j), primes);
-                *point = Some(match point.take() {
-                    None => eval,
-                    Some(acc) => acc.add(&eval, primes),
-                });
+                point.add_assign(&eval_shamir(&coeffs, x_coord(j), primes), primes);
             }
         }
-        let shares = points
-            .into_iter()
-            .map(|p| KeyShare { share: p.expect("evaluated for every party") })
-            .collect();
-        let b = b_sum.expect("at least one party");
         Ok(ThresholdGroup {
-            shares,
+            shares: points.into_iter().map(|share| KeyShare { share }).collect(),
             public_key: CkksPublicKey::from_coeff(ctx, b, a),
-            sharing: Sharing::Shamir { k },
+            k,
         })
     }
 
@@ -283,12 +223,9 @@ impl ThresholdGroup {
     }
 
     /// Minimum number of partial decryptions needed to recover a
-    /// plaintext: `k` for Shamir groups, `parties` for additive ones.
+    /// plaintext: the `k` the group was generated with.
     pub fn threshold(&self) -> usize {
-        match self.sharing {
-            Sharing::Additive => self.shares.len(),
-            Sharing::Shamir { k } => k,
-        }
+        self.k
     }
 
     /// The joint public key (given to the aggregation server).
@@ -296,7 +233,8 @@ impl ThresholdGroup {
         &self.public_key
     }
 
-    /// Party `party`'s partial decryption of `ct`, with smudging noise.
+    /// Party `party`'s partial decryption of `ct`, with smudging noise,
+    /// for a decryption by the full party set.
     ///
     /// # Panics
     ///
@@ -317,12 +255,10 @@ impl ThresholdGroup {
     /// declared decryption subset `subset` (the parties that survived
     /// the round).
     ///
-    /// For Shamir groups the share is scaled by the Lagrange
-    /// coefficient `λ_party` of `subset` *before* smudging noise is
-    /// added, so summing the subset's partials interpolates
-    /// `F(0)·c1 = s·c1` directly — smudging stays small and is never
-    /// amplified by λ. For additive groups `subset` must be the full
-    /// party set.
+    /// The share is scaled by the Lagrange coefficient `λ_party` of
+    /// `subset` *before* smudging noise is added, so summing the
+    /// subset's partials interpolates `F(0)·c1 = s·c1` directly —
+    /// smudging stays small and is never amplified by λ.
     ///
     /// # Errors
     ///
@@ -345,14 +281,8 @@ impl ThresholdGroup {
         }
         let levels = ct.levels();
         let primes = &ctx.primes()[..levels];
-        let share = self.shares[party].share.truncated(levels);
-        let share = match self.sharing {
-            Sharing::Additive => share,
-            Sharing::Shamir { .. } => {
-                let lambda = lagrange_at_zero(party, subset, primes);
-                scale_rows(&share, &lambda, primes)
-            }
-        };
+        let lambda = lagrange_at_zero(party, subset, primes);
+        let share = scale_rows(&self.shares[party].share.truncated(levels), &lambda, primes);
         let mut smudge = vec![0i64; ctx.params().n];
         smudging_sampler().fill(rng, &mut smudge);
         let smudge = RnsPoly::from_signed_coeffs(&smudge, primes);
@@ -366,7 +296,7 @@ impl ThresholdGroup {
 
     /// Checks that `subset` is a plausible decryption quorum: distinct
     /// in-range parties, at least [`ThresholdGroup::threshold`] of
-    /// them, and — for additive sharing — all of them.
+    /// them.
     fn validate_subset(&self, subset: &[usize]) -> Result<(), FheError> {
         let parties = self.parties();
         let mut seen = vec![false; parties];
@@ -390,27 +320,23 @@ impl ThresholdGroup {
                 subset.len()
             )));
         }
-        if self.sharing == Sharing::Additive && subset.len() != parties {
-            return Err(FheError::InvalidParams(format!(
-                "additive sharing needs all {parties} parties, got {}",
-                subset.len()
-            )));
-        }
         Ok(())
     }
 
-    /// Combines all partial decryptions into the plaintext slots.
+    /// Combines partial decryptions into the plaintext slots. The
+    /// partials must come from one decryption subset of at least
+    /// [`ThresholdGroup::threshold`] parties; [`Self::combine_checked`]
+    /// checks that.
     ///
     /// # Panics
     ///
-    /// Panics if `partials` is empty or shapes mismatch (all parties must
-    /// contribute for n-out-of-n sharing).
+    /// Panics if `partials` is empty or shapes mismatch.
     pub fn combine(
         ctx: &CkksContext,
         ct: &CkksCiphertext,
         partials: &[PartialDecryption],
     ) -> Vec<f64> {
-        assert!(!partials.is_empty(), "need every party's partial decryption");
+        assert!(!partials.is_empty(), "need at least one partial decryption");
         let levels = ct.levels();
         let primes = &ctx.primes()[..levels];
         let mut m = ctx.to_coeff(&ct.c0);
@@ -452,7 +378,7 @@ mod tests {
     fn setup(parties: usize) -> (CkksContext, ThresholdGroup, StdRng) {
         let ctx = CkksContext::new(CkksParams::toy()).expect("params");
         let mut rng = StdRng::seed_from_u64(99);
-        let group = ThresholdGroup::generate(&ctx, parties, &mut rng);
+        let group = ThresholdGroup::generate(&ctx, parties, parties, &mut rng).expect("n-of-n");
         (ctx, group, rng)
     }
 
@@ -522,7 +448,7 @@ mod tests {
     fn kofn_subset_decrypts_after_dropout() {
         let ctx = CkksContext::new(CkksParams::toy()).expect("params");
         let mut rng = StdRng::seed_from_u64(7);
-        let group = ThresholdGroup::generate_kofn(&ctx, 5, 3, &mut rng).expect("kofn");
+        let group = ThresholdGroup::generate(&ctx, 5, 3, &mut rng).expect("kofn");
         assert_eq!(group.threshold(), 3);
         let values = vec![3.5, -1.25];
         let ct = ctx.encrypt(group.public_key(), &values, &mut rng).expect("encrypt");
@@ -539,7 +465,7 @@ mod tests {
     }
 
     #[test]
-    fn additive_group_rejects_proper_subset() {
+    fn n_of_n_group_rejects_proper_subset() {
         let (ctx, group, mut rng) = setup(3);
         let ct = ctx.encrypt(group.public_key(), &[1.0], &mut rng).expect("encrypt");
         let err = group.partial_decrypt_subset(&ctx, 0, &[0, 1], &ct, &mut rng).unwrap_err();
@@ -550,7 +476,7 @@ mod tests {
     fn works_at_paper_parameters() {
         let ctx = CkksContext::new(CkksParams::ckks4()).expect("params");
         let mut rng = StdRng::seed_from_u64(5);
-        let group = ThresholdGroup::generate(&ctx, 5, &mut rng);
+        let group = ThresholdGroup::generate(&ctx, 5, 5, &mut rng).expect("n-of-n");
         let values: Vec<f64> = (0..100).map(|i| i as f64 / 10.0).collect();
         let ct = ctx.encrypt(group.public_key(), &values, &mut rng).expect("encrypt");
         let partials: Vec<_> =

@@ -18,9 +18,9 @@
 //!
 //! Two extensions go beyond the paper's experiments:
 //!
-//! * [`ckks::threshold`] — n-out-of-n threshold CKKS (distributed key
-//!   generation and decryption), the architecture class of the xMK-CKKS
-//!   baseline;
+//! * [`ckks::threshold`] — k-out-of-n threshold CKKS (distributed key
+//!   generation and decryption; n-out-of-n is `k = n`), the architecture
+//!   class of the xMK-CKKS baseline;
 //! * [`tfhe_boot`] — FHEW/GINX programmable bootstrapping, realizing the
 //!   "arbitrary LUT without losing integer precision" capability the
 //!   paper's design-space discussion (§IV-B2) attributes to TFHE.

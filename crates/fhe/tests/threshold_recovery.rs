@@ -24,7 +24,7 @@ fn assert_close(got: &[f64], want: &[f64], tol: f64) {
 fn every_3_of_5_quorum_decrypts_identically() {
     let ctx = toy_ctx();
     let mut rng = StdRng::seed_from_u64(41);
-    let group = ThresholdGroup::generate_kofn(&ctx, 5, 3, &mut rng).expect("kofn");
+    let group = ThresholdGroup::generate(&ctx, 5, 3, &mut rng).expect("kofn");
     let values = vec![0.5, -3.75, 12.0, 0.0];
     let ct = ctx.encrypt(group.public_key(), &values, &mut rng).expect("encrypt");
     // Exhaustively try all C(5,3) = 10 quorums: each must recover the
@@ -54,7 +54,7 @@ fn oversized_quorum_also_decrypts() {
     // subset of size >= k still lands on F(0).
     let ctx = toy_ctx();
     let mut rng = StdRng::seed_from_u64(42);
-    let group = ThresholdGroup::generate_kofn(&ctx, 4, 2, &mut rng).expect("kofn");
+    let group = ThresholdGroup::generate(&ctx, 4, 2, &mut rng).expect("kofn");
     let values = vec![7.0, 8.0];
     let ct = ctx.encrypt(group.public_key(), &values, &mut rng).expect("encrypt");
     let subset = [0usize, 1, 3];
@@ -70,7 +70,7 @@ fn oversized_quorum_also_decrypts() {
 fn below_threshold_subset_is_rejected() {
     let ctx = toy_ctx();
     let mut rng = StdRng::seed_from_u64(43);
-    let group = ThresholdGroup::generate_kofn(&ctx, 5, 3, &mut rng).expect("kofn");
+    let group = ThresholdGroup::generate(&ctx, 5, 3, &mut rng).expect("kofn");
     let ct = ctx.encrypt(group.public_key(), &[1.0], &mut rng).expect("encrypt");
     let err = group.partial_decrypt_subset(&ctx, 0, &[0, 1], &ct, &mut rng).unwrap_err();
     assert!(matches!(err, FheError::InvalidParams(_)), "got {err}");
@@ -83,7 +83,7 @@ fn combine_checked_rejects_missing_share() {
     // than hand back garbage.
     let ctx = toy_ctx();
     let mut rng = StdRng::seed_from_u64(44);
-    let group = ThresholdGroup::generate_kofn(&ctx, 5, 3, &mut rng).expect("kofn");
+    let group = ThresholdGroup::generate(&ctx, 5, 3, &mut rng).expect("kofn");
     let ct = ctx.encrypt(group.public_key(), &[9.0], &mut rng).expect("encrypt");
     let subset = [0usize, 2, 4];
     let partials: Vec<_> = subset[..2]
@@ -98,7 +98,7 @@ fn combine_checked_rejects_missing_share() {
 fn combine_checked_rejects_duplicate_share() {
     let ctx = toy_ctx();
     let mut rng = StdRng::seed_from_u64(45);
-    let group = ThresholdGroup::generate_kofn(&ctx, 5, 3, &mut rng).expect("kofn");
+    let group = ThresholdGroup::generate(&ctx, 5, 3, &mut rng).expect("kofn");
     let ct = ctx.encrypt(group.public_key(), &[9.0], &mut rng).expect("encrypt");
     let subset = [0usize, 2, 4];
     let p0 = group.partial_decrypt_subset(&ctx, 0, &subset, &ct, &mut rng).expect("valid");
@@ -111,7 +111,7 @@ fn combine_checked_rejects_duplicate_share() {
 fn party_outside_declared_subset_is_rejected() {
     let ctx = toy_ctx();
     let mut rng = StdRng::seed_from_u64(46);
-    let group = ThresholdGroup::generate_kofn(&ctx, 5, 3, &mut rng).expect("kofn");
+    let group = ThresholdGroup::generate(&ctx, 5, 3, &mut rng).expect("kofn");
     let ct = ctx.encrypt(group.public_key(), &[1.0], &mut rng).expect("encrypt");
     let err = group.partial_decrypt_subset(&ctx, 1, &[0, 2, 4], &ct, &mut rng).unwrap_err();
     assert!(matches!(err, FheError::InvalidParams(_)), "got {err}");
@@ -121,10 +121,10 @@ fn party_outside_declared_subset_is_rejected() {
 fn out_of_range_and_degenerate_params_are_rejected() {
     let ctx = toy_ctx();
     let mut rng = StdRng::seed_from_u64(47);
-    assert!(ThresholdGroup::generate_kofn(&ctx, 3, 0, &mut rng).is_err());
-    assert!(ThresholdGroup::generate_kofn(&ctx, 3, 4, &mut rng).is_err());
-    assert!(ThresholdGroup::generate_kofn(&ctx, 0, 0, &mut rng).is_err());
-    let group = ThresholdGroup::generate_kofn(&ctx, 3, 2, &mut rng).expect("kofn");
+    assert!(ThresholdGroup::generate(&ctx, 3, 0, &mut rng).is_err());
+    assert!(ThresholdGroup::generate(&ctx, 3, 4, &mut rng).is_err());
+    assert!(ThresholdGroup::generate(&ctx, 0, 0, &mut rng).is_err());
+    let group = ThresholdGroup::generate(&ctx, 3, 2, &mut rng).expect("kofn");
     let ct = ctx.encrypt(group.public_key(), &[1.0], &mut rng).expect("encrypt");
     let err = group.partial_decrypt_subset(&ctx, 0, &[0, 7], &ct, &mut rng).unwrap_err();
     assert!(matches!(err, FheError::InvalidParams(_)), "got {err}");
@@ -136,7 +136,7 @@ fn below_threshold_coalition_sees_garbage() {
     // only sum their own partials) must not recover the plaintext.
     let ctx = toy_ctx();
     let mut rng = StdRng::seed_from_u64(48);
-    let group = ThresholdGroup::generate_kofn(&ctx, 5, 3, &mut rng).expect("kofn");
+    let group = ThresholdGroup::generate(&ctx, 5, 3, &mut rng).expect("kofn");
     let values = vec![42.0; 8];
     let ct = ctx.encrypt(group.public_key(), &values, &mut rng).expect("encrypt");
     let subset = [0usize, 2, 4];
@@ -156,7 +156,7 @@ fn homomorphic_average_survives_keyholder_dropout() {
     // and the surviving quorum still opens the global model.
     let ctx = toy_ctx();
     let mut rng = StdRng::seed_from_u64(49);
-    let group = ThresholdGroup::generate_kofn(&ctx, 4, 3, &mut rng).expect("kofn");
+    let group = ThresholdGroup::generate(&ctx, 4, 3, &mut rng).expect("kofn");
     let models = [[2.0, 4.0], [4.0, 8.0], [6.0, 12.0], [8.0, 16.0]];
     let mut acc = ctx.encrypt(group.public_key(), &models[0], &mut rng).expect("encrypt");
     for m in &models[1..] {
@@ -181,7 +181,7 @@ fn kofn_replays_bit_identically_from_the_same_seed() {
     let run = || {
         let ctx = toy_ctx();
         let mut rng = StdRng::seed_from_u64(50);
-        let group = ThresholdGroup::generate_kofn(&ctx, 5, 3, &mut rng).expect("kofn");
+        let group = ThresholdGroup::generate(&ctx, 5, 3, &mut rng).expect("kofn");
         let ct = ctx.encrypt(group.public_key(), &[1.25, 2.5], &mut rng).expect("encrypt");
         let subset = [1usize, 2, 3];
         let partials: Vec<_> = subset

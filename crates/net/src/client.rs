@@ -50,9 +50,7 @@ pub struct ClientConfig {
     pub round_timeout: Duration,
     /// Connection attempts before giving up.
     pub connect_attempts: u32,
-    /// Upload (re)attempts per round before giving up.
-    pub upload_attempts: u32,
-    /// Base backoff between attempts (doubles per retry).
+    /// Base backoff between connection attempts (doubles per retry).
     pub backoff: Duration,
     /// Frame payload cap in bytes.
     pub max_payload: u32,
@@ -73,15 +71,17 @@ pub struct ClientConfig {
 }
 
 impl ClientConfig {
-    /// Loopback defaults: 5 s I/O, 60 s round window, 4 connect and 3
-    /// upload attempts with 50 ms base backoff, canonical wire codec.
+    /// Loopback defaults: 5 s I/O, 60 s round window, 4 connect attempts
+    /// with 50 ms base backoff, canonical wire codec. An upload is
+    /// written once: after a failed write an unknown prefix of the frame
+    /// is already on the wire, so a retransmit could only follow a torn
+    /// frame (DESIGN.md §8.3).
     pub fn new(addr: SocketAddr) -> Self {
         ClientConfig {
             addr,
             io_timeout: Duration::from_secs(5),
             round_timeout: Duration::from_secs(60),
             connect_attempts: 4,
-            upload_attempts: 3,
             backoff: Duration::from_millis(50),
             max_payload: DEFAULT_MAX_PAYLOAD,
             codec: Arc::new(CanonicalCodec),
@@ -107,7 +107,7 @@ pub struct ClientReport {
     pub bytes_tx: u64,
     /// Total bytes read from the socket.
     pub bytes_rx: u64,
-    /// Connect/upload retries performed.
+    /// Connection retries performed.
     pub retries: u64,
     /// Uploads the server NACKed (late or duplicate).
     pub rejected_updates: u64,
@@ -288,7 +288,7 @@ impl FlClient {
             round: c.round,
         });
         let uspan = telemetry::span("upload");
-        let n = self.upload(stream, &update, uctx.as_ref(), report)?;
+        let n = wire::write_message_ctx(stream, &update, uctx.as_ref())?;
         report.upload_time += uspan.finish();
         self.sent(report, n);
         report.rounds_participated += 1;
@@ -305,7 +305,7 @@ impl FlClient {
                 thread::sleep(delay);
                 delay *= 2;
                 report.retries += 1;
-                self.count_retry();
+                telemetry::count("net.frame.retry", 1);
             }
             match TcpStream::connect_timeout(&self.config.addr, self.config.io_timeout) {
                 Ok(stream) => {
@@ -318,47 +318,6 @@ impl FlClient {
             }
         }
         Err(last_err.unwrap_or_else(|| NetError::Protocol("no connection attempts".into())))
-    }
-
-    /// Uploads one update frame with bounded retry. A retry is only
-    /// safe when the previous attempt failed to write (a torn frame is
-    /// caught by the server's CRC check and drops this client).
-    fn upload(
-        &self,
-        stream: &mut TcpStream,
-        update: &Message,
-        ctx: Option<&wire::TraceContext>,
-        report: &mut ClientReport,
-    ) -> Result<usize, NetError> {
-        let mut delay = self.config.backoff;
-        let mut last_err: Option<NetError> = None;
-        for attempt in 0..self.config.upload_attempts.max(1) {
-            if attempt > 0 {
-                thread::sleep(delay);
-                delay *= 2;
-                report.retries += 1;
-                self.count_retry();
-            }
-            match wire::write_message_ctx(stream, update, ctx) {
-                Ok(n) => return Ok(n),
-                Err(e) => last_err = Some(e),
-            }
-        }
-        Err(last_err.unwrap_or_else(|| NetError::Protocol("no upload attempts".into())))
-    }
-
-    /// Counts one connect/upload retry into the frame-level counter and
-    /// this client's labeled series.
-    fn count_retry(&self) {
-        telemetry::count("net.frame.retry", 1);
-        if telemetry::enabled() {
-            telemetry::count_labeled(
-                "net.client.retries",
-                "client_id",
-                &self.local.id().to_string(),
-                1,
-            );
-        }
     }
 
     fn sent(&self, report: &mut ClientReport, n: usize) {

@@ -704,8 +704,17 @@ impl Session {
     fn shutdown(self) -> Result<ServerReport, NetError> {
         let Session { mut machine, shared, acceptor, events, handlers, watchdog, .. } = self;
         // Every live handler holds the final broadcast and exits after
-        // writing it; the evicted ones exited when they reported.
+        // writing it; the evicted ones exited when they reported. A late
+        // upload still holds its residency permit inside its event, and
+        // another late handler may be waiting for that permit, so the
+        // machine keeps taking events (outside a round it drops them,
+        // permits included) until each handler is done.
         for handler in handlers {
+            while !handler.is_finished() {
+                if let Ok(event) = events.recv_timeout(Duration::from_micros(100)) {
+                    machine.on_event(event)?;
+                }
+            }
             let _ = handler.join();
         }
         drop(watchdog); // the run is over; nothing left to stall

@@ -261,7 +261,6 @@ impl Coordinator {
         if !accepted {
             open.rejected += 1;
             telemetry::count("net.frame.nack", 1);
-            telemetry::count_labeled("net.client.nacks", "client_id", &client_id.to_string(), 1);
         }
         let offset_ns = arrived.saturating_duration_since(open.started).as_nanos() as u64;
         open.arrivals.push(ClientArrival { client_id, offset_ns, bytes, accepted });

@@ -11,13 +11,16 @@
 //! ```
 //!
 //! Zero dependencies: a small brace/string lexer does the indentation
-//! and a key scanner pulls the headline numbers — enough for the
-//! well-formed JSON this stack emits, with no parser crate in the tree.
+//! and `telemetry::json`'s field lookups pull the headline numbers —
+//! enough for the well-formed JSON this stack emits, with no parser
+//! crate in the tree.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::process::ExitCode;
 use std::time::Duration;
+
+use rhychee_telemetry::json::{str_field, u64_field};
 
 fn main() -> ExitCode {
     let mut raw_only = false;
@@ -105,70 +108,22 @@ const MIB: f64 = 1024.0 * 1024.0;
 /// raw body so the headline works for both `/memory.json` captures and
 /// flight-recorder dumps (which embed the same object under "memory").
 fn print_headline(body: &str) {
-    if let Some(reason) = find_str(body, "reason") {
+    if let Some(reason) = str_field(body, "reason") {
         println!("# flight recorder dump — reason: {reason}");
     }
-    let figure = |label: &str, key: &str| {
-        if let Some(v) = find_u64(body, key) {
+    let figure = |label: &str, bytes: Option<u64>| {
+        if let Some(v) = bytes {
             println!("# {label:<24} {:>10.2} MiB", v as f64 / MIB);
         }
     };
-    if find_u64(body, "live_bytes").is_some() {
-        figure("heap live", "live_bytes");
-        figure("heap peak", "peak_bytes");
-        if let Some(rss) = find_key_after(body, "rss", "bytes").and_then(|s| s.parse::<u64>().ok())
-        {
-            println!("# {:<24} {:>10.2} MiB", "rss", rss as f64 / MIB);
-        }
-        figure("tracked sources", "sources_total_bytes");
+    if u64_field(body, "live_bytes").is_some() {
+        figure("heap live", u64_field(body, "live_bytes"));
+        figure("heap peak", u64_field(body, "peak_bytes"));
+        let rss = body.split_once("\"rss\":").and_then(|(_, rest)| u64_field(rest, "bytes"));
+        figure("rss", rss);
+        figure("tracked sources", u64_field(body, "sources_total_bytes"));
     }
     println!();
-}
-
-/// Value of the first `"key":"..."` string field.
-fn find_str(body: &str, key: &str) -> Option<String> {
-    let raw = find_raw(body, key)?;
-    let inner = raw.strip_prefix('"')?.strip_suffix('"')?;
-    Some(inner.to_owned())
-}
-
-/// Value of the first `"key":<n>` numeric field.
-fn find_u64(body: &str, key: &str) -> Option<u64> {
-    find_raw(body, key)?.parse().ok()
-}
-
-/// Raw token after the first occurrence of `"key":`.
-fn find_raw(body: &str, key: &str) -> Option<String> {
-    let needle = format!("\"{key}\":");
-    let start = body.find(&needle)? + needle.len();
-    scan_value(&body[start..])
-}
-
-/// Like [`find_raw`] for `inner`, but only after `"outer":` appears —
-/// e.g. the `bytes` inside the `rss` object.
-fn find_key_after(body: &str, outer: &str, inner: &str) -> Option<String> {
-    let anchor = format!("\"{outer}\":");
-    let rest = &body[body.find(&anchor)? + anchor.len()..];
-    let needle = format!("\"{inner}\":");
-    let start = rest.find(&needle)? + needle.len();
-    scan_value(&rest[start..])
-}
-
-/// The scalar token starting at the head of `rest`: a quoted string, or
-/// a bare number/keyword up to the next delimiter.
-fn scan_value(rest: &str) -> Option<String> {
-    let rest = rest.trim_start();
-    if let Some(stripped) = rest.strip_prefix('"') {
-        let end = stripped.find('"')?;
-        return Some(format!("\"{}\"", &stripped[..end]));
-    }
-    let end = rest.find([',', '}', ']']).unwrap_or(rest.len());
-    let token = rest[..end].trim();
-    if token.is_empty() {
-        None
-    } else {
-        Some(token.to_owned())
-    }
 }
 
 /// Re-indents compact JSON: newline + indent after `{`/`[`/`,`, newline

@@ -2,7 +2,7 @@
 //! observability state, dumped to disk when something goes wrong.
 //!
 //! A snapshot bundles everything a post-mortem needs in one file: the
-//! recent-span ring (with per-span allocation attribution), the full
+//! newest recorded spans (with per-span allocation attribution), the full
 //! metrics registry (counters, gauges, histogram quantiles), and the
 //! memory breakdown from [`crate::memory`]. The [round
 //! watchdog](crate::watchdog) dumps one when a round phase stalls, and
@@ -63,15 +63,7 @@ pub fn snapshot(reason: &str) -> String {
             spans.push(',');
         }
         let mut obj = JsonObject::new();
-        obj.str("name", e.name)
-            .str("path", &e.path)
-            .u64("depth", u64::from(e.depth))
-            .u64("thread", e.thread)
-            .u64("start_ns", e.start_ns)
-            .u64("dur_ns", e.dur_ns);
-        if e.alloc_bytes != 0 || e.alloc_calls != 0 {
-            obj.u64("alloc_bytes", e.alloc_bytes).u64("alloc_calls", e.alloc_calls);
-        }
+        e.write_json(&mut obj);
         spans.push_str(&obj.finish());
     }
     spans.push(']');

@@ -8,9 +8,9 @@
 //! - `/healthz` — JSON liveness summary (round number, quorum status,
 //!   connected clients, uptime, memory headline figures, pool queue
 //!   depth, wire byte counters)
-//! - `/trace.json` — the ring of most recent completed spans (with
-//!   per-span allocation attribution when the tracking allocator is
-//!   installed), plus the count of spans dropped on ring overflow
+//! - `/trace.json` — the newest completed spans (with per-span
+//!   allocation attribution when the tracking allocator is installed),
+//!   plus the count of spans the span store evicted at its cap
 //! - `/rounds.json` — the per-round federation timeline with
 //!   round-phase SLO quantiles ([`crate::rounds`])
 //! - `/memory.json` — the reconciled memory breakdown
@@ -263,26 +263,19 @@ fn health_body() -> String {
         .finish()
 }
 
-/// The `/trace.json` body: the recent-span ring, oldest first, prefixed
-/// with how many spans the ring has evicted since process start.
+/// The `/trace.json` body: the newest recorded spans, oldest first,
+/// prefixed with how many spans the store has evicted since process
+/// start.
 fn trace_body() -> String {
     let events = telemetry::trace::recent_events();
-    let dropped = telemetry::metrics::global().counter("obs.trace.dropped").get();
+    let dropped = telemetry::metrics::global().counter("telemetry.trace.dropped").get();
     let mut out = format!("{{\"dropped\":{dropped},\"events\":[");
     for (i, e) in events.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
         let mut obj = JsonObject::new();
-        obj.str("name", e.name)
-            .str("path", &e.path)
-            .u64("depth", u64::from(e.depth))
-            .u64("thread", e.thread)
-            .u64("start_ns", e.start_ns)
-            .u64("dur_ns", e.dur_ns);
-        if e.alloc_bytes != 0 || e.alloc_calls != 0 {
-            obj.u64("alloc_bytes", e.alloc_bytes).u64("alloc_calls", e.alloc_calls);
-        }
+        e.write_json(&mut obj);
         out.push_str(&obj.finish());
     }
     out.push_str("]}");

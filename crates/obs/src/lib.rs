@@ -3,11 +3,12 @@
 //! Live observability plane for the Rhychee-FL stack: a zero-dependency
 //! HTTP/1.1 exposition server ([`http::ObsServer`]) publishing the global
 //! telemetry registry as Prometheus text ([`prometheus::render`]) on
-//! `/metrics`, a JSON liveness summary on `/healthz`, the recent-span
-//! ring on `/trace.json`, the per-round federation timeline with
-//! round-phase SLO quantiles on `/rounds.json` ([`rounds::render_json`]),
-//! and the reconciled memory breakdown — tracking-allocator heap, RSS,
-//! per-subsystem bytes — on `/memory.json` ([`memory::memory_body`]).
+//! `/metrics`, a JSON liveness summary on `/healthz`, the newest
+//! recorded spans on `/trace.json`, the per-round federation timeline
+//! with round-phase SLO quantiles on `/rounds.json`
+//! ([`rounds::render_json`]), and the reconciled memory breakdown —
+//! tracking-allocator heap, RSS, per-subsystem bytes — on `/memory.json`
+//! ([`memory::memory_body`]).
 //!
 //! Liveness failures get first-class handling: the round [`Watchdog`]
 //! detects a stalled round phase and the [`flight`] recorder dumps a

@@ -163,7 +163,7 @@ pub fn run_compiled(
         Some(k) => {
             let ctx = CkksContext::with_parallelism(CkksParams::toy(), spec.fl.parallelism)?;
             let mut rng = StdRng::seed_from_u64(spec.fl.seed ^ THRESHOLD_SALT);
-            let group = ThresholdGroup::generate_kofn(&ctx, spec.fl.clients, k, &mut rng)
+            let group = ThresholdGroup::generate(&ctx, spec.fl.clients, k, &mut rng)
                 .map_err(FlError::Fhe)?;
             Some((ctx, group, rng))
         }

@@ -1,7 +1,8 @@
-//! Minimal hand-rolled JSON emission (no serde — see DESIGN.md §5).
+//! Minimal hand-rolled JSON (no serde — see DESIGN.md §5).
 //!
 //! Only what the JSONL trace format and the bench metrics files need:
-//! string escaping and a flat object builder. Not a parser.
+//! string escaping, a flat object builder, and field lookups for the
+//! flat objects it writes ([`str_field`], [`u64_field`]).
 
 use std::fmt::Write as _;
 
@@ -114,6 +115,47 @@ impl JsonObject {
         out.push('}');
         out
     }
+}
+
+/// The value of the first `"key":"…"` string field in `text`,
+/// unescaped; `None` when the key is absent, not a string, or the
+/// string is malformed.
+pub fn str_field(text: &str, key: &str) -> Option<String> {
+    let pat = format!("\"{key}\":\"");
+    let rest = &text[text.find(&pat)? + pat.len()..];
+    let mut out = String::new();
+    let mut chars = rest.chars();
+    while let Some(c) = chars.next() {
+        match c {
+            '"' => return Some(out),
+            '\\' => match chars.next()? {
+                '"' => out.push('"'),
+                '\\' => out.push('\\'),
+                '/' => out.push('/'),
+                'n' => out.push('\n'),
+                'r' => out.push('\r'),
+                't' => out.push('\t'),
+                'u' => {
+                    let hex: String = chars.by_ref().take(4).collect();
+                    if hex.len() != 4 {
+                        return None;
+                    }
+                    out.push(char::from_u32(u32::from_str_radix(&hex, 16).ok()?)?);
+                }
+                _ => return None,
+            },
+            _ => out.push(c),
+        }
+    }
+    None
+}
+
+/// The value of the first `"key":<digits>` unsigned field in `text`;
+/// `None` when the key is absent or its value is not an unsigned integer.
+pub fn u64_field(text: &str, key: &str) -> Option<u64> {
+    let pat = format!("\"{key}\":");
+    let rest = &text[text.find(&pat)? + pat.len()..];
+    rest[..rest.find(|c: char| !c.is_ascii_digit()).unwrap_or(rest.len())].parse().ok()
 }
 
 #[cfg(test)]

@@ -12,6 +12,7 @@
 
 use std::collections::BTreeMap;
 
+use crate::json::{str_field, u64_field};
 use crate::trace::SpanEvent;
 
 /// One aggregated node of the span tree, keyed by full span path.
@@ -162,43 +163,6 @@ impl SpanTree {
     }
 }
 
-fn json_str_field(line: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\":\"");
-    let rest = &line[line.find(&pat)? + pat.len()..];
-    let mut out = String::new();
-    let mut chars = rest.chars();
-    while let Some(c) = chars.next() {
-        match c {
-            '"' => return Some(out),
-            '\\' => match chars.next()? {
-                '"' => out.push('"'),
-                '\\' => out.push('\\'),
-                '/' => out.push('/'),
-                'n' => out.push('\n'),
-                'r' => out.push('\r'),
-                't' => out.push('\t'),
-                'u' => {
-                    let hex: String = chars.by_ref().take(4).collect();
-                    if hex.len() != 4 {
-                        return None;
-                    }
-                    out.push(char::from_u32(u32::from_str_radix(&hex, 16).ok()?)?);
-                }
-                _ => return None,
-            },
-            _ => out.push(c),
-        }
-    }
-    None
-}
-
-fn json_u64_field(line: &str, key: &str) -> Option<u64> {
-    let pat = format!("\"{key}\":");
-    let rest = &line[line.find(&pat)? + pat.len()..];
-    let digits: &str = &rest[..rest.find(|c: char| !c.is_ascii_digit()).unwrap_or(rest.len())];
-    digits.parse().ok()
-}
-
 /// Extracts `(path, dur_ns)` of every span record in a JSONL trace, in
 /// file order: the [`parse_span_record`] lines, reduced to what
 /// [`SpanTree::from_paths`] takes.
@@ -242,21 +206,21 @@ pub fn parse_span_record(line: &str) -> Option<SpanRecord> {
     if !line.contains("\"type\":\"span\"") {
         return None;
     }
-    let path = json_str_field(line, "path")?;
-    let name = json_str_field(line, "name")
+    let path = str_field(line, "path")?;
+    let name = str_field(line, "name")
         .unwrap_or_else(|| path.rsplit('/').next().unwrap_or(&path).to_owned());
     Some(SpanRecord {
         name,
-        depth: json_u64_field(line, "depth").unwrap_or(0) as u32,
-        thread: json_u64_field(line, "thread").unwrap_or(0),
-        start_ns: json_u64_field(line, "start_ns").unwrap_or(0),
-        dur_ns: json_u64_field(line, "dur_ns")?,
-        span_id: json_u64_field(line, "span_id").unwrap_or(0),
-        trace_id: json_str_field(line, "trace_id")
+        depth: u64_field(line, "depth").unwrap_or(0) as u32,
+        thread: u64_field(line, "thread").unwrap_or(0),
+        start_ns: u64_field(line, "start_ns").unwrap_or(0),
+        dur_ns: u64_field(line, "dur_ns")?,
+        span_id: u64_field(line, "span_id").unwrap_or(0),
+        trace_id: str_field(line, "trace_id")
             .and_then(|h| u128::from_str_radix(&h, 16).ok())
             .unwrap_or(0),
-        remote_parent: json_u64_field(line, "remote_parent").unwrap_or(0),
-        actor: json_str_field(line, "actor").unwrap_or_default(),
+        remote_parent: u64_field(line, "remote_parent").unwrap_or(0),
+        actor: str_field(line, "actor").unwrap_or_default(),
         path,
     })
 }

@@ -1,6 +1,7 @@
 //! Trace buffering, JSONL export and the human-readable summary table.
 //!
-//! Completed spans land in a bounded global buffer ([`drain_events`]).
+//! Completed spans land in one bounded global store: [`recent_events`]
+//! reads its newest spans, [`drain_events`] takes them all.
 //! [`TraceWriter`] serializes span events and metric snapshots as JSON
 //! Lines — one self-describing object per line, distinguished by a
 //! `"type"` field (`span`, `counter`, `gauge`, `histogram`) — so traces
@@ -15,14 +16,13 @@ use std::time::Instant;
 use crate::json::JsonObject;
 use crate::metrics::MetricsSnapshot;
 
-/// Hard cap on buffered span events; beyond it events are counted in
-/// `telemetry.trace.dropped` instead of stored, bounding memory on
+/// Hard cap on stored span events; at the cap the oldest span is evicted
+/// and counted in `telemetry.trace.dropped`, bounding memory on
 /// unbounded runs.
 const MAX_EVENTS: usize = 1 << 20;
 
-/// Capacity of the live ring of most-recent spans served by the
-/// observability plane's `/trace.json` — independent of the drain buffer
-/// so scrapes never consume events destined for JSONL export.
+/// How many of the newest spans [`recent_events`] returns (what the
+/// observability plane's `/trace.json` and the flight recorder show).
 const RECENT_CAP: usize = 4096;
 
 /// Cross-process trace context: ties spans on both ends of a wire frame
@@ -173,6 +173,39 @@ pub struct SpanEvent {
     pub alloc_calls: u64,
 }
 
+impl SpanEvent {
+    /// Appends this span's fields to `obj`: the JSONL span record's
+    /// fields after its `"type"`, and each element of `/trace.json`'s
+    /// `events` and the flight recorder's `recent_spans`.
+    pub fn write_json(&self, obj: &mut JsonObject) {
+        obj.str("name", self.name)
+            .str("path", &self.path)
+            .u64("depth", u64::from(self.depth))
+            .u64("thread", self.thread)
+            .u64("start_ns", self.start_ns)
+            .u64("dur_ns", self.dur_ns);
+        // Trace-propagation fields only when present, so pre-existing
+        // traces and untracked spans keep their compact shape.
+        if self.span_id != 0 {
+            obj.u64("span_id", self.span_id);
+        }
+        if self.trace_id != 0 {
+            obj.str("trace_id", &format!("{:032x}", self.trace_id));
+        }
+        if self.remote_parent != 0 {
+            obj.u64("remote_parent", self.remote_parent);
+        }
+        if let Some(actor) = &self.actor {
+            obj.str("actor", actor);
+        }
+        // Allocation attribution only when the tracking allocator
+        // recorded something — untracked runs keep the compact shape.
+        if self.alloc_bytes != 0 || self.alloc_calls != 0 {
+            obj.u64("alloc_bytes", self.alloc_bytes).u64("alloc_calls", self.alloc_calls);
+        }
+    }
+}
+
 fn epoch() -> Instant {
     static EPOCH: OnceLock<Instant> = OnceLock::new();
     *EPOCH.get_or_init(Instant::now)
@@ -186,21 +219,15 @@ pub(crate) fn init_epoch() {
     let _ = epoch();
 }
 
-fn buffer() -> &'static Mutex<Vec<SpanEvent>> {
-    static BUF: OnceLock<Mutex<Vec<SpanEvent>>> = OnceLock::new();
-    BUF.get_or_init(|| Mutex::new(Vec::new()))
-}
+/// The one span store, oldest first.
+static STORE: Mutex<VecDeque<SpanEvent>> = Mutex::new(VecDeque::new());
 
-fn recent_ring() -> &'static Mutex<VecDeque<SpanEvent>> {
-    static RING: OnceLock<Mutex<VecDeque<SpanEvent>>> = OnceLock::new();
-    RING.get_or_init(|| Mutex::new(VecDeque::with_capacity(RECENT_CAP)))
-}
-
-/// The most recent completed spans, oldest first (bounded ring of
-/// `RECENT_CAP`). Non-destructive — unlike [`drain_events`], reading
-/// leaves both the ring and the drain buffer intact.
+/// The newest `RECENT_CAP` (4096) completed spans, oldest first.
+/// Non-destructive — unlike [`drain_events`], reading leaves the store
+/// intact.
 pub fn recent_events() -> Vec<SpanEvent> {
-    recent_ring().lock().expect("trace ring lock").iter().cloned().collect()
+    let store = STORE.lock().expect("trace store lock");
+    store.range(store.len().saturating_sub(RECENT_CAP)..).cloned().collect()
 }
 
 /// Nanoseconds since the process trace epoch, on the same clock as every
@@ -216,34 +243,27 @@ pub(crate) fn since_epoch(start: Instant) -> u64 {
     start.saturating_duration_since(epoch()).as_nanos() as u64
 }
 
-/// Appends a completed span to the trace buffer (called by `Span`).
+/// Appends a completed span to the store (called by `Span`).
 pub(crate) fn record_span(event: SpanEvent) {
-    {
-        let mut ring = recent_ring().lock().expect("trace ring lock");
-        let overflowed = ring.len() == RECENT_CAP;
-        if overflowed {
-            ring.pop_front();
-        }
-        ring.push_back(event.clone());
-        drop(ring);
-        if overflowed {
-            // Overflow is observable (`/trace.json` reports it) instead of
-            // a silent discard.
-            crate::metrics::global().counter("obs.trace.dropped").inc();
-        }
-    }
-    let mut buf = buffer().lock().expect("trace buffer lock");
-    if buf.len() >= MAX_EVENTS {
-        drop(buf);
-        crate::metrics::global().counter("telemetry.trace.dropped").inc();
-        return;
-    }
-    buf.push(event);
+    push_capped(&STORE, event, MAX_EVENTS);
 }
 
-/// Removes and returns all buffered span events, oldest first.
+/// Appends `event`, first evicting the oldest span if the store holds
+/// `cap`. An eviction is observable (`/trace.json` reports it) instead
+/// of a silent discard.
+fn push_capped(store: &Mutex<VecDeque<SpanEvent>>, event: SpanEvent, cap: usize) {
+    let mut store = store.lock().expect("trace store lock");
+    let evicted = store.len() >= cap && store.pop_front().is_some();
+    store.push_back(event);
+    drop(store);
+    if evicted {
+        crate::metrics::global().counter("telemetry.trace.dropped").inc();
+    }
+}
+
+/// Removes and returns every stored span event, oldest first.
 pub fn drain_events() -> Vec<SpanEvent> {
-    std::mem::take(&mut *buffer().lock().expect("trace buffer lock"))
+    std::mem::take(&mut *STORE.lock().expect("trace store lock")).into()
 }
 
 /// Serializes span events and metric snapshots as JSON Lines.
@@ -265,32 +285,8 @@ impl<W: Write> TraceWriter<W> {
     /// Propagates I/O errors from the underlying writer.
     pub fn write_event(&mut self, e: &SpanEvent) -> io::Result<()> {
         let mut obj = JsonObject::new();
-        obj.str("type", "span")
-            .str("name", e.name)
-            .str("path", &e.path)
-            .u64("depth", u64::from(e.depth))
-            .u64("thread", e.thread)
-            .u64("start_ns", e.start_ns)
-            .u64("dur_ns", e.dur_ns);
-        // Trace-propagation fields only when present, so pre-existing
-        // traces and untracked spans keep their compact shape.
-        if e.span_id != 0 {
-            obj.u64("span_id", e.span_id);
-        }
-        if e.trace_id != 0 {
-            obj.str("trace_id", &format!("{:032x}", e.trace_id));
-        }
-        if e.remote_parent != 0 {
-            obj.u64("remote_parent", e.remote_parent);
-        }
-        if let Some(actor) = &e.actor {
-            obj.str("actor", actor);
-        }
-        // Allocation attribution only when the tracking allocator
-        // recorded something — untracked runs keep the compact shape.
-        if e.alloc_bytes != 0 || e.alloc_calls != 0 {
-            obj.u64("alloc_bytes", e.alloc_bytes).u64("alloc_calls", e.alloc_calls);
-        }
+        obj.str("type", "span");
+        e.write_json(&mut obj);
         writeln!(self.w, "{}", obj.finish())
     }
 
@@ -512,6 +508,19 @@ mod tests {
         assert!(text.contains(r#""trace_id":"0000000000000000000000000000abcd""#), "{text}");
         assert!(text.contains(r#""remote_parent":7"#), "{text}");
         assert!(text.contains(r#""actor":"client0""#), "{text}");
+    }
+
+    #[test]
+    fn store_keeps_the_newest_spans_and_counts_evictions() {
+        let dropped = crate::metrics::global().counter("telemetry.trace.dropped");
+        let before = dropped.get();
+        let store = Mutex::new(VecDeque::new());
+        for start_ns in 0..5 {
+            push_capped(&store, SpanEvent { start_ns, ..SpanEvent::default() }, 3);
+        }
+        let kept: Vec<u64> = store.lock().expect("store").iter().map(|e| e.start_ns).collect();
+        assert_eq!(kept, [2, 3, 4], "the oldest spans are evicted first");
+        assert_eq!(dropped.get() - before, 2, "each eviction is counted once");
     }
 
     #[test]

@@ -24,7 +24,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- 1. Threshold aggregation: 3 clients, no shared secret key. ---
     println!("== threshold CKKS (no single point of decryption) ==");
     let ctx = CkksContext::new(CkksParams::toy())?;
-    let group = ThresholdGroup::generate(&ctx, 3, &mut rng);
+    let group = ThresholdGroup::generate(&ctx, 3, 3, &mut rng)?;
     let updates = [[0.9, 0.1], [1.1, -0.1], [1.0, 0.3]];
     let mut acc = ctx.encrypt(group.public_key(), &updates[0], &mut rng)?;
     for u in &updates[1..] {

@@ -19,7 +19,7 @@ fn federated_round_under_threshold_keys() {
     let ctx = CkksContext::new(CkksParams::toy()).expect("params");
     let mut rng = StdRng::seed_from_u64(1);
     let clients = 4;
-    let group = ThresholdGroup::generate(&ctx, clients, &mut rng);
+    let group = ThresholdGroup::generate(&ctx, clients, clients, &mut rng).expect("n-of-n");
 
     let models: Vec<Vec<f32>> = (0..clients)
         .map(|c| (0..300).map(|i| ((c * 300 + i) as f32 * 0.01).sin()).collect())

@@ -4,11 +4,12 @@
 //! via quorum aggregation, NACK late uploads, and report measured
 //! byte counts that reconcile with the analytical upload model.
 
+use std::io::Write;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Barrier};
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use rhychee_fl::core::packing::{self, PackingConfig};
 use rhychee_fl::core::round::{self, ClientLocal, EncryptKey, FedSetup};
@@ -964,4 +965,96 @@ fn measured_bytes_reconcile_with_analytical_upload_model() {
             c.bytes_tx
         );
     }
+}
+
+#[test]
+fn late_uploads_past_the_resident_cap_do_not_block_shutdown() {
+    // The shutdown-join hole. One resident-upload slot; client 0 uploads
+    // on time and the round closes on it at the deadline (quorum 1).
+    // Clients 1 and 2 start their frames mid-round and finish them only
+    // once the final model is out: the first late handler takes the slot,
+    // its upload arrives after the last close and carries the slot in
+    // its event, and the second late handler waits for that slot. The
+    // server must still return once every handler has written the final
+    // model.
+    let data = har_data();
+    let fl = config(3, 1, 61);
+    let FedSetup { shards, test: _, classes } = round::prepare(&fl, &data).expect("prepare");
+    let num_params = classes * fl.hd_dim;
+
+    let cfg = ServerConfig::builder()
+        .clients(fl.clients)
+        .rounds(fl.rounds)
+        .model_params(num_params)
+        .quorum(1)
+        .max_resident_uploads(1)
+        .round_timeout(Duration::from_secs(2))
+        .build()
+        .expect("server config");
+    let server =
+        FlServer::bind("127.0.0.1:0", cfg, ServerPipeline::Ckks(CkksParams::toy())).expect("bind");
+    let addr = server.local_addr().expect("local addr");
+    let (result_tx, result) = mpsc::channel();
+    thread::spawn(move || result_tx.send(server.run()));
+
+    // The late clients finish their frames once client 0 has read the
+    // final model.
+    let final_read = Arc::new(Barrier::new(fl.clients));
+    let mut peers = Vec::new();
+    for (id, shard) in shards.into_iter().enumerate() {
+        let fl = fl.clone();
+        let final_read = Arc::clone(&final_read);
+        peers.push(thread::spawn(move || {
+            let ctx = CkksContext::new(CkksParams::toy()).expect("ctx");
+            let (_sk, pk) = round::derive_ckks_keys(&ctx, fl.seed);
+            let mut local = ClientLocal::new(id, shard, classes, &fl);
+            let mut stream = TcpStream::connect(addr).expect("connect");
+            stream.set_read_timeout(Some(Duration::from_secs(30))).expect("timeout");
+            wire::write_message(&mut stream, &Message::Hello { client_id: id }).expect("hello");
+            let (msg, _) = wire::read_message(&mut stream, DEFAULT_MAX_PAYLOAD).expect("welcome");
+            assert!(matches!(msg, Message::Welcome { .. }), "got {}", msg.name());
+            let (msg, _) = wire::read_message(&mut stream, DEFAULT_MAX_PAYLOAD).expect("global");
+            let global_at = Instant::now();
+            assert!(matches!(msg, Message::Global { round: 0, last: false, .. }), "{}", msg.name());
+            // Round 0's global is the public zero model.
+            let flat = local.train(&vec![0.0; num_params], &fl);
+            let cts = local
+                .encrypt_update(&ctx, EncryptKey::Public(&pk), &PackingConfig::dense(), &flat)
+                .expect("encrypt");
+            let frame = wire::encode_frame(&Message::Update {
+                round: 0,
+                client_id: id,
+                steps: local.last_steps(),
+                model: codec::encode_ckks(&ctx, &cts),
+            });
+            if id == 0 {
+                stream.write_all(&frame).expect("upload");
+                let (ack, _) = wire::read_message(&mut stream, DEFAULT_MAX_PAYLOAD).expect("ack");
+                assert!(matches!(ack, Message::UpdateAck { accepted: true, .. }), "{}", ack.name());
+            } else {
+                let mid_round = global_at + Duration::from_secs(1);
+                thread::sleep(mid_round.saturating_duration_since(Instant::now()));
+                stream.write_all(&frame[..20]).expect("frame head");
+                final_read.wait();
+                stream.write_all(&frame[20..]).expect("frame rest");
+            }
+            let (msg, _) = wire::read_message(&mut stream, DEFAULT_MAX_PAYLOAD).expect("final");
+            assert!(matches!(msg, Message::Global { last: true, .. }), "got {}", msg.name());
+            if id == 0 {
+                final_read.wait();
+            }
+            let (msg, _) = wire::read_message(&mut stream, DEFAULT_MAX_PAYLOAD).expect("finished");
+            assert!(matches!(msg, Message::Finished { .. }), "got {}", msg.name());
+        }));
+    }
+
+    let report = result
+        .recv_timeout(Duration::from_secs(15))
+        .expect("FlServer::run did not return: a late handler is stuck behind a held permit")
+        .expect("server run");
+    for peer in peers {
+        peer.join().expect("peer");
+    }
+    assert_eq!(report.rounds.len(), 1);
+    assert_eq!(report.rounds[0].received, 1, "only the on-time upload aggregates");
 }
