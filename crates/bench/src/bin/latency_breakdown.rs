@@ -7,7 +7,7 @@
 //! aggregation (server), and global-model decryption (client).
 
 use rhychee_bench::{banner, format_bits, format_seconds, Table};
-use rhychee_core::{FlConfig, Framework};
+use rhychee_core::{round, FlConfig, Framework};
 use rhychee_data::{DatasetKind, SyntheticConfig};
 use rhychee_fhe::params::CkksParams;
 
@@ -71,8 +71,9 @@ fn main() {
     let lwe_dim = 128;
     let mut lwe_cfg = config();
     lwe_cfg.hd_dim = lwe_dim;
-    let params = Framework::lwe_fl_params(clients, 6);
-    let mut fed = Framework::hdc_encrypted_lwe(lwe_cfg, &data, params, 6).expect("build");
+    // 6 bits per client on the public grid over [-32, 32].
+    let params = round::lwe_fl_params(clients, 6);
+    let mut fed = Framework::hdc_encrypted_lwe(lwe_cfg, &data, params, 32.0).expect("build");
     let round = fed.run_round().expect("round");
     table.row(vec![
         format!("TFHE/LWE (D = {lwe_dim})"),

@@ -9,11 +9,13 @@
 //! | 0   | plaintext: `count: u32` then `count` LE `f32` parameters |
 //! | 3   | seeded CKKS: `count: u32` then `count` × (`len: u32`, [`CkksContext::serialize_seeded`] bytes) |
 //! | 4   | CKKS: `count: u32` then `count` × (`len: u32`, [`CkksContext::serialize`] bytes) |
+//! | 5   | LWE: `contributors: u32`, `count: u32`, then `count` × [`LweContext::serialize`] bytes (one ciphertext per coordinate; an upload has 1 contributor, a broadcast the `k` uploads it sums) |
 //!
-//! Tags 1 (CKKS with coefficient-domain rows) and 2 (LWE) are retired and
-//! never reused: tag 4 has tag 1's layout and lengths but carries
-//! evaluation-domain rows, so a peer that still speaks tag 1 is refused
-//! at the tag instead of contributing garbage to a sum.
+//! Tags 1 (CKKS with coefficient-domain rows) and 2 (LWE over per-client
+//! scales) are retired and never reused: tag 4 has tag 1's layout and
+//! lengths but carries evaluation-domain rows, so a peer that still
+//! speaks tag 1 is refused at the tag instead of contributing garbage to
+//! a sum.
 //!
 //! Every declared count is validated against a caller-supplied cap
 //! before allocation, and the ciphertext codecs (hardened in
@@ -30,6 +32,7 @@
 use std::fmt;
 
 use rhychee_fhe::ckks::{CkksCiphertext, CkksContext, CtView};
+use rhychee_fhe::lwe::{LweCiphertext, LweContext};
 use rhychee_fhe::FheError;
 
 use crate::error::FlError;
@@ -49,6 +52,9 @@ pub const TAG_CKKS: u8 = 4;
 /// Payload tag for seed-compressed CKKS ciphertexts (fresh symmetric
 /// encryptions whose `c1` is replaced by a 32-byte expansion seed).
 pub const TAG_CKKS_SEEDED: u8 = 3;
+/// Payload tag for per-coordinate LWE ciphertexts (2, which carried LWE
+/// sums over per-client scales, is retired).
+pub const TAG_LWE: u8 = 5;
 
 fn take<'a>(bytes: &'a [u8], at: &mut usize, n: usize) -> Result<&'a [u8], FlError> {
     let slice = bytes
@@ -214,6 +220,61 @@ pub fn decode_ckks(
 pub fn encode_ckks_seeded(ctx: &CkksContext, cts: &[CkksCiphertext]) -> Result<Vec<u8>, FlError> {
     let len_of = |ct: &CkksCiphertext| ctx.serialized_len_seeded(ct.levels());
     Ok(encode_items(TAG_CKKS_SEEDED, cts, len_of, |out, ct| ctx.serialize_seeded_into(out, ct))?)
+}
+
+/// Encodes one LWE ciphertext per model coordinate, summed over
+/// `contributors` uploads (1 for an upload).
+pub fn encode_lwe(ctx: &LweContext, contributors: usize, cts: &[LweCiphertext]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(9 + cts.len() * ctx.serialized_len());
+    out.push(TAG_LWE);
+    out.extend_from_slice(&(contributors as u32).to_le_bytes());
+    out.extend_from_slice(&(cts.len() as u32).to_le_bytes());
+    for ct in cts {
+        out.extend_from_slice(&ctx.serialize(ct));
+    }
+    out
+}
+
+/// Decodes an LWE payload of exactly `count` ciphertexts summed over
+/// `1..=max_contributors` uploads into its contributor count and the
+/// ciphertexts. The declared count and the payload length are checked
+/// before anything is allocated.
+///
+/// # Errors
+///
+/// Returns [`FlError::Payload`] on a wrong tag, a contributor count
+/// outside `1..=max_contributors`, a ciphertext count other than
+/// `count`, or a length that does not match the declared count.
+pub fn decode_lwe(
+    ctx: &LweContext,
+    bytes: &[u8],
+    count: usize,
+    max_contributors: usize,
+) -> Result<(usize, Vec<LweCiphertext>), FlError> {
+    expect_tag(bytes, TAG_LWE, "LWE")?;
+    let mut at = 1;
+    let contributors = take_u32(bytes, &mut at)? as usize;
+    if !(1..=max_contributors).contains(&contributors) {
+        return Err(FlError::Payload(format!(
+            "LWE payload sums {contributors} uploads, outside 1..={max_contributors}"
+        )));
+    }
+    let declared = take_u32(bytes, &mut at)? as usize;
+    if declared != count {
+        return Err(FlError::Payload(format!(
+            "LWE payload declares {declared} ciphertexts, the model has {count}"
+        )));
+    }
+    let len = ctx.serialized_len();
+    if bytes.len() - at != count * len {
+        return Err(FlError::Payload(format!(
+            "LWE payload carries {} ciphertext bytes, {count} ciphertexts need {}",
+            bytes.len() - at,
+            count * len
+        )));
+    }
+    let cts = bytes[at..].chunks_exact(len).map(|ct| ctx.deserialize(ct));
+    Ok((contributors, cts.collect::<Result<_, _>>()?))
 }
 
 /// A borrowed, validated view of one upload's ciphertexts — the
@@ -515,6 +576,40 @@ mod tests {
         assert_eq!(broadcast.first(), Some(&TAG_CKKS));
         // A seedless (public-key) ciphertext cannot ride the seeded codec.
         assert!(SeededCodec.encode_upload(&ctx, std::slice::from_ref(&ct)).is_err());
+    }
+
+    #[test]
+    fn lwe_round_trip_and_refusals() {
+        let ctx = LweContext::new(rhychee_fhe::params::LweParams::tfhe1()).expect("params");
+        let mut rng = StdRng::seed_from_u64(29);
+        let sk = ctx.generate_key(&mut rng);
+        let cts: Vec<_> = (0..3).map(|m| ctx.encrypt(&sk, m, &mut rng).expect("encrypt")).collect();
+        let bytes = encode_lwe(&ctx, 2, &cts);
+        assert_eq!((bytes[0], bytes.len()), (TAG_LWE, 9 + 3 * ctx.serialized_len()));
+        assert_eq!(decode_lwe(&ctx, &bytes, 3, 2).expect("decode"), (2, cts.clone()));
+        let refused = |bytes: &[u8], count, max_k| {
+            matches!(decode_lwe(&ctx, bytes, count, max_k), Err(FlError::Payload(_)))
+        };
+        assert!(refused(&bytes, 3, 1), "more contributors than the cap");
+        assert!(refused(&encode_lwe(&ctx, 0, &cts), 3, 2), "no contributors");
+        assert!(refused(&bytes, 4, 2) && refused(&bytes, 2, 2), "count is not the model's");
+        assert!(refused(&bytes[..bytes.len() - 1], 3, 2), "truncated");
+        let mut padded = bytes.clone();
+        padded.push(0);
+        assert!(refused(&padded, 3, 2), "trailing bytes");
+        // A huge declared count is refused before anything is allocated.
+        let mut huge = bytes.clone();
+        huge[5..9].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(refused(&huge, 3, 2), "oversized count");
+        // The retired LWE tag and the other schemes' tags are refused.
+        let mut retired = bytes.clone();
+        retired[0] = 2;
+        assert!(refused(&retired, 3, 2), "tag 2");
+        assert!(refused(&encode_plain(&[1.0; 3]), 3, 2), "plaintext");
+        let ckks = CkksContext::new(CkksParams::toy()).expect("params");
+        let (_, pk) = ckks.generate_keys(&mut rng);
+        let ct = ckks.encrypt(&pk, &[0.5; 3], &mut rng).expect("encrypt");
+        assert!(refused(&encode_ckks(&ckks, &[ct]), 3, 2), "CKKS");
     }
 
     #[test]

@@ -6,11 +6,11 @@
 //! * **plaintext** — FedAvg on raw parameters (the paper's Fig. 2/3
 //!   accuracy studies, "conducted in non-encrypted data");
 //! * **CKKS** — packed RLWE ciphertexts, homomorphic averaging (Eq. 2);
-//! * **LWE/TFHE** — per-parameter ciphertexts with fixed-point
-//!   quantization (the design-space alternative of Table I).
+//! * **LWE/TFHE** — per-parameter ciphertexts over a public fixed-point
+//!   grid (the design-space alternative of Table I).
 //!
-//! Plaintext and CKKS rounds run [`ClientHalf`] → link → [`ServerHalf`]
-//! → link → [`ClientHalf`], the halves `rhychee-net` runs across TCP.
+//! Every round runs [`ClientHalf`] → link → [`ServerHalf`] → link →
+//! [`ClientHalf`], the halves `rhychee-net` runs across TCP.
 //! Because every randomness stream is salted off the run seed (see
 //! [`crate::round`]), a networked run reproduces this framework's global
 //! model bit for bit.
@@ -25,15 +25,13 @@ use rhychee_telemetry as telemetry;
 
 use rhychee_data::TrainTest;
 use rhychee_fhe::ckks::CkksContext;
-use rhychee_fhe::lwe::{LweContext, LweSecretKey};
 use rhychee_fhe::params::{CkksParams, LweParams};
 use rhychee_hdc::model::{EncodedDataset, HdcModel};
-use rhychee_hdc::quantize::QuantizedModel;
 
 use crate::codec::{CanonicalCodec, WireCodec};
 use crate::config::FlConfig;
 use crate::error::FlError;
-use crate::packing::{self, PackingConfig};
+use crate::packing::PackingConfig;
 use crate::round::{self, ClientHalf, ClientLocal, ClientUpdate, ServerHalf, ServerRound};
 
 /// Salt for the participant-sampling stream (kept apart from setup and
@@ -81,11 +79,10 @@ pub struct RoundHooks {
     /// scenario engine measures.
     pub aggregate_override: Option<AggregateOverrideHook>,
     /// The link every model payload crosses between client and server,
-    /// plaintext and CKKS alike. Absent, the payload bytes are handed
-    /// over as they are. Present, each upload crosses it (client-id
-    /// order) and the server folds the delivered bytes; then the
-    /// broadcast crosses it once per participant before decoding. The
-    /// LWE pipeline ignores it.
+    /// under every scheme. Absent, the payload bytes are handed over as
+    /// they are. Present, each upload crosses it (client-id order) and
+    /// the server folds the delivered bytes; then the broadcast crosses
+    /// it once per participant before decoding.
     pub link: Option<LinkHook>,
 }
 
@@ -147,21 +144,6 @@ impl RunReport {
     }
 }
 
-/// Transport pipeline for model exchange.
-enum Pipeline {
-    /// Codec payloads through one client and one server half, as
-    /// `FlClient` and `FlServer` exchange them: raw parameters or, with
-    /// `ckks` (which sizes the Table I upload), packed CKKS ciphertexts
-    /// folded into one encrypted sum.
-    Payload {
-        client: Box<ClientHalf>,
-        server: ServerHalf,
-        ckks: Option<(Arc<CkksContext>, PackingConfig)>,
-    },
-    /// Per-parameter LWE ciphertexts over quantized weights.
-    Lwe { ctx: LweContext, sk: LweSecretKey, quant_bits: u32 },
-}
-
 /// The Rhychee-FL federated system (server + clients simulation).
 ///
 /// # Examples
@@ -185,7 +167,9 @@ pub struct Framework {
     test: EncodedDataset,
     global: Vec<f32>,
     classes: usize,
-    pipeline: Pipeline,
+    /// The payload path, as `FlClient` and `FlServer` run it.
+    client: ClientHalf,
+    server: ServerHalf,
     rng: StdRng,
     next_round: usize,
     hooks: RoundHooks,
@@ -200,8 +184,7 @@ impl Framework {
     pub fn hdc_plaintext(config: FlConfig, data: &TrainTest) -> Result<Self, FlError> {
         let agg = config.aggregation;
         Self::build(config, data, |n| {
-            let (client, server) = (ClientHalf::plaintext(agg, n), ServerHalf::plaintext(agg, n));
-            Ok(Pipeline::Payload { client: Box::new(client), server, ckks: None })
+            Ok((ClientHalf::plaintext(agg, n), ServerHalf::plaintext(agg, n)))
         })
     }
 
@@ -260,65 +243,46 @@ impl Framework {
         Self::build(config, data, |n| {
             let codec: Arc<dyn WireCodec> = Arc::new(CanonicalCodec);
             let server = ServerHalf::ckks(agg, n, Arc::clone(&ctx), Arc::clone(&codec), packing);
-            let client = Box::new(ClientHalf::ckks(agg, n, Arc::clone(&ctx), seed, codec, packing));
-            Ok(Pipeline::Payload { client, server, ckks: Some((ctx, packing)) })
+            Ok((ClientHalf::ckks(agg, n, ctx, seed, codec, packing), server))
         })
     }
 
-    /// Builds an encrypted federation over the single-value LWE scheme,
-    /// quantizing each parameter to `quant_bits` bits.
+    /// Builds an encrypted federation over the single-value LWE scheme:
+    /// one ciphertext per parameter, clipped to the public
+    /// `[-clip, clip]` and quantized at the largest `b` bits with
+    /// `clients · 2^b ≤ t` ([`round::lwe_fl_params`] sizes `t` for a
+    /// chosen `b`).
     ///
     /// # Errors
     ///
-    /// Returns [`FlError::NoiseBudget`] if the parameter set cannot
-    /// absorb `clients` additions, [`FlError::InvalidConfig`] if the
-    /// plaintext modulus cannot hold the sum of quantized values.
+    /// Returns [`FlError::InvalidConfig`] under FedNova (an LWE sum is
+    /// uniform), for fewer than 2 bits per client or a bad clip, and
+    /// [`FlError::NoiseBudget`] if the parameter set cannot absorb
+    /// `clients` additions.
     pub fn hdc_encrypted_lwe(
         config: FlConfig,
         data: &TrainTest,
         params: LweParams,
-        quant_bits: u32,
+        clip: f32,
     ) -> Result<Self, FlError> {
-        let needed = (config.clients as u64) << quant_bits;
-        if params.plaintext_modulus < needed {
-            return Err(FlError::InvalidConfig(format!(
-                "plaintext modulus {} cannot hold {} clients at {} bits (needs >= {needed}); \
-                 use lwe_fl_params()",
-                params.plaintext_modulus, config.clients, quant_bits
-            )));
-        }
-        if params.max_additions() < config.clients {
-            return Err(FlError::NoiseBudget {
-                clients: config.clients,
-                budget: params.max_additions(),
-            });
-        }
-        let ctx = LweContext::new(params)?;
-        let mut key_rng = StdRng::seed_from_u64(config.seed ^ round::LWE_KEY_SALT);
-        let sk = ctx.generate_key(&mut key_rng);
-        Self::build(config, data, |_| Ok(Pipeline::Lwe { ctx, sk, quant_bits }))
+        let (agg, clients, seed) = (config.aggregation, config.clients, config.seed);
+        Self::build(config, data, |n| {
+            let client = ClientHalf::lwe(agg, n, params, clients, clip, seed)?;
+            Ok((client, ServerHalf::lwe(agg, n, params, clients)?))
+        })
     }
 
-    /// LWE parameters sized for a federation: plaintext modulus holding
-    /// `clients · 2^quant_bits` and a ciphertext modulus with noise room.
-    pub fn lwe_fl_params(clients: usize, quant_bits: u32) -> LweParams {
-        let t = ((clients as u64) << quant_bits).next_power_of_two();
-        // Keep Δ = q/t at 128 for comfortable noise margin.
-        let q_bits = t.trailing_zeros() + 7;
-        LweParams { dimension: 534, log_q: q_bits, plaintext_modulus: t, sigma_int: 0.6 }
-    }
-
-    /// Prepares the clients, then the pipeline for their model size.
+    /// Prepares the clients, then the two halves for their model size.
     fn build(
         config: FlConfig,
         data: &TrainTest,
-        pipeline: impl FnOnce(usize) -> Result<Pipeline, FlError>,
+        halves: impl FnOnce(usize) -> Result<(ClientHalf, ServerHalf), FlError>,
     ) -> Result<Self, FlError> {
         let setup = round::prepare(&config, data)?;
         let classes = setup.classes;
         let (clients, test) = setup.into_clients(&config);
         let global = vec![0.0; classes * config.hd_dim];
-        let pipeline = pipeline(global.len())?;
+        let (client, server) = halves(global.len())?;
         let rng = StdRng::seed_from_u64(config.seed ^ SAMPLING_SALT);
         Ok(Framework {
             config,
@@ -326,7 +290,8 @@ impl Framework {
             test,
             global,
             classes,
-            pipeline,
+            client,
+            server,
             rng,
             next_round: 0,
             hooks: RoundHooks::default(),
@@ -361,15 +326,7 @@ impl Framework {
 
     /// Bits a client uploads per round under the active pipeline.
     pub fn upload_bits_per_round(&self) -> u64 {
-        let n = self.num_parameters() as u64;
-        match &self.pipeline {
-            Pipeline::Payload { ckks: None, .. } => n * 32,
-            Pipeline::Payload { ckks: Some((ctx, packing)), .. } => {
-                packing::ciphertexts_needed_with(packing, n as usize, ctx.slot_count()) as u64
-                    * ctx.params().ciphertext_bits()
-            }
-            Pipeline::Lwe { ctx, .. } => n * ctx.params().ciphertext_bits(),
-        }
+        self.client.upload_bits()
     }
 
     /// Executes one aggregation round (paper Fig. 1: local training →
@@ -415,30 +372,21 @@ impl Framework {
             return Ok(report);
         }
 
-        // 2–4. Collection, aggregation, distribution.
-        let clients = &mut self.clients;
-        self.global = match &mut self.pipeline {
-            Pipeline::Payload { client, server, ckks } => {
-                // The `fl.decrypt_error.max` noise-budget gauge (DESIGN.md
-                // §10): the decrypted aggregate against exact FedAvg.
-                let plain = (ckks.is_some() && telemetry::enabled()).then(|| trained.clone());
-                let hooks = &mut self.hooks;
-                let global = exchange(client, server, clients, hooks, trained, &mut report)?;
-                if let Some(updates) = plain {
-                    let mut sum = ServerRound::new(round, self.config.aggregation);
-                    for u in updates {
-                        sum.accept(u);
-                    }
-                    let errors = global.iter().zip(sum.aggregate()?).map(|(g, w)| (g - w).abs());
-                    telemetry::gauge("fl.decrypt_error.max", f64::from(errors.fold(0.0, f32::max)));
-                }
-                global
+        // 2–4. Collection, aggregation, distribution. The
+        // `fl.decrypt_error.max` noise-budget gauge (DESIGN.md §10): the
+        // decrypted aggregate against exact FedAvg.
+        let plain = (self.client.encrypted() && telemetry::enabled()).then(|| trained.clone());
+        let (client, server, hooks) = (&self.client, &mut self.server, &mut self.hooks);
+        let global = exchange(client, server, &mut self.clients, hooks, trained, &mut report)?;
+        if let Some(updates) = plain {
+            let mut sum = ServerRound::new(round, self.config.aggregation);
+            for u in updates {
+                sum.accept(u);
             }
-            Pipeline::Lwe { ctx, sk, quant_bits } => {
-                let shape = (self.classes, self.config.hd_dim);
-                lwe_round(ctx, sk, *quant_bits, shape, clients, &trained, &mut report)?
-            }
-        };
+            let errors = global.iter().zip(sum.aggregate()?).map(|(g, w)| (g - w).abs());
+            telemetry::gauge("fl.decrypt_error.max", f64::from(errors.fold(0.0, f32::max)));
+        }
+        self.global = global;
         self.distribute_global(&participants);
 
         report.upload_bits_per_client = self.upload_bits_per_round();
@@ -552,59 +500,6 @@ fn exchange(
     Ok(global)
 }
 
-/// One LWE round: clients quantize at a common scale and encrypt each
-/// parameter, the server adds, one client decrypts the offset sum.
-fn lwe_round(
-    ctx: &LweContext,
-    sk: &LweSecretKey,
-    bits: u32,
-    (classes, hd_dim): (usize, usize),
-    clients: &mut [ClientLocal],
-    trained: &[ClientUpdate<Vec<f32>>],
-    report: &mut RoundReport,
-) -> Result<Vec<f32>, FlError> {
-    let p = trained.len() as u64;
-    let span = telemetry::span("encrypt");
-    // Quantize every client model with a common scale so sums are
-    // meaningful: use the max dynamic range.
-    let quantized: Vec<QuantizedModel> = trained
-        .iter()
-        .map(|u| QuantizedModel::quantize(&HdcModel::from_flat(&u.payload, classes, hd_dim), bits))
-        .collect();
-    let scale = quantized.iter().map(QuantizedModel::scale).fold(f64::MAX, f64::min);
-    let encrypted: Result<Vec<Vec<_>>, _> = quantized
-        .iter()
-        .zip(trained)
-        .map(|(q, u)| {
-            let rng = clients[u.client_id].rng_mut();
-            q.to_offset_encoded().iter().map(|&v| ctx.encrypt(sk, v, rng)).collect()
-        })
-        .collect();
-    let encrypted = encrypted?;
-    report.encrypt_time = span.finish();
-
-    let span = telemetry::span("aggregate");
-    let mut sums = encrypted[0].clone();
-    for client in &encrypted[1..] {
-        for (acc, ct) in sums.iter_mut().zip(client) {
-            ctx.add_assign(acc, ct)?;
-        }
-    }
-    report.aggregate_time = span.finish();
-
-    let span = telemetry::span("decrypt");
-    let offset = (1i64 << (bits - 1)) * p as i64;
-    let global: Vec<f32> = sums
-        .iter()
-        .map(|ct| {
-            let sum = ctx.decrypt(sk, ct) as i64 - offset;
-            (sum as f64 / (p as f64 * scale)) as f32
-        })
-        .collect();
-    report.decrypt_time = span.finish();
-    Ok(global)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -616,6 +511,9 @@ mod tests {
             .generate(11)
             .expect("generate")
     }
+
+    /// The public clip every LWE federation here quantizes to.
+    const LWE_CLIP: f32 = 32.0;
 
     fn small_config(clients: usize, rounds: usize) -> FlConfig {
         FlConfig::builder()
@@ -709,15 +607,29 @@ mod tests {
     }
 
     #[test]
+    fn lwe_rejects_fednova() {
+        let data = small_data(DatasetKind::Har);
+        let mut cfg = small_config(4, 1);
+        cfg.aggregation = Aggregation::FedNova;
+        let params = round::lwe_fl_params(4, 6);
+        let err = Framework::hdc_encrypted_lwe(cfg, &data, params, LWE_CLIP);
+        assert!(matches!(err, Err(FlError::InvalidConfig(_))));
+    }
+
+    #[test]
     fn identity_link_leaves_every_global_bit_unchanged() {
-        // Plaintext and CKKS rounds both cross the link as codec
-        // payloads: bytes handed back untouched must leave the global
-        // model bit for bit where a run without a link ends.
+        // Every scheme's round crosses the link as codec payloads: bytes
+        // handed back untouched must leave the global model bit for bit
+        // where a run without a link ends.
         type Build = fn(FlConfig, &TrainTest) -> Result<Framework, FlError>;
         let data = small_data(DatasetKind::Har);
-        let builds: [(&str, Build); 2] = [
+        let builds: [(&str, Build); 3] = [
             ("plaintext", Framework::hdc_plaintext),
             ("ckks", |cfg, data| Framework::hdc_encrypted(cfg, data, CkksParams::toy())),
+            ("lwe", |mut cfg, data| {
+                cfg.hd_dim = 128; // one ciphertext per parameter
+                Framework::hdc_encrypted_lwe(cfg, data, round::lwe_fl_params(3, 6), LWE_CLIP)
+            }),
         ];
         for (name, build) in builds {
             let crossings = std::rc::Rc::new(std::cell::Cell::new(0));
@@ -747,8 +659,8 @@ mod tests {
         let data = small_data(DatasetKind::Har);
         let mut cfg = small_config(4, 2);
         cfg.hd_dim = 128; // keep the per-parameter ciphertext count small
-        let params = Framework::lwe_fl_params(4, 6);
-        let mut fw = Framework::hdc_encrypted_lwe(cfg, &data, params, 6).expect("build");
+        let params = round::lwe_fl_params(4, 6);
+        let mut fw = Framework::hdc_encrypted_lwe(cfg, &data, params, LWE_CLIP).expect("build");
         let report = fw.run().expect("run");
         assert!(report.final_accuracy > 0.6, "accuracy {}", report.final_accuracy);
     }
@@ -756,8 +668,9 @@ mod tests {
     #[test]
     fn lwe_rejects_overflowing_setup() {
         let data = small_data(DatasetKind::Har);
-        let params = LweParams::tfhe1(); // t = 16: too small for 4 clients at 6 bits
-        let err = Framework::hdc_encrypted_lwe(small_config(4, 1), &data, params, 6);
+        // t = 16 leaves 5 clients 1 bit each (4 would build at 2 bits).
+        let params = LweParams::tfhe1();
+        let err = Framework::hdc_encrypted_lwe(small_config(5, 1), &data, params, LWE_CLIP);
         assert!(matches!(err, Err(FlError::InvalidConfig(_))));
     }
 

@@ -20,7 +20,7 @@
 //! * [`config`] — run configuration (builder; paper defaults)
 //! * [`framework`] — the orchestrator with plaintext / CKKS / LWE
 //!   pipelines
-//! * [`codec`] — model payload encoding (plaintext / CKKS wire formats)
+//! * [`codec`] — model payload encoding (plaintext / CKKS / LWE wire formats)
 //! * [`packing`] — maximum ciphertext packing (⌈DL/(N/2)⌉ ciphertexts)
 //! * [`round`] — reusable round building blocks, shared with the
 //!   networked `rhychee-net` runtime: the [`ClientHalf`] and

@@ -153,28 +153,62 @@ pub fn upload_bytes_seeded_with(
         * ctx.serialized_len_seeded(ctx.primes().len())
 }
 
+/// The biased-unsigned grid integer payloads sit on: `bits` bits over
+/// `[-clip, clip]`, where a coordinate `x` maps to
+/// `round(x/clip · qmax) + 2^(bits−1)` ∈ `[1, 2^bits − 1]` with
+/// `qmax = 2^(bits−1) − 1`. A sum of `k` grid values stays below
+/// `k · 2^bits`, so it cannot carry into a neighbouring lane or wrap a
+/// plaintext modulus sized for `k`. The bit-interleaved CKKS lanes and
+/// the LWE plaintexts both quantize here.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Grid {
+    bits: u32,
+    clip: f32,
+}
+
+impl Grid {
+    /// The grid of `bits ≥ 2` bits over `[-clip, clip]`.
+    pub(crate) fn new(bits: u32, clip: f32) -> Self {
+        Grid { bits, clip }
+    }
+
+    fn half(self) -> u64 {
+        1u64 << (self.bits - 1)
+    }
+
+    /// The grid value of `x`, clamped to `[-clip, clip]`.
+    pub(crate) fn quantize(self, x: f32) -> u64 {
+        let half = self.half();
+        let qmax = (half - 1) as f32;
+        let q = (x / self.clip * qmax).round().clamp(-qmax, qmax) as i64;
+        (q + half as i64) as u64
+    }
+
+    /// The mean coordinate of `k` uploads whose grid values add to `sum`:
+    /// un-biased, divided by `k` and dequantized.
+    pub(crate) fn mean(self, sum: u64, k: u64) -> f32 {
+        let half = self.half();
+        let q_sum = sum as i64 - (k * half) as i64;
+        (q_sum as f64 / k as f64 / (half - 1) as f64 * f64::from(self.clip)) as f32
+    }
+}
+
 /// Quantizes, bias-encodes, and lane-packs a flat model into slot
 /// values: word 0 is the contributor counter (this client's constant
-/// `1` in lane 0), the rest carry `lanes_per_slot` coordinates each.
-///
-/// Each coordinate is clamped to `[-clip, clip]` and mapped to the
-/// biased-unsigned grid `round(x/clip · qmax) + 2^(bits−1)`
-/// ∈ `[1, 2^bits − 1]`, so a sum of `k ≤ max_clients` clients stays
-/// below `2^lane_bits` — lane-carry-free by construction.
+/// `1` in lane 0), the rest carry `lanes_per_slot` coordinates each,
+/// every one on the [`Grid`] of `bits` bits over `[-clip, clip]`, so a
+/// sum of `k ≤ max_clients` clients stays below `2^lane_bits` —
+/// lane-carry-free by construction.
 fn interleaved_chunks(cfg: &PackingConfig, bits: u32, flat: &[f32], slots: usize) -> Vec<Vec<f64>> {
     let lane_bits = cfg.layout.lane_bits(cfg.max_clients);
     let lanes = cfg.layout.lanes_per_slot(cfg.max_clients);
-    let half = 1u64 << (bits - 1);
-    let qmax = (half - 1) as f32;
+    let grid = Grid::new(bits, cfg.clip);
     let mut words = Vec::with_capacity(cfg.slots_for(flat.len()));
     words.push(1.0); // contributor counter: lane 0 of slot 0
     let mut lane_vals = Vec::with_capacity(lanes);
     for group in flat.chunks(lanes) {
         lane_vals.clear();
-        for &x in group {
-            let q = (x / cfg.clip * qmax).round().clamp(-qmax, qmax) as i64;
-            lane_vals.push((q + half as i64) as u64);
-        }
+        lane_vals.extend(group.iter().map(|&x| grid.quantize(x)));
         // Exact as f64: a packed word is < 2^SLOT_PAYLOAD_BITS ≤ 2^32.
         words.push(pack_lanes(&lane_vals, lane_bits) as f64);
     }
@@ -307,12 +341,9 @@ pub fn decrypt_model_with(
             cfg.max_clients
         )));
     }
-    let half = 1u64 << (bits - 1);
-    let qmax = (half - 1) as f64;
+    let grid = Grid::new(bits, cfg.clip);
     for i in 0..num_params {
-        let lane_sum = unpack_lane(words[1 + i / lanes], i % lanes, lane_bits);
-        let q_sum = lane_sum as i64 - (k * half) as i64;
-        flat.push((q_sum as f64 / k as f64 / qmax * f64::from(cfg.clip)) as f32);
+        flat.push(grid.mean(unpack_lane(words[1 + i / lanes], i % lanes, lane_bits), k));
     }
     Ok(flat)
 }

@@ -1,6 +1,7 @@
 //! Reusable round building blocks: the client-side local phase and the
 //! server-side collection/aggregation phase, whose payloads pass through
-//! one [`ClientHalf`] and one [`ServerHalf`].
+//! one [`ClientHalf`] and one [`ServerHalf`] under every scheme
+//! (plaintext, CKKS, LWE).
 //!
 //! [`Framework`](crate::framework::Framework) runs the halves in one
 //! process; the `rhychee-net` runtime runs the *same* halves on either
@@ -25,6 +26,8 @@ use rand::SeedableRng;
 use rhychee_data::partition::dirichlet_partition_indices;
 use rhychee_data::TrainTest;
 use rhychee_fhe::ckks::{CkksCiphertext, CkksContext, CkksPublicKey, CkksSecretKey};
+use rhychee_fhe::lwe::{LweCiphertext, LweContext, LweSecretKey};
+use rhychee_fhe::params::LweParams;
 use rhychee_fhe::FheError;
 use rhychee_hdc::encoding::{Encoder, RandomProjectionEncoder, RbfEncoder};
 use rhychee_hdc::model::{EncodedDataset, HdcModel};
@@ -33,7 +36,7 @@ use crate::codec::{self, WireCodec};
 use crate::config::{Aggregation, EncoderKind, FlConfig};
 use crate::error::FlError;
 use crate::framework::AggregateOverrideHook;
-use crate::packing::{self, PackingConfig};
+use crate::packing::{self, Grid, PackingConfig};
 use crate::streaming::StreamingAggregator;
 
 /// Salt for the shared CKKS key-generation stream (paper §IV-A: the
@@ -56,6 +59,46 @@ pub fn client_rng(seed: u64, id: usize) -> StdRng {
 pub fn derive_ckks_keys(ctx: &CkksContext, seed: u64) -> (CkksSecretKey, CkksPublicKey) {
     let mut key_rng = StdRng::seed_from_u64(seed ^ CKKS_KEY_SALT);
     ctx.generate_keys(&mut key_rng)
+}
+
+/// LWE parameters sized for a federation: plaintext modulus holding
+/// `clients · 2^bits` and a ciphertext modulus with noise room. Under
+/// them every client quantizes to `bits` bits.
+pub fn lwe_fl_params(clients: usize, bits: u32) -> LweParams {
+    let t = ((clients as u64) << bits).next_power_of_two();
+    // Keep Δ = q/t at 128 for comfortable noise margin.
+    let q_bits = t.trailing_zeros() + 7;
+    LweParams { dimension: 534, log_q: q_bits, plaintext_modulus: t, sigma_int: 0.6 }
+}
+
+/// Checks an LWE federation of `clients` under `aggregation` and returns
+/// its context plus the grid bits every upload gets: the largest `b`
+/// with `clients · 2^b ≤ t`, so the sum of all clients' grid values
+/// stays below the plaintext modulus.
+fn lwe_setup(
+    params: LweParams,
+    clients: usize,
+    aggregation: Aggregation,
+) -> Result<(LweContext, u32), FlError> {
+    if matches!(aggregation, Aggregation::FedNova) {
+        return Err(FlError::InvalidConfig(
+            "LWE aggregates by uniform sum; FedNova's per-client weights require the dense \
+             CKKS layout"
+                .into(),
+        ));
+    }
+    let t = params.plaintext_modulus;
+    let bits = (t / clients.max(1) as u64).checked_ilog2().unwrap_or(0);
+    if bits < 2 {
+        return Err(FlError::InvalidConfig(format!(
+            "plaintext modulus {t} leaves {clients} clients {bits} bit(s) each, needs >= 2; \
+             use lwe_fl_params()"
+        )));
+    }
+    if params.max_additions() < clients {
+        return Err(FlError::NoiseBudget { clients, budget: params.max_additions() });
+    }
+    Ok((LweContext::new(params)?, bits))
 }
 
 /// FedNova over ciphertexts: the server can multiply the encrypted sum
@@ -411,19 +454,34 @@ impl Format {
     }
 }
 
+/// What a client half encodes a model as, with the keys it needs.
+enum Scheme {
+    Plain,
+    Ckks(Format, CkksSecretKey, CkksPublicKey),
+    /// One ciphertext per coordinate on `grid`; a broadcast sums at most
+    /// `clients` uploads.
+    Lwe {
+        ctx: LweContext,
+        sk: LweSecretKey,
+        grid: Grid,
+        clients: usize,
+    },
+}
+
 /// The client half of a round: a trained flat model becomes upload
 /// bytes, and broadcast bytes the next global model — raw parameters,
-/// or CKKS ciphertexts under the keys [`derive_ckks_keys`] draws.
+/// CKKS ciphertexts under the keys [`derive_ckks_keys`] draws, or LWE
+/// ciphertexts under the key drawn from `seed ^ LWE_KEY_SALT`.
 pub struct ClientHalf {
     aggregation: Aggregation,
     num_params: usize,
-    ckks: Option<(Format, CkksSecretKey, CkksPublicKey)>,
+    scheme: Scheme,
 }
 
 impl ClientHalf {
     /// A half that exchanges raw parameters.
     pub fn plaintext(aggregation: Aggregation, num_params: usize) -> Self {
-        ClientHalf { aggregation, num_params, ckks: None }
+        ClientHalf { aggregation, num_params, scheme: Scheme::Plain }
     }
 
     /// A half that exchanges CKKS ciphertexts in `codec`'s wire format,
@@ -437,37 +495,108 @@ impl ClientHalf {
         packing: PackingConfig,
     ) -> Self {
         let (sk, pk) = derive_ckks_keys(&ctx, seed);
-        ClientHalf { aggregation, num_params, ckks: Some((Format { ctx, codec, packing }, sk, pk)) }
+        let scheme = Scheme::Ckks(Format { ctx, codec, packing }, sk, pk);
+        ClientHalf { aggregation, num_params, scheme }
     }
 
-    /// Encodes `local`'s trained flat model as its upload payload; under
-    /// CKKS after [`prescale_update`] and encryption from `local`'s
-    /// randomness stream.
+    /// A half that exchanges one LWE ciphertext per coordinate, each
+    /// clipped to the public `[-clip, clip]` and quantized at the bits
+    /// `params`' plaintext modulus leaves each of `clients` uploads.
+    ///
+    /// # Errors
+    ///
+    /// [`FlError::InvalidConfig`] under FedNova (an LWE sum is uniform),
+    /// for fewer than 2 bits per upload or a clip that is not positive
+    /// and finite; [`FlError::NoiseBudget`] if `params` cannot absorb
+    /// `clients` additions; [`FlError::Fhe`] on invalid parameters.
+    pub fn lwe(
+        aggregation: Aggregation,
+        num_params: usize,
+        params: LweParams,
+        clients: usize,
+        clip: f32,
+        seed: u64,
+    ) -> Result<Self, FlError> {
+        let (ctx, bits) = lwe_setup(params, clients, aggregation)?;
+        if !(clip.is_finite() && clip > 0.0) {
+            return Err(FlError::InvalidConfig(format!(
+                "LWE clip must be positive and finite, got {clip}"
+            )));
+        }
+        let sk = ctx.generate_key(&mut StdRng::seed_from_u64(seed ^ LWE_KEY_SALT));
+        let grid = Grid::new(bits, clip);
+        Ok(ClientHalf { aggregation, num_params, scheme: Scheme::Lwe { ctx, sk, grid, clients } })
+    }
+
+    /// Whether payloads travel encrypted.
+    pub fn encrypted(&self) -> bool {
+        !matches!(self.scheme, Scheme::Plain)
+    }
+
+    /// Bits one upload carries under Table I's formulas: 32 per raw
+    /// parameter, else the ciphertext count times the ciphertext size.
+    pub fn upload_bits(&self) -> u64 {
+        let n = self.num_params as u64;
+        match &self.scheme {
+            Scheme::Plain => n * 32,
+            Scheme::Ckks(f, ..) => {
+                f.max_cts(self.num_params) as u64 * f.ctx.params().ciphertext_bits()
+            }
+            Scheme::Lwe { ctx, .. } => n * ctx.params().ciphertext_bits(),
+        }
+    }
+
+    /// Encodes `local`'s trained flat model as its upload payload,
+    /// encrypted from `local`'s randomness stream: under CKKS after
+    /// [`prescale_update`], under LWE one grid value per coordinate.
     ///
     /// # Errors
     ///
     /// Propagates encryption and encoding failures.
     pub fn encode(&self, local: &mut ClientLocal, mut flat: Vec<f32>) -> Result<Vec<u8>, FlError> {
-        let Some((f, sk, pk)) = &self.ckks else { return Ok(codec::encode_plain(&flat)) };
-        prescale_update(self.aggregation, local.last_steps(), &mut flat);
-        let key = if f.codec.symmetric() { EncryptKey::Secret(sk) } else { EncryptKey::Public(pk) };
-        let cts = local.encrypt_update(&f.ctx, key, &f.packing, &flat)?;
-        f.codec.encode_upload(&f.ctx, &cts)
+        match &self.scheme {
+            Scheme::Plain => Ok(codec::encode_plain(&flat)),
+            Scheme::Ckks(f, sk, pk) => {
+                prescale_update(self.aggregation, local.last_steps(), &mut flat);
+                let key = if f.codec.symmetric() {
+                    EncryptKey::Secret(sk)
+                } else {
+                    EncryptKey::Public(pk)
+                };
+                let cts = local.encrypt_update(&f.ctx, key, &f.packing, &flat)?;
+                f.codec.encode_upload(&f.ctx, &cts)
+            }
+            Scheme::Lwe { ctx, sk, grid, .. } => {
+                let rng = local.rng_mut();
+                let cts: Vec<LweCiphertext> = flat
+                    .iter()
+                    .map(|&x| ctx.encrypt(sk, grid.quantize(x), rng))
+                    .collect::<Result<_, _>>()?;
+                Ok(codec::encode_lwe(ctx, 1, &cts))
+            }
+        }
     }
 
-    /// Decodes a broadcast payload into the flat global model (a CKKS
-    /// half also takes the plaintext zero model a server opens with).
+    /// Decodes a broadcast payload into the flat global model (an
+    /// encrypted half also takes the plaintext zero model a server opens
+    /// with). An LWE broadcast's sums are un-biased and divided by the
+    /// contributor count it carries.
     ///
     /// # Errors
     ///
     /// [`FlError::Payload`] or [`FlError::Fhe`] on a payload it refuses.
     pub fn decode(&self, payload: &[u8]) -> Result<Vec<f32>, FlError> {
-        match &self.ckks {
-            Some((f, sk, _)) if payload.first() != Some(&codec::TAG_PLAIN) => {
-                let cts = codec::decode_ckks(&f.ctx, payload, f.max_cts(self.num_params))?;
-                Ok(packing::decrypt_model_with(&f.ctx, sk, &cts, self.num_params, &f.packing)?)
+        let (n, plain) = (self.num_params, payload.first() == Some(&codec::TAG_PLAIN));
+        match &self.scheme {
+            Scheme::Ckks(f, sk, _) if !plain => {
+                let cts = codec::decode_ckks(&f.ctx, payload, f.max_cts(n))?;
+                Ok(packing::decrypt_model_with(&f.ctx, sk, &cts, n, &f.packing)?)
             }
-            _ => codec::decode_plain(payload, self.num_params),
+            Scheme::Lwe { ctx, sk, grid, clients } if !plain => {
+                let (k, cts) = codec::decode_lwe(ctx, payload, n, *clients)?;
+                Ok(cts.iter().map(|ct| grid.mean(ctx.decrypt(sk, ct), k as u64)).collect())
+            }
+            _ => codec::decode_plain(payload, n),
         }
     }
 }
@@ -479,11 +608,15 @@ enum Sum {
     Plain(ServerRound<Vec<f32>>),
     /// Uploads fold into the running encrypted sum as they arrive.
     Ckks(Format, StreamingAggregator),
+    /// Uploads add into per-coordinate sums as they arrive (exact mod q,
+    /// so in any order); the round keeps only who reported.
+    Lwe(LweContext, ServerRound<()>, Vec<LweCiphertext>),
 }
 
 /// The server half of a round: upload bytes fold into the open round's
 /// sum, and the sum closes into the broadcast payload. It holds no key:
-/// a CKKS upload folds as zero-copy views over its bytes.
+/// a CKKS upload folds as zero-copy views over its bytes, an LWE upload
+/// by ciphertext addition.
 ///
 /// `fold` and `close` run the step that works on the sum inside the
 /// caller's `timed` wrapper, which must call it once (`|step| step()`
@@ -516,12 +649,33 @@ impl ServerHalf {
         ServerHalf { aggregation, model_params, round: 0, sum }
     }
 
+    /// A half that adds LWE uploads coordinate by coordinate, open at
+    /// round 0, under the checks [`ClientHalf::lwe`] makes.
+    ///
+    /// # Errors
+    ///
+    /// As [`ClientHalf::lwe`], less the clip.
+    pub fn lwe(
+        aggregation: Aggregation,
+        model_params: usize,
+        params: LweParams,
+        clients: usize,
+    ) -> Result<Self, FlError> {
+        let (ctx, _) = lwe_setup(params, clients, aggregation)?;
+        let sum = Sum::Lwe(ctx, ServerRound::new(0, aggregation), Vec::new());
+        Ok(ServerHalf { aggregation, model_params, round: 0, sum })
+    }
+
     /// Discards the open sum and opens an empty one for `round`.
     pub fn open(&mut self, round: usize) {
         self.round = round;
         match &mut self.sum {
             Sum::Plain(sum) => *sum = ServerRound::new(round, self.aggregation),
             Sum::Ckks(_, sum) => *sum = accumulator(round, self.aggregation),
+            Sum::Lwe(_, reported, sums) => {
+                *reported = ServerRound::new(round, self.aggregation);
+                sums.clear();
+            }
         }
     }
 
@@ -531,6 +685,7 @@ impl ServerHalf {
         match &self.sum {
             Sum::Plain(sum) => sum.received(),
             Sum::Ckks(_, sum) => sum.received(),
+            Sum::Lwe(_, reported, _) => reported.received(),
         }
     }
 
@@ -538,7 +693,7 @@ impl ServerHalf {
     /// a NACK that left the sum untouched: bytes that do not parse, a
     /// model of the wrong size, or an update the sum refuses (other
     /// round, duplicate client). `timed` runs the plaintext decode, or
-    /// the CKKS fold once the payload is parsed.
+    /// the encrypted fold once the payload is parsed.
     ///
     /// # Errors
     ///
@@ -568,6 +723,23 @@ impl ServerHalf {
                     _ => Ok(false),
                 })
             }
+            Sum::Lwe(ctx, reported, sums) => {
+                let parsed = codec::decode_lwe(ctx, payload, n, 1);
+                let update = ClientUpdate { client_id, round, steps, payload: () };
+                Ok(once(timed, || match parsed {
+                    Ok((_, cts)) if reported.accept(update) => {
+                        if sums.is_empty() {
+                            *sums = cts;
+                        } else {
+                            for (acc, ct) in sums.iter_mut().zip(&cts) {
+                                ctx.add_assign(acc, ct).expect("parsed at the context's dimension");
+                            }
+                        }
+                        true
+                    }
+                    _ => false,
+                }))
+            }
         }
     }
 
@@ -579,8 +751,8 @@ impl ServerHalf {
     ///
     /// # Errors
     ///
-    /// [`FlError::DataError`] (plaintext) or [`FlError::StreamingAbort`]
-    /// (CKKS) when no update was accepted.
+    /// [`FlError::DataError`] (plaintext, LWE) or
+    /// [`FlError::StreamingAbort`] (CKKS) when no update was accepted.
     pub fn close(
         &mut self,
         aggregate_override: Option<&mut AggregateOverrideHook>,
@@ -602,6 +774,14 @@ impl ServerHalf {
                 let done = std::mem::replace(sum, accumulator(round + 1, aggregation));
                 let cts = once(timed, || done.close(&f.ctx, &f.packing))?;
                 (f.codec.encode_broadcast(&f.ctx, &cts), None)
+            }
+            Sum::Lwe(ctx, reported, sums) => {
+                reported.check_nonempty()?;
+                // The uploads are already summed: aggregation is empty.
+                once(timed, || ());
+                let k = reported.received();
+                *reported = ServerRound::new(round + 1, aggregation);
+                (codec::encode_lwe(ctx, k, &std::mem::take(sums)), None)
             }
         };
         self.round = round + 1;
@@ -723,6 +903,69 @@ mod tests {
     fn empty_round_cannot_aggregate() {
         let sr: ServerRound<Vec<f32>> = ServerRound::new(0, Aggregation::FedAvg);
         assert!(sr.aggregate().is_err());
+    }
+
+    /// A client with an empty shard: enough to encrypt from its stream.
+    fn bare_client(id: usize, cfg: &FlConfig) -> ClientLocal {
+        ClientLocal::new(id, EncodedDataset::new(Vec::new(), Vec::new()), 2, cfg)
+    }
+
+    #[test]
+    fn lwe_halves_average_clients_of_different_ranges_on_one_grid() {
+        // Two clients whose ranges differ by 8×. On the one public grid
+        // the broadcast decrypts to the plaintext FedAvg within one step;
+        // quantizing each at its own scale and dividing the sum by the
+        // smaller scale counted the narrow client 8× over.
+        let (clients, n, clip, cfg) = (2, 64, 8.0f32, config(2));
+        let params = lwe_fl_params(clients, 6);
+        let fed_avg = Aggregation::FedAvg;
+        let client = ClientHalf::lwe(fed_avg, n, params, clients, clip, cfg.seed).expect("client");
+        let mut server = ServerHalf::lwe(fed_avg, n, params, clients).expect("server");
+        let models: Vec<Vec<f32>> = [1.0f32, 8.0]
+            .iter()
+            .map(|&range| (0..n).map(|j| range * (j as f32 * 0.37).sin()).collect())
+            .collect();
+        for (id, model) in models.iter().enumerate() {
+            let payload = client.encode(&mut bare_client(id, &cfg), model.clone()).expect("encode");
+            let upload = ClientUpdate { client_id: id, round: 0, steps: 1, payload };
+            assert!(server.fold(&upload, |fold| fold()).expect("fold"));
+            assert!(!server.fold(&upload, |fold| fold()).expect("fold"), "duplicate client");
+        }
+        let (broadcast, plain) = server.close(None, |close| close()).expect("close");
+        assert!(plain.is_none(), "the server cannot read an LWE sum");
+        let global = client.decode(&broadcast).expect("decode");
+        let step = clip / 31.0; // 6 bits: qmax = 2^5 − 1
+        for (j, g) in global.iter().enumerate() {
+            let mean = (models[0][j] + models[1][j]) / 2.0;
+            assert!((g - mean).abs() <= step, "coordinate {j}: {g} vs {mean}");
+        }
+    }
+
+    #[test]
+    fn lwe_halves_refuse_what_the_setup_cannot_carry() {
+        let cfg = config(4);
+        let lwe = |agg, params, clients, clip| ClientHalf::lwe(agg, 8, params, clients, clip, 3);
+        let (fed_avg, params) = (Aggregation::FedAvg, lwe_fl_params(4, 6));
+        assert!(lwe(fed_avg, params, 4, 1.0).is_ok());
+        for (what, err) in [
+            ("FedNova", lwe(Aggregation::FedNova, params, 4, 1.0).map(drop)),
+            ("1 bit per client", lwe(fed_avg, LweParams::tfhe1(), 9, 1.0).map(drop)),
+            ("zero clip", lwe(fed_avg, params, 4, 0.0).map(drop)),
+            ("NaN clip", lwe(fed_avg, params, 4, f32::NAN).map(drop)),
+            ("server under FedNova", ServerHalf::lwe(Aggregation::FedNova, 8, params, 4).map(drop)),
+        ] {
+            assert!(matches!(err, Err(FlError::InvalidConfig(_))), "{what}");
+        }
+        // 6 bits for 4 clients: a broadcast summing 5 is refused.
+        let client = lwe(fed_avg, params, 4, 1.0).expect("client");
+        let payload = client.encode(&mut bare_client(0, &cfg), vec![0.5; 8]).expect("encode");
+        let ctx = LweContext::new(params).expect("context");
+        let (_, cts) = codec::decode_lwe(&ctx, &payload, 8, 1).expect("an upload");
+        assert!(client.decode(&codec::encode_lwe(&ctx, 4, &cts)).is_ok());
+        for k in [0, 5] {
+            let err = client.decode(&codec::encode_lwe(&ctx, k, &cts));
+            assert!(matches!(err, Err(FlError::Payload(_))), "k = {k}");
+        }
     }
 
     #[test]

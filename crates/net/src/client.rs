@@ -18,7 +18,7 @@ use rhychee_core::packing;
 use rhychee_core::round::{ClientHalf, ClientLocal};
 use rhychee_core::FlConfig;
 use rhychee_fhe::ckks::CkksContext;
-use rhychee_fhe::params::CkksParams;
+use rhychee_fhe::params::{CkksParams, LweParams};
 use rhychee_hdc::model::{EncodedDataset, HdcModel};
 use rhychee_telemetry as telemetry;
 
@@ -36,6 +36,16 @@ pub enum ClientPipeline {
     /// (canonical by default; [`SeededCodec`](crate::SeededCodec)
     /// selects symmetric encryption with seed-compressed uploads).
     Ckks(CkksParams),
+    /// One LWE ciphertext per parameter under the shared key derived
+    /// from the run seed, each clipped to the public `[-clip, clip]` and
+    /// quantized at the bits `params` leaves each of the run's clients.
+    Lwe {
+        /// The federation's LWE parameters (the server's
+        /// [`ServerPipeline::Lwe`](crate::server::ServerPipeline::Lwe)).
+        params: LweParams,
+        /// The public clip range of the quantization grid.
+        clip: f32,
+    },
 }
 
 /// Client-side connection configuration.
@@ -142,7 +152,10 @@ impl FlClient {
     ///
     /// # Errors
     ///
-    /// Returns [`NetError::Fhe`] if the CKKS parameters are invalid.
+    /// Returns [`NetError::Fhe`] if the CKKS or LWE parameters are
+    /// invalid, and [`NetError::Fl`] for a setup the pipeline refuses
+    /// (an LWE pipeline under FedNova, with a bad clip, or too few bits
+    /// per client).
     pub fn new(
         config: ClientConfig,
         fl: FlConfig,
@@ -160,6 +173,9 @@ impl FlClient {
                 let ctx = Arc::new(CkksContext::with_parallelism(params, fl.parallelism)?);
                 let codec = Arc::clone(&config.codec);
                 ClientHalf::ckks(aggregation, num_params, ctx, fl.seed, codec, config.packing)
+            }
+            ClientPipeline::Lwe { params, clip } => {
+                ClientHalf::lwe(aggregation, num_params, params, fl.clients, clip, fl.seed)?
             }
         };
         Ok(FlClient { config, fl, local, eval, half, classes })

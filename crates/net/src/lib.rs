@@ -9,7 +9,7 @@
 //! Layers:
 //!
 //! * [`wire`] — length-prefixed, versioned, CRC-guarded binary frames
-//! * [`codec`] — model payload encoding (plaintext / CKKS), re-exported
+//! * [`codec`] — model payload encoding (plaintext / CKKS / LWE), re-exported
 //!   from `rhychee-core`; the sealed [`WireCodec`] trait selects the
 //!   CKKS wire format ([`CanonicalCodec`] / [`SeededCodec`]) and parses
 //!   uploads into zero-copy [`ModelView`]s

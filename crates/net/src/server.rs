@@ -40,8 +40,8 @@
 //!
 //! Aggregation: the coordinator folds each upload into the round's
 //! [`ServerHalf`](rhychee_core::ServerHalf) the moment its frame
-//! arrives — the half the in-process `Framework` runs too. Under CKKS,
-//! handler reads gate on a resident-upload permit
+//! arrives — the half the in-process `Framework` runs too. Under CKKS
+//! and LWE, handler reads gate on a resident-upload permit
 //! ([`ServerConfigBuilder::max_resident_uploads`]) released right after
 //! the fold, so server memory is O(accumulator + permits), independent
 //! of client count — late clients wait in TCP backpressure, not in
@@ -61,7 +61,7 @@ use std::time::{Duration, Instant};
 use rhychee_core::packing;
 use rhychee_core::round::ClientUpdate;
 use rhychee_core::{Aggregation, Parallelism};
-use rhychee_fhe::params::CkksParams;
+use rhychee_fhe::params::{CkksParams, LweParams};
 use rhychee_obs::{ObsHandle, ObsServer, Watchdog};
 use rhychee_telemetry as telemetry;
 
@@ -84,6 +84,10 @@ pub enum ServerPipeline {
     /// The wire format is the config's [`WireCodec`]
     /// ([`ServerConfigBuilder::codec`]; canonical by default).
     Ckks(CkksParams),
+    /// One LWE ciphertext per parameter, summed by ciphertext addition;
+    /// the broadcast carries the sums and the contributor count. Like
+    /// CKKS, the server holds only the evaluation context.
+    Lwe(LweParams),
 }
 
 /// Server-side run configuration.
@@ -205,8 +209,8 @@ impl ServerConfig {
         &self.packing
     }
 
-    /// How many undecoded CKKS uploads may be resident in server memory
-    /// at once.
+    /// How many undecoded encrypted uploads may be resident in server
+    /// memory at once.
     pub fn max_resident_uploads(&self) -> usize {
         self.max_resident_uploads
     }
@@ -396,8 +400,8 @@ impl ServerConfigBuilder {
         self
     }
 
-    /// Bounds how many undecoded CKKS uploads may be resident in server
-    /// memory at once (default 4, must be positive). Handlers block before *reading* an update frame until
+    /// Bounds how many undecoded encrypted uploads may be resident in
+    /// server memory at once (default 4, must be positive). Handlers block before *reading* an update frame until
     /// a slot frees, so excess uploads wait in TCP backpressure rather
     /// than server buffers; a straggler holding a slot is bounded by
     /// the round deadline (its read times out and the slot frees).
@@ -476,7 +480,8 @@ pub struct ServerReport {
     /// Total bytes read from sockets.
     pub bytes_rx: u64,
     /// The final global model as broadcast to clients: plaintext
-    /// parameters, or `None` under CKKS (the server cannot decrypt).
+    /// parameters, or `None` under CKKS and LWE (the server cannot
+    /// decrypt).
     pub final_plain_model: Option<Vec<f32>>,
 }
 
@@ -485,9 +490,9 @@ struct HandlerShared {
     config: ServerConfig,
     bytes_tx: AtomicU64,
     bytes_rx: AtomicU64,
-    /// Set under CKKS: each handler claims one resident-upload permit
-    /// before it reads an `Update` frame. `None` under the plaintext
-    /// pipeline, whose uploads are not bounded.
+    /// Set under an encrypted pipeline: each handler claims one
+    /// resident-upload permit before it reads an `Update` frame. `None`
+    /// under the plaintext pipeline, whose uploads are not bounded.
     residency: Option<Arc<Residency>>,
 }
 
@@ -907,7 +912,7 @@ impl Connection {
     fn exchange(&mut self, frame: &[u8], ctx: Option<TraceContext>) -> Result<Upload, NetError> {
         self.write_global(frame, ctx)?;
         let sent_at = Instant::now();
-        // Under CKKS, claim a resident-upload slot *before* copying the
+        // Under encryption, claim a resident-upload slot *before* copying the
         // frame out of the kernel — but only once this client's bytes
         // have actually started arriving (`peek`), so a straggler that is
         // still training never parks on a slot and starves the clients

@@ -49,7 +49,7 @@ pub(super) struct Upload {
     /// The payload is the frame's bytes, unparsed: the run's pipeline
     /// interprets them on the coordinator.
     pub(super) update: ClientUpdate<Vec<u8>>,
-    /// Under CKKS, this upload's resident-memory slot. It travels with
+    /// Under an encrypted pipeline, this upload's resident-memory slot. It travels with
     /// the payload and frees when the coordinator is done with the bytes
     /// (right after the fold, or on the NACK path), which unblocks the
     /// next handler's read.
@@ -68,12 +68,12 @@ pub(super) struct Peer {
 }
 
 /// Runs one fold under its span: `net_decode` for a plaintext upload,
-/// `net_fold` for a CKKS one, whose allocation attribution
-/// (`net_fold.alloc_bytes`) should read 0 bytes in steady state (the
-/// accumulator is reused in place).
-fn fold_span(ckks: bool) -> impl FnOnce(&mut dyn FnMut()) {
+/// `net_fold` for an encrypted one, whose allocation attribution
+/// (`net_fold.alloc_bytes`) should read 0 bytes in steady state under
+/// CKKS (the accumulator is reused in place).
+fn fold_span(encrypted: bool) -> impl FnOnce(&mut dyn FnMut()) {
     move |fold| {
-        let _span = telemetry::span(if ckks { "net_fold" } else { "net_decode" });
+        let _span = telemetry::span(if encrypted { "net_fold" } else { "net_decode" });
         fold();
     }
 }
@@ -117,8 +117,8 @@ pub(super) struct Coordinator {
     /// the open round's sum is kept in, how an upload's bytes enter it,
     /// and how it closes into the next broadcast payload.
     half: ServerHalf,
-    /// Under CKKS, the resident-upload semaphore handlers gate their
-    /// reads on; plaintext uploads are not bounded.
+    /// Under an encrypted pipeline, the resident-upload semaphore
+    /// handlers gate their reads on; plaintext uploads are not bounded.
     pub(super) residency: Option<Arc<Residency>>,
     /// Ids with a queued or live connection: the acceptor inserts on a
     /// good handshake, a processed drop removes. It is the one "id
@@ -145,13 +145,17 @@ impl Coordinator {
         connected: Arc<Mutex<HashSet<usize>>>,
     ) -> Result<Self, NetError> {
         let (aggregation, model_params) = (config.aggregation, config.model_params);
-        let (half, residency) = match pipeline {
-            ServerPipeline::Plaintext => (ServerHalf::plaintext(aggregation, model_params), None),
+        let residency = (!matches!(pipeline, ServerPipeline::Plaintext))
+            .then(|| Residency::new(config.max_resident_uploads));
+        let half = match pipeline {
+            ServerPipeline::Plaintext => ServerHalf::plaintext(aggregation, model_params),
             ServerPipeline::Ckks(params) => {
                 let ctx = Arc::new(CkksContext::with_parallelism(params, config.parallelism)?);
                 let codec = Arc::clone(&config.codec);
-                let half = ServerHalf::ckks(aggregation, model_params, ctx, codec, config.packing);
-                (half, Some(Residency::new(config.max_resident_uploads)))
+                ServerHalf::ckks(aggregation, model_params, ctx, codec, config.packing)
+            }
+            ServerPipeline::Lwe(params) => {
+                ServerHalf::lwe(aggregation, model_params, params, config.clients)?
             }
         };
         Ok(Coordinator {
@@ -368,8 +372,9 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use rhychee_core::packing::{self, PackingConfig};
-    use rhychee_core::round::ServerRound;
+    use rhychee_core::round::{self, ServerRound};
     use rhychee_core::Aggregation;
+    use rhychee_fhe::lwe::{LweCiphertext, LweContext};
     use rhychee_fhe::params::CkksParams;
 
     use super::*;
@@ -450,8 +455,45 @@ mod tests {
         }
     }
 
-    fn kits() -> [Kit; 2] {
-        [plain_kit(), ckks_kit()]
+    fn lwe_kit() -> Kit {
+        let pipeline = || ServerPipeline::Lwe(round::lwe_fl_params(CLIENTS, 6));
+        let ServerPipeline::Lwe(params) = pipeline() else { unreachable!() };
+        let ctx = LweContext::new(params).expect("LWE context");
+        let mut rng = StdRng::seed_from_u64(19);
+        let sk = ctx.generate_key(&mut rng);
+        // Grid values of 6 bits: four of them sum below t = 256.
+        let uploads: Vec<Vec<LweCiphertext>> = (0..CLIENTS)
+            .map(|c| {
+                let values = (0..MODEL_PARAMS).map(|j| ((c * 7 + j) % 63 + 1) as u64);
+                values.map(|m| ctx.encrypt(&sk, m, &mut rng)).collect::<Result<_, _>>()
+            })
+            .collect::<Result<_, _>>()
+            .expect("encrypt");
+        let payloads = uploads.iter().map(|cts| codec::encode_lwe(&ctx, 1, cts)).collect();
+        let ckks = CkksContext::new(CkksParams::toy()).expect("toy context");
+        let (_sk, pk) = ckks.generate_keys(&mut rng);
+        let dense = PackingConfig::dense();
+        let ckks_upload = packing::encrypt_model_with(&ckks, &pk, &model(1), &dense, &mut rng);
+        let malformed = vec![
+            ("wrong ciphertext count", codec::encode_lwe(&ctx, 1, &uploads[1][..1])),
+            ("an upload claiming two contributors", codec::encode_lwe(&ctx, 2, &uploads[1])),
+            ("garbage", vec![0xAB; 40]),
+            ("other pipeline's payload", codec::encode_ckks(&ckks, &ckks_upload.expect("CKKS"))),
+        ];
+        let oracle = move |_round, ids: &[usize]| {
+            let mut sums = uploads[ids[0]].clone();
+            for &client_id in &ids[1..] {
+                for (acc, ct) in sums.iter_mut().zip(&uploads[client_id]) {
+                    ctx.add_assign(acc, ct).expect("oracle");
+                }
+            }
+            codec::encode_lwe(&ctx, ids.len(), &sums)
+        };
+        Kit { name: "lwe", pipeline, payloads, malformed, oracle: Box::new(oracle) }
+    }
+
+    fn kits() -> [Kit; 3] {
+        [plain_kit(), ckks_kit(), lwe_kit()]
     }
 
     /// A machine plus the receiving end of every peer ever queued

@@ -1,18 +1,20 @@
 //! Property-based tests for the wire protocol: every message type
 //! round-trips through a frame, and corruption, truncation, and hostile
 //! length fields are always rejected. Behind the frame CRC, a mutated
-//! upload payload is refused or folds into a well-formed aggregate,
-//! never a panic.
+//! upload payload (CKKS or LWE) is refused or folds into a well-formed
+//! aggregate, never a panic.
 
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
 
+use rhychee_core::round::{self, ClientUpdate, ServerHalf};
 use rhychee_core::{Aggregation, FlError, StreamingAggregator};
 use rhychee_fhe::ckks::CkksContext;
-use rhychee_fhe::params::CkksParams;
-use rhychee_net::codec::{CanonicalCodec, SeededCodec, WireCodec};
+use rhychee_fhe::lwe::{LweCiphertext, LweContext};
+use rhychee_fhe::params::{CkksParams, LweParams};
+use rhychee_net::codec::{self, CanonicalCodec, SeededCodec, WireCodec};
 use rhychee_net::wire::{
     decode_frame, decode_frame_ctx, encode_frame, encode_frame_ctx, read_message, read_message_ctx,
     write_message, Message, TraceContext, DEFAULT_MAX_PAYLOAD, HEADER_LEN, TRAILER_LEN,
@@ -286,5 +288,73 @@ proptest! {
             let back = ctx.deserialize(&wire).expect("an aggregate deserializes");
             prop_assert!(ctx.serialize(&back) == wire, "{} aggregate changed", codec.name());
         }
+    }
+}
+
+/// Coordinates of the LWE model the mutated uploads carry.
+const LWE_PARAMS: usize = 16;
+
+/// The parameters of a 4-client, 6-bit LWE federation and one client's
+/// valid upload under them, built once for every case.
+fn lwe_upload() -> &'static (LweParams, Vec<u8>) {
+    static UPLOAD: OnceLock<(LweParams, Vec<u8>)> = OnceLock::new();
+    UPLOAD.get_or_init(|| {
+        let params = round::lwe_fl_params(4, 6);
+        let ctx = LweContext::new(params).expect("params");
+        let mut rng = StdRng::seed_from_u64(31);
+        let sk = ctx.generate_key(&mut rng);
+        let cts: Vec<LweCiphertext> = (0..LWE_PARAMS as u64)
+            .map(|m| ctx.encrypt(&sk, m + 1, &mut rng).expect("encrypt"))
+            .collect();
+        (params, codec::encode_lwe(&ctx, 1, &cts))
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn mutated_lwe_uploads_are_refused_or_folded_never_a_panic(
+        edits in prop::collection::vec(any::<u64>(), 1..7),
+        resize in 0u8..4,
+        cut in any::<u32>(),
+    ) {
+        // 1–6 bytes overwritten, in the first 48 (tag, contributors,
+        // count, the first ciphertext's mask) or anywhere, and sometimes
+        // cut short or extended. The server half folds it beside a clean
+        // upload: it is refused (a NACK) exactly when its own decode
+        // fails, and the round still closes into a well-formed broadcast
+        // counting what was folded.
+        let (params, clean) = lwe_upload();
+        let mut bytes = clean.clone();
+        for &e in &edits {
+            let span = if e >> 63 == 1 { bytes.len().min(48) } else { bytes.len() };
+            bytes[(e >> 8) as usize % span] = e as u8;
+        }
+        match resize {
+            0 => bytes.truncate(cut as usize % (bytes.len() + 1)),
+            1 => bytes.extend_from_slice(&cut.to_le_bytes()[..1 + cut as usize % 4]),
+            _ => {}
+        }
+        let ctx = LweContext::new(*params).expect("params");
+        let parses = match codec::decode_lwe(&ctx, &bytes, LWE_PARAMS, 1) {
+            Ok(_) => true,
+            Err(e) => {
+                prop_assert!(matches!(e, FlError::Payload(_) | FlError::Fhe(_)), "{e}");
+                false
+            }
+        };
+        let mut server = ServerHalf::lwe(Aggregation::FedAvg, LWE_PARAMS, *params, 4)
+            .expect("server half");
+        let update = |client_id, payload| ClientUpdate { client_id, round: 0, steps: 1, payload };
+        prop_assert!(server.fold(&update(0, clean.clone()), |fold| fold()).expect("clean"));
+        let folded = server
+            .fold(&update(1, bytes), |fold| fold())
+            .expect("a bad upload is a NACK, never an abort");
+        prop_assert_eq!(folded, parses);
+        let (broadcast, plain) = server.close(None, |close| close()).expect("closes");
+        prop_assert!(plain.is_none());
+        let (k, cts) = codec::decode_lwe(&ctx, &broadcast, LWE_PARAMS, 4).expect("broadcast");
+        prop_assert_eq!((k, cts.len()), (1 + usize::from(folded), LWE_PARAMS));
     }
 }

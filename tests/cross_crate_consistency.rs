@@ -1,15 +1,16 @@
 //! Consistency checks spanning crates: the analytical communication
-//! formulas (Table I), the bit-exact wire format, HDC quantization
-//! through the LWE transport, and the baselines' parameter accounting.
+//! formulas (Table I), the bit-exact wire format, HDC models through
+//! the LWE round halves, and the baselines' parameter accounting.
 
 use rand::{rngs::StdRng, SeedableRng};
 
 use rhychee_fl::core::packing;
+use rhychee_fl::core::round::{ClientHalf, ClientLocal, ClientUpdate, ServerHalf};
+use rhychee_fl::core::FlConfig;
 use rhychee_fl::fhe::ckks::CkksContext;
 use rhychee_fl::fhe::lwe::LweContext;
 use rhychee_fl::fhe::params::{CkksParams, LweParams, ParamSet};
-use rhychee_fl::hdc::model::HdcModel;
-use rhychee_fl::hdc::quantize::QuantizedModel;
+use rhychee_fl::hdc::model::{EncodedDataset, HdcModel};
 use rhychee_fl::nn::Network;
 
 #[test]
@@ -61,20 +62,14 @@ fn baseline_parameter_counts() {
 
 #[test]
 fn quantized_model_survives_lwe_transport() {
-    // HDC model -> 6-bit quantization -> offset encoding -> LWE encrypt ->
-    // homomorphic sum of 3 clients -> decrypt -> average: the full TFHE
-    // pipeline in miniature, checked against the plaintext computation.
-    let mut rng = StdRng::seed_from_u64(5);
+    // Flat HDC models -> 6-bit public grid -> LWE encrypt -> homomorphic
+    // sum of 3 clients -> decrypt -> average: the TFHE round in
+    // miniature, through the client and server halves every runtime
+    // runs, checked against the plaintext FedAvg.
     let clients = 3usize;
-    let bits = 6u32;
-    let dim = 32;
-    let models: Vec<HdcModel> = (0..clients)
-        .map(|c| {
-            let mut m = HdcModel::new(2, dim);
-            let flat: Vec<f32> = (0..2 * dim).map(|i| ((c * 64 + i) as f32 * 0.17).sin()).collect();
-            m.load_flat(&flat);
-            m
-        })
+    let (bits, clip, n) = (6u32, 1.0f32, 64);
+    let models: Vec<Vec<f32>> = (0..clients)
+        .map(|c| (0..n).map(|i| ((c * 64 + i) as f32 * 0.17).sin()).collect())
         .collect();
 
     let params = LweParams {
@@ -83,45 +78,23 @@ fn quantized_model_survives_lwe_transport() {
         plaintext_modulus: ((clients as u64) << bits).next_power_of_two(),
         sigma_int: 0.6,
     };
-    let ctx = LweContext::new(params).expect("params");
-    let sk = ctx.generate_key(&mut rng);
-
-    let quantized: Vec<QuantizedModel> =
-        models.iter().map(|m| QuantizedModel::quantize(m, bits)).collect();
-    let scale = quantized.iter().map(QuantizedModel::scale).fold(f64::MAX, f64::min);
-
-    // Encrypt, sum homomorphically.
-    let mut sums: Vec<_> = quantized[0]
-        .to_offset_encoded()
-        .iter()
-        .map(|&v| ctx.encrypt(&sk, v, &mut rng).expect("encrypt"))
-        .collect();
-    for q in &quantized[1..] {
-        for (acc, &v) in sums.iter_mut().zip(q.to_offset_encoded().iter()) {
-            let ct = ctx.encrypt(&sk, v, &mut rng).expect("encrypt");
-            ctx.add_assign(acc, &ct).expect("add");
-        }
+    let fl = FlConfig::builder().clients(clients).hd_dim(n / 2).seed(5).build().expect("config");
+    let client =
+        ClientHalf::lwe(fl.aggregation, n, params, clients, clip, fl.seed).expect("client");
+    let mut server = ServerHalf::lwe(fl.aggregation, n, params, clients).expect("server");
+    for (client_id, model) in models.iter().enumerate() {
+        let shard = EncodedDataset::new(Vec::new(), Vec::new());
+        let mut local = ClientLocal::new(client_id, shard, 2, &fl);
+        let payload = client.encode(&mut local, model.clone()).expect("encode");
+        let upload = ClientUpdate { client_id, round: 0, steps: 1, payload };
+        assert!(server.fold(&upload, |fold| fold()).expect("fold"), "client {client_id}");
     }
+    let (broadcast, _) = server.close(None, |close| close()).expect("close");
+    let averaged = client.decode(&broadcast).expect("decode");
 
-    // Decrypt and undo offset + scale.
-    let offset = (1i64 << (bits - 1)) * clients as i64;
-    let averaged: Vec<f32> = sums
-        .iter()
-        .map(|ct| {
-            let sum = ctx.decrypt(&sk, ct) as i64 - offset;
-            (sum as f64 / (clients as f64 * scale)) as f32
-        })
-        .collect();
-
-    // Plaintext reference (with the same per-client quantization).
-    let reference: Vec<f32> = (0..2 * dim)
-        .map(|i| {
-            quantized.iter().map(|q| q.values()[i] as f64 / q.scale()).sum::<f64>() as f32
-                / clients as f32
-        })
-        .collect();
-    let quant_step = (1.0 / scale) as f32;
-    for (a, r) in averaged.iter().zip(&reference) {
+    let quant_step = clip / ((1u32 << (bits - 1)) - 1) as f32;
+    for (i, a) in averaged.iter().enumerate() {
+        let r = models.iter().map(|m| m[i]).sum::<f32>() / clients as f32;
         assert!((a - r).abs() <= 1.5 * quant_step, "{a} vs {r} (step {quant_step})");
     }
 }

@@ -2,7 +2,7 @@
 //! synthetic data through HDC training, CKKS/LWE encryption, homomorphic
 //! aggregation, and back.
 
-use rhychee_fl::core::{FlConfig, Framework};
+use rhychee_fl::core::{round, FlConfig, Framework};
 use rhychee_fl::data::{DatasetKind, SyntheticConfig};
 use rhychee_fl::fhe::params::CkksParams;
 
@@ -54,8 +54,8 @@ fn lwe_pipeline_end_to_end() {
     let data = har_data();
     let mut cfg = config(96, 2);
     cfg.clients = 3;
-    let params = Framework::lwe_fl_params(3, 6);
-    let mut federation = Framework::hdc_encrypted_lwe(cfg, &data, params, 6).expect("build");
+    let params = round::lwe_fl_params(3, 6);
+    let mut federation = Framework::hdc_encrypted_lwe(cfg, &data, params, 32.0).expect("build");
     // Per-parameter ciphertexts: 96 x 6 params, each (n+1) log q bits.
     let expected_bits = (96 * 6) as u64 * (534 + 1) * u64::from(params.log_q);
     assert_eq!(federation.upload_bits_per_round(), expected_bits);

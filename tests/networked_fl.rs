@@ -1,8 +1,9 @@
 //! Loopback integration tests for the networked runtime: a real
 //! [`FlServer`] plus client threads over TCP must reproduce the
-//! in-process [`Framework`] bit for bit, survive a mid-round dropout
-//! via quorum aggregation, NACK late uploads, and report measured
-//! byte counts that reconcile with the analytical upload model.
+//! in-process [`Framework`] bit for bit under every scheme, survive a
+//! mid-round dropout via quorum aggregation, NACK late uploads, and
+//! report measured byte counts that reconcile with the analytical
+//! upload model.
 
 use std::io::Write;
 use std::net::TcpStream;
@@ -58,12 +59,27 @@ fn run_networked_seeded(
     ckks: Option<CkksParams>,
     seeded: bool,
 ) -> (ServerReport, Vec<ClientReport>) {
-    let FedSetup { shards, test, classes } = round::prepare(fl, data).expect("prepare");
-    let num_params = classes * fl.hd_dim;
     let server_pipeline = match &ckks {
         Some(p) => ServerPipeline::Ckks(p.clone()),
         None => ServerPipeline::Plaintext,
     };
+    let client_pipeline = || match &ckks {
+        Some(p) => ClientPipeline::Ckks(p.clone()),
+        None => ClientPipeline::Plaintext,
+    };
+    run_networked_with(fl, data, server_pipeline, &client_pipeline, seeded)
+}
+
+/// [`run_networked_seeded`] under any pair of pipelines.
+fn run_networked_with(
+    fl: &FlConfig,
+    data: &TrainTest,
+    server_pipeline: ServerPipeline,
+    client_pipeline: &dyn Fn() -> ClientPipeline,
+    seeded: bool,
+) -> (ServerReport, Vec<ClientReport>) {
+    let FedSetup { shards, test, classes } = round::prepare(fl, data).expect("prepare");
+    let num_params = classes * fl.hd_dim;
     let mut builder =
         ServerConfig::builder().clients(fl.clients).rounds(fl.rounds).model_params(num_params);
     if seeded {
@@ -79,14 +95,11 @@ fn run_networked_seeded(
     for (id, shard) in shards.into_iter().enumerate() {
         let local = ClientLocal::new(id, shard, classes, fl);
         let eval = if id == 0 { Some(test.clone()) } else { None };
-        let pipeline = match &ckks {
-            Some(p) => ClientPipeline::Ckks(p.clone()),
-            None => ClientPipeline::Plaintext,
-        };
         let mut client_config = ClientConfig::new(addr);
         if seeded {
             client_config.codec = Arc::new(SeededCodec);
         }
+        let pipeline = client_pipeline();
         let client = FlClient::new(client_config, fl.clone(), local, classes, eval, pipeline)
             .expect("client build");
         joins.push(thread::spawn(move || client.run()));
@@ -139,6 +152,35 @@ fn networked_ckks_matches_in_process_framework_bit_for_bit() {
     }
     // Client 0 evaluated each aggregate; its last measurement must equal
     // the Framework's final accuracy exactly (same model bits).
+    let accs = &clients[0].accuracies;
+    assert_eq!(accs.len(), 3);
+    assert_eq!(accs.last().expect("final accuracy").1, fw.global_accuracy());
+}
+
+#[test]
+fn networked_lwe_matches_in_process_framework_bit_for_bit() {
+    // The TFHE arm crosses the same sockets: 4 client threads, 3 LWE
+    // rounds over loopback reach exactly the Framework's global model.
+    let data = har_data();
+    let mut fl = config(4, 3, 7);
+    fl.hd_dim = 96; // one ciphertext per parameter
+    let (params, clip) = (round::lwe_fl_params(4, 6), 32.0);
+    let client_pipeline = || ClientPipeline::Lwe { params, clip };
+    let (server, clients) =
+        run_networked_with(&fl, &data, ServerPipeline::Lwe(params), &client_pipeline, false);
+
+    let mut fw = Framework::hdc_encrypted_lwe(fl.clone(), &data, params, clip).expect("framework");
+    fw.run().expect("framework run");
+    let expected = fw.global_model().flatten();
+
+    assert!(server.final_plain_model.is_none(), "the server only held ciphertexts");
+    assert_eq!(server.rounds.len(), 3);
+    assert!(server.rounds.iter().all(|r| r.received == 4 && r.rejected == 0));
+    assert_eq!(server.dropped_clients, 0);
+    for c in &clients {
+        assert_eq!(c.final_model, expected, "client {} diverged", c.client_id);
+        assert_eq!(c.rounds_participated, 3);
+    }
     let accs = &clients[0].accuracies;
     assert_eq!(accs.len(), 3);
     assert_eq!(accs.last().expect("final accuracy").1, fw.global_accuracy());

@@ -60,12 +60,12 @@ fn ckks_federation_is_bit_identical_across_parallelism() {
 #[test]
 fn lwe_federation_is_bit_identical_across_parallelism() {
     let data = har_data();
-    let params = Framework::lwe_fl_params(4, 6);
-    let mut seq = Framework::hdc_encrypted_lwe(config(Parallelism::Fixed(1)), &data, params, 6)
+    let (params, clip) = (round::lwe_fl_params(4, 6), 32.0);
+    let mut seq = Framework::hdc_encrypted_lwe(config(Parallelism::Fixed(1)), &data, params, clip)
         .expect("sequential framework");
     seq.run().expect("sequential run");
 
-    let mut auto = Framework::hdc_encrypted_lwe(config(Parallelism::Auto), &data, params, 6)
+    let mut auto = Framework::hdc_encrypted_lwe(config(Parallelism::Auto), &data, params, clip)
         .expect("parallel framework");
     auto.run().expect("parallel run");
     assert_eq!(model_bits(&seq), model_bits(&auto), "LWE global model diverged");
