@@ -523,6 +523,23 @@ mod tests {
     }
 
     #[test]
+    fn a_non_finite_weight_refuses_the_upload() {
+        // One bad weight must not upload its chunk as zeros that the
+        // server would average in as an honest update.
+        let (ctx, sk, pk, mut rng) = setup();
+        let slots = ctx.slot_count();
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let mut flat: Vec<f32> = (0..700).map(|i| i as f32 * 0.01).collect();
+            flat[slots + 5] = bad;
+            let refused = Err(FheError::NonFinitePlaintext { index: 5 });
+            let public = encrypt_model_with(&ctx, &pk, &flat, &DENSE, &mut rng);
+            assert_eq!(public.map(|_| ()), refused, "public key, {bad}");
+            let symmetric = encrypt_model_symmetric_with(&ctx, &sk, &flat, &DENSE, &mut rng);
+            assert_eq!(symmetric.map(|_| ()), refused, "secret key, {bad}");
+        }
+    }
+
+    #[test]
     fn homomorphic_average_matches_plaintext() {
         let (ctx, sk, pk, mut rng) = setup();
         let p = 4;

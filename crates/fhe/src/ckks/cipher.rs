@@ -12,10 +12,13 @@
 //! the additive operations are pointwise on them. The only transform a
 //! ciphertext ever pays after encryption is decrypt's one inverse per
 //! prime, so a full encrypt → upload → aggregate → download → decrypt
-//! round costs four forward NTTs per prime on the client and one inverse
-//! per prime at decryption. The NTT is a per-prime linear bijection, so
-//! every decrypted value is bit-identical to the coefficient-domain
-//! textbook scheme (the `#[cfg(test)]` oracles in this module's tests).
+//! round costs three forward NTTs per prime on the client under the
+//! public key (one under the secret key) and one inverse per prime at
+//! decryption. The NTT is a per-prime linear bijection, so each encrypt
+//! body reduces a linear sum (noise plus message) before its one
+//! transform, and every decrypted value is bit-identical to the
+//! coefficient-domain textbook scheme (the `#[cfg(test)]` oracles in
+//! this module's tests).
 //! Coefficient-domain polynomials exist only bare — an encoded message,
 //! noise, a key share, the `m` decryption reconstructs — never inside a
 //! [`CkksCiphertext`].
@@ -132,23 +135,15 @@ pub struct CkksSymmetricNoise {
 
 /// Reusable scratch buffers for the allocation-free symmetric encrypt
 /// path ([`CkksContext::encrypt_symmetric_with_noise_into`]): FFT
-/// scratch and integer coefficients for encoding, the encoded message
-/// polynomial, and the row each prime's `NTT(m)` is taken in. One arena
-/// serves any number of sequential encryptions; after the first call its
-/// buffers are warm and the steady-state encrypt performs no heap
-/// allocation.
-#[derive(Debug)]
+/// scratch and the integer coefficients of the encoded message. The
+/// message is reduced straight into the output's `c0` rows, so the
+/// arena holds no polynomial rows. One arena serves any number of
+/// sequential encryptions; after the first call its buffers are warm
+/// and the steady-state encrypt performs no heap allocation.
+#[derive(Debug, Default)]
 pub struct CkksEncryptArena {
     z: Vec<Complex>,
     coeffs: Vec<i64>,
-    m: RnsPoly,
-    t: Vec<u64>,
-}
-
-impl Default for CkksEncryptArena {
-    fn default() -> Self {
-        CkksEncryptArena { z: vec![], coeffs: vec![], m: RnsPoly::zero(0, 0), t: vec![] }
-    }
 }
 
 impl CkksEncryptArena {
@@ -303,7 +298,8 @@ impl CkksContext {
     /// # Errors
     ///
     /// Returns [`FheError::PlaintextTooLarge`] if more than `N/2` values
-    /// are supplied.
+    /// are supplied, [`FheError::NonFinitePlaintext`] if one is NaN or
+    /// infinite.
     pub fn encrypt<R: Rng + ?Sized>(
         &self,
         pk: &CkksPublicKey,
@@ -335,17 +331,18 @@ impl CkksContext {
     /// &sample_encrypt_noise(rng))`.
     ///
     /// Evaluation-domain throughout: exactly one forward NTT per prime
-    /// for each of `v` (shared by both components), `e0`, `e1` and `m`,
-    /// zero inverses, zero key transforms. Per prime:
-    /// `c0 = b̂ ∘ NTT(v) + NTT(e0) + NTT(m)`, `c1 = â ∘ NTT(v) + NTT(e1)`.
-    /// The NTT is linear over `Z_q`, so INTT of these rows equals the
-    /// textbook coefficient-domain `(b·v + e0 + m, a·v + e1)` exactly —
-    /// same ciphertext, new domain.
+    /// for each of `v` (shared by both components), `e0 + m` (summed
+    /// before the transform) and `e1`, zero inverses, zero key
+    /// transforms. Per prime: `c0 = b̂ ∘ NTT(v) + NTT(e0 + m)`,
+    /// `c1 = â ∘ NTT(v) + NTT(e1)`. The NTT is linear over `Z_q`, so INTT
+    /// of these rows equals the textbook coefficient-domain
+    /// `(b·v + e0 + m, a·v + e1)` exactly — same ciphertext, new domain.
     ///
     /// # Errors
     ///
     /// Returns [`FheError::PlaintextTooLarge`] if more than `N/2` values
-    /// are supplied.
+    /// are supplied, [`FheError::NonFinitePlaintext`] if one is NaN or
+    /// infinite.
     pub fn encrypt_with_noise(
         &self,
         pk: &CkksPublicKey,
@@ -354,12 +351,11 @@ impl CkksContext {
     ) -> Result<CkksCiphertext, FheError> {
         self.check_slots(values)?;
         let _span = telemetry::span("fhe.ckks.encrypt");
-        let m = self.encode_poly(values);
+        let m = self.encoder.encode(values);
         let n = self.params.n;
         let levels = self.primes.len();
         // (c0, c1) rows are produced together per prime so NTT(v) is
-        // computed once and feeds both components; `t` holds NTT(m), then
-        // NTT(e1).
+        // computed once and feeds both components; `t` holds NTT(e1).
         let mut t = vec![0u64; n];
         let mut rows: Vec<(Vec<u64>, Vec<u64>)> = vec![(Vec::new(), Vec::new()); levels];
         for (i, (r0, r1)) in rows.iter_mut().enumerate() {
@@ -372,14 +368,11 @@ impl CkksContext {
             // r1 holds NTT(v) until c0 is assembled, then becomes c1.
             reduce_signed_into(&noise.v, q, r1);
             table.forward(r1);
-            // c0 = b̂ ∘ NTT(v) + NTT(e0) + NTT(m)
-            reduce_signed_into(&noise.e0, q, r0);
+            // c0 = b̂ ∘ NTT(v) + NTT(e0 + m)
+            reduce_sum_into(&noise.e0, &m, q, r0);
             table.forward(r0);
-            t.copy_from_slice(m.residues(i));
-            table.forward(&mut t);
             for j in 0..n {
-                let e0_m = add_mod(r0[j], t[j], q);
-                r0[j] = add_mod(mul_mod(b_row[j], r1[j], q), e0_m, q);
+                r0[j] = add_mod(mul_mod(b_row[j], r1[j], q), r0[j], q);
             }
             // c1 = â ∘ NTT(v) + NTT(e1)
             reduce_signed_into(&noise.e1, q, &mut t);
@@ -412,7 +405,8 @@ impl CkksContext {
     /// # Errors
     ///
     /// Returns [`FheError::PlaintextTooLarge`] if more than `N/2` values
-    /// are supplied.
+    /// are supplied, [`FheError::NonFinitePlaintext`] if one is NaN or
+    /// infinite.
     pub fn encrypt_symmetric<R: Rng + ?Sized>(
         &self,
         sk: &CkksSecretKey,
@@ -467,7 +461,8 @@ impl CkksContext {
     /// # Errors
     ///
     /// Returns [`FheError::PlaintextTooLarge`] if more than `N/2` values
-    /// are supplied.
+    /// are supplied, [`FheError::NonFinitePlaintext`] if one is NaN or
+    /// infinite.
     pub fn encrypt_symmetric_with_noise(
         &self,
         sk: &CkksSecretKey,
@@ -487,13 +482,20 @@ impl CkksContext {
     /// Always evaluation-domain: `c1 = a` is expanded from the seed
     /// directly in NTT form (the NTT is a bijection on `Z_q^N`, so a
     /// uniform evaluation-domain polynomial is exactly as uniform as a
-    /// coefficient-domain one), and `c0 = −(a ∘ ŝ) + NTT(e) + NTT(m)` —
-    /// two forward transforms per prime, zero inverses.
+    /// coefficient-domain one), and `c0 = −(a ∘ ŝ) + NTT(e + m)` — one
+    /// forward transform per prime, zero inverses.
     ///
     /// # Errors
     ///
     /// Returns [`FheError::PlaintextTooLarge`] if more than `N/2` values
-    /// are supplied; `out` is untouched in that case.
+    /// are supplied, [`FheError::NonFinitePlaintext`] if one is NaN or
+    /// infinite; `out` is untouched in either case.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `noise` was not sampled for this context (an unsampled
+    /// [`CkksSymmetricNoise::default`] has no error coefficients, and
+    /// `c0` would carry neither noise nor message).
     pub fn encrypt_symmetric_with_noise_into(
         &self,
         sk: &CkksSecretKey,
@@ -503,10 +505,10 @@ impl CkksContext {
         out: &mut CkksCiphertext,
     ) -> Result<(), FheError> {
         self.check_slots(values)?;
+        let n = self.params.n;
+        assert_eq!(noise.e.len(), n, "symmetric noise not sampled for this context");
         let _span = telemetry::span("fhe.ckks.encrypt");
         self.encoder.encode_into(values, &mut arena.z, &mut arena.coeffs);
-        arena.m.fill_from_signed(&arena.coeffs, &self.primes);
-        let n = self.params.n;
         let levels = self.primes.len();
         out.c0.ensure_shape(n, levels, Domain::Eval);
         out.c1.ensure_shape(n, levels, Domain::Eval);
@@ -516,21 +518,15 @@ impl CkksContext {
                 seedexp::expand_row_into(&noise.seed, i, self.primes[i], n, r1);
             }
         }
-        arena.t.resize(n, 0);
-        let (m, t) = (&arena.m, &mut arena.t);
         let rows = out.c0.residues_all_mut().iter_mut().zip(out.c1.residues_all_mut());
         for (i, (r0, r1)) in rows.enumerate() {
-            let table = &self.ntt[i];
             let q = self.primes[i];
             let s_row = sk.s_eval.residues(i);
-            reduce_signed_into(&noise.e, q, r0);
-            table.forward(r0);
-            t.copy_from_slice(m.residues(i));
-            table.forward(t);
+            reduce_sum_into(&noise.e, &arena.coeffs, q, r0);
+            self.ntt[i].forward(r0);
             for j in 0..n {
-                let e_m = add_mod(r0[j], t[j], q);
                 let a_s = mul_mod(r1[j], s_row[j], q);
-                r0[j] = add_mod(if a_s == 0 { 0 } else { q - a_s }, e_m, q);
+                r0[j] = add_mod(if a_s == 0 { 0 } else { q - a_s }, r0[j], q);
             }
         }
         out.scale = self.encoder.scale();
@@ -852,19 +848,21 @@ impl CkksContext {
         check_addable((a.levels(), a.scale), (b.levels(), b.scale))
     }
 
-    /// Refuses a plaintext of more than `N/2` values. Both encrypt bodies
-    /// call it before they open their span, so a refused call records no
-    /// `fhe.ckks.encrypt` sample.
+    /// Refuses a plaintext of more than `N/2` values, or one holding a
+    /// NaN or an infinity: the encoder's FFT would spread it into every
+    /// coefficient, and the whole ciphertext would encrypt zeros or
+    /// saturated values. Both encrypt bodies call it before they open
+    /// their span, so a refused call records no `fhe.ckks.encrypt`
+    /// sample.
     fn check_slots(&self, values: &[f64]) -> Result<(), FheError> {
         let capacity = self.slot_count();
         if values.len() > capacity {
             return Err(FheError::PlaintextTooLarge { len: values.len(), capacity });
         }
+        if let Some(index) = values.iter().position(|v| !v.is_finite()) {
+            return Err(FheError::NonFinitePlaintext { index });
+        }
         Ok(())
-    }
-
-    fn encode_poly(&self, values: &[f64]) -> RnsPoly {
-        RnsPoly::from_signed_coeffs(&self.encoder.encode(values), &self.primes)
     }
 
     pub(crate) fn uniform_poly<R: Rng + ?Sized>(&self, rng: &mut R) -> RnsPoly {
@@ -947,6 +945,16 @@ fn reduce_signed_into(coeffs: &[i64], q: u64, out: &mut [u64]) {
     }
 }
 
+/// Writes `(a + b) mod q` into `out`, each signed summand reduced on its
+/// own: the encoder saturates at `i64::MIN/MAX`, so adding as `i64`
+/// could overflow. The NTT is `Z_q`-linear, so transforming this row
+/// gives the bits `NTT(a) + NTT(b)` would, for one transform.
+fn reduce_sum_into(a: &[i64], b: &[i64], q: u64, out: &mut [u64]) {
+    for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
+        *o = add_mod(signed_residue(x, q), signed_residue(y, q), q);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1002,6 +1010,14 @@ mod tests {
             let back = ctx.decrypt(&sk, &out);
             assert_close(&back[..4], &values[..4], 1e-4);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "symmetric noise not sampled")]
+    fn unsampled_symmetric_noise_is_refused() {
+        let (ctx, sk, _, _) = toy_setup();
+        let unsampled = CkksSymmetricNoise::default();
+        let _ = ctx.encrypt_symmetric_with_noise(&sk, &[1.0], &unsampled);
     }
 
     #[test]
@@ -1260,7 +1276,7 @@ mod tests {
         noise: &CkksEncryptNoise,
     ) -> CkksCiphertext {
         let primes = &ctx.primes;
-        let m = ctx.encode_poly(values);
+        let m = RnsPoly::from_signed_coeffs(&ctx.encoder.encode(values), primes);
         let (b, a) = (ctx.to_coeff(&pk.b_eval), ctx.to_coeff(&pk.a_eval));
         let v = RnsPoly::from_signed_coeffs(&noise.v, primes);
         let e0 = RnsPoly::from_signed_coeffs(&noise.e0, primes);
@@ -1289,6 +1305,140 @@ mod tests {
         let dec_a = ctx.decrypt(&sk, &resident);
         let dec_b = ctx.decrypt(&sk, &reference);
         assert!(dec_a.iter().zip(&dec_b).all(|(x, y)| x.to_bits() == y.to_bits()));
+    }
+
+    /// An evaluation-domain polynomial whose residue at prime `i`,
+    /// coefficient `j` is `f(i, j, q_i)`.
+    fn eval_rows(ctx: &CkksContext, f: impl Fn(usize, usize, u64) -> u64) -> RnsPoly {
+        let rows = ctx.primes.iter().enumerate();
+        let rows = rows.map(|(i, &q)| (0..ctx.params.n).map(|j| f(i, j, q)).collect()).collect();
+        RnsPoly::from_rows(rows, Domain::Eval)
+    }
+
+    /// `NTT` of signed coefficients at every prime.
+    fn eval_of(ctx: &CkksContext, coeffs: &[i64]) -> RnsPoly {
+        let mut p = RnsPoly::from_signed_coeffs(coeffs, &ctx.primes);
+        ctx.forward_rows(&mut p);
+        p
+    }
+
+    /// The public-key body with the noise and the message transformed
+    /// separately and then added, `c0 = b̂ ∘ NTT(v) + (NTT(e0) +
+    /// NTT(m))` — the oracle for the body's one transform of `e0 + m`.
+    fn encrypt_unfused_oracle(
+        ctx: &CkksContext,
+        pk: &CkksPublicKey,
+        values: &[f64],
+        noise: &CkksEncryptNoise,
+    ) -> (RnsPoly, RnsPoly) {
+        let m = eval_of(ctx, &ctx.encoder.encode(values));
+        let (v, e0, e1) =
+            (eval_of(ctx, &noise.v), eval_of(ctx, &noise.e0), eval_of(ctx, &noise.e1));
+        let at = |p: &RnsPoly, i: usize, j: usize| p.residues(i)[j];
+        let c0 = eval_rows(ctx, |i, j, q| {
+            let e0_m = add_mod(at(&e0, i, j), at(&m, i, j), q);
+            add_mod(mul_mod(at(&pk.b_eval, i, j), at(&v, i, j), q), e0_m, q)
+        });
+        let c1 = eval_rows(ctx, |i, j, q| {
+            add_mod(mul_mod(at(&pk.a_eval, i, j), at(&v, i, j), q), at(&e1, i, j), q)
+        });
+        (c0, c1)
+    }
+
+    /// The symmetric body with the noise and the message transformed
+    /// separately and then added, `c0 = −(a ∘ ŝ) + (NTT(e) + NTT(m))`.
+    fn encrypt_symmetric_unfused_oracle(
+        ctx: &CkksContext,
+        sk: &CkksSecretKey,
+        values: &[f64],
+        noise: &CkksSymmetricNoise,
+    ) -> (RnsPoly, RnsPoly) {
+        let m = eval_of(ctx, &ctx.encoder.encode(values));
+        let e = eval_of(ctx, &noise.e);
+        let mut c1 = RnsPoly::zero_in(ctx.params.n, ctx.primes.len(), Domain::Eval);
+        for (i, row) in c1.residues_all_mut().iter_mut().enumerate() {
+            seedexp::expand_row_into(&noise.seed, i, ctx.primes[i], ctx.params.n, row);
+        }
+        let at = |p: &RnsPoly, i: usize, j: usize| p.residues(i)[j];
+        let c0 = eval_rows(ctx, |i, j, q| {
+            let a_s = mul_mod(at(&c1, i, j), at(&sk.s_eval, i, j), q);
+            add_mod(if a_s == 0 { 0 } else { q - a_s }, add_mod(at(&e, i, j), at(&m, i, j), q), q)
+        });
+        (c0, c1)
+    }
+
+    #[test]
+    fn fused_encrypt_bodies_match_the_unfused_oracle() {
+        // NTT(e + m) must carry the bits NTT(e) + NTT(m) did, including
+        // where the encoder saturates to i64::MIN/MAX (an i64 sum of
+        // noise and message would overflow there) and where the noise
+        // sits at the sampler's hard bound.
+        let sets = [
+            ("toy", CkksParams::toy()),
+            ("CKKS-1", CkksParams::ckks1()),
+            ("CKKS-2", CkksParams::ckks2()),
+            ("CKKS-3", CkksParams::ckks3()),
+            ("CKKS-4", CkksParams::ckks4()),
+        ];
+        for (name, params) in sets {
+            let ctx = CkksContext::new(params).expect("valid params");
+            let mut rng = StdRng::seed_from_u64(0xf05e);
+            let (sk, pk) = ctx.generate_keys(&mut rng);
+            let (n, slots) = (ctx.params.n, ctx.slot_count());
+            let random: Vec<f64> = (0..slots).map(|_| rng.gen_range(-8.0..8.0)).collect();
+            let huge: Vec<f64> = (0..slots).map(|_| rng.gen_range(-1.0..1.0) * 1e200).collect();
+            let encoded = ctx.encoder.encode(&huge);
+            assert!(
+                encoded.contains(&i64::MAX) && encoded.contains(&i64::MIN),
+                "{name}: the encoder must saturate both ways"
+            );
+            // `GaussianSampler`'s hard bound is ⌈6σ⌉.
+            let tail = (6.0 * ctx.params.sigma).ceil() as i64;
+            let at_tail: Vec<i64> = (0..n).map(|j| if j % 3 == 0 { -tail } else { tail }).collect();
+            for (what, values) in [("random", &random), ("saturated", &huge)] {
+                for tail_noise in [false, true] {
+                    let at = format!("{name}, {what} values, noise at tail: {tail_noise}");
+                    let mut noise = ctx.sample_encrypt_noise(&mut rng);
+                    let mut sym = ctx.sample_symmetric_noise(&mut rng);
+                    if tail_noise {
+                        (noise.e0, noise.e1, sym.e) =
+                            (at_tail.clone(), at_tail.clone(), at_tail.clone());
+                    }
+                    let ct = ctx.encrypt_with_noise(&pk, values, &noise).expect("encrypt");
+                    let oracle = encrypt_unfused_oracle(&ctx, &pk, values, &noise);
+                    assert_eq!((&ct.c0, &ct.c1), (&oracle.0, &oracle.1), "public key, {at}");
+                    let ct = ctx.encrypt_symmetric_with_noise(&sk, values, &sym).expect("encrypt");
+                    let oracle = encrypt_symmetric_unfused_oracle(&ctx, &sk, values, &sym);
+                    assert_eq!((&ct.c0, &ct.c1), (&oracle.0, &oracle.1), "symmetric, {at}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn non_finite_plaintexts_are_refused() {
+        // One NaN or infinity would spread through the encoder's FFT into
+        // every coefficient and encrypt a whole chunk as zeros.
+        let (ctx, sk, pk, mut rng) = toy_setup();
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut values: Vec<f64> = (0..ctx.slot_count()).map(|i| i as f64 * 0.1).collect();
+            values[3] = bad;
+            values[7] = bad;
+            let refused = Err(FheError::NonFinitePlaintext { index: 3 });
+            assert_eq!(ctx.encrypt(&pk, &values, &mut rng).map(|_| ()), refused, "{bad}");
+            assert_eq!(ctx.encrypt_symmetric(&sk, &values, &mut rng).map(|_| ()), refused);
+            let (zero, mut out) = (ctx.zero_ciphertext(), ctx.zero_ciphertext());
+            let noise = ctx.sample_symmetric_noise(&mut rng);
+            let mut arena = CkksEncryptArena::new();
+            let into =
+                ctx.encrypt_symmetric_with_noise_into(&sk, &values, &noise, &mut arena, &mut out);
+            assert_eq!(into, refused);
+            assert_eq!(
+                (&out.c0, &out.c1, out.c1_seed),
+                (&zero.c0, &zero.c1, None),
+                "out untouched"
+            );
+        }
     }
 
     #[test]

@@ -95,21 +95,11 @@ impl RnsPoly {
     /// Each coefficient is reduced into `[0, q_i)` per prime, mapping
     /// negative values to `q_i - |c|`.
     pub fn from_signed_coeffs(coeffs: &[i64], primes: &[u64]) -> Self {
-        let mut out = RnsPoly { residues: Vec::new(), domain: Domain::Coeff };
-        out.fill_from_signed(coeffs, primes);
-        out
-    }
-
-    /// Refills `self` from signed coefficients, reusing the existing row
-    /// allocations. Produces the exact shape and values of
-    /// [`RnsPoly::from_signed_coeffs`] and retags to `Coeff`.
-    pub(crate) fn fill_from_signed(&mut self, coeffs: &[i64], primes: &[u64]) {
-        self.ensure_shape(coeffs.len(), primes.len(), Domain::Coeff);
-        for (row, &q) in self.residues.iter_mut().zip(primes) {
-            for (slot, &c) in row.iter_mut().zip(coeffs) {
-                *slot = signed_residue(c, q);
-            }
-        }
+        let residues = primes
+            .iter()
+            .map(|&q| coeffs.iter().map(|&c| signed_residue(c, q)).collect())
+            .collect();
+        RnsPoly { residues, domain: Domain::Coeff }
     }
 
     /// Resizes the residue rows to `levels` rows of `n` limbs each and

@@ -16,6 +16,8 @@ pub enum FheError {
     LevelExhausted,
     /// The plaintext does not fit the available slots or message modulus.
     PlaintextTooLarge { len: usize, capacity: usize },
+    /// A plaintext slot value is NaN or infinite (`index` is the first).
+    NonFinitePlaintext { index: usize },
     /// A plaintext value exceeds the scheme's message modulus.
     MessageOutOfRange { value: i64, modulus: u64 },
     /// A ciphertext cannot be encoded in the requested wire format.
@@ -37,6 +39,9 @@ impl fmt::Display for FheError {
             FheError::LevelExhausted => write!(f, "no modulus level left to rescale"),
             FheError::PlaintextTooLarge { len, capacity } => {
                 write!(f, "plaintext of {len} values exceeds capacity {capacity}")
+            }
+            FheError::NonFinitePlaintext { index } => {
+                write!(f, "plaintext value at slot {index} is not finite")
             }
             FheError::MessageOutOfRange { value, modulus } => {
                 write!(f, "message {value} outside plaintext modulus {modulus}")

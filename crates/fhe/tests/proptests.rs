@@ -227,24 +227,33 @@ mod ntt_backends {
     /// one and the paper's N = 8192 — on a uniform vector and on the
     /// vectors that sit at the edges of the lazy-reduction ranges
     /// (every butterfly input at 0 or at `q − 1`).
+    const WORKSPACE_PRIME_BITS: [u32; 6] = [30, 35, 40, 45, 50, 61];
+    const RING_DEGREES: [usize; 3] = [16, 512, 8192];
+
+    /// A uniform vector and the vectors that sit at the edges of the
+    /// lazy-reduction ranges (every butterfly input at 0 or at `q − 1`).
+    fn edge_inputs(rng: &mut StdRng, n: usize, q: u64) -> [(&'static str, Vec<u64>); 5] {
+        use rand::Rng;
+        let mut impulse = vec![0u64; n];
+        impulse[n - 1] = q - 1;
+        [
+            ("uniform", (0..n).map(|_| rng.gen_range(0..q)).collect()),
+            ("all 0", vec![0; n]),
+            ("all q-1", vec![q - 1; n]),
+            ("alternating 0/q-1", (0..n).map(|i| (i as u64 % 2) * (q - 1)).collect()),
+            ("q-1 impulse", impulse),
+        ]
+    }
+
     #[test]
     fn backends_bit_identical_at_workspace_primes() {
-        use rand::Rng;
         use rhychee_fhe::ckks::ntt::kernel_by_name;
         let mut rng = StdRng::seed_from_u64(0x5eed_bac4);
         let scalar = kernel_by_name("scalar").expect("scalar kernel always present");
-        for &bits in &[30u32, 35, 40, 45, 50, 61] {
-            for &n in &[16usize, 512, 8192] {
+        for bits in WORKSPACE_PRIME_BITS {
+            for n in RING_DEGREES {
                 let q = find_ntt_primes(bits, 1, 2 * n as u64)[0];
-                let mut impulse = vec![0u64; n];
-                impulse[n - 1] = q - 1;
-                let inputs: [(&str, Vec<u64>); 5] = [
-                    ("uniform", (0..n).map(|_| rng.gen_range(0..q)).collect()),
-                    ("all 0", vec![0; n]),
-                    ("all q-1", vec![q - 1; n]),
-                    ("alternating 0/q-1", (0..n).map(|i| (i as u64 % 2) * (q - 1)).collect()),
-                    ("q-1 impulse", impulse),
-                ];
+                let inputs = edge_inputs(&mut rng, n, q);
                 let scalar_table = NttTable::with_kernel(n, q, scalar);
                 let tables: Vec<NttTable> =
                     available_kernels().iter().map(|&k| NttTable::with_kernel(n, q, k)).collect();
@@ -264,6 +273,53 @@ mod ntt_backends {
                         table.inverse(&mut inv);
                         assert_eq!(inv, inv_ref, "inverse != inverse(scalar): {at}");
                         assert_eq!(&inv, input, "round trip must be the identity: {at}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// What lets each encrypt body sum noise and message before its one
+    /// transform: every backend's forward output is canonical (`< q`)
+    /// and `Z_q`-linear, `forward(a +_q b) == forward(a) +_q forward(b)`
+    /// element for element, on every pair of edge vectors.
+    #[test]
+    fn every_backend_forward_is_canonical_and_linear() {
+        use rhychee_fhe::ckks::modarith::add_mod;
+        let mut rng = StdRng::seed_from_u64(0x11_7ea5);
+        for bits in WORKSPACE_PRIME_BITS {
+            for n in RING_DEGREES {
+                let q = find_ntt_primes(bits, 1, 2 * n as u64)[0];
+                let inputs = edge_inputs(&mut rng, n, q);
+                for &kernel in available_kernels() {
+                    let table = NttTable::with_kernel(n, q, kernel);
+                    let forward = |a: &[u64]| {
+                        let mut t = a.to_vec();
+                        table.forward(&mut t);
+                        t
+                    };
+                    let transformed: Vec<Vec<u64>> =
+                        inputs.iter().map(|(_, a)| forward(a)).collect();
+                    for ((what, _), t) in inputs.iter().zip(&transformed) {
+                        assert!(
+                            t.iter().all(|&x| x < q),
+                            "{} forward of {what} not below {bits}-bit q, n = {n}",
+                            kernel.name()
+                        );
+                    }
+                    for ((what_a, a), ta) in inputs.iter().zip(&transformed) {
+                        for ((what_b, b), tb) in inputs.iter().zip(&transformed) {
+                            let sum: Vec<u64> =
+                                a.iter().zip(b).map(|(&x, &y)| add_mod(x, y, q)).collect();
+                            let expected: Vec<u64> =
+                                ta.iter().zip(tb).map(|(&x, &y)| add_mod(x, y, q)).collect();
+                            assert!(
+                                forward(&sum) == expected,
+                                "{}: forward({what_a} + {what_b}) != forward sum at {bits}-bit \
+                                 prime, n = {n}",
+                                kernel.name()
+                            );
+                        }
                     }
                 }
             }

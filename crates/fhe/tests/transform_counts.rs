@@ -51,12 +51,13 @@ fn transform_counts_match_the_accounting_table() {
     let tasks0 = par_tasks();
 
     // Public-key encrypt: one forward per prime for each of
-    // v (shared by both components), e0, e1, and the encoded message —
-    // no inverses, and no key transforms (keys were cached at keygen).
+    // v (shared by both components), e0 + m (summed before the
+    // transform) and e1 — no inverses, and no key transforms (keys were
+    // cached at keygen).
     let (f0, i0) = ntt_counts();
     let ct = ctx.encrypt(&pk, &values, &mut rng).expect("encrypt");
     let (f1, i1) = ntt_counts();
-    assert_eq!((f1 - f0, i1 - i0), (4 * levels, 0), "public-key encrypt");
+    assert_eq!((f1 - f0, i1 - i0), (3 * levels, 0), "public-key encrypt");
 
     // The server aggregation loop is transform-free.
     let ct2 = ctx.encrypt(&pk, &values, &mut rng).expect("encrypt");
@@ -75,11 +76,11 @@ fn transform_counts_match_the_accounting_table() {
     assert_eq!((f1 - f0, i1 - i0), (0, levels), "decrypt of a fresh sum");
 
     // Symmetric seeded encrypt: c1 is expanded from the seed directly in
-    // the evaluation domain, so only e and the message transform.
+    // the evaluation domain, so only e + m transforms.
     let (f0, i0) = ntt_counts();
     let sct = ctx.encrypt_symmetric(&sk, &values, &mut rng).expect("encrypt");
     let (f1, i1) = ntt_counts();
-    assert_eq!((f1 - f0, i1 - i0), (2 * levels, 0), "symmetric encrypt");
+    assert_eq!((f1 - f0, i1 - i0), (levels, 0), "symmetric encrypt");
 
     // Both wire formats carry the rows a ciphertext holds: serializing,
     // deserializing and folding run no transform, and a ciphertext that
@@ -136,12 +137,15 @@ fn refused_encrypts_record_no_encrypt_sample() {
     let mut rng = StdRng::seed_from_u64(7);
     let (sk, pk) = ctx.generate_keys(&mut rng);
     let too_big = vec![0.25; ctx.slot_count() + 1];
+    let not_finite = [0.25, f64::NAN, 0.5];
     // The span's histogram is the only encrypt count: a call refused for
-    // an oversized plaintext must leave it where it was.
+    // an oversized or non-finite plaintext must leave it where it was.
     let encrypts = || telemetry::metrics::global().histogram("fhe.ckks.encrypt").count();
     let before = encrypts();
-    assert!(ctx.encrypt(&pk, &too_big, &mut rng).is_err(), "public-key encrypt refuses");
-    assert!(ctx.encrypt_symmetric(&sk, &too_big, &mut rng).is_err(), "symmetric encrypt refuses");
+    for refused in [&too_big[..], &not_finite] {
+        assert!(ctx.encrypt(&pk, refused, &mut rng).is_err(), "public-key encrypt refuses");
+        assert!(ctx.encrypt_symmetric(&sk, refused, &mut rng).is_err(), "symmetric refuses");
+    }
     assert_eq!(encrypts(), before, "a refused encrypt was counted");
     ctx.encrypt(&pk, &too_big[1..], &mut rng).expect("a full plaintext fits");
     assert_eq!(encrypts(), before + 1, "an accepted encrypt is counted once");
