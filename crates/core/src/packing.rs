@@ -176,7 +176,17 @@ impl Grid {
         1u64 << (self.bits - 1)
     }
 
-    /// The grid value of `x`, clamped to `[-clip, clip]`.
+    /// Refuses the first NaN or infinite coordinate of `flat`, by its
+    /// index: [`Grid::quantize`] would map NaN to the grid's zero and ±∞
+    /// to ±clip, so a broken update would upload as an honest one.
+    pub(crate) fn check_finite(flat: &[f32]) -> Result<(), FheError> {
+        match flat.iter().position(|x| !x.is_finite()) {
+            Some(index) => Err(FheError::NonFinitePlaintext { index }),
+            None => Ok(()),
+        }
+    }
+
+    /// The grid value of finite `x`, clamped to `[-clip, clip]`.
     pub(crate) fn quantize(self, x: f32) -> u64 {
         let half = self.half();
         let qmax = (half - 1) as f32;
@@ -199,7 +209,18 @@ impl Grid {
 /// every one on the [`Grid`] of `bits` bits over `[-clip, clip]`, so a
 /// sum of `k ≤ max_clients` clients stays below `2^lane_bits` —
 /// lane-carry-free by construction.
-fn interleaved_chunks(cfg: &PackingConfig, bits: u32, flat: &[f32], slots: usize) -> Vec<Vec<f64>> {
+///
+/// # Errors
+///
+/// [`FheError::NonFinitePlaintext`] for the first NaN or infinite
+/// coordinate, before any is quantized.
+fn interleaved_chunks(
+    cfg: &PackingConfig,
+    bits: u32,
+    flat: &[f32],
+    slots: usize,
+) -> Result<Vec<Vec<f64>>, FheError> {
+    Grid::check_finite(flat)?;
     let lane_bits = cfg.layout.lane_bits(cfg.max_clients);
     let lanes = cfg.layout.lanes_per_slot(cfg.max_clients);
     let grid = Grid::new(bits, cfg.clip);
@@ -212,7 +233,7 @@ fn interleaved_chunks(cfg: &PackingConfig, bits: u32, flat: &[f32], slots: usize
         // Exact as f64: a packed word is < 2^SLOT_PAYLOAD_BITS ≤ 2^32.
         words.push(pack_lanes(&lane_vals, lane_bits) as f64);
     }
-    words.chunks(slots).map(<[f64]>::to_vec).collect()
+    Ok(words.chunks(slots).map(<[f64]>::to_vec).collect())
 }
 
 /// The slot values of `flat` under `cfg`'s layout, one chunk per
@@ -221,7 +242,7 @@ fn slot_chunks(cfg: &PackingConfig, flat: &[f32], slots: usize) -> Result<Vec<Ve
     cfg.validate()?;
     Ok(match cfg.layout {
         PackingLayout::Dense => chunk_params(flat, slots),
-        PackingLayout::BitInterleaved { bits } => interleaved_chunks(cfg, bits, flat, slots),
+        PackingLayout::BitInterleaved { bits } => interleaved_chunks(cfg, bits, flat, slots)?,
     })
 }
 
@@ -535,6 +556,24 @@ mod tests {
             let public = encrypt_model_with(&ctx, &pk, &flat, &DENSE, &mut rng);
             assert_eq!(public.map(|_| ()), refused, "public key, {bad}");
             let symmetric = encrypt_model_symmetric_with(&ctx, &sk, &flat, &DENSE, &mut rng);
+            assert_eq!(symmetric.map(|_| ()), refused, "secret key, {bad}");
+        }
+    }
+
+    #[test]
+    fn a_non_finite_weight_refuses_an_interleaved_upload() {
+        // The grid would quantize NaN to its zero and ±∞ to ±clip: the
+        // flat index of the first bad weight is refused instead.
+        let (ctx, sk, pk, mut rng) = setup();
+        let cfg = PackingConfig::interleaved(8, 1.0, 4);
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let mut flat: Vec<f32> = (0..700).map(|i| i as f32 * 0.001).collect();
+            flat[601] = bad;
+            flat[650] = f32::NAN;
+            let refused = Err(FheError::NonFinitePlaintext { index: 601 });
+            let public = encrypt_model_with(&ctx, &pk, &flat, &cfg, &mut rng);
+            assert_eq!(public.map(|_| ()), refused, "public key, {bad}");
+            let symmetric = encrypt_model_symmetric_with(&ctx, &sk, &flat, &cfg, &mut rng);
             assert_eq!(symmetric.map(|_| ()), refused, "secret key, {bad}");
         }
     }

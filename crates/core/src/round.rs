@@ -567,6 +567,7 @@ impl ClientHalf {
                 f.codec.encode_upload(&f.ctx, &cts)
             }
             Scheme::Lwe { ctx, sk, grid, .. } => {
+                Grid::check_finite(&flat)?;
                 let rng = local.rng_mut();
                 let cts: Vec<LweCiphertext> = flat
                     .iter()
@@ -965,6 +966,24 @@ mod tests {
         for k in [0, 5] {
             let err = client.decode(&codec::encode_lwe(&ctx, k, &cts));
             assert!(matches!(err, Err(FlError::Payload(_))), "k = {k}");
+        }
+    }
+
+    #[test]
+    fn lwe_half_refuses_a_non_finite_weight() {
+        // The grid would quantize NaN to its zero and ±∞ to ±clip; the
+        // upload is refused at the first bad coordinate's flat index.
+        let cfg = config(2);
+        let params = lwe_fl_params(2, 6);
+        let client = ClientHalf::lwe(Aggregation::FedAvg, 8, params, 2, 1.0, 3).expect("client");
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let mut flat = vec![0.25f32; 8];
+            flat[6] = bad;
+            let err = client.encode(&mut bare_client(0, &cfg), flat);
+            assert!(
+                matches!(err, Err(FlError::Fhe(FheError::NonFinitePlaintext { index: 6 }))),
+                "{bad}: {err:?}"
+            );
         }
     }
 

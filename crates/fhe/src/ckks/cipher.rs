@@ -35,7 +35,7 @@ use crate::error::FheError;
 use crate::params::CkksParams;
 use crate::sampling::{ternary_vec, GaussianSampler};
 
-use super::encoder::{CkksEncoder, Complex};
+use super::encoder::{CkksEncoder, SplitComplex};
 use super::modarith::{add_mod, find_ntt_primes, mul_mod, signed_residue};
 use super::ntt::{cached_table, NttTable};
 use super::rns::{Domain, RnsPoly};
@@ -142,7 +142,7 @@ pub struct CkksSymmetricNoise {
 /// and the steady-state encrypt performs no heap allocation.
 #[derive(Debug, Default)]
 pub struct CkksEncryptArena {
-    z: Vec<Complex>,
+    z: SplitComplex,
     coeffs: Vec<i64>,
 }
 

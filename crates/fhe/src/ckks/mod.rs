@@ -36,5 +36,5 @@ pub use cipher::{
     CkksCiphertext, CkksContext, CkksEncryptArena, CkksEncryptNoise, CkksPublicKey, CkksSecretKey,
     CkksSymmetricNoise,
 };
-pub use encoder::{CkksEncoder, Complex};
+pub use encoder::CkksEncoder;
 pub use view::CtView;

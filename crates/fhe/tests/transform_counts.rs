@@ -14,6 +14,7 @@
 use std::sync::Mutex;
 
 use rand::{rngs::StdRng, SeedableRng};
+use rhychee_fhe::ckks::threshold::ThresholdGroup;
 use rhychee_fhe::ckks::CkksContext;
 use rhychee_fhe::params::CkksParams;
 use rhychee_par::Parallelism;
@@ -149,4 +150,64 @@ fn refused_encrypts_record_no_encrypt_sample() {
     assert_eq!(encrypts(), before, "a refused encrypt was counted");
     ctx.encrypt(&pk, &too_big[1..], &mut rng).expect("a full plaintext fits");
     assert_eq!(encrypts(), before + 1, "an accepted encrypt is counted once");
+}
+
+#[test]
+fn encoder_timers_take_one_sample_per_plaintext_crossing() {
+    let _guard = SERIAL.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    telemetry::set_enabled(true);
+    let ctx = CkksContext::new(CkksParams::toy()).expect("params");
+    let mut rng = StdRng::seed_from_u64(11);
+    let (sk, pk) = ctx.generate_keys(&mut rng);
+    let group = ThresholdGroup::generate(&ctx, 3, 2, &mut rng).expect("2-of-3");
+    let values = vec![0.5; 100];
+    // `fhe.ckks.encode` times each plaintext going in and
+    // `fhe.ckks.decode` each one coming out; both are histograms, so
+    // their counts are the number of crossings.
+    let samples = || {
+        let m = telemetry::metrics::global();
+        (m.histogram("fhe.ckks.encode").count(), m.histogram("fhe.ckks.decode").count())
+    };
+    let delta = |f: &mut dyn FnMut()| {
+        let (e0, d0) = samples();
+        f();
+        let (e1, d1) = samples();
+        (e1 - e0, d1 - d0)
+    };
+
+    let mut ct = None;
+    assert_eq!(delta(&mut || ct = ctx.encrypt(&pk, &values, &mut rng).ok()), (1, 0), "public key");
+    let ct = ct.expect("encrypt");
+    let mut sct = None;
+    let symmetric = &mut || sct = ctx.encrypt_symmetric(&sk, &values, &mut rng).ok();
+    assert_eq!(delta(symmetric), (1, 0), "secret key");
+    let sct = sct.expect("encrypt");
+    let too_big = vec![0.25; ctx.slot_count() + 1];
+    for refused in [&too_big[..], &[0.25, f64::INFINITY]] {
+        let refusals = &mut || {
+            assert!(ctx.encrypt(&pk, refused, &mut rng).is_err());
+            assert!(ctx.encrypt_symmetric(&sk, refused, &mut rng).is_err());
+        };
+        assert_eq!(delta(refusals), (0, 0), "a refused encrypt");
+    }
+
+    let wire_and_fold = &mut || {
+        let bytes = ctx.serialize(&ct);
+        let seeded = ctx.serialize_seeded(&sct).expect("seeded");
+        let view = ctx.view_serialized(&bytes).expect("view");
+        let mut acc = ctx.accumulator_for(&view);
+        ctx.fold_view(&mut acc, &view).expect("fold");
+        ctx.fold_view(&mut acc, &ctx.view_serialized_seeded(&seeded).expect("view"))
+            .expect("seeded fold");
+        drop(ctx.mul_scalar(&acc, 0.5));
+    };
+    assert_eq!(delta(wire_and_fold), (0, 0), "serialize, mul_scalar and fold");
+
+    assert_eq!(delta(&mut || drop(ctx.decrypt(&sk, &sct))), (0, 1), "decrypt");
+    let gct = ctx.encrypt(group.public_key(), &values, &mut rng).expect("encrypt");
+    let partials: Vec<_> =
+        (0..2).map(|i| group.partial_decrypt_subset(&ctx, i, &[0, 1], &gct, &mut rng)).collect();
+    let partials: Vec<_> = partials.into_iter().collect::<Result<_, _>>().expect("partials");
+    let combine = &mut || drop(ThresholdGroup::combine(&ctx, &gct, &partials));
+    assert_eq!(delta(combine), (0, 1), "threshold combine");
 }
