@@ -37,7 +37,7 @@ use crate::sampling::{ternary_vec, GaussianSampler};
 
 use super::encoder::{CkksEncoder, SplitComplex};
 use super::modarith::{add_mod, find_ntt_primes, mul_mod, signed_residue};
-use super::ntt::{cached_table, NttTable};
+use super::ntt::{cached_table, shoup, NttTable};
 use super::rns::{Domain, RnsPoly};
 use super::seedexp;
 
@@ -81,6 +81,8 @@ pub struct CkksContext {
 #[derive(Debug, Clone)]
 pub struct CkksSecretKey {
     pub(crate) s_eval: RnsPoly,
+    /// Shoup companions of `s_eval`'s rows ([`shoup_rows`]).
+    s_shoup: Vec<Vec<u64>>,
 }
 
 /// A CKKS public key `(b, a) = (−a·s + e, a)`, held in evaluation form
@@ -90,12 +92,24 @@ pub struct CkksSecretKey {
 pub struct CkksPublicKey {
     pub(crate) b_eval: RnsPoly,
     pub(crate) a_eval: RnsPoly,
+    /// Shoup companions of `b_eval`'s and `a_eval`'s rows.
+    b_shoup: Vec<Vec<u64>>,
+    a_shoup: Vec<Vec<u64>>,
+}
+
+/// Each evaluation row's Shoup companions `⌊w·2^64/q⌋`, built once with
+/// the key: every product with a key row is then one
+/// [`NttTable::mul_acc`] row.
+fn shoup_rows(poly: &RnsPoly, primes: &[u64]) -> Vec<Vec<u64>> {
+    (0..poly.levels())
+        .map(|i| poly.residues(i).iter().map(|&w| shoup(w, primes[i])).collect())
+        .collect()
 }
 
 impl CkksSecretKey {
     pub(crate) fn from_coeff(ctx: &CkksContext, mut s: RnsPoly) -> Self {
         ctx.forward_rows(&mut s);
-        CkksSecretKey { s_eval: s }
+        CkksSecretKey { s_shoup: shoup_rows(&s, &ctx.primes), s_eval: s }
     }
 }
 
@@ -103,7 +117,12 @@ impl CkksPublicKey {
     pub(crate) fn from_coeff(ctx: &CkksContext, mut b: RnsPoly, mut a: RnsPoly) -> Self {
         ctx.forward_rows(&mut b);
         ctx.forward_rows(&mut a);
-        CkksPublicKey { b_eval: b, a_eval: a }
+        CkksPublicKey {
+            b_shoup: shoup_rows(&b, &ctx.primes),
+            a_shoup: shoup_rows(&a, &ctx.primes),
+            b_eval: b,
+            a_eval: a,
+        }
     }
 }
 
@@ -355,31 +374,24 @@ impl CkksContext {
         let n = self.params.n;
         let levels = self.primes.len();
         // (c0, c1) rows are produced together per prime so NTT(v) is
-        // computed once and feeds both components; `t` holds NTT(e1).
-        let mut t = vec![0u64; n];
+        // computed once and feeds both components.
+        let mut v_hat = vec![0u64; n];
         let mut rows: Vec<(Vec<u64>, Vec<u64>)> = vec![(Vec::new(), Vec::new()); levels];
         for (i, (r0, r1)) in rows.iter_mut().enumerate() {
             let table = &self.ntt[i];
             let q = self.primes[i];
-            let b_row = pk.b_eval.residues(i);
-            let a_row = pk.a_eval.residues(i);
             r0.resize(n, 0);
             r1.resize(n, 0);
-            // r1 holds NTT(v) until c0 is assembled, then becomes c1.
-            reduce_signed_into(&noise.v, q, r1);
-            table.forward(r1);
-            // c0 = b̂ ∘ NTT(v) + NTT(e0 + m)
+            reduce_signed_into(&noise.v, q, &mut v_hat);
+            table.forward(&mut v_hat);
+            // c0 = NTT(e0 + m) + b̂ ∘ NTT(v)
             reduce_sum_into(&noise.e0, &m, q, r0);
             table.forward(r0);
-            for j in 0..n {
-                r0[j] = add_mod(mul_mod(b_row[j], r1[j], q), r0[j], q);
-            }
-            // c1 = â ∘ NTT(v) + NTT(e1)
-            reduce_signed_into(&noise.e1, q, &mut t);
-            table.forward(&mut t);
-            for j in 0..n {
-                r1[j] = add_mod(mul_mod(a_row[j], r1[j], q), t[j], q);
-            }
+            table.mul_acc(r0, pk.b_eval.residues(i), &pk.b_shoup[i], &v_hat, false);
+            // c1 = NTT(e1) + â ∘ NTT(v)
+            reduce_signed_into(&noise.e1, q, r1);
+            table.forward(r1);
+            table.mul_acc(r1, pk.a_eval.residues(i), &pk.a_shoup[i], &v_hat, false);
         }
         let (rows0, rows1): (Vec<_>, Vec<_>) = rows.into_iter().unzip();
         let ct = CkksCiphertext {
@@ -520,14 +532,9 @@ impl CkksContext {
         }
         let rows = out.c0.residues_all_mut().iter_mut().zip(out.c1.residues_all_mut());
         for (i, (r0, r1)) in rows.enumerate() {
-            let q = self.primes[i];
-            let s_row = sk.s_eval.residues(i);
-            reduce_sum_into(&noise.e, &arena.coeffs, q, r0);
+            reduce_sum_into(&noise.e, &arena.coeffs, self.primes[i], r0);
             self.ntt[i].forward(r0);
-            for j in 0..n {
-                let a_s = mul_mod(r1[j], s_row[j], q);
-                r0[j] = add_mod(if a_s == 0 { 0 } else { q - a_s }, r0[j], q);
-            }
+            self.ntt[i].mul_acc(r0, sk.s_eval.residues(i), &sk.s_shoup[i], r1, true);
         }
         out.scale = self.encoder.scale();
         out.c1_seed = Some(noise.seed);
@@ -550,13 +557,9 @@ impl CkksContext {
         // assembled pointwise and inverse-transformed in place.
         let mut m = RnsPoly::zero(n, levels);
         for (i, row) in m.residues_all_mut().iter_mut().enumerate() {
-            let q = active[i];
-            let s_row = sk.s_eval.residues(i);
-            let c0_row = ct.c0.residues(i);
-            let c1_row = ct.c1.residues(i);
-            for j in 0..n {
-                row[j] = add_mod(mul_mod(c1_row[j], s_row[j], q), c0_row[j], q);
-            }
+            row.copy_from_slice(ct.c0.residues(i));
+            let (s_row, s_shoup) = (sk.s_eval.residues(i), &sk.s_shoup[i]);
+            self.ntt[i].mul_acc(row, s_row, s_shoup, ct.c1.residues(i), false);
             self.ntt[i].inverse(row);
         }
         let coeffs = m.to_centered_f64(active);

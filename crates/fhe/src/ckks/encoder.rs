@@ -182,6 +182,35 @@ fn butterflies(
     }
 }
 
+/// `out[i] = x[i] as i64` for integral `x`, eight lanes at a time. When
+/// every `|x|` of a block is below `2^51`, `x + 1.5·2^52` lies in
+/// `[2^52, 2^53)`, where the spacing of `f64` is 1, so the sum is exact
+/// and its bits exceed those of `1.5·2^52` by exactly `x`: an add and an
+/// integer subtract per lane, which vectorize where `as i64` does not. A
+/// block with a larger `|x|` (or a NaN), and the `len % 8` tail, take
+/// `as i64`, which saturates.
+#[inline(always)]
+fn to_i64(x: &[f64], out: &mut [i64]) {
+    const MAGIC: f64 = 6_755_399_441_055_744.0; // 1.5 · 2^52
+    const EXACT: f64 = 2_251_799_813_685_248.0; // 2^51
+    let mut blocks = out.chunks_exact_mut(8);
+    let mut xs = x.chunks_exact(8);
+    for (o, x) in (&mut blocks).zip(&mut xs) {
+        if x.iter().all(|v| v.abs() < EXACT) {
+            for (o, &v) in o.iter_mut().zip(x) {
+                *o = (v + MAGIC).to_bits().wrapping_sub(MAGIC.to_bits()) as i64;
+            }
+        } else {
+            for (o, &v) in o.iter_mut().zip(x) {
+                *o = v as i64;
+            }
+        }
+    }
+    for (o, &v) in blocks.into_remainder().iter_mut().zip(xs.remainder()) {
+        *o = v as i64;
+    }
+}
+
 /// The compilation of the encode and decode bodies an encoder runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Isa {
@@ -351,20 +380,23 @@ impl CkksEncoder {
         // Inverse FFT recovers the folded, twisted coefficient vector d
         // (scaled by 1/(N/2) below).
         self.inverse.run(&mut z.re, &mut z.im);
-        // Untwist: c_l = Re(d_l ξ^{-l}), c_{l+N/2} = Im(d_l ξ^{-l}).
-        coeffs.clear();
-        coeffs.resize(self.n, 0);
-        let (lo, hi) = coeffs.split_at_mut(half);
-        let (re, im) = (&z.re[..half], &z.im[..half]);
+        // Untwist: c_l = Re(d_l ξ^{-l}), c_{l+N/2} = Im(d_l ξ^{-l}),
+        // rounded in place, then converted to integers.
+        let (re, im) = (&mut z.re[..half], &mut z.im[..half]);
         let (tr, ti) = (&self.twist_inv.re[..half], &self.twist_inv.im[..half]);
         let inv_n = 1.0 / half as f64;
         for l in 0..half {
             let (dr, di) = (re[l] * inv_n, im[l] * inv_n);
             let ur = dr * tr[l] - di * ti[l];
             let ui = dr * ti[l] + di * tr[l];
-            lo[l] = (ur * self.scale).round() as i64;
-            hi[l] = (ui * self.scale).round() as i64;
+            re[l] = (ur * self.scale).round();
+            im[l] = (ui * self.scale).round();
         }
+        coeffs.clear();
+        coeffs.resize(self.n, 0);
+        let (lo, hi) = coeffs.split_at_mut(half);
+        to_i64(re, lo);
+        to_i64(im, hi);
     }
 
     /// Decodes `N` (already descaled-by-Δ-free) coefficient values into
@@ -595,6 +627,33 @@ mod tests {
                 }
                 // The ±1e200 slots really saturate, so `as i64` is exercised.
                 assert!(want_enc[3].contains(&i64::MAX) && want_enc[3].contains(&i64::MIN));
+            }
+        }
+    }
+
+    /// The block conversion equals `as i64` on both sides of `±2^51`,
+    /// where it switches between its two forms, and on the values `as
+    /// i64` saturates; a block of one large value falls back whole.
+    #[test]
+    fn to_i64_matches_as_at_the_switch() {
+        let p51 = (1u64 << 51) as f64;
+        let mut edges = vec![0.0, -0.0, 1.0, -1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+        for bound in [p51, 2.0 * p51, 4.0 * p51, 9.3e18, 1e200] {
+            for x in [bound - 2.0, bound - 1.0, bound, bound + 1.0, bound + 2.0] {
+                edges.extend([x, -x]);
+            }
+        }
+        for offset in 0..8 {
+            for &edge in &edges {
+                // `edge` in lane `offset` of a block of small values,
+                // then in the tail.
+                let mut x: Vec<f64> = (0..19).map(|i| i as f64 - 9.0).collect();
+                x[offset] = edge;
+                x[16 + offset % 3] = edge;
+                let mut got = vec![0; x.len()];
+                to_i64(&x, &mut got);
+                let want: Vec<i64> = x.iter().map(|&v| v as i64).collect();
+                assert_eq!(got, want, "edge {edge} in lane {offset}");
             }
         }
     }

@@ -36,7 +36,7 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
-use super::modarith::{add_mod, inv_mod, mul_mod, primitive_root, sub_mod};
+use super::modarith::{add_mod, inv_mod, mul_mod, primitive_root, reduce_once, sub_mod};
 use rhychee_telemetry as telemetry;
 
 #[cfg(target_arch = "x86_64")]
@@ -61,6 +61,46 @@ pub trait NttKernel: Send + Sync + std::fmt::Debug {
     fn forward(&self, table: &NttTable, a: &mut [u64]);
     /// In-place inverse butterflies + `N^{-1}` scaling for `table`.
     fn inverse(&self, table: &NttTable, a: &mut [u64]);
+    /// `acc ← acc + w∘x mod q`, or `acc − w∘x` when `subtract`, with
+    /// canonical outputs: the pointwise product of a fixed row `w` (a
+    /// key) with Shoup companions `w_shoup[j] = ⌊w[j]·2^64/q⌋` and a
+    /// fresh row `x`, accumulated in place. Every input is below
+    /// `q < 2^62` and the four rows have one length. The default runs
+    /// scalar Shoup products.
+    fn mul_acc_row(
+        &self,
+        q: u64,
+        acc: &mut [u64],
+        w: &[u64],
+        w_shoup: &[u64],
+        x: &[u64],
+        subtract: bool,
+    ) {
+        mul_acc_row_scalar(q, acc, w, w_shoup, x, subtract);
+    }
+}
+
+/// The scalar body of [`NttKernel::mul_acc_row`] (and the SIMD rows'
+/// tail): one Shoup product and one sign-masked reduce per element.
+fn mul_acc_row_scalar(
+    q: u64,
+    acc: &mut [u64],
+    w: &[u64],
+    w_shoup: &[u64],
+    x: &[u64],
+    subtract: bool,
+) {
+    let rows = acc.iter_mut().zip(w.iter().zip(w_shoup)).zip(x);
+    let product = |(w, ws): (&u64, &u64), x: u64| reduce_once(mul_shoup_lazy(x, *w, *ws, q), q);
+    if subtract {
+        for ((a, w), &x) in rows {
+            *a = reduce_once(*a + q - product(w, x), q);
+        }
+    } else {
+        for ((a, w), &x) in rows {
+            *a = reduce_once(*a + product(w, x), q);
+        }
+    }
 }
 
 /// The scalar Harvey lazy-reduction reference backend (always available).
@@ -429,6 +469,27 @@ impl NttTable {
         }
     }
 
+    /// `acc ← acc ± w∘x mod q` on this table's backend
+    /// ([`NttKernel::mul_acc_row`]): `w` a fixed row with Shoup
+    /// companions `w_shoup`, every input canonical.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a row's length is not N.
+    pub(crate) fn mul_acc(
+        &self,
+        acc: &mut [u64],
+        w: &[u64],
+        w_shoup: &[u64],
+        x: &[u64],
+        subtract: bool,
+    ) {
+        for len in [acc.len(), w.len(), w_shoup.len(), x.len()] {
+            assert_eq!(len, self.n, "row length must equal ring degree");
+        }
+        self.kernel.mul_acc_row(self.q, acc, w, w_shoup, x, subtract);
+    }
+
     /// Negacyclic polynomial product `a * b mod (X^N + 1, q)` via NTT.
     ///
     /// Convenience wrapper used by tests and non-hot paths; hot paths keep
@@ -476,6 +537,67 @@ mod tests {
     use super::super::modarith::find_ntt_primes;
     use super::*;
     use rand::{rngs::StdRng, Rng, SeedableRng};
+
+    /// A uniform row and the rows at the edges of the lazy-reduction
+    /// ranges: all 0, all `q − 1`, alternating, one `q − 1` impulse.
+    pub(super) fn edge_rows(rng: &mut StdRng, n: usize, q: u64) -> [(&'static str, Vec<u64>); 5] {
+        let mut impulse = vec![0u64; n];
+        impulse[n - 1] = q - 1;
+        [
+            ("uniform", (0..n).map(|_| rng.gen_range(0..q)).collect()),
+            ("all 0", vec![0; n]),
+            ("all q-1", vec![q - 1; n]),
+            ("alternating 0/q-1", (0..n).map(|i| (i as u64 % 2) * (q - 1)).collect()),
+            ("q-1 impulse", impulse),
+        ]
+    }
+
+    /// Every ordered pair of rows.
+    pub(super) fn pairs<T>(rows: &[T]) -> impl Iterator<Item = (&T, &T)> {
+        rows.iter().flat_map(move |a| rows.iter().map(move |b| (a, b)))
+    }
+
+    /// `acc ± w∘x` by `mul_mod` and `add_mod` / `sub_mod`.
+    pub(super) fn row_oracle(
+        q: u64,
+        acc: &[u64],
+        w: &[u64],
+        x: &[u64],
+        subtract: bool,
+    ) -> Vec<u64> {
+        let products = w.iter().zip(x).map(|(&w, &x)| mul_mod(w, x, q));
+        let op = if subtract { sub_mod } else { add_mod };
+        acc.iter().zip(products).map(|(&a, p)| op(a, p, q)).collect()
+    }
+
+    /// Every backend's row product equals the oracle at every workspace
+    /// prime width, 61 bits included, on every pair of edge rows.
+    #[test]
+    fn every_backend_row_product_matches_the_oracle() {
+        let mut rng = StdRng::seed_from_u64(0x40e);
+        for bits in [30, 35, 40, 45, 50, 61] {
+            let q = find_ntt_primes(bits, 1, 2 * 8192)[0];
+            let rows = edge_rows(&mut rng, 8192, q);
+            for &kernel in available_kernels() {
+                let table = NttTable::with_kernel(8192, q, kernel);
+                for (what_w, w) in &rows {
+                    let w_shoup: Vec<u64> = w.iter().map(|&v| shoup(v, q)).collect();
+                    for ((what_x, x), (what_a, acc)) in pairs(&rows) {
+                        for subtract in [false, true] {
+                            let mut got = acc.clone();
+                            table.mul_acc(&mut got, w, &w_shoup, x, subtract);
+                            assert!(
+                                got == row_oracle(q, acc, w, x, subtract),
+                                "{}: w = {what_w}, x = {what_x}, acc = {what_a}, \
+                                 subtract = {subtract} at {bits}-bit prime",
+                                kernel.name()
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
 
     fn table(n: usize) -> NttTable {
         let q = find_ntt_primes(40, 1, 2 * n as u64)[0];

@@ -1,13 +1,11 @@
-//! AVX-512 backend: 8-lane Harvey/Shoup butterflies.
+//! AVX-512 backend: 8-lane Harvey/Shoup butterflies and key-row products.
 //!
 //! Where the AVX2 backend must emulate every 64-bit product from
 //! 32×32→64 partials, AVX-512DQ has a native vector 64×64→low-64
 //! multiply (`vpmullq`), and AVX-512F a native unsigned 64-bit min
 //! (`vpminuq`) that turns the conditional lazy reduction
 //! `x >= b ? x - b : x` into two ops (`min(x, x - b)` — the
-//! subtraction wraps far above `b` exactly when `x < b`). Only the
-//! Shoup multiply-high still needs the schoolbook 32-bit partial
-//! products.
+//! subtraction wraps far above `b` exactly when `x < b`).
 //!
 //! Unlike the AVX2 backend, *every* pass is vectorized: the short
 //! passes (`t < 8`), whose butterfly halves are interleaved within a
@@ -21,23 +19,53 @@
 //! intermediates; canonical outputs are bit-identical to the scalar
 //! reference.
 //!
+//! # Two multipliers
+//!
+//! Every twiddle product is a Shoup product `w·y − hi·q` with `hi` the
+//! high part of `y` times a precomputed quotient of `w`. The loop
+//! bodies are generic over how that product is computed
+//! ([`ShoupMul8`]) and compiled twice:
+//!
+//! - [`Dq`], under `avx512f,avx512dq`, for any `q < 2^62`: the table's
+//!   quotient `ws = ⌊w·2^64/q⌋`, its 64-bit multiply-high rebuilt from
+//!   four `vpmuludq` partials, the two low products by `vpmullq`.
+//! - [`Ifma`], under `avx512f,avx512dq,avx512ifma`, for `q < 2^50` on a
+//!   CPU with IFMA52: the 52-bit quotient `⌊w·2^52/q⌋ = ws >> 12`
+//!   (nested floors, so the same tables serve both), one
+//!   `vpmadd52huq` for `hi` and two `vpmadd52luq` for the low 52 bits
+//!   of `w·y − hi·q`. With `q < 2^50` every value a butterfly or row
+//!   multiplies is below `4q < 2^52`, the width IFMA reads, and the
+//!   result lies in `[0, 2q)` as the [`Dq`] one does.
+//!
+//! The two may differ by `q` in a lazy intermediate, never in a
+//! canonical output, so both are bit-identical to the scalar
+//! reference. The transforms and [`NttKernel::mul_acc_row`] pick
+//! [`Ifma`] whenever it applies.
+//!
 //! # Safety
 //!
-//! Mirrors the AVX2 module: intrinsics only inside
-//! `#[target_feature(enable = "avx512f,avx512dq")]` functions, the
-//! kernel handed out only when both features are detected at runtime
-//! ([`available`]), raw-pointer accesses in bounds by the scalar
-//! loops' index algebra (main passes: `j + t + 7 ≤ j1 + 2t − 1 < n`;
-//! tail passes: whole 16-element blocks of `a` and ≤ 8-element
-//! twiddle loads ending exactly at the table's length).
+//! Mirrors the AVX2 module: intrinsics only inside the `dq` / `ifma`
+//! `#[target_feature]` functions (the generic bodies are
+//! `#[inline(always)]` into them), the kernel handed out only when
+//! AVX-512F/DQ are detected at runtime ([`available`]), the `ifma`
+//! compilation called only in a match arm that has detected
+//! `avx512ifma` and checked `q < 2^50` in the same expression, and
+//! raw-pointer accesses in bounds by the scalar loops' index algebra
+//! (main passes: `j + t + 7 ≤ j1 + 2t − 1 < n`; tail passes: whole
+//! 16-element blocks of `a` and ≤ 8-element twiddle loads ending
+//! exactly at the table's length; rows: whole 8-element chunks of four
+//! rows of one checked length).
 
 use core::arch::x86_64::*;
 
-use super::{NttKernel, NttTable};
+use super::{mul_acc_row_scalar, NttKernel, NttTable};
 
 /// Tail passes need 16-element blocks; below 32 the main loop never
 /// runs and the scalar path is at no disadvantage.
 const MIN_VECTOR_RING: usize = 32;
+
+/// Moduli below this take the [`Ifma`] multiplier where the CPU has it.
+const IFMA_BOUND: u64 = 1 << 50;
 
 #[derive(Debug)]
 pub(super) struct Avx512Kernel;
@@ -53,23 +81,156 @@ pub(super) fn kernel() -> &'static dyn NttKernel {
     &KERNEL
 }
 
+fn ifma_detected() -> bool {
+    is_x86_feature_detected!("avx512ifma")
+}
+
+/// The compilation of the bodies a transform or row runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Multiplier {
+    Dq,
+    Ifma,
+}
+
+impl Multiplier {
+    /// [`Ifma`](Multiplier::Ifma) when `q < 2^50` and the CPU has it.
+    fn for_modulus(q: u64) -> Multiplier {
+        if q < IFMA_BOUND && ifma_detected() {
+            Multiplier::Ifma
+        } else {
+            Multiplier::Dq
+        }
+    }
+}
+
 impl NttKernel for Avx512Kernel {
     fn name(&self) -> &'static str {
         "avx512"
     }
     fn forward(&self, table: &NttTable, a: &mut [u64]) {
-        if table.n < MIN_VECTOR_RING {
-            return table.forward_scalar(a);
-        }
-        // SAFETY: kernel only obtainable after the `available()` check.
-        unsafe { forward_avx512(table, a) }
+        forward_with(Multiplier::for_modulus(table.q), table, a);
     }
     fn inverse(&self, table: &NttTable, a: &mut [u64]) {
-        if table.n < MIN_VECTOR_RING {
-            return table.inverse_scalar(a);
-        }
-        // SAFETY: as above.
-        unsafe { inverse_avx512(table, a) }
+        inverse_with(Multiplier::for_modulus(table.q), table, a);
+    }
+    fn mul_acc_row(
+        &self,
+        q: u64,
+        acc: &mut [u64],
+        w: &[u64],
+        w_shoup: &[u64],
+        x: &[u64],
+        subtract: bool,
+    ) {
+        mul_acc_row_with(Multiplier::for_modulus(q), q, acc, w, w_shoup, x, subtract);
+    }
+}
+
+// The three entry points below are reached only through this kernel,
+// which `available()` gates on AVX-512F/DQ (and from this module's
+// tests, which check `available()` first).
+
+fn forward_with(mul: Multiplier, table: &NttTable, a: &mut [u64]) {
+    if table.n < MIN_VECTOR_RING {
+        return table.forward_scalar(a);
+    }
+    match mul {
+        // SAFETY: IFMA detected and q < 2^50 in this expression.
+        Multiplier::Ifma if table.q < IFMA_BOUND && ifma_detected() => unsafe {
+            ifma::forward(table, a)
+        },
+        // SAFETY: AVX-512F/DQ, see above.
+        _ => unsafe { dq::forward(table, a) },
+    }
+}
+
+fn inverse_with(mul: Multiplier, table: &NttTable, a: &mut [u64]) {
+    if table.n < MIN_VECTOR_RING {
+        return table.inverse_scalar(a);
+    }
+    match mul {
+        // SAFETY: as in `forward_with`.
+        Multiplier::Ifma if table.q < IFMA_BOUND && ifma_detected() => unsafe {
+            ifma::inverse(table, a)
+        },
+        // SAFETY: as in `forward_with`.
+        _ => unsafe { dq::inverse(table, a) },
+    }
+}
+
+fn mul_acc_row_with(
+    mul: Multiplier,
+    q: u64,
+    acc: &mut [u64],
+    w: &[u64],
+    w_shoup: &[u64],
+    x: &[u64],
+    subtract: bool,
+) {
+    let n = acc.len();
+    assert!(w.len() == n && w_shoup.len() == n && x.len() == n, "rows of unequal length");
+    match mul {
+        // SAFETY: as in `forward_with`; the four rows have one length.
+        Multiplier::Ifma if q < IFMA_BOUND && ifma_detected() => unsafe {
+            ifma::mul_acc_row(q, acc, w, w_shoup, x, subtract)
+        },
+        // SAFETY: as in `forward_with`; the four rows have one length.
+        _ => unsafe { dq::mul_acc_row(q, acc, w, w_shoup, x, subtract) },
+    }
+}
+
+/// The bodies compiled for AVX-512F/DQ with the [`Dq`] multiplier.
+mod dq {
+    use super::{forward_body, inverse_body, mul_acc_row_body, Dq, NttTable};
+
+    #[target_feature(enable = "avx512f,avx512dq")]
+    pub(super) unsafe fn forward(table: &NttTable, a: &mut [u64]) {
+        forward_body::<Dq>(table, a);
+    }
+
+    #[target_feature(enable = "avx512f,avx512dq")]
+    pub(super) unsafe fn inverse(table: &NttTable, a: &mut [u64]) {
+        inverse_body::<Dq>(table, a);
+    }
+
+    #[target_feature(enable = "avx512f,avx512dq")]
+    pub(super) unsafe fn mul_acc_row(
+        q: u64,
+        acc: &mut [u64],
+        w: &[u64],
+        w_shoup: &[u64],
+        x: &[u64],
+        subtract: bool,
+    ) {
+        mul_acc_row_body::<Dq>(q, acc, w, w_shoup, x, subtract);
+    }
+}
+
+/// The same bodies compiled with IFMA52 and the [`Ifma`] multiplier;
+/// callers have checked `q < 2^50`.
+mod ifma {
+    use super::{forward_body, inverse_body, mul_acc_row_body, Ifma, NttTable};
+
+    #[target_feature(enable = "avx512f,avx512dq,avx512ifma")]
+    pub(super) unsafe fn forward(table: &NttTable, a: &mut [u64]) {
+        forward_body::<Ifma>(table, a);
+    }
+
+    #[target_feature(enable = "avx512f,avx512dq,avx512ifma")]
+    pub(super) unsafe fn inverse(table: &NttTable, a: &mut [u64]) {
+        inverse_body::<Ifma>(table, a);
+    }
+
+    #[target_feature(enable = "avx512f,avx512dq,avx512ifma")]
+    pub(super) unsafe fn mul_acc_row(
+        q: u64,
+        acc: &mut [u64],
+        w: &[u64],
+        w_shoup: &[u64],
+        x: &[u64],
+        subtract: bool,
+    ) {
+        mul_acc_row_body::<Ifma>(q, acc, w, w_shoup, x, subtract);
     }
 }
 
@@ -99,20 +260,98 @@ unsafe fn mul_hi64(b: __m512i, b_hi: __m512i, y: __m512i, y_hi: __m512i) -> __m5
     )
 }
 
-/// 8-lane `mul_shoup_lazy(y, w, w_shoup, q)` — the two low-64
-/// products are single `vpmullq`s.
-#[inline]
-#[target_feature(enable = "avx512f,avx512dq")]
-unsafe fn mul_shoup_lazy8(
-    y: __m512i,
-    w: __m512i,
-    ws: __m512i,
-    ws_hi: __m512i,
+/// An 8-lane `mul_shoup_lazy`: `w·y mod q` in `[0, 2q)` for `w < q`
+/// with the table's quotient `ws = ⌊w·2^64/q⌋`.
+trait ShoupMul8: Copy {
+    /// Twiddles prepared for [`mul`](Self::mul).
+    type Twiddle: Copy;
+    /// The multiplier for modulus `q`.
+    unsafe fn new(q: u64) -> Self;
+    /// One twiddle `w` with quotient `ws` in every lane.
+    unsafe fn splat(self, w: u64, ws: u64) -> Self::Twiddle;
+    /// Eight twiddles `w` with quotients `ws`.
+    unsafe fn twiddle(self, w: __m512i, ws: __m512i) -> Self::Twiddle;
+    /// The lazy product, for `y < 4q`.
+    unsafe fn mul(self, y: __m512i, w: Self::Twiddle) -> __m512i;
+}
+
+/// `hi = ⌊ws·y/2^64⌋` from `vpmuludq` partials, `w·y − hi·q` by two
+/// wrapping `vpmullq` (any `y < 2^64`; the lazy bound needs `q < 2^62`).
+#[derive(Clone, Copy)]
+struct Dq {
     q: __m512i,
-) -> __m512i {
-    let y_hi = _mm512_srli_epi64::<32>(y);
-    let hi = mul_hi64(ws, ws_hi, y, y_hi);
-    _mm512_sub_epi64(_mm512_mullo_epi64(w, y), _mm512_mullo_epi64(hi, q))
+}
+
+impl ShoupMul8 for Dq {
+    /// `(w, ws, h)` with `ws >> 32` in the low dword of each lane of `h`
+    /// (all `vpmuludq` reads).
+    type Twiddle = (__m512i, __m512i, __m512i);
+
+    #[inline(always)]
+    unsafe fn new(q: u64) -> Self {
+        Dq { q: _mm512_set1_epi64(q as i64) }
+    }
+
+    #[inline(always)]
+    unsafe fn splat(self, w: u64, ws: u64) -> Self::Twiddle {
+        let [w, ws, ws_hi] = [w, ws, ws >> 32].map(|v| _mm512_set1_epi64(v as i64));
+        (w, ws, ws_hi)
+    }
+
+    /// `ws`'s high halves by a dword shuffle, not a shift: LLVM matches
+    /// `mul_hi64` over `ws >> 32` and `y >> 32` as a 128-bit product and
+    /// lowers it to eight scalar `mul`s.
+    #[inline(always)]
+    unsafe fn twiddle(self, w: __m512i, ws: __m512i) -> Self::Twiddle {
+        (w, ws, _mm512_shuffle_epi32::<0b11_11_01_01>(ws))
+    }
+
+    #[inline(always)]
+    unsafe fn mul(self, y: __m512i, (w, ws, ws_hi): Self::Twiddle) -> __m512i {
+        let hi = mul_hi64(ws, ws_hi, y, _mm512_srli_epi64::<32>(y));
+        _mm512_sub_epi64(_mm512_mullo_epi64(w, y), _mm512_mullo_epi64(hi, self.q))
+    }
+}
+
+/// `hi = ⌊(ws >> 12)·y/2^52⌋` by `vpmadd52huq`, then the low 52 bits of
+/// `w·y + hi·(2^52 − q)` by two `vpmadd52luq` and a mask. For `q < 2^50`
+/// and `y < 2^52`: `0 ≤ w·y − hi·q < q·(y/2^52 + 1) < 2q < 2^52`, so the
+/// masked sum is that difference.
+#[derive(Clone, Copy)]
+struct Ifma {
+    neg_q: __m512i,
+    low52: __m512i,
+}
+
+impl ShoupMul8 for Ifma {
+    /// `(w, ws >> 12)`.
+    type Twiddle = (__m512i, __m512i);
+
+    #[inline(always)]
+    unsafe fn new(q: u64) -> Self {
+        Ifma {
+            neg_q: _mm512_set1_epi64(((1u64 << 52) - q) as i64),
+            low52: _mm512_set1_epi64(((1u64 << 52) - 1) as i64),
+        }
+    }
+
+    #[inline(always)]
+    unsafe fn splat(self, w: u64, ws: u64) -> Self::Twiddle {
+        (_mm512_set1_epi64(w as i64), _mm512_set1_epi64((ws >> 12) as i64))
+    }
+
+    #[inline(always)]
+    unsafe fn twiddle(self, w: __m512i, ws: __m512i) -> Self::Twiddle {
+        (w, _mm512_srli_epi64::<12>(ws))
+    }
+
+    #[inline(always)]
+    unsafe fn mul(self, y: __m512i, (w, ws52): Self::Twiddle) -> __m512i {
+        let zero = _mm512_setzero_si512();
+        let hi = _mm512_madd52hi_epu64(zero, ws52, y);
+        let wy = _mm512_madd52lo_epu64(zero, w, y);
+        _mm512_and_si512(_mm512_madd52lo_epu64(wy, hi, self.neg_q), self.low52)
+    }
 }
 
 /// Shuffle patterns for one interleaved ("tail") pass at `t ∈ {1,2,4}`.
@@ -130,6 +369,7 @@ struct TailIdx {
     o1: __m512i,
 }
 
+#[inline]
 #[target_feature(enable = "avx512f,avx512dq")]
 unsafe fn tail_idx(t: usize) -> TailIdx {
     match t {
@@ -157,11 +397,12 @@ unsafe fn tail_idx(t: usize) -> TailIdx {
     }
 }
 
-#[target_feature(enable = "avx512f,avx512dq")]
-unsafe fn forward_avx512(table: &NttTable, a: &mut [u64]) {
+#[inline(always)]
+unsafe fn forward_body<M: ShoupMul8>(table: &NttTable, a: &mut [u64]) {
     let q = table.q;
     let two_q = 2 * q;
     let n = table.n;
+    let mul = M::new(q);
     let q_v = _mm512_set1_epi64(q as i64);
     let two_q_v = _mm512_set1_epi64(two_q as i64);
     let base = a.as_mut_ptr();
@@ -172,19 +413,14 @@ unsafe fn forward_avx512(table: &NttTable, a: &mut [u64]) {
         t /= 2;
         for i in 0..m {
             let j1 = 2 * i * t;
-            let s = table.psi_rev[m + i];
-            let s_shoup = table.psi_rev_shoup[m + i];
-            let w = _mm512_set1_epi64(s as i64);
-            let ws = _mm512_set1_epi64(s_shoup as i64);
-            let ws_hi = _mm512_set1_epi64((s_shoup >> 32) as i64);
+            let w = mul.splat(table.psi_rev[m + i], table.psi_rev_shoup[m + i]);
             let mut j = j1;
             while j < j1 + t {
                 // SAFETY: j + t + 7 ≤ j1 + 2t − 1 < n.
                 let pu = base.add(j) as *mut __m512i;
                 let pv = base.add(j + t) as *mut __m512i;
                 let u = sub_if_ge(_mm512_loadu_si512(pu), two_q_v);
-                let y = _mm512_loadu_si512(pv);
-                let v = mul_shoup_lazy8(y, w, ws, ws_hi, q_v);
+                let v = mul.mul(_mm512_loadu_si512(pv), w);
                 _mm512_storeu_si512(pu, _mm512_add_epi64(u, v));
                 _mm512_storeu_si512(pv, _mm512_add_epi64(u, _mm512_sub_epi64(two_q_v, v)));
                 j += 8;
@@ -216,10 +452,11 @@ unsafe fn forward_avx512(table: &NttTable, a: &mut [u64]) {
             let y = _mm512_permutex2var_epi64(z0, idx.v, z1);
             let tw_raw = _mm512_loadu_si512(tw_base.add(g) as *const __m512i);
             let tws_raw = _mm512_loadu_si512(tws_base.add(g) as *const __m512i);
-            let w = _mm512_permutexvar_epi64(idx.tw, tw_raw);
-            let ws = _mm512_permutexvar_epi64(idx.tw, tws_raw);
-            let ws_hi = _mm512_srli_epi64::<32>(ws);
-            let v = mul_shoup_lazy8(y, w, ws, ws_hi, q_v);
+            let w = mul.twiddle(
+                _mm512_permutexvar_epi64(idx.tw, tw_raw),
+                _mm512_permutexvar_epi64(idx.tw, tws_raw),
+            );
+            let v = mul.mul(y, w);
             let mut out_u = _mm512_add_epi64(u, v);
             let mut out_v = _mm512_add_epi64(u, _mm512_sub_epi64(two_q_v, v));
             if t == 1 {
@@ -235,11 +472,12 @@ unsafe fn forward_avx512(table: &NttTable, a: &mut [u64]) {
     }
 }
 
-#[target_feature(enable = "avx512f,avx512dq")]
-unsafe fn inverse_avx512(table: &NttTable, a: &mut [u64]) {
+#[inline(always)]
+unsafe fn inverse_body<M: ShoupMul8>(table: &NttTable, a: &mut [u64]) {
     let q = table.q;
     let two_q = 2 * q;
     let n = table.n;
+    let mul = M::new(q);
     let q_v = _mm512_set1_epi64(q as i64);
     let two_q_v = _mm512_set1_epi64(two_q as i64);
     let base = a.as_mut_ptr();
@@ -264,12 +502,13 @@ unsafe fn inverse_avx512(table: &NttTable, a: &mut [u64]) {
             let v = _mm512_permutex2var_epi64(z0, idx.v, z1);
             let tw_raw = _mm512_loadu_si512(tw_base.add(g) as *const __m512i);
             let tws_raw = _mm512_loadu_si512(tws_base.add(g) as *const __m512i);
-            let w = _mm512_permutexvar_epi64(idx.tw, tw_raw);
-            let ws = _mm512_permutexvar_epi64(idx.tw, tws_raw);
-            let ws_hi = _mm512_srli_epi64::<32>(ws);
+            let w = mul.twiddle(
+                _mm512_permutexvar_epi64(idx.tw, tw_raw),
+                _mm512_permutexvar_epi64(idx.tw, tws_raw),
+            );
             let sum = sub_if_ge(_mm512_add_epi64(u, v), two_q_v);
             let diff = _mm512_sub_epi64(_mm512_add_epi64(u, two_q_v), v);
-            let out_v = mul_shoup_lazy8(diff, w, ws, ws_hi, q_v);
+            let out_v = mul.mul(diff, w);
             _mm512_storeu_si512(p0, _mm512_permutex2var_epi64(sum, idx.o0, out_v));
             _mm512_storeu_si512(p1, _mm512_permutex2var_epi64(sum, idx.o1, out_v));
             k += 16;
@@ -283,11 +522,7 @@ unsafe fn inverse_avx512(table: &NttTable, a: &mut [u64]) {
         let h = m / 2;
         let mut j1 = 0;
         for i in 0..h {
-            let s = table.psi_inv_rev[h + i];
-            let s_shoup = table.psi_inv_rev_shoup[h + i];
-            let w = _mm512_set1_epi64(s as i64);
-            let ws = _mm512_set1_epi64(s_shoup as i64);
-            let ws_hi = _mm512_set1_epi64((s_shoup >> 32) as i64);
+            let w = mul.splat(table.psi_inv_rev[h + i], table.psi_inv_rev_shoup[h + i]);
             let mut j = j1;
             while j < j1 + t {
                 // SAFETY: j + t + 7 ≤ j1 + 2t − 1 < n.
@@ -298,8 +533,7 @@ unsafe fn inverse_avx512(table: &NttTable, a: &mut [u64]) {
                 let sum = sub_if_ge(_mm512_add_epi64(u, v), two_q_v);
                 _mm512_storeu_si512(pu, sum);
                 let diff = _mm512_sub_epi64(_mm512_add_epi64(u, two_q_v), v);
-                let out = mul_shoup_lazy8(diff, w, ws, ws_hi, q_v);
-                _mm512_storeu_si512(pv, out);
+                _mm512_storeu_si512(pv, mul.mul(diff, w));
                 j += 8;
             }
             j1 += 2 * t;
@@ -310,12 +544,8 @@ unsafe fn inverse_avx512(table: &NttTable, a: &mut [u64]) {
     // Final pass (t = N/2, one twiddle): fold in N^{-1} on the sum
     // half and the prefolded twiddle on the difference half, emitting
     // fully reduced outputs — replaces the separate scaling sweep.
-    let w_n = _mm512_set1_epi64(table.n_inv as i64);
-    let ws_n = _mm512_set1_epi64(table.n_inv_shoup as i64);
-    let ws_n_hi = _mm512_set1_epi64((table.n_inv_shoup >> 32) as i64);
-    let w_f = _mm512_set1_epi64(table.inv_last_folded as i64);
-    let ws_f = _mm512_set1_epi64(table.inv_last_folded_shoup as i64);
-    let ws_f_hi = _mm512_set1_epi64((table.inv_last_folded_shoup >> 32) as i64);
+    let w_n = mul.splat(table.n_inv, table.n_inv_shoup);
+    let w_f = mul.splat(table.inv_last_folded, table.inv_last_folded_shoup);
     let half = n / 2;
     let mut j = 0;
     while j < half {
@@ -325,11 +555,196 @@ unsafe fn inverse_avx512(table: &NttTable, a: &mut [u64]) {
         let u = _mm512_loadu_si512(pu);
         let v = _mm512_loadu_si512(pv);
         let sum = sub_if_ge(_mm512_add_epi64(u, v), two_q_v);
-        let out_u = mul_shoup_lazy8(sum, w_n, ws_n, ws_n_hi, q_v);
-        _mm512_storeu_si512(pu, sub_if_ge(out_u, q_v));
+        _mm512_storeu_si512(pu, sub_if_ge(mul.mul(sum, w_n), q_v));
         let diff = _mm512_sub_epi64(_mm512_add_epi64(u, two_q_v), v);
-        let out_v = mul_shoup_lazy8(diff, w_f, ws_f, ws_f_hi, q_v);
-        _mm512_storeu_si512(pv, sub_if_ge(out_v, q_v));
+        _mm512_storeu_si512(pv, sub_if_ge(mul.mul(diff, w_f), q_v));
         j += 8;
+    }
+}
+
+/// `acc ← acc ± w∘x mod q` on whole 8-element chunks; the `len % 8`
+/// tail runs the scalar row. Inputs are canonical, so each product is
+/// reduced once to `[0, q)` before the modular add or subtract.
+#[inline(always)]
+unsafe fn mul_acc_row_body<M: ShoupMul8>(
+    q: u64,
+    acc: &mut [u64],
+    w: &[u64],
+    w_shoup: &[u64],
+    x: &[u64],
+    subtract: bool,
+) {
+    let mul = M::new(q);
+    let q_v = _mm512_set1_epi64(q as i64);
+    let vectors = acc.len() / 8 * 8;
+    let mut j = 0;
+    while j < vectors {
+        // SAFETY: j + 8 ≤ vectors ≤ the length of all four rows.
+        let pa = acc.as_mut_ptr().add(j) as *mut __m512i;
+        let w_j = _mm512_loadu_si512(w.as_ptr().add(j) as *const __m512i);
+        let ws_j = _mm512_loadu_si512(w_shoup.as_ptr().add(j) as *const __m512i);
+        let x_j = _mm512_loadu_si512(x.as_ptr().add(j) as *const __m512i);
+        let p = sub_if_ge(mul.mul(x_j, mul.twiddle(w_j, ws_j)), q_v);
+        let a_j = _mm512_loadu_si512(pa);
+        let out = if subtract {
+            // a − p wraps exactly when a < p, and then a − p + q is the
+            // smaller lane.
+            let d = _mm512_sub_epi64(a_j, p);
+            _mm512_min_epu64(d, _mm512_add_epi64(d, q_v))
+        } else {
+            sub_if_ge(_mm512_add_epi64(a_j, p), q_v)
+        };
+        _mm512_storeu_si512(pa, out);
+        j += 8;
+    }
+    mul_acc_row_scalar(
+        q,
+        &mut acc[vectors..],
+        &w[vectors..],
+        &w_shoup[vectors..],
+        &x[vectors..],
+        subtract,
+    );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::tests::{edge_rows, pairs, row_oracle};
+    use super::super::{shoup, NttTable};
+    use super::*;
+    use crate::ckks::modarith::{find_ntt_primes, mul_mod};
+    use rand::{rngs::StdRng, SeedableRng};
+
+    /// The multipliers this CPU can run at `q`, saying on stderr when
+    /// IFMA is absent (the test then covers the DQ bodies only).
+    fn multipliers(q: u64) -> Vec<Multiplier> {
+        if q < IFMA_BOUND && ifma_detected() {
+            vec![Multiplier::Dq, Multiplier::Ifma]
+        } else {
+            vec![Multiplier::Dq]
+        }
+    }
+
+    /// Whether AVX-512F/DQ (and IFMA) are here, said on stderr so the
+    /// log shows which compilations ran.
+    fn report() -> bool {
+        let ifma = if ifma_detected() { "detected" } else { "absent — DQ multiplier only" };
+        if !available() {
+            eprintln!("avx512f+avx512dq: absent — no AVX-512 body to test");
+            return false;
+        }
+        eprintln!("avx512f+avx512dq: detected; avx512ifma: {ifma}");
+        true
+    }
+
+    #[test]
+    fn every_multiplier_matches_scalar_transforms() {
+        if !report() {
+            return;
+        }
+        let scalar = super::super::kernel_by_name("scalar").expect("scalar kernel");
+        let mut rng = StdRng::seed_from_u64(0x1f3a);
+        for bits in [30, 35, 40, 45, 50] {
+            for n in [16usize, 512, 8192, 32768] {
+                let q = find_ntt_primes(bits, 1, 2 * n as u64)[0];
+                let table = NttTable::with_kernel(n, q, scalar);
+                for (what, input) in edge_rows(&mut rng, n, q) {
+                    let mut fwd_ref = input.clone();
+                    table.forward_scalar(&mut fwd_ref);
+                    let mut inv_ref = input.clone();
+                    table.inverse_scalar(&mut inv_ref);
+                    for mul in multipliers(q) {
+                        let at = format!("{mul:?} on {what} at {bits}-bit prime, n = {n}");
+                        let mut fwd = input.clone();
+                        forward_with(mul, &table, &mut fwd);
+                        assert_eq!(fwd, fwd_ref, "forward: {at}");
+                        let mut inv = input.clone();
+                        inverse_with(mul, &table, &mut inv);
+                        assert_eq!(inv, inv_ref, "inverse: {at}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_multiplier_matches_the_row_oracle() {
+        if !report() {
+            return;
+        }
+        let mut rng = StdRng::seed_from_u64(0x20e5);
+        for bits in [30, 35, 40, 45, 50, 61] {
+            let q = find_ntt_primes(bits, 1, 2 * 8192)[0];
+            // 8195 elements: whole vectors and a scalar tail.
+            let rows = edge_rows(&mut rng, 8195, q);
+            for (what_w, w) in &rows {
+                let w_shoup: Vec<u64> = w.iter().map(|&v| shoup(v, q)).collect();
+                for ((what_x, x), (what_a, acc)) in pairs(&rows) {
+                    for subtract in [false, true] {
+                        let want = row_oracle(q, acc, w, x, subtract);
+                        for mul in multipliers(q) {
+                            let mut got = acc.clone();
+                            mul_acc_row_with(mul, q, &mut got, w, &w_shoup, x, subtract);
+                            assert!(
+                                got == want,
+                                "{mul:?} w = {what_w}, x = {what_x}, acc = {what_a}, \
+                                 subtract = {subtract} at {bits}-bit prime"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// One lane-helper product per `y`, through a target-feature frame.
+    #[target_feature(enable = "avx512f,avx512dq")]
+    unsafe fn dq_lanes(q: u64, w: u64, y: [u64; 8]) -> [u64; 8] {
+        lanes::<Dq>(q, w, y)
+    }
+
+    #[target_feature(enable = "avx512f,avx512dq,avx512ifma")]
+    unsafe fn ifma_lanes(q: u64, w: u64, y: [u64; 8]) -> [u64; 8] {
+        lanes::<Ifma>(q, w, y)
+    }
+
+    #[inline(always)]
+    unsafe fn lanes<M: ShoupMul8>(q: u64, w: u64, y: [u64; 8]) -> [u64; 8] {
+        let mul = M::new(q);
+        let tw = mul.splat(w, shoup(w, q));
+        let r = mul.mul(_mm512_loadu_si512(y.as_ptr() as *const __m512i), tw);
+        let mut out = [0u64; 8];
+        _mm512_storeu_si512(out.as_mut_ptr() as *mut __m512i, r);
+        out
+    }
+
+    fn assert_lazy_products(name: &str, q: u64, ys: [u64; 8], f: impl Fn(u64) -> [u64; 8]) {
+        for w in [0, 1, q - 1] {
+            for (&y, r) in ys.iter().zip(f(w)) {
+                let at = format!("{name}: q = {q}, w = {w}, y = {y}");
+                assert!(r < 2 * q, "lazy product out of range: {at}");
+                assert_eq!(r % q, mul_mod(w, y % q, q), "wrong residue: {at}");
+            }
+        }
+    }
+
+    /// Both 8-lane Shoup helpers at the ends of their lazy input range:
+    /// DQ at the largest 61-bit prime up to `4q − 1`, IFMA at the largest
+    /// prime below `2^50` up to `2^52 − 1`.
+    #[test]
+    fn lazy_products_stay_below_two_q_at_the_range_edges() {
+        if !report() {
+            return;
+        }
+        let q = find_ntt_primes(61, 1, 2)[0];
+        let ys = [0, 1, q - 1, 2 * q - 1, 4 * q - 1, q, 2 * q, 3 * q];
+        // SAFETY: AVX-512F/DQ detected by `report`.
+        assert_lazy_products("dq", q, ys, |w| unsafe { dq_lanes(q, w, ys) });
+        if ifma_detected() {
+            let q = find_ntt_primes(50, 1, 2)[0];
+            let ys = [0, 1, q - 1, 2 * q - 1, 4 * q - 1, (1 << 52) - 1, q, 3 * q];
+            // SAFETY: IFMA detected on the line above.
+            assert_lazy_products("ifma", q, ys, |w| unsafe { ifma_lanes(q, w, ys) });
+        }
     }
 }
