@@ -14,9 +14,6 @@
 //! | `fig5_channel`          | Fig. 5 — latency / rounds / time to failure |
 //! | `noise_robustness`      | §V-E — convergence under channel noise |
 //!
-//! Criterion benches live in `benches/` and cover the latency-sensitive
-//! primitives (FHE operations, HDC encoding/training, CRC throughput).
-//!
 //! This library crate carries the shared plumbing: an ASCII table
 //! printer, human-unit formatting, and the telemetry export every
 //! experiment binary routes through ([`init_telemetry`] /

@@ -82,7 +82,7 @@ pub struct CkksContext {
 pub struct CkksSecretKey {
     pub(crate) s_eval: RnsPoly,
     /// Shoup companions of `s_eval`'s rows ([`shoup_rows`]).
-    s_shoup: Vec<Vec<u64>>,
+    s_shoup: RnsPoly,
 }
 
 /// A CKKS public key `(b, a) = (−a·s + e, a)`, held in evaluation form
@@ -93,17 +93,22 @@ pub struct CkksPublicKey {
     pub(crate) b_eval: RnsPoly,
     pub(crate) a_eval: RnsPoly,
     /// Shoup companions of `b_eval`'s and `a_eval`'s rows.
-    b_shoup: Vec<Vec<u64>>,
-    a_shoup: Vec<Vec<u64>>,
+    b_shoup: RnsPoly,
+    a_shoup: RnsPoly,
 }
 
-/// Each evaluation row's Shoup companions `⌊w·2^64/q⌋`, built once with
-/// the key: every product with a key row is then one
-/// [`NttTable::mul_acc`] row.
-fn shoup_rows(poly: &RnsPoly, primes: &[u64]) -> Vec<Vec<u64>> {
-    (0..poly.levels())
-        .map(|i| poly.residues(i).iter().map(|&w| shoup(w, primes[i])).collect())
-        .collect()
+/// Each evaluation row's Shoup companions `⌊w·2^64/q⌋`, in the key's own
+/// layout (row `i` holds the companions of row `i`), built once with the
+/// key: every product with a key row is then one [`NttTable::mul_acc`]
+/// row.
+fn shoup_rows(poly: &RnsPoly, primes: &[u64]) -> RnsPoly {
+    let mut out = poly.clone();
+    for (row, &q) in out.rows_mut().zip(primes) {
+        for w in row {
+            *w = shoup(*w, q);
+        }
+    }
+    out
 }
 
 impl CkksSecretKey {
@@ -371,35 +376,24 @@ impl CkksContext {
         self.check_slots(values)?;
         let _span = telemetry::span("fhe.ckks.encrypt");
         let m = self.encoder.encode(values);
-        let n = self.params.n;
-        let levels = self.primes.len();
+        let mut ct = self.zero_ciphertext();
         // (c0, c1) rows are produced together per prime so NTT(v) is
         // computed once and feeds both components.
-        let mut v_hat = vec![0u64; n];
-        let mut rows: Vec<(Vec<u64>, Vec<u64>)> = vec![(Vec::new(), Vec::new()); levels];
-        for (i, (r0, r1)) in rows.iter_mut().enumerate() {
+        let mut v_hat = vec![0u64; self.params.n];
+        for (i, (r0, r1)) in ct.c0.rows_mut().zip(ct.c1.rows_mut()).enumerate() {
             let table = &self.ntt[i];
             let q = self.primes[i];
-            r0.resize(n, 0);
-            r1.resize(n, 0);
             reduce_signed_into(&noise.v, q, &mut v_hat);
             table.forward(&mut v_hat);
             // c0 = NTT(e0 + m) + b̂ ∘ NTT(v)
             reduce_sum_into(&noise.e0, &m, q, r0);
             table.forward(r0);
-            table.mul_acc(r0, pk.b_eval.residues(i), &pk.b_shoup[i], &v_hat, false);
+            table.mul_acc(r0, pk.b_eval.residues(i), pk.b_shoup.residues(i), &v_hat, false);
             // c1 = NTT(e1) + â ∘ NTT(v)
             reduce_signed_into(&noise.e1, q, r1);
             table.forward(r1);
-            table.mul_acc(r1, pk.a_eval.residues(i), &pk.a_shoup[i], &v_hat, false);
+            table.mul_acc(r1, pk.a_eval.residues(i), pk.a_shoup.residues(i), &v_hat, false);
         }
-        let (rows0, rows1): (Vec<_>, Vec<_>) = rows.into_iter().unzip();
-        let ct = CkksCiphertext {
-            c0: RnsPoly::from_rows(rows0, Domain::Eval),
-            c1: RnsPoly::from_rows(rows1, Domain::Eval),
-            scale: self.encoder.scale(),
-            c1_seed: None,
-        };
         self.publish_noise_gauges(&ct);
         Ok(ct)
     }
@@ -526,15 +520,14 @@ impl CkksContext {
         out.c1.ensure_shape(n, levels, Domain::Eval);
         {
             let _t = telemetry::timer("fhe.ckks.seedexp");
-            for (i, r1) in out.c1.residues_all_mut().iter_mut().enumerate() {
-                seedexp::expand_row_into(&noise.seed, i, self.primes[i], n, r1);
+            for (i, r1) in out.c1.rows_mut().enumerate() {
+                seedexp::expand_row_into(&noise.seed, i, self.primes[i], r1);
             }
         }
-        let rows = out.c0.residues_all_mut().iter_mut().zip(out.c1.residues_all_mut());
-        for (i, (r0, r1)) in rows.enumerate() {
+        for (i, (r0, r1)) in out.c0.rows_mut().zip(out.c1.rows()).enumerate() {
             reduce_sum_into(&noise.e, &arena.coeffs, self.primes[i], r0);
             self.ntt[i].forward(r0);
-            self.ntt[i].mul_acc(r0, sk.s_eval.residues(i), &sk.s_shoup[i], r1, true);
+            self.ntt[i].mul_acc(r0, sk.s_eval.residues(i), sk.s_shoup.residues(i), r1, true);
         }
         out.scale = self.encoder.scale();
         out.c1_seed = Some(noise.seed);
@@ -556,9 +549,9 @@ impl CkksContext {
         // `m` leaves the loop in the coefficient domain: each row is
         // assembled pointwise and inverse-transformed in place.
         let mut m = RnsPoly::zero(n, levels);
-        for (i, row) in m.residues_all_mut().iter_mut().enumerate() {
+        for (i, row) in m.rows_mut().enumerate() {
             row.copy_from_slice(ct.c0.residues(i));
-            let (s_row, s_shoup) = (sk.s_eval.residues(i), &sk.s_shoup[i]);
+            let (s_row, s_shoup) = (sk.s_eval.residues(i), sk.s_shoup.residues(i));
             self.ntt[i].mul_acc(row, s_row, s_shoup, ct.c1.residues(i), false);
             self.ntt[i].inverse(row);
         }
@@ -574,7 +567,6 @@ impl CkksContext {
     /// if the operands are incompatible.
     pub fn add(&self, a: &CkksCiphertext, b: &CkksCiphertext) -> Result<CkksCiphertext, FheError> {
         self.check_compatible(a, b)?;
-        telemetry::count("fhe.ckks.add", 1);
         let active = &self.primes[..a.levels()];
         Ok(CkksCiphertext {
             c0: a.c0.add(&b.c0, active),
@@ -597,7 +589,6 @@ impl CkksContext {
         ct: &CkksCiphertext,
     ) -> Result<(), FheError> {
         self.check_compatible(acc, ct)?;
-        telemetry::count("fhe.ckks.add", 1);
         let levels = acc.levels();
         acc.c0.add_assign(&ct.c0, &self.primes[..levels]);
         acc.c1.add_assign(&ct.c1, &self.primes[..levels]);
@@ -636,7 +627,6 @@ impl CkksContext {
         if levels < 2 {
             return Err(FheError::LevelExhausted);
         }
-        let _t = telemetry::timer("fhe.ckks.rescale");
         let q_last = self.primes[levels - 1] as f64;
         let out = CkksCiphertext {
             c0: self.rescale_eval(&ct.c0),
@@ -664,7 +654,7 @@ impl CkksContext {
         let mut last = p.residues(l - 1).to_vec();
         self.ntt[l - 1].inverse(&mut last);
         let mut out = RnsPoly::zero_in(n, l - 1, Domain::Eval);
-        for (i, row) in out.residues_all_mut().iter_mut().enumerate() {
+        for (i, row) in out.rows_mut().enumerate() {
             let q = self.primes[i];
             let q_last_inv = super::modarith::inv_mod(q_last % q, q);
             // The output row doubles as the lift buffer: centered lift of
@@ -881,7 +871,7 @@ impl CkksContext {
 
     /// Transforms every residue row into the evaluation domain in place.
     pub(crate) fn forward_rows(&self, poly: &mut RnsPoly) {
-        for (i, row) in poly.residues_all_mut().iter_mut().enumerate() {
+        for (i, row) in poly.rows_mut().enumerate() {
             self.ntt[i].forward(row);
         }
         poly.set_eval();
@@ -890,7 +880,7 @@ impl CkksContext {
     /// Coefficient-domain copy of an evaluation-domain polynomial.
     pub(crate) fn to_coeff(&self, poly: &RnsPoly) -> RnsPoly {
         let mut out = poly.clone();
-        for (i, row) in out.residues_all_mut().iter_mut().enumerate() {
+        for (i, row) in out.rows_mut().enumerate() {
             self.ntt[i].inverse(row);
         }
         out.set_coeff();
@@ -907,7 +897,7 @@ impl CkksContext {
         // forward transform runs directly in the output row and `b`'s in
         // one row shared by every prime.
         let mut fb = vec![0u64; n];
-        for (i, row) in out.residues_all_mut().iter_mut().enumerate() {
+        for (i, row) in out.rows_mut().enumerate() {
             let table = &self.ntt[i];
             let q = self.primes[i];
             row.copy_from_slice(a.residues(i));
@@ -1313,9 +1303,13 @@ mod tests {
     /// An evaluation-domain polynomial whose residue at prime `i`,
     /// coefficient `j` is `f(i, j, q_i)`.
     fn eval_rows(ctx: &CkksContext, f: impl Fn(usize, usize, u64) -> u64) -> RnsPoly {
-        let rows = ctx.primes.iter().enumerate();
-        let rows = rows.map(|(i, &q)| (0..ctx.params.n).map(|j| f(i, j, q)).collect()).collect();
-        RnsPoly::from_rows(rows, Domain::Eval)
+        let mut p = RnsPoly::zero_in(ctx.params.n, ctx.primes.len(), Domain::Eval);
+        for (i, (row, &q)) in p.rows_mut().zip(&ctx.primes).enumerate() {
+            for (j, r) in row.iter_mut().enumerate() {
+                *r = f(i, j, q);
+            }
+        }
+        p
     }
 
     /// `NTT` of signed coefficients at every prime.
@@ -1359,8 +1353,8 @@ mod tests {
         let m = eval_of(ctx, &ctx.encoder.encode(values));
         let e = eval_of(ctx, &noise.e);
         let mut c1 = RnsPoly::zero_in(ctx.params.n, ctx.primes.len(), Domain::Eval);
-        for (i, row) in c1.residues_all_mut().iter_mut().enumerate() {
-            seedexp::expand_row_into(&noise.seed, i, ctx.primes[i], ctx.params.n, row);
+        for (i, row) in c1.rows_mut().enumerate() {
+            seedexp::expand_row_into(&noise.seed, i, ctx.primes[i], row);
         }
         let at = |p: &RnsPoly, i: usize, j: usize| p.residues(i)[j];
         let c0 = eval_rows(ctx, |i, j, q| {

@@ -1,8 +1,9 @@
 //! Residue-number-system (RNS) polynomials for CKKS.
 //!
 //! A ring element of `R_Q = Z_Q[X]/(X^N + 1)` with `Q = q_0 · q_1 ⋯ q_L`
-//! is stored as one residue vector per prime. All homomorphic operations
-//! act independently per prime, which keeps every limb in native `u64`
+//! is stored as one residue row per prime, the rows of one polynomial
+//! side by side in one buffer. All homomorphic operations act
+//! independently per prime, which keeps every limb in native `u64`
 //! arithmetic. The one multi-word step is the CRT lift back to integers
 //! (decryption's decode and `ThresholdGroup::combine`): `CrtBasis` runs
 //! it exactly on fixed-width `u64` limbs, a tile of coefficients at a
@@ -25,44 +26,44 @@ use super::ntt::{mul_shoup, shoup};
 /// product code branches on it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Domain {
-    /// Coefficient domain: `residues[i][j]` is coefficient `j` mod `q_i`.
+    /// Coefficient domain: residue `j` of row `i` is coefficient `j`
+    /// mod `q_i`.
     Coeff,
-    /// Evaluation (NTT) domain: `residues[i][j]` is the transform point
-    /// `j` of the negacyclic NTT mod `q_i`.
+    /// Evaluation (NTT) domain: residue `j` of row `i` is the transform
+    /// point `j` of the negacyclic NTT mod `q_i`.
     Eval,
 }
 
 /// A polynomial in RNS representation, tagged with the basis its rows
 /// are in (coefficients, or NTT evaluation points).
 ///
-/// `residues[i][j]` is coefficient (or evaluation point) `j` reduced
-/// modulo prime `i`. The active primes are implied by `residues.len()`
-/// (the *level* of the polynomial).
+/// The residues are one `levels × N` buffer, prime-major: row `i` (every
+/// coefficient or evaluation point reduced modulo prime `i`) is
+/// `residues[i·N..(i + 1)·N]`, so a polynomial is one allocation. This
+/// type is the only code that knows the layout; everything else takes
+/// rows as slices, one at a time (`residues`, `residues_mut`) or all in
+/// prime order (`rows`, `rows_mut`). The active primes are the first
+/// `levels` of the chain (the *level* of the polynomial). The row count
+/// is stored and N derived from it, so a polynomial with no rows has no
+/// coefficients.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RnsPoly {
-    residues: Vec<Vec<u64>>,
+    residues: Vec<u64>,
+    levels: usize,
     domain: Domain,
 }
 
 impl RnsPoly {
     /// The all-zero coefficient-domain polynomial at the given degree and
     /// level.
-    pub fn zero(n: usize, levels: usize) -> Self {
+    pub(crate) fn zero(n: usize, levels: usize) -> Self {
         Self::zero_in(n, levels, Domain::Coeff)
     }
 
     /// The all-zero polynomial in an explicit domain (zero is the same
     /// ring element either way).
     pub(crate) fn zero_in(n: usize, levels: usize, domain: Domain) -> Self {
-        RnsPoly { residues: vec![vec![0u64; n]; levels], domain }
-    }
-
-    /// Assembles a polynomial from per-prime residue rows produced
-    /// elsewhere (e.g. a fused per-prime kernel). All rows must share
-    /// one length.
-    pub(crate) fn from_rows(residues: Vec<Vec<u64>>, domain: Domain) -> Self {
-        debug_assert!(residues.windows(2).all(|w| w[0].len() == w[1].len()));
-        RnsPoly { residues, domain }
+        RnsPoly { residues: vec![0u64; levels * n], levels, domain }
     }
 
     /// Retags a coefficient-domain polynomial after the caller
@@ -87,7 +88,8 @@ impl RnsPoly {
 
     /// The first `levels` residue rows, as a polynomial of its own.
     pub(crate) fn truncated(&self, levels: usize) -> RnsPoly {
-        RnsPoly { residues: self.residues[..levels].to_vec(), domain: self.domain }
+        let residues = self.residues[..levels * self.degree()].to_vec();
+        RnsPoly { residues, levels, domain: self.domain }
     }
 
     /// Builds an RNS polynomial from signed coefficients.
@@ -95,54 +97,59 @@ impl RnsPoly {
     /// Each coefficient is reduced into `[0, q_i)` per prime, mapping
     /// negative values to `q_i - |c|`.
     pub fn from_signed_coeffs(coeffs: &[i64], primes: &[u64]) -> Self {
-        let residues = primes
-            .iter()
-            .map(|&q| coeffs.iter().map(|&c| signed_residue(c, q)).collect())
-            .collect();
-        RnsPoly { residues, domain: Domain::Coeff }
+        let mut residues = Vec::with_capacity(primes.len() * coeffs.len());
+        for &q in primes {
+            residues.extend(coeffs.iter().map(|&c| signed_residue(c, q)));
+        }
+        RnsPoly { residues, levels: primes.len(), domain: Domain::Coeff }
     }
 
-    /// Resizes the residue rows to `levels` rows of `n` limbs each and
-    /// retags the domain, reusing allocations where possible. Row
-    /// contents are unspecified afterwards — callers must overwrite them.
+    /// Reshapes to `levels` rows of `n` residues and retags the domain,
+    /// reusing the allocation where it is large enough. Row contents are
+    /// unspecified afterwards — callers must overwrite them.
     pub(crate) fn ensure_shape(&mut self, n: usize, levels: usize, domain: Domain) {
-        self.residues.resize_with(levels, Vec::new);
-        for row in &mut self.residues {
-            row.resize(n, 0);
-        }
+        self.residues.resize(levels * n, 0);
+        self.levels = levels;
         self.domain = domain;
     }
 
-    /// Heap bytes held by the residue rows (capacity, not length).
-    pub fn heap_bytes(&self) -> u64 {
-        8 * self.residues.iter().map(|r| r.capacity() as u64).sum::<u64>()
-            + (self.residues.capacity() * std::mem::size_of::<Vec<u64>>()) as u64
+    /// Heap bytes held by the residues (capacity, not length).
+    pub(crate) fn heap_bytes(&self) -> u64 {
+        8 * self.residues.capacity() as u64
     }
 
-    /// Ring degree N.
-    pub fn degree(&self) -> usize {
-        self.residues.first().map_or(0, Vec::len)
+    /// Ring degree N (0 for a polynomial with no rows).
+    pub(crate) fn degree(&self) -> usize {
+        self.residues.len().checked_div(self.levels).unwrap_or(0)
     }
 
     /// Number of active primes (level + 1).
-    pub fn levels(&self) -> usize {
-        self.residues.len()
+    pub(crate) fn levels(&self) -> usize {
+        self.levels
     }
 
     /// Residues of this polynomial modulo the `i`-th prime.
-    pub fn residues(&self, i: usize) -> &[u64] {
-        &self.residues[i]
+    pub(crate) fn residues(&self, i: usize) -> &[u64] {
+        let n = self.degree();
+        &self.residues[i * n..][..n]
     }
 
     /// Mutable residues modulo the `i`-th prime.
-    pub fn residues_mut(&mut self, i: usize) -> &mut [u64] {
-        &mut self.residues[i]
+    pub(crate) fn residues_mut(&mut self, i: usize) -> &mut [u64] {
+        let n = self.degree();
+        &mut self.residues[i * n..][..n]
     }
 
-    /// All residue rows at once, for kernels that walk the primes in one
-    /// loop (each row is an independently owned `Vec`).
-    pub fn residues_all_mut(&mut self) -> &mut [Vec<u64>] {
-        &mut self.residues
+    /// The residue rows in prime order (none when N is 0).
+    pub(crate) fn rows(&self) -> std::slice::ChunksExact<'_, u64> {
+        self.residues.chunks_exact(self.degree().max(1))
+    }
+
+    /// The residue rows in prime order, mutably, for kernels that walk
+    /// the primes in one loop (none when N is 0).
+    pub(crate) fn rows_mut(&mut self) -> std::slice::ChunksExactMut<'_, u64> {
+        let n = self.degree().max(1);
+        self.residues.chunks_exact_mut(n)
     }
 
     /// Element-wise addition. Operands must share degree and level.
@@ -150,56 +157,49 @@ impl RnsPoly {
     /// # Panics
     ///
     /// Panics on mismatched shapes.
-    pub fn add(&self, rhs: &RnsPoly, primes: &[u64]) -> RnsPoly {
-        assert_eq!(self.levels(), rhs.levels(), "level mismatch");
-        assert_eq!(self.degree(), rhs.degree(), "degree mismatch");
-        assert_eq!(self.domain, rhs.domain, "operands in different bases");
-        let residues = self
-            .residues
-            .iter()
-            .zip(&rhs.residues)
-            .zip(primes)
-            .map(|((a, b), &q)| a.iter().zip(b).map(|(&x, &y)| add_mod(x, y, q)).collect())
-            .collect();
-        RnsPoly { residues, domain: self.domain }
+    pub(crate) fn add(&self, rhs: &RnsPoly, primes: &[u64]) -> RnsPoly {
+        let mut sum = self.clone();
+        sum.add_assign(rhs, primes);
+        sum
     }
 
     /// In-place element-wise addition.
-    pub fn add_assign(&mut self, rhs: &RnsPoly, primes: &[u64]) {
-        assert_eq!(self.levels(), rhs.levels(), "level mismatch");
+    ///
+    /// # Panics
+    ///
+    /// Panics on mismatched shapes.
+    pub(crate) fn add_assign(&mut self, rhs: &RnsPoly, primes: &[u64]) {
+        assert_eq!(self.levels, rhs.levels, "level mismatch");
+        assert_eq!(self.degree(), rhs.degree(), "degree mismatch");
         assert_eq!(self.domain, rhs.domain, "operands in different bases");
-        for (i, &q) in primes.iter().take(self.levels()).enumerate() {
-            for (a, &b) in self.residues[i].iter_mut().zip(&rhs.residues[i]) {
+        for ((row, other), &q) in self.rows_mut().zip(rhs.rows()).zip(primes) {
+            for (a, &b) in row.iter_mut().zip(other) {
                 *a = add_mod(*a, b, q);
             }
         }
     }
 
     /// Negation.
-    pub fn neg(&self, primes: &[u64]) -> RnsPoly {
-        let residues = self
-            .residues
-            .iter()
-            .zip(primes)
-            .map(|(r, &q)| r.iter().map(|&a| neg_mod(a, q)).collect())
-            .collect();
-        RnsPoly { residues, domain: self.domain }
+    pub(crate) fn neg(&self, primes: &[u64]) -> RnsPoly {
+        let mut out = self.clone();
+        for (row, &q) in out.rows_mut().zip(primes) {
+            for a in row {
+                *a = neg_mod(*a, q);
+            }
+        }
+        out
     }
 
     /// Multiplies every coefficient by a signed scalar: one Shoup
     /// quotient per prime, then a division-free product per coefficient.
-    pub fn mul_scalar_signed(&self, scalar: i64, primes: &[u64]) -> RnsPoly {
-        let residues = self
-            .residues
-            .iter()
-            .zip(primes)
-            .map(|(r, &q)| {
-                let s = signed_residue(scalar, q);
-                let s_shoup = shoup(s, q);
-                r.iter().map(|&a| mul_shoup(a, s, s_shoup, q)).collect()
-            })
-            .collect();
-        RnsPoly { residues, domain: self.domain }
+    pub(crate) fn mul_scalar_signed(&self, scalar: i64, primes: &[u64]) -> RnsPoly {
+        let mut residues = Vec::with_capacity(self.residues.len());
+        for (row, &q) in self.rows().zip(primes) {
+            let s = signed_residue(scalar, q);
+            let s_shoup = shoup(s, q);
+            residues.extend(row.iter().map(|&a| mul_shoup(a, s, s_shoup, q)));
+        }
+        RnsPoly { residues, levels: self.levels, domain: self.domain }
     }
 
     /// Drops the last prime, rescaling by it: `x ↦ round(x / q_last)`.
@@ -219,28 +219,22 @@ impl RnsPoly {
         assert!(l >= 2, "cannot rescale a level-0 polynomial");
         assert_eq!(self.domain, Domain::Coeff, "rescale requires coefficient domain");
         let q_last = primes[l - 1];
-        let last = &self.residues[l - 1];
-        let residues = self.residues[..l - 1]
-            .iter()
-            .zip(primes)
-            .map(|(xs, &q)| {
-                let q_last_inv = inv_mod(q_last % q, q);
-                xs.iter()
-                    .zip(last)
-                    .map(|(&xi, &xl)| {
-                        // Centered lift of x_last before reduction mod q_i so
-                        // the rounding error stays within ±1/2.
-                        let xl_centered = if xl > q_last / 2 {
-                            sub_mod(xi, (xl + q - (q_last % q)) % q, q)
-                        } else {
-                            sub_mod(xi, xl % q, q)
-                        };
-                        mul_mod(xl_centered, q_last_inv, q)
-                    })
-                    .collect()
-            })
-            .collect();
-        RnsPoly { residues, domain: Domain::Coeff }
+        let last = self.residues(l - 1);
+        let mut out = self.truncated(l - 1);
+        for (xs, &q) in out.rows_mut().zip(primes) {
+            let q_last_inv = inv_mod(q_last % q, q);
+            for (xi, &xl) in xs.iter_mut().zip(last) {
+                // Centered lift of x_last before reduction mod q_i so
+                // the rounding error stays within ±1/2.
+                let xl_centered = if xl > q_last / 2 {
+                    sub_mod(*xi, (xl + q - (q_last % q)) % q, q)
+                } else {
+                    sub_mod(*xi, xl % q, q)
+                };
+                *xi = mul_mod(xl_centered, q_last_inv, q);
+            }
+        }
+        out
     }
 
     /// CRT-reconstructs each coefficient to a centered `f64` value.
@@ -267,7 +261,8 @@ impl RnsPoly {
             // the subtraction and bury a small negative coefficient.
             let half = active[0] / 2;
             let q = active[0] as i64;
-            return self.residues[0]
+            return self
+                .residues(0)
                 .iter()
                 .map(|&x| if x > half { (x as i64 - q) as f64 } else { x as i64 as f64 })
                 .collect();
@@ -277,7 +272,7 @@ impl RnsPoly {
         let chunk = out.len().div_ceil(par.degree()).next_multiple_of(TILE).max(TILE);
         let mut blocks: Vec<&mut [f64]> = out.chunks_mut(chunk).collect();
         rhychee_par::for_each_mut(par, &mut blocks, |b, block| {
-            basis.centered_f64_into(&self.residues, b * chunk, block);
+            basis.centered_f64_into(self, b * chunk, block);
         });
         out
     }
@@ -338,7 +333,8 @@ impl<'a> CrtBasis<'a> {
         CrtBasis { primes, k, q, half_q, q_hat, q_hat_inv }
     }
 
-    /// Lifts coefficients `at..at + len` (`len ≤ TILE`) of `rows` to the
+    /// Lifts coefficients `at..at + len` (`len ≤ TILE`) of the rows in
+    /// `residues` (an [`RnsPoly`]'s buffer, row `i` at `i·n`) to the
     /// centred representative in `(−Q/2, Q/2]`. Returns its magnitude
     /// (limb-major, `k · TILE` words) and, per coefficient, a non-zero
     /// flag where it is negative.
@@ -347,7 +343,8 @@ impl<'a> CrtBasis<'a> {
     /// Shoup product, to the value `mul_mod` would give.
     fn lift<'s>(
         &self,
-        rows: &[Vec<u64>],
+        residues: &[u64],
+        n: usize,
         at: usize,
         len: usize,
         words: &'s mut [u64],
@@ -361,7 +358,7 @@ impl<'a> CrtBasis<'a> {
         // carry between limbs.
         mag.fill(0);
         for (i, (&q, &(inv, inv_shoup))) in self.primes.iter().zip(&self.q_hat_inv).enumerate() {
-            for (t, &r) in aux.iter_mut().zip(&rows[i][at..at + len]) {
+            for (t, &r) in aux.iter_mut().zip(&residues[i * n + at..][..len]) {
                 *t = mul_shoup(r, inv, inv_shoup, q);
             }
             flag.fill(0);
@@ -413,13 +410,14 @@ impl<'a> CrtBasis<'a> {
     }
 
     /// Writes the centred value of coefficients `at..at + out.len()` of
-    /// `rows` into `out`, Horner-evaluating each magnitude from its top
+    /// `poly` into `out`, Horner-evaluating each magnitude from its top
     /// limb (`f = f·2⁶⁴ + limb`, one rounding per step).
-    fn centered_f64_into(&self, rows: &[Vec<u64>], at: usize, out: &mut [f64]) {
+    fn centered_f64_into(&self, poly: &RnsPoly, at: usize, out: &mut [f64]) {
+        let (residues, n) = (&poly.residues[..], poly.degree());
         // `k` magnitude limbs plus two lane-wide temporaries per tile.
         let mut words = vec![0u64; (self.k + 2) * TILE];
         for (t, block) in out.chunks_mut(TILE).enumerate() {
-            let (mag, negative) = self.lift(rows, at + t * TILE, block.len(), &mut words);
+            let (mag, negative) = self.lift(residues, n, at + t * TILE, block.len(), &mut words);
             block.fill(0.0);
             for limb in mag.chunks_exact(TILE).rev() {
                 for (f, &a) in block.iter_mut().zip(limb) {
@@ -571,7 +569,7 @@ mod tests {
     fn probe_poly(primes: &[u64], fill: usize, rng: &mut StdRng) -> RnsPoly {
         let half_q = &primes.iter().fold(BigUint::one(), |acc, &p| acc.mul_u64(p)) >> 1;
         let above = &half_q + &BigUint::one();
-        let rows = primes
+        let rows: Vec<Vec<u64>> = primes
             .iter()
             .map(|&q| {
                 let mut row = vec![0, 1, q - 1, half_q.div_rem_u64(q).1, above.div_rem_u64(q).1];
@@ -580,13 +578,22 @@ mod tests {
                 row
             })
             .collect();
-        let mut p = RnsPoly::from_rows(rows, Domain::Coeff);
+        let mut p = poly_of_rows(&rows, Domain::Coeff);
         let small: Vec<i64> =
             (0..fill / 2).map(|_| rng.gen_range(-(1i64 << 34)..1 << 34)).collect();
         let signed = RnsPoly::from_signed_coeffs(&small, primes);
-        for (i, row) in p.residues_all_mut().iter_mut().enumerate() {
+        for (row, tail) in p.rows_mut().zip(signed.rows()) {
             let at = row.len() - small.len();
-            row[at..].copy_from_slice(signed.residues(i));
+            row[at..].copy_from_slice(tail);
+        }
+        p
+    }
+
+    /// A polynomial holding `rows` (all of one length) as its residue rows.
+    fn poly_of_rows(rows: &[Vec<u64>], domain: Domain) -> RnsPoly {
+        let mut p = RnsPoly::zero_in(rows.first().map_or(0, Vec::len), rows.len(), domain);
+        for (i, row) in rows.iter().enumerate() {
+            p.residues_mut(i).copy_from_slice(row);
         }
         p
     }
@@ -633,8 +640,9 @@ mod tests {
             for n in [0usize, 1, 3, 63, 64, 65, 200, 8192] {
                 // Both ends of the probe: the edge values and the random tail.
                 for from in [0, full.degree() - n] {
-                    let rows = (0..primes.len()).map(|i| full.residues(i)[from..from + n].to_vec());
-                    let p = RnsPoly::from_rows(rows.collect(), Domain::Coeff);
+                    let rows: Vec<Vec<u64>> =
+                        full.rows().map(|row| row[from..from + n].to_vec()).collect();
+                    let p = poly_of_rows(&rows, Domain::Coeff);
                     let want = crt.poly_to_f64(&p);
                     for par in DEGREES {
                         let got = p.to_centered_f64_with(&primes, par);
@@ -642,6 +650,39 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn reshaped_rows_sit_at_their_own_offsets() {
+        // One buffer reshaped (N, 3) → (N, 1) → (N, 3) → (N/2, 3) and
+        // refilled row by row acts as a polynomial built fresh from the
+        // same coefficients, and keeps its one allocation throughout.
+        let mut rng = StdRng::seed_from_u64(31);
+        let n = 64;
+        let mut reused = RnsPoly::zero(n, 3);
+        let held = reused.heap_bytes();
+        for (degree, levels) in [(n, 3), (n, 1), (n, 3), (n / 2, 3)] {
+            let active = &PRIMES[..levels];
+            let coeffs: Vec<i64> = (0..degree).map(|_| rng.gen_range(-1000..1000)).collect();
+            let other: Vec<i64> = (0..degree).map(|_| rng.gen_range(-1000..1000)).collect();
+            reused.ensure_shape(degree, levels, Domain::Coeff);
+            for (i, &q) in active.iter().enumerate() {
+                for (r, &c) in reused.residues_mut(i).iter_mut().zip(&coeffs) {
+                    *r = signed_residue(c, q);
+                }
+            }
+            let fresh = RnsPoly::from_signed_coeffs(&coeffs, active);
+            assert_eq!((reused.degree(), reused.levels()), (degree, levels));
+            assert_eq!(reused, fresh, "({degree}, {levels})");
+            let b = RnsPoly::from_signed_coeffs(&other, active);
+            let sum = reused.add(&b, active).to_centered_f64(active);
+            let want: Vec<f64> = coeffs.iter().zip(&other).map(|(x, y)| (x + y) as f64).collect();
+            assert_eq!(sum, want, "({degree}, {levels}): add");
+            let scaled = reused.mul_scalar_signed(-3, active).to_centered_f64(active);
+            let want: Vec<f64> = coeffs.iter().map(|&x| (-3 * x) as f64).collect();
+            assert_eq!(scaled, want, "({degree}, {levels}): mul_scalar_signed");
+            assert_eq!(reused.heap_bytes(), held, "({degree}, {levels}): reallocated");
         }
     }
 
@@ -690,7 +731,7 @@ mod tests {
         for q in super::super::modarith::tests::table3_primes() {
             let mut row: Vec<u64> = (0..253).map(|_| rng.gen_range(0..q)).collect();
             row.extend([0, 1, q - 1]);
-            let poly = RnsPoly::from_rows(vec![row.clone()], Domain::Eval);
+            let poly = poly_of_rows(&[row.clone()], Domain::Eval);
             let r = rng.gen_range(2..q - 1) as i64;
             let top = q as i64 - 1;
             for scalar in [0, 1, top, r, -1, -top, -r, i64::MIN, i64::MAX] {

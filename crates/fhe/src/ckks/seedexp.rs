@@ -84,18 +84,11 @@ impl SeedStream {
 }
 
 /// Expands residue row `prime_idx` of the seeded uniform polynomial —
-/// `n` evaluation-domain points in `[0, q)` — into a caller-owned buffer
-/// (resized to `n`), reusing its allocation.
-pub(crate) fn expand_row_into(
-    seed: &[u8; 32],
-    prime_idx: usize,
-    q: u64,
-    n: usize,
-    out: &mut Vec<u64>,
-) {
+/// `out.len()` evaluation-domain points in `[0, q)` — into a caller-owned
+/// row.
+pub(crate) fn expand_row_into(seed: &[u8; 32], prime_idx: usize, q: u64, out: &mut [u64]) {
     let mut stream = SeedStream::new(seed, prime_idx as u64);
-    out.resize(n, 0);
-    for slot in out.iter_mut() {
+    for slot in out {
         *slot = stream.uniform_below(q);
     }
 }
@@ -122,8 +115,8 @@ mod tests {
     use super::*;
 
     fn expand_row(seed: &[u8; 32], prime_idx: usize, q: u64, n: usize) -> Vec<u64> {
-        let mut out = Vec::new();
-        expand_row_into(seed, prime_idx, q, n, &mut out);
+        let mut out = vec![0; n];
+        expand_row_into(seed, prime_idx, q, &mut out);
         out
     }
 

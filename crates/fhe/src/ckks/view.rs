@@ -109,8 +109,8 @@ impl<'a> CtView<'a> {
                 let c0 = read_poly()?;
                 let mut c1 = RnsPoly::zero_in(n, self.levels, Domain::Eval);
                 let _t = telemetry::timer("fhe.ckks.seedexp");
-                for (i, row) in c1.residues_all_mut().iter_mut().enumerate() {
-                    seedexp::expand_row_into(&seed, i, primes[i], n, row);
+                for (i, row) in c1.rows_mut().enumerate() {
+                    seedexp::expand_row_into(&seed, i, primes[i], row);
                 }
                 (c0, c1, Some(seed))
             }

@@ -211,3 +211,32 @@ fn encoder_timers_take_one_sample_per_plaintext_crossing() {
     let combine = &mut || drop(ThresholdGroup::combine(&ctx, &gct, &partials));
     assert_eq!(delta(combine), (0, 1), "threshold combine");
 }
+
+#[test]
+fn mul_scalar_counts_once_per_call_and_nowhere_else() {
+    let _guard = SERIAL.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    telemetry::set_enabled(true);
+    let ctx = CkksContext::new(CkksParams::toy()).expect("params");
+    let mut rng = StdRng::seed_from_u64(13);
+    let (sk, pk) = ctx.generate_keys(&mut rng);
+    let values = vec![0.5; 100];
+    // The round's close scales each ciphertext of the sum once; the
+    // counter is the number of those calls and nothing else moves it.
+    let scaled = || telemetry::metrics::global().counter("fhe.ckks.mul_scalar").get();
+    let before = scaled();
+    let ct = ctx.encrypt(&pk, &values, &mut rng).expect("encrypt");
+    let sct = ctx.encrypt_symmetric(&sk, &values, &mut rng).expect("encrypt");
+    let bytes = ctx.serialize(&ct);
+    let seeded = ctx.serialize_seeded(&sct).expect("seeded");
+    let back = ctx.deserialize(&bytes).expect("deserialize");
+    let view = ctx.view_serialized(&bytes).expect("view");
+    let mut acc = ctx.accumulator_for(&view);
+    ctx.fold_view(&mut acc, &view).expect("fold");
+    ctx.fold_view(&mut acc, &ctx.view_serialized_seeded(&seeded).expect("view")).expect("fold");
+    drop((ctx.decrypt(&sk, &acc), ctx.decrypt(&sk, &back)));
+    assert_eq!(scaled(), before, "encrypt, serialize, deserialize, fold and decrypt");
+    for calls in 1..=3 {
+        drop(ctx.mul_scalar(&acc, 0.5));
+        assert_eq!(scaled(), before + calls, "one count per mul_scalar call");
+    }
+}

@@ -128,6 +128,22 @@ fn steady_state_arena_encrypt_allocates_zero_bytes() {
     }
 }
 
+/// A ciphertext component is one `levels × N` residue buffer: a fresh
+/// CKKS-3 ciphertext (three primes) costs exactly two allocation calls,
+/// one per component, not one per residue row plus a row table.
+#[test]
+fn zero_ciphertext_is_one_allocation_per_component() {
+    let _g = lock();
+    telemetry::set_enabled(false);
+    let ctx = CkksContext::new(CkksParams::ckks3()).expect("ckks context");
+    assert_eq!(ctx.primes().len(), 3);
+    let before = telemetry::alloc::thread_alloc_calls();
+    let ct = ctx.zero_ciphertext();
+    let calls = telemetry::alloc::thread_alloc_calls() - before;
+    assert_eq!(calls, 2, "zero_ciphertext at CKKS-3 made {calls} allocation calls");
+    drop(ct);
+}
+
 /// The zero-copy fold kernel reads wire bytes straight into the
 /// accumulator: every fold allocates 0 bytes, in both the canonical and
 /// the seed-compressed wire format — the first one included. Each format
