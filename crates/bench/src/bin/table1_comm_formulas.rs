@@ -94,7 +94,7 @@ fn main() {
     // `rhychee-core`'s packing tests.
     banner("Bit-interleaved packing (bits = 10, P = 4 clients) vs dense slots");
     let dense = PackingConfig::dense();
-    let inter = PackingConfig::interleaved(10, 1.0, 4);
+    let inter = PackingConfig::interleaved(10, 1.0, 4).expect("valid layout");
     let mut packed = Table::new(vec![
         "Set",
         "cts dense",

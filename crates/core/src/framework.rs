@@ -225,9 +225,8 @@ impl Framework {
         bits: u32,
         clip: f32,
     ) -> Result<Self, FlError> {
-        let packing = PackingConfig::interleaved(bits, clip, config.clients);
-        packing.check_aggregation(config.aggregation)?;
-        packing.validate()?;
+        let packing = PackingConfig::interleaved(bits, clip, config.clients)?;
+        packing.check_federation(config.aggregation, config.clients)?;
         Self::build_ckks(config, data, params, packing)
     }
 

@@ -11,7 +11,7 @@
 //! [`PackingConfig`], whose default value [`PackingConfig::dense`] is
 //! the paper's one-coordinate-per-slot layout.
 //!
-//! The [`PackingLayout::BitInterleaved`] mode (FedBit-style co-design)
+//! The [`PackingConfig::BitInterleaved`] mode (FedBit-style co-design)
 //! goes further: coordinates are quantized to `bits` bits and several
 //! are packed per slot at a lane stride wide enough that the
 //! homomorphic *sum* of up to `max_clients` uploads never carries
@@ -25,8 +25,6 @@
 
 use rand::Rng;
 
-pub use rhychee_fhe::bitpack::PackingLayout;
-use rhychee_fhe::bitpack::{pack_lanes, unpack_lane};
 use rhychee_fhe::ckks::{
     CkksCiphertext, CkksContext, CkksEncryptArena, CkksPublicKey, CkksSecretKey,
 };
@@ -35,85 +33,223 @@ use rhychee_fhe::FheError;
 use crate::config::Aggregation;
 use crate::error::FlError;
 
-/// Everything both endpoints must agree on to pack, aggregate, and
-/// unpack a model under a given [`PackingLayout`].
+/// Integer payload budget of one CKKS slot under bit-interleaved
+/// packing, in bits.
+///
+/// A packed slot travels through the encoder as an `f64` and comes back
+/// from decryption with an absolute error well below `0.5` at the
+/// workspace scales (≥ 2^26), so exact recovery needs the packed
+/// integer to stay (a) inside the `f64` mantissa and (b) small enough
+/// that the canonical-embedding round trip's *relative* error
+/// (~`2^-52 · √N` per slot) keeps the absolute error under the rounding
+/// threshold. 32 bits leaves ~20 bits of margin at `N = 8192` — the
+/// conservative choice, since a mis-rounded lane corrupts a gradient
+/// coordinate silently.
+const SLOT_PAYLOAD_BITS: u32 = 32;
+
+/// How a flat model becomes slot values: everything both endpoints
+/// must agree on to pack, aggregate, and unpack it.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PackingConfig {
-    /// Slot layout of the flat model.
-    pub layout: PackingLayout,
-    /// Symmetric clip range for quantization (`BitInterleaved` only):
-    /// coordinates are clamped to `[-clip, clip]`, shared by all
-    /// clients so quantization grids line up.
-    pub clip: f32,
-    /// Lane-headroom bound `P`: the most uploads one aggregate may sum
-    /// (`BitInterleaved` only).
-    pub max_clients: usize,
+pub enum PackingConfig {
+    /// The paper's layout: one `f32` coordinate per slot.
+    Dense,
+    /// FedBit-style co-design: several quantized coordinates per slot,
+    /// aggregated by homomorphic sum. Built by
+    /// [`PackingConfig::interleaved`].
+    BitInterleaved(Lanes),
+}
+
+/// The lane layout of [`PackingConfig::BitInterleaved`]: coordinates on
+/// the grid of `bits` bits over `[-clip, clip]`, packed at a stride
+/// wide enough that the sum of up to `max_clients` uploads never
+/// carries across lanes. Only [`PackingConfig::interleaved`] builds
+/// one, so every value is a layout that fits a slot.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Lanes {
+    grid: Grid,
+    max_clients: usize,
 }
 
 impl PackingConfig {
     /// The paper's dense one-coordinate-per-slot layout.
     pub const fn dense() -> Self {
-        PackingConfig { layout: PackingLayout::Dense, clip: 0.0, max_clients: 0 }
+        PackingConfig::Dense
     }
 
     /// Bit-interleaved packing at `bits` bits per coordinate, clipping
     /// to `[-clip, clip]`, with carry-free headroom for `max_clients`
     /// summed uploads.
-    pub fn interleaved(bits: u32, clip: f32, max_clients: usize) -> Self {
-        PackingConfig { layout: PackingLayout::BitInterleaved { bits }, clip, max_clients }
-    }
-
-    /// True when this config packs multiple coordinates per slot.
-    pub fn is_interleaved(&self) -> bool {
-        matches!(self.layout, PackingLayout::BitInterleaved { .. })
-    }
-
-    /// Checks layout bounds and (for `BitInterleaved`) the clip range.
     ///
     /// # Errors
     ///
-    /// Returns [`FheError::InvalidParams`] on an over-budget lane
-    /// stride or a non-finite / non-positive clip.
-    pub fn validate(&self) -> Result<(), FheError> {
-        self.layout.validate(self.max_clients)?;
-        if self.is_interleaved() && !(self.clip.is_finite() && self.clip > 0.0) {
-            return Err(FheError::InvalidParams(format!(
-                "BitInterleaved clip must be positive and finite, got {}",
-                self.clip
-            )));
+    /// Returns [`FheError::InvalidParams`] when `bits < 2` (no room for
+    /// a sign), `max_clients` is zero, the lane stride
+    /// `bits + ⌈log2 max_clients⌉` exceeds the 32-bit slot payload, or
+    /// `clip` is not positive and finite.
+    pub fn interleaved(bits: u32, clip: f32, max_clients: usize) -> Result<Self, FheError> {
+        let refuse = |why: String| Err(FheError::InvalidParams(why));
+        if bits < 2 {
+            return refuse(format!(
+                "BitInterleaved needs at least 2 bits per coordinate, got {bits}"
+            ));
         }
-        Ok(())
+        if max_clients == 0 {
+            return refuse("max_clients must be positive".into());
+        }
+        let lanes = Lanes { grid: Grid::new(bits, clip), max_clients };
+        let lane = lanes.lane_bits();
+        if lane > SLOT_PAYLOAD_BITS {
+            return refuse(format!(
+                "lane stride {lane} bits ({bits} + ⌈log2 {max_clients}⌉) exceeds the \
+                 {SLOT_PAYLOAD_BITS}-bit slot payload budget"
+            ));
+        }
+        if !(clip.is_finite() && clip > 0.0) {
+            return refuse(format!("BitInterleaved clip must be positive and finite, got {clip}"));
+        }
+        Ok(PackingConfig::BitInterleaved(lanes))
     }
 
-    /// Checks that `aggregation` can ride this layout.
+    /// Checks this layout against the federation it packs for.
     ///
     /// # Errors
     ///
     /// Returns [`FlError::InvalidConfig`] for bit-interleaved packing
-    /// under [`Aggregation::FedNova`]: the lane-packed sum is uniform,
+    /// under [`Aggregation::FedNova`] (the lane-packed sum is uniform,
     /// and a client pre-scaling by `1/τ` would push its coordinates
-    /// below the quantisation step.
-    pub fn check_aggregation(&self, aggregation: Aggregation) -> Result<(), FlError> {
-        if self.is_interleaved() && matches!(aggregation, Aggregation::FedNova) {
+    /// below the quantisation step) or with lanes sized for fewer than
+    /// `clients` summands (a full round's sum would overflow the
+    /// contributor counter, and every client would refuse its
+    /// broadcast).
+    pub fn check_federation(
+        &self,
+        aggregation: Aggregation,
+        clients: usize,
+    ) -> Result<(), FlError> {
+        let PackingConfig::BitInterleaved(lanes) = self else {
+            return Ok(());
+        };
+        if matches!(aggregation, Aggregation::FedNova) {
             return Err(FlError::InvalidConfig(
                 "bit-interleaved packing aggregates by uniform sum; FedNova's per-client \
                  weights require the dense layout"
                     .into(),
             ));
         }
+        if lanes.max_clients < clients {
+            return Err(FlError::InvalidConfig(format!(
+                "bit-interleaved lanes sum at most {} uploads, but the federation has {clients} \
+                 clients",
+                lanes.max_clients
+            )));
+        }
         Ok(())
     }
 
     /// Slots one flat model occupies under this layout, counting the
     /// reserved contributor-counter slot.
-    pub fn slots_for(&self, num_params: usize) -> usize {
-        match self.layout {
-            PackingLayout::Dense => num_params,
-            PackingLayout::BitInterleaved { .. } => {
-                1 + num_params.div_ceil(self.layout.lanes_per_slot(self.max_clients))
-            }
+    fn slots_for(&self, num_params: usize) -> usize {
+        match self {
+            PackingConfig::Dense => num_params,
+            PackingConfig::BitInterleaved(lanes) => 1 + num_params.div_ceil(lanes.per_slot()),
         }
     }
+}
+
+impl Lanes {
+    /// Stride of one packed coordinate in bits: the grid width plus
+    /// headroom for summing `max_clients` lane values without carry
+    /// (`max_clients · (2^bits − 1) < 2^lane_bits`).
+    fn lane_bits(self) -> u32 {
+        self.grid.bits.saturating_add(ceil_log2(self.max_clients))
+    }
+
+    /// Coordinates carried per slot, at least 1 for any built layout.
+    fn per_slot(self) -> usize {
+        (SLOT_PAYLOAD_BITS / self.lane_bits()) as usize
+    }
+
+    /// Quantizes, bias-encodes, and lane-packs a flat model into slot
+    /// values: word 0 is the contributor counter (this client's
+    /// constant `1` in lane 0), the rest carry [`Lanes::per_slot`]
+    /// coordinates each, every one on the grid, so a sum of
+    /// `k ≤ max_clients` clients stays below `2^lane_bits` —
+    /// lane-carry-free by construction.
+    ///
+    /// # Errors
+    ///
+    /// [`FheError::NonFinitePlaintext`] for the first NaN or infinite
+    /// coordinate, before any is quantized.
+    fn pack(self, flat: &[f32], slots: usize) -> Result<Vec<Vec<f64>>, FheError> {
+        Grid::check_finite(flat)?;
+        let (lane_bits, per_slot) = (self.lane_bits(), self.per_slot());
+        let mut words = Vec::with_capacity(1 + flat.len().div_ceil(per_slot));
+        words.push(1.0); // contributor counter: lane 0 of slot 0
+        for group in flat.chunks(per_slot) {
+            let lane_vals = group.iter().map(|&x| self.grid.quantize(x));
+            // Exact as f64: a packed word is < 2^SLOT_PAYLOAD_BITS.
+            words.push(pack_lanes(lane_vals, lane_bits) as f64);
+        }
+        Ok(words.chunks(slots).map(<[f64]>::to_vec).collect())
+    }
+
+    /// The mean model of the `k` uploads whose sum decrypted to `slots`
+    /// (the counter slot first, then at least `num_params / per_slot`
+    /// packed words): `k` is read from the counter lane, each lane sum
+    /// is un-biased, divided by `k` and dequantized.
+    ///
+    /// # Errors
+    ///
+    /// [`FheError::Deserialize`] when a slot decodes outside the packed
+    /// integer range or the counter is outside `1..=max_clients`.
+    fn unpack<'a>(
+        self,
+        slots: impl Iterator<Item = &'a f64>,
+        num_params: usize,
+    ) -> Result<Vec<f32>, FheError> {
+        let (lane_bits, per_slot) = (self.lane_bits(), self.per_slot());
+        let words: Vec<u64> =
+            slots.map(|&v| round_packed_word(v, lane_bits, per_slot)).collect::<Result<_, _>>()?;
+        let k = unpack_lane(words[0], 0, lane_bits);
+        if k == 0 || k > self.max_clients as u64 {
+            return Err(FheError::Deserialize(format!(
+                "contributor counter {k} outside 1..={}",
+                self.max_clients
+            )));
+        }
+        let lane = |i: usize| unpack_lane(words[1 + i / per_slot], i % per_slot, lane_bits);
+        Ok((0..num_params).map(|i| self.grid.mean(lane(i), k)).collect())
+    }
+}
+
+/// `⌈log2 n⌉` for `n ≥ 1`.
+fn ceil_log2(n: usize) -> u32 {
+    usize::BITS - (n - 1).leading_zeros()
+}
+
+/// Packs lane values, each `< 2^lane_bits`, into one slot word, lane 0
+/// in the least-significant bits.
+fn pack_lanes(vals: impl Iterator<Item = u64>, lane_bits: u32) -> u64 {
+    vals.enumerate().fold(0, |word, (i, v)| word | v << (i as u32 * lane_bits))
+}
+
+/// Lane `lane` (0-based from the least-significant bits) of a packed
+/// slot word; `lane_bits < 64`.
+fn unpack_lane(word: u64, lane: usize, lane_bits: u32) -> u64 {
+    (word >> (lane as u32 * lane_bits)) & ((1 << lane_bits) - 1)
+}
+
+/// Rounds a decrypted slot back to its packed integer, rejecting values
+/// the quantized-sum encoding cannot produce.
+fn round_packed_word(v: f64, lane_bits: u32, per_slot: usize) -> Result<u64, FheError> {
+    let r = v.round();
+    let cap = (1u64 << (lane_bits * per_slot as u32)) as f64;
+    if !(r.is_finite() && (0.0..cap).contains(&r) && (v - r).abs() < 0.45) {
+        return Err(FheError::Deserialize(format!(
+            "slot value {v} outside the packed integer range (noise budget or layout mismatch)"
+        )));
+    }
+    Ok(r as u64)
 }
 
 /// Splits a flat parameter vector into slot-sized chunks (the last chunk
@@ -125,7 +261,7 @@ pub fn chunk_params(flat: &[f32], slots: usize) -> Vec<Vec<f64>> {
 
 /// Number of ciphertexts required for `num_params` parameters:
 /// `⌈DL / (N/2)⌉` under `Dense`; `BitInterleaved` divides the model
-/// across `lanes_per_slot` coordinates per slot (plus the counter slot).
+/// across its lanes per slot (plus the counter slot).
 pub fn ciphertexts_needed_with(cfg: &PackingConfig, num_params: usize, slots: usize) -> usize {
     cfg.slots_for(num_params).div_ceil(slots)
 }
@@ -160,7 +296,7 @@ pub fn upload_bytes_seeded_with(
 /// `k · 2^bits`, so it cannot carry into a neighbouring lane or wrap a
 /// plaintext modulus sized for `k`. The bit-interleaved CKKS lanes and
 /// the LWE plaintexts both quantize here.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct Grid {
     bits: u32,
     clip: f32,
@@ -203,54 +339,20 @@ impl Grid {
     }
 }
 
-/// Quantizes, bias-encodes, and lane-packs a flat model into slot
-/// values: word 0 is the contributor counter (this client's constant
-/// `1` in lane 0), the rest carry `lanes_per_slot` coordinates each,
-/// every one on the [`Grid`] of `bits` bits over `[-clip, clip]`, so a
-/// sum of `k ≤ max_clients` clients stays below `2^lane_bits` —
-/// lane-carry-free by construction.
-///
-/// # Errors
-///
-/// [`FheError::NonFinitePlaintext`] for the first NaN or infinite
-/// coordinate, before any is quantized.
-fn interleaved_chunks(
-    cfg: &PackingConfig,
-    bits: u32,
-    flat: &[f32],
-    slots: usize,
-) -> Result<Vec<Vec<f64>>, FheError> {
-    Grid::check_finite(flat)?;
-    let lane_bits = cfg.layout.lane_bits(cfg.max_clients);
-    let lanes = cfg.layout.lanes_per_slot(cfg.max_clients);
-    let grid = Grid::new(bits, cfg.clip);
-    let mut words = Vec::with_capacity(cfg.slots_for(flat.len()));
-    words.push(1.0); // contributor counter: lane 0 of slot 0
-    let mut lane_vals = Vec::with_capacity(lanes);
-    for group in flat.chunks(lanes) {
-        lane_vals.clear();
-        lane_vals.extend(group.iter().map(|&x| grid.quantize(x)));
-        // Exact as f64: a packed word is < 2^SLOT_PAYLOAD_BITS ≤ 2^32.
-        words.push(pack_lanes(&lane_vals, lane_bits) as f64);
-    }
-    Ok(words.chunks(slots).map(<[f64]>::to_vec).collect())
-}
-
 /// The slot values of `flat` under `cfg`'s layout, one chunk per
 /// ciphertext.
 fn slot_chunks(cfg: &PackingConfig, flat: &[f32], slots: usize) -> Result<Vec<Vec<f64>>, FheError> {
-    cfg.validate()?;
-    Ok(match cfg.layout {
-        PackingLayout::Dense => chunk_params(flat, slots),
-        PackingLayout::BitInterleaved { bits } => interleaved_chunks(cfg, bits, flat, slots)?,
-    })
+    match cfg {
+        PackingConfig::Dense => Ok(chunk_params(flat, slots)),
+        PackingConfig::BitInterleaved(lanes) => lanes.pack(flat, slots),
+    }
 }
 
 /// Encrypts a flat model with maximum packing under the public key.
 ///
 /// # Errors
 ///
-/// Propagates [`FheError`] from validation or encryption.
+/// Propagates [`FheError`] from the finiteness check or encryption.
 pub fn encrypt_model_with<R: Rng + ?Sized>(
     ctx: &CkksContext,
     pk: &CkksPublicKey,
@@ -281,7 +383,7 @@ pub fn encrypt_model_with<R: Rng + ?Sized>(
 ///
 /// # Errors
 ///
-/// Propagates [`FheError`] from validation or encryption.
+/// Propagates [`FheError`] from the finiteness check or encryption.
 pub fn encrypt_model_symmetric_with<R: Rng + ?Sized>(
     ctx: &CkksContext,
     sk: &CkksSecretKey,
@@ -332,7 +434,6 @@ pub fn decrypt_model_with(
     num_params: usize,
     cfg: &PackingConfig,
 ) -> Result<Vec<f32>, FheError> {
-    cfg.validate()?;
     let needed = cfg.slots_for(num_params);
     // Ciphertexts decrypt independently; concatenation order is fixed,
     // so the flat model is bit-identical for every degree.
@@ -344,42 +445,14 @@ pub fn decrypt_model_with(
         )));
     }
     let slots = decrypted.iter().flatten().take(needed);
-    let mut flat = Vec::with_capacity(num_params);
-    let PackingLayout::BitInterleaved { bits } = cfg.layout else {
-        flat.extend(slots.map(|&v| v as f32));
-        return Ok(flat);
-    };
-    let lane_bits = cfg.layout.lane_bits(cfg.max_clients);
-    let lanes = cfg.layout.lanes_per_slot(cfg.max_clients);
-    let mut words = Vec::with_capacity(needed);
-    for &v in slots {
-        words.push(round_packed_word(v, lane_bits, lanes)?);
+    match cfg {
+        PackingConfig::Dense => {
+            let mut flat = Vec::with_capacity(num_params);
+            flat.extend(slots.map(|&v| v as f32));
+            Ok(flat)
+        }
+        PackingConfig::BitInterleaved(lanes) => lanes.unpack(slots, num_params),
     }
-    let k = unpack_lane(words[0], 0, lane_bits);
-    if k == 0 || k > cfg.max_clients as u64 {
-        return Err(FheError::Deserialize(format!(
-            "contributor counter {k} outside 1..={}",
-            cfg.max_clients
-        )));
-    }
-    let grid = Grid::new(bits, cfg.clip);
-    for i in 0..num_params {
-        flat.push(grid.mean(unpack_lane(words[1 + i / lanes], i % lanes, lane_bits), k));
-    }
-    Ok(flat)
-}
-
-/// Rounds a decrypted slot back to its packed integer, rejecting values
-/// the quantized-sum encoding cannot produce.
-fn round_packed_word(v: f64, lane_bits: u32, lanes: usize) -> Result<u64, FheError> {
-    let r = v.round();
-    let cap = (1u64 << (lane_bits as usize * lanes.max(1)).min(63)) as f64;
-    if !(r.is_finite() && (0.0..cap).contains(&r) && (v - r).abs() < 0.45) {
-        return Err(FheError::Deserialize(format!(
-            "slot value {v} outside the packed integer range (noise budget or layout mismatch)"
-        )));
-    }
-    Ok(r as u64)
 }
 
 /// Homomorphically averages packed models from several clients:
@@ -565,7 +638,7 @@ mod tests {
         // The grid would quantize NaN to its zero and ±∞ to ±clip: the
         // flat index of the first bad weight is refused instead.
         let (ctx, sk, pk, mut rng) = setup();
-        let cfg = PackingConfig::interleaved(8, 1.0, 4);
+        let cfg = PackingConfig::interleaved(8, 1.0, 4).expect("valid layout");
         for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
             let mut flat: Vec<f32> = (0..700).map(|i| i as f32 * 0.001).collect();
             flat[601] = bad;
@@ -633,7 +706,7 @@ mod tests {
     #[test]
     fn interleaved_single_model_round_trip_is_exact_quantization() {
         let (ctx, sk, pk, mut rng) = setup();
-        let cfg = PackingConfig::interleaved(8, 1.0, 4);
+        let cfg = PackingConfig::interleaved(8, 1.0, 4).expect("valid layout");
         let flat: Vec<f32> = (0..700).map(|i| (i as f32 * 0.013).sin()).collect();
         let cts = encrypt_model_with(&ctx, &pk, &flat, &cfg, &mut rng).expect("encrypt");
         assert_eq!(cts.len(), ciphertexts_needed_with(&cfg, 700, ctx.slot_count()));
@@ -651,7 +724,7 @@ mod tests {
     fn interleaved_sum_recovers_mean_within_quantization_error() {
         let (ctx, sk, pk, mut rng) = setup();
         let p = 4;
-        let cfg = PackingConfig::interleaved(8, 1.0, p);
+        let cfg = PackingConfig::interleaved(8, 1.0, p).expect("valid layout");
         let models: Vec<Vec<f32>> = (0..p)
             .map(|c| (0..300).map(|i| ((c * 300 + i) as f32 * 0.01).cos() * 0.9).collect())
             .collect();
@@ -673,7 +746,7 @@ mod tests {
         // at ±clip put every lane sum at its carry-free extreme
         // (`P·(2^bits − 1)` resp. `P`); neighbouring lanes must not
         // bleed and the mean must dequantize to exactly ±clip.
-        for extreme in [cfg.clip, -cfg.clip] {
+        for extreme in [1.0, -1.0] {
             let encrypted: Vec<Vec<CkksCiphertext>> = (0..p)
                 .map(|_| {
                     encrypt_model_with(&ctx, &pk, &[extreme; 300], &cfg, &mut rng).expect("encrypt")
@@ -690,7 +763,7 @@ mod tests {
         // Sum only 3 of the 4 provisioned clients: the counter lane
         // must report 3 and the mean divide by 3, no side channel.
         let (ctx, sk, pk, mut rng) = setup();
-        let cfg = PackingConfig::interleaved(8, 1.0, 4);
+        let cfg = PackingConfig::interleaved(8, 1.0, 4).expect("valid layout");
         let models: Vec<Vec<f32>> = vec![vec![0.3; 50], vec![0.6; 50], vec![-0.3; 50]];
         let encrypted: Vec<Vec<CkksCiphertext>> = models
             .iter()
@@ -707,7 +780,7 @@ mod tests {
     fn interleaved_cuts_ciphertexts_and_bytes_for_2000_params() {
         let (ctx, _, pk, mut rng) = setup();
         let dense = PackingConfig::dense();
-        let cfg = PackingConfig::interleaved(8, 1.0, 4);
+        let cfg = PackingConfig::interleaved(8, 1.0, 4).expect("valid layout");
         let slots = ctx.slot_count();
         let dense_cts = ciphertexts_needed_with(&dense, 2000, slots);
         let inter_cts = ciphertexts_needed_with(&cfg, 2000, slots);
@@ -737,7 +810,7 @@ mod tests {
     #[test]
     fn interleaved_symmetric_uploads_stay_seeded() {
         let (ctx, sk, _, mut rng) = setup();
-        let cfg = PackingConfig::interleaved(8, 1.0, 2);
+        let cfg = PackingConfig::interleaved(8, 1.0, 2).expect("valid layout");
         let flat: Vec<f32> = (0..100).map(|i| (i as f32 * 0.07).sin()).collect();
         let cts = encrypt_model_symmetric_with(&ctx, &sk, &flat, &cfg, &mut rng).expect("encrypt");
         assert!(cts.iter().all(rhychee_fhe::ckks::CkksCiphertext::is_seeded));
@@ -755,19 +828,21 @@ mod tests {
     fn interleaved_rejects_bad_configs_and_counters() {
         let (ctx, sk, pk, mut rng) = setup();
         let flat = vec![0.5f32; 10];
-        // Invalid configs refuse to encrypt.
-        for bad in [
-            PackingConfig::interleaved(1, 1.0, 4),
-            PackingConfig::interleaved(31, 1.0, 4),
-            PackingConfig::interleaved(8, 0.0, 4),
-            PackingConfig::interleaved(8, f32::NAN, 4),
-            PackingConfig::interleaved(8, 1.0, 0),
+        // Invalid configs cannot be built.
+        for (bits, clip, max_clients) in [
+            (1, 1.0, 4),
+            (31, 1.0, 4),
+            (u32::MAX, 1.0, 4),
+            (8, 0.0, 4),
+            (8, f32::NAN, 4),
+            (8, 1.0, 0),
         ] {
-            assert!(encrypt_model_with(&ctx, &pk, &flat, &bad, &mut rng).is_err(), "{bad:?}");
+            let bad = PackingConfig::interleaved(bits, clip, max_clients);
+            assert!(bad.is_err(), "{bits} bits, clip {clip}, {max_clients} clients");
         }
         // Summing more uploads than max_clients overflows the counter
         // check at decrypt time.
-        let cfg = PackingConfig::interleaved(8, 1.0, 2);
+        let cfg = PackingConfig::interleaved(8, 1.0, 2).expect("valid layout");
         let encrypted: Vec<_> = (0..3)
             .map(|_| encrypt_model_with(&ctx, &pk, &flat, &cfg, &mut rng).expect("encrypt"))
             .collect();
@@ -780,6 +855,61 @@ mod tests {
         let dense_cts =
             encrypt_model_with(&ctx, &pk, &[0.37f32; 10], &DENSE, &mut rng).expect("encrypt");
         assert!(decrypt_model_with(&ctx, &sk, &dense_cts, 10, &cfg).is_err(), "layout mismatch");
+    }
+
+    /// The lanes of a bit-interleaved layout that must build.
+    fn lanes(bits: u32, max_clients: usize) -> Lanes {
+        match PackingConfig::interleaved(bits, 1.0, max_clients) {
+            Ok(PackingConfig::BitInterleaved(lanes)) => lanes,
+            other => panic!("{bits} bits, {max_clients} clients: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn lane_round_trip_at_exact_budget() {
+        // The exact per-lane budget: bits + ⌈log2 P⌉ headroom, per_slot
+        // lanes filling SLOT_PAYLOAD_BITS.
+        for p in [1usize, 2, 3, 4, 7, 8, 16] {
+            let l = lanes(8, p);
+            let (lane_bits, per_slot) = (l.lane_bits(), l.per_slot());
+            assert!(per_slot as u32 * lane_bits <= SLOT_PAYLOAD_BITS);
+            // Worst-case lane value: P clients each contributing the
+            // maximum biased coordinate.
+            let max_sum = p as u64 * ((1u64 << 8) - 1);
+            assert!(max_sum < 1u64 << lane_bits, "P={p}: sums must not carry across lanes");
+            let vals: Vec<u64> = (0..per_slot).map(|i| max_sum - i as u64).collect();
+            let word = pack_lanes(vals.iter().copied(), lane_bits);
+            assert!(word < 1u64 << SLOT_PAYLOAD_BITS);
+            for (i, &v) in vals.iter().enumerate() {
+                assert_eq!(unpack_lane(word, i, lane_bits), v);
+            }
+        }
+    }
+
+    #[test]
+    fn layout_validation_and_density() {
+        // P=4 → lane 10 bits → 3 lanes in 32; P=1 → no headroom → 4.
+        assert_eq!((lanes(8, 4).lane_bits(), lanes(8, 4).per_slot()), (10, 3));
+        assert_eq!((lanes(8, 1).lane_bits(), lanes(8, 1).per_slot()), (8, 4));
+        assert_eq!((lanes(30, 4).lane_bits(), lanes(30, 4).per_slot()), (32, 1), "at budget");
+        assert!(PackingConfig::interleaved(30, 1.0, 8).is_err(), "one bit over budget");
+        assert_eq!(DENSE.slots_for(700), 700);
+        assert_eq!(PackingConfig::BitInterleaved(lanes(8, 4)).slots_for(700), 1 + 234);
+    }
+
+    #[test]
+    fn the_federation_check_refuses_fednova_and_too_few_lanes() {
+        let cfg = PackingConfig::interleaved(8, 1.0, 4).expect("valid layout");
+        assert!(cfg.check_federation(Aggregation::FedAvg, 4).is_ok());
+        assert!(cfg.check_federation(Aggregation::FedAvg, 3).is_ok(), "headroom to spare");
+        for (aggregation, clients) in [(Aggregation::FedNova, 4), (Aggregation::FedAvg, 5)] {
+            let refused = cfg.check_federation(aggregation, clients);
+            assert!(
+                matches!(refused, Err(FlError::InvalidConfig(_))),
+                "{aggregation:?}, {clients}"
+            );
+        }
+        assert!(DENSE.check_federation(Aggregation::FedNova, 1000).is_ok());
     }
 
     #[test]

@@ -299,7 +299,7 @@ impl ClientLocal {
     ///
     /// # Errors
     ///
-    /// Propagates [`FheError`] from validation or encryption.
+    /// Propagates [`FheError`] from the finiteness check or encryption.
     pub fn encrypt_update(
         &mut self,
         ctx: &CkksContext,

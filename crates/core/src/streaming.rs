@@ -206,10 +206,9 @@ impl StreamingAggregator {
         ctx: &CkksContext,
         packing: &PackingConfig,
     ) -> Result<Vec<CkksCiphertext>, FlError> {
-        if packing.is_interleaved() {
-            self.finish_sum()
-        } else {
-            self.finish(ctx)
+        match packing {
+            PackingConfig::Dense => self.finish(ctx),
+            PackingConfig::BitInterleaved(_) => self.finish_sum(),
         }
     }
 
@@ -313,7 +312,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(77);
         let (sk, pk) = ctx.generate_keys(&mut rng);
         let p = 3;
-        let cfg = packing::PackingConfig::interleaved(8, 1.0, p);
+        let cfg = packing::PackingConfig::interleaved(8, 1.0, p).expect("valid layout");
         let num_params = 2 * ctx.slot_count(); // multiple chunks
         let mut agg = StreamingAggregator::new(0, Aggregation::FedAvg).expect("fedavg");
         let mut plain: Vec<Vec<f32>> = Vec::new();

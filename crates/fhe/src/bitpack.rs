@@ -362,131 +362,6 @@ pub fn bits_for(q: u64) -> u32 {
     64 - (q - 1).leading_zeros()
 }
 
-/// Integer payload budget of one CKKS slot under bit-interleaved
-/// packing, in bits.
-///
-/// A packed slot travels through the encoder as an `f64` and comes back
-/// from decryption with an absolute error well below `0.5` at the
-/// workspace scales (≥ 2^26), so exact recovery needs the packed
-/// integer to stay (a) inside the `f64` mantissa and (b) small enough
-/// that the canonical-embedding round trip's *relative* error
-/// (~`2^-52 · √N` per slot) keeps the absolute error under the rounding
-/// threshold. 32 bits leaves ~20 bits of margin at `N = 8192` — the
-/// conservative choice, since a mis-rounded lane corrupts a gradient
-/// coordinate silently.
-pub const SLOT_PAYLOAD_BITS: u32 = 32;
-
-/// How flat model coordinates map onto CKKS ciphertext slots.
-///
-/// `Dense` is the paper's layout — one `f32` coordinate per slot.
-/// `BitInterleaved` (FedBit-style co-design) quantizes each coordinate
-/// to `bits` bits and packs several per slot at a stride wide enough
-/// that homomorphically *summing* up to `max_clients` uploads never
-/// carries across lane boundaries; the per-client mean is recovered
-/// after decryption. Fewer slots per model means fewer ciphertexts,
-/// and therefore fewer NTTs, per upload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PackingLayout {
-    /// One coordinate per slot, full `f32` precision.
-    Dense,
-    /// `bits`-bit quantized coordinates, several per slot.
-    BitInterleaved {
-        /// Quantization width per coordinate, including the sign
-        /// (biased-unsigned on the wire). Must satisfy
-        /// `2 ≤ bits` and `bits + ⌈log2 max_clients⌉ ≤`
-        /// [`SLOT_PAYLOAD_BITS`].
-        bits: u32,
-    },
-}
-
-impl PackingLayout {
-    /// Stride of one packed coordinate in bits: the quantization width
-    /// plus headroom for summing `max_clients` lane values without
-    /// carry (`max_clients · (2^bits − 1) < 2^lane_bits`).
-    ///
-    /// # Panics
-    ///
-    /// Panics on `Dense` (which has no lane structure) and on
-    /// `max_clients == 0`.
-    pub fn lane_bits(&self, max_clients: usize) -> u32 {
-        match self {
-            PackingLayout::Dense => panic!("Dense layout has no lanes"),
-            PackingLayout::BitInterleaved { bits } => {
-                assert!(max_clients > 0, "max_clients must be positive");
-                bits + ceil_log2(max_clients)
-            }
-        }
-    }
-
-    /// Coordinates carried per slot: `Dense` → 1;
-    /// `BitInterleaved` → `SLOT_PAYLOAD_BITS / lane_bits` (≥ 1 for any
-    /// layout that passes [`PackingLayout::validate`]).
-    pub fn lanes_per_slot(&self, max_clients: usize) -> usize {
-        match self {
-            PackingLayout::Dense => 1,
-            PackingLayout::BitInterleaved { .. } => {
-                (SLOT_PAYLOAD_BITS / self.lane_bits(max_clients)) as usize
-            }
-        }
-    }
-
-    /// Checks that the layout can pack at least one coordinate per slot
-    /// with carry-free headroom for `max_clients` summands.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FheError::InvalidParams`] when `bits < 2` (no room for
-    /// a sign) or the lane stride exceeds [`SLOT_PAYLOAD_BITS`].
-    pub fn validate(&self, max_clients: usize) -> Result<(), FheError> {
-        if let PackingLayout::BitInterleaved { bits } = *self {
-            if bits < 2 {
-                return Err(FheError::InvalidParams(format!(
-                    "BitInterleaved needs at least 2 bits per coordinate, got {bits}"
-                )));
-            }
-            if max_clients == 0 {
-                return Err(FheError::InvalidParams("max_clients must be positive".into()));
-            }
-            let lane = bits + ceil_log2(max_clients);
-            if lane > SLOT_PAYLOAD_BITS {
-                return Err(FheError::InvalidParams(format!(
-                    "lane stride {lane} bits ({bits} + ⌈log2 {max_clients}⌉) exceeds the \
-                     {SLOT_PAYLOAD_BITS}-bit slot payload budget"
-                )));
-            }
-        }
-        Ok(())
-    }
-}
-
-/// `⌈log2 n⌉` for `n ≥ 1`.
-fn ceil_log2(n: usize) -> u32 {
-    usize::BITS - (n - 1).leading_zeros()
-}
-
-/// Packs lane values (each `< 2^lane_bits`) into one slot word,
-/// lane 0 in the least-significant bits.
-///
-/// # Panics
-///
-/// Panics when a value overflows its lane or the lanes overflow 64
-/// bits — both are internal invariant breaches, not wire-input paths.
-pub fn pack_lanes(vals: &[u64], lane_bits: u32) -> u64 {
-    assert!(vals.len() as u32 * lane_bits <= 64, "lanes overflow the slot word");
-    let mut word = 0u64;
-    for (i, &v) in vals.iter().enumerate() {
-        assert!(lane_bits == 64 || v < (1u64 << lane_bits), "value {v} overflows {lane_bits} bits");
-        word |= v << (i as u32 * lane_bits);
-    }
-    word
-}
-
-/// Extracts lane `lane` (0-based from the least-significant bits) from
-/// a packed slot word.
-pub fn unpack_lane(word: u64, lane: usize, lane_bits: u32) -> u64 {
-    (word >> (lane as u32 * lane_bits)) & mask(lane_bits)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -954,61 +829,6 @@ mod tests {
         assert_eq!(r.bit_pos(), 0, "failed read must not consume bits");
         assert_eq!(r.read_bits(16).unwrap(), 0xABCD);
         assert!(r.read_bits(64).is_err());
-    }
-
-    #[test]
-    fn lane_round_trip_at_exact_budget() {
-        // The exact per-lane budget BitInterleaved uses: bits + ⌈log2 P⌉
-        // headroom, lanes_per_slot lanes filling SLOT_PAYLOAD_BITS.
-        let layout = PackingLayout::BitInterleaved { bits: 8 };
-        for p in [1usize, 2, 3, 4, 7, 8, 16] {
-            layout.validate(p).expect("valid");
-            let lane_bits = layout.lane_bits(p);
-            let lanes = layout.lanes_per_slot(p);
-            assert!(lanes as u32 * lane_bits <= SLOT_PAYLOAD_BITS);
-            // Worst-case lane value: P clients each contributing the
-            // maximum biased coordinate.
-            let max_sum = p as u64 * ((1u64 << 8) - 1);
-            assert!(max_sum < 1u64 << lane_bits, "P={p}: sums must not carry across lanes");
-            let vals: Vec<u64> = (0..lanes).map(|i| max_sum - i as u64).collect();
-            let word = pack_lanes(&vals, lane_bits);
-            assert!(word < 1u64 << SLOT_PAYLOAD_BITS);
-            for (i, &v) in vals.iter().enumerate() {
-                assert_eq!(unpack_lane(word, i, lane_bits), v);
-            }
-            // The same values survive a BitWriter/BitReader trip at the
-            // lane width — the wire-level counterpart.
-            let mut w = BitWriter::new();
-            for &v in &vals {
-                w.write_bits(v, lane_bits);
-            }
-            let bytes = w.into_bytes();
-            let mut r = BitReader::new(&bytes);
-            for &v in &vals {
-                assert_eq!(r.read_bits(lane_bits).unwrap(), v);
-            }
-        }
-    }
-
-    #[test]
-    fn layout_validation_and_density() {
-        assert!(PackingLayout::Dense.validate(0).is_ok(), "Dense ignores clients");
-        assert_eq!(PackingLayout::Dense.lanes_per_slot(4), 1);
-        let l8 = PackingLayout::BitInterleaved { bits: 8 };
-        // P=4 → lane 10 bits → 3 lanes in 32.
-        assert_eq!(l8.lane_bits(4), 10);
-        assert_eq!(l8.lanes_per_slot(4), 3);
-        // P=1 → no headroom → 4 lanes.
-        assert_eq!(l8.lane_bits(1), 8);
-        assert_eq!(l8.lanes_per_slot(1), 4);
-        assert!(PackingLayout::BitInterleaved { bits: 1 }.validate(4).is_err(), "too narrow");
-        assert!(PackingLayout::BitInterleaved { bits: 31 }.validate(4).is_err(), "no lane fits");
-        assert!(l8.validate(0).is_err(), "zero clients");
-        assert!(PackingLayout::BitInterleaved { bits: 30 }.validate(8).is_err());
-        assert!(
-            PackingLayout::BitInterleaved { bits: 30 }.validate(4).is_ok(),
-            "exactly at budget"
-        );
     }
 
     #[test]

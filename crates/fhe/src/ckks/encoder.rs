@@ -224,12 +224,12 @@ enum Isa {
 }
 
 impl Isa {
-    /// The process-wide choice: AVX2 when the CPU has it and the NTT
-    /// backend ([`super::ntt::active_kernel`]) did not resolve to `scalar`, so
-    /// `RHYCHEE_NTT_BACKEND=scalar` runs the baseline compilation.
+    /// The process-wide choice: AVX2 when the CPU has it. The NTT
+    /// backend setting does not reach the encoder; every compilation is
+    /// bit-identical to the baseline one.
     fn active() -> Isa {
         #[cfg(target_arch = "x86_64")]
-        if super::ntt::active_kernel().name() != "scalar" && is_x86_feature_detected!("avx2") {
+        if is_x86_feature_detected!("avx2") {
             return Isa::Avx2;
         }
         Isa::Baseline

@@ -21,10 +21,11 @@
 //! The butterfly loops run behind the [`NttKernel`] trait. Three
 //! backends exist: the scalar Harvey path above (always compiled, the
 //! reference, and the only one off `x86_64`), an AVX2 backend (4-lane
-//! butterflies with the Shoup multiply-high rebuilt from
-//! `_mm256_mul_epu32` 32×32→64 partial products), and an AVX-512
-//! backend (8-lane, same construction). One backend is selected per
-//! process — runtime feature detection under an
+//! forward butterflies with the Shoup multiply-high rebuilt from
+//! `_mm256_mul_epu32` 32×32→64 partial products; its inverse is the
+//! scalar one, which was faster), and an AVX-512 backend (8-lane, both
+//! directions). One backend is selected per process — runtime feature
+//! detection under an
 //! `RHYCHEE_NTT_BACKEND={scalar,avx2,avx512,auto}` env override — and
 //! the choice is cached inside every [`NttTable`], so `forward`/
 //! `inverse`/`multiply` and the per-RNS-prime loops dispatch

@@ -1,7 +1,10 @@
 //! FHE parameter sets, including the seven sets evaluated in the paper
 //! (Table III). All sets meet the 128-bit security level per the
 //! homomorphicencryption.org standard tables for their (N, log Q) /
-//! (n, log q) combinations; this implementation is parameter-faithful but
+//! (n, log q) combinations. For the CKKS sets a test checks it against
+//! the standard's table (`ckks_sets_meet_the_128_bit_standard`); for
+//! the LWE sets it is a documented claim, since checking them needs a
+//! lattice estimator. This implementation is parameter-faithful but
 //! has not been independently audited.
 
 use crate::error::FheError;
@@ -285,6 +288,30 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The HomomorphicEncryption.org standard's 128-bit classical bound
+    /// for a ternary secret: the largest log Q at each ring degree N
+    /// (Albrecht et al., "Homomorphic Encryption Security Standard",
+    /// 2018).
+    const MAX_LOG_Q_128: [(usize, u32); 6] =
+        [(1024, 27), (2048, 54), (4096, 109), (8192, 218), (16384, 438), (32768, 881)];
+
+    /// The standard's largest log Q at degree `n`, if it tabulates `n`.
+    fn max_log_q_128(n: usize) -> Option<u32> {
+        MAX_LOG_Q_128.iter().find(|&&(degree, _)| degree == n).map(|&(_, log_q)| log_q)
+    }
+
+    #[test]
+    fn ckks_sets_meet_the_128_bit_standard() {
+        for (name, set) in ParamSet::table3() {
+            if let ParamSet::Ckks(p) = set {
+                let bound = max_log_q_128(p.n).unwrap_or_else(|| panic!("{name}: N not tabulated"));
+                assert!(p.log_q() <= bound, "{name}: log Q {} > {bound}", p.log_q());
+            }
+        }
+        // The toy set's degree is below the table: it is insecure.
+        assert_eq!(max_log_q_128(CkksParams::toy().n), None);
     }
 
     #[test]

@@ -155,7 +155,8 @@ impl FlClient {
     /// Returns [`NetError::Fhe`] if the CKKS or LWE parameters are
     /// invalid, and [`NetError::Fl`] for a setup the pipeline refuses
     /// (an LWE pipeline under FedNova, with a bad clip, or too few bits
-    /// per client).
+    /// per client; a packing the federation cannot ride, see
+    /// [`PackingConfig::check_federation`](packing::PackingConfig::check_federation)).
     pub fn new(
         config: ClientConfig,
         fl: FlConfig,
@@ -164,8 +165,7 @@ impl FlClient {
         eval: Option<EncodedDataset>,
         pipeline: ClientPipeline,
     ) -> Result<Self, NetError> {
-        config.packing.validate()?;
-        config.packing.check_aggregation(fl.aggregation)?;
+        config.packing.check_federation(fl.aggregation, fl.clients)?;
         let (aggregation, num_params) = (fl.aggregation, local.num_parameters());
         let half = match pipeline {
             ClientPipeline::Plaintext => ClientHalf::plaintext(aggregation, num_params),

@@ -251,8 +251,7 @@ impl ServerConfig {
                 "round_watchdog multiple must be finite and non-negative".into(),
             ));
         }
-        self.packing.validate()?;
-        self.packing.check_aggregation(self.aggregation)?;
+        self.packing.check_federation(self.aggregation, self.clients)?;
         Ok(())
     }
 }
@@ -440,7 +439,9 @@ impl ServerConfigBuilder {
     ///
     /// Returns [`NetError::Protocol`] when `clients`, `rounds`, or
     /// `model_params` are unset/zero, `quorum` is outside
-    /// `1..=clients`, or `max_resident_uploads` is zero.
+    /// `1..=clients`, or `max_resident_uploads` is zero, and
+    /// [`NetError::Fl`] for a packing the federation cannot ride (see
+    /// [`PackingConfig::check_federation`](packing::PackingConfig::check_federation)).
     pub fn build(self) -> Result<ServerConfig, NetError> {
         let mut config = self.config;
         config.quorum = self.quorum.unwrap_or(config.clients);

@@ -92,7 +92,7 @@ fn final_accuracy(reports: &[ClientReport]) -> f64 {
 #[test]
 fn interleaved_canonical_matches_dense_and_shrinks_uploads() {
     let dense = PackingConfig::dense();
-    let inter = PackingConfig::interleaved(10, 1.0, CLIENTS);
+    let inter = PackingConfig::interleaved(10, 1.0, CLIENTS).expect("valid layout");
     let (_, dense_reports) = run_federation(dense, false);
     let (_, inter_reports) = run_federation(inter, false);
 
@@ -112,7 +112,7 @@ fn interleaved_rides_the_seeded_codec() {
     // Symmetric seed-compressed uploads: the seeded wire format carries
     // interleaved ciphertexts into evaluation-domain accumulators, and
     // the round still closes with the raw sum.
-    let inter = PackingConfig::interleaved(10, 1.0, CLIENTS);
+    let inter = PackingConfig::interleaved(10, 1.0, CLIENTS).expect("valid layout");
     let (server, reports) = run_federation(inter, true);
     assert_eq!(server.rounds.len(), ROUNDS);
     let acc = final_accuracy(&reports);
@@ -127,7 +127,7 @@ fn interleaved_rides_the_seeded_codec() {
 fn fednova_is_rejected_under_interleaved_packing_at_both_endpoints() {
     // A FedNova client pre-scales its model by 1/τ, far below the
     // quantisation step; neither endpoint may accept the pairing.
-    let inter = PackingConfig::interleaved(10, 1.0, CLIENTS);
+    let inter = PackingConfig::interleaved(10, 1.0, CLIENTS).expect("valid layout");
     let server = ServerConfig::builder()
         .clients(CLIENTS)
         .rounds(ROUNDS)
@@ -152,6 +152,39 @@ fn fednova_is_rejected_under_interleaved_packing_at_both_endpoints() {
     let local = round::ClientLocal::new(0, shards.remove(0), classes, &fl);
     let mut config = ClientConfig::new("127.0.0.1:9".parse().expect("addr"));
     config.packing = inter;
+    let pipeline = ClientPipeline::Ckks(CkksParams::toy());
+    let client = FlClient::new(config, fl, local, classes, None, pipeline);
+    assert!(matches!(client, Err(NetError::Fl(FlError::InvalidConfig(_)))));
+}
+
+/// Lanes sized for 3 summands cannot carry a 4-client sum: the first
+/// full round's broadcast would decode a counter of 4, which every
+/// client refuses. Each endpoint refuses the layout when it is built.
+fn short_lanes() -> PackingConfig {
+    PackingConfig::interleaved(10, 1.0, CLIENTS - 1).expect("valid layout")
+}
+
+#[test]
+fn the_server_refuses_lanes_for_fewer_summands_than_clients() {
+    let server = ServerConfig::builder()
+        .clients(CLIENTS)
+        .rounds(ROUNDS)
+        .model_params(6 * 256)
+        .packing(short_lanes())
+        .build();
+    assert!(matches!(server, Err(NetError::Fl(FlError::InvalidConfig(_)))));
+}
+
+#[test]
+fn a_client_refuses_lanes_for_fewer_summands_than_clients() {
+    let data = SyntheticConfig { kind: DatasetKind::Har, train_samples: 240, test_samples: 100 }
+        .generate(17)
+        .expect("generate");
+    let fl = FlConfig::builder().clients(CLIENTS).rounds(ROUNDS).hd_dim(256).build().expect("fl");
+    let FedSetup { mut shards, classes, .. } = round::prepare(&fl, &data).expect("prepare");
+    let local = round::ClientLocal::new(0, shards.remove(0), classes, &fl);
+    let mut config = ClientConfig::new("127.0.0.1:9".parse().expect("addr"));
+    config.packing = short_lanes();
     let pipeline = ClientPipeline::Ckks(CkksParams::toy());
     let client = FlClient::new(config, fl, local, classes, None, pipeline);
     assert!(matches!(client, Err(NetError::Fl(FlError::InvalidConfig(_)))));

@@ -2,14 +2,16 @@
 //! round-trips through a frame, and corruption, truncation, and hostile
 //! length fields are always rejected. Behind the frame CRC, a mutated
 //! upload payload (CKKS or LWE) is refused or folds into a well-formed
-//! aggregate, never a panic.
+//! aggregate, and a mutated bit-interleaved broadcast is refused or
+//! decodes, never a panic.
 
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
 
-use rhychee_core::round::{self, ClientUpdate, ServerHalf};
+use rhychee_core::packing::{self, PackingConfig};
+use rhychee_core::round::{self, ClientHalf, ClientUpdate, ServerHalf};
 use rhychee_core::{Aggregation, FlError, StreamingAggregator};
 use rhychee_fhe::ckks::CkksContext;
 use rhychee_fhe::lwe::{LweCiphertext, LweContext};
@@ -356,5 +358,113 @@ proptest! {
         prop_assert!(plain.is_none());
         let (k, cts) = codec::decode_lwe(&ctx, &broadcast, LWE_PARAMS, 4).expect("broadcast");
         prop_assert_eq!((k, cts.len()), (1 + usize::from(folded), LWE_PARAMS));
+    }
+}
+
+/// Coordinates of the bit-interleaved model the broadcasts carry: two
+/// toy ciphertexts at two 12-bit lanes per slot.
+const INTERLEAVED_PARAMS: usize = 600;
+
+/// Summands the interleaved lanes are sized for. Lanes for 3 and for 4
+/// are both 10 + 2 bits wide, so a 4-upload sum carries no lane: only
+/// its counter is out of range.
+const INTERLEAVED_CLIENTS: usize = 3;
+
+/// A client half under the interleaved layout, the models of four
+/// clients, and `broadcasts[k - 1]`, the server's close over the first
+/// `k` of their uploads, built once for every case.
+struct Interleaved {
+    client: ClientHalf,
+    models: Vec<Vec<f32>>,
+    broadcasts: Vec<Vec<u8>>,
+}
+
+fn interleaved() -> &'static Interleaved {
+    static INTERLEAVED: OnceLock<Interleaved> = OnceLock::new();
+    INTERLEAVED.get_or_init(|| {
+        let layout = PackingConfig::interleaved(10, 1.0, INTERLEAVED_CLIENTS).expect("layout");
+        let ctx = Arc::new(CkksContext::new(CkksParams::toy()).expect("toy params"));
+        let codec: Arc<dyn WireCodec> = Arc::new(CanonicalCodec);
+        let (seed, n) = (37, INTERLEAVED_PARAMS);
+        let (_, pk) = round::derive_ckks_keys(&ctx, seed);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let models: Vec<Vec<f32>> = (0..=INTERLEAVED_CLIENTS)
+            .map(|c| (0..n).map(|i| ((c * n + i) as f32 * 0.01).sin()).collect())
+            .collect();
+        let uploads: Vec<Vec<u8>> = models
+            .iter()
+            .map(|m| {
+                let cts = packing::encrypt_model_with(&ctx, &pk, m, &layout, &mut rng).expect("ct");
+                codec.encode_upload(&ctx, &cts).expect("encode")
+            })
+            .collect();
+        let broadcasts = (1..=uploads.len())
+            .map(|k| {
+                let (aggregation, codec) = (Aggregation::FedAvg, Arc::clone(&codec));
+                let mut server = ServerHalf::ckks(aggregation, n, Arc::clone(&ctx), codec, layout);
+                for (client_id, payload) in uploads[..k].iter().enumerate() {
+                    let update = ClientUpdate { client_id, round: 0, steps: 1, payload };
+                    assert!(server.fold(&update, |fold| fold()).expect("fold"), "upload {k}");
+                }
+                server.close(None, |close| close()).expect("close").0
+            })
+            .collect();
+        let client = ClientHalf::ckks(Aggregation::FedAvg, n, ctx, seed, codec, layout);
+        Interleaved { client, models, broadcasts }
+    })
+}
+
+#[test]
+fn an_interleaved_broadcast_decodes_up_to_max_clients_and_no_further() {
+    // Exactly `max_clients` uploads put the counter at its bound: the
+    // mean comes back within one quantisation step. One more is refused
+    // by the counter check, not misread as a mean.
+    let Interleaved { client, models, broadcasts } = interleaved();
+    let k = INTERLEAVED_CLIENTS;
+    let mean = client.decode(&broadcasts[k - 1]).expect("a sum of max_clients decodes");
+    for (i, &got) in mean.iter().enumerate() {
+        let want = models[..k].iter().map(|m| m[i]).sum::<f32>() / k as f32;
+        assert!((got - want).abs() <= 1.0 / 511.0, "coordinate {i}: {got} vs {want}");
+    }
+    let over = client.decode(&broadcasts[k]);
+    assert!(matches!(over, Err(FlError::Fhe(_))), "a counter of max_clients + 1: {over:?}");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn mutated_interleaved_broadcasts_are_refused_or_decode_never_a_panic(
+        k in 1..=INTERLEAVED_CLIENTS,
+        edits in prop::collection::vec(any::<u64>(), 1..7),
+        saturate in any::<bool>(),
+        resize in 0u8..4,
+        cut in any::<u32>(),
+    ) {
+        // A broadcast of the sum of `k` uploads whose frame CRC passed
+        // can still be hostile: 1–6 bytes overwritten, in the first 48
+        // (tag, count, lengths, ciphertext header) or anywhere, sometimes
+        // a 16-byte run of 0xFF, and sometimes cut short or extended.
+        // The client half decodes it into a model of the federation's
+        // size or refuses it.
+        let Interleaved { client, broadcasts, .. } = interleaved();
+        let mut bytes = broadcasts[k - 1].clone();
+        for &e in &edits {
+            let span = if e >> 63 == 1 { bytes.len().min(48) } else { bytes.len() };
+            bytes[(e >> 8) as usize % span] = e as u8;
+        }
+        if saturate {
+            let at = (edits[0] >> 8) as usize % (bytes.len() - 16);
+            bytes[at..at + 16].fill(0xFF);
+        }
+        match resize {
+            0 => bytes.truncate(cut as usize % (bytes.len() + 1)),
+            1 => bytes.extend_from_slice(&cut.to_le_bytes()[..1 + cut as usize % 4]),
+            _ => {}
+        }
+        match client.decode(&bytes) {
+            Ok(model) => prop_assert_eq!(model.len(), INTERLEAVED_PARAMS),
+            Err(e) => prop_assert!(matches!(e, FlError::Payload(_) | FlError::Fhe(_)), "{e}"),
+        }
     }
 }
