@@ -18,16 +18,13 @@
 //!
 //! # Kernel backends
 //!
-//! The butterfly loops run behind the [`NttKernel`] trait. Three
+//! The butterfly loops run behind the [`NttKernel`] trait. Two
 //! backends exist: the scalar Harvey path above (always compiled, the
-//! reference, and the only one off `x86_64`), an AVX2 backend (4-lane
-//! forward butterflies with the Shoup multiply-high rebuilt from
-//! `_mm256_mul_epu32` 32×32→64 partial products; its inverse is the
-//! scalar one, which was faster), and an AVX-512 backend (8-lane, both
-//! directions). One backend is selected per process — runtime feature
-//! detection under an
-//! `RHYCHEE_NTT_BACKEND={scalar,avx2,avx512,auto}` env override — and
-//! the choice is cached inside every [`NttTable`], so `forward`/
+//! reference, and the only one off `x86_64`) and an AVX-512 backend
+//! (8-lane, both directions). One backend is selected per process —
+//! runtime feature detection under an
+//! `RHYCHEE_NTT_BACKEND={scalar,avx512,auto}` env override — and the
+//! choice is cached inside every [`NttTable`], so `forward`/
 //! `inverse`/`multiply` and the per-RNS-prime loops dispatch
 //! through a preresolved vtable pointer with zero per-call branching.
 //! All backends perform the *same* wrapping-u64 lazy-reduction
@@ -40,8 +37,6 @@ use std::sync::{Arc, Mutex, OnceLock};
 use super::modarith::{add_mod, inv_mod, mul_mod, primitive_root, reduce_once, sub_mod};
 use rhychee_telemetry as telemetry;
 
-#[cfg(target_arch = "x86_64")]
-mod avx2;
 #[cfg(target_arch = "x86_64")]
 mod avx512;
 
@@ -56,7 +51,7 @@ mod avx512;
 /// The table's twiddles are passed back in so kernels stay stateless
 /// and one process-global instance serves every `(n, q)` pair.
 pub trait NttKernel: Send + Sync + std::fmt::Debug {
-    /// Stable backend name: `"scalar"`, `"avx2"` or `"avx512"`.
+    /// Stable backend name: `"scalar"` or `"avx512"`.
     fn name(&self) -> &'static str;
     /// In-place forward butterflies + canonicalization for `table`.
     fn forward(&self, table: &NttTable, a: &mut [u64]);
@@ -122,19 +117,15 @@ impl NttKernel for ScalarKernel {
     }
 }
 
-/// Every backend compiled into this binary *and* usable on this CPU,
-/// scalar first. SIMD backends appear only when the corresponding
-/// feature is detected at runtime, so handing any element of this
-/// slice to [`NttTable::with_kernel`] is always safe.
+/// Both backends compiled into this binary *and* usable on this CPU:
+/// scalar first, then AVX-512 only when AVX-512F/DQ are detected at
+/// runtime, so handing any element of this slice to
+/// [`NttTable::with_kernel`] is always safe.
 pub fn available_kernels() -> &'static [&'static dyn NttKernel] {
     static KERNELS: OnceLock<Vec<&'static dyn NttKernel>> = OnceLock::new();
     KERNELS.get_or_init(|| {
         #[allow(unused_mut)]
         let mut v: Vec<&'static dyn NttKernel> = vec![&SCALAR_KERNEL];
-        #[cfg(target_arch = "x86_64")]
-        if avx2::available() {
-            v.push(avx2::kernel());
-        }
         #[cfg(target_arch = "x86_64")]
         if avx512::available() {
             v.push(avx512::kernel());
@@ -143,18 +134,18 @@ pub fn available_kernels() -> &'static [&'static dyn NttKernel] {
     })
 }
 
-/// Looks up an available backend by name (`"scalar"`, `"avx2"`,
-/// `"avx512"`).
+/// Looks up an available backend by name (`"scalar"` or `"avx512"`).
 pub fn kernel_by_name(name: &str) -> Option<&'static dyn NttKernel> {
     available_kernels().iter().copied().find(|k| k.name() == name)
 }
 
 /// The process-wide backend: resolved once from `RHYCHEE_NTT_BACKEND`
-/// (`scalar` / `avx2` / `avx512` / `auto`, default `auto` = widest
-/// detected) and cached, so per-call dispatch is a preresolved vtable
-/// pointer. Requesting a backend this host cannot run falls back to
-/// scalar with a warning rather than aborting, so one CI matrix works
-/// across architectures. Publishes the `fhe.ckks.ntt.backend` info
+/// (`scalar` / `avx512` / `auto`, default `auto` = AVX-512 where
+/// detected, else scalar) and cached, so per-call dispatch is a
+/// preresolved vtable pointer. Requesting a backend this host cannot
+/// run, or a name no backend has, falls back to scalar with one warning
+/// line rather than aborting, so one CI matrix works across
+/// architectures. Publishes the `fhe.ckks.ntt.backend` info
 /// metric on first resolution.
 pub fn active_kernel() -> &'static dyn NttKernel {
     static ACTIVE: OnceLock<&'static dyn NttKernel> = OnceLock::new();

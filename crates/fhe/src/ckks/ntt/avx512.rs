@@ -1,21 +1,20 @@
 //! AVX-512 backend: 8-lane Harvey/Shoup butterflies and key-row products.
 //!
-//! Where the AVX2 backend must emulate every 64-bit product from
-//! 32×32→64 partials, AVX-512DQ has a native vector 64×64→low-64
-//! multiply (`vpmullq`), and AVX-512F a native unsigned 64-bit min
-//! (`vpminuq`) that turns the conditional lazy reduction
-//! `x >= b ? x - b : x` into two ops (`min(x, x - b)` — the
-//! subtraction wraps far above `b` exactly when `x < b`).
+//! AVX-512DQ has a native vector 64×64→low-64 multiply (`vpmullq`),
+//! and AVX-512F a native unsigned 64-bit min (`vpminuq`) that turns
+//! the conditional lazy reduction `x >= b ? x - b : x` into two ops
+//! (`min(x, x - b)` — the subtraction wraps far above `b` exactly when
+//! `x < b`). The [`Dq`] multiplier rebuilds only the 64-bit
+//! multiply-high from 32×32→64 `vpmuludq` partials.
 //!
-//! Unlike the AVX2 backend, *every* pass is vectorized: the short
-//! passes (`t < 8`), whose butterfly halves are interleaved within a
-//! vector, run through `vpermi2q` deinterleave/reinterleave shuffles
-//! with the per-group twiddles gathered by `vpermq` from the
-//! contiguous twiddle table. Two full-array sweeps are also fused
-//! away: the forward canonicalization happens inside the last
-//! (`t = 1`) pass, and the inverse `N^{-1}` scaling is pre-folded
-//! into the single twiddle of the final (`t = N/2`) pass
-//! (`NttTable::inv_last_folded`). Both fusions only change lazy
+//! *Every* pass is vectorized: the short passes (`t < 8`), whose
+//! butterfly halves are interleaved within a vector, run through
+//! `vpermi2q` deinterleave/reinterleave shuffles with the per-group
+//! twiddles gathered by `vpermq` from the contiguous twiddle table.
+//! Two full-array sweeps are also fused away: the forward
+//! canonicalization happens inside the last (`t = 1`) pass, and the
+//! inverse `N^{-1}` scaling is pre-folded into the single twiddle of
+//! the final (`t = N/2`) pass (`NttTable::inv_last_folded`). Both fusions only change lazy
 //! intermediates; canonical outputs are bit-identical to the scalar
 //! reference.
 //!
@@ -44,17 +43,16 @@
 //!
 //! # Safety
 //!
-//! Mirrors the AVX2 module: intrinsics only inside the `dq` / `ifma`
-//! `#[target_feature]` functions (the generic bodies are
-//! `#[inline(always)]` into them), the kernel handed out only when
-//! AVX-512F/DQ are detected at runtime ([`available`]), the `ifma`
-//! compilation called only in a match arm that has detected
-//! `avx512ifma` and checked `q < 2^50` in the same expression, and
-//! raw-pointer accesses in bounds by the scalar loops' index algebra
-//! (main passes: `j + t + 7 ≤ j1 + 2t − 1 < n`; tail passes: whole
-//! 16-element blocks of `a` and ≤ 8-element twiddle loads ending
-//! exactly at the table's length; rows: whole 8-element chunks of four
-//! rows of one checked length).
+//! Intrinsics only inside the `dq` / `ifma` `#[target_feature]`
+//! functions (the generic bodies are `#[inline(always)]` into them),
+//! the kernel handed out only when AVX-512F/DQ are detected at runtime
+//! ([`available`]), the `ifma` compilation called only in a match arm
+//! that has detected `avx512ifma` and checked `q < 2^50` in the same
+//! expression, and raw-pointer accesses in bounds by the scalar loops'
+//! index algebra (main passes: `j + t + 7 ≤ j1 + 2t − 1 < n`; tail
+//! passes: whole 16-element blocks of `a` and ≤ 8-element twiddle
+//! loads ending exactly at the table's length; rows: whole 8-element
+//! chunks of four rows of one checked length).
 
 use core::arch::x86_64::*;
 
@@ -241,9 +239,16 @@ unsafe fn sub_if_ge(x: __m512i, bound: __m512i) -> __m512i {
     _mm512_min_epu64(x, _mm512_sub_epi64(x, bound))
 }
 
-/// High 64 bits of the 128-bit product per lane (Hacker's Delight
-/// `mulhu` over `vpmuludq` partials — see the AVX2 twin for the
-/// overflow argument). `b_hi`/`y_hi` are the per-lane high halves.
+/// High 64 bits of the 128-bit product per lane, from 32-bit partial
+/// products (Hacker's Delight `mulhu`): with `b` and `y` split into
+/// 32-bit halves, `b·y = lo·lo + 2^32(hi·lo + lo·hi) + 2^64 hi·hi`,
+/// `t1 = hi·lo + (lo·lo >> 32)` and `u = lo·hi + (t1 mod 2^32)`
+/// (neither overflows a lane), the high half is
+/// `hi·hi + (t1 >> 32) + (u >> 32)`.
+///
+/// `b_hi`/`y_hi` must hold `b >> 32`/`y >> 32` in the low 32 bits of
+/// each lane (`_mm512_mul_epu32` reads only those, so `b` and `y`
+/// themselves serve as the low halves).
 #[inline]
 #[target_feature(enable = "avx512f,avx512dq")]
 unsafe fn mul_hi64(b: __m512i, b_hi: __m512i, y: __m512i, y_hi: __m512i) -> __m512i {

@@ -175,6 +175,18 @@ fn metrics_scrape_during_live_federation() {
         "_count series"
     );
 
+    // The NTT backend info metric: one sample for the kernel this process
+    // resolved. `pre` comes before any NTT table exists, so only the
+    // mid-run body can carry it.
+    let backend: Vec<_> = metrics
+        .lines()
+        .filter_map(|l| l.strip_prefix("rhychee_fhe_ckks_ntt_backend_total{backend=\""))
+        .collect();
+    assert_eq!(backend.len(), 1, "one backend sample: {backend:?}");
+    let (label, value) = backend[0].split_once("\"} ").expect("`label\"} value`");
+    assert_eq!(value, "1", "the backend resolves once per process");
+    assert_eq!(label, rhychee_fl::fhe::ckks::ntt::active_kernel().name());
+
     assert!(health.contains("\"status\":\"ok\""), "{health}");
     assert!(health.contains("\"round\":1,"), "{health}");
     assert!(health.contains("\"clients_connected\":4"), "{health}");
