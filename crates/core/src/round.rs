@@ -331,13 +331,17 @@ pub struct ClientUpdate<T> {
     pub payload: T,
 }
 
-/// Server-side state for one collection/aggregation round.
+/// Server-side state for one collection/aggregation round: the one
+/// ledger of who counts and with what weight, for the batch oracles
+/// here and for every sum a [`ServerHalf`] or [`StreamingAggregator`]
+/// keeps.
 ///
 /// Updates are accepted only for the current round and only once per
 /// client (late or duplicate uploads are rejected — the networked
 /// runtime relays the rejection as a NACK). Aggregation reweights over
 /// whichever quorum actually reported, visiting updates in client-id
 /// order so results are independent of arrival order.
+#[derive(Debug)]
 pub struct ServerRound<T> {
     round: usize,
     aggregation: Aggregation,
@@ -355,19 +359,22 @@ impl<T> ServerRound<T> {
         self.updates.len()
     }
 
+    /// Whether [`ServerRound::accept`] would take an update of
+    /// `client_id` for `round`: a sum asks before it parses a payload.
+    pub(crate) fn admits(&self, client_id: usize, round: usize) -> bool {
+        round == self.round && self.updates.iter().all(|u| u.client_id != client_id)
+    }
+
     /// Offers an update; returns `false` (and drops it) if it targets a
     /// different round or duplicates an already-reporting client.
     pub fn accept(&mut self, update: ClientUpdate<T>) -> bool {
-        if update.round != self.round {
-            return false;
+        let admitted = self.admits(update.client_id, update.round);
+        if admitted {
+            // Keep client-id order so aggregation is arrival-order invariant.
+            let pos = self.updates.partition_point(|u| u.client_id < update.client_id);
+            self.updates.insert(pos, update);
         }
-        if self.updates.iter().any(|u| u.client_id == update.client_id) {
-            return false;
-        }
-        // Keep client-id order so aggregation is arrival-order invariant.
-        let pos = self.updates.partition_point(|u| u.client_id < update.client_id);
-        self.updates.insert(pos, update);
-        true
+        admitted
     }
 
     /// The accepted updates in client-id order.
@@ -380,25 +387,36 @@ impl<T> ServerRound<T> {
     pub fn weights(&self) -> Vec<f64> {
         match self.aggregation {
             Aggregation::FedAvg | Aggregation::FedProx { .. } => {
-                vec![1.0 / self.updates.len() as f64; self.updates.len()]
+                vec![self.close_scalar(); self.updates.len()]
             }
             Aggregation::FedNova => {
                 // Weight clients inversely to their local step count so
                 // heavy local updaters do not dominate the average.
-                let inv: Vec<f64> =
-                    self.updates.iter().map(|u| 1.0 / u.steps.max(1) as f64).collect();
-                let total: f64 = inv.iter().sum();
-                inv.into_iter().map(|w| w / total).collect()
+                let total: f64 = self.inverse_steps().sum();
+                self.inverse_steps().map(|w| w / total).collect()
             }
         }
     }
 
-    fn check_nonempty(&self) -> Result<(), FlError> {
+    /// The scalar that turns the quorum's sum into its average: `1/P`,
+    /// or under FedNova (clients pre-scaled by `1/τⱼ`) `1/Σⱼ(1/τⱼ)` over
+    /// the client-id-order sum [`ServerRound::weights`] divides by.
+    pub(crate) fn close_scalar(&self) -> f64 {
+        match self.aggregation {
+            Aggregation::FedAvg | Aggregation::FedProx { .. } => 1.0 / self.updates.len() as f64,
+            Aggregation::FedNova => 1.0 / self.inverse_steps().sum::<f64>(),
+        }
+    }
+
+    /// `1/τⱼ` per update in client-id order.
+    fn inverse_steps(&self) -> impl Iterator<Item = f64> + '_ {
+        self.updates.iter().map(|u| 1.0 / u.steps.max(1) as f64)
+    }
+
+    /// Refuses to close a round nobody reported to, as `error`.
+    pub(crate) fn check_nonempty(&self, error: fn(String) -> FlError) -> Result<(), FlError> {
         if self.updates.is_empty() {
-            return Err(FlError::DataError(format!(
-                "round {}: no client updates to aggregate",
-                self.round
-            )));
+            return Err(error(format!("round {}: no client updates to aggregate", self.round)));
         }
         Ok(())
     }
@@ -411,7 +429,7 @@ impl ServerRound<Vec<f32>> {
     ///
     /// Returns [`FlError::DataError`] if no updates were accepted.
     pub fn aggregate(&self) -> Result<Vec<f32>, FlError> {
-        self.check_nonempty()?;
+        self.check_nonempty(FlError::DataError)?;
         let models: Vec<&[f32]> = self.updates.iter().map(|u| u.payload.as_slice()).collect();
         Ok(weighted_average(&models, &self.weights()))
     }
@@ -433,7 +451,7 @@ impl ServerRound<Vec<CkksCiphertext>> {
     /// Returns [`FlError`] if no updates were accepted or the
     /// ciphertexts are incompatible.
     pub fn aggregate_ckks(&self, ctx: &CkksContext) -> Result<Vec<CkksCiphertext>, FlError> {
-        self.check_nonempty()?;
+        self.check_nonempty(FlError::DataError)?;
         let models: Vec<Vec<CkksCiphertext>> =
             self.updates.iter().map(|u| u.payload.clone()).collect();
         Ok(packing::homomorphic_weighted_average(ctx, &models, &self.weights())?)
@@ -602,22 +620,27 @@ impl ClientHalf {
     }
 }
 
-/// What the open round's sum is kept in.
+/// What the open round's sum is kept in, behind the ledger that decides
+/// who counts; each sum is `None` from a close to the next open.
 enum Sum {
     /// Float addition is not associative, so plaintext updates are
     /// collected and averaged in client-id order at close.
-    Plain(ServerRound<Vec<f32>>),
+    Plain(Option<ServerRound<Vec<f32>>>),
     /// Uploads fold into the running encrypted sum as they arrive.
-    Ckks(Format, StreamingAggregator),
+    Ckks(Format, Option<StreamingAggregator>),
     /// Uploads add into per-coordinate sums as they arrive (exact mod q,
-    /// so in any order); the round keeps only who reported.
-    Lwe(LweContext, ServerRound<()>, Vec<LweCiphertext>),
+    /// so in any order); the ledger keeps only who reported.
+    Lwe(LweContext, Option<(ServerRound<()>, Vec<LweCiphertext>)>),
 }
 
 /// The server half of a round: upload bytes fold into the open round's
 /// sum, and the sum closes into the broadcast payload. It holds no key:
 /// a CKKS upload folds as zero-copy views over its bytes, an LWE upload
 /// by ciphertext addition.
+///
+/// [`ServerHalf::open`] starts a round (a new half is open at round 0);
+/// [`ServerHalf::close`] ends it and leaves the half closed, refusing
+/// every upload until the next `open`.
 ///
 /// `fold` and `close` run the step that works on the sum inside the
 /// caller's `timed` wrapper, which must call it once (`|step| step()`
@@ -626,15 +649,20 @@ enum Sum {
 pub struct ServerHalf {
     aggregation: Aggregation,
     model_params: usize,
-    round: usize,
     sum: Sum,
 }
 
 impl ServerHalf {
+    /// A half over `sum`'s scheme, open at round 0.
+    fn opened(aggregation: Aggregation, model_params: usize, sum: Sum) -> Self {
+        let mut half = ServerHalf { aggregation, model_params, sum };
+        half.open(0);
+        half
+    }
+
     /// A half that averages raw parameters, open at round 0.
     pub fn plaintext(aggregation: Aggregation, model_params: usize) -> Self {
-        let sum = Sum::Plain(ServerRound::new(0, aggregation));
-        ServerHalf { aggregation, model_params, round: 0, sum }
+        ServerHalf::opened(aggregation, model_params, Sum::Plain(None))
     }
 
     /// A half that folds CKKS uploads in `codec`'s wire format, open at
@@ -646,8 +674,8 @@ impl ServerHalf {
         codec: Arc<dyn WireCodec>,
         packing: PackingConfig,
     ) -> Self {
-        let sum = Sum::Ckks(Format { ctx, codec, packing }, accumulator(0, aggregation));
-        ServerHalf { aggregation, model_params, round: 0, sum }
+        let sum = Sum::Ckks(Format { ctx, codec, packing }, None);
+        ServerHalf::opened(aggregation, model_params, sum)
     }
 
     /// A half that adds LWE uploads coordinate by coordinate, open at
@@ -663,38 +691,41 @@ impl ServerHalf {
         clients: usize,
     ) -> Result<Self, FlError> {
         let (ctx, _) = lwe_setup(params, clients, aggregation)?;
-        let sum = Sum::Lwe(ctx, ServerRound::new(0, aggregation), Vec::new());
-        Ok(ServerHalf { aggregation, model_params, round: 0, sum })
+        Ok(ServerHalf::opened(aggregation, model_params, Sum::Lwe(ctx, None)))
     }
 
-    /// Discards the open sum and opens an empty one for `round`.
+    /// Discards any open sum and opens an empty one for `round`: the one
+    /// place a sum is built.
     pub fn open(&mut self, round: usize) {
-        self.round = round;
+        let aggregation = self.aggregation;
         match &mut self.sum {
-            Sum::Plain(sum) => *sum = ServerRound::new(round, self.aggregation),
-            Sum::Ckks(_, sum) => *sum = accumulator(round, self.aggregation),
-            Sum::Lwe(_, reported, sums) => {
-                *reported = ServerRound::new(round, self.aggregation);
-                sums.clear();
+            Sum::Plain(sum) => *sum = Some(ServerRound::new(round, aggregation)),
+            Sum::Ckks(_, sum) => {
+                let aggregator = StreamingAggregator::new(round, aggregation);
+                *sum = Some(aggregator.expect("every aggregation rule folds"));
             }
+            Sum::Lwe(_, sum) => *sum = Some((ServerRound::new(round, aggregation), Vec::new())),
         }
     }
 
-    /// Updates in the open round's sum; an accepted upload is never
-    /// un-counted by a later disconnect.
+    /// Updates in the open round's sum (0 once it closed); an accepted
+    /// upload is never un-counted by a later disconnect.
     pub fn received(&self) -> usize {
         match &self.sum {
-            Sum::Plain(sum) => sum.received(),
-            Sum::Ckks(_, sum) => sum.received(),
-            Sum::Lwe(_, reported, _) => reported.received(),
+            Sum::Plain(Some(ledger)) => ledger.received(),
+            Sum::Ckks(_, Some(sum)) => sum.received(),
+            Sum::Lwe(_, Some((ledger, _))) => ledger.received(),
+            _ => 0,
         }
     }
 
     /// Adds one upload's payload to the open round's sum. `Ok(false)` is
-    /// a NACK that left the sum untouched: bytes that do not parse, a
-    /// model of the wrong size, or an update the sum refuses (other
-    /// round, duplicate client). `timed` runs the plaintext decode, or
-    /// the encrypted fold once the payload is parsed.
+    /// a NACK that left the sum untouched: an update the ledger refuses
+    /// (no open round, other round, duplicate client), bytes that do not
+    /// parse, or a model of the wrong size. The ledger is asked first, so
+    /// a refused update is never parsed and `timed` never runs for it;
+    /// otherwise `timed` runs the plaintext decode, or the encrypted fold
+    /// once the payload is parsed.
     ///
     /// # Errors
     ///
@@ -707,13 +738,15 @@ impl ServerHalf {
         let &ClientUpdate { client_id, round, steps, ref payload } = update;
         let (payload, n) = (payload.as_ref(), self.model_params);
         match &mut self.sum {
-            Sum::Plain(sum) => Ok(once(timed, || match codec::decode_plain(payload, n) {
-                Ok(model) if model.len() == n => {
-                    sum.accept(ClientUpdate { client_id, round, steps, payload: model })
-                }
-                _ => false,
-            })),
-            Sum::Ckks(f, sum) => {
+            Sum::Plain(Some(ledger)) if ledger.admits(client_id, round) => {
+                Ok(once(timed, || match codec::decode_plain(payload, n) {
+                    Ok(model) if model.len() == n => {
+                        ledger.accept(ClientUpdate { client_id, round, steps, payload: model })
+                    }
+                    _ => false,
+                }))
+            }
+            Sum::Ckks(f, Some(sum)) if sum.admits(client_id, round) => {
                 let max_cts = f.max_cts(n);
                 let parsed = f.codec.parse_upload(&f.ctx, payload, max_cts);
                 once(timed, || match &parsed {
@@ -724,11 +757,11 @@ impl ServerHalf {
                     _ => Ok(false),
                 })
             }
-            Sum::Lwe(ctx, reported, sums) => {
+            Sum::Lwe(ctx, Some((ledger, sums))) if ledger.admits(client_id, round) => {
                 let parsed = codec::decode_lwe(ctx, payload, n, 1);
                 let update = ClientUpdate { client_id, round, steps, payload: () };
                 Ok(once(timed, || match parsed {
-                    Ok((_, cts)) if reported.accept(update) => {
+                    Ok((_, cts)) if ledger.accept(update) => {
                         if sums.is_empty() {
                             *sums = cts;
                         } else {
@@ -741,58 +774,52 @@ impl ServerHalf {
                     _ => false,
                 }))
             }
+            _ => Ok(false),
         }
     }
 
     /// Aggregates the open round — by `aggregate_override` where it
     /// returns `Some` (plaintext only: ciphertexts admit no order
     /// statistics) — into the broadcast payload, plus the aggregate
-    /// itself where the server can read it, and opens the next round.
+    /// itself where the server can read it, and leaves the half closed.
     /// `timed` runs the aggregation.
     ///
     /// # Errors
     ///
     /// [`FlError::DataError`] (plaintext, LWE) or
-    /// [`FlError::StreamingAbort`] (CKKS) when no update was accepted.
+    /// [`FlError::StreamingAbort`] (CKKS) when no update was accepted;
+    /// [`FlError::DataError`] when no round is open.
     pub fn close(
         &mut self,
         aggregate_override: Option<&mut AggregateOverrideHook>,
         timed: impl FnOnce(&mut dyn FnMut()),
     ) -> Result<(Vec<u8>, Option<Vec<f32>>), FlError> {
-        let (round, aggregation) = (self.round, self.aggregation);
-        let closed = match &mut self.sum {
+        let not_open = || FlError::DataError("no open round to close".into());
+        match &mut self.sum {
             Sum::Plain(sum) => {
+                let ledger = sum.take().ok_or_else(not_open)?;
                 let model = once(timed, || {
-                    let updates = (sum.updates(), &sum.weights());
-                    let overridden =
-                        aggregate_override.and_then(|f| f(round, updates.0, updates.1));
-                    overridden.map_or_else(|| sum.aggregate(), Ok)
+                    let weights = ledger.weights();
+                    let overridden = aggregate_override
+                        .and_then(|f| f(ledger.round, ledger.updates(), &weights));
+                    overridden.map_or_else(|| ledger.aggregate(), Ok)
                 })?;
-                *sum = ServerRound::new(round + 1, aggregation);
-                (codec::encode_plain(&model), Some(model))
+                Ok((codec::encode_plain(&model), Some(model)))
             }
             Sum::Ckks(f, sum) => {
-                let done = std::mem::replace(sum, accumulator(round + 1, aggregation));
-                let cts = once(timed, || done.close(&f.ctx, &f.packing))?;
-                (f.codec.encode_broadcast(&f.ctx, &cts), None)
+                let sum = sum.take().ok_or_else(not_open)?;
+                let cts = once(timed, || sum.close(&f.ctx, &f.packing))?;
+                Ok((f.codec.encode_broadcast(&f.ctx, &cts), None))
             }
-            Sum::Lwe(ctx, reported, sums) => {
-                reported.check_nonempty()?;
+            Sum::Lwe(ctx, sum) => {
+                let (ledger, sums) = sum.take().ok_or_else(not_open)?;
+                ledger.check_nonempty(FlError::DataError)?;
                 // The uploads are already summed: aggregation is empty.
                 once(timed, || ());
-                let k = reported.received();
-                *reported = ServerRound::new(round + 1, aggregation);
-                (codec::encode_lwe(ctx, k, &std::mem::take(sums)), None)
+                Ok((codec::encode_lwe(ctx, ledger.received(), &sums), None))
             }
-        };
-        self.round = round + 1;
-        Ok(closed)
+        }
     }
-}
-
-/// An empty encrypted sum for `round`.
-fn accumulator(round: usize, aggregation: Aggregation) -> StreamingAggregator {
-    StreamingAggregator::new(round, aggregation).expect("every aggregation rule folds")
 }
 
 /// Runs `step` under `timed`, which calls it once, and returns its value.
@@ -984,6 +1011,47 @@ mod tests {
                 matches!(err, Err(FlError::Fhe(FheError::NonFinitePlaintext { index: 6 }))),
                 "{bad}: {err:?}"
             );
+        }
+    }
+
+    #[test]
+    fn a_closed_half_refuses_every_fold_until_it_opens() {
+        use rhychee_fhe::params::CkksParams;
+        let (n, cfg, fed_avg, dense) = (64, config(2), Aggregation::FedAvg, PackingConfig::dense());
+        let ctx = Arc::new(CkksContext::new(CkksParams::toy()).expect("toy context"));
+        let wire: Arc<dyn WireCodec> = Arc::new(codec::CanonicalCodec);
+        let lwe = lwe_fl_params(2, 6);
+        let halves = [
+            ("plaintext", ClientHalf::plaintext(fed_avg, n), ServerHalf::plaintext(fed_avg, n)),
+            (
+                "ckks",
+                ClientHalf::ckks(fed_avg, n, Arc::clone(&ctx), cfg.seed, Arc::clone(&wire), dense),
+                ServerHalf::ckks(fed_avg, n, ctx, wire, dense),
+            ),
+            (
+                "lwe",
+                ClientHalf::lwe(fed_avg, n, lwe, 2, 1.0, cfg.seed).expect("client"),
+                ServerHalf::lwe(fed_avg, n, lwe, 2).expect("server"),
+            ),
+        ];
+        for (name, client, mut server) in halves {
+            let upload = |client_id, round| {
+                let payload = client.encode(&mut bare_client(client_id, &cfg), vec![0.25; n]);
+                ClientUpdate { client_id, round, steps: 1, payload: payload.expect("encode") }
+            };
+            assert!(server.fold(&upload(0, 0), |fold| fold()).expect("fold"), "{name}");
+            server.close(None, |close| close()).expect("close");
+            assert_eq!(server.received(), 0, "{name}");
+            for round in [0, 1] {
+                let closed = |_: &mut dyn FnMut()| panic!("{name}: a closed half parses nothing");
+                let folded = server.fold(&upload(1, round), closed).expect("a NACK");
+                assert!(!folded, "{name}: closed, round {round}");
+            }
+            assert!(server.close(None, |close| close()).is_err(), "{name}: nothing to close");
+            server.open(1);
+            assert!(!server.fold(&upload(1, 0), |fold| fold()).expect("NACK"), "{name}: stale");
+            assert!(server.fold(&upload(1, 1), |fold| fold()).expect("fold"), "{name}: reopened");
+            assert_eq!(server.received(), 1, "{name}");
         }
     }
 

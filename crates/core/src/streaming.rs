@@ -21,7 +21,8 @@
 //!   be applied here. [`Aggregation::FedNova`] clients therefore scale
 //!   their own model by `1/τᵢ` before encryption
 //!   ([`round::prescale_update`]) and the close multiplies by
-//!   `1/Σⱼ(1/τⱼ)`, known from the step counts the uploads declare;
+//!   `1/Σⱼ(1/τⱼ)`, which the round's ledger ([`ServerRound`]) sums over
+//!   the step counts the uploads declare;
 //! * the aggregator holds exactly one accumulator ciphertext per model
 //!   chunk — server memory is O(1) in client count. Uploads live only
 //!   for the duration of their fold.
@@ -37,7 +38,7 @@ use rhychee_telemetry as telemetry;
 use crate::config::Aggregation;
 use crate::error::FlError;
 use crate::packing::PackingConfig;
-use crate::round::ClientUpdate;
+use crate::round::{ClientUpdate, ServerRound};
 
 /// Process-wide bytes held by live accumulators, feeding the
 /// `core.stream_accum` entry of the memory breakdown. Charged when an
@@ -54,20 +55,17 @@ pub fn accumulator_bytes() -> u64 {
 /// per model chunk, a fold per upload, one scalar multiplication at
 /// close.
 ///
-/// Acceptance semantics mirror [`ServerRound::accept`]: wrong-round and
-/// duplicate uploads are rejected (`Ok(false)`, the caller NACKs them)
-/// without touching the accumulator, and a fold that succeeded stays in
-/// the sum even if its client later disconnects.
-///
-/// [`ServerRound::accept`]: crate::round::ServerRound::accept
+/// Who counts and with what weight is its private [`ServerRound`]'s
+/// call: wrong-round and duplicate uploads are rejected (`Ok(false)`,
+/// the caller NACKs them) without touching the accumulator, `received`
+/// is the ledger's count, and the close scalar is the ledger's. The
+/// aggregator itself owns only the accumulators and the checks that an
+/// upload's chunks fit them. A fold that succeeded stays in the sum even
+/// if its client later disconnects.
 #[derive(Debug)]
 pub struct StreamingAggregator {
-    round: usize,
-    aggregation: Aggregation,
+    ledger: ServerRound<()>,
     acc: Vec<CkksCiphertext>,
-    client_ids: Vec<usize>,
-    /// Declared local step counts τ, parallel to `client_ids`.
-    steps: Vec<usize>,
 }
 
 impl StreamingAggregator {
@@ -79,13 +77,7 @@ impl StreamingAggregator {
     /// signature callers already handle.
     pub fn new(round: usize, aggregation: Aggregation) -> Result<Self, FlError> {
         telemetry::mem::register_source("core.stream_accum", accumulator_bytes);
-        Ok(StreamingAggregator {
-            round,
-            aggregation,
-            acc: Vec::new(),
-            client_ids: Vec::new(),
-            steps: Vec::new(),
-        })
+        Ok(StreamingAggregator { ledger: ServerRound::new(round, aggregation), acc: Vec::new() })
     }
 
     /// Heap bytes this aggregator's accumulator ciphertexts hold — the
@@ -97,12 +89,13 @@ impl StreamingAggregator {
     /// Uploads folded into the sum so far; a fold is never un-counted
     /// by a later disconnect.
     pub fn received(&self) -> usize {
-        self.client_ids.len()
+        self.ledger.received()
     }
 
-    /// Ids of the clients whose uploads were folded, in arrival order.
-    pub fn client_ids(&self) -> &[usize] {
-        &self.client_ids
+    /// Whether the ledger would count an upload of `client_id` for
+    /// `round`.
+    pub(crate) fn admits(&self, client_id: usize, round: usize) -> bool {
+        self.ledger.admits(client_id, round)
     }
 
     /// [`StreamingAggregator::fold_views`] for an upload that declares
@@ -124,12 +117,12 @@ impl StreamingAggregator {
     /// Folds one client's upload (one view per model chunk) into the
     /// running sum, zero-copy from the wire bytes.
     ///
-    /// Returns `Ok(false)` — a NACK, accumulator untouched — for a
-    /// wrong-round upload, a duplicate client id, an empty or
-    /// wrong-chunk-count payload, or chunks incompatible with the
-    /// accumulator (level/scale). Every view is checked *before*
-    /// any chunk folds, so a rejected upload can never leave the sum
-    /// half-updated. Chunks fold in parallel at the context's
+    /// Returns `Ok(false)` — a NACK, accumulator untouched — for an
+    /// empty or wrong-chunk-count payload, chunks incompatible with the
+    /// accumulator (level/scale), or an update the ledger refuses
+    /// (wrong round, duplicate client id). Every view is checked
+    /// *before* any chunk folds, so a rejected upload can never leave
+    /// the sum half-updated. Chunks fold in parallel at the context's
     /// [`Parallelism`](rhychee_par::Parallelism); each chunk owns its
     /// accumulator slot, so the result is degree-independent.
     ///
@@ -143,53 +136,29 @@ impl StreamingAggregator {
         ctx: &CkksContext,
         update: &ClientUpdate<P>,
     ) -> Result<bool, FlError> {
-        let views = update.payload.as_ref();
-        let admitted = update.round == self.round
-            && !self.client_ids.contains(&update.client_id)
-            && !views.is_empty()
-            && (self.acc.is_empty() || views.len() == self.acc.len());
-        if !admitted {
+        let &ClientUpdate { client_id, round, steps, ref payload } = update;
+        let views = payload.as_ref();
+        // The first accepted upload defines the model shape; its own
+        // all-zero accumulators are compatible by construction.
+        let fits = match self.acc.len() {
+            0 => !views.is_empty(),
+            chunks => {
+                views.len() == chunks
+                    && self.acc.iter().zip(views).all(|(acc, v)| ctx.check_view(acc, v).is_ok())
+            }
+        };
+        if !fits || !self.ledger.accept(ClientUpdate { client_id, round, steps, payload: () }) {
             return Ok(false);
         }
         if self.acc.is_empty() {
-            // First accepted upload defines the model shape; its own
-            // all-zero accumulators are compatible by construction.
             self.acc = views.iter().map(|v| ctx.accumulator_for(v)).collect();
             ACCUM_BYTES.fetch_add(self.heap_bytes(), Ordering::Relaxed);
-        } else if self.acc.iter().zip(views).any(|(acc, v)| ctx.check_view(acc, v).is_err()) {
-            return Ok(false);
         }
         rhychee_par::for_each_mut(ctx.parallelism(), &mut self.acc, |i, acc| {
             ctx.fold_view(acc, &views[i]).expect("views validated before folding");
         });
-        self.client_ids.push(update.client_id);
-        self.steps.push(update.steps);
         telemetry::count("fl.agg.folds", 1);
         Ok(true)
-    }
-
-    /// The plaintext scalar that turns the folded sum into the round's
-    /// average: `1/P` under the uniform rules, `1/Σⱼ(1/τⱼ)` under
-    /// FedNova (whose clients pre-scaled by `1/τⱼ`). The FedNova sum
-    /// runs in client-id order, so the scalar — like the encrypted sum
-    /// — does not depend on arrival order.
-    fn close_weight(&self) -> f64 {
-        match self.aggregation {
-            Aggregation::FedAvg | Aggregation::FedProx { .. } => 1.0 / self.client_ids.len() as f64,
-            Aggregation::FedNova => {
-                let mut by_id: Vec<(usize, usize)> =
-                    self.client_ids.iter().copied().zip(self.steps.iter().copied()).collect();
-                by_id.sort_unstable();
-                1.0 / by_id.iter().map(|&(_, tau)| 1.0 / tau.max(1) as f64).sum::<f64>()
-            }
-        }
-    }
-
-    fn check_nonempty(&self) -> Result<(), FlError> {
-        if self.client_ids.is_empty() {
-            return Err(FlError::StreamingAbort("closing a round that folded no uploads".into()));
-        }
-        Ok(())
     }
 
     /// Closes the round the way `packing` requires: dense slots take
@@ -224,8 +193,8 @@ impl StreamingAggregator {
     /// folded (callers enforce quorum before closing, so this is an
     /// invariant breach, not a recoverable state).
     pub fn finish(self, ctx: &CkksContext) -> Result<Vec<CkksCiphertext>, FlError> {
-        self.check_nonempty()?;
-        let w = self.close_weight();
+        self.ledger.check_nonempty(FlError::StreamingAbort)?;
+        let w = self.ledger.close_scalar();
         Ok(rhychee_par::map(ctx.parallelism(), self.acc.len(), |i| ctx.mul_scalar(&self.acc[i], w)))
     }
 
@@ -240,7 +209,7 @@ impl StreamingAggregator {
     /// Returns [`FlError::StreamingAbort`] when no upload was ever
     /// folded, exactly as [`StreamingAggregator::finish`].
     pub fn finish_sum(mut self) -> Result<Vec<CkksCiphertext>, FlError> {
-        self.check_nonempty()?;
+        self.ledger.check_nonempty(FlError::StreamingAbort)?;
         // The sum leaves with the caller: release its bytes here, so
         // `Drop` finds an empty accumulator and releases nothing more.
         ACCUM_BYTES.fetch_sub(self.heap_bytes(), Ordering::Relaxed);
@@ -353,7 +322,6 @@ mod tests {
                         .expect("fold"));
                 }
                 assert_eq!(by_view.received(), 4);
-                assert_eq!(by_view.client_ids(), &order);
                 let streamed = bytes(&ctx, &by_view.finish(&ctx).expect("finish"));
                 assert_eq!(streamed, batch_bytes, "{par}: view fold, order {order:?}");
             }
@@ -377,7 +345,6 @@ mod tests {
         let rescaled = bytes(&ctx, &rescaled);
         assert!(!agg.fold_upload(&ctx, 1, 3, &views(&ctx, &rescaled)).expect("scale"));
         assert_eq!(agg.received(), 1);
-        assert_eq!(agg.client_ids(), &[0]);
     }
 
     #[test]

@@ -275,6 +275,15 @@ mod tests {
     }
 
     #[test]
+    fn keygen_is_pinned_at_a_fixed_seed() {
+        let (ctx, _) = ctx();
+        assert_eq!(
+            format!("{:x}", ctx.modulus()),
+            "e9be755cf6eb190092de2b991cf561eb2c71c692ca11aa5dd4c7ecf5e5b6f6bb"
+        );
+    }
+
+    #[test]
     fn encrypt_decrypt_integers() {
         let (ctx, mut rng) = ctx();
         for m in [0u64, 1, 42, u32::MAX as u64, u64::MAX] {

@@ -101,7 +101,7 @@ pub struct BootstrapContext {
     ks_decomposer: GadgetDecomposer,
     /// RGSW(s_i) for every bit of the base LWE secret.
     blind_rotation_key: Vec<RgswCiphertext>,
-    /// ksk[i][j] = LWE_s(z_i · B_ks^j) mod Q, for the RLWE key z.
+    /// `ksk[i][j] = LWE_s(z_i · B_ks^j) mod Q`, for the RLWE key z.
     key_switching_key: Vec<Vec<KskEntry>>,
     /// Accumulator modulus Q.
     ring_q: u64,

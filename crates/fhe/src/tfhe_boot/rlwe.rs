@@ -3,7 +3,7 @@
 //!
 //! The accumulator ring is `Z_Q[X]/(X^N + 1)` with an NTT-friendly prime
 //! `Q`, so every polynomial product runs through the same
-//! [`NttTable`](crate::ckks::ntt::NttTable) backend as CKKS.
+//! [`NttTable`] backend as CKKS.
 
 use rand::Rng;
 

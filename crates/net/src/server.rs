@@ -108,7 +108,7 @@ pub enum ServerPipeline {
 ///     .quorum(3)
 ///     .build()
 ///     .expect("valid server config");
-/// assert_eq!(cfg.quorum(), 3);
+/// assert!(ServerConfig::builder().clients(4).quorum(5).build().is_err());
 /// ```
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -136,94 +136,6 @@ impl ServerConfig {
     /// timeout, 30 s round and accept windows, automatic parallelism.
     pub fn builder() -> ServerConfigBuilder {
         ServerConfigBuilder::default()
-    }
-
-    /// Clients expected to connect.
-    pub fn clients(&self) -> usize {
-        self.clients
-    }
-
-    /// Minimum updates required to close a round at the deadline.
-    pub fn quorum(&self) -> usize {
-        self.quorum
-    }
-
-    /// Aggregation rounds to run.
-    pub fn rounds(&self) -> usize {
-        self.rounds
-    }
-
-    /// Trainable parameter count `D × L` (payload caps, zero init).
-    pub fn model_params(&self) -> usize {
-        self.model_params
-    }
-
-    /// Aggregation rule (weights over the reporting quorum).
-    pub fn aggregation(&self) -> Aggregation {
-        self.aggregation
-    }
-
-    /// Socket write / handshake-read timeout.
-    pub fn io_timeout(&self) -> Duration {
-        self.io_timeout
-    }
-
-    /// Collection window per round.
-    pub fn round_timeout(&self) -> Duration {
-        self.round_timeout
-    }
-
-    /// How long to wait for all clients to connect.
-    pub fn accept_timeout(&self) -> Duration {
-        self.accept_timeout
-    }
-
-    /// Frame payload cap in bytes.
-    pub fn max_payload(&self) -> u32 {
-        self.max_payload
-    }
-
-    /// Degree used for homomorphic aggregation and plain FedAvg.
-    pub fn parallelism(&self) -> Parallelism {
-        self.parallelism
-    }
-
-    /// Observability listen address, when the plane is enabled.
-    pub fn obs_addr(&self) -> Option<&str> {
-        self.obs_addr.as_deref()
-    }
-
-    /// Whether departed clients may reconnect mid-run.
-    pub fn allow_rejoin(&self) -> bool {
-        self.allow_rejoin
-    }
-
-    /// The CKKS wire codec uploads are expected in.
-    pub fn codec(&self) -> &dyn WireCodec {
-        self.codec.as_ref()
-    }
-
-    /// How model coordinates map onto ciphertext slots (must match
-    /// every client's [`ClientConfig::packing`](crate::client::ClientConfig)).
-    pub fn packing(&self) -> &packing::PackingConfig {
-        &self.packing
-    }
-
-    /// How many undecoded encrypted uploads may be resident in server
-    /// memory at once.
-    pub fn max_resident_uploads(&self) -> usize {
-        self.max_resident_uploads
-    }
-
-    /// Round-watchdog deadline as a multiple of `round_timeout`
-    /// (0 = watchdog disabled).
-    pub fn round_watchdog(&self) -> f64 {
-        self.watchdog_multiple
-    }
-
-    /// Where flight-recorder snapshots are dumped on a stall or panic.
-    pub fn flight_dump_dir(&self) -> Option<&std::path::Path> {
-        self.flight_dump_dir.as_deref()
     }
 
     fn validate(&self) -> Result<(), NetError> {
@@ -524,15 +436,15 @@ impl FlServer {
         pipeline: ServerPipeline,
     ) -> Result<Self, NetError> {
         let listener = TcpListener::bind(addr)?;
-        if let Some(dir) = config.flight_dump_dir() {
+        if let Some(dir) = config.flight_dump_dir.as_deref() {
             rhychee_obs::flight::install_panic_hook(dir.to_path_buf());
         }
-        let obs = match config.obs_addr() {
+        let obs = match config.obs_addr.as_deref() {
             Some(obs_addr) => {
                 telemetry::set_enabled(true);
                 telemetry::mem::init_start_time();
                 telemetry::gauge("fl.round.current", 0.0);
-                telemetry::gauge("fl.rounds.total", config.rounds() as f64);
+                telemetry::gauge("fl.rounds.total", config.rounds as f64);
                 telemetry::gauge("fl.clients.connected", 0.0);
                 telemetry::gauge("fl.quorum.met", 0.0);
                 Some(ObsServer::bind(obs_addr)?.spawn()?)
@@ -815,9 +727,9 @@ impl Connection {
         // The listener is nonblocking; accepted streams must not be.
         stream.set_nonblocking(false)?;
         stream.set_nodelay(true)?;
-        stream.set_read_timeout(Some(config.io_timeout()))?;
-        stream.set_write_timeout(Some(config.io_timeout()))?;
-        let (msg, n) = wire::read_message(&mut stream, config.max_payload())?;
+        stream.set_read_timeout(Some(config.io_timeout))?;
+        stream.set_write_timeout(Some(config.io_timeout))?;
+        let (msg, n) = wire::read_message(&mut stream, config.max_payload)?;
         let client_id = match msg {
             Message::Hello { client_id } => client_id,
             other => {
@@ -827,13 +739,13 @@ impl Connection {
         let mut connection = Connection { client_id, stream, shared: Arc::clone(shared) };
         connection.received(n);
         // `insert` checks and claims in one step under the lock.
-        if client_id >= config.clients()
+        if client_id >= config.clients
             || !connected.lock().expect("connected set").insert(client_id)
         {
             return Err(NetError::Protocol(format!("invalid or duplicate client id {client_id}")));
         }
         let welcome =
-            Message::Welcome { client_id, clients: config.clients(), rounds: config.rounds() };
+            Message::Welcome { client_id, clients: config.clients, rounds: config.rounds };
         if let Err(e) = connection.write(&welcome) {
             connected.lock().expect("connected set").remove(&client_id);
             return Err(e);
@@ -968,9 +880,9 @@ mod tests {
     fn builder_defaults_to_full_quorum() {
         let cfg =
             ServerConfig::builder().clients(5).rounds(2).model_params(100).build().expect("valid");
-        assert_eq!(cfg.quorum(), 5);
-        assert_eq!(cfg.max_payload(), DEFAULT_MAX_PAYLOAD);
-        assert_eq!(cfg.parallelism(), Parallelism::Auto);
+        assert_eq!(cfg.quorum, 5);
+        assert_eq!(cfg.max_payload, DEFAULT_MAX_PAYLOAD);
+        assert_eq!(cfg.parallelism, Parallelism::Auto);
     }
 
     #[test]
@@ -984,15 +896,18 @@ mod tests {
     fn builder_configures_watchdog_and_dump_dir() {
         let base = || ServerConfig::builder().clients(4).rounds(3).model_params(10);
         let cfg = base().build().expect("valid");
-        assert_eq!(cfg.round_watchdog(), 0.0, "watchdog defaults to disabled");
-        assert!(cfg.flight_dump_dir().is_none());
+        assert_eq!(cfg.watchdog_multiple, 0.0, "watchdog defaults to disabled");
+        assert!(cfg.flight_dump_dir.is_none());
         let cfg = base()
             .round_watchdog(1.5)
             .flight_dump_dir("/tmp/rhychee-dumps")
             .build()
             .expect("valid");
-        assert_eq!(cfg.round_watchdog(), 1.5);
-        assert_eq!(cfg.flight_dump_dir(), Some(std::path::Path::new("/tmp/rhychee-dumps")));
+        assert_eq!(cfg.watchdog_multiple, 1.5);
+        assert_eq!(
+            cfg.flight_dump_dir.as_deref(),
+            Some(std::path::Path::new("/tmp/rhychee-dumps"))
+        );
         assert!(base().round_watchdog(-1.0).build().is_err());
         assert!(base().round_watchdog(f64::NAN).build().is_err());
     }
@@ -1028,16 +943,16 @@ mod tests {
             .parallelism(Parallelism::Fixed(2))
             .build()
             .expect("valid");
-        assert_eq!(cfg.clients(), 8);
-        assert_eq!(cfg.quorum(), 6);
-        assert_eq!(cfg.rounds(), 4);
-        assert_eq!(cfg.model_params(), 2048);
-        assert_eq!(cfg.aggregation(), Aggregation::FedNova);
-        assert_eq!(cfg.io_timeout(), Duration::from_secs(1));
-        assert_eq!(cfg.round_timeout(), Duration::from_secs(2));
-        assert_eq!(cfg.accept_timeout(), Duration::from_secs(3));
-        assert_eq!(cfg.max_payload(), 1 << 20);
-        assert_eq!(cfg.parallelism(), Parallelism::Fixed(2));
+        assert_eq!(cfg.clients, 8);
+        assert_eq!(cfg.quorum, 6);
+        assert_eq!(cfg.rounds, 4);
+        assert_eq!(cfg.model_params, 2048);
+        assert_eq!(cfg.aggregation, Aggregation::FedNova);
+        assert_eq!(cfg.io_timeout, Duration::from_secs(1));
+        assert_eq!(cfg.round_timeout, Duration::from_secs(2));
+        assert_eq!(cfg.accept_timeout, Duration::from_secs(3));
+        assert_eq!(cfg.max_payload, 1 << 20);
+        assert_eq!(cfg.parallelism, Parallelism::Fixed(2));
     }
 
     #[test]

@@ -68,7 +68,8 @@ pub(super) struct Peer {
 }
 
 /// Runs one fold under its span: `net_decode` for a plaintext upload,
-/// `net_fold` for an encrypted one, whose allocation attribution
+/// `net_fold` for an encrypted one (an upload the round's ledger refuses
+/// records neither), whose allocation attribution
 /// (`net_fold.alloc_bytes`) should read 0 bytes in steady state under
 /// CKKS (the accumulator is reused in place).
 fn fold_span(encrypted: bool) -> impl FnOnce(&mut dyn FnMut()) {
@@ -188,7 +189,8 @@ impl Coordinator {
 
     /// Activates the queued connections, then distributes the global
     /// model to every live peer: `Global{round}` opening the next round
-    /// or, once every round has closed, the final `Global{last}`. Fails
+    /// (and the half's sum for it) or, once every round has closed, the
+    /// final `Global{last}`. Fails
     /// with `QuorumNotReached` when the opening window gathered fewer
     /// than `quorum` connections.
     pub(super) fn broadcast(&mut self, ctx: Option<TraceContext>) -> Result<(), NetError> {
@@ -226,6 +228,7 @@ impl Coordinator {
         self.phase = if last {
             Phase::Done
         } else {
+            self.half.open(round);
             Phase::Collect(OpenRound {
                 started,
                 start_ns,
@@ -257,8 +260,7 @@ impl Coordinator {
         let Upload { update, permit, bytes, arrived } = upload;
         let ClientUpdate { client_id, round, .. } = update;
         let fold = fold_span(self.residency.is_some());
-        let accepted = round == self.round
-            && self.half.fold(&update, fold).map_err(|e| stream_abort(round, e))?;
+        let accepted = self.half.fold(&update, fold).map_err(|e| stream_abort(round, e))?;
         // The upload's bytes live only for the duration of the fold; the
         // NACK path releases the payload and its permit identically.
         drop((update, permit));

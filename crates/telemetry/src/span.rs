@@ -76,7 +76,7 @@ pub struct Span {
     finished: bool,
 }
 
-/// Opens a span. Prefer [`crate::span`].
+/// Opens a span. Prefer [`crate::span()`].
 pub(crate) fn open(name: &'static str) -> Span {
     let (tracked_depth, id, ctx) = if crate::enabled() {
         let depth = SPAN_PATHS.with(|stack| {
