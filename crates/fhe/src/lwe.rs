@@ -23,7 +23,6 @@
 //! ```
 
 use rand::Rng;
-use rhychee_telemetry as telemetry;
 
 use crate::bitpack::{BitReader, BitWriter};
 use crate::error::FheError;
@@ -107,7 +106,6 @@ impl LweContext {
         if m >= t {
             return Err(FheError::MessageOutOfRange { value: m as i64, modulus: t });
         }
-        let _t = telemetry::timer("fhe.lwe.encrypt");
         let q = self.params.q();
         let a: Vec<u64> = (0..self.params.dimension).map(|_| rng.gen_range(0..q)).collect();
         let inner: u64 =
@@ -121,7 +119,6 @@ impl LweContext {
 
     /// Decrypts to the message in `[0, t)`, rounding away the noise.
     pub fn decrypt(&self, sk: &LweSecretKey, ct: &LweCiphertext) -> u64 {
-        let _t = telemetry::timer("fhe.lwe.decrypt");
         let q = self.params.q();
         let t = self.params.plaintext_modulus;
         let inner: u64 =
@@ -145,7 +142,6 @@ impl LweContext {
         if x.a.len() != y.a.len() {
             return Err(FheError::InvalidParams("ciphertext dimension mismatch".into()));
         }
-        telemetry::count("fhe.lwe.add", 1);
         let q = self.params.q();
         let a = x.a.iter().zip(&y.a).map(|(&u, &v)| (u + v) % q).collect();
         Ok(LweCiphertext { a, b: (x.b + y.b) % q })
@@ -160,7 +156,6 @@ impl LweContext {
         if acc.a.len() != ct.a.len() {
             return Err(FheError::InvalidParams("ciphertext dimension mismatch".into()));
         }
-        telemetry::count("fhe.lwe.add", 1);
         let q = self.params.q();
         for (u, &v) in acc.a.iter_mut().zip(&ct.a) {
             *u = (*u + v) % q;
@@ -173,7 +168,6 @@ impl LweContext {
     ///
     /// Noise grows linearly in `k`; callers must keep `k · m < t`.
     pub fn mul_scalar(&self, ct: &LweCiphertext, k: u64) -> LweCiphertext {
-        telemetry::count("fhe.lwe.mul_scalar", 1);
         let q = self.params.q();
         let kq = k % q;
         let a =

@@ -290,7 +290,6 @@ impl Coordinator {
         self.live.remove(&client_id);
         self.connected.lock().expect("connected set").remove(&client_id);
         self.report.dropped_clients += 1;
-        telemetry::count("net.dropped_clients", 1);
     }
 
     /// True when every live peer has reported. A client whose upload was
@@ -326,9 +325,6 @@ impl Coordinator {
         if let Some(residency) = &self.residency {
             telemetry::gauge("net.agg.resident_uploads", residency.held() as f64);
             telemetry::gauge("net.agg.peak_resident_uploads", residency.peak() as f64);
-            telemetry::gauge("net.agg.resident_upload_bytes", residency.bytes() as f64);
-            let peak_bytes = residency.peak_bytes() as f64;
-            telemetry::gauge("net.agg.peak_resident_upload_bytes", peak_bytes);
         }
         // Where the server can read the aggregate (plaintext), it is the
         // report's final model.

@@ -42,18 +42,9 @@ pub fn snapshot(reason: &str) -> String {
         if i > 0 {
             histograms.push(',');
         }
-        histograms.push_str(
-            &JsonObject::new()
-                .str("name", &h.name)
-                .u64("count", h.count)
-                .u64("sum", h.sum)
-                .u64("min", h.min)
-                .u64("max", h.max)
-                .u64("p50", h.p50)
-                .u64("p90", h.p90)
-                .u64("p99", h.p99)
-                .finish(),
-        );
+        let mut obj = JsonObject::new();
+        h.write_json(&mut obj);
+        histograms.push_str(&obj.finish());
     }
     histograms.push(']');
 
@@ -94,7 +85,6 @@ pub fn dump(dir: &Path, reason: &str) -> io::Result<PathBuf> {
         SystemTime::now().duration_since(UNIX_EPOCH).map(|d| d.as_millis() as u64).unwrap_or(0);
     let path = dir.join(format!("flight-{reason}-{unix_ms}.json"));
     std::fs::write(&path, body)?;
-    telemetry::count("obs.flight.dumps", 1);
     Ok(path)
 }
 

@@ -2,9 +2,7 @@
 //!
 //! Serves five read-only endpoints off the global telemetry state:
 //!
-//! - `/metrics` — Prometheus text exposition ([`crate::prometheus`]);
-//!   every scrape first refreshes the `mem.*` gauges from their live
-//!   sources so heap/RSS/subsystem figures are scrape-fresh
+//! - `/metrics` — Prometheus text exposition ([`crate::prometheus`])
 //! - `/healthz` — JSON liveness summary (round number, quorum status,
 //!   connected clients, uptime, memory headline figures, pool queue
 //!   depth, wire byte counters)
@@ -120,7 +118,6 @@ fn accept_loop(listener: &TcpListener, stop: &AtomicBool) {
     while !stop.load(Ordering::Relaxed) {
         match listener.accept() {
             Ok((stream, _)) => {
-                telemetry::count("obs.http.requests", 1);
                 let _ = handle_connection(stream);
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => thread::sleep(ACCEPT_POLL),
@@ -156,7 +153,6 @@ fn handle_connection(mut stream: TcpStream) -> io::Result<()> {
     }
     match path {
         "/metrics" => {
-            let _ = crate::memory::refresh_gauges();
             let body = prometheus::render(&telemetry::metrics::global().snapshot());
             write_response(&mut stream, "200 OK", "text/plain; version=0.0.4", &body)
         }
@@ -233,9 +229,8 @@ fn health_body() -> String {
             reg.counter("fl.scenario.threshold_recovery_failures").get(),
         )
         .finish();
-    // Memory headline figures, refreshed at scrape time so /healthz and
-    // /memory.json can never disagree about the same instant.
-    let _ = crate::memory::refresh_gauges();
+    // Memory headline figures, read at scrape time from the same sources
+    // as /memory.json.
     let heap = telemetry::alloc::stats();
     let (rss_now, rss_peak) = telemetry::mem::sample_rss().unwrap_or((0, 0));
     let memory = JsonObject::new()

@@ -1,4 +1,4 @@
-//! The `/memory.json` exposition body and the `mem.*` gauge refresh.
+//! The `/memory.json` exposition body.
 //!
 //! One JSON document reconciles every memory signal the stack tracks:
 //!
@@ -10,31 +10,20 @@
 //!   (absent off Linux);
 //! - **sources** — the per-subsystem breakdown from the registered
 //!   byte callbacks ([`rhychee_telemetry::mem::register_source`]):
-//!   twiddle-table cache, scratch arenas, streaming accumulators, and
-//!   resident upload payloads, read live at scrape time.
+//!   twiddle-table cache, streaming accumulators, and resident upload
+//!   payloads, read live at scrape time.
 //!
-//! Scraping `/memory.json` (or `/metrics`) also refreshes the
-//! corresponding gauges, so both endpoints always publish the same
-//! figures ([`refresh_gauges`]).
+//! These figures are read at scrape time and are not metrics: `/healthz`
+//! carries the heap and RSS headline from the same reads.
 
 use rhychee_telemetry as telemetry;
 use rhychee_telemetry::json::JsonObject;
-
-/// Re-publishes every memory gauge from its live source: heap counters
-/// (`mem.heap.*`), an RSS sample (`mem.rss.*`), and one
-/// `mem.<source>.bytes` gauge per registered subsystem. Returns the
-/// subsystem pairs so JSON renderers reuse the same read.
-pub fn refresh_gauges() -> Vec<(&'static str, u64)> {
-    telemetry::alloc::publish_gauges();
-    let _ = telemetry::mem::sample_rss();
-    telemetry::mem::publish_source_gauges()
-}
 
 /// The `/memory.json` body. Always well-formed JSON; fields whose
 /// backing signal is unavailable (no tracking allocator, no procfs)
 /// report zeros alongside an explicit availability flag.
 pub fn memory_body() -> String {
-    let sources = refresh_gauges();
+    let sources = telemetry::mem::collect();
     let stats = telemetry::alloc::stats();
     let heap = JsonObject::new()
         .bool("installed", telemetry::alloc::installed())
@@ -84,16 +73,5 @@ mod tests {
         if !telemetry::alloc::installed() {
             assert!(body.contains("\"installed\":false"), "{body}");
         }
-    }
-
-    #[test]
-    fn refresh_publishes_source_gauges_when_enabled() {
-        telemetry::mem::register_source("obs.gauge_refresh", || 4096);
-        telemetry::set_enabled(true);
-        let pairs = refresh_gauges();
-        telemetry::set_enabled(false);
-        assert!(pairs.iter().any(|&(n, v)| n == "obs.gauge_refresh" && v == 4096));
-        let g = telemetry::metrics::global().gauge("mem.obs.gauge_refresh.bytes").get();
-        assert_eq!(g, 4096.0);
     }
 }

@@ -27,10 +27,9 @@
 //! and re-thrown from the helper that opened the scope after all
 //! sibling tasks finish (first panic wins).
 //!
-//! Telemetry: `par.tasks` counts pool-executed tasks, `par.steal_miss`
-//! counts worker wake-ups that found an empty queue, the `par.workers`
-//! gauge records the pool size, and the `par.queue.depth` gauge the
-//! queue's length after each push and pop.
+//! Telemetry: `par.tasks` counts pool-executed tasks, and the
+//! `par.queue.depth` gauge records the queue's length after each push and
+//! pop.
 
 use std::collections::VecDeque;
 use std::marker::PhantomData;
@@ -130,7 +129,6 @@ impl ThreadPool {
                     .expect("spawn rhychee-par worker")
             })
             .collect();
-        telemetry::gauge("par.workers", workers as f64);
         ThreadPool { shared, workers: handles }
     }
 
@@ -238,10 +236,6 @@ fn worker_loop(shared: &Shared) {
                     break None;
                 }
                 queue = shared.work_ready.wait(queue).unwrap();
-                if queue.is_empty() && !shared.shutdown.load(Ordering::Acquire) {
-                    // Woken but another thread drained the queue first.
-                    telemetry::count("par.steal_miss", 1);
-                }
             }
         };
         match job {

@@ -171,30 +171,6 @@ pub fn thread_alloc_calls() -> u64 {
     THREAD_CALLS.try_with(Cell::get).unwrap_or(0)
 }
 
-/// Resets the live-byte high-water mark to the current live figure, so a
-/// steady-state phase can measure its own peak instead of inheriting
-/// startup's.
-pub fn reset_peak() {
-    PEAK_BYTES.store(LIVE_BYTES.load(Ordering::Relaxed), Ordering::Relaxed);
-}
-
-/// Publishes the heap counters as gauges (`mem.heap.live_bytes`,
-/// `mem.heap.peak_bytes`, `mem.heap.total_bytes`,
-/// `mem.heap.alloc_calls`, `mem.heap.dealloc_calls`) when telemetry is
-/// enabled and the allocator is installed.
-pub fn publish_gauges() {
-    if !crate::enabled() || !installed() {
-        return;
-    }
-    let s = stats();
-    let reg = crate::metrics::global();
-    reg.gauge("mem.heap.live_bytes").set(s.live_bytes as f64);
-    reg.gauge("mem.heap.peak_bytes").set(s.peak_bytes as f64);
-    reg.gauge("mem.heap.total_bytes").set(s.total_bytes as f64);
-    reg.gauge("mem.heap.alloc_calls").set(s.alloc_calls as f64);
-    reg.gauge("mem.heap.dealloc_calls").set(s.dealloc_calls as f64);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -243,15 +219,5 @@ mod tests {
         assert_eq!(thread_allocated_bytes(), start + 512, "peer thread did not bleed in");
         note_dealloc(512);
         assert_eq!(thread_allocated_bytes(), start + 512, "frees do not decrement");
-    }
-
-    #[test]
-    fn reset_peak_rebases_to_live() {
-        let _g = lock();
-        note_alloc(4096);
-        note_dealloc(4096);
-        reset_peak();
-        let s = stats();
-        assert_eq!(s.peak_bytes, s.live_bytes);
     }
 }

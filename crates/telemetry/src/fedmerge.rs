@@ -13,6 +13,12 @@
 //! input records — nothing is scaled or interpolated, so merged totals
 //! reconcile with each endpoint's `RoundReport` to the nanosecond.
 //!
+//! Each root resolves its own link, so two same-named roots linked to
+//! different parents land under different paths, and rounds whose parents
+//! share a path share one. A nested span takes its root's prefix: the
+//! root of its path's first segment on the same thread that was open
+//! when it started.
+//!
 //! Example merged paths from a loopback federation:
 //!
 //! ```text
@@ -51,10 +57,6 @@ impl FedSource {
     }
 }
 
-fn root_of(path: &str) -> &str {
-    path.split('/').next().unwrap_or(path)
-}
-
 fn actor_of<'a>(rec: &'a SpanRecord, label: &'a str) -> &'a str {
     if rec.actor.is_empty() {
         label
@@ -63,82 +65,115 @@ fn actor_of<'a>(rec: &'a SpanRecord, label: &'a str) -> &'a str {
     }
 }
 
-/// Prefix-resolution key: all roots of one source with the same actor and
-/// root span name share a merged prefix (their rounds differ only in
-/// which concrete parent span they link to, never in its path).
-type GroupKey = (usize, String, String);
+/// Resolves merged-path prefixes: a root's from its own `remote_parent`,
+/// a nested span's from the root it ran under.
+struct Resolver<'a> {
+    sources: &'a [FedSource],
+    /// Where each span id was recorded, as `(source, record)` indices.
+    by_id: BTreeMap<u64, (usize, usize)>,
+    /// Root records by `(source, actor, name, thread)`, in start order.
+    roots: BTreeMap<(usize, &'a str, &'a str, u64), Vec<usize>>,
+    /// Prefixes of the roots resolved so far, by `(source, record)`.
+    memo: BTreeMap<(usize, usize), String>,
+    /// Roots whose parent chain is being resolved, to cut cycles.
+    visiting: Vec<(usize, usize)>,
+}
 
-fn prefix_for(
-    sources: &[FedSource],
-    index: &BTreeMap<u64, (usize, usize)>,
-    memo: &mut BTreeMap<GroupKey, String>,
-    visiting: &mut Vec<GroupKey>,
-    key: &GroupKey,
-) -> String {
-    if let Some(p) = memo.get(key) {
-        return p.clone();
-    }
-    if visiting.contains(key) {
-        // Malformed input with a parent cycle: fall back to the bare
-        // actor prefix rather than recursing forever.
-        return key.1.clone();
-    }
-    visiting.push(key.clone());
-    let (si, actor, root) = key;
-    let src = &sources[*si];
-    let rep = src.records.iter().find(|r| {
-        r.depth == 0
-            && r.path == *root
-            && actor_of(r, &src.label) == actor
-            && r.remote_parent != 0
-            && r.remote_parent != r.span_id
-            && index.contains_key(&r.remote_parent)
-    });
-    let prefix = match rep {
-        // No resolvable remote parent anywhere in the group: a true root,
-        // anchored directly under its actor.
-        None => actor.clone(),
-        Some(r) => {
-            let (psi, pri) = index[&r.remote_parent];
-            let parent = &sources[psi].records[pri];
-            let p_actor = actor_of(parent, &sources[psi].label).to_owned();
-            let pkey = (psi, p_actor.clone(), root_of(&parent.path).to_owned());
-            let parent_prefix = prefix_for(sources, index, memo, visiting, &pkey);
-            let parent_merged = format!("{parent_prefix}/{}", parent.path);
-            if p_actor == *actor {
-                // Same actor on both ends (e.g. a handler thread span
-                // parenting under the coordinator's round span): no actor
-                // boundary to mark.
-                parent_merged
-            } else {
-                format!("{parent_merged}/{actor}")
+impl<'a> Resolver<'a> {
+    fn new(sources: &'a [FedSource]) -> Self {
+        let mut by_id = BTreeMap::new();
+        let mut roots: BTreeMap<_, Vec<usize>> = BTreeMap::new();
+        for (si, s) in sources.iter().enumerate() {
+            for (ri, r) in s.records.iter().enumerate() {
+                if r.span_id != 0 {
+                    by_id.insert(r.span_id, (si, ri));
+                }
+                if r.depth == 0 {
+                    let key = (si, actor_of(r, &s.label), r.path.as_str(), r.thread);
+                    roots.entry(key).or_default().push(ri);
+                }
             }
         }
-    };
-    visiting.pop();
-    memo.insert(key.clone(), prefix.clone());
-    prefix
+        for (&(si, ..), list) in &mut roots {
+            list.sort_by_key(|&ri| sources[si].records[ri].start_ns);
+        }
+        Resolver { sources, by_id, roots, memo: BTreeMap::new(), visiting: Vec::new() }
+    }
+
+    /// The root record that record `ri` of source `si` ran under: itself
+    /// at depth 0; otherwise the latest-opened root of its path's first
+    /// segment on its thread that was open at its start. `None` when that
+    /// root was never recorded.
+    fn root_of(&self, si: usize, ri: usize) -> Option<usize> {
+        let src = &self.sources[si];
+        let rec = &src.records[ri];
+        if rec.depth == 0 {
+            return Some(ri);
+        }
+        let name = rec.path.split('/').next().unwrap_or(&rec.path);
+        let roots = self.roots.get(&(si, actor_of(rec, &src.label), name, rec.thread))?;
+        let records = &src.records;
+        let opened = &roots[..roots.partition_point(|&i| records[i].start_ns <= rec.start_ns)];
+        opened
+            .iter()
+            .rev()
+            .copied()
+            .find(|&i| records[i].start_ns.saturating_add(records[i].dur_ns) >= rec.start_ns)
+    }
+
+    /// The merged-path prefix of record `ri` of source `si`.
+    fn prefix(&mut self, si: usize, ri: usize) -> String {
+        let sources = self.sources;
+        let src = &sources[si];
+        let actor = actor_of(&src.records[ri], &src.label);
+        let Some(root) = self.root_of(si, ri) else {
+            return actor.to_owned();
+        };
+        if let Some(p) = self.memo.get(&(si, root)) {
+            return p.clone();
+        }
+        if self.visiting.contains(&(si, root)) {
+            // Malformed input with a parent cycle: fall back to the bare
+            // actor prefix rather than recursing forever.
+            return actor.to_owned();
+        }
+        let rec = &src.records[root];
+        let parent =
+            self.by_id.get(&rec.remote_parent).filter(|_| rec.remote_parent != rec.span_id);
+        let prefix = match parent.copied() {
+            // No resolvable remote parent: a true root, anchored directly
+            // under its actor.
+            None => actor.to_owned(),
+            Some((psi, pri)) => {
+                self.visiting.push((si, root));
+                let parent_prefix = self.prefix(psi, pri);
+                self.visiting.pop();
+                let parent = &sources[psi].records[pri];
+                let parent_merged = format!("{parent_prefix}/{}", parent.path);
+                if actor_of(parent, &sources[psi].label) == actor {
+                    // Same actor on both ends (e.g. a handler thread span
+                    // parenting under the coordinator's round span): no
+                    // actor boundary to mark.
+                    parent_merged
+                } else {
+                    format!("{parent_merged}/{actor}")
+                }
+            }
+        };
+        self.memo.insert((si, root), prefix.clone());
+        prefix
+    }
 }
 
 /// Rewrites every record of every source onto its federation-wide merged
 /// path, returning `(merged_path, dur_ns)` pairs suitable for
 /// [`SpanTree::from_paths`].
 pub fn merged_paths(sources: &[FedSource]) -> Vec<(String, u64)> {
-    let mut index: BTreeMap<u64, (usize, usize)> = BTreeMap::new();
-    for (si, s) in sources.iter().enumerate() {
-        for (ri, r) in s.records.iter().enumerate() {
-            if r.span_id != 0 {
-                index.insert(r.span_id, (si, ri));
-            }
-        }
-    }
-    let mut memo = BTreeMap::new();
+    let mut resolver = Resolver::new(sources);
     let mut out = Vec::new();
     for (si, s) in sources.iter().enumerate() {
-        for r in &s.records {
-            let key: GroupKey = (si, actor_of(r, &s.label).to_owned(), root_of(&r.path).to_owned());
-            let prefix = prefix_for(sources, &index, &mut memo, &mut Vec::new(), &key);
-            out.push((format!("{prefix}/{}", r.path), r.dur_ns));
+        for (ri, r) in s.records.iter().enumerate() {
+            out.push((format!("{}/{}", resolver.prefix(si, ri), r.path), r.dur_ns));
         }
     }
     out
@@ -270,11 +305,7 @@ mod tests {
         assert_eq!(decode.total_ns, 70);
 
         // Two clients in one round, one server root span linked to each
-        // leg. Roots of one source with the same actor and name share
-        // one prefix (see `GroupKey`), so the first resolvable link
-        // decides for both: the totals stay exact, the second span's
-        // attribution does not. The networked runtime opens no such
-        // spans (uploads are interpreted under `net_round`).
+        // leg: each root grafts under the leg its own link names.
         let server = FedSource::new(
             "server",
             vec![
@@ -288,15 +319,37 @@ mod tests {
                 FedSource::new(label, vec![rec("client_round", "client_round", 0, dur, id, 10)])
             });
         let tree = merge(&[server, client0, client1]);
-        let pooled = tree
-            .get("server/net_round/client0/client_round/server/net_decode")
-            .expect("both decodes under the first linked leg");
-        assert_eq!((pooled.count, pooled.total_ns), (2, 30 + 40));
-        assert!(tree.get("server/net_round/client1/client_round/server/net_decode").is_none());
+        for (client, total) in [("client0", 30), ("client1", 40)] {
+            let path = format!("server/net_round/{client}/client_round/server/net_decode");
+            let decode = tree.get(&path).unwrap_or_else(|| panic!("decode under {client}'s leg"));
+            assert_eq!((decode.count, decode.total_ns), (1, total));
+        }
         assert_eq!(
             tree.get("server/net_round/client1/client_round").map(|n| n.total_ns),
             Some(650)
         );
+    }
+
+    #[test]
+    fn nested_spans_follow_the_root_they_ran_under() {
+        // One client thread decrypts twice: the first root linked to
+        // round 10, the second unlinked. Each child lands under its own.
+        let at = |r: SpanRecord, start_ns: u64| SpanRecord { start_ns, thread: 3, ..r };
+        let client = FedSource::new(
+            "client0",
+            vec![
+                at(rec("fhe.ckks.decrypt", "decrypt/fhe.ckks.decrypt", 1, 20, 0, 0), 110),
+                at(rec("decrypt", "decrypt", 0, 50, 21, 10), 100),
+                at(rec("fhe.ckks.decrypt", "decrypt/fhe.ckks.decrypt", 1, 30, 0, 0), 410),
+                at(rec("decrypt", "decrypt", 0, 70, 22, 0), 400),
+            ],
+        );
+        let server = FedSource::new("server", vec![rec("net_round", "net_round", 0, 1_000, 10, 0)]);
+        let tree = merge(&[server, client]);
+        let linked = tree.get("server/net_round/client0/decrypt/fhe.ckks.decrypt");
+        assert_eq!(linked.map(|n| n.total_ns), Some(20));
+        let unlinked = tree.get("client0/decrypt/fhe.ckks.decrypt");
+        assert_eq!(unlinked.map(|n| n.total_ns), Some(30));
     }
 
     #[test]

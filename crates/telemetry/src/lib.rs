@@ -127,13 +127,6 @@ pub fn observe(name: &'static str, value: u64) {
     }
 }
 
-/// Records a duration in nanoseconds into the histogram `name` (no-op
-/// while disabled).
-#[inline]
-pub fn observe_duration(name: &'static str, d: std::time::Duration) {
-    observe(name, d.as_nanos() as u64);
-}
-
 /// Adds `delta` to the labeled counter `family{label="value"}` (no-op
 /// while disabled). Subject to the per-family label-cardinality cap
 /// ([`metrics::LABEL_CARDINALITY_CAP`]).

@@ -2,18 +2,17 @@
 //! and process uptime.
 //!
 //! Three independent pieces feed the observability plane's
-//! `/memory.json` and the `mem.*` gauges on `/metrics`:
+//! `/memory.json` and `/healthz`:
 //!
 //! 1. **RSS sampler** — [`sample_rss`] reads `/proc/self/statm` (Linux;
 //!    `None` elsewhere), converts resident pages to bytes and maintains a
-//!    process-lifetime peak, publishing `mem.rss.bytes` /
-//!    `mem.rss.peak_bytes` gauges.
+//!    process-lifetime peak.
 //! 2. **Subsystem sources** — crates that own long-lived buffers
 //!    register a named byte-count callback with [`register_source`]
-//!    (e.g. the CKKS twiddle-table cache, the scratch-row arena, the
-//!    streaming accumulator, net rx payloads). [`collect`] invokes every
-//!    callback at read time, so scrapes always see live figures without
-//!    the observability crate depending on the subsystem crates.
+//!    (e.g. the CKKS twiddle-table cache, the streaming accumulator,
+//!    resident upload payloads). [`collect`] invokes every callback at
+//!    read time, so scrapes always see live figures without the
+//!    observability crate depending on the subsystem crates.
 //! 3. **Uptime** — [`init_start_time`] pins the process start (called by
 //!    server/bins at startup); [`uptime_seconds`] measures from it, or
 //!    from first use as a fallback.
@@ -24,7 +23,7 @@ use std::time::Instant;
 
 /// Page size assumed when converting `/proc/self/statm` resident pages
 /// to bytes. Linux on x86-64 and most aarch64 configurations use 4 KiB;
-/// exotic page sizes skew the gauge by a constant factor but never the
+/// exotic page sizes skew the figure by a constant factor but never the
 /// trend, which is what the leak gate and dashboards consume.
 const PAGE_BYTES: u64 = 4096;
 
@@ -49,25 +48,12 @@ pub fn rss_bytes() -> Option<u64> {
     }
 }
 
-/// Samples RSS, updates the process peak, and (when telemetry is
-/// enabled) publishes `mem.rss.bytes` and `mem.rss.peak_bytes` gauges.
-/// Returns `(rss, peak)` in bytes, or `None` where RSS is unreadable.
+/// Samples RSS and updates the process peak. Returns `(rss, peak)` in
+/// bytes, or `None` where RSS is unreadable.
 pub fn sample_rss() -> Option<(u64, u64)> {
     let rss = rss_bytes()?;
     let peak = RSS_PEAK.fetch_max(rss, Ordering::Relaxed).max(rss);
-    if crate::enabled() {
-        let reg = crate::metrics::global();
-        reg.gauge("mem.rss.bytes").set(rss as f64);
-        reg.gauge("mem.rss.peak_bytes").set(peak as f64);
-    }
     Some((rss, peak))
-}
-
-/// Peak RSS observed by [`sample_rss`] so far (0 before the first
-/// sample).
-#[must_use]
-pub fn rss_peak_bytes() -> u64 {
-    RSS_PEAK.load(Ordering::Relaxed)
 }
 
 type SourceFn = Box<dyn Fn() -> u64 + Send + Sync>;
@@ -96,20 +82,6 @@ pub fn register_source(name: &'static str, f: impl Fn() -> u64 + Send + Sync + '
 pub fn collect() -> Vec<(&'static str, u64)> {
     let list = sources().lock().unwrap_or_else(std::sync::PoisonError::into_inner);
     list.iter().map(|(n, f)| (*n, f())).collect()
-}
-
-/// Publishes one `mem.<name>.bytes` gauge per registered source (no-op
-/// while telemetry is disabled). Returns the collected pairs so callers
-/// rendering JSON reuse the same read.
-pub fn publish_source_gauges() -> Vec<(&'static str, u64)> {
-    let collected = collect();
-    if crate::enabled() {
-        let reg = crate::metrics::global();
-        for (name, bytes) in &collected {
-            reg.gauge(&format!("mem.{name}.bytes")).set(*bytes as f64);
-        }
-    }
-    collected
 }
 
 fn start_cell() -> &'static OnceLock<Instant> {
@@ -144,7 +116,6 @@ mod tests {
         assert!(rss < 1 << 40, "rss {rss} implausibly large");
         let (now, peak) = sample_rss().expect("sample");
         assert!(peak >= now);
-        assert!(rss_peak_bytes() >= now);
     }
 
     #[test]
@@ -156,17 +127,6 @@ mod tests {
         let hits: Vec<u64> =
             collect().iter().filter(|(n, _)| *n == "test.fixed").map(|&(_, v)| v).collect();
         assert_eq!(hits, vec![43]);
-    }
-
-    #[test]
-    fn source_gauges_publish_when_enabled() {
-        let _g = crate::test_guard();
-        register_source("test.gauge_src", || 7 * 1024);
-        crate::set_enabled(true);
-        let collected = publish_source_gauges();
-        crate::set_enabled(false);
-        assert!(collected.iter().any(|&(n, v)| n == "test.gauge_src" && v == 7 * 1024));
-        assert_eq!(crate::metrics::global().gauge("mem.test.gauge_src.bytes").get(), 7168.0);
     }
 
     #[test]

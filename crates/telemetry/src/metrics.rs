@@ -10,6 +10,8 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{OnceLock, RwLock};
 
+use crate::json::JsonObject;
+
 /// Sub-bucket resolution of the histogram: each power-of-two octave is
 /// split into `2^SUB_BITS` linear sub-buckets, bounding the relative
 /// quantile error at `2^-SUB_BITS` (6.25%).
@@ -235,6 +237,22 @@ pub struct HistogramSummary {
     /// Non-empty buckets as `(inclusive upper bound, sample count)` in
     /// ascending bound order (see [`Histogram::nonzero_buckets`]).
     pub buckets: Vec<(u64, u64)>,
+}
+
+impl HistogramSummary {
+    /// Appends the summary's fields, `name` through `p99`, to `obj`: the
+    /// JSONL histogram record's fields after its `"type"`, and each
+    /// element of the flight recorder's `histograms`.
+    pub fn write_json(&self, obj: &mut JsonObject) {
+        obj.str("name", &self.name)
+            .u64("count", self.count)
+            .u64("sum", self.sum)
+            .u64("min", self.min)
+            .u64("max", self.max)
+            .u64("p50", self.p50)
+            .u64("p90", self.p90)
+            .u64("p99", self.p99);
+    }
 }
 
 /// Point-in-time snapshot of every registered instrument.

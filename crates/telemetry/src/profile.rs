@@ -4,16 +4,14 @@
 //! tooling.
 //!
 //! Spans carry their full `/`-joined path (see [`mod@crate::span`]), so the
-//! tree is rebuilt purely from `(path, dur_ns)` pairs — either live
-//! [`SpanEvent`]s or span records parsed back out of a JSONL trace file
-//! ([`parse_jsonl`]). Totals are exact sums of the recorded durations;
+//! tree is rebuilt purely from `(path, dur_ns)` pairs, such as the span
+//! records parsed back out of a JSONL trace file ([`parse_jsonl`]). Totals are exact sums of the recorded durations;
 //! self-time is `total - Σ child totals`, saturating at zero when child
 //! spans raced past their parent's recorded window.
 
 use std::collections::BTreeMap;
 
 use crate::json::{str_field, u64_field};
-use crate::trace::SpanEvent;
 
 /// One aggregated node of the span tree, keyed by full span path.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -53,11 +51,6 @@ pub struct SpanTree {
 }
 
 impl SpanTree {
-    /// Builds the tree from live trace events.
-    pub fn from_events(events: &[SpanEvent]) -> Self {
-        Self::from_paths(events.iter().map(|e| (e.path.clone(), e.dur_ns)))
-    }
-
     /// Builds the tree from `(path, dur_ns)` pairs (e.g. parsed from a
     /// JSONL trace). Parents that were never recorded themselves — a span
     /// still open at export time, or dropped by the buffer cap — are
@@ -233,7 +226,7 @@ pub fn parse_jsonl_records(text: &str) -> Vec<SpanRecord> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::TraceWriter;
+    use crate::trace::{SpanEvent, TraceWriter};
 
     fn sample_paths() -> Vec<(String, u64)> {
         vec![

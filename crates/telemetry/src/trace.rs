@@ -322,18 +322,10 @@ impl<W: Write> TraceWriter<W> {
             writeln!(self.w, "{line}")?;
         }
         for h in &snap.histograms {
-            let line = JsonObject::new()
-                .str("type", "histogram")
-                .str("name", &h.name)
-                .u64("count", h.count)
-                .u64("sum", h.sum)
-                .u64("min", h.min)
-                .u64("max", h.max)
-                .u64("p50", h.p50)
-                .u64("p90", h.p90)
-                .u64("p99", h.p99)
-                .finish();
-            writeln!(self.w, "{line}")?;
+            let mut obj = JsonObject::new();
+            obj.str("type", "histogram");
+            h.write_json(&mut obj);
+            writeln!(self.w, "{}", obj.finish())?;
         }
         Ok(())
     }

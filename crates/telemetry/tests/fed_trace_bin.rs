@@ -1,7 +1,9 @@
 //! End-to-end test for the `fed_trace` binary: feed it a server trace
 //! plus two client traces whose roots carry wire trace contexts, and
 //! check the merged tree, the per-actor phase totals (exact ns), the
-//! trace-id listing and the folded-stack export.
+//! trace-id listing and the folded-stack export; and feed it one
+//! process's trace, and check its self-time table and folded stacks
+//! reconcile with the input to the nanosecond.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -116,6 +118,73 @@ fn fed_trace_merges_sources_and_reports_exact_phase_totals() {
     ] {
         assert!(folded_text.lines().any(|l| l == line), "missing {line:?}:\n{folded_text}");
     }
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn one_trace_reconciles_and_exports_folded_stacks() {
+    let dir = std::env::temp_dir().join(format!("rhychee-fed-trace-one-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    // round(1000) = encrypt(600) + decrypt(150) + 250 self;
+    // encrypt(600) = ntt(400) + 200 self. Two rounds of it.
+    let mut events = Vec::new();
+    for r in 0..2u64 {
+        let base = r * 2000;
+        events.push(mk("fhe.ckks.ntt", "round/encrypt/fhe.ckks.ntt", 2, base + 20, 400));
+        events.push(mk("encrypt", "round/encrypt", 1, base + 10, 600));
+        events.push(mk("decrypt", "round/decrypt", 1, base + 700, 150));
+        events.push(mk("round", "round", 0, base, 1000));
+    }
+    let trace = write(&dir, "trace.jsonl", &events);
+    let folded = dir.join("trace.folded.txt");
+
+    let out = Command::new(env!("CARGO_BIN_EXE_fed_trace"))
+        .arg(&trace)
+        .args(["--top", "10"])
+        .arg("--folded")
+        .arg(&folded)
+        .output()
+        .expect("run fed_trace");
+    let stdout = String::from_utf8(out.stdout.clone()).expect("utf8");
+    assert!(out.status.success(), "exit status: {:?}\n{stdout}", out.status);
+
+    // Paths sit under the file stem's actor root.
+    assert!(stdout.contains("8 spans from 1 sources"), "span count in header:\n{stdout}");
+    assert!(stdout.contains("max depth 3"), "depth in header:\n{stdout}");
+    // Self-times to the nanosecond: round = 2*(1000-600-150) = 500,
+    // encrypt = 2*(600-400) = 400, ntt = 2*400 = 800, decrypt = 2*150.
+    for (path, self_ns) in [
+        ("trace/round/encrypt/fhe.ckks.ntt", 800),
+        ("trace/round", 500),
+        ("trace/round/encrypt", 400),
+        ("trace/round/decrypt", 300),
+    ] {
+        let row = stdout.lines().find(|l| l.split_whitespace().next() == Some(path));
+        let row = row.unwrap_or_else(|| panic!("row for {path}:\n{stdout}"));
+        assert!(
+            row.split_whitespace().any(|f| f == self_ns.to_string()),
+            "self-time {self_ns} for {path}: {row}"
+        );
+    }
+    // Ranking: ntt has the largest self-time, so its row comes first.
+    let header = stdout.lines().position(|l| l.starts_with("span")).expect("table header");
+    let first_row = stdout.lines().nth(header + 1);
+    assert!(first_row.is_some_and(|l| l.contains("fhe.ckks.ntt")), "ranking:\n{stdout}");
+
+    let folded_text = std::fs::read_to_string(&folded).expect("folded output");
+    let mut lines: Vec<&str> = folded_text.lines().collect();
+    lines.sort_unstable();
+    assert_eq!(
+        lines,
+        vec![
+            "trace;round 500",
+            "trace;round;decrypt 300",
+            "trace;round;encrypt 400",
+            "trace;round;encrypt;fhe.ckks.ntt 800",
+        ],
+        "folded stacks:\n{folded_text}"
+    );
 
     std::fs::remove_dir_all(&dir).ok();
 }

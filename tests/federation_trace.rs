@@ -208,9 +208,16 @@ fn federation_trace_merges_propagates_and_reconciles() {
                 "client {k} {phase}: merged total must equal the report to the ns"
             );
         }
+        // Each round's decrypt grafts under that round's leg; the final
+        // model's follows a broadcast outside any round, so it is an
+        // unlinked root under the client's own actor.
         let decrypt = format!("server/net_round/client{k}/decrypt");
         let node = tree.get(&decrypt).unwrap_or_else(|| panic!("{decrypt} missing"));
-        assert_eq!(node.total_ns, c.decrypt_time.as_nanos() as u64, "client {k} decrypt");
+        assert_eq!(node.count, ROUNDS as u64);
+        let last = tree.get(&format!("client{k}/decrypt")).expect("final decrypt");
+        assert_eq!(last.count, 1);
+        let total = node.total_ns + last.total_ns;
+        assert_eq!(total, c.decrypt_time.as_nanos() as u64, "client {k} decrypt");
     }
     let agg = tree.get("server/net_round/net_aggregate").expect("aggregate node");
     let report_agg: u64 = server.rounds.iter().map(|r| r.aggregate_time.as_nanos() as u64).sum();

@@ -1,19 +1,19 @@
 //! Every metric name the product code records or reads is a row of
 //! DESIGN.md §7's metric table, every row names a metric the code still
-//! has, and every name the code reads is also recorded somewhere.
+//! has and what reads it, and every name the code reads is also recorded
+//! somewhere.
 //!
 //! The code side is every string literal passed as a metric name in
 //! `crates/*/src`, outside `#[cfg(test)]` items: the first argument of
-//! `telemetry::{count, gauge, observe, observe_duration, timer,
-//! count_labeled, observe_labeled}` and of the registry's
-//! `counter`/`gauge`/`histogram` (and labeled) lookups. A lookup whose
-//! handle is only `.get()` is a read; every other use is a record. A name
-//! built with `format!` (`mem.{name}.bytes`, `{}.alloc_bytes`) is a
-//! pattern; the table writes its holes as `<…>` (`mem.<source>.bytes`),
-//! and both sides compare with every hole as `*`. A span's duration
-//! histogram is recorded under the span's own name, not a metric-name
-//! literal, so it is not part of this inventory; §7's span taxonomy lists
-//! the round loop's spans.
+//! `telemetry::{count, gauge, observe, timer, count_labeled,
+//! observe_labeled}` and of the registry's `counter`/`gauge`/`histogram`
+//! (and labeled) lookups. A lookup whose handle is only `.get()` is a
+//! read; every other use is a record. A name built with `format!`
+//! (`{}.alloc_bytes`) is a pattern; the table writes its holes as `<…>`
+//! (`<span>.alloc_bytes`), and both sides compare with every hole as `*`.
+//! A span's duration histogram is recorded under the span's own name, not
+//! a metric-name literal, so it is not part of this inventory; §7's span
+//! taxonomy lists the round loop's spans.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -24,7 +24,6 @@ const CALLS: &[&str] = &[
     "telemetry::count(",
     "telemetry::gauge(",
     "telemetry::observe(",
-    "telemetry::observe_duration(",
     "telemetry::timer(",
     "telemetry::count_labeled(",
     "telemetry::observe_labeled(",
@@ -280,8 +279,9 @@ fn code_inventory(root: &Path) -> Vec<(String, Use)> {
     files.iter().flat_map(|f| names_in(&std::fs::read_to_string(f).expect("source file"))).collect()
 }
 
-/// The first-column names of the `| metric | …` table in DESIGN.md §7.
-fn design_inventory(root: &Path) -> Vec<String> {
+/// Each row of the `| metric | …` table in DESIGN.md §7: its first-column
+/// name and its last ("read by") cell.
+fn design_inventory(root: &Path) -> Vec<(String, String)> {
     let design = std::fs::read_to_string(root.join("DESIGN.md")).expect("DESIGN.md");
     let start = design.find("\n## 7.").expect("DESIGN.md §7");
     let end = start + design[start..].find("\n## 8.").expect("DESIGN.md §8");
@@ -292,10 +292,11 @@ fn design_inventory(root: &Path) -> Vec<String> {
         .skip(2)
         .take_while(|l| l.starts_with('|'))
         .map(|row| {
-            let cell = row.split('|').nth(1).expect("first cell").trim();
-            let name = cell.strip_prefix('`').and_then(|c| c.strip_suffix('`'));
+            let cells: Vec<&str> = row.split('|').map(str::trim).collect();
+            assert_eq!(cells.len(), 6, "four cells: {row}");
+            let name = cells[1].strip_prefix('`').and_then(|c| c.strip_suffix('`'));
             let name = name.unwrap_or_else(|| panic!("first cell is one `name`: {row}"));
-            holes(name, '<', '>')
+            (holes(name, '<', '>'), cells[4].to_string())
         })
         .collect()
 }
@@ -335,7 +336,7 @@ fn design_metric_table_matches_the_code() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let uses = code_inventory(root);
     let code: BTreeSet<String> = uses.iter().map(|(n, _)| n.clone()).collect();
-    let rows = design_inventory(root);
+    let rows: Vec<String> = design_inventory(root).into_iter().map(|(name, _)| name).collect();
     let table: BTreeSet<String> = rows.iter().cloned().collect();
     assert_eq!(table.len(), rows.len(), "a metric has two rows in DESIGN.md §7");
     let undocumented: Vec<_> = code.difference(&table).collect();
@@ -355,4 +356,19 @@ fn design_metric_table_matches_the_code() {
         .collect();
     assert!(unrecorded.is_empty(), "read in crates/*/src but recorded nowhere: {unrecorded:?}");
     assert!(uses.iter().any(|(n, u)| n == "par.queue.depth" && *u == Use::Read));
+}
+
+#[test]
+fn every_design_metric_has_a_reader() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let unread: Vec<String> = design_inventory(root)
+        .into_iter()
+        .filter(|(_, read_by)| read_by.is_empty() || read_by == "operator only")
+        .map(|(name, _)| name)
+        .collect();
+    assert!(
+        unread.is_empty(),
+        "a metric in DESIGN.md §7 has no reader: assert it in a test, render it in a \
+         report or endpoint, or delete it: {unread:?}"
+    );
 }

@@ -37,7 +37,7 @@ fn span_tree_reconciles_with_jsonl_to_the_nanosecond() {
     let events = telemetry::trace::drain_events();
     assert!(!events.is_empty());
 
-    // Round-trip through the JSONL format the trace_report bin consumes.
+    // Round-trip through the JSONL format the fed_trace bin consumes.
     let mut writer = TraceWriter::new(Vec::new());
     writer.write_events(&events).expect("serialize");
     let text = String::from_utf8(writer.into_inner().expect("flush")).expect("utf8");
