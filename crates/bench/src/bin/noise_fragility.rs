@@ -7,10 +7,11 @@
 //! an entire ciphertext ("a single bit error can result in completely
 //! incorrect decryption").
 //!
-//! This experiment runs the same federation twice over a detection-free
-//! binary symmetric channel at increasing BER:
+//! This experiment runs the same federation (one `FlConfig`) twice over
+//! a detection-free binary symmetric channel at increasing BER:
 //!
-//! * **plaintext path** — models cross as 8-bit quantized integers;
+//! * **plaintext path** — models cross as one byte per coordinate, on
+//!   the 8-bit grid over the model's own range;
 //! * **encrypted path** — models cross as CKKS-4 ciphertexts.
 //!
 //! Expected shape: plaintext accuracy degrades gracefully (barely at
@@ -19,18 +20,15 @@
 
 use rand::{rngs::StdRng, SeedableRng};
 use rhychee_bench::{banner, Table};
-use rhychee_core::{FlConfig, NoisyChannelConfig, NoisyFederation};
+use rhychee_channel::packet::BitFlipChannel;
+use rhychee_core::packing::Grid;
+use rhychee_core::{codec, FlConfig, Framework, NoisyChannelConfig, NoisyFederation, RoundHooks};
 use rhychee_data::{DatasetKind, SyntheticConfig, TrainTest};
 use rhychee_fhe::params::CkksParams;
-use rhychee_hdc::encoding::{Encoder, RandomProjectionEncoder};
-use rhychee_hdc::model::{EncodedDataset, HdcModel};
-use rhychee_hdc::quantize::QuantizedModel;
-use rhychee_par::Parallelism;
 
-use rhychee_channel::packet::BitFlipChannel;
-use rhychee_data::partition::dirichlet_partition_indices;
-
-const QUANT_BITS: u32 = 8;
+/// Seed of the plaintext link's bit-flip stream, apart from the
+/// federation's own seed.
+const LINK_SEED: u64 = 0x5EED_F11B;
 
 fn main() {
     rhychee_bench::init_telemetry();
@@ -45,21 +43,21 @@ fn main() {
     }
     .generate(83)
     .expect("dataset generation");
+    let cfg = FlConfig::builder()
+        .clients(clients)
+        .rounds(rounds)
+        .hd_dim(hd_dim)
+        .seed(47)
+        .build()
+        .expect("valid config");
 
     banner("Noise fragility: plaintext HDC vs FHE ciphertexts (no error detection)");
     let mut table = Table::new(vec!["BER", "plaintext HDC acc", "encrypted (CKKS-4) acc"]);
     for ber in [0.0f64, 1e-6, 1e-5, 1e-4] {
-        let plain = plaintext_noisy_run(&data, clients, rounds, hd_dim, ber);
-        let cfg = FlConfig::builder()
-            .clients(clients)
-            .rounds(rounds)
-            .hd_dim(hd_dim)
-            .seed(47)
-            .build()
-            .expect("valid config");
+        let plain = plaintext_noisy_run(cfg.clone(), &data, ber);
         let channel = NoisyChannelConfig { ber, detector: None, ..Default::default() };
-        let mut enc =
-            NoisyFederation::new(cfg, &data, CkksParams::ckks4(), channel).expect("federation");
+        let mut enc = NoisyFederation::new(cfg.clone(), &data, CkksParams::ckks4(), channel)
+            .expect("federation");
         let (enc_report, _) = enc.run().expect("run");
         table.row(vec![
             format!("{ber:.0e}"),
@@ -81,74 +79,26 @@ fn main() {
     rhychee_bench::emit_metrics_json("noise_fragility");
 }
 
-/// Plaintext federated HDC where every model crosses the raw bit-flip
-/// channel as 8-bit quantized integers (the FedHD transport model).
-fn plaintext_noisy_run(
-    data: &TrainTest,
-    clients: usize,
-    rounds: usize,
-    hd_dim: usize,
-    ber: f64,
-) -> f64 {
-    let mut rng = StdRng::seed_from_u64(47);
-    let classes = data.train.num_classes();
-    let encoder = RandomProjectionEncoder::new(data.train.feature_dim(), hd_dim, &mut rng);
-    let train_hv = encoder.encode_batch(data.train.features(), Parallelism::sequential());
-    let test_hv = encoder.encode_batch(data.test.features(), Parallelism::sequential());
-    let test = EncodedDataset::new(test_hv, data.test.labels().to_vec());
-
-    let shards: Vec<EncodedDataset> =
-        dirichlet_partition_indices(data.train.labels(), classes, clients, 0.5, &mut rng)
-            .into_iter()
-            .map(|idx| {
-                EncodedDataset::new(
-                    idx.iter().map(|&i| train_hv[i].clone()).collect(),
-                    idx.iter().map(|&i| data.train.labels()[i]).collect(),
-                )
-            })
-            .collect();
-
-    let channel = BitFlipChannel::new(ber);
-    let mut global = vec![0.0f32; classes * hd_dim];
-    let mut models: Vec<HdcModel> = (0..clients).map(|_| HdcModel::new(classes, hd_dim)).collect();
-    for round in 0..rounds {
-        let mut sum = vec![0.0f32; global.len()];
-        for (model, shard) in models.iter_mut().zip(&shards) {
-            model.load_flat(&global);
-            if round == 0 {
-                model.bundle(shard);
-            }
-            for _ in 0..5 {
-                model.train_epoch(shard, 5.0);
-            }
-            // Quantize, serialize, cross the channel, dequantize.
-            let q = QuantizedModel::quantize(model, QUANT_BITS);
-            let bytes: Vec<u8> = q.to_offset_encoded().iter().map(|&v| v as u8).collect();
-            let (received, _) = channel.transmit(&bytes, &mut rng);
-            let values: Vec<u64> = received.iter().map(|&b| u64::from(b)).collect();
-            let restored = QuantizedModel::from_offset_encoded(
-                &values,
-                q.scale(),
-                QUANT_BITS,
-                classes,
-                hd_dim,
-            )
-            .dequantize();
-            for (s, v) in sum.iter_mut().zip(restored.flatten()) {
-                *s += v / clients as f32;
-            }
+/// Plaintext federated HDC where every payload crosses the raw bit-flip
+/// channel as one byte per coordinate (the FedHD transport model): the
+/// 8-bit grid over the payload's own `max |x|`, dequantized on arrival.
+/// An all-zero payload has no range and crosses unquantized.
+fn plaintext_noisy_run(cfg: FlConfig, data: &TrainTest, ber: f64) -> f64 {
+    let mut fw = Framework::hdc_plaintext(cfg, data).expect("federation");
+    let (num_params, channel) = (fw.num_parameters(), BitFlipChannel::new(ber));
+    let mut rng = StdRng::seed_from_u64(LINK_SEED);
+    let link = move |payload: &[u8]| {
+        let flat = codec::decode_plain(payload, num_params).expect("a plaintext payload");
+        let range = flat.iter().fold(0.0f32, |m, x| m.max(x.abs()));
+        if range == 0.0 {
+            return payload.to_vec();
         }
-        // Download: the global model also crosses the channel to each
-        // client; use one representative transfer.
-        let gm = HdcModel::from_flat(&sum, classes, hd_dim);
-        let q = QuantizedModel::quantize(&gm, QUANT_BITS);
-        let bytes: Vec<u8> = q.to_offset_encoded().iter().map(|&v| v as u8).collect();
+        let grid = Grid::new(8, range).expect("a finite model");
+        let bytes: Vec<u8> = flat.iter().map(|&x| grid.quantize(x) as u8).collect();
         let (received, _) = channel.transmit(&bytes, &mut rng);
-        let values: Vec<u64> = received.iter().map(|&b| u64::from(b)).collect();
-        global =
-            QuantizedModel::from_offset_encoded(&values, q.scale(), QUANT_BITS, classes, hd_dim)
-                .dequantize()
-                .flatten();
-    }
-    HdcModel::from_flat(&global, classes, hd_dim).accuracy(&test)
+        let restored: Vec<f32> = received.iter().map(|&b| grid.mean(u64::from(b), 1)).collect();
+        codec::encode_plain(&restored)
+    };
+    fw.set_hooks(RoundHooks { link: Some(Box::new(link)), ..RoundHooks::default() });
+    fw.run().expect("run").final_accuracy
 }

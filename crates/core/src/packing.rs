@@ -82,30 +82,21 @@ impl PackingConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`FheError::InvalidParams`] when `bits < 2` (no room for
-    /// a sign), `max_clients` is zero, the lane stride
-    /// `bits + ⌈log2 max_clients⌉` exceeds the 32-bit slot payload, or
-    /// `clip` is not positive and finite.
+    /// Returns [`FheError::InvalidParams`] when [`Grid::new`] refuses
+    /// `bits` or `clip`, `max_clients` is zero, or the lane stride
+    /// `bits + ⌈log2 max_clients⌉` exceeds the 32-bit slot payload.
     pub fn interleaved(bits: u32, clip: f32, max_clients: usize) -> Result<Self, FheError> {
-        let refuse = |why: String| Err(FheError::InvalidParams(why));
-        if bits < 2 {
-            return refuse(format!(
-                "BitInterleaved needs at least 2 bits per coordinate, got {bits}"
-            ));
-        }
+        let grid = Grid::new(bits, clip)?;
         if max_clients == 0 {
-            return refuse("max_clients must be positive".into());
+            return Err(FheError::InvalidParams("max_clients must be positive".into()));
         }
-        let lanes = Lanes { grid: Grid::new(bits, clip), max_clients };
+        let lanes = Lanes { grid, max_clients };
         let lane = lanes.lane_bits();
         if lane > SLOT_PAYLOAD_BITS {
-            return refuse(format!(
+            return Err(FheError::InvalidParams(format!(
                 "lane stride {lane} bits ({bits} + ⌈log2 {max_clients}⌉) exceeds the \
                  {SLOT_PAYLOAD_BITS}-bit slot payload budget"
-            ));
-        }
-        if !(clip.is_finite() && clip > 0.0) {
-            return refuse(format!("BitInterleaved clip must be positive and finite, got {clip}"));
+            )));
         }
         Ok(PackingConfig::BitInterleaved(lanes))
     }
@@ -289,23 +280,41 @@ pub fn upload_bytes_seeded_with(
         * ctx.serialized_len_seeded(ctx.primes().len())
 }
 
-/// The biased-unsigned grid integer payloads sit on: `bits` bits over
+/// The biased-unsigned fixed-point grid: `bits` bits over
 /// `[-clip, clip]`, where a coordinate `x` maps to
 /// `round(x/clip · qmax) + 2^(bits−1)` ∈ `[1, 2^bits − 1]` with
 /// `qmax = 2^(bits−1) − 1`. A sum of `k` grid values stays below
 /// `k · 2^bits`, so it cannot carry into a neighbouring lane or wrap a
-/// plaintext modulus sized for `k`. The bit-interleaved CKKS lanes and
-/// the LWE plaintexts both quantize here.
+/// plaintext modulus sized for `k`. The bit-interleaved CKKS lanes, the
+/// LWE plaintexts and the byte-wide plaintext models of the noise
+/// experiments all quantize here.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct Grid {
+pub struct Grid {
     bits: u32,
     clip: f32,
 }
 
 impl Grid {
-    /// The grid of `bits ≥ 2` bits over `[-clip, clip]`.
-    pub(crate) fn new(bits: u32, clip: f32) -> Self {
-        Grid { bits, clip }
+    /// The grid of `bits` bits over `[-clip, clip]`: the one place a
+    /// grid's width and clip are checked.
+    ///
+    /// # Errors
+    ///
+    /// [`FheError::InvalidParams`] for `bits` outside `2..=32` (below 2
+    /// there is no room for a sign) or a `clip` that is not positive and
+    /// finite.
+    pub fn new(bits: u32, clip: f32) -> Result<Self, FheError> {
+        if !(2..=32).contains(&bits) {
+            return Err(FheError::InvalidParams(format!(
+                "a grid needs 2..=32 bits per coordinate, got {bits}"
+            )));
+        }
+        if !(clip.is_finite() && clip > 0.0) {
+            return Err(FheError::InvalidParams(format!(
+                "grid clip must be positive and finite, got {clip}"
+            )));
+        }
+        Ok(Grid { bits, clip })
     }
 
     fn half(self) -> u64 {
@@ -322,17 +331,19 @@ impl Grid {
         }
     }
 
-    /// The grid value of finite `x`, clamped to `[-clip, clip]`.
-    pub(crate) fn quantize(self, x: f32) -> u64 {
-        let half = self.half();
-        let qmax = (half - 1) as f32;
-        let q = (x / self.clip * qmax).round().clamp(-qmax, qmax) as i64;
-        (q + half as i64) as u64
+    /// The grid value of finite `x`, clamped to `[-clip, clip]`. The
+    /// clamp is on the integer: above 25 bits `qmax` is not an `f32`,
+    /// and `x = ±clip` would round one step past it.
+    pub fn quantize(self, x: f32) -> u64 {
+        let half = self.half() as i64;
+        let q = ((x / self.clip * (half - 1) as f32).round() as i64).clamp(1 - half, half - 1);
+        (q + half) as u64
     }
 
     /// The mean coordinate of `k` uploads whose grid values add to `sum`:
-    /// un-biased, divided by `k` and dequantized.
-    pub(crate) fn mean(self, sum: u64, k: u64) -> f32 {
+    /// un-biased, divided by `k` and dequantized. `mean(q, 1)` is the
+    /// coordinate one grid value `q` stands for.
+    pub fn mean(self, sum: u64, k: u64) -> f32 {
         let half = self.half();
         let q_sum = sum as i64 - (k * half) as i64;
         (q_sum as f64 / k as f64 / (half - 1) as f64 * f64::from(self.clip)) as f32
@@ -895,6 +906,60 @@ mod tests {
         assert!(PackingConfig::interleaved(30, 1.0, 8).is_err(), "one bit over budget");
         assert_eq!(DENSE.slots_for(700), 700);
         assert_eq!(PackingConfig::BitInterleaved(lanes(8, 4)).slots_for(700), 1 + 234);
+    }
+
+    #[test]
+    fn a_full_lane_sums_at_the_widest_grid_it_accepts() {
+        // 30 bits + 2 of headroom fill the slot: four uploads at +clip
+        // must sum below 2^32 and unpack to exactly +clip.
+        let l = lanes(30, 4);
+        let words = l.pack(&[1.0], 8).expect("pack").concat();
+        let sum: Vec<f64> = words.iter().map(|w| 4.0 * w).collect();
+        assert_eq!(l.unpack(sum.iter(), 1), Ok(vec![1.0]));
+    }
+
+    #[test]
+    fn grid_new_refuses_widths_and_clips_off_its_domain() {
+        for bits in [0, 1, 33] {
+            assert!(matches!(Grid::new(bits, 1.0), Err(FheError::InvalidParams(_))), "{bits}");
+        }
+        for clip in [0.0, -1.0, f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            assert!(matches!(Grid::new(8, clip), Err(FheError::InvalidParams(_))), "{clip}");
+        }
+        assert!(Grid::new(2, f32::MIN_POSITIVE).is_ok() && Grid::new(32, f32::MAX).is_ok());
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn grid_values_stay_in_range_within_half_a_step(
+            bits in 2u32..=32,
+            clip in 1e-3f32..1e3,
+            t in -1.5f32..1.5,
+        ) {
+            let grid = Grid::new(bits, clip).expect("valid grid");
+            let qmax = ((1u64 << (bits - 1)) - 1) as f32;
+            // Half a step, plus two f32 roundings in `quantize` and one
+            // in `mean`.
+            let bound = clip / (2.0 * qmax) + 2.0 * f32::EPSILON * clip;
+            for x in [t * clip, clip, -clip] {
+                let q = grid.quantize(x);
+                proptest::prop_assert!((1..1u64 << bits).contains(&q), "{bits} bits: {x} -> {q}");
+                let err = (grid.mean(q, 1) - x.clamp(-clip, clip)).abs();
+                proptest::prop_assert!(err <= bound, "{bits} bits: {x} off by {err} > {bound}");
+            }
+        }
+
+        #[test]
+        fn every_grid_value_dequantizes_back_to_itself(
+            bits in 2u32..=23,
+            clip in 1e-3f32..1e3,
+            draw in proptest::prelude::any::<u64>(),
+        ) {
+            // From 24 bits on, f32 cannot resolve the grid's steps.
+            let grid = Grid::new(bits, clip).expect("valid grid");
+            let q = 1 + draw % ((1u64 << bits) - 1);
+            proptest::prop_assert_eq!(grid.quantize(grid.mean(q, 1)), q);
+        }
     }
 
     #[test]

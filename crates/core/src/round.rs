@@ -524,8 +524,8 @@ impl ClientHalf {
     /// # Errors
     ///
     /// [`FlError::InvalidConfig`] under FedNova (an LWE sum is uniform),
-    /// for fewer than 2 bits per upload or a clip that is not positive
-    /// and finite; [`FlError::NoiseBudget`] if `params` cannot absorb
+    /// for fewer than 2 bits per upload, or when [`Grid::new`] refuses
+    /// the grid; [`FlError::NoiseBudget`] if `params` cannot absorb
     /// `clients` additions; [`FlError::Fhe`] on invalid parameters.
     pub fn lwe(
         aggregation: Aggregation,
@@ -536,13 +536,8 @@ impl ClientHalf {
         seed: u64,
     ) -> Result<Self, FlError> {
         let (ctx, bits) = lwe_setup(params, clients, aggregation)?;
-        if !(clip.is_finite() && clip > 0.0) {
-            return Err(FlError::InvalidConfig(format!(
-                "LWE clip must be positive and finite, got {clip}"
-            )));
-        }
+        let grid = Grid::new(bits, clip).map_err(|e| FlError::InvalidConfig(e.to_string()))?;
         let sk = ctx.generate_key(&mut StdRng::seed_from_u64(seed ^ LWE_KEY_SALT));
-        let grid = Grid::new(bits, clip);
         Ok(ClientHalf { aggregation, num_params, scheme: Scheme::Lwe { ctx, sk, grid, clients } })
     }
 

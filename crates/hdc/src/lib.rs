@@ -9,7 +9,6 @@
 //! * [`encoding`] — random-projection and RBF feature encoders (§II-B)
 //! * [`model`] — class-hypervector model, adaptive training rule (Eq. 1),
 //!   inference
-//! * [`quantize`] — fixed-point quantization for the TFHE pipeline
 //!
 //! # Examples
 //!
@@ -39,7 +38,6 @@
 
 pub mod encoding;
 pub mod model;
-pub mod quantize;
 
 pub use encoding::{Encoder, RandomProjectionEncoder, RbfEncoder};
 pub use model::{EncodedDataset, HdcModel};

@@ -5,7 +5,6 @@ use rand::{rngs::StdRng, Rng, SeedableRng};
 
 use rhychee_hdc::encoding::{Encoder, RandomProjectionEncoder, RbfEncoder};
 use rhychee_hdc::model::HdcModel;
-use rhychee_hdc::quantize::QuantizedModel;
 use rhychee_par::Parallelism;
 
 /// Cosine similarity the serial way: three sums through the dimensions
@@ -103,37 +102,6 @@ proptest! {
             }
         }
         prop_assert_eq!(model.classify(&hv), label);
-    }
-
-    #[test]
-    fn quantization_error_within_half_step(
-        flat in prop::collection::vec(-50.0f32..50.0, 16),
-        bits in 3u32..16,
-    ) {
-        let model = HdcModel::from_flat(&flat, 2, 8);
-        let q = QuantizedModel::quantize(&model, bits);
-        let back = q.dequantize();
-        let bound = q.max_quantization_error() * 1.001;
-        for (a, b) in model.flatten().iter().zip(back.flatten().iter()) {
-            prop_assert!(((a - b).abs() as f64) <= bound, "{a} vs {b} (bound {bound})");
-        }
-    }
-
-    #[test]
-    fn offset_encoding_is_lossless(
-        flat in prop::collection::vec(-50.0f32..50.0, 16),
-        bits in 3u32..12,
-    ) {
-        let model = HdcModel::from_flat(&flat, 2, 8);
-        let q = QuantizedModel::quantize(&model, bits);
-        let restored = QuantizedModel::from_offset_encoded(
-            &q.to_offset_encoded(),
-            q.scale(),
-            bits,
-            2,
-            8,
-        );
-        prop_assert_eq!(restored, q);
     }
 
     #[test]
