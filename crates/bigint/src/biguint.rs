@@ -54,7 +54,7 @@ impl BigUint {
     }
 
     /// Returns `true` if the value is odd.
-    pub fn is_odd(&self) -> bool {
+    pub(crate) fn is_odd(&self) -> bool {
         !self.is_even()
     }
 
@@ -86,7 +86,7 @@ impl BigUint {
     }
 
     /// Sets bit `i` to one, growing the number if needed.
-    pub fn set_bit(&mut self, i: usize) {
+    pub(crate) fn set_bit(&mut self, i: usize) {
         let (limb, off) = (i / 64, i % 64);
         if self.limbs.len() <= limb {
             self.limbs.resize(limb + 1, 0);
@@ -153,7 +153,7 @@ impl BigUint {
     /// # Panics
     ///
     /// Panics if `bits` is zero.
-    pub fn random_bits<R: Rng + ?Sized>(rng: &mut R, bits: usize) -> Self {
+    pub(crate) fn random_bits<R: Rng + ?Sized>(rng: &mut R, bits: usize) -> Self {
         assert!(bits > 0, "random_bits requires bits > 0");
         let limbs = bits.div_ceil(64);
         let mut v: Vec<u64> = (0..limbs).map(|_| rng.gen()).collect();

@@ -324,14 +324,6 @@ impl Detector {
         }
     }
 
-    /// Size of the appended check value in bits.
-    pub fn tag_bits(self) -> usize {
-        match self {
-            Detector::Crc32 => 32,
-            Detector::Checksum16 => 16,
-        }
-    }
-
     /// Computes the check tag over a payload (low bytes used for the
     /// 16-bit checksum).
     pub fn compute(self, data: &[u8]) -> u32 {
@@ -598,8 +590,6 @@ mod tests {
             Detector::Crc32.undetected_probability()
                 < Detector::Checksum16.undetected_probability()
         );
-        assert_eq!(Detector::Crc32.tag_bits(), 32);
-        assert_eq!(Detector::Checksum16.tag_bits(), 16);
         let p = Detector::Crc32.undetected_probability();
         assert!((p - 2.328e-10).abs() / p < 1e-3, "paper quotes 2.328e-10");
     }

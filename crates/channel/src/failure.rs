@@ -46,12 +46,6 @@ impl ChannelModel {
         1.0 - (1.0 - self.ber).powi(self.packet_bits as i32)
     }
 
-    /// Packet error probability, the paper's linear approximation `N·BER`
-    /// (clamped to 1).
-    pub fn packet_error_probability_linear(&self) -> f64 {
-        (self.packet_bits as f64 * self.ber).min(1.0)
-    }
-
     /// Expected transmissions per packet with detect-and-retransmit:
     /// `1 / (1 − p_pkt)` (`N_re` in Eq. 3).
     pub fn expected_transmissions_per_packet(&self) -> f64 {
@@ -60,7 +54,7 @@ impl ChannelModel {
 
     /// Expected bit errors per packet, `N·BER` (unclamped; the paper uses
     /// this rate directly even when it exceeds 1).
-    pub fn bit_errors_per_packet(&self) -> f64 {
+    pub(crate) fn bit_errors_per_packet(&self) -> f64 {
         self.packet_bits as f64 * self.ber
     }
 
@@ -81,7 +75,7 @@ impl ChannelModel {
     }
 
     /// Packets needed for a payload of `payload_bits`.
-    pub fn packets_for_bits(&self, payload_bits: u64) -> u64 {
+    pub(crate) fn packets_for_bits(&self, payload_bits: u64) -> u64 {
         payload_bits.div_ceil(self.packet_bits as u64)
     }
 
@@ -102,7 +96,7 @@ impl ChannelModel {
     }
 
     /// Latency to deliver a payload of `payload_bits` one way, in seconds.
-    pub fn payload_latency(&self, payload_bits: u64) -> f64 {
+    pub(crate) fn payload_latency(&self, payload_bits: u64) -> f64 {
         self.packets_for_bits(payload_bits) as f64 * self.packet_latency()
     }
 
@@ -112,19 +106,6 @@ impl ChannelModel {
     /// implies).
     pub fn round_latency(&self, clients: usize, payload_bits: u64) -> f64 {
         2.0 * clients as f64 * self.payload_latency(payload_bits)
-    }
-
-    /// Expected time until the first undetected error assuming the round
-    /// duration is dominated by communication: `E[R] × round latency`.
-    ///
-    /// Note the payload size cancels in this product (more packets per
-    /// round = proportionally fewer rounds survive), so the result is the
-    /// same for every model size — use
-    /// [`ChannelModel::expected_time_to_failure_fixed_period`] for the
-    /// paper's Fig. 5c, where rounds run on a fixed schedule.
-    pub fn expected_time_to_failure(&self, clients: usize, payload_bits: u64) -> f64 {
-        self.expected_rounds_to_failure(clients, payload_bits)
-            * self.round_latency(clients, payload_bits)
     }
 
     /// Expected time until the first undetected error with a fixed
@@ -172,15 +153,11 @@ mod tests {
     fn exact_vs_linear_packet_error() {
         let m = paper_model();
         let exact = m.packet_error_probability();
-        let linear = m.packet_error_probability_linear();
         // At N·BER = 1.4 the linear form saturates; exact is 1−(1−1e-3)^1400 ≈ 0.753.
         assert!((exact - 0.7534).abs() < 1e-3, "exact {exact}");
-        assert_eq!(linear, 1.0);
-        // At low BER both agree.
+        // At low BER the exact form meets the paper's linear `N·BER`.
         let low = ChannelModel { ber: 1e-6, ..m };
-        assert!(
-            (low.packet_error_probability() - low.packet_error_probability_linear()).abs() < 1e-5
-        );
+        assert!((low.packet_error_probability() - low.packet_bits as f64 * low.ber).abs() < 1e-5);
     }
 
     #[test]
@@ -217,16 +194,6 @@ mod tests {
         assert!((cnn_days - 17.0).abs() < 1.5, "CNN {cnn_days} days (paper: 17)");
         let ratio = hdc_days / cnn_days;
         assert!((ratio - 2.2).abs() < 0.05, "time ratio {ratio}");
-    }
-
-    #[test]
-    fn comm_dominated_time_is_payload_invariant() {
-        // E[R] × round latency cancels the payload: a structural property
-        // of the detect-and-retransmit model worth pinning down.
-        let m = paper_model();
-        let a = m.expected_time_to_failure(10, 5 * 2 * 8192 * 61);
-        let b = m.expected_time_to_failure(10, 11 * 2 * 8192 * 61);
-        assert!((a / b - 1.0).abs() < 0.01, "{a} vs {b}");
     }
 
     #[test]

@@ -91,23 +91,9 @@ impl PacketLink {
         PacketLink { channel, detector, packet_bits, max_retries: 100_000 }
     }
 
-    /// Sets the per-packet retransmission cap (for tests and pathological
-    /// BER studies; the default of 100,000 never triggers at realistic
-    /// error rates).
-    pub fn with_max_retries(mut self, max_retries: usize) -> Self {
-        assert!(max_retries > 0, "retry cap must be positive");
-        self.max_retries = max_retries;
-        self
-    }
-
     /// The payload bytes carried per packet.
-    pub fn packet_payload_bytes(&self) -> usize {
+    pub(crate) fn packet_payload_bytes(&self) -> usize {
         self.packet_bits / 8
-    }
-
-    /// Number of packets needed for a payload of `bytes` bytes.
-    pub fn packets_for(&self, bytes: usize) -> usize {
-        bytes.div_ceil(self.packet_payload_bytes())
     }
 
     /// Transfers a payload: splits into packets, sends each until the
@@ -212,8 +198,10 @@ mod tests {
         // At BER 0.02 a clean 1400-bit transmission has probability
         // ~1e-13: an uncapped link would retransmit forever. The cap
         // bounds work and falls back to delivering the sender's copy.
-        let link = PacketLink::new(BitFlipChannel::new(0.02), Detector::Crc32, PACKET_BITS)
-            .with_max_retries(20);
+        let link = PacketLink {
+            max_retries: 20,
+            ..PacketLink::new(BitFlipChannel::new(0.02), Detector::Crc32, PACKET_BITS)
+        };
         let payload = vec![0x5Au8; 175 * 3];
         let mut rng = StdRng::seed_from_u64(5);
         let (out, stats) = link.transfer(&payload, &mut rng);
@@ -236,11 +224,8 @@ mod tests {
     }
 
     #[test]
-    fn packets_for_counts() {
+    fn a_packet_carries_175_payload_bytes() {
         let link = PacketLink::new(BitFlipChannel::new(0.0), Detector::Crc32, PACKET_BITS);
-        assert_eq!(link.packets_for(175), 1);
-        assert_eq!(link.packets_for(176), 2);
-        assert_eq!(link.packets_for(0), 0);
         assert_eq!(link.packet_payload_bytes(), 175);
     }
 

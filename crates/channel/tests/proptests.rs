@@ -6,7 +6,6 @@ use rand::{rngs::StdRng, SeedableRng};
 use rhychee_channel::crc::{crc32, crc32_update, internet_checksum, Detector};
 use rhychee_channel::failure::ChannelModel;
 use rhychee_channel::packet::{BitFlipChannel, PacketLink};
-use rhychee_channel::phy::{erfc, q_function};
 
 /// CRC-32 one bit at a time, no tables: the reference the table-driven
 /// kernels must agree with.
@@ -123,13 +122,5 @@ proptest! {
         let high = ChannelModel { ber: 10f64.powf(-ber_exp) * 2.0, ..ChannelModel::default() };
         prop_assert!(low.packet_latency() > 0.0);
         prop_assert!(high.packet_latency() >= low.packet_latency());
-    }
-
-    #[test]
-    fn erfc_bounds_and_symmetry(x in -5.0f64..5.0) {
-        let v = erfc(x);
-        prop_assert!((0.0..=2.0).contains(&v));
-        prop_assert!((erfc(-x) - (2.0 - v)).abs() < 1e-6);
-        prop_assert!((0.0..=1.0).contains(&q_function(x.abs())));
     }
 }

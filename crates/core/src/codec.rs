@@ -48,13 +48,13 @@ mod sealed {
 pub const TAG_PLAIN: u8 = 0;
 /// Payload tag for packed CKKS ciphertexts (evaluation-domain rows; 1,
 /// which carried coefficient-domain rows, is retired).
-pub const TAG_CKKS: u8 = 4;
+pub(crate) const TAG_CKKS: u8 = 4;
 /// Payload tag for seed-compressed CKKS ciphertexts (fresh symmetric
 /// encryptions whose `c1` is replaced by a 32-byte expansion seed).
-pub const TAG_CKKS_SEEDED: u8 = 3;
+pub(crate) const TAG_CKKS_SEEDED: u8 = 3;
 /// Payload tag for per-coordinate LWE ciphertexts (2, which carried LWE
 /// sums over per-client scales, is retired).
-pub const TAG_LWE: u8 = 5;
+pub(crate) const TAG_LWE: u8 = 5;
 
 fn take<'a>(bytes: &'a [u8], at: &mut usize, n: usize) -> Result<&'a [u8], FlError> {
     let slice = bytes
@@ -217,7 +217,10 @@ pub fn decode_ckks(
 /// Returns [`FlError::Fhe`] if any ciphertext carries no seed
 /// (i.e. was not produced by symmetric encryption, or has been
 /// operated on since).
-pub fn encode_ckks_seeded(ctx: &CkksContext, cts: &[CkksCiphertext]) -> Result<Vec<u8>, FlError> {
+pub(crate) fn encode_ckks_seeded(
+    ctx: &CkksContext,
+    cts: &[CkksCiphertext],
+) -> Result<Vec<u8>, FlError> {
     let len_of = |ct: &CkksCiphertext| ctx.serialized_len_seeded(ct.levels());
     Ok(encode_items(TAG_CKKS_SEEDED, cts, len_of, |out, ct| ctx.serialize_seeded_into(out, ct))?)
 }
@@ -335,7 +338,7 @@ pub fn parse_ckks_views<'a>(
 /// [`FlError::Fhe`] when a ciphertext fails
 /// [`CkksContext::view_serialized_seeded`] validation (truncation,
 /// oversizing, bad levels, or a corrupted seed).
-pub fn parse_ckks_seeded_views<'a>(
+pub(crate) fn parse_ckks_seeded_views<'a>(
     ctx: &CkksContext,
     bytes: &'a [u8],
     max_cts: usize,

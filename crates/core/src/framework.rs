@@ -39,16 +39,16 @@ use crate::round::{self, ClientHalf, ClientLocal, ClientUpdate, ServerHalf, Serv
 const SAMPLING_SALT: u64 = 0xA076_1D64_78BD_642F;
 
 /// Presence hook: `(round, participant ids)`; edits the list in place.
-pub type PresenceHook = Box<dyn FnMut(usize, &mut Vec<usize>)>;
+pub(crate) type PresenceHook = Box<dyn FnMut(usize, &mut Vec<usize>)>;
 /// Updates tap: `(round, plaintext updates)`; mutates the batch in place.
-pub type UpdatesTapHook = Box<dyn FnMut(usize, &mut Vec<ClientUpdate<Vec<f32>>>)>;
+pub(crate) type UpdatesTapHook = Box<dyn FnMut(usize, &mut Vec<ClientUpdate<Vec<f32>>>)>;
 /// Aggregation override: `(round, updates, weights)`; `Some` replaces
 /// the configured rule.
-pub type AggregateOverrideHook =
+pub(crate) type AggregateOverrideHook =
     Box<dyn FnMut(usize, &[ClientUpdate<Vec<f32>>], &[f64]) -> Option<Vec<f32>>>;
 /// Link: carries one model payload to the other endpoint and returns the
 /// bytes the receiver ends up holding.
-pub type LinkHook = Box<dyn FnMut(&[u8]) -> Vec<u8>>;
+pub(crate) type LinkHook = Box<dyn FnMut(&[u8]) -> Vec<u8>>;
 
 /// Callbacks a scenario driver installs around the round loop.
 ///
@@ -139,7 +139,8 @@ impl RunReport {
     }
 
     /// Total bits uploaded per client over the run.
-    pub fn total_upload_bits_per_client(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn total_upload_bits_per_client(&self) -> u64 {
         self.rounds.iter().map(|r| r.upload_bits_per_client).sum()
     }
 }
@@ -218,7 +219,8 @@ impl Framework {
     /// Returns [`FlError::InvalidConfig`] for non-uniform aggregation
     /// rules (FedNova weights cannot ride a lane-packed sum) and
     /// [`FlError`] on invalid packing or FHE parameters.
-    pub fn hdc_encrypted_interleaved(
+    #[cfg(test)]
+    pub(crate) fn hdc_encrypted_interleaved(
         config: FlConfig,
         data: &TrainTest,
         params: CkksParams,

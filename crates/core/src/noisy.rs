@@ -192,7 +192,7 @@ impl NoisyFederation {
     }
 
     /// Accumulated channel statistics.
-    pub fn channel_stats(&self) -> ChannelStats {
+    pub(crate) fn channel_stats(&self) -> ChannelStats {
         *self.stats.borrow()
     }
 

@@ -468,7 +468,7 @@ pub fn decrypt_model_with(
 
 /// Homomorphically averages packed models from several clients:
 /// `HomMul(Σᵢ Enc(LMᵢ), 1/P)` (paper Eq. 2), ciphertext by ciphertext —
-/// the uniform-weight wrapper of the [`homomorphic_weighted_average`]
+/// the uniform-weight wrapper of the `homomorphic_weighted_average`
 /// reference oracle.
 ///
 /// # Errors
@@ -503,7 +503,7 @@ pub fn homomorphic_average(
 ///
 /// Returns [`FheError`] on empty input, mismatched weight/model counts,
 /// inconsistent ciphertext counts, or incompatible ciphertexts.
-pub fn homomorphic_weighted_average(
+pub(crate) fn homomorphic_weighted_average(
     ctx: &CkksContext,
     client_models: &[Vec<CkksCiphertext>],
     weights: &[f64],

@@ -41,13 +41,13 @@ use crate::streaming::StreamingAggregator;
 
 /// Salt for the shared CKKS key-generation stream (paper §IV-A: the
 /// secret key is shared by all clients, never held by the server).
-pub const CKKS_KEY_SALT: u64 = 0x9E37_79B9_7F4A_7C15;
+pub(crate) const CKKS_KEY_SALT: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// Salt for the shared LWE key-generation stream.
-pub const LWE_KEY_SALT: u64 = 0x517C_C1B7_2722_0A95;
+pub(crate) const LWE_KEY_SALT: u64 = 0x517C_C1B7_2722_0A95;
 
 /// Salt for per-client encryption randomness streams.
-pub const CLIENT_RNG_SALT: u64 = 0xD6E8_FEB8_6659_FD93;
+pub(crate) const CLIENT_RNG_SALT: u64 = 0xD6E8_FEB8_6659_FD93;
 
 /// Derives the deterministic RNG for client `id`'s encryption noise.
 pub fn client_rng(seed: u64, id: usize) -> StdRng {
@@ -107,7 +107,7 @@ fn lwe_setup(
 /// `1/Σⱼ(1/τⱼ)` ([`StreamingAggregator`]).
 /// A no-op under the uniform-weight rules. Every encrypting runtime
 /// calls this one function, so their ciphertexts agree bit for bit.
-pub fn prescale_update(aggregation: Aggregation, steps: usize, flat: &mut [f32]) {
+pub(crate) fn prescale_update(aggregation: Aggregation, steps: usize, flat: &mut [f32]) {
     if matches!(aggregation, Aggregation::FedNova) {
         let tau = steps.max(1) as f32;
         flat.iter_mut().for_each(|v| *v /= tau);
@@ -128,7 +128,7 @@ pub struct FedSetup {
 impl FedSetup {
     /// Consumes the setup into per-client local states (client `i`
     /// holds shard `i`) and the held-out test set.
-    pub fn into_clients(self, config: &FlConfig) -> (Vec<ClientLocal>, EncodedDataset) {
+    pub(crate) fn into_clients(self, config: &FlConfig) -> (Vec<ClientLocal>, EncodedDataset) {
         let clients = self
             .shards
             .into_iter()
@@ -548,7 +548,7 @@ impl ClientHalf {
 
     /// Bits one upload carries under Table I's formulas: 32 per raw
     /// parameter, else the ciphertext count times the ciphertext size.
-    pub fn upload_bits(&self) -> u64 {
+    pub(crate) fn upload_bits(&self) -> u64 {
         let n = self.num_params as u64;
         match &self.scheme {
             Scheme::Plain => n * 32,
@@ -561,7 +561,7 @@ impl ClientHalf {
 
     /// Encodes `local`'s trained flat model as its upload payload,
     /// encrypted from `local`'s randomness stream: under CKKS after
-    /// [`prescale_update`], under LWE one grid value per coordinate.
+    /// `prescale_update`, under LWE one grid value per coordinate.
     ///
     /// # Errors
     ///
@@ -835,7 +835,7 @@ fn proximal_pull(model: &mut HdcModel, global: &[f32], mu: f32) {
 
 /// Weighted element-wise average of flat models; every output element
 /// accumulates its clients in the given order.
-pub fn weighted_average(models: &[&[f32]], weights: &[f64]) -> Vec<f32> {
+pub(crate) fn weighted_average(models: &[&[f32]], weights: &[f64]) -> Vec<f32> {
     assert_eq!(models.len(), weights.len());
     assert!(!models.is_empty(), "cannot average zero models");
     let n = models[0].len();

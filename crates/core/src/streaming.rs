@@ -4,7 +4,7 @@
 //! chunk, and the round closes with a single scalar multiply.
 //!
 //! The literal Eq. 2 reference
-//! ([`packing::homomorphic_weighted_average`]) computes, per residue,
+//! (`packing::homomorphic_weighted_average`) computes, per residue,
 //! `Σᵢ (e·xᵢ) mod q` with `e = round(w·Δ)` — scaling each upload and
 //! then adding in client-id order. The accumulator keeps the raw modular
 //! sum `Σᵢ xᵢ` and applies one `mul_scalar(·, w)` at round close:
@@ -20,15 +20,12 @@
 //! * the server multiplies by one scalar, so per-client weights cannot
 //!   be applied here. [`Aggregation::FedNova`] clients therefore scale
 //!   their own model by `1/τᵢ` before encryption
-//!   ([`round::prescale_update`]) and the close multiplies by
+//!   (`round::prescale_update`) and the close multiplies by
 //!   `1/Σⱼ(1/τⱼ)`, which the round's ledger ([`ServerRound`]) sums over
 //!   the step counts the uploads declare;
 //! * the aggregator holds exactly one accumulator ciphertext per model
 //!   chunk — server memory is O(1) in client count. Uploads live only
 //!   for the duration of their fold.
-//!
-//! [`packing::homomorphic_weighted_average`]: crate::packing::homomorphic_weighted_average
-//! [`round::prescale_update`]: crate::round::prescale_update
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -98,12 +95,12 @@ impl StreamingAggregator {
         self.ledger.admits(client_id, round)
     }
 
-    /// [`StreamingAggregator::fold_views`] for an upload that declares
+    /// `StreamingAggregator::fold_views` for an upload that declares
     /// no step count (τ = 1).
     ///
     /// # Errors
     ///
-    /// As [`StreamingAggregator::fold_views`].
+    /// As `StreamingAggregator::fold_views`.
     pub fn fold_upload(
         &mut self,
         ctx: &CkksContext,
@@ -131,7 +128,7 @@ impl StreamingAggregator {
     /// This method itself never errors; the `Result` keeps the
     /// signature open for future invariant checks that would need
     /// [`FlError::StreamingAbort`].
-    pub fn fold_views<'a, P: AsRef<[CtView<'a>]>>(
+    pub(crate) fn fold_views<'a, P: AsRef<[CtView<'a>]>>(
         &mut self,
         ctx: &CkksContext,
         update: &ClientUpdate<P>,

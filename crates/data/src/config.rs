@@ -143,7 +143,7 @@ impl SyntheticConfig {
 
 /// Per-feature standardization statistics fitted on a training split.
 #[derive(Debug, Clone)]
-pub struct FeatureStats {
+pub(crate) struct FeatureStats {
     mean: Vec<f32>,
     inv_std: Vec<f32>,
 }
@@ -154,7 +154,7 @@ impl FeatureStats {
     /// # Panics
     ///
     /// Panics if the dataset is empty.
-    pub fn fit(data: &Dataset) -> Self {
+    pub(crate) fn fit(data: &Dataset) -> Self {
         assert!(!data.is_empty(), "cannot fit statistics on an empty dataset");
         let dim = data.feature_dim();
         let n = data.len() as f32;
@@ -175,7 +175,7 @@ impl FeatureStats {
     }
 
     /// Standardizes a dataset in place, clamping to ±5σ.
-    pub fn apply(&self, data: &mut Dataset) {
+    pub(crate) fn apply(&self, data: &mut Dataset) {
         for f in data.features_mut() {
             for ((x, &m), &s) in f.iter_mut().zip(&self.mean).zip(&self.inv_std) {
                 *x = ((*x - m) * s).clamp(-5.0, 5.0);

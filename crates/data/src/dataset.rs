@@ -67,7 +67,7 @@ impl Dataset {
 
     /// Mutable access to the feature matrix (for in-place transforms such
     /// as standardization; shapes must be preserved).
-    pub fn features_mut(&mut self) -> &mut [Vec<f32>] {
+    pub(crate) fn features_mut(&mut self) -> &mut [Vec<f32>] {
         &mut self.features
     }
 
@@ -90,7 +90,8 @@ impl Dataset {
     }
 
     /// Per-class sample counts.
-    pub fn class_counts(&self) -> Vec<usize> {
+    #[cfg(test)]
+    pub(crate) fn class_counts(&self) -> Vec<usize> {
         let mut counts = vec![0usize; self.num_classes];
         for &l in &self.labels {
             counts[l] += 1;

@@ -36,6 +36,6 @@ pub mod partition;
 pub mod synth_har;
 pub mod synth_mnist;
 
-pub use config::{DatasetKind, FeatureStats, GenerateError, SyntheticConfig};
+pub use config::{DatasetKind, GenerateError, SyntheticConfig};
 pub use dataset::{Dataset, TrainTest};
-pub use partition::{dirichlet_partition, dirichlet_partition_indices, iid_partition, label_skew};
+pub use partition::{dirichlet_partition, dirichlet_partition_indices, iid_partition};

@@ -169,7 +169,8 @@ fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
 
 /// Label-skew statistic: mean over clients of the total-variation distance
 /// between the client's label distribution and the global one. 0 = IID.
-pub fn label_skew(shards: &[Dataset], global: &Dataset) -> f64 {
+#[cfg(test)]
+pub(crate) fn label_skew(shards: &[Dataset], global: &Dataset) -> f64 {
     let g_counts = global.class_counts();
     let g_total = global.len() as f64;
     let g_dist: Vec<f64> = g_counts.iter().map(|&c| c as f64 / g_total).collect();

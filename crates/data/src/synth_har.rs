@@ -16,13 +16,13 @@
 use rand::Rng;
 
 /// Samples per window (2.56 s @ 50 Hz, like the UCI dataset).
-pub const WINDOW: usize = 128;
+pub(crate) const WINDOW: usize = 128;
 
 /// Number of activity classes.
-pub const NUM_CLASSES: usize = 6;
+pub(crate) const NUM_CLASSES: usize = 6;
 
 /// Output feature dimension (matches UCI HAR).
-pub const FEATURE_DIM: usize = 561;
+pub(crate) const FEATURE_DIM: usize = 561;
 
 const CHANNELS: usize = 6;
 const FEATURES_PER_SIGNAL: usize = 33;
@@ -92,7 +92,7 @@ impl Activity {
 /// Simulates one 6-channel inertial window for an activity.
 ///
 /// Returns `[channel][sample]` with channels `acc x/y/z, gyro x/y/z`.
-pub fn simulate_window<R: Rng + ?Sized>(activity: Activity, rng: &mut R) -> Vec<Vec<f32>> {
+pub(crate) fn simulate_window<R: Rng + ?Sized>(activity: Activity, rng: &mut R) -> Vec<Vec<f32>> {
     let (freq, amp, harmonic, gravity, noise) = activity.signature();
     // Per-sample natural variation.
     let freq = freq * (1.0 + rng.gen_range(-0.08..0.08f32));
@@ -129,7 +129,7 @@ pub fn simulate_window<R: Rng + ?Sized>(activity: Activity, rng: &mut R) -> Vec<
 /// # Panics
 ///
 /// Panics if the window does not have 6 channels of [`WINDOW`] samples.
-pub fn extract_features(window: &[Vec<f32>]) -> Vec<f32> {
+pub(crate) fn extract_features(window: &[Vec<f32>]) -> Vec<f32> {
     assert_eq!(window.len(), CHANNELS, "expected 6 channels");
     assert!(window.iter().all(|c| c.len() == WINDOW), "expected {WINDOW}-sample channels");
 

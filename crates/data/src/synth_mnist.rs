@@ -11,13 +11,13 @@
 use rand::Rng;
 
 /// Image side length (MNIST-compatible 28×28).
-pub const IMAGE_SIDE: usize = 28;
+pub(crate) const IMAGE_SIDE: usize = 28;
 
 /// Feature dimension per image (784).
 pub const IMAGE_PIXELS: usize = IMAGE_SIDE * IMAGE_SIDE;
 
 /// Number of digit classes.
-pub const NUM_CLASSES: usize = 10;
+pub(crate) const NUM_CLASSES: usize = 10;
 
 /// A 2D line segment in normalized glyph coordinates (`[0,1]²`).
 #[derive(Debug, Clone, Copy)]
@@ -46,7 +46,7 @@ const ONE_SERIF: Segment = seg(0.65, 0.25, 0.8, 0.1);
 const SEVEN_DIAG: Segment = seg(0.8, 0.5, 0.5, 0.9);
 
 /// Number of handwriting styles per digit (distinct intra-class modes).
-pub const STYLES_PER_DIGIT: usize = 3;
+pub(crate) const STYLES_PER_DIGIT: usize = 3;
 
 /// Stroke skeleton for each digit class.
 fn skeleton(digit: usize) -> Vec<Segment> {

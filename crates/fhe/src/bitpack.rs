@@ -23,9 +23,6 @@ use crate::error::FheError;
 #[derive(Debug, Default)]
 pub struct BitWriter {
     buf: Vec<u8>,
-    /// `buf.len()` when this writer started: [`BitWriter::bit_len`]
-    /// counts from here.
-    start: usize,
     /// The low `acc_bits` bits are pending; everything above is zero.
     acc: u64,
     /// Always `< 64` between calls.
@@ -41,8 +38,8 @@ impl BitWriter {
     /// Creates a writer that appends after the bytes already in `buf`
     /// (starting on a byte boundary) and reuses its capacity;
     /// [`BitWriter::into_bytes`] hands the buffer back.
-    pub fn appending(buf: Vec<u8>) -> Self {
-        BitWriter { start: buf.len(), buf, acc: 0, acc_bits: 0 }
+    pub(crate) fn appending(buf: Vec<u8>) -> Self {
+        BitWriter { buf, acc: 0, acc_bits: 0 }
     }
 
     /// Appends the low `bits` bits of `value`.
@@ -77,17 +74,12 @@ impl BitWriter {
     /// # Panics
     ///
     /// As [`BitWriter::write_bits`], for any value of the row.
-    pub fn write_row(&mut self, values: &[u64], bits: u32) {
+    pub(crate) fn write_row(&mut self, values: &[u64], bits: u32) {
         let row_bits = self.acc_bits as usize + values.len() * bits as usize;
         self.buf.reserve(row_bits.div_ceil(8));
         for &value in values {
             self.write_bits(value, bits);
         }
-    }
-
-    /// Total bits written so far.
-    pub fn bit_len(&self) -> usize {
-        (self.buf.len() - self.start) * 8 + self.acc_bits as usize
     }
 
     /// Finishes writing and returns the byte buffer, the last byte
@@ -184,7 +176,7 @@ impl<'a> BitReader<'a> {
     /// `out.len() · bits` more bits; a failed read consumes nothing,
     /// never calls `f` and leaves `out` untouched.
     #[inline]
-    pub fn read_row_with(
+    pub(crate) fn read_row_with(
         &mut self,
         out: &mut [u64],
         bits: u32,
@@ -259,7 +251,8 @@ impl<'a> BitReader<'a> {
     }
 
     /// Bits consumed so far.
-    pub fn bit_pos(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn bit_pos(&self) -> usize {
         self.bit_pos
     }
 }
@@ -436,9 +429,9 @@ mod tests {
             new.write_bits(v, b);
             old.write_bits(v, b);
             total += b as usize;
-            assert_eq!(new.bit_len(), total);
         }
         let bytes = new.into_bytes();
+        assert_eq!(bytes.len(), total.div_ceil(8));
         assert_eq!(bytes, old.into_bytes(), "packed bytes differ for {entries:?}");
         assert_eq!(bytes.len(), total.div_ceil(8));
 
@@ -505,7 +498,6 @@ mod tests {
                     by_value.write_bits(v, width);
                 }
                 by_value.write_bits(1, 1);
-                assert_eq!(by_row.bit_len(), by_value.bit_len());
                 let bytes = by_row.into_bytes();
                 assert_eq!(bytes, by_value.into_bytes(), "width {width} offset {offset}");
 
@@ -721,12 +713,10 @@ mod tests {
     fn appending_writer_continues_after_existing_bytes() {
         let mut standalone = BitWriter::new();
         standalone.write_row(&[5, 6, 7], 61);
-        assert_eq!(standalone.bit_len(), 183);
         let standalone = standalone.into_bytes();
 
         let mut w = BitWriter::appending(vec![0xEE, 0xFF]);
         w.write_row(&[5, 6, 7], 61);
-        assert_eq!(w.bit_len(), 183, "bit_len counts from where this writer started");
         let bytes = w.into_bytes();
         assert_eq!(bytes[..2], [0xEE, 0xFF]);
         assert_eq!(bytes[2..], standalone[..]);
@@ -746,8 +736,7 @@ mod tests {
         w.write_bits(0xFFFF, 16);
         w.write_bits(0, 1);
         w.write_bits(u64::MAX, 64);
-        let expected_bits = 3 + 16 + 1 + 64;
-        assert_eq!(w.bit_len(), expected_bits);
+        let expected_bits: usize = 3 + 16 + 1 + 64;
         let bytes = w.into_bytes();
         assert_eq!(bytes.len(), expected_bits.div_ceil(8));
         let mut r = BitReader::new(&bytes);
@@ -806,8 +795,8 @@ mod tests {
         w.write_bits(u64::MAX, 64);
         w.write_bits(0, 1);
         w.write_bits(1u64 << 62, 63);
-        assert_eq!(w.bit_len(), 3 + 1 + 63 + 64 + 1 + 63);
         let bytes = w.into_bytes();
+        assert_eq!(bytes.len(), (3 + 1 + 63 + 64 + 1 + 63usize).div_ceil(8));
         let mut r = BitReader::new(&bytes);
         assert_eq!(r.read_bits(3).unwrap(), 1);
         assert_eq!(r.read_bits(1).unwrap(), 1);

@@ -837,7 +837,11 @@ impl CkksContext {
     /// # Errors
     ///
     /// [`FheError::LevelMismatch`] or [`FheError::ScaleMismatch`].
-    pub fn check_compatible(&self, a: &CkksCiphertext, b: &CkksCiphertext) -> Result<(), FheError> {
+    pub(crate) fn check_compatible(
+        &self,
+        a: &CkksCiphertext,
+        b: &CkksCiphertext,
+    ) -> Result<(), FheError> {
         check_addable((a.levels(), a.scale), (b.levels(), b.scale))
     }
 

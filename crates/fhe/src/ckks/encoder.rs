@@ -418,7 +418,7 @@ impl CkksEncoder {
     /// # Panics
     ///
     /// Panics if `coeffs.len() != N`.
-    pub fn decode_with_scale(&self, coeffs: &[f64], scale: f64) -> Vec<f64> {
+    pub(crate) fn decode_with_scale(&self, coeffs: &[f64], scale: f64) -> Vec<f64> {
         assert_eq!(coeffs.len(), self.n, "coefficient vector must have length N");
         let _t = telemetry::timer("fhe.ckks.decode");
         match self.isa {

@@ -26,7 +26,7 @@ pub(crate) fn reduce_once(v: u64, q: u64) -> u64 {
 
 /// Subtracts `b` from `a` modulo `q`. Inputs must be `< q`.
 #[inline]
-pub fn sub_mod(a: u64, b: u64, q: u64) -> u64 {
+pub(crate) fn sub_mod(a: u64, b: u64, q: u64) -> u64 {
     if a >= b {
         a - b
     } else {
@@ -36,13 +36,13 @@ pub fn sub_mod(a: u64, b: u64, q: u64) -> u64 {
 
 /// Multiplies two residues modulo `q` via a 128-bit intermediate.
 #[inline]
-pub fn mul_mod(a: u64, b: u64, q: u64) -> u64 {
+pub(crate) fn mul_mod(a: u64, b: u64, q: u64) -> u64 {
     (u128::from(a) * u128::from(b) % u128::from(q)) as u64
 }
 
 /// Negates a residue modulo `q`.
 #[inline]
-pub fn neg_mod(a: u64, q: u64) -> u64 {
+pub(crate) fn neg_mod(a: u64, q: u64) -> u64 {
     if a == 0 {
         0
     } else {
@@ -68,7 +68,7 @@ pub(crate) fn signed_residue(c: i64, q: u64) -> u64 {
 }
 
 /// Computes `base^exp mod q` by square-and-multiply.
-pub fn pow_mod(mut base: u64, mut exp: u64, q: u64) -> u64 {
+pub(crate) fn pow_mod(mut base: u64, mut exp: u64, q: u64) -> u64 {
     base %= q;
     let mut acc = 1u64;
     while exp > 0 {
@@ -86,7 +86,7 @@ pub fn pow_mod(mut base: u64, mut exp: u64, q: u64) -> u64 {
 /// # Panics
 ///
 /// Panics if `a` is zero (no inverse exists).
-pub fn inv_mod(a: u64, q: u64) -> u64 {
+pub(crate) fn inv_mod(a: u64, q: u64) -> u64 {
     assert!(!a.is_multiple_of(q), "zero has no modular inverse");
     pow_mod(a, q - 2, q)
 }
@@ -95,7 +95,7 @@ pub fn inv_mod(a: u64, q: u64) -> u64 {
 ///
 /// Uses the fixed witness set {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37},
 /// which is known to be sufficient for every 64-bit integer.
-pub fn is_prime_u64(n: u64) -> bool {
+pub(crate) fn is_prime_u64(n: u64) -> bool {
     if n < 2 {
         return false;
     }
@@ -159,7 +159,7 @@ pub fn find_ntt_primes(bits: u32, count: usize, m: u64) -> Vec<u64> {
 /// # Panics
 ///
 /// Panics if `order` does not divide `q - 1`.
-pub fn primitive_root(order: u64, q: u64) -> u64 {
+pub(crate) fn primitive_root(order: u64, q: u64) -> u64 {
     assert_eq!((q - 1) % order, 0, "order must divide q - 1");
     let cofactor = (q - 1) / order;
     // Try small candidate generators; g^cofactor has order dividing `order`,

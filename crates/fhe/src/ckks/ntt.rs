@@ -203,7 +203,7 @@ pub fn cached_table(n: usize, q: u64) -> Arc<NttTable> {
 /// Total bytes retained by the process-wide twiddle-table cache — one
 /// entry per `(n, q)` pair ever requested, never evicted. Feeds the
 /// `fhe.ntt_table_cache` entry of the memory observability breakdown.
-pub fn table_cache_bytes() -> u64 {
+pub(crate) fn table_cache_bytes() -> u64 {
     let Some(cache) = TABLE_CACHE.get() else {
         return 0;
     };

@@ -243,11 +243,11 @@ impl RnsPoly {
     /// `(-Q/2, Q/2]`, and converted to `f64`. The message magnitude in
     /// CKKS is far below `Q/2`, so the conversion is exact enough for
     /// decoding.
-    pub fn to_centered_f64(&self, primes: &[u64]) -> Vec<f64> {
+    pub(crate) fn to_centered_f64(&self, primes: &[u64]) -> Vec<f64> {
         self.to_centered_f64_with(primes, Parallelism::sequential())
     }
 
-    /// [`RnsPoly::to_centered_f64`] with coefficients reconstructed in
+    /// `RnsPoly::to_centered_f64` with coefficients reconstructed in
     /// up to `par.degree()` contiguous chunks of whole tiles, each
     /// written straight into the returned vector. Each coefficient is
     /// independent, so the result is bit-identical for every degree.

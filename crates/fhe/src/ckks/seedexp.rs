@@ -34,7 +34,7 @@ pub(crate) struct SeedStream {
 impl SeedStream {
     /// Derives an independent stream from the 32-byte seed and a stream
     /// index (one stream per RNS prime row).
-    pub fn new(seed: &[u8; 32], stream: u64) -> Self {
+    pub(crate) fn new(seed: &[u8; 32], stream: u64) -> Self {
         // Absorb the seed words and the stream index through splitmix64,
         // then squeeze the four state words. splitmix64 is a bijection of
         // its state, so distinct (seed, stream) pairs cannot collapse to
@@ -57,7 +57,7 @@ impl SeedStream {
     }
 
     /// Next 64 output bits (xoshiro256** scrambler).
-    pub fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         let result = self.s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
         let t = self.s[1] << 17;
         self.s[2] ^= self.s[0];
@@ -71,7 +71,7 @@ impl SeedStream {
 
     /// Uniform draw from `[0, q)` by masking to `bits_for(q)` bits and
     /// rejecting overshoots (acceptance ≥ 1/2 per draw).
-    pub fn uniform_below(&mut self, q: u64) -> u64 {
+    pub(crate) fn uniform_below(&mut self, q: u64) -> u64 {
         debug_assert!(q >= 2);
         let mask = u64::MAX >> (q - 1).leading_zeros();
         loop {

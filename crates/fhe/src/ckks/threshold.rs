@@ -76,7 +76,7 @@ fn smudging_sampler() -> &'static GaussianSampler {
 
 /// One party's key share: the Shamir point `F(x_i)` of the joint secret.
 #[derive(Debug, Clone)]
-pub struct KeyShare {
+pub(crate) struct KeyShare {
     share: RnsPoly,
 }
 
@@ -86,13 +86,6 @@ pub struct KeyShare {
 pub struct PartialDecryption {
     poly: RnsPoly,
     party: usize,
-}
-
-impl PartialDecryption {
-    /// The contributing party's index.
-    pub fn party(&self) -> usize {
-        self.party
-    }
 }
 
 /// A threshold key group: the shares plus the joint public key. In a

@@ -59,13 +59,13 @@ pub struct LweCiphertext {
 
 impl LweCiphertext {
     /// Views the mask vector and body.
-    pub fn components(&self) -> (&[u64], u64) {
+    pub(crate) fn components(&self) -> (&[u64], u64) {
         (&self.a, self.b)
     }
 
     /// Assembles a ciphertext from raw components (used by the
     /// bootstrapping pipeline; values must already be reduced mod q).
-    pub fn from_components(a: Vec<u64>, b: u64) -> Self {
+    pub(crate) fn from_components(a: Vec<u64>, b: u64) -> Self {
         LweCiphertext { a, b }
     }
 }

@@ -153,7 +153,7 @@ impl LweParams {
     }
 
     /// Paper parameter set TFHE-2: n = 503, log q = 10.
-    pub fn tfhe2() -> Self {
+    pub(crate) fn tfhe2() -> Self {
         LweParams { dimension: 503, log_q: 10, plaintext_modulus: 16, sigma_int: 0.6 }
     }
 

@@ -117,17 +117,17 @@ impl GaussianSampler {
 }
 
 /// Samples a uniform ternary vector over {-1, 0, 1}.
-pub fn ternary_vec<R: Rng + ?Sized>(rng: &mut R, n: usize) -> Vec<i64> {
+pub(crate) fn ternary_vec<R: Rng + ?Sized>(rng: &mut R, n: usize) -> Vec<i64> {
     (0..n).map(|_| i64::from(rng.gen_range(-1i8..=1))).collect()
 }
 
 /// Samples a uniform binary vector over {0, 1}.
-pub fn binary_vec<R: Rng + ?Sized>(rng: &mut R, n: usize) -> Vec<u64> {
+pub(crate) fn binary_vec<R: Rng + ?Sized>(rng: &mut R, n: usize) -> Vec<u64> {
     (0..n).map(|_| u64::from(rng.gen::<bool>())).collect()
 }
 
 /// Samples a uniform residue vector modulo `q`.
-pub fn uniform_vec<R: Rng + ?Sized>(rng: &mut R, n: usize, q: u64) -> Vec<u64> {
+pub(crate) fn uniform_vec<R: Rng + ?Sized>(rng: &mut R, n: usize, q: u64) -> Vec<u64> {
     (0..n).map(|_| rng.gen_range(0..q)).collect()
 }
 

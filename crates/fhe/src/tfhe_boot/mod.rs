@@ -54,4 +54,3 @@ mod bootstrap;
 mod rlwe;
 
 pub use bootstrap::{BootstrapContext, BootstrapParams};
-pub use rlwe::{GadgetDecomposer, RgswCiphertext, RlweCiphertext};

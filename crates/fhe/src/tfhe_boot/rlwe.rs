@@ -14,7 +14,7 @@ use crate::sampling::{ternary_vec, GaussianSampler};
 /// An RLWE ciphertext `(a, b)` with `b = a·s + e + m`, coefficient
 /// domain, modulus `Q`.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RlweCiphertext {
+pub(crate) struct RlweCiphertext {
     /// Mask polynomial.
     pub a: Vec<u64>,
     /// Body polynomial.
@@ -23,34 +23,19 @@ pub struct RlweCiphertext {
 
 impl RlweCiphertext {
     /// The all-zero (trivial, noiseless) encryption of `m`.
-    pub fn trivial(m: Vec<u64>) -> Self {
+    pub(crate) fn trivial(m: Vec<u64>) -> Self {
         RlweCiphertext { a: vec![0; m.len()], b: m }
-    }
-
-    /// Ring degree.
-    pub fn degree(&self) -> usize {
-        self.b.len()
-    }
-
-    /// Adds another ciphertext in place.
-    pub fn add_assign(&mut self, rhs: &RlweCiphertext, q: u64) {
-        for (x, &y) in self.a.iter_mut().zip(&rhs.a) {
-            *x = add_mod(*x, y, q);
-        }
-        for (x, &y) in self.b.iter_mut().zip(&rhs.b) {
-            *x = add_mod(*x, y, q);
-        }
     }
 
     /// Multiplies by the monomial `X^k` (negacyclic rotation), `k` taken
     /// modulo `2N`.
-    pub fn rotate(&self, k: usize, q: u64) -> RlweCiphertext {
+    pub(crate) fn rotate(&self, k: usize, q: u64) -> RlweCiphertext {
         RlweCiphertext { a: rotate_poly(&self.a, k, q), b: rotate_poly(&self.b, k, q) }
     }
 }
 
 /// Negacyclic multiplication of a polynomial by `X^k`.
-pub fn rotate_poly(p: &[u64], k: usize, q: u64) -> Vec<u64> {
+pub(crate) fn rotate_poly(p: &[u64], k: usize, q: u64) -> Vec<u64> {
     let n = p.len();
     let k = k % (2 * n);
     let mut out = vec![0u64; n];
@@ -77,7 +62,7 @@ pub fn rotate_poly(p: &[u64], k: usize, q: u64) -> Vec<u64> {
 /// digits halve the noise growth of external products versus plain
 /// positional digits.
 #[derive(Debug, Clone)]
-pub struct GadgetDecomposer {
+pub(crate) struct GadgetDecomposer {
     q: u64,
     log_base: u32,
     levels: usize,
@@ -89,7 +74,7 @@ impl GadgetDecomposer {
     /// # Panics
     ///
     /// Panics unless `levels · log_base` covers the modulus bits.
-    pub fn new(q: u64, log_base: u32, levels: usize) -> Self {
+    pub(crate) fn new(q: u64, log_base: u32, levels: usize) -> Self {
         let q_bits = 64 - (q - 1).leading_zeros();
         assert!(
             levels as u32 * log_base >= q_bits,
@@ -98,13 +83,8 @@ impl GadgetDecomposer {
         GadgetDecomposer { q, log_base, levels }
     }
 
-    /// Number of digits per coefficient.
-    pub fn levels(&self) -> usize {
-        self.levels
-    }
-
     /// The gadget factors `B^j` for `j = 0..levels`.
-    pub fn factors(&self) -> Vec<u64> {
+    pub(crate) fn factors(&self) -> Vec<u64> {
         (0..self.levels).map(|j| 1u64 << (self.log_base * j as u32)).collect()
     }
 
@@ -114,7 +94,7 @@ impl GadgetDecomposer {
     /// Coefficients are first lifted to their centred representative in
     /// `(−Q/2, Q/2]`, which signed digits of `levels` base-B positions
     /// cover exactly (the constructor guarantees `B^levels ≥ Q`).
-    pub fn decompose(&self, poly: &[u64]) -> Vec<Vec<u64>> {
+    pub(crate) fn decompose(&self, poly: &[u64]) -> Vec<Vec<u64>> {
         let base = 1i64 << self.log_base;
         let half = base / 2;
         let mut out = vec![vec![0u64; poly.len()]; self.levels];
@@ -148,7 +128,7 @@ impl GadgetDecomposer {
 /// two gadget columns, stored in the NTT domain for fast external
 /// products.
 #[derive(Debug, Clone)]
-pub struct RgswCiphertext {
+pub(crate) struct RgswCiphertext {
     /// Rows encrypting `−s·m·B^j` in the `a` slot ("a-column"), NTT domain.
     rows_a: Vec<(Vec<u64>, Vec<u64>)>,
     /// Rows encrypting `m·B^j` in the `b` slot ("b-column"), NTT domain.
@@ -158,7 +138,7 @@ pub struct RgswCiphertext {
 impl RgswCiphertext {
     /// Encrypts a small integer `m` (typically a secret bit) under the
     /// RLWE key `s` (coefficient domain, signed).
-    pub fn encrypt<R: Rng + ?Sized>(
+    pub(crate) fn encrypt<R: Rng + ?Sized>(
         m: u64,
         s: &[i64],
         table: &NttTable,
@@ -218,7 +198,7 @@ impl RgswCiphertext {
     /// External product `self ⊡ ct`: multiplies the RGSW plaintext into
     /// the RLWE ciphertext. `ct` is in coefficient domain; so is the
     /// result.
-    pub fn external_product(
+    pub(crate) fn external_product(
         &self,
         ct: &RlweCiphertext,
         table: &NttTable,
@@ -256,7 +236,7 @@ impl RgswCiphertext {
     ///
     /// When the RGSW plaintext is a secret bit `s_i`, this multiplies the
     /// accumulator by `X^{k·s_i}`.
-    pub fn cmux_rotate(
+    pub(crate) fn cmux_rotate(
         &self,
         acc: &RlweCiphertext,
         k: usize,
@@ -278,7 +258,7 @@ impl RgswCiphertext {
 
 /// Decrypts an RLWE ciphertext (test helper): `m = b − a·s`.
 #[cfg(test)]
-pub fn rlwe_decrypt(ct: &RlweCiphertext, s: &[i64], table: &NttTable) -> Vec<u64> {
+pub(crate) fn rlwe_decrypt(ct: &RlweCiphertext, s: &[i64], table: &NttTable) -> Vec<u64> {
     let q = table.modulus();
     let s_res: Vec<u64> = s.iter().map(|&c| signed_residue(c, q)).collect();
     let a_s = table.multiply(&ct.a, &s_res);
@@ -286,7 +266,7 @@ pub fn rlwe_decrypt(ct: &RlweCiphertext, s: &[i64], table: &NttTable) -> Vec<u64
 }
 
 /// Samples a ternary RLWE key in signed form.
-pub fn sample_rlwe_key<R: Rng + ?Sized>(n: usize, rng: &mut R) -> Vec<i64> {
+pub(crate) fn sample_rlwe_key<R: Rng + ?Sized>(n: usize, rng: &mut R) -> Vec<i64> {
     ternary_vec(rng, n)
 }
 

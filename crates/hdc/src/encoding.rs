@@ -246,7 +246,7 @@ impl RbfEncoder {
     /// # Panics
     ///
     /// Panics if either dimension is zero or γ is not positive.
-    pub fn with_gamma<R: Rng + ?Sized>(
+    pub(crate) fn with_gamma<R: Rng + ?Sized>(
         input_dim: usize,
         dim: usize,
         gamma: f32,

@@ -24,7 +24,17 @@ use rhychee_telemetry as telemetry;
 
 use crate::codec::{CanonicalCodec, WireCodec};
 use crate::error::NetError;
-use crate::wire::{self, Message, DEFAULT_MAX_PAYLOAD};
+use crate::wire::{self, Message, DEFAULT_MAX_PAYLOAD, IO_TIMEOUT};
+
+/// How long to wait for a `Global` broadcast: it spans the server's whole
+/// collection window plus aggregation.
+const ROUND_TIMEOUT: Duration = Duration::from_secs(60);
+
+/// Connection attempts before giving up.
+const CONNECT_ATTEMPTS: u32 = 4;
+
+/// Wait before the second connection attempt; it doubles per retry.
+const BACKOFF: Duration = Duration::from_millis(50);
 
 /// How the client transports model payloads (must match the server's
 /// [`ServerPipeline`](crate::server::ServerPipeline)).
@@ -53,17 +63,6 @@ pub enum ClientPipeline {
 pub struct ClientConfig {
     /// The server to connect to.
     pub addr: SocketAddr,
-    /// Socket write / handshake timeout.
-    pub io_timeout: Duration,
-    /// How long to wait for a `Global` broadcast (spans the server's
-    /// whole collection window plus aggregation).
-    pub round_timeout: Duration,
-    /// Connection attempts before giving up.
-    pub connect_attempts: u32,
-    /// Base backoff between connection attempts (doubles per retry).
-    pub backoff: Duration,
-    /// Frame payload cap in bytes.
-    pub max_payload: u32,
     /// CKKS wire codec for uploads (default [`CanonicalCodec`]; must
     /// match the server's configured codec). A
     /// [`SeededCodec`](crate::SeededCodec) client
@@ -81,19 +80,15 @@ pub struct ClientConfig {
 }
 
 impl ClientConfig {
-    /// Loopback defaults: 5 s I/O, 60 s round window, 4 connect attempts
-    /// with 50 ms base backoff, canonical wire codec. An upload is
-    /// written once: after a failed write an unknown prefix of the frame
-    /// is already on the wire, so a retransmit could only follow a torn
-    /// frame (DESIGN.md §8.3).
+    /// Canonical wire codec and dense packing. The connection itself is
+    /// fixed: 5 s I/O timeout, 60 s wait for a broadcast, 4 connect
+    /// attempts with 50 ms base backoff. An upload is written once: after
+    /// a failed write an unknown prefix of the frame is already on the
+    /// wire, so a retransmit could only follow a torn frame (DESIGN.md
+    /// §8.3).
     pub fn new(addr: SocketAddr) -> Self {
         ClientConfig {
             addr,
-            io_timeout: Duration::from_secs(5),
-            round_timeout: Duration::from_secs(60),
-            connect_attempts: 4,
-            backoff: Duration::from_millis(50),
-            max_payload: DEFAULT_MAX_PAYLOAD,
             codec: Arc::new(CanonicalCodec),
             packing: packing::PackingConfig::dense(),
         }
@@ -197,7 +192,7 @@ impl FlClient {
 
         let n = wire::write_message(&mut stream, &Message::Hello { client_id: self.local.id() })?;
         self.sent(&mut report, n);
-        let (msg, n) = wire::read_message(&mut stream, self.config.max_payload)?;
+        let (msg, n) = wire::read_message(&mut stream, DEFAULT_MAX_PAYLOAD)?;
         self.received(&mut report, n);
         match msg {
             Message::Welcome { client_id, .. } if client_id == self.local.id() => {}
@@ -208,8 +203,7 @@ impl FlClient {
 
         let mut got_final = false;
         loop {
-            let (msg, rctx, n) = match wire::read_message_ctx(&mut stream, self.config.max_payload)
-            {
+            let (msg, rctx, n) = match wire::read_message_ctx(&mut stream, DEFAULT_MAX_PAYLOAD) {
                 Ok(v) => v,
                 // Once the final model is in, a server that closes
                 // without a trailing Finished is still a clean session.
@@ -314,26 +308,25 @@ impl FlClient {
 
     /// Connects with bounded exponential backoff.
     fn connect(&self, report: &mut ClientReport) -> Result<TcpStream, NetError> {
-        let mut delay = self.config.backoff;
-        let mut last_err: Option<NetError> = None;
-        for attempt in 0..self.config.connect_attempts.max(1) {
-            if attempt > 0 {
-                thread::sleep(delay);
-                delay *= 2;
-                report.retries += 1;
-                telemetry::count("net.frame.retry", 1);
-            }
-            match TcpStream::connect_timeout(&self.config.addr, self.config.io_timeout) {
+        let mut delay = BACKOFF;
+        let mut attempt = 1;
+        loop {
+            match TcpStream::connect_timeout(&self.config.addr, IO_TIMEOUT) {
                 Ok(stream) => {
                     stream.set_nodelay(true)?;
-                    stream.set_write_timeout(Some(self.config.io_timeout))?;
-                    stream.set_read_timeout(Some(self.config.round_timeout))?;
+                    stream.set_write_timeout(Some(IO_TIMEOUT))?;
+                    stream.set_read_timeout(Some(ROUND_TIMEOUT))?;
                     return Ok(stream);
                 }
-                Err(e) => last_err = Some(e.into()),
+                Err(e) if attempt == CONNECT_ATTEMPTS => return Err(e.into()),
+                Err(_) => {}
             }
+            thread::sleep(delay);
+            delay *= 2;
+            attempt += 1;
+            report.retries += 1;
+            telemetry::count("net.frame.retry", 1);
         }
-        Err(last_err.unwrap_or_else(|| NetError::Protocol("no connection attempts".into())))
     }
 
     fn sent(&self, report: &mut ClientReport, n: usize) {

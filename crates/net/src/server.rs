@@ -68,7 +68,7 @@ use rhychee_telemetry as telemetry;
 use crate::codec::{CanonicalCodec, WireCodec};
 use crate::error::NetError;
 use crate::residency::Residency;
-use crate::wire::{self, Message, TraceContext, DEFAULT_MAX_PAYLOAD};
+use crate::wire::{self, Message, TraceContext, DEFAULT_MAX_PAYLOAD, IO_TIMEOUT};
 
 mod coordinator;
 
@@ -117,10 +117,7 @@ pub struct ServerConfig {
     rounds: usize,
     model_params: usize,
     aggregation: Aggregation,
-    io_timeout: Duration,
     round_timeout: Duration,
-    accept_timeout: Duration,
-    max_payload: u32,
     parallelism: Parallelism,
     obs_addr: Option<String>,
     allow_rejoin: bool,
@@ -132,8 +129,9 @@ pub struct ServerConfig {
 }
 
 impl ServerConfig {
-    /// Starts a builder with loopback defaults: full quorum, 5 s I/O
-    /// timeout, 30 s round and accept windows, automatic parallelism.
+    /// Starts a builder with loopback defaults: full quorum, a 30 s
+    /// round window (which also bounds the opening window), automatic
+    /// parallelism.
     pub fn builder() -> ServerConfigBuilder {
         ServerConfigBuilder::default()
     }
@@ -153,10 +151,10 @@ impl ServerConfig {
         if self.max_resident_uploads == 0 {
             return Err(NetError::Protocol("max_resident_uploads must be positive".into()));
         }
-        // A socket refuses a zero read timeout, so either would fail
-        // every connection at run time.
-        if self.io_timeout.is_zero() || self.round_timeout.is_zero() {
-            return Err(NetError::Protocol("io_timeout and round_timeout must be positive".into()));
+        // A socket refuses a zero read timeout, so it would fail every
+        // connection at run time.
+        if self.round_timeout.is_zero() {
+            return Err(NetError::Protocol("round_timeout must be positive".into()));
         }
         if !self.watchdog_multiple.is_finite() || self.watchdog_multiple < 0.0 {
             return Err(NetError::Protocol(
@@ -185,10 +183,7 @@ impl Default for ServerConfigBuilder {
                 rounds: 0,
                 model_params: 0,
                 aggregation: Aggregation::FedAvg,
-                io_timeout: Duration::from_secs(5),
                 round_timeout: Duration::from_secs(30),
-                accept_timeout: Duration::from_secs(30),
-                max_payload: DEFAULT_MAX_PAYLOAD,
                 parallelism: Parallelism::Auto,
                 obs_addr: None,
                 allow_rejoin: false,
@@ -237,28 +232,11 @@ impl ServerConfigBuilder {
         self
     }
 
-    /// Socket write / handshake-read timeout (default 5 s; must be
-    /// positive).
-    pub fn io_timeout(mut self, io_timeout: Duration) -> Self {
-        self.config.io_timeout = io_timeout;
-        self
-    }
-
-    /// Collection window per round (default 30 s; must be positive).
+    /// How long the server waits for its slowest client: the
+    /// collection window per round and the opening window for every
+    /// client to connect (default 30 s; must be positive).
     pub fn round_timeout(mut self, round_timeout: Duration) -> Self {
         self.config.round_timeout = round_timeout;
-        self
-    }
-
-    /// Window for all clients to connect (default 30 s).
-    pub fn accept_timeout(mut self, accept_timeout: Duration) -> Self {
-        self.config.accept_timeout = accept_timeout;
-        self
-    }
-
-    /// Frame payload cap in bytes (default [`DEFAULT_MAX_PAYLOAD`]).
-    pub fn max_payload(mut self, max_payload: u32) -> Self {
-        self.config.max_payload = max_payload;
         self
     }
 
@@ -548,12 +526,12 @@ impl Session {
     }
 
     /// The opening window: admits connections until every expected
-    /// client is in or `accept_timeout` passes. Whether enough came is
+    /// client is in or `round_timeout` passes. Whether enough came is
     /// the first broadcast's call.
     fn wait_for_clients(&mut self) {
         let shared = Arc::clone(&self.shared);
         let config = &shared.config;
-        let deadline = Instant::now() + config.accept_timeout;
+        let deadline = Instant::now() + config.round_timeout;
         while !self.machine.opening_complete() {
             let remaining = deadline.saturating_duration_since(Instant::now());
             match self.acceptor.joins.recv_timeout(remaining) {
@@ -727,9 +705,9 @@ impl Connection {
         // The listener is nonblocking; accepted streams must not be.
         stream.set_nonblocking(false)?;
         stream.set_nodelay(true)?;
-        stream.set_read_timeout(Some(config.io_timeout))?;
-        stream.set_write_timeout(Some(config.io_timeout))?;
-        let (msg, n) = wire::read_message(&mut stream, config.max_payload)?;
+        stream.set_read_timeout(Some(IO_TIMEOUT))?;
+        stream.set_write_timeout(Some(IO_TIMEOUT))?;
+        let (msg, n) = wire::read_message(&mut stream, DEFAULT_MAX_PAYLOAD)?;
         let client_id = match msg {
             Message::Hello { client_id } => client_id,
             other => {
@@ -842,7 +820,7 @@ impl Connection {
             }
             None => None,
         };
-        let (msg, n) = wire::read_message(&mut self.stream, self.shared.config.max_payload)?;
+        let (msg, n) = wire::read_message(&mut self.stream, DEFAULT_MAX_PAYLOAD)?;
         let arrived = Instant::now();
         let update = match msg {
             Message::Update { round, client_id, steps, model } if client_id == self.client_id => {
@@ -881,7 +859,6 @@ mod tests {
         let cfg =
             ServerConfig::builder().clients(5).rounds(2).model_params(100).build().expect("valid");
         assert_eq!(cfg.quorum, 5);
-        assert_eq!(cfg.max_payload, DEFAULT_MAX_PAYLOAD);
         assert_eq!(cfg.parallelism, Parallelism::Auto);
     }
 
@@ -923,7 +900,6 @@ mod tests {
     #[test]
     fn builder_rejects_zero_timeouts() {
         let base = || ServerConfig::builder().clients(4).rounds(3).model_params(10);
-        assert!(base().io_timeout(Duration::ZERO).build().is_err());
         assert!(base().round_timeout(Duration::ZERO).build().is_err());
         assert!(base().round_timeout(Duration::from_nanos(1)).build().is_ok());
     }
@@ -936,10 +912,7 @@ mod tests {
             .rounds(4)
             .model_params(2048)
             .aggregation(Aggregation::FedNova)
-            .io_timeout(Duration::from_secs(1))
             .round_timeout(Duration::from_secs(2))
-            .accept_timeout(Duration::from_secs(3))
-            .max_payload(1 << 20)
             .parallelism(Parallelism::Fixed(2))
             .build()
             .expect("valid");
@@ -948,10 +921,7 @@ mod tests {
         assert_eq!(cfg.rounds, 4);
         assert_eq!(cfg.model_params, 2048);
         assert_eq!(cfg.aggregation, Aggregation::FedNova);
-        assert_eq!(cfg.io_timeout, Duration::from_secs(1));
         assert_eq!(cfg.round_timeout, Duration::from_secs(2));
-        assert_eq!(cfg.accept_timeout, Duration::from_secs(3));
-        assert_eq!(cfg.max_payload, 1 << 20);
         assert_eq!(cfg.parallelism, Parallelism::Fixed(2));
     }
 
@@ -965,13 +935,16 @@ mod tests {
             .rounds(1)
             .model_params(10)
             .allow_rejoin(true)
-            .accept_timeout(Duration::from_millis(50))
+            .round_timeout(Duration::from_millis(50))
             .build()
             .expect("valid");
         let server =
             FlServer::bind("127.0.0.1:0", config, ServerPipeline::Plaintext).expect("bind");
         let addr = server.local_addr().expect("addr");
+        let started = Instant::now();
         let err = server.run().expect_err("no client ever connects");
+        // The opening window is `round_timeout`: 50 ms, not the 30 s default.
+        assert!(started.elapsed() < Duration::from_secs(2), "run took {:?}", started.elapsed());
         assert!(matches!(err, NetError::QuorumNotReached { .. }), "{err}");
         let deadline = Instant::now() + Duration::from_secs(2);
         while let Err(e) = TcpListener::bind(addr) {

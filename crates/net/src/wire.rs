@@ -31,6 +31,7 @@
 //! mismatches count into `net.frame.crc_fail`.
 
 use std::io::{Read, Write};
+use std::time::Duration;
 
 use rhychee_channel::crc::crc32;
 use rhychee_telemetry as telemetry;
@@ -42,17 +43,17 @@ use crate::error::NetError;
 pub const MAGIC: [u8; 4] = *b"RYFL";
 
 /// Baseline protocol version: no trace context.
-pub const VERSION: u8 = 1;
+pub(crate) const VERSION: u8 = 1;
 
 /// Traced protocol version: a [`TraceContext`] sits between the header
 /// and the payload.
-pub const VERSION_TRACED: u8 = 2;
+pub(crate) const VERSION_TRACED: u8 = 2;
 
 /// Fixed bytes before the payload: magic + version + type + round + len.
 pub const HEADER_LEN: usize = 14;
 
 /// Extra bytes a version-2 frame carries between header and payload.
-pub const CTX_LEN: usize = TraceContext::WIRE_LEN;
+pub(crate) const CTX_LEN: usize = TraceContext::WIRE_LEN;
 
 /// Fixed bytes after the payload: the CRC-32 trailer.
 pub const TRAILER_LEN: usize = 4;
@@ -60,6 +61,9 @@ pub const TRAILER_LEN: usize = 4;
 /// Default payload cap: 64 MiB, far above any packed model this repo
 /// produces yet small enough to bound a hostile allocation.
 pub const DEFAULT_MAX_PAYLOAD: u32 = 64 * 1024 * 1024;
+
+/// Socket write and handshake-read timeout on both ends of a connection.
+pub(crate) const IO_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// A protocol message between one client and the server.
 ///
@@ -121,7 +125,7 @@ pub enum Message {
 
 impl Message {
     /// The message-type byte stored in the frame header.
-    pub fn type_byte(&self) -> u8 {
+    pub(crate) fn type_byte(&self) -> u8 {
         match self {
             Message::Hello { .. } => 1,
             Message::Welcome { .. } => 2,
@@ -390,7 +394,7 @@ pub fn write_message<W: Write>(w: &mut W, msg: &Message) -> Result<usize, NetErr
 /// # Errors
 ///
 /// Propagates socket errors.
-pub fn write_message_ctx<W: Write>(
+pub(crate) fn write_message_ctx<W: Write>(
     w: &mut W,
     msg: &Message,
     ctx: Option<&TraceContext>,

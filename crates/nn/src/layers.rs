@@ -267,7 +267,7 @@ impl Layer for Conv2d {
 
 /// 2×2 max pooling with stride 2 over `[B, C, H, W]`.
 #[derive(Debug, Clone, Default)]
-pub struct MaxPool2d {
+pub(crate) struct MaxPool2d {
     /// Argmax indices from the forward pass, one per output element.
     argmax: Vec<usize>,
     in_shape: Vec<usize>,
@@ -275,7 +275,7 @@ pub struct MaxPool2d {
 
 impl MaxPool2d {
     /// Creates a 2×2/stride-2 pooling layer.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 }
@@ -359,13 +359,13 @@ impl Layer for ReLU {
 
 /// Flattens `[B, ...]` to `[B, prod(...)]`.
 #[derive(Debug, Clone, Default)]
-pub struct Flatten {
+pub(crate) struct Flatten {
     in_shape: Vec<usize>,
 }
 
 impl Flatten {
     /// Creates a flatten layer.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 }

@@ -3,7 +3,7 @@
 use crate::tensor::Tensor;
 
 /// Computes softmax probabilities row-wise over `[B, L]` logits.
-pub fn softmax(logits: &Tensor) -> Tensor {
+pub(crate) fn softmax(logits: &Tensor) -> Tensor {
     let mut out = logits.clone();
     for b in 0..out.batch() {
         let row = out.item_mut(b);
@@ -29,7 +29,7 @@ pub fn softmax(logits: &Tensor) -> Tensor {
 ///
 /// Panics if `labels.len()` differs from the batch size or any label is
 /// out of range.
-pub fn cross_entropy(logits: &Tensor, labels: &[usize]) -> (f32, Tensor) {
+pub(crate) fn cross_entropy(logits: &Tensor, labels: &[usize]) -> (f32, Tensor) {
     let batch = logits.batch();
     let classes = logits.stride0();
     assert_eq!(labels.len(), batch, "label count must equal batch size");
@@ -50,7 +50,7 @@ pub fn cross_entropy(logits: &Tensor, labels: &[usize]) -> (f32, Tensor) {
 }
 
 /// Index of the per-row maximum (predicted class) for `[B, L]` logits.
-pub fn argmax_rows(logits: &Tensor) -> Vec<usize> {
+pub(crate) fn argmax_rows(logits: &Tensor) -> Vec<usize> {
     (0..logits.batch())
         .map(|b| {
             logits

@@ -87,11 +87,6 @@ impl Network {
         self.layers.iter().map(|l| l.num_params()).sum()
     }
 
-    /// Expected per-sample input shape (no batch dimension).
-    pub fn input_shape(&self) -> &[usize] {
-        &self.input_shape
-    }
-
     /// Forward pass over a batch.
     pub fn forward(&mut self, input: &Tensor) -> Tensor {
         let mut x = input.clone();
@@ -106,7 +101,13 @@ impl Network {
     /// # Panics
     ///
     /// Panics on label/batch mismatches.
-    pub fn train_batch(&mut self, input: &Tensor, labels: &[usize], lr: f32, momentum: f32) -> f32 {
+    pub(crate) fn train_batch(
+        &mut self,
+        input: &Tensor,
+        labels: &[usize],
+        lr: f32,
+        momentum: f32,
+    ) -> f32 {
         for layer in &mut self.layers {
             layer.zero_grad();
         }

@@ -38,7 +38,7 @@ impl Tensor {
     /// # Panics
     ///
     /// Panics if `data.len()` does not match the shape's element count.
-    pub fn from_vec(shape: &[usize], data: Vec<f32>) -> Self {
+    pub(crate) fn from_vec(shape: &[usize], data: Vec<f32>) -> Self {
         assert_eq!(
             data.len(),
             shape.iter().product::<usize>(),
@@ -68,7 +68,7 @@ impl Tensor {
     }
 
     /// Mutable view of the underlying data.
-    pub fn data_mut(&mut self) -> &mut [f32] {
+    pub(crate) fn data_mut(&mut self) -> &mut [f32] {
         &mut self.data
     }
 
@@ -77,7 +77,7 @@ impl Tensor {
     /// # Panics
     ///
     /// Panics if the element counts differ.
-    pub fn reshape(mut self, shape: &[usize]) -> Self {
+    pub(crate) fn reshape(mut self, shape: &[usize]) -> Self {
         assert_eq!(
             self.data.len(),
             shape.iter().product::<usize>(),
@@ -94,7 +94,7 @@ impl Tensor {
     }
 
     /// Elements per batch item.
-    pub fn stride0(&self) -> usize {
+    pub(crate) fn stride0(&self) -> usize {
         self.data.len() / self.shape[0]
     }
 
@@ -113,7 +113,7 @@ impl Tensor {
     /// # Panics
     ///
     /// Panics if `b` is out of range.
-    pub fn item_mut(&mut self, b: usize) -> &mut [f32] {
+    pub(crate) fn item_mut(&mut self, b: usize) -> &mut [f32] {
         let s = self.stride0();
         &mut self.data[b * s..(b + 1) * s]
     }

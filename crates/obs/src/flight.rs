@@ -78,7 +78,7 @@ pub fn snapshot(reason: &str) -> String {
 /// # Errors
 ///
 /// Propagates directory-creation and file-write failures.
-pub fn dump(dir: &Path, reason: &str) -> io::Result<PathBuf> {
+pub(crate) fn dump(dir: &Path, reason: &str) -> io::Result<PathBuf> {
     std::fs::create_dir_all(dir)?;
     let body = snapshot(reason);
     let unix_ms =

@@ -19,7 +19,7 @@
 //! connect), blocking per-connection I/O with hard timeouts, and
 //! `Connection: close` on every response — one request per connection,
 //! which is exactly how Prometheus scrapes. Requests are bounded at
-//! [`MAX_REQUEST_BYTES`] before any allocation-heavy parsing.
+//! `MAX_REQUEST_BYTES` before any allocation-heavy parsing.
 
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -38,7 +38,7 @@ const ACCEPT_POLL: Duration = Duration::from_millis(20);
 /// Per-connection read/write timeout.
 const IO_TIMEOUT: Duration = Duration::from_secs(2);
 /// Hard cap on request head size; larger requests are rejected.
-pub const MAX_REQUEST_BYTES: usize = 8 * 1024;
+pub(crate) const MAX_REQUEST_BYTES: usize = 8 * 1024;
 
 /// A bound-but-not-yet-serving exposition server.
 #[derive(Debug)]

@@ -6,9 +6,9 @@
 //! `/metrics`, a JSON liveness summary on `/healthz`, the newest
 //! recorded spans on `/trace.json`, the per-round federation timeline
 //! with round-phase SLO quantiles on `/rounds.json`
-//! ([`rounds::render_json`]), and the reconciled memory breakdown —
+//! (`rounds::render_json`), and the reconciled memory breakdown —
 //! tracking-allocator heap, RSS, per-subsystem bytes — on `/memory.json`
-//! ([`memory::memory_body`]).
+//! (`memory::memory_body`).
 //!
 //! Liveness failures get first-class handling: the round [`Watchdog`]
 //! detects a stalled round phase and the [`flight`] recorder dumps a
@@ -40,6 +40,6 @@ pub mod rounds;
 pub mod watchdog;
 
 pub use http::{ObsHandle, ObsServer};
-pub use prometheus::{metric_name, render};
+pub use prometheus::render;
 pub use rounds::{ClientArrival, RoundRecord};
 pub use watchdog::Watchdog;

@@ -22,7 +22,7 @@ use rhychee_telemetry::json::JsonObject;
 /// The `/memory.json` body. Always well-formed JSON; fields whose
 /// backing signal is unavailable (no tracking allocator, no procfs)
 /// report zeros alongside an explicit availability flag.
-pub fn memory_body() -> String {
+pub(crate) fn memory_body() -> String {
     let sources = telemetry::mem::collect();
     let stats = telemetry::alloc::stats();
     let heap = JsonObject::new()

@@ -20,7 +20,7 @@ use rhychee_telemetry::metrics::MetricsSnapshot;
 /// Maps an internal dotted metric name to its Prometheus series name:
 /// prefix `rhychee_`, then every character outside `[a-zA-Z0-9_]`
 /// becomes `_`.
-pub fn metric_name(name: &str) -> String {
+pub(crate) fn metric_name(name: &str) -> String {
     let mut out = String::with_capacity(name.len() + 8);
     out.push_str("rhychee_");
     for c in name.chars() {

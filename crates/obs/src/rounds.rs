@@ -3,7 +3,7 @@
 //! The `FlServer` coordinator publishes one [`RoundRecord`] per
 //! aggregation round (when telemetry is enabled): per-client arrival
 //! offsets relative to the round's broadcast, the instant quorum was
-//! met, and the straggler count. [`render_json`] joins that timeline
+//! met, and the straggler count. `render_json` joins that timeline
 //! with the six round phases' span histograms
 //! ([`PHASE_SPANS`](telemetry::PHASE_SPANS)) from the global registry
 //! into one JSON document.
@@ -40,7 +40,7 @@ use rhychee_telemetry as telemetry;
 use rhychee_telemetry::json::JsonObject;
 
 /// Most recent rounds retained; older records are evicted FIFO.
-pub const ROUNDS_CAP: usize = 1024;
+pub(crate) const ROUNDS_CAP: usize = 1024;
 
 /// One client's upload within a round's timeline.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -81,7 +81,7 @@ fn ring() -> &'static Mutex<VecDeque<RoundRecord>> {
     RING.get_or_init(|| Mutex::new(VecDeque::with_capacity(64)))
 }
 
-/// Appends a round record, evicting the oldest past [`ROUNDS_CAP`].
+/// Appends a round record, evicting the oldest past `ROUNDS_CAP`.
 pub fn record(rec: RoundRecord) {
     let mut ring = ring().lock().expect("rounds ring poisoned");
     if ring.len() == ROUNDS_CAP {
@@ -102,7 +102,7 @@ pub fn clear() {
 
 /// Renders the `/rounds.json` body: the retained round timeline plus
 /// p50/p95/p99 summaries of each phase's span histogram.
-pub fn render_json() -> String {
+pub(crate) fn render_json() -> String {
     let rounds = snapshot();
     let mut out = String::from("{\"rounds\":[");
     for (i, r) in rounds.iter().enumerate() {

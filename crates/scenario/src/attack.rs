@@ -10,10 +10,7 @@ use rand::{Rng, SeedableRng};
 /// Implementations must be pure functions of `(round, client_id,
 /// update)` plus construction-time state, so a scenario replays
 /// bit-identically.
-pub trait Attack {
-    /// Short name for reports and telemetry labels.
-    fn name(&self) -> &'static str;
-
+pub(crate) trait Attack {
     /// Corrupts `update` in place.
     fn corrupt(&self, round: usize, client_id: usize, update: &mut [f32]);
 }
@@ -32,10 +29,6 @@ pub struct SignFlip {
 }
 
 impl Attack for SignFlip {
-    fn name(&self) -> &'static str {
-        "sign_flip"
-    }
-
     fn corrupt(&self, _round: usize, _client_id: usize, update: &mut [f32]) {
         for w in update {
             *w *= -self.scale;
@@ -48,16 +41,12 @@ impl Attack for SignFlip {
 /// Keeps the honest direction but inflates its weight, dragging the
 /// average toward one client's local distribution.
 #[derive(Debug, Clone, Copy)]
-pub struct ScaledUpdate {
+pub(crate) struct ScaledUpdate {
     /// Multiplicative boost.
     pub factor: f32,
 }
 
 impl Attack for ScaledUpdate {
-    fn name(&self) -> &'static str {
-        "scaled_update"
-    }
-
     fn corrupt(&self, _round: usize, _client_id: usize, update: &mut [f32]) {
         for w in update {
             *w *= self.factor;
@@ -96,10 +85,6 @@ impl Colluding {
 }
 
 impl Attack for Colluding {
-    fn name(&self) -> &'static str {
-        "colluding"
-    }
-
     fn corrupt(&self, _round: usize, _client_id: usize, update: &mut [f32]) {
         let norm = update.iter().map(|v| v * v).sum::<f32>().sqrt();
         let target = self.scale * norm.max(1.0);
@@ -110,7 +95,7 @@ impl Attack for Colluding {
 }
 
 /// Declarative attack selection inside a `ScenarioSpec`; materialized
-/// into an [`Attack`] once the model dimension is known.
+/// into an `Attack` once the model dimension is known.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AttackKind {
     /// [`SignFlip`] with the given amplification.
@@ -118,7 +103,7 @@ pub enum AttackKind {
         /// Amplification applied on top of the sign flip.
         scale: f32,
     },
-    /// [`ScaledUpdate`] with the given boost.
+    /// `ScaledUpdate` with the given boost.
     ScaledUpdate {
         /// Multiplicative boost.
         factor: f32,
@@ -133,7 +118,7 @@ pub enum AttackKind {
 impl AttackKind {
     /// Builds the concrete attack for a `dim`-parameter model;
     /// `direction_seed` feeds the colluders' shared direction.
-    pub fn materialize(self, direction_seed: u64, dim: usize) -> Box<dyn Attack> {
+    pub(crate) fn materialize(self, direction_seed: u64, dim: usize) -> Box<dyn Attack> {
         match self {
             AttackKind::SignFlip { scale } => Box::new(SignFlip { scale }),
             AttackKind::ScaledUpdate { factor } => Box::new(ScaledUpdate { factor }),

@@ -89,13 +89,13 @@ impl ChurnTrace {
 
     /// Number of presence transitions taking effect exactly at `round`
     /// (feeds the `fl.scenario.clients_churned` counter).
-    pub fn transitions_at(&self, round: usize) -> usize {
+    pub(crate) fn transitions_at(&self, round: usize) -> usize {
         self.events.iter().filter(|e| e.round() == round).count()
     }
 
     /// Clients with a departure taking effect exactly at `round` — the
     /// keyholders whose loss triggers threshold recovery.
-    pub fn departures_at(&self, round: usize) -> Vec<usize> {
+    pub(crate) fn departures_at(&self, round: usize) -> Vec<usize> {
         self.events
             .iter()
             .filter_map(|e| match *e {

@@ -45,7 +45,7 @@ fn l2(update: &[f32]) -> f32 {
 /// Resolves the clipping bound over the round's batch. Median is taken
 /// over updates in client-id order (the order `ServerRound` keeps), so
 /// the result is arrival-order invariant.
-pub fn resolve_bound(bound: ClipBound, updates: &[ClientUpdate<Vec<f32>>]) -> f32 {
+pub(crate) fn resolve_bound(bound: ClipBound, updates: &[ClientUpdate<Vec<f32>>]) -> f32 {
     match bound {
         ClipBound::Fixed(b) => b,
         ClipBound::Median => {
@@ -62,7 +62,7 @@ pub fn resolve_bound(bound: ClipBound, updates: &[ClientUpdate<Vec<f32>>]) -> f3
 
 /// Clips every update above `bound` down to it; returns how many were
 /// clipped (feeds `fl.scenario.updates_clipped`).
-pub fn clip_updates(updates: &mut [ClientUpdate<Vec<f32>>], bound: f32) -> u64 {
+pub(crate) fn clip_updates(updates: &mut [ClientUpdate<Vec<f32>>], bound: f32) -> u64 {
     let mut clipped = 0;
     for u in updates.iter_mut() {
         let norm = l2(&u.payload);
@@ -80,7 +80,7 @@ pub fn clip_updates(updates: &mut [ClientUpdate<Vec<f32>>], bound: f32) -> u64 {
 /// Coordinate-wise trimmed mean over the batch: for each coordinate,
 /// sort the per-client values, drop `trim` from each end, average the
 /// rest. With `trim = 0` this degenerates to the unweighted mean.
-pub fn trimmed_mean(updates: &[ClientUpdate<Vec<f32>>], trim_ratio: f64) -> Vec<f32> {
+pub(crate) fn trimmed_mean(updates: &[ClientUpdate<Vec<f32>>], trim_ratio: f64) -> Vec<f32> {
     let n = updates.len();
     if n == 0 {
         return Vec::new();

@@ -11,11 +11,6 @@ pub struct DeviceProfile {
 }
 
 impl DeviceProfile {
-    /// All `clients` run at nominal speed.
-    pub fn uniform(clients: usize) -> DeviceProfile {
-        DeviceProfile { speeds: vec![1.0; clients] }
-    }
-
     /// Speeds spread linearly from `fastest` to `slowest` across client
     /// ids — the archetypal heterogeneous fleet (id 0 the flagship
     /// phone, the last id the museum piece).
@@ -32,13 +27,8 @@ impl DeviceProfile {
         DeviceProfile { speeds }
     }
 
-    /// Explicit per-client multipliers.
-    pub fn explicit(speeds: Vec<f64>) -> DeviceProfile {
-        DeviceProfile { speeds }
-    }
-
     /// The multiplier for `client` (nominal for ids beyond the profile).
-    pub fn speed(&self, client: usize) -> f64 {
+    pub(crate) fn speed(&self, client: usize) -> f64 {
         self.speeds.get(client).copied().unwrap_or(1.0)
     }
 
@@ -55,7 +45,7 @@ impl DeviceProfile {
     /// Whether `client` would miss a round given its pre-drawn jitter
     /// fraction for that round and the straggler `deadline` (in nominal
     /// round-time units).
-    pub fn misses(&self, client: usize, jitter: f64, deadline: f64) -> bool {
+    pub(crate) fn misses(&self, client: usize, jitter: f64, deadline: f64) -> bool {
         self.speed(client) * (1.0 + jitter) > deadline
     }
 }

@@ -7,7 +7,7 @@
 //!
 //! * **Byzantine clients** ([`attack`]): sign-flip, scaled-update, and
 //!   colluding attackers mutate their plaintext updates before
-//!   encryption, each an [`attack::Attack`] impl;
+//!   encryption, each an `attack::Attack` impl;
 //! * **churn** ([`churn`]): declarative depart/rejoin traces drive the
 //!   per-round participant set (and quorum reweighting);
 //! * **device heterogeneity** ([`hetero`]): per-client speed
@@ -19,7 +19,7 @@
 //!
 //! A scenario is declared as a [`ScenarioSpec`] seeded from the
 //! [`FlConfig`](rhychee_core::FlConfig) and compiled into a
-//! [`CompiledScenario`] whose every random decision — attacker
+//! `CompiledScenario` whose every random decision — attacker
 //! identities, collusion direction, straggler jitter — is pre-drawn
 //! before the first round (the preassigned-slot discipline of
 //! DESIGN.md §8/§13). Running it ([`run`]) is then a pure function of
@@ -55,9 +55,9 @@ pub mod hetero;
 pub mod runner;
 pub mod spec;
 
-pub use attack::{Attack, AttackKind, Colluding, ScaledUpdate, SignFlip};
+pub use attack::{AttackKind, Colluding, SignFlip};
 pub use churn::{ChurnEvent, ChurnTrace};
 pub use defense::{ClipBound, Defense};
 pub use hetero::DeviceProfile;
-pub use runner::{run, run_compiled, ScenarioReport};
-pub use spec::{CompiledScenario, ScenarioSpec};
+pub use runner::{run, ScenarioReport};
+pub use spec::ScenarioSpec;

@@ -63,7 +63,7 @@ struct Ledger {
 /// Runs `spec` over `data` to completion.
 ///
 /// The run is a pure function of `(spec, data)`: every random decision
-/// is pre-drawn by [`ScenarioSpec::compile`] or derived from the run
+/// is pre-drawn by `ScenarioSpec::compile` or derived from the run
 /// seed inside the framework, so two invocations — at any
 /// `Parallelism` degree — produce bit-identical reports.
 ///
@@ -81,7 +81,7 @@ pub fn run(spec: &ScenarioSpec, data: &TrainTest) -> Result<ScenarioReport, FlEr
 /// # Errors
 ///
 /// Propagates [`FlError`] as for [`run`].
-pub fn run_compiled(
+pub(crate) fn run_compiled(
     compiled: &Rc<CompiledScenario>,
     data: &TrainTest,
 ) -> Result<ScenarioReport, FlError> {

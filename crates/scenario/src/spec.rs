@@ -1,7 +1,7 @@
 //! Scenario declaration and deterministic compilation.
 //!
 //! A [`ScenarioSpec`] is pure data: the base [`FlConfig`] plus the
-//! perturbation layers stacked on top. [`ScenarioSpec::compile`]
+//! perturbation layers stacked on top. `ScenarioSpec::compile`
 //! pre-draws every random decision the scenario will ever make —
 //! attacker assignment, the colluders' direction seed, the straggler
 //! jitter matrix — from the run seed, before the first round executes.
@@ -115,7 +115,7 @@ impl ScenarioSpec {
     /// Pre-draws every random decision of the scenario from the run
     /// seed, fixing attacker identities, the collusion direction seed,
     /// and the per-round straggler jitter before the run starts.
-    pub fn compile(&self) -> CompiledScenario {
+    pub(crate) fn compile(&self) -> CompiledScenario {
         let mut rng = StdRng::seed_from_u64(self.fl.seed ^ SCENARIO_SALT);
         let clients = self.fl.clients;
         let count = if self.attack.is_some() {
@@ -142,7 +142,7 @@ impl ScenarioSpec {
 /// A [`ScenarioSpec`] with all randomness resolved. Running it is a
 /// pure function of this value and the dataset.
 #[derive(Debug, Clone)]
-pub struct CompiledScenario {
+pub(crate) struct CompiledScenario {
     /// The declaration this was compiled from.
     pub spec: ScenarioSpec,
     /// Attacker client ids, ascending.
@@ -157,12 +157,12 @@ pub struct CompiledScenario {
 
 impl CompiledScenario {
     /// Whether `client` attacks this run.
-    pub fn is_attacker(&self, client: usize) -> bool {
+    pub(crate) fn is_attacker(&self, client: usize) -> bool {
         self.attackers.binary_search(&client).is_ok()
     }
 
     /// Whether `client` misses `round` as a straggler.
-    pub fn straggles(&self, round: usize, client: usize) -> bool {
+    pub(crate) fn straggles(&self, round: usize, client: usize) -> bool {
         match &self.spec.devices {
             None => false,
             Some(devices) => {

@@ -168,7 +168,7 @@ impl<'a> Resolver<'a> {
 /// Rewrites every record of every source onto its federation-wide merged
 /// path, returning `(merged_path, dur_ns)` pairs suitable for
 /// [`SpanTree::from_paths`].
-pub fn merged_paths(sources: &[FedSource]) -> Vec<(String, u64)> {
+pub(crate) fn merged_paths(sources: &[FedSource]) -> Vec<(String, u64)> {
     let mut resolver = Resolver::new(sources);
     let mut out = Vec::new();
     for (si, s) in sources.iter().enumerate() {

@@ -7,7 +7,7 @@
 use std::fmt::Write as _;
 
 /// Escapes a string for embedding inside JSON double quotes.
-pub fn escape(s: &str) -> String {
+pub(crate) fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     for c in s.chars() {
         match c {

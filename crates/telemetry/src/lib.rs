@@ -129,7 +129,7 @@ pub fn observe(name: &'static str, value: u64) {
 
 /// Adds `delta` to the labeled counter `family{label="value"}` (no-op
 /// while disabled). Subject to the per-family label-cardinality cap
-/// ([`metrics::LABEL_CARDINALITY_CAP`]).
+/// (`metrics::LABEL_CARDINALITY_CAP`).
 #[inline]
 pub fn count_labeled(family: &str, label: &str, value: &str, delta: u64) {
     if enabled() {
@@ -139,7 +139,7 @@ pub fn count_labeled(family: &str, label: &str, value: &str, delta: u64) {
 
 /// Records a sample into the labeled histogram `family{label="value"}`
 /// (no-op while disabled). Subject to the per-family label-cardinality
-/// cap ([`metrics::LABEL_CARDINALITY_CAP`]).
+/// cap (`metrics::LABEL_CARDINALITY_CAP`).
 #[inline]
 pub fn observe_labeled(family: &str, label: &str, value: &str, sample: u64) {
     if enabled() {

@@ -34,7 +34,7 @@ static RSS_PEAK: AtomicU64 = AtomicU64::new(0);
 /// Current resident-set size of this process in bytes, from
 /// `/proc/self/statm`. `None` off Linux or if procfs is unavailable.
 #[must_use]
-pub fn rss_bytes() -> Option<u64> {
+pub(crate) fn rss_bytes() -> Option<u64> {
     #[cfg(target_os = "linux")]
     {
         let statm = std::fs::read_to_string("/proc/self/statm").ok()?;

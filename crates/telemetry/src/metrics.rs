@@ -34,7 +34,7 @@ impl Counter {
 
     /// Adds one.
     #[inline]
-    pub fn inc(&self) {
+    pub(crate) fn inc(&self) {
         self.add(1);
     }
 
@@ -101,7 +101,7 @@ impl Histogram {
     }
 
     /// Bucket index for a sample value.
-    pub fn bucket_index(v: u64) -> usize {
+    pub(crate) fn bucket_index(v: u64) -> usize {
         if v < (2 * SUBS) as u64 {
             return v as usize;
         }
@@ -111,7 +111,7 @@ impl Histogram {
     }
 
     /// Inclusive lower bound of a bucket (the value `quantile` reports).
-    pub fn bucket_lower_bound(idx: usize) -> u64 {
+    pub(crate) fn bucket_lower_bound(idx: usize) -> u64 {
         if idx < 2 * SUBS {
             return idx as u64;
         }
@@ -167,7 +167,7 @@ impl Histogram {
 
     /// Inclusive upper bound of a bucket (the largest value that lands in
     /// it). The final bucket absorbs everything up to `u64::MAX`.
-    pub fn bucket_upper_bound(idx: usize) -> u64 {
+    pub(crate) fn bucket_upper_bound(idx: usize) -> u64 {
         if idx + 1 >= BUCKETS {
             u64::MAX
         } else {
@@ -178,7 +178,7 @@ impl Histogram {
     /// Non-empty buckets as `(inclusive upper bound, sample count)` pairs
     /// in ascending bound order — the sparse form exposition renderers
     /// turn into cumulative `_bucket` series.
-    pub fn nonzero_buckets(&self) -> Vec<(u64, u64)> {
+    pub(crate) fn nonzero_buckets(&self) -> Vec<(u64, u64)> {
         self.counts
             .iter()
             .enumerate()
@@ -235,7 +235,7 @@ pub struct HistogramSummary {
     /// 99th-percentile estimate.
     pub p99: u64,
     /// Non-empty buckets as `(inclusive upper bound, sample count)` in
-    /// ascending bound order (see [`Histogram::nonzero_buckets`]).
+    /// ascending bound order (see `Histogram::nonzero_buckets`).
     pub buckets: Vec<(u64, u64)>,
 }
 
@@ -276,7 +276,7 @@ pub struct MetricsSnapshot {
 /// federation, 100 clients: at that setting every `net.client.*` series
 /// keeps its own `client_id`, where a cap of 64 folded 36 of them into
 /// `overflow`.
-pub const LABEL_CARDINALITY_CAP: usize = 128;
+pub(crate) const LABEL_CARDINALITY_CAP: usize = 128;
 
 /// The instrument registry. One global instance lives for the process
 /// lifetime ([`global`]); separate instances exist only for tests.
@@ -335,7 +335,7 @@ impl Registry {
     /// fold into `family{label="overflow"}` (and bump
     /// `telemetry.labels.overflow`); quotes and backslashes in the value
     /// are escaped so the name stays valid Prometheus exposition.
-    pub fn labeled_series(&self, family: &str, label: &str, value: &str) -> String {
+    pub(crate) fn labeled_series(&self, family: &str, label: &str, value: &str) -> String {
         let escaped: String = value
             .chars()
             .flat_map(|c| match c {
@@ -368,13 +368,13 @@ impl Registry {
     }
 
     /// Resolves a labeled counter (`family{label="value"}`), subject to
-    /// the cardinality guard of [`Registry::labeled_series`].
+    /// the cardinality guard of `Registry::labeled_series`.
     pub fn counter_labeled(&self, family: &str, label: &str, value: &str) -> &'static Counter {
         self.counter(&self.labeled_series(family, label, value))
     }
 
     /// Resolves a labeled histogram (`family{label="value"}`), subject to
-    /// the cardinality guard of [`Registry::labeled_series`].
+    /// the cardinality guard of `Registry::labeled_series`.
     pub fn histogram_labeled(&self, family: &str, label: &str, value: &str) -> &'static Histogram {
         self.histogram(&self.labeled_series(family, label, value))
     }

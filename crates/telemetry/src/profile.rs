@@ -157,7 +157,7 @@ impl SpanTree {
 }
 
 /// Extracts `(path, dur_ns)` of every span record in a JSONL trace, in
-/// file order: the [`parse_span_record`] lines, reduced to what
+/// file order: the `parse_span_record` lines, reduced to what
 /// [`SpanTree::from_paths`] takes.
 pub fn parse_jsonl(text: &str) -> Vec<(String, u64)> {
     text.lines().filter_map(parse_span_record).map(|r| (r.path, r.dur_ns)).collect()
@@ -195,7 +195,7 @@ pub struct SpanRecord {
 /// line with a `path` and a `dur_ns` (metric records, blank lines,
 /// malformed input). Traces written before cross-process propagation
 /// existed parse fine: the extra fields default to zero / empty.
-pub fn parse_span_record(line: &str) -> Option<SpanRecord> {
+pub(crate) fn parse_span_record(line: &str) -> Option<SpanRecord> {
     if !line.contains("\"type\":\"span\"") {
         return None;
     }

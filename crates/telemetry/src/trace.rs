@@ -126,7 +126,7 @@ pub fn set_remote_context(ctx: Option<TraceContext>) {
 
 /// The calling thread's installed remote trace context.
 #[must_use]
-pub fn remote_context() -> Option<TraceContext> {
+pub(crate) fn remote_context() -> Option<TraceContext> {
     REMOTE_CTX.with(|c| *c.borrow())
 }
 
