@@ -5,7 +5,6 @@
 //! ```text
 //! bench_check <baseline.json> <fresh.json> [--max-ratio R]        # BENCH_fhe.json
 //! bench_check --net <baseline.json> <fresh.json> [--max-ratio R]  # BENCH_net.json
-//! bench_check --decrypt-identity <a.json> <b.json>                # matrix legs
 //! ```
 //!
 //! The default mode joins the `"results"` rows of two `BENCH_fhe.json`
@@ -23,13 +22,7 @@
 //! `rss_peak_bytes`). A missing or field-incomplete `--net` baseline
 //! skips those comparisons with a note instead of failing — the
 //! baseline grows fields (and appears at all) one commit after the
-//! bench starts emitting them. `--decrypt-identity` compares the
-//! `decrypt_fingerprint` of two artifacts from the same commit (CI's
-//! `RHYCHEE_NTT_BACKEND` matrix legs) and fails on any difference: NTT
-//! backends are bit-identical by contract, so the seeded decrypt output
-//! must match exactly. When both artifacts report the same
-//! `ntt_backend` (a runner without AVX resolves `auto` to `scalar`) the
-//! check compares a kernel with itself and says so in a `note:`.
+//! bench starts emitting them.
 //!
 //! Exit codes: 0 = within budget, 1 = regression past `--max-ratio`
 //! (default 2.0 — generous on purpose, CI runners are noisy), 2 =
@@ -282,56 +275,14 @@ fn run_net(baseline_path: &str, fresh_path: &str, max_ratio: f64) -> Result<Exit
     }
 }
 
-/// Compares the `decrypt_fingerprint` of two `BENCH_fhe.json`
-/// artifacts. Both present and equal → pass; both present and
-/// different → fail (a backend broke bit-identity); either missing →
-/// skip-pass with a note (pre-fingerprint artifact).
-fn run_decrypt_identity(a_path: &str, b_path: &str) -> Result<ExitCode, String> {
-    let read = |p: &str| fs::read_to_string(p).map_err(|e| format!("{p}: {e}"));
-    let a = read(a_path)?;
-    let b = read(b_path)?;
-    let (fa, fb) = (str_field(&a, "decrypt_fingerprint"), str_field(&b, "decrypt_fingerprint"));
-    match (fa, fb) {
-        (Some(fa), Some(fb)) if fa == fb => {
-            let backend = |s: &str| str_field(s, "ntt_backend").unwrap_or_else(|| "?".into());
-            let (ba, bb) = (backend(&a), backend(&b));
-            println!("bench_check: decrypt fingerprints agree ({fa}; backends {ba} vs {bb})");
-            if ba == bb {
-                println!(
-                    "note: both artifacts ran the {ba} kernel, so this compared a backend \
-                     with itself and says nothing about cross-backend bit-identity"
-                );
-            }
-            Ok(ExitCode::SUCCESS)
-        }
-        (Some(fa), Some(fb)) => {
-            eprintln!(
-                "bench_check: decrypt fingerprints disagree: {a_path} has {fa}, {b_path} has \
-                 {fb} — an NTT backend broke bit-identity with scalar"
-            );
-            Ok(ExitCode::FAILURE)
-        }
-        _ => {
-            println!(
-                "bench_check: at least one artifact lacks \"decrypt_fingerprint\" \
-                 (pre-dates the field); nothing to compare (pass)"
-            );
-            Ok(ExitCode::SUCCESS)
-        }
-    }
-}
-
 fn run(args: &[String]) -> Result<ExitCode, String> {
     let mut paths = Vec::new();
     let mut max_ratio = 2.0f64;
     let mut net = false;
-    let mut decrypt_identity = false;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         if arg == "--net" {
             net = true;
-        } else if arg == "--decrypt-identity" {
-            decrypt_identity = true;
         } else if arg == "--max-ratio" {
             max_ratio = it
                 .next()
@@ -347,14 +298,9 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
     }
     let [baseline_path, fresh_path] = paths.as_slice() else {
         return Err(
-            "usage: bench_check [--net | --decrypt-identity] <baseline.json> <fresh.json> \
-             [--max-ratio R]"
-                .into(),
+            "usage: bench_check [--net] <baseline.json> <fresh.json> [--max-ratio R]".into()
         );
     };
-    if decrypt_identity {
-        return run_decrypt_identity(baseline_path, fresh_path);
-    }
     if net {
         return run_net(baseline_path, fresh_path, max_ratio);
     }
@@ -481,40 +427,6 @@ mod tests {
         assert!(err.contains("model_params"), "{err}");
         // A baseline that pre-dates the fields compares with anything.
         assert_eq!(check_same_workload(SAMPLE, &doc(8192, 20000)), Ok(()));
-    }
-
-    #[test]
-    fn decrypt_identity_gate_passes_agrees_fails_disagrees() {
-        let dir = std::env::temp_dir().join(format!("rhychee-fp-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("tmp dir");
-        let write = |name: &str, body: &str| {
-            let p = dir.join(name);
-            std::fs::write(&p, body).expect("write");
-            p.to_str().unwrap().to_owned()
-        };
-        let a = write(
-            "a.json",
-            "{\"ntt_backend\": \"scalar\", \"decrypt_fingerprint\": \"0xdeadbeef\"}",
-        );
-        let same = write(
-            "same.json",
-            "{\"ntt_backend\": \"avx512\", \"decrypt_fingerprint\": \"0xdeadbeef\"}",
-        );
-        let diff = write(
-            "diff.json",
-            "{\"ntt_backend\": \"avx512\", \"decrypt_fingerprint\": \"0x12345678\"}",
-        );
-        let old = write("old.json", "{\"machine_cores\": 1}");
-        let code = run_decrypt_identity(&a, &same).expect("gate");
-        assert_eq!(format!("{code:?}"), format!("{:?}", ExitCode::SUCCESS));
-        // Same backend on both sides: vacuous, noted, still a pass.
-        let code = run_decrypt_identity(&a, &a).expect("gate");
-        assert_eq!(format!("{code:?}"), format!("{:?}", ExitCode::SUCCESS));
-        let code = run_decrypt_identity(&a, &diff).expect("gate");
-        assert_eq!(format!("{code:?}"), format!("{:?}", ExitCode::FAILURE));
-        let code = run_decrypt_identity(&a, &old).expect("pre-fingerprint artifact skips");
-        assert_eq!(format!("{code:?}"), format!("{:?}", ExitCode::SUCCESS));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -143,9 +143,12 @@ fn kernel_samples(
 }
 
 /// FNV-1a over the decrypted model's `f32` bit patterns: a cheap,
-/// dependency-free fingerprint CI compares across `RHYCHEE_NTT_BACKEND`
-/// matrix legs. Backends are bit-identical by contract, and the bench
-/// RNG is seeded, so two artifacts from the same commit must agree.
+/// dependency-free pin of the seeded encrypt → aggregate → decrypt
+/// flow. The bench RNG is seeded, so the `--quick` value is fixed per
+/// commit and a change that moves a decrypted bit moves it. Every NTT
+/// kernel decrypts to the same bits (`rhychee-fhe`'s
+/// `every_ntt_kernel_matches_scalar_end_to_end`), so one process
+/// covers them all.
 fn decrypt_fingerprint(flat: &[f32]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for v in flat {
@@ -155,64 +158,6 @@ fn decrypt_fingerprint(flat: &[f32]) -> u64 {
         }
     }
     h
-}
-
-/// `--probe-encrypt` child mode: the NTT backend is resolved once per
-/// process, so per-backend `encrypt_model` rows come from re-executing
-/// this binary with `RHYCHEE_NTT_BACKEND` overridden. Prints one
-/// machine-readable line and exits.
-fn run_encrypt_probe(params: &CkksParams, model_params: usize, iters: usize) {
-    let ctx = CkksContext::with_parallelism(params.clone(), Parallelism::Fixed(1))
-        .expect("probe context");
-    let mut rng = StdRng::seed_from_u64(7);
-    let (_sk, pk) = ctx.generate_keys(&mut rng);
-    let dense = packing::PackingConfig::dense();
-    let flat: Vec<f32> = (0..model_params).map(|i| (i as f32 * 0.01).sin()).collect();
-    let ns = time_ns(iters, || {
-        let cts = packing::encrypt_model_with(&ctx, &pk, &flat, &dense, &mut rng).expect("encrypt");
-        std::hint::black_box(cts);
-    });
-    let backend = rhychee_fhe::ckks::ntt::active_kernel().name();
-    println!("probe encrypt_model {backend} {ns:.1}");
-}
-
-/// Spawns one `--probe-encrypt` child per non-active backend and parses
-/// its row. Probe failures skip the row (with a note) rather than
-/// failing the bench: the matrix of compiled backends is host-dependent.
-fn probe_other_backends(quick: bool, active: &str) -> Vec<Sample> {
-    let Ok(exe) = std::env::current_exe() else {
-        return Vec::new();
-    };
-    let mut rows = Vec::new();
-    for kernel in rhychee_fhe::ckks::ntt::available_kernels() {
-        let name = kernel.name();
-        if name == active {
-            continue;
-        }
-        let mut cmd = std::process::Command::new(&exe);
-        cmd.arg("--probe-encrypt").env("RHYCHEE_NTT_BACKEND", name);
-        if quick {
-            cmd.arg("--quick");
-        }
-        let parsed = cmd.output().ok().and_then(|out| {
-            let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
-            let line = stdout.lines().find(|l| l.starts_with("probe encrypt_model"))?;
-            let mut it = line.split_whitespace().skip(2);
-            let backend = it.next()?;
-            let ns: f64 = it.next()?.parse().ok()?;
-            (backend == name).then_some(ns)
-        });
-        match parsed {
-            Some(ns) => rows.push(Sample {
-                op: "encrypt_model".into(),
-                threads: 1,
-                ns_per_op: ns,
-                backend: name,
-            }),
-            None => eprintln!("  note: encrypt probe for backend {name} failed; row skipped"),
-        }
-    }
-    rows
 }
 
 fn main() {
@@ -225,10 +170,6 @@ fn main() {
     } else {
         (CkksParams::ckks3(), 20_000, 4, 4)
     };
-    if args.iter().any(|a| a == "--probe-encrypt") {
-        run_encrypt_probe(&params, model_params, iters);
-        return;
-    }
     let ntt_backend = rhychee_fhe::ckks::ntt::active_kernel().name();
     let dense = packing::PackingConfig::dense();
 
@@ -370,15 +311,9 @@ fn main() {
 
     samples.extend(kernel_samples(&params, model_params, iters, &dense));
 
-    // Per-backend encrypt rows: the kernel is resolved once per process,
-    // so the other backends are measured by child processes with
-    // `RHYCHEE_NTT_BACKEND` overridden (no-op on scalar-only hosts).
-    samples.extend(probe_other_backends(quick, ntt_backend));
-
     // Deterministic encrypt → aggregate → decrypt fingerprint: seeded
-    // RNG and no timing loops interleaved, so two artifacts from the
-    // same commit must agree on it no matter which NTT backend ran —
-    // the CI matrix diffs this field across its legs.
+    // RNG and no timing loops interleaved, so two runs of the same
+    // commit agree on it.
     let fp_ctx =
         CkksContext::with_parallelism(params.clone(), Parallelism::Fixed(1)).expect("context");
     let mut fp_rng = StdRng::seed_from_u64(1234);

@@ -27,8 +27,3 @@ pub mod crc;
 pub mod failure;
 pub mod packet;
 pub mod phy;
-
-pub use crc::{crc32, internet_checksum, Detector};
-pub use failure::{seconds_to_days, ChannelModel};
-pub use packet::{BitFlipChannel, PacketLink, TransferStats, PACKET_BITS};
-pub use phy::PhyConfig;

@@ -23,8 +23,8 @@
 //! * [`codec`] — model payload encoding (plaintext / CKKS / LWE wire formats)
 //! * [`packing`] — maximum ciphertext packing (⌈DL/(N/2)⌉ ciphertexts)
 //! * [`round`] — reusable round building blocks, shared with the
-//!   networked `rhychee-net` runtime: the [`ClientHalf`] and
-//!   [`ServerHalf`] every payload passes through
+//!   networked `rhychee-net` runtime: the [`ClientHalf`](round::ClientHalf) and
+//!   [`ServerHalf`](round::ServerHalf) every payload passes through
 //! * [`streaming`] — [`StreamingAggregator`]: the one accumulator
 //!   every runtime folds encrypted uploads into as zero-copy views,
 //!   bit-identical to the Eq. 2 reference
@@ -63,14 +63,10 @@ pub mod packing;
 pub mod round;
 pub mod streaming;
 
-pub use config::{Aggregation, EncoderKind, FlConfig, FlConfigBuilder};
+pub use config::{Aggregation, FlConfig};
 pub use error::FlError;
-pub use framework::{Framework, RoundHooks, RoundReport, RunReport};
+pub use framework::{Framework, RoundHooks, RoundReport};
 pub use nn_fl::{NnFederation, NnModelKind, SgdConfig};
-pub use noisy::{ChannelStats, NoisyChannelConfig, NoisyFederation};
+pub use noisy::{NoisyChannelConfig, NoisyFederation};
 pub use rhychee_par::Parallelism;
-pub use round::{
-    client_rng, derive_ckks_keys, prepare, ClientHalf, ClientLocal, ClientUpdate, FedSetup,
-    ServerHalf, ServerRound,
-};
 pub use streaming::StreamingAggregator;

@@ -36,6 +36,14 @@ pub mod partition;
 pub mod synth_har;
 pub mod synth_mnist;
 
-pub use config::{DatasetKind, GenerateError, SyntheticConfig};
-pub use dataset::{Dataset, TrainTest};
-pub use partition::{dirichlet_partition, dirichlet_partition_indices, iid_partition};
+pub use config::{DatasetKind, SyntheticConfig};
+pub use dataset::TrainTest;
+
+/// One standard normal draw by Box–Muller, consuming two `f64` words of
+/// `rng`: the pixel noise of [`synth_mnist`] and the sensor noise of
+/// [`synth_har`].
+pub(crate) fn gaussian<R: rand::Rng + ?Sized>(rng: &mut R) -> f32 {
+    let u1: f64 = 1.0 - rng.gen::<f64>();
+    let u2: f64 = rng.gen();
+    ((-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()) as f32
+}

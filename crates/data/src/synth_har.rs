@@ -15,6 +15,8 @@
 
 use rand::Rng;
 
+use crate::gaussian;
+
 /// Samples per window (2.56 s @ 50 Hz, like the UCI dataset).
 pub(crate) const WINDOW: usize = 128;
 
@@ -258,12 +260,6 @@ fn dft_magnitude(s: &[f32], bins: usize) -> Vec<f32> {
             (re * re + im * im).sqrt() / n as f32
         })
         .collect()
-}
-
-fn gaussian<R: Rng + ?Sized>(rng: &mut R) -> f32 {
-    let u1: f64 = 1.0 - rng.gen::<f64>();
-    let u2: f64 = rng.gen();
-    ((-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()) as f32
 }
 
 #[cfg(test)]

@@ -10,6 +10,8 @@
 
 use rand::Rng;
 
+use crate::gaussian;
+
 /// Image side length (MNIST-compatible 28×28).
 pub(crate) const IMAGE_SIDE: usize = 28;
 
@@ -230,12 +232,6 @@ fn point_segment_distance(px: f32, py: f32, s: &Segment) -> f32 {
 fn smoothstep(lo: f32, hi: f32, x: f32) -> f32 {
     let t = ((x - lo) / (hi - lo)).clamp(0.0, 1.0);
     t * t * (3.0 - 2.0 * t)
-}
-
-fn gaussian<R: Rng + ?Sized>(rng: &mut R) -> f32 {
-    let u1: f64 = 1.0 - rng.gen::<f64>();
-    let u2: f64 = rng.gen();
-    ((-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()) as f32
 }
 
 #[cfg(test)]

@@ -919,6 +919,18 @@ impl CkksContext {
     fn poly_mul(&self, a: &RnsPoly, b: &RnsPoly) -> RnsPoly {
         self.poly_mul_at(a, b, self.primes.len())
     }
+
+    /// A context whose tables dispatch through `kernel` instead of the
+    /// process-wide one, built outside the `(n, q)` cache so no other
+    /// context shares them.
+    #[cfg(test)]
+    fn with_ntt_kernel(params: CkksParams, kernel: &'static dyn super::ntt::NttKernel) -> Self {
+        let mut ctx = Self::new(params).expect("valid params");
+        let n = ctx.params.n;
+        ctx.ntt =
+            ctx.primes.iter().map(|&q| Arc::new(NttTable::with_kernel(n, q, kernel))).collect();
+        ctx
+    }
 }
 
 /// What makes two `(levels, scale)` operands addable — ciphertexts or
@@ -1553,6 +1565,75 @@ mod tests {
                 assert_eq!(got, &want, "{} → {} levels", ct.levels(), dropped.levels());
             }
             ct = dropped;
+        }
+    }
+
+    /// What one seeded flow leaves behind: every byte string it wrote and
+    /// the bits of every value it decrypted.
+    fn kernel_flow(
+        params: &CkksParams,
+        kernel: &'static dyn super::super::ntt::NttKernel,
+    ) -> (Vec<Vec<u8>>, Vec<u64>) {
+        let ctx = CkksContext::with_ntt_kernel(params.clone(), kernel);
+        let mut rng = StdRng::seed_from_u64(0x6b65_726e);
+        let (sk, pk) = ctx.generate_keys(&mut rng);
+        let values: Vec<f64> = (0..ctx.slot_count()).map(|i| (i as f64 * 0.37).sin()).collect();
+        let public = ctx.encrypt(&pk, &values, &mut rng).expect("encrypt");
+        let symmetric = ctx.encrypt_symmetric(&sk, &values, &mut rng).expect("encrypt");
+        let canonical = ctx.serialize(&public);
+        let seeded = ctx.serialize_seeded(&symmetric).expect("fresh symmetric");
+        let views = [
+            ctx.view_serialized(&canonical).expect("canonical view"),
+            ctx.view_serialized_seeded(&seeded).expect("seeded view"),
+        ];
+        let mut acc = ctx.accumulator_for(&views[0]);
+        for view in &views {
+            ctx.fold_view(&mut acc, view).expect("fold");
+        }
+        let mean = ctx.mul_scalar(&acc, 0.5);
+        let bits = [&public, &symmetric, &mean]
+            .into_iter()
+            .flat_map(|ct| ctx.decrypt(&sk, ct))
+            .map(f64::to_bits)
+            .collect();
+        let bytes = vec![canonical, ctx.serialize(&symmetric), seeded, ctx.serialize(&acc)];
+        (bytes, bits)
+    }
+
+    /// Every NTT kernel this CPU runs writes the scalar kernel's bytes
+    /// and decrypts to its bits through keygen, both encryptions, both
+    /// wire formats, the fold and the scalar close. The toy set's 50-
+    /// and 40-bit primes run the IFMA52 multiplier where it is detected.
+    #[test]
+    fn every_ntt_kernel_matches_scalar_end_to_end() {
+        let kernels = super::super::ntt::available_kernels();
+        let names: Vec<&str> = kernels.iter().map(|k| k.name()).collect();
+        if kernels.len() == 1 {
+            eprintln!("ntt kernels compared end to end: scalar only");
+        } else {
+            eprintln!("ntt kernels compared end to end: {}", names.join(", "));
+        }
+        for (set, params) in [
+            ("CKKS-4", CkksParams::ckks4()),
+            ("CKKS-3", CkksParams::ckks3()),
+            ("toy", CkksParams::toy()),
+        ] {
+            let (want_bytes, want_bits) = kernel_flow(&params, kernels[0]);
+            for &kernel in &kernels[1..] {
+                let (bytes, bits) = kernel_flow(&params, kernel);
+                for (i, (got, want)) in bytes.iter().zip(&want_bytes).enumerate() {
+                    assert!(
+                        got == want,
+                        "{}: byte string {i} differs from scalar at {set}",
+                        kernel.name()
+                    );
+                }
+                assert!(
+                    bits == want_bits,
+                    "{}: decrypted bits differ from scalar at {set}",
+                    kernel.name()
+                );
+            }
         }
     }
 }

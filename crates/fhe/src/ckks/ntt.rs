@@ -21,15 +21,15 @@
 //! The butterfly loops run behind the [`NttKernel`] trait. Two
 //! backends exist: the scalar Harvey path above (always compiled, the
 //! reference, and the only one off `x86_64`) and an AVX-512 backend
-//! (8-lane, both directions). One backend is selected per process —
-//! runtime feature detection under an
-//! `RHYCHEE_NTT_BACKEND={scalar,avx512,auto}` env override — and the
+//! (8-lane, both directions). One backend is selected per process by
+//! runtime feature detection (AVX-512 wherever the CPU has it), and the
 //! choice is cached inside every [`NttTable`], so `forward`/
 //! `inverse`/`multiply` and the per-RNS-prime loops dispatch
 //! through a preresolved vtable pointer with zero per-call branching.
 //! All backends perform the *same* wrapping-u64 lazy-reduction
 //! arithmetic, so outputs are bit-identical across backends (asserted
-//! by proptests and the cross-backend identity test).
+//! by proptests and by `cipher::tests::every_ntt_kernel_matches_scalar_end_to_end`,
+//! which runs whole CKKS flows through every detected kernel).
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -134,34 +134,15 @@ pub fn available_kernels() -> &'static [&'static dyn NttKernel] {
     })
 }
 
-/// Looks up an available backend by name (`"scalar"` or `"avx512"`).
-pub fn kernel_by_name(name: &str) -> Option<&'static dyn NttKernel> {
-    available_kernels().iter().copied().find(|k| k.name() == name)
-}
-
-/// The process-wide backend: resolved once from `RHYCHEE_NTT_BACKEND`
-/// (`scalar` / `avx512` / `auto`, default `auto` = AVX-512 where
-/// detected, else scalar) and cached, so per-call dispatch is a
-/// preresolved vtable pointer. Requesting a backend this host cannot
-/// run, or a name no backend has, falls back to scalar with one warning
-/// line rather than aborting, so one CI matrix works across
-/// architectures. Publishes the `fhe.ckks.ntt.backend` info
-/// metric on first resolution.
+/// The process-wide backend: the last (widest) entry of
+/// [`available_kernels`] — AVX-512 where AVX-512F/DQ are detected, else
+/// scalar — resolved once and cached, so per-call dispatch is a
+/// preresolved vtable pointer. Publishes the `fhe.ckks.ntt.backend`
+/// info metric on first resolution.
 pub fn active_kernel() -> &'static dyn NttKernel {
     static ACTIVE: OnceLock<&'static dyn NttKernel> = OnceLock::new();
     *ACTIVE.get_or_init(|| {
-        let requested = std::env::var("RHYCHEE_NTT_BACKEND").unwrap_or_default();
-        let kernel = match requested.as_str() {
-            "" | "auto" => *available_kernels().last().expect("scalar kernel always present"),
-            name => kernel_by_name(name).unwrap_or_else(|| {
-                eprintln!(
-                    "warning: RHYCHEE_NTT_BACKEND={name} unavailable on this host \
-                     (compiled+detected: {:?}); falling back to scalar",
-                    available_kernels().iter().map(|k| k.name()).collect::<Vec<_>>()
-                );
-                &SCALAR_KERNEL
-            }),
-        };
+        let kernel = *available_kernels().last().expect("scalar kernel always present");
         telemetry::count_labeled("fhe.ckks.ntt.backend", "backend", kernel.name(), 1);
         kernel
     })
@@ -288,8 +269,8 @@ impl NttTable {
     /// backend instead of the process-wide [`active_kernel`]. Used by
     /// the per-backend proptests, the cross-backend bit-identity test
     /// and `bench_fhe`'s per-backend rows. `kernel` must come from
-    /// [`available_kernels`] / [`kernel_by_name`], which only hand out
-    /// backends the running CPU supports.
+    /// [`available_kernels`], which only hands out backends the running
+    /// CPU supports.
     ///
     /// # Panics
     ///
@@ -589,6 +570,12 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn active_kernel_is_the_widest_available() {
+        let widest = available_kernels().last().expect("scalar is always available");
+        assert_eq!(active_kernel().name(), widest.name());
     }
 
     fn table(n: usize) -> NttTable {

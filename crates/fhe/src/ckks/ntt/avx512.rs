@@ -647,7 +647,7 @@ mod tests {
         if !report() {
             return;
         }
-        let scalar = super::super::kernel_by_name("scalar").expect("scalar kernel");
+        let scalar = &super::super::SCALAR_KERNEL;
         let mut rng = StdRng::seed_from_u64(0x1f3a);
         for bits in [30, 35, 40, 45, 50] {
             for n in [16usize, 512, 8192, 32768] {

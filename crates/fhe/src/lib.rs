@@ -71,10 +71,4 @@ pub mod params;
 pub mod sampling;
 pub mod tfhe_boot;
 
-pub use ckks::{
-    CkksCiphertext, CkksContext, CkksEncryptNoise, CkksPublicKey, CkksSecretKey, CkksSymmetricNoise,
-};
 pub use error::FheError;
-pub use lwe::{LweCiphertext, LweContext, LweSecretKey};
-pub use paillier::{PaillierCiphertext, PaillierContext};
-pub use params::{CkksParams, LweParams, ParamSet};

@@ -247,9 +247,8 @@ mod ntt_backends {
 
     #[test]
     fn backends_bit_identical_at_workspace_primes() {
-        use rhychee_fhe::ckks::ntt::kernel_by_name;
         let mut rng = StdRng::seed_from_u64(0x5eed_bac4);
-        let scalar = kernel_by_name("scalar").expect("scalar kernel always present");
+        let scalar = available_kernels()[0];
         for bits in WORKSPACE_PRIME_BITS {
             for n in RING_DEGREES {
                 let q = find_ntt_primes(bits, 1, 2 * n as u64)[0];

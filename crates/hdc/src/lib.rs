@@ -38,6 +38,3 @@
 
 pub mod encoding;
 pub mod model;
-
-pub use encoding::{Encoder, RandomProjectionEncoder, RbfEncoder};
-pub use model::{EncodedDataset, HdcModel};

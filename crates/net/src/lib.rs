@@ -83,7 +83,5 @@ pub use client::{ClientConfig, ClientPipeline, ClientReport, FlClient};
 pub use codec::{CanonicalCodec, ModelView, SeededCodec, WireCodec};
 pub use error::NetError;
 pub use rhychee_core::codec;
-pub use server::{
-    FlServer, NetRoundReport, ServerConfig, ServerConfigBuilder, ServerPipeline, ServerReport,
-};
+pub use server::{FlServer, ServerConfig, ServerPipeline, ServerReport};
 pub use wire::{Message, DEFAULT_MAX_PAYLOAD};

@@ -39,7 +39,7 @@
 //! with `UpdateAck { accepted: false }` and never touch the aggregate.
 //!
 //! Aggregation: the coordinator folds each upload into the round's
-//! [`ServerHalf`](rhychee_core::ServerHalf) the moment its frame
+//! [`ServerHalf`](rhychee_core::round::ServerHalf) the moment its frame
 //! arrives — the half the in-process `Framework` runs too. Under CKKS
 //! and LWE, handler reads gate on a resident-upload permit
 //! ([`ServerConfigBuilder::max_resident_uploads`]) released right after

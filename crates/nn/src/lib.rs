@@ -33,4 +33,3 @@ pub mod network;
 pub mod tensor;
 
 pub use network::Network;
-pub use tensor::Tensor;

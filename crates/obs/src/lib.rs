@@ -40,6 +40,4 @@ pub mod rounds;
 pub mod watchdog;
 
 pub use http::{ObsHandle, ObsServer};
-pub use prometheus::render;
-pub use rounds::{ClientArrival, RoundRecord};
 pub use watchdog::Watchdog;

@@ -55,8 +55,8 @@ pub mod hetero;
 pub mod runner;
 pub mod spec;
 
-pub use attack::{AttackKind, Colluding, SignFlip};
-pub use churn::{ChurnEvent, ChurnTrace};
+pub use attack::AttackKind;
+pub use churn::ChurnTrace;
 pub use defense::{ClipBound, Defense};
 pub use hetero::DeviceProfile;
 pub use runner::{run, ScenarioReport};

@@ -59,11 +59,9 @@ pub mod trace;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
-pub use alloc::{AllocStats, TrackingAlloc};
-pub use metrics::{Counter, Gauge, Histogram, HistogramSummary, MetricsSnapshot, Registry};
-pub use profile::{SpanNode, SpanTree};
-pub use span::Span;
-pub use trace::{SpanEvent, TraceContext, TraceWriter};
+pub use metrics::Registry;
+pub use profile::SpanTree;
+pub use trace::{TraceContext, TraceWriter};
 
 /// The six round phases, each with the span whose duration histogram is
 /// its SLO: what `/rounds.json` summarizes and `fed_trace` totals per
@@ -99,7 +97,7 @@ pub fn set_enabled(on: bool) {
 /// Opens a hierarchical span. Always measures wall time; records into the
 /// trace buffer and the span-name histogram only while [`enabled`].
 #[inline]
-pub fn span(name: &'static str) -> Span {
+pub fn span(name: &'static str) -> span::Span {
     span::open(name)
 }
 
