@@ -73,11 +73,11 @@ pub fn crc32(data: &[u8]) -> u32 {
 /// for any split, and a message scattered over several buffers is
 /// checksummed without gathering it into one.
 ///
-/// On x86_64 CPUs with `pclmulqdq`, inputs of 64 bytes or more take a
-/// carry-less-multiply fold over four 16-byte lanes. Everything else —
-/// shorter inputs, the fold's last `len % 16` bytes, other targets —
-/// takes one slice-by-8 register, eight bytes per step, bytewise over
-/// the last `% 8`. Both paths give the same bits.
+/// On x86_64 CPUs with AVX-512F and VPCLMULQDQ, inputs of 64 bytes or
+/// more take a carry-less-multiply fold over 512-bit registers.
+/// Everything else — shorter inputs, the fold's last `len % 16` bytes,
+/// other CPUs — takes one slice-by-8 register, eight bytes per step,
+/// bytewise over the last `% 8`. Both paths give the same bits.
 ///
 /// # Examples
 ///
@@ -88,10 +88,33 @@ pub fn crc32(data: &[u8]) -> u32 {
 /// ```
 pub fn crc32_update(crc: u32, data: &[u8]) -> u32 {
     #[cfg(target_arch = "x86_64")]
-    if let Some(crc) = clmul::update(crc, data) {
+    if let Some(crc) = vpclmul::update(crc, data) {
         return crc;
     }
     !slice_by_8(!crc, data)
+}
+
+/// [`crc32_update`] that also appends `src` to `dst`, reading `src`
+/// once: where the fold runs, each 64-byte block is stored to `dst` as
+/// it is folded. The result and `dst` are those of
+/// `dst.extend_from_slice(src)` followed by `crc32_update(crc, src)`.
+///
+/// # Examples
+///
+/// ```
+/// use rhychee_channel::crc::{crc32, crc32_extend};
+///
+/// let mut copy = b"12".to_vec();
+/// assert_eq!(crc32_extend(crc32(b"1234"), b"56789", &mut copy), crc32(b"123456789"));
+/// assert_eq!(copy, b"1256789");
+/// ```
+pub fn crc32_extend(crc: u32, src: &[u8], dst: &mut Vec<u8>) -> u32 {
+    #[cfg(target_arch = "x86_64")]
+    if let Some(crc) = vpclmul::extend(crc, src, dst) {
+        return crc;
+    }
+    dst.extend_from_slice(src);
+    crc32_update(crc, src)
 }
 
 /// The portable stream: the register after `data` has passed through
@@ -125,19 +148,29 @@ fn step8(reg: u32, chunk: &[u8]) -> u32 {
 
 /// The carry-less-multiply fold for the reflected CRC-32, after Gopal
 /// et al., "Fast CRC Computation for Generic Polynomials Using PCLMULQDQ
-/// Instruction" (Intel, 2009).
+/// Instruction" (Intel, 2009), on 512-bit registers.
 ///
 /// A 16-byte lane is a polynomial over GF(2); multiplying it by
 /// `x^n mod P` moves it `n` bits further down the message and leaves its
-/// remainder mod `P` unchanged. Four lanes fold 64 bytes per step, then
-/// fold into one lane, which takes the remaining whole 16-byte chunks.
-/// The last 128 bits reduce to 64, then to the 32-bit register with one
-/// Barrett step. The slice-by-8 stream takes the last `len % 16` bytes.
+/// remainder mod `P` unchanged. A 512-bit register holds four lanes, and
+/// `vpclmulqdq` multiplies all four at once. Four registers take 256
+/// bytes per step, each carried 2048 bits over the three after it. They
+/// fold into one register, which takes the remaining whole 64-byte
+/// blocks, and that register folds into one lane, which takes the whole
+/// 16-byte chunks after them. The last 128 bits reduce to 64, then to the
+/// 32-bit register with one Barrett step. The slice-by-8 stream takes
+/// the last `len % 16` bytes, and all of an input under 64 bytes.
+///
+/// `extend` runs the same fold and stores each 64-byte block to the
+/// destination as it is loaded, so the bytes are read once for both.
 #[cfg(target_arch = "x86_64")]
-mod clmul {
+mod vpclmul {
     use std::arch::x86_64::{
-        __m128i, _mm_and_si128, _mm_clmulepi64_si128, _mm_cvtsi128_si64, _mm_cvtsi32_si128,
-        _mm_set_epi32, _mm_set_epi64x, _mm_srli_si128, _mm_xor_si128,
+        __m128i, __m512i, _mm512_broadcast_i32x4, _mm512_clmulepi64_epi128,
+        _mm512_extracti32x4_epi32, _mm512_loadu_si512, _mm512_ternarylogic_epi64, _mm512_xor_si512,
+        _mm512_zextsi128_si512, _mm_and_si128, _mm_clmulepi64_si128, _mm_cvtsi128_si64,
+        _mm_cvtsi32_si128, _mm_loadu_si128, _mm_set_epi32, _mm_set_epi64x, _mm_srli_si128,
+        _mm_xor_si128,
     };
 
     use super::{mul_x, slice_by_8, CRC32_POLY};
@@ -155,10 +188,14 @@ mod clmul {
         (reg as i64) << 1
     }
 
-    /// Carries a lane 512 bits forward, over the three lanes after it:
-    /// its first eight bytes by `x^(512+32)`, its last eight by
-    /// `x^(512−32)` (`0x1_5444_2bd4`, `0x1_c6e4_1596`).
-    const FOLD_512: [i64; 2] = [xpow_mod(4 * 128 + 32), xpow_mod(4 * 128 - 32)];
+    /// Carries a lane 2048 bits forward, over the three registers after
+    /// its own: its first eight bytes by `x^(2048+32)`, its last eight by
+    /// `x^(2048−32)` (`0x1_1542_778a`, `0x1_322d_1430`).
+    const FOLD_2048: [i64; 2] = [xpow_mod(4 * 512 + 32), xpow_mod(4 * 512 - 32)];
+
+    /// The same for 512 bits, one register onto the next (`0x1_5444_2bd4`,
+    /// `0x1_c6e4_1596`).
+    const FOLD_512: [i64; 2] = [xpow_mod(512 + 32), xpow_mod(512 - 32)];
 
     /// The same for 128 bits, one lane onto the next (`0x1_7519_97d0`,
     /// `0x0_ccaa_009e`).
@@ -187,44 +224,144 @@ mod clmul {
         (quo.reverse_bits() >> 31) as i64
     };
 
-    /// The fold, or `None` when this CPU has no `pclmulqdq`.
-    pub(super) fn update(crc: u32, data: &[u8]) -> Option<u32> {
-        if !is_x86_feature_detected!("pclmulqdq") {
-            return None;
-        }
-        // SAFETY: `fold`'s one target feature, `pclmulqdq`, was just
-        // detected on this CPU. `fold` touches memory only through safe
-        // slice and array indexing.
-        Some(unsafe { fold(crc, data) })
+    /// Whether this CPU runs the fold: every target feature of `fold`.
+    pub(super) fn detected() -> bool {
+        // `vpclmulqdq` does not imply the 128-bit `pclmulqdq` the lane
+        // tail and `reduce` use, so both are asked for.
+        is_x86_feature_detected!("avx512f")
+            && is_x86_feature_detected!("vpclmulqdq")
+            && is_x86_feature_detected!("pclmulqdq")
     }
 
-    /// `crc32_update` by the fold; inputs under 64 bytes take the
-    /// slice-by-8 stream whole.
-    #[target_feature(enable = "pclmulqdq")]
-    fn fold(crc: u32, data: &[u8]) -> u32 {
-        let (blocks, tail) = data.as_chunks::<64>();
-        let Some((first, blocks)) = blocks.split_first() else {
-            return !slice_by_8(!crc, data);
-        };
-        let fold_512 = _mm_set_epi64x(FOLD_512[1], FOLD_512[0]);
-        let mut lanes = split_lanes(first);
+    /// `crc32_update` by the fold, or `None` when this CPU cannot run it.
+    pub(super) fn update(crc: u32, data: &[u8]) -> Option<u32> {
+        if !detected() {
+            return None;
+        }
+        // SAFETY: `fold`'s target features were just detected on this
+        // CPU. Without `COPY` it writes nothing, so `dst` is never used.
+        Some(unsafe { fold::<false>(crc, data, std::ptr::null_mut()) })
+    }
+
+    /// `crc32_extend` by the fold, or `None` (with `dst` untouched) when
+    /// this CPU cannot run it.
+    pub(super) fn extend(crc: u32, src: &[u8], dst: &mut Vec<u8>) -> Option<u32> {
+        if !detected() {
+            return None;
+        }
+        dst.reserve(src.len());
+        let len = dst.len();
+        let spare = dst.spare_capacity_mut().as_mut_ptr().cast::<u8>();
+        // SAFETY: `fold`'s target features were just detected on this
+        // CPU. `reserve` left at least `src.len()` writable bytes at
+        // `spare`, and `src`, a shared borrow, cannot overlap the spare
+        // capacity of a vector borrowed mutably.
+        let crc = unsafe { fold::<true>(crc, src, spare) };
+        // SAFETY: `fold::<true>` has written all `src.len()` bytes after
+        // the first `len`, and they are within the capacity.
+        unsafe { dst.set_len(len + src.len()) };
+        Some(crc)
+    }
+
+    /// The register after `src`, given the CRC before it; with `COPY`,
+    /// every byte of `src` is also stored at its offset from `dst`.
+    ///
+    /// # Safety
+    ///
+    /// The CPU has AVX-512F, VPCLMULQDQ and PCLMULQDQ. With `COPY`, `dst`
+    /// is valid for writes of `src.len()` bytes that overlap nothing
+    /// `src` covers; without it, `dst` is not used.
+    #[target_feature(enable = "avx512f,vpclmulqdq,pclmulqdq")]
+    unsafe fn fold<const COPY: bool>(crc: u32, src: &[u8], dst: *mut u8) -> u32 {
+        let blocks = src.len() / 64;
+        let whole = blocks * 64;
+        let (head, tail) = src.split_at(whole);
+        // The tail's bytes first: nothing below reads them back from `dst`.
+        if COPY {
+            std::ptr::copy_nonoverlapping(tail.as_ptr(), dst.add(whole), tail.len());
+        }
+        if blocks == 0 {
+            return !slice_by_8(!crc, src);
+        }
+        let src = head.as_ptr();
         // The register meets the first four message bytes, as in `step8`.
-        lanes[0] = _mm_xor_si128(lanes[0], _mm_cvtsi32_si128(!crc as i32));
-        for block in blocks {
-            for (lane, next) in lanes.iter_mut().zip(split_lanes(block)) {
-                *lane = _mm_xor_si128(carry(*lane, fold_512), next);
+        let seed = _mm512_zextsi128_si512(_mm_cvtsi32_si128(!crc as i32));
+        let fold_512 = _mm512_broadcast_i32x4(_mm_set_epi64x(FOLD_512[1], FOLD_512[0]));
+        let (mut acc, mut at) = if blocks >= 4 {
+            let fold_2048 = _mm512_broadcast_i32x4(_mm_set_epi64x(FOLD_2048[1], FOLD_2048[0]));
+            let mut regs = [
+                block::<COPY>(src, dst, 0),
+                block::<COPY>(src, dst, 64),
+                block::<COPY>(src, dst, 128),
+                block::<COPY>(src, dst, 192),
+            ];
+            regs[0] = _mm512_xor_si512(regs[0], seed);
+            let mut at = 256;
+            while at + 256 <= whole {
+                for (i, reg) in regs.iter_mut().enumerate() {
+                    *reg = carry_xor(*reg, fold_2048, block::<COPY>(src, dst, at + 64 * i));
+                }
+                at += 256;
             }
+            let [first, rest @ ..] = regs;
+            (rest.into_iter().fold(first, |acc, reg| carry_xor(acc, fold_512, reg)), at)
+        } else {
+            (_mm512_xor_si512(block::<COPY>(src, dst, 0), seed), 64)
+        };
+        while at < whole {
+            acc = carry_xor(acc, fold_512, block::<COPY>(src, dst, at));
+            at += 64;
         }
         let fold_128 = _mm_set_epi64x(FOLD_128[1], FOLD_128[0]);
-        let [mut acc, rest @ ..] = lanes;
-        for lane in rest {
-            acc = _mm_xor_si128(carry(acc, fold_128), lane);
+        let mut lane = _mm512_extracti32x4_epi32::<0>(acc);
+        for next in [
+            _mm512_extracti32x4_epi32::<1>(acc),
+            _mm512_extracti32x4_epi32::<2>(acc),
+            _mm512_extracti32x4_epi32::<3>(acc),
+        ] {
+            lane = _mm_xor_si128(carry(lane, fold_128), next);
         }
-        let (chunks, tail) = tail.as_chunks::<16>();
+        let (chunks, rest) = tail.as_chunks::<16>();
         for chunk in chunks {
-            acc = _mm_xor_si128(carry(acc, fold_128), load(chunk));
+            lane = _mm_xor_si128(carry(lane, fold_128), _mm_loadu_si128(chunk.as_ptr().cast()));
         }
-        !slice_by_8(reduce(acc, fold_128), tail)
+        !slice_by_8(reduce(lane, fold_128), rest)
+    }
+
+    /// The 64 bytes at `src + at`, stored to `dst + at` with `COPY`.
+    ///
+    /// The store is written in `asm!` because LLVM recognises a loop of
+    /// plain load/store pairs as a `memcpy` and splits it out of the
+    /// fold, which reads `src` a second time.
+    ///
+    /// # Safety
+    ///
+    /// As `fold`'s, and `at + 64` is within `src`'s length.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn block<const COPY: bool>(src: *const u8, dst: *mut u8, at: usize) -> __m512i {
+        let v = _mm512_loadu_si512(src.add(at).cast());
+        if COPY {
+            std::arch::asm!(
+                "vmovdqu64 zmmword ptr [{dst}], {v}",
+                dst = in(reg) dst.add(at),
+                v = in(zmm_reg) v,
+                options(nostack, preserves_flags),
+            );
+        }
+        v
+    }
+
+    /// Each lane of `reg` carried forward by the distance `k` encodes,
+    /// XORed with `next`: one `vpternlogq` over the two products.
+    #[inline]
+    #[target_feature(enable = "avx512f,vpclmulqdq")]
+    fn carry_xor(reg: __m512i, k: __m512i, next: __m512i) -> __m512i {
+        _mm512_ternarylogic_epi64::<0x96>(
+            _mm512_clmulepi64_epi128::<0x00>(reg, k),
+            _mm512_clmulepi64_epi128::<0x11>(reg, k),
+            next,
+        )
     }
 
     /// `lane` carried forward by the distance `k` encodes: its first
@@ -257,21 +394,18 @@ mod clmul {
         (_mm_cvtsi128_si64(_mm_xor_si128(x, t)) >> 32) as u32
     }
 
-    /// The four lanes of a 64-byte block.
-    #[inline]
-    #[target_feature(enable = "pclmulqdq")]
-    fn split_lanes(block: &[u8; 64]) -> [__m128i; 4] {
-        let (chunks, _) = block.as_chunks::<16>();
-        std::array::from_fn(|i| load(&chunks[i]))
-    }
-
-    /// Sixteen message bytes as one lane, first byte lowest.
-    #[inline]
-    #[target_feature(enable = "pclmulqdq")]
-    fn load(bytes: &[u8; 16]) -> __m128i {
-        let (lo, hi) = bytes.split_at(8);
-        let word = |b: &[u8]| i64::from_le_bytes(b.try_into().expect("8 bytes"));
-        _mm_set_epi64x(word(hi), word(lo))
+    #[cfg(test)]
+    mod tests {
+        #[test]
+        fn fold_constants_are_the_published_ones() {
+            // Gopal et al.'s constants for the reflected IEEE polynomial.
+            assert_eq!(super::FOLD_2048, [0x1_1542_778a, 0x1_322d_1430]);
+            assert_eq!(super::FOLD_512, [0x1_5444_2bd4, 0x1_c6e4_1596]);
+            assert_eq!(super::FOLD_128, [0x1_7519_97d0, 0x0_ccaa_009e]);
+            assert_eq!(super::FOLD_64, 0x1_63cd_6124);
+            assert_eq!(super::POLY, 0x1_db71_0641);
+            assert_eq!(super::MU, 0x1_f701_1641);
+        }
     }
 }
 
@@ -399,20 +533,31 @@ mod tests {
             let (a, b) = data.split_at(split);
             assert_eq!(crc32_update(crc32(a), b), want, "split {split}");
         }
-        // Three-way, the shape the frame reader uses: header ‖ ctx ‖ payload.
+        // Three-way: a message scattered over three buffers.
         let crc = crc32_update(crc32_update(crc32(&data[..10]), &data[10..34]), &data[34..]);
         assert_eq!(crc, want);
         assert_eq!(crc32_update(0, &data), want, "0 is the CRC of the empty prefix");
         assert_eq!(crc32_update(want, &[]), want, "an empty extension changes nothing");
     }
 
-    /// The fold called directly. CI runs on x86_64 CPUs that have
-    /// `pclmulqdq`, so a missing feature fails here instead of quietly
-    /// testing the portable stream twice.
+    /// Whether this CPU runs the 512-bit fold, said once on stderr so a
+    /// log shows which paths a run compared.
+    fn fold_detected() -> bool {
+        #[cfg(target_arch = "x86_64")]
+        let detected = vpclmul::detected();
+        #[cfg(not(target_arch = "x86_64"))]
+        let detected = false;
+        eprintln!(
+            "avx512f+vpclmulqdq: {}",
+            if detected { "detected" } else { "absent — slice-by-8 only" }
+        );
+        detected
+    }
+
+    /// The 512-bit fold called directly.
     #[cfg(target_arch = "x86_64")]
     fn fold(crc: u32, data: &[u8]) -> u32 {
-        assert!(std::arch::is_x86_feature_detected!("pclmulqdq"), "the fold would go untested");
-        clmul::update(crc, data).expect("pclmulqdq detected")
+        vpclmul::update(crc, data).expect("the fold was detected")
     }
 
     /// The portable slice-by-8 stream called directly.
@@ -420,31 +565,47 @@ mod tests {
         !slice_by_8(!crc, data)
     }
 
+    /// `crc32_extend` onto a non-empty destination whose length is not a
+    /// multiple of 16, asserting that it appends exactly `data`.
+    fn extend(crc: u32, data: &[u8]) -> u32 {
+        let mut dst = b"behind".to_vec();
+        let crc = crc32_extend(crc, data, &mut dst);
+        assert_eq!(&dst[..6], b"behind", "crc32_extend moved what was there");
+        assert_eq!(&dst[6..], data, "crc32_extend appended other bytes");
+        crc
+    }
+
     /// A named way to extend a CRC.
     type Path = (&'static str, fn(u32, &[u8]) -> u32);
 
-    /// Every way to extend a CRC: the dispatching entry point and each
-    /// path it can take.
+    /// Every way to extend a CRC: both entry points and each path they
+    /// can take on this CPU.
     fn paths() -> Vec<Path> {
-        let mut paths: Vec<Path> = vec![("crc32_update", crc32_update), ("portable", portable)];
+        let mut paths: Vec<Path> =
+            vec![("crc32_update", crc32_update), ("portable", portable), ("crc32_extend", extend)];
         #[cfg(target_arch = "x86_64")]
-        paths.push(("fold", fold));
+        if fold_detected() {
+            paths.push(("fold", fold));
+        }
         paths
     }
 
     #[test]
-    fn every_path_matches_bytewise_at_every_length_to_320_and_alignment() {
-        // Lengths 0..=320 cross the 64-byte entry, one to four 64-byte
-        // blocks, every count of trailing 16-byte chunks and every
-        // `% 16` tail, at every start alignment inside a lane.
-        let mut rng = StdRng::seed_from_u64(0x29);
-        let data: Vec<u8> = (0..320 + 16).map(|_| rng.gen()).collect();
-        for start in 0..16 {
-            for len in 0..=320 {
+    fn every_path_matches_bytewise_at_every_length_to_1300_and_alignment() {
+        // Lengths 0..=1300 cross the 64-byte entry, one to three lone
+        // 64-byte blocks, the 256-byte four-register entry, whole and
+        // partial 256-byte steps past the 512-byte seam, every count of
+        // trailing 16-byte chunks and every `% 16` tail, at every start
+        // alignment inside a 64-byte block.
+        let paths = paths();
+        let mut rng = StdRng::seed_from_u64(0x48);
+        let data: Vec<u8> = (0..1300 + 64).map(|_| rng.gen()).collect();
+        for start in 0..64 {
+            for len in 0..=1300 {
                 let slice = &data[start..start + len];
                 let want = crc32_bytewise(slice);
                 assert_eq!(crc32(slice), want, "crc32, start {start} len {len}");
-                for (name, path) in paths() {
+                for (name, path) in &paths {
                     assert_eq!(path(0, slice), want, "{name}, start {start} len {len}");
                 }
             }
@@ -453,20 +614,23 @@ mod tests {
 
     #[test]
     fn every_path_chains_at_lane_and_block_seams_after_a_nonzero_prefix() {
-        // A nonzero CRC coming in is what lane 0's `!crc` seeding
-        // carries: a prefix in front, then the rest split at each seam.
-        let mut rng = StdRng::seed_from_u64(0x29_02);
+        // A nonzero CRC coming in is what the first block's `!crc`
+        // seeding carries: a prefix in front, then the rest split at each
+        // seam.
+        let paths = paths();
+        let mut rng = StdRng::seed_from_u64(0x48_02);
         let prefix: Vec<u8> = (0..7).map(|_| rng.gen()).collect();
         let seed = crc32(&prefix);
         assert_ne!(seed, 0);
-        for len in [64, 65, 79, 80, 127, 128, 129, 200, 320, 4096 + 17] {
+        let lens = [64, 65, 79, 80, 127, 128, 129, 200, 255, 256, 257, 320, 511, 512, 513, 1300];
+        for len in lens.into_iter().chain([4096 + 17]) {
             let data: Vec<u8> = (0..len).map(|_| rng.gen()).collect();
             let want = crc32_bytewise(&[&prefix[..], &data].concat());
-            for (name, path) in paths() {
+            let seams = [1, 16, 64, 256, 512, len];
+            let splits = seams.into_iter().flat_map(|m| [m - 1, m, m + 1]).filter(|&s| s <= len);
+            for (name, path) in &paths {
                 assert_eq!(path(seed, &data), want, "{name}, len {len} unsplit");
-                for split in
-                    [0, 1, 15, 16, 17, 63, 64, 65, len - 1].into_iter().filter(|&s| s <= len)
-                {
+                for split in splits.clone() {
                     let (a, b) = data.split_at(split);
                     assert_eq!(path(path(seed, a), b), want, "{name}, len {len} split {split}");
                 }
@@ -475,19 +639,37 @@ mod tests {
     }
 
     #[test]
-    fn every_path_matches_bytewise_split_around_multiples_of_16_and_64() {
-        let mut rng = StdRng::seed_from_u64(0x29_03);
+    fn every_path_matches_bytewise_split_around_multiples_of_16_64_and_256() {
+        let paths = paths();
+        let mut rng = StdRng::seed_from_u64(0x48_03);
         let data: Vec<u8> = (0..1 << 20).map(|_| rng.gen()).collect();
         let want = crc32_bytewise(&data);
         let n = data.len();
-        let seams = [16, 48, 64, 80, 128, 4096 + 16, n / 2, n - 64, n - 16];
-        for (name, path) in paths() {
+        let seams = [16, 48, 64, 80, 128, 256, 512, 768, 4096 + 16, n / 2, n - 256, n - 64, n - 16];
+        for (name, path) in &paths {
             assert_eq!(path(0, &data), want, "{name} unsplit");
             for split in seams.into_iter().flat_map(|m| [m - 1, m, m + 1]) {
                 let (a, b) = data.split_at(split);
                 assert_eq!(path(path(0, a), b), want, "{name}, split {split}");
             }
         }
+    }
+
+    #[test]
+    fn crc32_extend_reserves_once_and_keeps_what_is_there() {
+        // Into exact spare capacity: the destination is not reallocated,
+        // and a long input appends after the bytes already there.
+        let mut rng = StdRng::seed_from_u64(0x48_04);
+        let src: Vec<u8> = (0..4096 + 77).map(|_| rng.gen()).collect();
+        let mut dst = Vec::with_capacity(3 + src.len());
+        dst.extend_from_slice(b"abc");
+        let at = dst.as_ptr();
+        assert_eq!(crc32_extend(crc32(b"abc"), &src, &mut dst), crc32_bytewise(&dst));
+        assert_eq!(dst.as_ptr(), at, "spare capacity was enough");
+        assert_eq!((&dst[..3], &dst[3..]), (&b"abc"[..], &src[..]));
+        // An empty source changes neither.
+        assert_eq!(crc32_extend(7, &[], &mut dst), 7);
+        assert_eq!(dst.len(), 3 + src.len());
     }
 
     #[test]

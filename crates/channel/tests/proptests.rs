@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
 
-use rhychee_channel::crc::{crc32, crc32_update, internet_checksum, Detector};
+use rhychee_channel::crc::{crc32, crc32_extend, crc32_update, internet_checksum, Detector};
 use rhychee_channel::failure::ChannelModel;
 use rhychee_channel::packet::{BitFlipChannel, PacketLink};
 
@@ -42,14 +42,19 @@ proptest! {
         cut_a in any::<prop::sample::Index>(),
         cut_b in any::<prop::sample::Index>(),
     ) {
-        // Three pieces, cut anywhere: across stripe and block seams of
-        // the four-stream loop as often as inside one.
+        // Three pieces, cut anywhere: across the fold's 64- and 256-byte
+        // block seams as often as inside one. The middle piece goes
+        // through `crc32_extend` too, which must copy exactly it.
         let (i, j) = (cut_a.index(data.len() + 1), cut_b.index(data.len() + 1));
         let (i, j) = (i.min(j), i.max(j));
         let chained = crc32_update(crc32_update(crc32(&data[..i]), &data[i..j]), &data[j..]);
+        let mut copy = data[..i].to_vec();
+        let extended = crc32_update(crc32_extend(crc32(&data[..i]), &data[i..j], &mut copy), &data[j..]);
         let want = crc32_bitwise(&data);
         prop_assert_eq!(crc32(&data), want);
         prop_assert_eq!(chained, want);
+        prop_assert_eq!(extended, want);
+        prop_assert_eq!(&copy[..], &data[..j]);
     }
 
     #[test]

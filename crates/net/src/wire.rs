@@ -29,11 +29,24 @@
 //! — so a flipped bit anywhere in the frame body is detected at the
 //! frame layer before the ciphertext codecs ever see the bytes. CRC
 //! mismatches count into `net.frame.crc_fail`.
+//!
+//! Each frame body is a fixed prefix (the type's fields, at most 12
+//! bytes) and, for `Global` and `Update`, the model after it. The CRC
+//! runs as one chain: over the header, trace context and prefix, then
+//! over the model. The model is read once. [`encode_frame_ctx`] and
+//! [`decode_frame_ctx`] checksum it as they copy it
+//! ([`crc32_extend`]), and
+//! [`read_message_ctx`] reads it from the socket straight into the
+//! vector the [`Message`] owns, then checksums it there. No whole-frame
+//! buffer is allocated. The checks run in one order everywhere: magic,
+//! version, payload cap, allocation (at most the declared length), CRC,
+//! then the body, so a frame that fails both the CRC and a body check
+//! reports [`NetError::Crc`].
 
-use std::io::{Read, Write};
+use std::io::{self, Read, Write};
 use std::time::Duration;
 
-use rhychee_channel::crc::crc32;
+use rhychee_channel::crc::{crc32, crc32_extend, crc32_update};
 use rhychee_telemetry as telemetry;
 pub use rhychee_telemetry::TraceContext;
 
@@ -160,21 +173,9 @@ impl Message {
         }
     }
 
-    /// Length in bytes of the body [`Message::encode_body_into`] writes.
-    fn body_len(&self) -> usize {
-        match self {
-            Message::Hello { .. } => 4,
-            Message::Welcome { .. } => 12,
-            Message::Global { model, .. } => 1 + model.len(),
-            Message::Update { model, .. } => 8 + model.len(),
-            Message::UpdateAck { .. } => 1,
-            Message::Finished { .. } => 0,
-        }
-    }
-
-    /// Appends the message body (frame payload, excluding headers) to
-    /// `out`.
-    fn encode_body_into(&self, out: &mut Vec<u8>) {
+    /// Appends the body's fixed prefix, every field before the model
+    /// ([`fixed_len`] bytes), to `out`.
+    fn fixed_into(&self, out: &mut Vec<u8>) {
         match self {
             Message::Hello { client_id } => {
                 out.extend_from_slice(&(*client_id as u32).to_le_bytes());
@@ -184,25 +185,34 @@ impl Message {
                 out.extend_from_slice(&(*clients as u32).to_le_bytes());
                 out.extend_from_slice(&(*rounds as u32).to_le_bytes());
             }
-            Message::Global { last, model, .. } => {
-                out.push(u8::from(*last));
-                out.extend_from_slice(model);
-            }
-            Message::Update { client_id, steps, model, .. } => {
+            Message::Global { last, .. } => out.push(u8::from(*last)),
+            Message::Update { client_id, steps, .. } => {
                 out.extend_from_slice(&(*client_id as u32).to_le_bytes());
                 out.extend_from_slice(&(*steps as u32).to_le_bytes());
-                out.extend_from_slice(model);
             }
-            Message::UpdateAck { accepted, .. } => {
-                out.push(u8::from(*accepted));
-            }
+            Message::UpdateAck { accepted, .. } => out.push(u8::from(*accepted)),
             Message::Finished { .. } => {}
         }
     }
 
-    /// Parses a message body for the given header type/round.
-    fn decode_body(msg_type: u8, round: u32, body: &[u8]) -> Result<Message, NetError> {
+    /// The model payload that ends the body (empty for types without one).
+    fn model(&self) -> &[u8] {
+        match self {
+            Message::Global { model, .. } | Message::Update { model, .. } => model,
+            _ => &[],
+        }
+    }
+
+    /// Parses a message body for the given header type/round: `fixed`
+    /// is the body up to [`fixed_len`] bytes, `model` the rest.
+    fn decode_body(
+        msg_type: u8,
+        round: u32,
+        fixed: &[u8],
+        model: Vec<u8>,
+    ) -> Result<Message, NetError> {
         let round = round as usize;
+        let len = fixed.len() + model.len();
         let le_u32 = |b: &[u8], at: usize| -> Result<usize, NetError> {
             let chunk: [u8; 4] = b
                 .get(at..at + 4)
@@ -212,56 +222,50 @@ impl Message {
         };
         match msg_type {
             1 => {
-                if body.len() != 4 {
-                    return Err(NetError::Protocol(format!("Hello body of {} bytes", body.len())));
+                if len != 4 {
+                    return Err(NetError::Protocol(format!("Hello body of {len} bytes")));
                 }
-                Ok(Message::Hello { client_id: le_u32(body, 0)? })
+                Ok(Message::Hello { client_id: le_u32(fixed, 0)? })
             }
             2 => {
-                if body.len() != 12 {
-                    return Err(NetError::Protocol(format!(
-                        "Welcome body of {} bytes",
-                        body.len()
-                    )));
+                if len != 12 {
+                    return Err(NetError::Protocol(format!("Welcome body of {len} bytes")));
                 }
                 Ok(Message::Welcome {
-                    client_id: le_u32(body, 0)?,
-                    clients: le_u32(body, 4)?,
-                    rounds: le_u32(body, 8)?,
+                    client_id: le_u32(fixed, 0)?,
+                    clients: le_u32(fixed, 4)?,
+                    rounds: le_u32(fixed, 8)?,
                 })
             }
             3 => {
-                let (&last, model) = body
-                    .split_first()
-                    .ok_or_else(|| NetError::Protocol("empty Global body".into()))?;
+                let &[last] = fixed else {
+                    return Err(NetError::Protocol("empty Global body".into()));
+                };
                 if last > 1 {
                     return Err(NetError::Protocol(format!("Global.last byte {last}")));
                 }
-                Ok(Message::Global { round, last: last == 1, model: model.to_vec() })
+                Ok(Message::Global { round, last: last == 1, model })
             }
             4 => {
-                if body.len() < 8 {
-                    return Err(NetError::Protocol(format!("Update body of {} bytes", body.len())));
+                if len < 8 {
+                    return Err(NetError::Protocol(format!("Update body of {len} bytes")));
                 }
                 Ok(Message::Update {
                     round,
-                    client_id: le_u32(body, 0)?,
-                    steps: le_u32(body, 4)?,
-                    model: body[8..].to_vec(),
+                    client_id: le_u32(fixed, 0)?,
+                    steps: le_u32(fixed, 4)?,
+                    model,
                 })
             }
-            5 => {
-                if body.len() != 1 || body[0] > 1 {
-                    return Err(NetError::Protocol("malformed UpdateAck body".into()));
+            5 => match (fixed, len) {
+                (&[accepted @ (0 | 1)], 1) => {
+                    Ok(Message::UpdateAck { round, accepted: accepted == 1 })
                 }
-                Ok(Message::UpdateAck { round, accepted: body[0] == 1 })
-            }
+                _ => Err(NetError::Protocol("malformed UpdateAck body".into())),
+            },
             6 => {
-                if !body.is_empty() {
-                    return Err(NetError::Protocol(format!(
-                        "Finished body of {} bytes",
-                        body.len()
-                    )));
+                if len != 0 {
+                    return Err(NetError::Protocol(format!("Finished body of {len} bytes")));
                 }
                 Ok(Message::Finished { round })
             }
@@ -279,10 +283,49 @@ fn ctx_len_for(version: u8) -> Result<usize, NetError> {
     }
 }
 
-/// Counts the mismatch and builds the CRC error (`net.frame.crc_fail`).
-fn crc_mismatch(expected: u32, actual: u32) -> NetError {
-    telemetry::count("net.frame.crc_fail", 1);
-    NetError::Crc { expected, actual }
+/// Bytes of a well-formed body before its model: the fixed fields of
+/// the type, all of a body that carries no model. The frame CRC runs
+/// over the header, the context and this prefix, then over the model.
+fn fixed_len(msg_type: u8) -> usize {
+    match msg_type {
+        1 => 4,  // Hello: client id
+        2 => 12, // Welcome: client id, clients, rounds
+        3 => 1,  // Global: last
+        4 => 8,  // Update: client id, steps
+        5 => 1,  // UpdateAck: accepted
+        _ => 0,  // Finished, and types this version does not know
+    }
+}
+
+/// The longest [`fixed_len`].
+const MAX_FIXED_LEN: usize = 12;
+
+/// The message and trace context of a frame whose header, context and
+/// fixed body prefix are `head` and whose model is `model`, once
+/// `actual`, the CRC chained over both, matches the trailer's
+/// `expected`. The CRC is checked first, so a frame that fails it and a
+/// body check reports [`NetError::Crc`].
+fn finish_frame(
+    head: &[u8],
+    ctx_len: usize,
+    model: Vec<u8>,
+    expected: u32,
+    actual: u32,
+) -> Result<(Message, Option<TraceContext>), NetError> {
+    if expected != actual {
+        telemetry::count("net.frame.crc_fail", 1);
+        return Err(NetError::Crc { expected, actual });
+    }
+    let round = u32::from_le_bytes(head[6..10].try_into().expect("4 bytes"));
+    let ctx = (ctx_len > 0)
+        .then(|| {
+            let raw: &[u8; CTX_LEN] =
+                head[HEADER_LEN..HEADER_LEN + CTX_LEN].try_into().expect("ctx bytes");
+            TraceContext::from_wire(raw, round)
+        })
+        .filter(|c| c.trace_id != 0 || c.parent_span != 0);
+    let msg = Message::decode_body(head[5], round, &head[HEADER_LEN + ctx_len..], model)?;
+    Ok((msg, ctx))
 }
 
 /// Encodes a message into one complete frame (version 1, no trace
@@ -296,24 +339,23 @@ pub fn encode_frame(msg: &Message) -> Vec<u8> {
 /// version 1.
 pub fn encode_frame_ctx(msg: &Message, ctx: Option<&TraceContext>) -> Vec<u8> {
     let ctx_len = if ctx.is_some() { CTX_LEN } else { 0 };
+    let model = msg.model();
+    let body_len = fixed_len(msg.type_byte()) + model.len();
     // Sized for the whole frame so the body is written once, in place.
-    let mut frame = Vec::with_capacity(HEADER_LEN + ctx_len + msg.body_len() + TRAILER_LEN);
+    let mut frame = Vec::with_capacity(HEADER_LEN + ctx_len + body_len + TRAILER_LEN);
     frame.extend_from_slice(&MAGIC);
     frame.push(if ctx.is_some() { VERSION_TRACED } else { VERSION });
     frame.push(msg.type_byte());
     frame.extend_from_slice(&msg.round_field().to_le_bytes());
-    frame.extend_from_slice(&[0; 4]);
+    frame.extend_from_slice(&(body_len as u32).to_le_bytes());
     if let Some(ctx) = ctx {
         frame.extend_from_slice(&ctx.to_wire());
     }
     let body_at = frame.len();
-    msg.encode_body_into(&mut frame);
-    // The length field is patched from the bytes actually written, so
-    // `body_len` is only ever a capacity hint.
-    let len = (frame.len() - body_at) as u32;
-    debug_assert_eq!(len as usize, msg.body_len(), "capacity hint out of step with the body");
-    frame[10..HEADER_LEN].copy_from_slice(&len.to_le_bytes());
-    let crc = crc32(&frame[4..]);
+    msg.fixed_into(&mut frame);
+    debug_assert_eq!(frame.len() - body_at + model.len(), body_len, "fixed_len out of step");
+    // The model is checksummed as it is copied in: one pass over it.
+    let crc = crc32_extend(crc32(&frame[4..]), model, &mut frame);
     frame.extend_from_slice(&crc.to_le_bytes());
     frame
 }
@@ -361,21 +403,12 @@ pub fn decode_frame_ctx(
         )));
     }
     let crc_at = HEADER_LEN + ctx_len + len as usize;
+    let model_at = HEADER_LEN + ctx_len + fixed_len(bytes[5]).min(len as usize);
     let expected = u32::from_le_bytes(bytes[crc_at..crc_at + 4].try_into().expect("4 bytes"));
-    let actual = crc32(&bytes[4..crc_at]);
-    if expected != actual {
-        return Err(crc_mismatch(expected, actual));
-    }
-    let round = u32::from_le_bytes(bytes[6..10].try_into().expect("4 bytes"));
-    let ctx = (ctx_len > 0)
-        .then(|| {
-            let raw: &[u8; CTX_LEN] =
-                bytes[HEADER_LEN..HEADER_LEN + CTX_LEN].try_into().expect("ctx bytes");
-            TraceContext::from_wire(raw, round)
-        })
-        .filter(|c| c.trace_id != 0 || c.parent_span != 0);
-    let msg = Message::decode_body(bytes[5], round, &bytes[HEADER_LEN + ctx_len..crc_at])?;
-    Ok((msg, ctx))
+    // The model the message owns is copied out as it is checksummed.
+    let mut model = Vec::with_capacity(crc_at - model_at);
+    let actual = crc32_extend(crc32(&bytes[4..model_at]), &bytes[model_at..crc_at], &mut model);
+    finish_frame(&bytes[..model_at], ctx_len, model, expected, actual)
 }
 
 /// Writes one frame to the stream; returns the bytes put on the wire.
@@ -433,23 +466,34 @@ pub fn read_message_ctx<R: Read>(
     r: &mut R,
     max_payload: u32,
 ) -> Result<(Message, Option<TraceContext>, usize), NetError> {
-    let mut header = [0u8; HEADER_LEN];
-    r.read_exact(&mut header)?;
-    if header[..4] != MAGIC {
+    let mut head = [0u8; HEADER_LEN + CTX_LEN + MAX_FIXED_LEN];
+    r.read_exact(&mut head[..HEADER_LEN])?;
+    if head[..4] != MAGIC {
         return Err(NetError::Protocol("bad frame magic".into()));
     }
-    let ctx_len = ctx_len_for(header[4])?;
-    let len = u32::from_le_bytes(header[10..14].try_into().expect("4 bytes"));
+    let ctx_len = ctx_len_for(head[4])?;
+    let len = u32::from_le_bytes(head[10..14].try_into().expect("4 bytes"));
     if len > max_payload {
         return Err(NetError::PayloadTooLarge { len, cap: max_payload });
     }
-    // Header, trace context, body and trailer in one buffer, so the
-    // frame checks are `decode_frame_ctx`'s own.
-    let mut frame = vec![0u8; HEADER_LEN + ctx_len + len as usize + TRAILER_LEN];
-    frame[..HEADER_LEN].copy_from_slice(&header);
-    r.read_exact(&mut frame[HEADER_LEN..])?;
-    let (msg, ctx) = decode_frame_ctx(&frame, max_payload)?;
-    Ok((msg, ctx, frame.len()))
+    // Trace context and fixed body prefix after the header, in one
+    // small buffer; the model is read straight into the vector the
+    // message owns and checksummed there.
+    let fixed = fixed_len(head[5]).min(len as usize);
+    let model_at = HEADER_LEN + ctx_len + fixed;
+    r.read_exact(&mut head[HEADER_LEN..model_at])?;
+    let model_len = len as usize - fixed;
+    let mut model = Vec::with_capacity(model_len);
+    r.by_ref().take(model_len as u64).read_to_end(&mut model)?;
+    if model.len() != model_len {
+        return Err(io::Error::from(io::ErrorKind::UnexpectedEof).into());
+    }
+    let mut trailer = [0u8; TRAILER_LEN];
+    r.read_exact(&mut trailer)?;
+    let actual = crc32_update(crc32(&head[4..model_at]), &model);
+    let (msg, ctx) =
+        finish_frame(&head[..model_at], ctx_len, model, u32::from_le_bytes(trailer), actual)?;
+    Ok((msg, ctx, model_at + model_len + TRAILER_LEN))
 }
 
 #[cfg(test)]
@@ -529,9 +573,17 @@ mod tests {
     fn truncated_stream_errors() {
         let msg = Message::Update { round: 1, client_id: 2, steps: 3, model: vec![1; 50] };
         let frame = encode_frame(&msg);
-        for cut in [0, 3, HEADER_LEN - 1, HEADER_LEN + 10, frame.len() - 1] {
+        let trailer_at = frame.len() - TRAILER_LEN;
+        // In the header, in the fixed prefix, at the model's first byte,
+        // inside it, at its end, and inside the trailer.
+        let cuts = [0, 3, HEADER_LEN - 1, HEADER_LEN + 5, HEADER_LEN + 8, HEADER_LEN + 30];
+        for cut in cuts.into_iter().chain([trailer_at, trailer_at + 2, frame.len() - 1]) {
             let mut cursor = std::io::Cursor::new(frame[..cut].to_vec());
-            assert!(read_message(&mut cursor, DEFAULT_MAX_PAYLOAD).is_err(), "cut {cut}");
+            let err = read_message(&mut cursor, DEFAULT_MAX_PAYLOAD).expect_err("truncated");
+            assert!(
+                matches!(&err, NetError::Io(e) if e.kind() == io::ErrorKind::UnexpectedEof),
+                "cut {cut}: {err}"
+            );
         }
     }
 
@@ -629,15 +681,17 @@ mod tests {
 
     #[test]
     fn frames_at_the_crc_block_seam_round_trip_and_catch_flips() {
-        // The CRC folds 64-byte blocks as four 16-byte lanes, then whole
-        // 16-byte chunks, and runs the slice-by-8 stream over the last
-        // `% 16` bytes and over anything shorter than 64. Guarded lengths
-        // around the 64-byte entry and the first whole chunk after it,
-        // and around 8 KiB; both versions; through the one-buffer decoder
-        // and the stream reader, which checksums the 10-byte `header[4..]`
-        // on the stream and chains the rest through the fold.
+        // The CRC folds 256-byte steps in four 512-bit registers, then
+        // 64-byte blocks, then whole 16-byte chunks, and runs the
+        // slice-by-8 stream over the last `% 16` bytes and over anything
+        // shorter than 64. Guarded lengths around the 64-byte entry, the
+        // first whole chunk after it, the 256-byte entry and 8 KiB; both
+        // versions; through the slice decoder and the stream reader. Both
+        // checksum header, context and fixed prefix (18 or 42 bytes, on
+        // the stream) and chain the model on; the slice decoder copies it
+        // out in the same pass.
         for traced in [false, true] {
-            for guarded in [63, 64, 65, 79, 80, 8191, 8192, 8193] {
+            for guarded in [63, 64, 65, 79, 80, 255, 256, 257, 8191, 8192, 8193] {
                 let ctx_len = if traced { CTX_LEN } else { 0 };
                 let model_len = guarded - (HEADER_LEN - 4) - ctx_len - 8;
                 let model = (0..model_len).map(|i| (i % 251) as u8).collect();
@@ -650,7 +704,7 @@ mod tests {
                 let read = read_message_ctx(&mut std::io::Cursor::new(&frame), DEFAULT_MAX_PAYLOAD)
                     .expect("read");
                 assert_eq!(read, (msg, ctx, frame.len()));
-                let offsets = [0, 15, 16, 63, 64, 2047, 2048, 8191, 8192, guarded - 1];
+                let offsets = [0, 15, 16, 63, 64, 255, 256, 2047, 2048, 8191, 8192, guarded - 1];
                 for offset in offsets.into_iter().filter(|&o| o < guarded) {
                     let mut bad = frame.clone();
                     bad[4 + offset] ^= 0x01;
@@ -672,6 +726,11 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn every_fixed_prefix_fits_the_stream_buffer() {
+        assert_eq!((0..=u8::MAX).map(fixed_len).max(), Some(MAX_FIXED_LEN));
     }
 
     #[test]

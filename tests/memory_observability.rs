@@ -35,7 +35,8 @@ use rhychee_fl::data::{DatasetKind, SyntheticConfig, TrainTest};
 use rhychee_fl::fhe::ckks::{CkksContext, CkksEncryptArena};
 use rhychee_fl::fhe::params::CkksParams;
 use rhychee_fl::net::{
-    ClientConfig, ClientPipeline, FlClient, FlServer, ServerConfig, ServerPipeline,
+    wire, ClientConfig, ClientPipeline, FlClient, FlServer, Message, ServerConfig, ServerPipeline,
+    DEFAULT_MAX_PAYLOAD,
 };
 use rhychee_fl::obs::{ObsServer, Watchdog};
 use rhychee_fl::par::Parallelism;
@@ -194,6 +195,44 @@ fn steady_state_fold_view_allocates_zero_bytes() {
                 });
             });
         }
+    }
+}
+
+/// The frame codecs allocate one payload per upload: `encode_frame` the
+/// frame, `decode_frame` and `read_message` the model the `Message`
+/// owns. A 625 KB CKKS-4-sized `Update` (the 624,736-byte frame the
+/// benchmark uploads) costs each at most its declared payload plus
+/// 256 B. A socket read that buffered the whole frame before copying the
+/// model out would cost two payloads.
+#[test]
+fn frame_codecs_allocate_one_payload_per_upload() {
+    let _g = lock();
+    telemetry::set_enabled(false);
+    let model: Vec<u8> = (0..624_710u32).map(|i| (i % 251) as u8).collect();
+    let msg = Message::Update { round: 3, client_id: 7, steps: 1, model };
+    let allocated = |f: &mut dyn FnMut()| {
+        let before = telemetry::alloc::thread_allocated_bytes();
+        f();
+        telemetry::alloc::thread_allocated_bytes() - before
+    };
+
+    let mut frame = Vec::new();
+    let encode = allocated(&mut || frame = wire::encode_frame(&msg));
+    assert_eq!(frame.len(), 624_736);
+    let payload = (frame.len() - wire::HEADER_LEN - wire::TRAILER_LEN) as u64;
+    let mut decoded = None;
+    let decode = allocated(&mut || decoded = Some(wire::decode_frame(&frame, DEFAULT_MAX_PAYLOAD)));
+    assert_eq!(decoded.expect("ran").expect("decode"), msg);
+    let mut read = None;
+    let read_bytes = allocated(&mut || {
+        read = Some(wire::read_message(&mut frame.as_slice(), DEFAULT_MAX_PAYLOAD));
+    });
+    assert_eq!(read.expect("ran").expect("read"), (msg, frame.len()));
+    for (what, bytes) in
+        [("encode_frame", encode), ("decode_frame", decode), ("read_message", read_bytes)]
+    {
+        eprintln!("{what}: {bytes} B allocated for a {payload} B payload");
+        assert!(bytes <= payload + 256, "{what} allocated {bytes} B for a {payload} B payload");
     }
 }
 
