@@ -1,36 +1,34 @@
-//! Arbitrary-precision unsigned integer arithmetic for Rhychee-FL.
+//! Fixed-width unsigned integer arithmetic for Rhychee-FL.
 //!
 //! This crate is the numeric substrate for the [Paillier] additively
 //! homomorphic cryptosystem used as the PFMLP baseline in the Rhychee-FL
 //! evaluation (Table II of the paper). It provides:
 //!
-//! * [`BigUint`] — a little-endian, 64-bit-limb unsigned big integer with
-//!   full ring arithmetic (add, sub, mul, divrem, shifts, comparisons).
-//! * [`modular`] — modular exponentiation, modular inverse (extended GCD)
-//!   and a Montgomery multiplication context for fast `modpow`.
+//! * [`Uint`] — a `64·L`-bit unsigned integer held inline as `L` limbs:
+//!   carry-returning add and subtract, checked multiply, Knuth division,
+//!   shifts, binary GCD and uniform sampling. Nothing allocates, and a
+//!   result that does not fit is refused, never truncated.
+//! * [`Montgomery`] — multiplication and a left-to-right exponentiation
+//!   ladder modulo a fixed odd modulus, over the limbs the modulus uses.
 //! * [`prime`] — Miller–Rabin probabilistic primality testing and random
 //!   prime generation.
-//!
-//! The implementation favours clarity and testability over raw speed, but a
-//! Montgomery ladder keeps 2048-bit exponentiations practical for the
-//! Paillier benchmarks.
 //!
 //! # Examples
 //!
 //! ```
-//! use rhychee_bigint::BigUint;
+//! use rhychee_bigint::Uint;
 //!
-//! let a = BigUint::from(12345u64);
-//! let b = BigUint::from(67890u64);
-//! assert_eq!(&a * &b, BigUint::from(12345u64 * 67890u64));
+//! let a = Uint::<2>::from(12345);
+//! let b = Uint::<2>::from(67890);
+//! assert_eq!(a.checked_mul(&b), Some(Uint::from(12345 * 67890)));
 //! ```
 //!
 //! [Paillier]: https://en.wikipedia.org/wiki/Paillier_cryptosystem
 
-mod biguint;
-pub mod modular;
+mod modular;
 pub mod prime;
+mod uint;
 
-pub use biguint::BigUint;
-pub use modular::{mod_inv, mod_pow, Montgomery};
+pub use modular::Montgomery;
 pub use prime::{gen_prime, is_probable_prime};
+pub use uint::Uint;

@@ -1,357 +1,128 @@
-//! Modular arithmetic: exponentiation, inversion and Montgomery
-//! multiplication over [`BigUint`] operands.
+//! Montgomery multiplication and exponentiation modulo a fixed odd
+//! modulus.
 //!
 //! # Examples
 //!
 //! ```
-//! use rhychee_bigint::{mod_pow, BigUint};
+//! use rhychee_bigint::{Montgomery, Uint};
 //!
-//! let base = BigUint::from(4u64);
-//! let exp = BigUint::from(13u64);
-//! let modulus = BigUint::from(497u64);
-//! assert_eq!(mod_pow(&base, &exp, &modulus), BigUint::from(445u64));
+//! let mont = Montgomery::new(Uint::<1>::from(497));
+//! assert_eq!(mont.pow(&Uint::from(4), &Uint::from(13)), Uint::from(445));
 //! ```
 
-use crate::BigUint;
+use std::cmp::Ordering;
 
-/// Computes `base^exp mod modulus`.
-///
-/// Uses Montgomery exponentiation when `modulus` is odd, and a plain
-/// square-and-multiply ladder otherwise.
-///
-/// # Panics
-///
-/// Panics if `modulus` is zero.
-pub fn mod_pow(base: &BigUint, exp: &BigUint, modulus: &BigUint) -> BigUint {
-    assert!(!modulus.is_zero(), "modulus must be non-zero");
-    if modulus.is_one() {
-        return BigUint::zero();
-    }
-    if modulus.is_odd() {
-        let mont = Montgomery::new(modulus.clone());
-        return mont.pow(base, exp);
-    }
-    // Generic ladder for even moduli (rare in our use cases).
-    let mut result = BigUint::one();
-    let mut b = base.rem_of(modulus);
-    for i in 0..exp.bits() {
-        if exp.bit(i) {
-            result = (&result * &b).rem_of(modulus);
-        }
-        b = (&b * &b).rem_of(modulus);
-    }
-    result
-}
+use crate::uint::{cmp_limbs, sub_limbs};
+use crate::Uint;
 
-/// Computes the modular inverse of `a` modulo `m`, if it exists.
+/// Montgomery multiplication context for a fixed odd modulus `n`.
 ///
-/// Returns `None` when `gcd(a, m) != 1`.
+/// With `k` the number of limbs `n` uses and `R = 2^(64·k)`, it holds
+/// `−n⁻¹ mod 2^64` and `R² mod n`, so products and powers need no
+/// division. Every product runs CIOS over those `k` limbs, not the type's
+/// `L`: a 256-bit modulus in a `Uint<64>` costs 256-bit work. This is the
+/// workhorse behind Paillier's 2048-bit exponentiations.
 ///
 /// # Examples
 ///
 /// ```
-/// use rhychee_bigint::{mod_inv, BigUint};
+/// use rhychee_bigint::{Montgomery, Uint};
 ///
-/// let inv = mod_inv(&BigUint::from(3u64), &BigUint::from(11u64)).expect("coprime");
-/// assert_eq!(inv, BigUint::from(4u64)); // 3 * 4 = 12 ≡ 1 (mod 11)
-/// ```
-///
-/// # Panics
-///
-/// Panics if `m` is zero.
-pub fn mod_inv(a: &BigUint, m: &BigUint) -> Option<BigUint> {
-    assert!(!m.is_zero(), "modulus must be non-zero");
-    if m.is_one() {
-        return Some(BigUint::zero());
-    }
-    // Extended Euclid tracking only the coefficient of `a`, with signs
-    // handled via a parallel sign flag (values stay non-negative).
-    let mut r0 = m.clone();
-    let mut r1 = a.rem_of(m);
-    let mut t0 = (BigUint::zero(), false);
-    let mut t1 = (BigUint::one(), false);
-    while !r1.is_zero() {
-        let (q, r2) = r0.div_rem(&r1);
-        // t2 = t0 - q * t1
-        let qt1 = &q * &t1.0;
-        let t2 = signed_sub(&t0, &(qt1, t1.1));
-        r0 = r1;
-        r1 = r2;
-        t0 = t1;
-        t1 = t2;
-    }
-    if !r0.is_one() {
-        return None;
-    }
-    let (mag, neg) = t0;
-    Some(if neg { m - &mag.rem_of(m) } else { mag.rem_of(m) })
-}
-
-/// Signed subtraction `(a - b)` on (magnitude, is_negative) pairs.
-fn signed_sub(a: &(BigUint, bool), b: &(BigUint, bool)) -> (BigUint, bool) {
-    match (a.1, b.1) {
-        // a - b with both non-negative
-        (false, false) => {
-            if a.0 >= b.0 {
-                (&a.0 - &b.0, false)
-            } else {
-                (&b.0 - &a.0, true)
-            }
-        }
-        // a - (-b) = a + b
-        (false, true) => (&a.0 + &b.0, false),
-        // -a - b = -(a + b)
-        (true, false) => (&a.0 + &b.0, true),
-        // -a - (-b) = b - a
-        (true, true) => {
-            if b.0 >= a.0 {
-                (&b.0 - &a.0, false)
-            } else {
-                (&a.0 - &b.0, true)
-            }
-        }
-    }
-}
-
-/// Montgomery multiplication context for a fixed odd modulus.
-///
-/// Precomputes `R = 2^(64·k)` residues so repeated multiplications (as in
-/// [`Montgomery::pow`]) avoid per-step divisions. This is the workhorse
-/// behind Paillier's 2048-bit exponentiations.
-///
-/// # Examples
-///
-/// ```
-/// use rhychee_bigint::{BigUint, Montgomery};
-///
-/// let mont = Montgomery::new(BigUint::from(97u64));
-/// let x = mont.pow(&BigUint::from(5u64), &BigUint::from(96u64));
+/// let mont = Montgomery::new(Uint::<2>::from(97));
+/// let x = mont.pow(&Uint::from(5), &Uint::from(96));
 /// assert!(x.is_one()); // Fermat: 5^96 ≡ 1 (mod 97)
 /// ```
 #[derive(Debug, Clone)]
-pub struct Montgomery {
-    n: BigUint,
+pub struct Montgomery<const L: usize> {
+    n: Uint<L>,
     k: usize,
     n_prime: u64,
-    r2: BigUint,
+    r2: Uint<L>,
 }
 
-impl Montgomery {
+impl<const L: usize> Montgomery<L> {
     /// Creates a context for odd modulus `n`.
     ///
     /// # Panics
     ///
     /// Panics if `n` is zero, one, or even.
-    pub fn new(n: BigUint) -> Self {
+    pub fn new(n: Uint<L>) -> Self {
         assert!(n.is_odd() && !n.is_one(), "Montgomery modulus must be odd and > 1");
-        let k = n.limbs().len();
-        let n0 = n.limbs()[0];
-        // n' = -n^{-1} mod 2^64 via Newton iteration.
+        let k = n.used_limbs();
+        // n' = −n⁻¹ mod 2^64 by Newton iteration.
         let mut inv: u64 = 1;
         for _ in 0..6 {
-            inv = inv.wrapping_mul(2u64.wrapping_sub(n0.wrapping_mul(inv)));
+            inv = inv.wrapping_mul(2u64.wrapping_sub(n.0[0].wrapping_mul(inv)));
         }
-        let n_prime = inv.wrapping_neg();
-        // R^2 mod n, with R = 2^(64k).
-        let r = BigUint::one() << (64 * k);
-        let r2 = (&r * &r).rem_of(&n);
-        Montgomery { n, k, n_prime, r2 }
+        // R² mod n = 2^(128·k) mod n: double 1 that many times modulo n.
+        let mut r2 = Uint::ONE;
+        for _ in 0..128 * k {
+            let mut carry = 0;
+            for limb in &mut r2.0[..k] {
+                (*limb, carry) = (*limb << 1 | carry, *limb >> 63);
+            }
+            if carry != 0 || cmp_limbs(&r2.0[..k], &n.0[..k]) != Ordering::Less {
+                sub_limbs(&mut r2.0[..k], &n.0[..k]);
+            }
+        }
+        Montgomery { n, k, n_prime: inv.wrapping_neg(), r2 }
     }
 
-    /// The modulus this context reduces by.
-    pub fn modulus(&self) -> &BigUint {
-        &self.n
-    }
-
-    /// Montgomery product: `REDC(a * b)` where inputs are in Montgomery form.
-    fn mont_mul(&self, a: &BigUint, b: &BigUint) -> BigUint {
+    /// Montgomery product `a·b·R⁻¹ mod n` of `a, b < n` (CIOS).
+    fn mont_mul(&self, a: &Uint<L>, b: &Uint<L>) -> Uint<L> {
         let k = self.k;
-        let a_limbs = a.limbs();
-        let b_limbs = b.limbs();
-        let n_limbs = self.n.limbs();
-        // CIOS: t has k+2 limbs.
-        let mut t = vec![0u64; k + 2];
-        for i in 0..k {
-            let ai = a_limbs.get(i).copied().unwrap_or(0);
-            // t += ai * b
-            let mut carry: u128 = 0;
-            for (j, tj) in t.iter_mut().enumerate().take(k) {
-                let bj = b_limbs.get(j).copied().unwrap_or(0);
-                let s = u128::from(*tj) + u128::from(ai) * u128::from(bj) + carry;
-                *tj = s as u64;
-                carry = s >> 64;
-            }
-            let s = u128::from(t[k]) + carry;
-            t[k] = s as u64;
-            t[k + 1] = t[k + 1].wrapping_add((s >> 64) as u64);
-
-            // m = t[0] * n' mod 2^64; t += m * n; t >>= 64
-            let m = t[0].wrapping_mul(self.n_prime);
-            let s = u128::from(t[0]) + u128::from(m) * u128::from(n_limbs[0]);
-            let mut carry: u128 = s >> 64;
+        let (b, n) = (&b.0[..k], &self.n.0[..k]);
+        let mut out = Uint::ZERO;
+        let t = &mut out.0[..k];
+        // Limb k of the running sum (at most one).
+        let mut t_k = 0u64;
+        for &ai in &a.0[..k] {
+            // t = (t + ai·b + m·n) / 2^64 in one pass, with m chosen so the
+            // low limb cancels: one carry chain per product.
+            let (t0, mut c1) = ai.carrying_mul_add(b[0], 0, t[0]);
+            let m = t0.wrapping_mul(self.n_prime);
+            let (_, mut c2) = m.carrying_mul_add(n[0], 0, t0);
             for j in 1..k {
-                let s = u128::from(t[j]) + u128::from(m) * u128::from(n_limbs[j]) + carry;
-                t[j - 1] = s as u64;
-                carry = s >> 64;
+                let x;
+                (x, c1) = ai.carrying_mul_add(b[j], c1, t[j]);
+                (t[j - 1], c2) = m.carrying_mul_add(n[j], c2, x);
             }
-            let s = u128::from(t[k]) + carry;
-            t[k - 1] = s as u64;
-            let s2 = u128::from(t[k + 1]) + (s >> 64);
-            t[k] = s2 as u64;
-            t[k + 1] = (s2 >> 64) as u64;
+            let (top, o1) = t_k.overflowing_add(c1);
+            let (top, o2) = top.overflowing_add(c2);
+            t[k - 1] = top;
+            t_k = u64::from(o1) + u64::from(o2);
         }
-        t.truncate(k + 1);
-        let mut result = BigUint::from_limbs(t);
-        if result >= self.n {
-            result -= &self.n;
+        if t_k != 0 || cmp_limbs(t, n) != Ordering::Less {
+            sub_limbs(t, n);
         }
-        result
+        out
     }
 
-    /// Converts into Montgomery form: `a · R mod n`.
-    fn mont_encode(&self, a: &BigUint) -> BigUint {
-        self.mont_mul(&a.rem_of(&self.n), &self.r2)
+    /// `a mod n`, as the Montgomery product needs its inputs.
+    fn reduce(&self, a: &Uint<L>) -> Uint<L> {
+        a.div_rem(&self.n).1
     }
 
-    /// Converts out of Montgomery form.
-    fn mont_decode(&self, a: &BigUint) -> BigUint {
-        self.mont_mul(a, &BigUint::one())
-    }
-
-    /// Computes `a * b mod n`.
-    pub fn mul(&self, a: &BigUint, b: &BigUint) -> BigUint {
-        let am = self.mont_encode(a);
-        let bm = self.mont_encode(b);
-        self.mont_decode(&self.mont_mul(&am, &bm))
+    /// Computes `a · b mod n`.
+    pub fn mul(&self, a: &Uint<L>, b: &Uint<L>) -> Uint<L> {
+        // (a·b·R⁻¹)·R²·R⁻¹ = a·b
+        let ab = self.mont_mul(&self.reduce(a), &self.reduce(b));
+        self.mont_mul(&ab, &self.r2)
     }
 
     /// Computes `base^exp mod n` with a left-to-right binary ladder.
-    pub fn pow(&self, base: &BigUint, exp: &BigUint) -> BigUint {
+    pub fn pow(&self, base: &Uint<L>, exp: &Uint<L>) -> Uint<L> {
         if exp.is_zero() {
-            return BigUint::one().rem_of(&self.n);
+            return Uint::ONE;
         }
-        let base_m = self.mont_encode(base);
-        let mut acc = base_m.clone();
+        let base = self.mont_mul(&self.reduce(base), &self.r2);
+        let mut acc = base;
         for i in (0..exp.bits() - 1).rev() {
             acc = self.mont_mul(&acc, &acc);
             if exp.bit(i) {
-                acc = self.mont_mul(&acc, &base_m);
+                acc = self.mont_mul(&acc, &base);
             }
         }
-        self.mont_decode(&acc)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use rand::{rngs::StdRng, Rng, SeedableRng};
-
-    #[test]
-    fn mod_pow_small_cases() {
-        assert_eq!(
-            mod_pow(&BigUint::from(4u64), &BigUint::from(13u64), &BigUint::from(497u64)),
-            BigUint::from(445u64)
-        );
-        assert_eq!(
-            mod_pow(&BigUint::from(2u64), &BigUint::from(10u64), &BigUint::from(1000u64)),
-            BigUint::from(24u64)
-        );
-        // exp = 0
-        assert_eq!(
-            mod_pow(&BigUint::from(99u64), &BigUint::zero(), &BigUint::from(7u64)),
-            BigUint::one()
-        );
-        // modulus = 1
-        assert!(mod_pow(&BigUint::from(5u64), &BigUint::from(5u64), &BigUint::one()).is_zero());
-    }
-
-    #[test]
-    fn mod_pow_even_modulus() {
-        // 3^5 mod 64 = 243 mod 64 = 51
-        assert_eq!(
-            mod_pow(&BigUint::from(3u64), &BigUint::from(5u64), &BigUint::from(64u64)),
-            BigUint::from(51u64)
-        );
-    }
-
-    #[test]
-    fn mod_pow_matches_naive_random() {
-        let mut rng = StdRng::seed_from_u64(11);
-        for _ in 0..50 {
-            let m = u64::from(rng.gen::<u32>() | 1); // odd modulus
-            let b = u64::from(rng.gen::<u32>());
-            let e = u64::from(rng.gen::<u16>());
-            let expected = naive_pow(b, e, m);
-            assert_eq!(
-                mod_pow(&BigUint::from(b), &BigUint::from(e), &BigUint::from(m)),
-                BigUint::from(expected)
-            );
-        }
-    }
-
-    fn naive_pow(b: u64, mut e: u64, m: u64) -> u64 {
-        let mut acc: u128 = 1;
-        let mut base = u128::from(b % m);
-        while e > 0 {
-            if e & 1 == 1 {
-                acc = acc * base % u128::from(m);
-            }
-            base = base * base % u128::from(m);
-            e >>= 1;
-        }
-        acc as u64
-    }
-
-    #[test]
-    fn mod_inv_small() {
-        let inv = mod_inv(&BigUint::from(3u64), &BigUint::from(11u64)).expect("coprime");
-        assert_eq!(inv, BigUint::from(4u64));
-        assert!(mod_inv(&BigUint::from(4u64), &BigUint::from(8u64)).is_none());
-        assert_eq!(mod_inv(&BigUint::from(5u64), &BigUint::one()), Some(BigUint::zero()));
-    }
-
-    #[test]
-    fn mod_inv_random_verifies() {
-        let mut rng = StdRng::seed_from_u64(17);
-        let m = BigUint::random_bits(&mut rng, 256);
-        for _ in 0..40 {
-            let a = BigUint::random_below(&mut rng, &m);
-            if let Some(inv) = mod_inv(&a, &m) {
-                assert_eq!((&a * &inv).rem_of(&m), BigUint::one().rem_of(&m));
-            } else {
-                assert!(!a.gcd(&m).is_one());
-            }
-        }
-    }
-
-    #[test]
-    fn montgomery_matches_plain_mul() {
-        let mut rng = StdRng::seed_from_u64(23);
-        for _ in 0..30 {
-            let mut n = BigUint::random_bits(&mut rng, 320);
-            if n.is_even() {
-                n += &BigUint::one();
-            }
-            let mont = Montgomery::new(n.clone());
-            let a = BigUint::random_below(&mut rng, &n);
-            let b = BigUint::random_below(&mut rng, &n);
-            assert_eq!(mont.mul(&a, &b), (&a * &b).rem_of(&n));
-        }
-    }
-
-    #[test]
-    fn montgomery_pow_fermat() {
-        // 2^(p-1) ≡ 1 mod p for prime p = 2^61 - 1.
-        let p = BigUint::from((1u64 << 61) - 1);
-        let mont = Montgomery::new(p.clone());
-        let e = &p - &BigUint::one();
-        assert!(mont.pow(&BigUint::from(2u64), &e).is_one());
-    }
-
-    #[test]
-    #[should_panic(expected = "odd")]
-    fn montgomery_rejects_even_modulus() {
-        let _ = Montgomery::new(BigUint::from(10u64));
+        self.mont_mul(&acc, &Uint::ONE)
     }
 }

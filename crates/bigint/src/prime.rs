@@ -7,17 +7,17 @@
 //!
 //! ```
 //! use rand::{rngs::StdRng, SeedableRng};
-//! use rhychee_bigint::{gen_prime, is_probable_prime};
+//! use rhychee_bigint::{gen_prime, is_probable_prime, Uint};
 //!
 //! let mut rng = StdRng::seed_from_u64(1);
-//! let p = gen_prime(&mut rng, 128);
+//! let p: Uint<2> = gen_prime(&mut rng, 128);
 //! assert_eq!(p.bits(), 128);
 //! assert!(is_probable_prime(&p, 32));
 //! ```
 
 use rand::Rng;
 
-use crate::{BigUint, Montgomery};
+use crate::{Montgomery, Uint};
 
 /// Small primes used to pre-screen candidates before Miller–Rabin.
 const SMALL_PRIMES: [u64; 46] = [
@@ -34,41 +34,36 @@ const SMALL_PRIMES: [u64; 46] = [
 /// # Examples
 ///
 /// ```
-/// use rhychee_bigint::{is_probable_prime, BigUint};
+/// use rhychee_bigint::{is_probable_prime, Uint};
 ///
-/// assert!(is_probable_prime(&BigUint::from(2u64.pow(61) - 1), 16));
-/// assert!(!is_probable_prime(&BigUint::from(561u64), 16)); // Carmichael number
+/// assert!(is_probable_prime(&Uint::<1>::from(2u64.pow(61) - 1), 16));
+/// assert!(!is_probable_prime(&Uint::<1>::from(561), 16)); // Carmichael number
 /// ```
-pub fn is_probable_prime(n: &BigUint, rounds: u32) -> bool {
-    if n.is_zero() || n.is_one() {
-        return false;
-    }
-    if n == &BigUint::from(2u64) {
-        return true;
-    }
-    if n.is_even() {
-        return false;
+pub fn is_probable_prime<const L: usize>(n: &Uint<L>, rounds: u32) -> bool {
+    if !n.is_odd() || n.is_one() {
+        return *n == Uint::from(2);
     }
     for &p in &SMALL_PRIMES {
-        let pb = BigUint::from(p);
-        if n == &pb {
+        let pb = Uint::from(p);
+        if *n == pb {
             return true;
         }
-        if n.rem_of(&pb).is_zero() {
+        if n.div_rem(&pb).1.is_zero() {
             return false;
         }
     }
 
-    // Write n - 1 = d * 2^s with d odd.
-    let n_minus_1 = n - &BigUint::one();
+    // Write n − 1 = d · 2^s with d odd.
+    let mut n_minus_1 = *n;
+    n_minus_1.sub_noborrow(&Uint::ONE);
     let s = n_minus_1.trailing_zeros();
-    let d = &n_minus_1 >> s;
+    let d = n_minus_1.shr(s);
 
     // Fixed witness schedule: first `rounds` small primes as bases gives a
     // deterministic test for all n < 3.3e24 and a strong probabilistic
-    // test beyond; bases are reduced mod n. One Montgomery context (one
-    // `R² mod n` division) serves every exponentiation and squaring.
-    let mont = Montgomery::new(n.clone());
+    // test beyond; bases are reduced mod n. One Montgomery context serves
+    // every exponentiation and squaring.
+    let mont = Montgomery::new(*n);
     let mut witness_rng = WitnessSequence::new();
     'witness: for _ in 0..rounds {
         let a = witness_rng.next_base(n);
@@ -98,7 +93,7 @@ impl WitnessSequence {
         WitnessSequence { idx: 0, state: 0x9e37_79b9_7f4a_7c15 }
     }
 
-    fn next_base(&mut self, n: &BigUint) -> BigUint {
+    fn next_base<const L: usize>(&mut self, n: &Uint<L>) -> Uint<L> {
         let base = if self.idx < SMALL_PRIMES.len() {
             SMALL_PRIMES[self.idx]
         } else {
@@ -109,9 +104,9 @@ impl WitnessSequence {
             self.state.wrapping_mul(0x2545_f491_4f6c_dd1d) | 2
         };
         self.idx += 1;
-        let b = BigUint::from(base).rem_of(n);
-        if b.is_zero() || b.is_one() {
-            BigUint::from(2u64)
+        let b = Uint::from(base).div_rem(n).1;
+        if b.bits() <= 1 {
+            Uint::from(2)
         } else {
             b
         }
@@ -126,21 +121,17 @@ impl WitnessSequence {
 ///
 /// # Panics
 ///
-/// Panics if `bits < 8`.
-pub fn gen_prime<R: Rng + ?Sized>(rng: &mut R, bits: usize) -> BigUint {
+/// Panics if `bits < 8` or `bits > 64·L`.
+pub fn gen_prime<const L: usize, R: Rng + ?Sized>(rng: &mut R, bits: usize) -> Uint<L> {
     assert!(bits >= 8, "prime size too small: {bits} bits");
     loop {
-        let mut candidate = BigUint::random_bits(rng, bits);
-        // Force odd and set the second-highest bit.
-        if candidate.is_even() {
-            candidate += &BigUint::one();
-        }
+        let mut candidate = Uint::random_limbs(rng, bits);
+        // Force odd and set the top two bits.
+        candidate.0[0] |= 1;
+        candidate.set_bit(bits - 1);
         candidate.set_bit(bits - 2);
-        if candidate.bits() > bits {
-            continue;
-        }
-        // Sieve forward in steps of 2 for a small window before resampling.
-        let two = BigUint::from(2u64);
+        // Sieve forward in steps of 2 for a small window before resampling
+        // (a step past the top bit, wrapped or not, ends the window).
         for _ in 0..64 {
             if candidate.bits() != bits {
                 break;
@@ -148,7 +139,7 @@ pub fn gen_prime<R: Rng + ?Sized>(rng: &mut R, bits: usize) -> BigUint {
             if is_probable_prime(&candidate, 32) {
                 return candidate;
             }
-            candidate += &two;
+            candidate.add_nocarry(&Uint::from(2));
         }
     }
 }
@@ -158,17 +149,19 @@ mod tests {
     use super::*;
     use rand::{rngs::StdRng, SeedableRng};
 
+    type U4 = Uint<4>;
+
     #[test]
     fn small_primes_detected() {
         for p in [2u64, 3, 5, 7, 11, 13, 97, 211, 65537] {
-            assert!(is_probable_prime(&BigUint::from(p), 16), "{p} should be prime");
+            assert!(is_probable_prime(&U4::from(p), 16), "{p} should be prime");
         }
     }
 
     #[test]
     fn small_composites_rejected() {
         for c in [0u64, 1, 4, 6, 9, 15, 21, 221, 65535] {
-            assert!(!is_probable_prime(&BigUint::from(c), 16), "{c} should be composite");
+            assert!(!is_probable_prime(&U4::from(c), 16), "{c} should be composite");
         }
     }
 
@@ -176,26 +169,25 @@ mod tests {
     fn carmichael_numbers_rejected() {
         // Fermat pseudoprimes that fool the plain Fermat test.
         for c in [561u64, 1105, 1729, 2465, 2821, 6601, 8911] {
-            assert!(!is_probable_prime(&BigUint::from(c), 16), "{c} is Carmichael");
+            assert!(!is_probable_prime(&U4::from(c), 16), "{c} is Carmichael");
         }
     }
 
     #[test]
     fn mersenne_primes_accepted() {
         for e in [13u32, 17, 19, 31, 61] {
-            let m = (BigUint::from(2u64).pow(e)) - &BigUint::one();
+            let m = U4::from((1u64 << e) - 1);
             assert!(is_probable_prime(&m, 16), "2^{e}-1 should be prime");
         }
         // 2^11 - 1 = 2047 = 23 * 89 is composite.
-        let m11 = BigUint::from(2047u64);
-        assert!(!is_probable_prime(&m11, 16));
+        assert!(!is_probable_prime(&U4::from(2047), 16));
     }
 
     #[test]
     fn gen_prime_has_requested_size() {
         let mut rng = StdRng::seed_from_u64(99);
         for bits in [64usize, 128, 256] {
-            let p = gen_prime(&mut rng, bits);
+            let p: U4 = gen_prime(&mut rng, bits);
             assert_eq!(p.bits(), bits);
             assert!(p.is_odd());
             assert!(p.bit(bits - 2), "second-highest bit set");
@@ -206,15 +198,15 @@ mod tests {
     #[test]
     fn gen_prime_product_has_double_width() {
         let mut rng = StdRng::seed_from_u64(7);
-        let p = gen_prime(&mut rng, 96);
-        let q = gen_prime(&mut rng, 96);
-        assert_eq!((&p * &q).bits(), 192);
+        let p: U4 = gen_prime(&mut rng, 96);
+        let q: U4 = gen_prime(&mut rng, 96);
+        assert_eq!(p.checked_mul(&q).expect("192 bits fit").bits(), 192);
     }
 
     #[test]
     fn gen_prime_is_pinned_at_a_fixed_seed() {
         let mut rng = StdRng::seed_from_u64(2024);
-        let p = gen_prime(&mut rng, 256);
+        let p: U4 = gen_prime(&mut rng, 256);
         assert_eq!(
             format!("{p:x}"),
             "ebf1aa430346476c3e595fe9cf746b2a4b7eeec62af66af98641253f8fed82e9"
@@ -224,8 +216,8 @@ mod tests {
     #[test]
     fn distinct_primes_from_one_rng() {
         let mut rng = StdRng::seed_from_u64(3);
-        let p = gen_prime(&mut rng, 80);
-        let q = gen_prime(&mut rng, 80);
+        let p: U4 = gen_prime(&mut rng, 80);
+        let q: U4 = gen_prime(&mut rng, 80);
         assert_ne!(p, q);
     }
 }

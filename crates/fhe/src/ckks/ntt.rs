@@ -321,7 +321,7 @@ impl NttTable {
     }
 
     /// The prime modulus of this table.
-    pub fn modulus(&self) -> u64 {
+    pub(crate) fn modulus(&self) -> u64 {
         self.q
     }
 

@@ -460,7 +460,7 @@ fn limb_product(factors: impl Iterator<Item = u64>, limbs: usize) -> Vec<u64> {
 #[cfg(test)]
 mod tests {
     use rand::{rngs::StdRng, Rng, SeedableRng};
-    use rhychee_bigint::{mod_inv, BigUint};
+    use rhychee_bigint::{Montgomery, Uint};
 
     use super::super::cipher::CkksContext;
     use super::*;
@@ -468,39 +468,45 @@ mod tests {
 
     const PRIMES: [u64; 3] = [1125899906826241, 1125899906629633, 1125899905744897];
 
-    /// The heap big-integer reconstructor [`CrtBasis`] replaced, kept
-    /// verbatim as the oracle its output is pinned against bit for bit.
-    struct BigUintCrt {
+    /// 512 bits: every test chain's `Q` and the sum of its `L` CRT terms.
+    type Wide = Uint<8>;
+
+    /// The product of `primes`.
+    fn product(primes: &[u64]) -> Wide {
+        primes.iter().fold(Wide::ONE, |acc, &p| acc.checked_mul(&Wide::from(p)).expect("Q fits"))
+    }
+
+    /// The big-integer reconstructor [`CrtBasis`] replaced, kept as the
+    /// oracle its output is pinned against bit for bit.
+    struct UintCrt {
         primes: Vec<u64>,
-        q: BigUint,
-        half_q: BigUint,
+        q: Wide,
+        half_q: Wide,
         /// `(Q/q_i)` as big integers.
-        q_hat: Vec<BigUint>,
+        q_hat: Vec<Wide>,
         /// `(Q/q_i)^{-1} mod q_i`.
         q_hat_inv: Vec<u64>,
     }
 
-    impl BigUintCrt {
+    impl UintCrt {
         fn new(primes: &[u64]) -> Self {
-            let q = primes.iter().fold(BigUint::one(), |acc, &p| acc.mul_u64(p));
-            let half_q = &q >> 1;
-            let q_hat: Vec<BigUint> = primes.iter().map(|&p| q.div_rem_u64(p).0).collect();
+            let q = product(primes);
+            let q_hat: Vec<Wide> = primes.iter().map(|&p| q.div_rem(&Wide::from(p)).0).collect();
             let q_hat_inv = primes
                 .iter()
                 .zip(&q_hat)
                 .map(|(&p, h)| {
-                    let h_mod_p = h.rem_of(&BigUint::from(p));
-                    let inv = mod_inv(&h_mod_p, &BigUint::from(p)).expect("primes are coprime");
-                    u64::try_from(&inv).expect("inverse fits in u64")
+                    // Fermat: h^(p − 2) is h⁻¹ mod the prime p.
+                    Montgomery::new(Wide::from(p)).pow(h, &Wide::from(p - 2)).0[0]
                 })
                 .collect();
-            BigUintCrt { primes: primes.to_vec(), q, half_q, q_hat, q_hat_inv }
+            UintCrt { primes: primes.to_vec(), q, half_q: q.shr(1), q_hat, q_hat_inv }
         }
 
         /// Reconstructs residues to the centered representative as `f64`.
         fn centered_f64(&self, residues: &[u64]) -> f64 {
             let (negative, magnitude) = self.centered_parts(residues);
-            let v = biguint_to_f64(&magnitude);
+            let v = uint_to_f64(&magnitude);
             if negative {
                 -v
             } else {
@@ -510,15 +516,18 @@ mod tests {
 
         /// Reconstructs residues to `(is_negative, |value|)` of the
         /// centered representative in `(−Q/2, Q/2]`.
-        fn centered_parts(&self, residues: &[u64]) -> (bool, BigUint) {
-            let mut acc = BigUint::zero();
+        fn centered_parts(&self, residues: &[u64]) -> (bool, Wide) {
+            let mut acc = Wide::ZERO;
             for (i, &r) in residues.iter().enumerate() {
                 let t = mul_mod(r, self.q_hat_inv[i], self.primes[i]);
-                acc += &self.q_hat[i].mul_u64(t);
+                let term = self.q_hat[i].checked_mul(&Wide::from(t)).expect("term fits");
+                assert!(!acc.add_nocarry(&term), "CRT sum fits");
             }
-            let v = acc.rem_of(&self.q);
+            let v = acc.div_rem(&self.q).1;
             if v > self.half_q {
-                (true, &self.q - &v)
+                let mut neg = self.q;
+                neg.sub_noborrow(&v);
+                (true, neg)
             } else {
                 (false, v)
             }
@@ -531,12 +540,8 @@ mod tests {
     }
 
     /// Converts a non-negative big integer to `f64` (with rounding).
-    fn biguint_to_f64(v: &BigUint) -> f64 {
-        let mut acc = 0.0f64;
-        for &limb in v.limbs().iter().rev() {
-            acc = acc * 1.8446744073709552e19 + limb as f64;
-        }
-        acc
+    fn uint_to_f64(v: &Wide) -> f64 {
+        v.0.iter().rev().fold(0.0, |acc, &limb| acc * 1.8446744073709552e19 + limb as f64)
     }
 
     fn column(p: &RnsPoly, j: usize) -> Vec<u64> {
@@ -567,12 +572,14 @@ mod tests {
     /// non-canonical `qᵢ` and `u64::MAX` — then `fill` coefficients
     /// alternating uniform residues and small signed values.
     fn probe_poly(primes: &[u64], fill: usize, rng: &mut StdRng) -> RnsPoly {
-        let half_q = &primes.iter().fold(BigUint::one(), |acc, &p| acc.mul_u64(p)) >> 1;
-        let above = &half_q + &BigUint::one();
+        let half_q = product(primes).shr(1);
+        let mut above = half_q;
+        above.add_nocarry(&Wide::ONE);
+        let rem = |v: &Wide, q: u64| v.div_rem(&Wide::from(q)).1 .0[0];
         let rows: Vec<Vec<u64>> = primes
             .iter()
             .map(|&q| {
-                let mut row = vec![0, 1, q - 1, half_q.div_rem_u64(q).1, above.div_rem_u64(q).1];
+                let mut row = vec![0, 1, q - 1, rem(&half_q, q), rem(&above, q)];
                 row.extend([q, u64::MAX]);
                 row.extend((0..fill).map(|_| rng.gen_range(0..q)));
                 row
@@ -616,7 +623,7 @@ mod tests {
             for levels in 2..=primes.len() {
                 let active = &primes[..levels];
                 let p = probe_poly(active, 200, &mut rng);
-                let want = BigUintCrt::new(active).poly_to_f64(&p);
+                let want = UintCrt::new(active).poly_to_f64(&p);
                 // The edge prefix, by value.
                 assert_eq!(want[..3], [0.0, 1.0, -1.0], "{bits:?} level {levels}");
                 assert!(want[3] > 0.0 && want[4] < 0.0, "{bits:?} level {levels}: sign boundary");
@@ -635,7 +642,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(23);
         for bits in [CHAINS[0], CHAINS[5]] {
             let primes = chain(bits);
-            let crt = BigUintCrt::new(&primes);
+            let crt = UintCrt::new(&primes);
             let full = probe_poly(&primes, 8192 - 7, &mut rng);
             for n in [0usize, 1, 3, 63, 64, 65, 200, 8192] {
                 // Both ends of the probe: the edge values and the random tail.
@@ -812,10 +819,11 @@ mod tests {
 
     #[test]
     fn biguint_f64_conversion_accuracy() {
-        assert_eq!(biguint_to_f64(&BigUint::from(0u64)), 0.0);
-        assert_eq!(biguint_to_f64(&BigUint::from(1u64 << 52)), (1u64 << 52) as f64);
-        let big = BigUint::from(u128::MAX);
+        assert_eq!(uint_to_f64(&Wide::ZERO), 0.0);
+        assert_eq!(uint_to_f64(&Wide::from(1u64 << 52)), (1u64 << 52) as f64);
+        let mut big = Wide::ZERO;
+        big.0[..2].copy_from_slice(&[u64::MAX; 2]);
         let expected = 2.0f64.powi(128);
-        assert!((biguint_to_f64(&big) - expected).abs() / expected < 1e-15);
+        assert!((uint_to_f64(&big) - expected).abs() / expected < 1e-15);
     }
 }

@@ -498,7 +498,6 @@ mod wire_decoders {
 // across cases via a lazily-initialized static.
 mod paillier_props {
     use super::*;
-    use rhychee_bigint::BigUint;
     use rhychee_fhe::paillier::PaillierContext;
     use std::sync::OnceLock;
 
@@ -535,7 +534,7 @@ mod paillier_props {
             let ctx = shared_ctx();
             let mut rng = StdRng::seed_from_u64(seed);
             let c = ctx.encrypt_u64(m, &mut rng);
-            let ck = ctx.mul_scalar(&c, &BigUint::from(k));
+            let ck = ctx.mul_scalar(&c, k);
             prop_assert_eq!(ctx.decrypt_u64(&ck).unwrap(), m * k);
         }
 

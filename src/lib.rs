@@ -7,7 +7,7 @@
 //! This crate re-exports the public API of every subsystem so examples and
 //! downstream users can depend on a single crate:
 //!
-//! * [`bigint`] — arbitrary-precision integers (Paillier substrate)
+//! * [`bigint`] — fixed-width integers (Paillier substrate)
 //! * [`fhe`] — CKKS, TFHE-style LWE and Paillier homomorphic encryption
 //! * [`hdc`] — hyperdimensional computing encoders and classifiers
 //! * [`nn`] — the CNN / MLP / logistic-regression baselines

@@ -52,7 +52,6 @@ const KINDS: &[&str] = &["fn", "struct", "enum", "trait", "type", "const", "stat
 /// `(crate, item, why it stays pub)` for the items no one outside their
 /// crate names.
 const ALLOWED: &[(&str, &str, &str)] = &[
-    ("bigint", "ParseBigUintError", "the error of `BigUint::from_decimal`"),
     ("channel", "PhyConfig", "the type of the public field `ChannelModel::phy`"),
     ("channel", "TransferStats", "returned by `PacketLink::transfer`"),
     ("core", "ChannelStats", "returned by `NoisyFederation::run`"),

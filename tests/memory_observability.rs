@@ -8,7 +8,8 @@
 //!    `fold_view` kernel allocates nothing from a thread's first fold
 //!    on — asserted by per-span attribution, both directly and through
 //!    a real loopback federation's `net_fold.alloc_bytes`
-//!    histogram.
+//!    histogram; Paillier's encrypt, add, scalar multiply and decrypt
+//!    allocate nothing at all.
 //! 2. **Stall detection.** A round watchdog with no heartbeats fires
 //!    exactly once per stalled epoch and writes a parseable
 //!    flight-recorder dump.
@@ -33,6 +34,7 @@ use rhychee_fl::core::round::{self, ClientLocal, FedSetup};
 use rhychee_fl::core::{FlConfig, Framework};
 use rhychee_fl::data::{DatasetKind, SyntheticConfig, TrainTest};
 use rhychee_fl::fhe::ckks::{CkksContext, CkksEncryptArena};
+use rhychee_fl::fhe::paillier::PaillierContext;
 use rhychee_fl::fhe::params::CkksParams;
 use rhychee_fl::net::{
     wire, ClientConfig, ClientPipeline, FlClient, FlServer, Message, ServerConfig, ServerPipeline,
@@ -233,6 +235,39 @@ fn frame_codecs_allocate_one_payload_per_upload() {
     {
         eprintln!("{what}: {bytes} B allocated for a {payload} B payload");
         assert!(bytes <= payload + 256, "{what} allocated {bytes} B for a {payload} B payload");
+    }
+}
+
+/// Paillier works on inline fixed-width integers with stack scratch: once
+/// a 256-bit context exists, `encrypt_u64`, `add`, `mul_scalar` and
+/// `decrypt_u64` each allocate 0 bytes.
+#[test]
+fn paillier_ops_allocate_zero_bytes() {
+    let _g = lock();
+    telemetry::set_enabled(false);
+    let mut rng = StdRng::seed_from_u64(5);
+    let ctx = PaillierContext::generate(&mut rng, 256).expect("keygen");
+    let allocated = |f: &mut dyn FnMut()| {
+        let before = telemetry::alloc::thread_allocated_bytes();
+        f();
+        telemetry::alloc::thread_allocated_bytes() - before
+    };
+    let (mut x, mut sum, mut scaled, mut plain) = (None, None, None, None);
+    let encrypt = allocated(&mut || x = Some(ctx.encrypt_u64(20, &mut rng)));
+    let x = x.expect("ran");
+    let add = allocated(&mut || sum = Some(ctx.add(&x, &x)));
+    let mul_scalar = allocated(&mut || scaled = Some(ctx.mul_scalar(&x, 3)));
+    let decrypt = allocated(&mut || plain = Some(ctx.decrypt_u64(&x)));
+    assert_eq!(ctx.decrypt_u64(&sum.expect("ran")).expect("fits"), 40);
+    assert_eq!(ctx.decrypt_u64(&scaled.expect("ran")).expect("fits"), 60);
+    assert_eq!(plain.expect("ran").expect("fits"), 20);
+    for (what, bytes) in [
+        ("encrypt_u64", encrypt),
+        ("add", add),
+        ("mul_scalar", mul_scalar),
+        ("decrypt_u64", decrypt),
+    ] {
+        assert_eq!(bytes, 0, "Paillier {what} allocated {bytes} B");
     }
 }
 
